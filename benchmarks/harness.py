@@ -4,9 +4,9 @@
 Runs the activation / invocation / revocation-cascade microbenchmarks plus
 one representative workload per paper figure (FIG1-FIG5) and writes
 ``BENCH_CORE.json`` at the repository root: ops/sec and p50/p99 latency per
-workload, plus an optimized-vs-seed comparison on the FIG1 depth-16
-dependency chain (the seed numbers live in the same file, under
-``workloads.activation_engine_fig1_depth16_seed`` and ``comparisons``).
+workload, plus the criteria under ``comparisons``.  Before/after numbers
+across commits come from ``benchmarks/e2e/compare.py`` (parent's
+``result.json`` vs the change's), not from old code kept beside the new.
 
 Standalone — no pytest required::
 
@@ -52,37 +52,19 @@ from repro.core import (  # noqa: E402
 from repro.core.credentials import CredentialRef  # noqa: E402
 from repro.crypto import ServiceSecret  # noqa: E402
 
-from seed_engine import SeedRuleEngine  # noqa: E402
 from workloads import ChainWorld, FanoutWorld, HospitalWorld  # noqa: E402
 
 DEFAULT_OUTPUT = os.path.join(_REPO, "BENCH_CORE.json")
-SPEEDUP_CRITERION = 2.0  # FIG1 depth-16 activation: optimized vs seed engine
 #: FIG5 depth-16 cascade: indexed dispatch + batched cascades vs the
 #: seed baseline recorded in BENCH_CORE.json before the optimization.
 CASCADE_SPEEDUP_CRITERION = 5.0
-#: ``cascade_fig5_revoke_depth16`` as recorded by this harness at the
-#: previous PR, before indexed dispatch / batched cascades existed.  The
-#: re-measured reference path (``indexed_broker=False,
-#: batched_cascades=False``) runs faster than this baseline because the
-#: satellite fixes (cached ref hashing, two-level validation cache, tap
-#: fast path) apply to both configurations; the criterion is against the
-#: recorded number, per the optimization's acceptance bar.
+#: ``cascade_fig5_revoke_depth16`` as recorded by this harness before
+#: indexed dispatch / batched cascades existed.
 SEED_CASCADE_BASELINE_OPS = 147.35
 #: FIG5 independence: per-revocation cost with 1000 unrelated live trees
 #: may be at most this many times the cost with 100 (ideal ratio: 1.0).
 INDEPENDENCE_CRITERION = 3.0
-#: Observability (repro.obs): with the pipeline *disabled*, instrumented
-#: code may cost at most this much more than the vendored guard-free
-#: baselines (benchmarks/obs_baseline.py) on the two guarded workloads.
-OBS_OVERHEAD_CRITERION_PCT = 3.0
 CHAIN_DEPTH = 16
-#: Memory-lean sweep: resident bytes per live credential (slots, interning,
-#: virtual channels, adaptive edge buckets) must beat the vendored
-#: pre-sweep representation (benchmarks/unslotted_baseline.py) by this much.
-MEMORY_IMPROVEMENT_CRITERION_PCT = 30.0
-#: Object count for the memory comparison: large enough that container
-#: slack and allocator rounding amortize, small enough to run in CI smoke.
-MEMORY_COMPARISON_OBJECTS = 50_000
 #: Bulk world construction (issue_rmcs_bulk / put_many) vs the per-call
 #: activate_role path, same resulting world.
 BULK_BUILD_SPEEDUP_CRITERION = 2.0
@@ -90,10 +72,6 @@ BULK_BUILD_SPEEDUP_CRITERION = 2.0
 #: at most this many times the storeless in-memory path (write-behind
 #: buffering is what keeps the disk off the hot path).
 PERSIST_ACTIVATION_OVERHEAD_CRITERION = 1.25
-#: The explicit in-memory mirror backend must keep the hot path free:
-#: at most this much slower than storeless on activation and on the
-#: depth-16 cascade.
-MEMORY_BACKEND_OVERHEAD_CRITERION = 1.05
 #: Sharded scale-out (repro.shard): aggregate mixed-traffic ops/sec at 4
 #: workers must be at least this multiple of the 1-worker run through the
 #: same machinery.  The aggregate is wall-clock when the host has a core
@@ -161,36 +139,26 @@ def measure(fn: Callable[..., object], *, rounds: int, inner: int,
 # -- workload builders -------------------------------------------------------
 
 def bench_fig1_activation(results: Dict[str, dict], *, rounds: int,
-                          inner: int) -> Dict[str, object]:
-    """FIG1 depth-16 chain: the acceptance-criterion microbenchmark.
+                          inner: int) -> None:
+    """FIG1 depth-16 chain.
 
     Engine-level rule matching (credential validation already done), all 17
-    chain RMCs presented; the optimized engine's credential index must find
-    the one matching prerequisite without the seed's linear scan.
+    chain RMCs presented; the engine's credential index must find the one
+    matching prerequisite without a linear scan.
     """
     world = ChainWorld(CHAIN_DEPTH)
     session, rmcs = world.build_session()
     presented = tuple(PresentedCredential(rmc) for rmc in rmcs)
     deepest = world.services[-1]
     rule = deepest.policy.activation_rules_for("role")[0]
-    context = EvaluationContext()
-    optimized = RuleEngine(context)
-    seed = SeedRuleEngine(context)  # vendored pre-PR solver, see seed_engine
+    engine = RuleEngine(EvaluationContext())
 
-    assert optimized.match_activation(rule, None, presented) is not None
-    assert seed.match_activation(rule, None, presented) is not None
+    assert engine.match_activation(rule, None, presented) is not None
 
     results["activation_engine_fig1_depth16"] = dict(
         description=(f"engine-level activation match, depth-{CHAIN_DEPTH} "
-                     f"prerequisite chain, {len(presented)} RMCs presented "
-                     f"(optimized engine)"),
-        **measure(lambda: optimized.match_activation(rule, None, presented),
-                  rounds=rounds, inner=inner))
-    results["activation_engine_fig1_depth16_seed"] = dict(
-        description=("same workload on the vendored seed engine (linear "
-                     "scan, dict-copying substitutions) — baseline for the "
-                     "speedup criterion"),
-        **measure(lambda: seed.match_activation(rule, None, presented),
+                     f"prerequisite chain, {len(presented)} RMCs presented"),
+        **measure(lambda: engine.match_activation(rule, None, presented),
                   rounds=rounds, inner=inner))
 
     # End-to-end service activation (validation + match + RMC issue).
@@ -202,18 +170,6 @@ def bench_fig1_activation(results: Dict[str, dict], *, rounds: int,
         **measure(lambda: deepest.activate_role(principal_id, "role", None,
                                                 credentials),
                   rounds=rounds, inner=inner))
-
-    opt_ops = results["activation_engine_fig1_depth16"]["ops_per_sec"]
-    seed_ops = results["activation_engine_fig1_depth16_seed"]["ops_per_sec"]
-    speedup = round(opt_ops / seed_ops, 2) if seed_ops else math.inf
-    return {
-        "workload": "activation_engine_fig1_depth16",
-        "optimized_ops_per_sec": opt_ops,
-        "seed_ops_per_sec": seed_ops,
-        "speedup": speedup,
-        "criterion": f">= {SPEEDUP_CRITERION}x",
-        "criterion_met": speedup >= SPEEDUP_CRITERION,
-    }
 
 
 def bench_fig2_entry_and_invocation(results: Dict[str, dict], *, rounds: int,
@@ -288,50 +244,34 @@ def bench_fig5_cascade(results: Dict[str, dict],
                        *, rounds: int) -> Dict[str, object]:
     """FIG5: revoking the session root collapses the depth-16 chain.
 
-    Measured twice — on the optimized configuration (indexed broker
-    dispatch + batched reverse-index cascades, the defaults) and on the
-    pre-optimization reference configuration (naive subscriber scan,
-    per-dependency subscriptions) — yielding the cascade speedup
-    comparison.
+    Compared against the cascade rate recorded before indexed dispatch
+    and batched cascades existed (``SEED_CASCADE_BASELINE_OPS``).
     """
-    configurations = (
-        ("cascade_fig5_revoke_depth16", True,
-         f"revoke the session root of a depth-{CHAIN_DEPTH} chain; "
-         f"batched cascade over indexed dispatch collapses every "
-         f"dependent role (session rebuilt per op, untimed)"),
-        ("cascade_fig5_revoke_depth16_seed", False,
-         "same workload on the pre-optimization path: naive subscriber "
-         "scan and one subscription per membership dependency — baseline "
-         "for the cascade speedup criterion"),
-    )
-    for name, optimized, description in configurations:
-        world = ChainWorld(CHAIN_DEPTH, indexed_broker=optimized,
-                           batched_cascades=optimized)
-        counter = [0]
+    world = ChainWorld(CHAIN_DEPTH)
+    counter = [0]
 
-        def setup(world=world, counter=counter) -> RoleMembershipCertificate:
-            counter[0] += 1
-            session, _ = world.build_session(user=f"user-{counter[0]}")
-            return session.root_rmc
+    def setup() -> RoleMembershipCertificate:
+        counter[0] += 1
+        session, _ = world.build_session(user=f"user-{counter[0]}")
+        return session.root_rmc
 
-        def revoke(root: RoleMembershipCertificate, world=world) -> None:
-            world.services[0].revoke(root.ref, "logout")
+    def revoke(root: RoleMembershipCertificate) -> None:
+        world.services[0].revoke(root.ref, "logout")
 
-        results[name] = dict(description=description,
-                             **measure(revoke, rounds=rounds, inner=1,
-                                       setup=setup))
+    results["cascade_fig5_revoke_depth16"] = dict(
+        description=(f"revoke the session root of a depth-{CHAIN_DEPTH} "
+                     f"chain; batched cascade over indexed dispatch "
+                     f"collapses every dependent role (session rebuilt per "
+                     f"op, untimed)"),
+        **measure(revoke, rounds=rounds, inner=1, setup=setup))
 
     opt_ops = results["cascade_fig5_revoke_depth16"]["ops_per_sec"]
-    ref_ops = results["cascade_fig5_revoke_depth16_seed"]["ops_per_sec"]
     speedup = round(opt_ops / SEED_CASCADE_BASELINE_OPS, 2)
     return {
         "workload": "cascade_fig5_revoke_depth16",
         "optimized_ops_per_sec": opt_ops,
-        "reference_path_ops_per_sec": ref_ops,
         "recorded_seed_baseline_ops_per_sec": SEED_CASCADE_BASELINE_OPS,
         "speedup": speedup,
-        "speedup_vs_reference_path": (round(opt_ops / ref_ops, 2)
-                                      if ref_ops else math.inf),
         "criterion": (f">= {CASCADE_SPEEDUP_CRITERION}x vs recorded "
                       f"seed baseline"),
         "criterion_met": speedup >= CASCADE_SPEEDUP_CRITERION,
@@ -406,242 +346,58 @@ def bench_fig5_fanout(results: Dict[str, dict],
     }
 
 
-def _interleaved_min(fn_a: Callable[..., object],
-                     fn_b: Callable[..., object], *, rounds: int, inner: int,
-                     setup_a: Optional[Callable[[], object]] = None,
-                     setup_b: Optional[Callable[[], object]] = None,
-                     ) -> List[float]:
-    """Minimum per-op latency of two functions, measured interleaved.
+def bench_obs_enabled(results: Dict[str, dict],
+                      *, quick: bool) -> Dict[str, object]:
+    """The enabled observability pipeline's cost on the FIG1 engine match
+    and the FIG5 depth-16 cascade (informational; no criterion).
 
-    A/B rounds alternate so thermal and scheduler drift hit both sides
-    equally; the minimum over rounds is the low-noise statistic for
-    overhead ratios (it discards GC pauses and preemptions, which would
-    otherwise dwarf a ≤3%% effect).
+    The disabled pipeline has no separate code path to compare against:
+    every operation has one body whose ``obs is None`` guards are part of
+    the ordinary workloads' numbers.
     """
-    perf_counter = time.perf_counter
-    best = [math.inf, math.inf]
-    sides = ((0, fn_a, setup_a), (1, fn_b, setup_b))
-    # Untimed warm-up of both sides: without it, whichever side runs
-    # first pays the cold-cache cost and the first round reports a
-    # phantom overhead several times the effect being measured.
-    for _index, fn, setup in sides:
-        state = setup() if setup is not None else None
-        for _ in range(min(inner, 50)):
-            fn() if state is None else fn(state)
-    # GC pauses landing inside a timed section are pure noise for a
-    # ratio measurement; collect between sections instead.
-    gc_was_enabled = gc.isenabled()
-    gc.disable()
-    try:
-        for round_index in range(rounds):
-            # Alternate which side goes first so drift within a round
-            # (frequency scaling, cache pressure) cancels across rounds.
-            ordered_sides = (sides if round_index % 2 == 0
-                             else sides[::-1])
-            for index, fn, setup in ordered_sides:
-                state = setup() if setup is not None else None
-                gc.collect()
-                if state is None:
-                    start = perf_counter()
-                    for _ in range(inner):
-                        fn()
-                    elapsed = perf_counter() - start
-                else:
-                    start = perf_counter()
-                    for _ in range(inner):
-                        fn(state)
-                    elapsed = perf_counter() - start
-                per_op = elapsed / inner
-                if per_op < best[index]:
-                    best[index] = per_op
-    finally:
-        if gc_was_enabled:
-            gc.enable()
-    return best
-
-
-def bench_obs_overhead(results: Dict[str, dict],
-                       *, quick: bool) -> Dict[str, object]:
-    """Observability disabled-path overhead on the two guarded workloads.
-
-    Instrumented classes (with the pipeline disabled — their guards all
-    take the ``is None`` branch) against the vendored guard-free
-    baselines of ``benchmarks/obs_baseline.py``.  Also records the
-    *enabled*-path numbers informationally: that cost is by design not
-    subject to the criterion.
-    """
-    from obs_baseline import UninstrumentedEngine, UninstrumentedService
     from repro.obs import runtime as obs_runtime
-    assert obs_runtime.pipeline() is None, \
-        "obs overhead must be measured with the pipeline disabled"
+    assert obs_runtime.pipeline() is None
 
-    # A single instrumented/baseline pair is at the mercy of per-process
-    # allocation and hash layout: two byte-identical object graphs
-    # routinely differ by several percent in either direction, and that
-    # luck is sticky for the life of the objects — no amount of extra
-    # rounds averages it out.  So each workload measures several
-    # independently constructed pairs (construction order alternating so
-    # ordering bias cancels) and combines two robust statistics:
-    #
-    # * the *median* per-pair ratio — immune to a single outlier pair,
-    #   but drifts when the whole pair distribution shifts;
-    # * the *pooled-min* ratio (fastest instrumented sample anywhere vs
-    #   fastest baseline sample anywhere) — immune to distribution
-    #   shifts, but exposed to one extra-lucky baseline pair.
-    #
-    # A real overhead delta moves every instrumented sample, hence BOTH
-    # statistics, up by delta; the two noise modes are disjoint.  The
-    # one-sided gate therefore takes the smaller of the two.  On top of
-    # that, the whole pair sweep runs twice, separated in time, and the
-    # gate keeps the better repeat: shared-host contention episodes last
-    # minutes and inflate one sweep, while a genuine regression shows up
-    # in both.
-    def _pair_overhead(build_pair, *, pairs, rounds, inner, repeats=2):
-        best: Optional[Dict[str, object]] = None
-        repeat_pcts: List[float] = []
-        for _repeat in range(repeats):
-            pair_results: List[Tuple[float, float, float]] = []
-            for pair_index in range(pairs):
-                fn_instr, fn_base, setup_instr, setup_base = \
-                    build_pair(swap=pair_index % 2 == 1)
-                instr, base = _interleaved_min(
-                    fn_instr, fn_base, rounds=rounds, inner=inner,
-                    setup_a=setup_instr, setup_b=setup_base)
-                pair_results.append((instr / base, instr, base))
-            pooled_instr = min(instr for _r, instr, _b in pair_results)
-            pooled_base = min(base for _r, _i, base in pair_results)
-            pooled_ratio = pooled_instr / pooled_base
-            pair_results.sort()
-            half = len(pair_results) // 2
-            if len(pair_results) % 2:
-                median_ratio = pair_results[half][0]
-            else:
-                median_ratio = (pair_results[half - 1][0]
-                                + pair_results[half][0]) / 2
-            ratio = min(median_ratio, pooled_ratio)
-            repeat_pcts.append(round((ratio - 1.0) * 100, 2))
-            candidate = {
-                "instrumented_min_us": round(pooled_instr * 1e6, 3),
-                "baseline_min_us": round(pooled_base * 1e6, 3),
-                "overhead_pct": round(max(0.0, ratio - 1.0) * 100, 2),
-                "median_pair_overhead_pct":
-                    round((median_ratio - 1.0) * 100, 2),
-                "pooled_min_overhead_pct":
-                    round((pooled_ratio - 1.0) * 100, 2),
-                "pairs": pairs,
-                "pair_overhead_pcts": [round((r - 1.0) * 100, 2)
-                                       for r, _i, _b in pair_results],
-            }
-            if best is None or (candidate["overhead_pct"]
-                                < best["overhead_pct"]):
-                best = candidate
-        best["repeats"] = repeats
-        best["repeat_overhead_pcts"] = repeat_pcts
-        return best
-
-    overhead: Dict[str, Dict[str, float]] = {}
-
-    # -- guarded workload 1: FIG1 depth-16 engine activation match -------
-    world = ChainWorld(CHAIN_DEPTH)
-    _session, rmcs = world.build_session()
-    presented = tuple(PresentedCredential(rmc) for rmc in rmcs)
-    rule = world.services[-1].policy.activation_rules_for("role")[0]
-
-    def build_engine_pair(swap):
-        context = EvaluationContext()
-        if swap:
-            baseline_engine = UninstrumentedEngine(context)
-            instrumented_engine = RuleEngine(context)
-        else:
-            instrumented_engine = RuleEngine(context)
-            baseline_engine = UninstrumentedEngine(context)
-        return (
-            lambda: instrumented_engine.match_activation(
-                rule, None, presented),
-            lambda: baseline_engine.match_activation(
-                rule, None, presented),
-            None, None)
-
-    engine_pairs, engine_rounds, inner = \
-        (5, 5, 300) if quick else (7, 8, 1000)
-    overhead["activation_engine_fig1_depth16"] = _pair_overhead(
-        build_engine_pair, pairs=engine_pairs, rounds=engine_rounds,
-        inner=inner)
-
-    # -- guarded workload 2: FIG5 depth-16 revocation cascade ------------
-    # inner=1: revocation is destructive, so every sample rebuilds the
-    # depth-16 session in the untimed setup hook.
-    cascade_pairs = 5 if quick else 7
-    cascade_rounds = 12 if quick else 16
+    engine_rounds, inner = (5, 300) if quick else (8, 1000)
+    cascade_rounds = 6 if quick else 8
     counter = [0]
+    with obs_runtime.observed():
+        world = ChainWorld(CHAIN_DEPTH)
+        _session, rmcs = world.build_session(user="obs-enabled")
+        presented = tuple(PresentedCredential(rmc) for rmc in rmcs)
+        rule = world.services[-1].policy.activation_rules_for("role")[0]
+        engine = RuleEngine(EvaluationContext())
 
-    def make_setup(world):
-        def setup():
+        def setup() -> RoleMembershipCertificate:
             counter[0] += 1
             session, _ = world.build_session(user=f"obs-user-{counter[0]}")
             return session.root_rmc
-        return setup
 
-    def make_revoke(world):
-        def revoke(root):
+        def revoke(root: RoleMembershipCertificate) -> None:
             world.services[0].revoke(root.ref, "logout")
-        return revoke
 
-    def build_cascade_pair(swap):
-        if swap:
-            world_base = ChainWorld(CHAIN_DEPTH,
-                                    service_cls=UninstrumentedService)
-            world_instr = ChainWorld(CHAIN_DEPTH)
-        else:
-            world_instr = ChainWorld(CHAIN_DEPTH)
-            world_base = ChainWorld(CHAIN_DEPTH,
-                                    service_cls=UninstrumentedService)
-        return (make_revoke(world_instr), make_revoke(world_base),
-                make_setup(world_instr), make_setup(world_base))
-
-    overhead["cascade_fig5_revoke_depth16"] = _pair_overhead(
-        build_cascade_pair, pairs=cascade_pairs, rounds=cascade_rounds,
-        inner=1)
-
-    # -- informational: the enabled pipeline's cost on the same paths ----
-    with obs_runtime.observed():
-        world_enabled = ChainWorld(CHAIN_DEPTH)
-        _session, rmcs = world_enabled.build_session(user="obs-enabled")
-        presented = tuple(PresentedCredential(rmc) for rmc in rmcs)
-        rule = world_enabled.services[-1].policy \
-            .activation_rules_for("role")[0]
-        enabled_engine = RuleEngine(EvaluationContext())
         engine_timing = measure(
-            lambda: enabled_engine.match_activation(rule, None, presented),
-            rounds=max(3, engine_rounds), inner=inner)
-        cascade_timing = measure(
-            make_revoke(world_enabled),
-            rounds=max(3, cascade_rounds // 2), inner=1,
-            setup=make_setup(world_enabled))
+            lambda: engine.match_activation(rule, None, presented),
+            rounds=engine_rounds, inner=inner)
+        cascade_timing = measure(revoke, rounds=cascade_rounds, inner=1,
+                                 setup=setup)
     results["obs_enabled_activation_engine_fig1_depth16"] = dict(
         description=("FIG1 engine activation with the observability "
                      "pipeline ENABLED (spans+metrics+decisions live); "
-                     "informational — the ≤3% criterion applies to the "
-                     "disabled path only"),
+                     "informational"),
         **engine_timing)
     results["obs_enabled_cascade_fig5_revoke_depth16"] = dict(
         description=("FIG5 depth-16 cascade with the pipeline ENABLED; "
                      "informational"),
         **cascade_timing)
 
-    worst = max(entry["overhead_pct"] for entry in overhead.values())
     return {
-        "workloads": overhead,
-        "worst_overhead_pct": worst,
         "enabled_path_informational": {
             "activation_engine_fig1_depth16_ops_per_sec":
                 engine_timing["ops_per_sec"],
             "cascade_fig5_revoke_depth16_ops_per_sec":
                 cascade_timing["ops_per_sec"],
         },
-        "criterion": (f"<= {OBS_OVERHEAD_CRITERION_PCT}% disabled-path "
-                      f"overhead on both guarded workloads"),
-        "criterion_met": worst <= OBS_OVERHEAD_CRITERION_PCT,
     }
 
 
@@ -667,16 +423,11 @@ def _traced_build_bytes(builder: Callable[[], object]) -> int:
 
 
 def bench_scale(results: Dict[str, dict], *, quick: bool,
-                full: bool) -> Tuple[Dict[str, object], Dict[str, object]]:
+                full: bool) -> Dict[str, object]:
     """Million-principal single-node scale tier.
 
-    Three measurements:
+    Two measurements:
 
-    * ``scale_memory`` comparison — bytes per live credential, identical
-      resident object graph built with the current (slotted / interned /
-      virtual-channel / adaptive-bucket) representation and with the
-      vendored pre-sweep one (``benchmarks/unslotted_baseline.py``), the
-      same way the seed engine is vendored for the FIG1 speedup.
     * ``scale_bulk_build`` comparison — constructing the same ScaleWorld
       through the bulk APIs (``issue_rmcs_bulk`` / ``put_many``) vs the
       per-call ``activate_role`` path.
@@ -684,33 +435,10 @@ def bench_scale(results: Dict[str, dict], *, quick: bool,
       (``--full`` only) workloads — mixed traffic (60% guarded invokes,
       30% leaf churn, 10% cross-service root revocation cascades) over a
       bulk-built world, with the world's tracemalloc bytes per live
-      credential and build time recorded alongside ops/sec and latency.
+      credential (CI gates it against the committed figure) and build
+      time recorded alongside ops/sec and latency.
     """
-    from unslotted_baseline import (build_current_state,
-                                    build_unslotted_state)
     from workloads import ScaleWorld
-
-    # -- representation memory comparison --------------------------------
-    count = MEMORY_COMPARISON_OBJECTS
-    build_current_state(2)      # warm imports and intern pools, untraced
-    build_unslotted_state(2)
-    current_bytes = _traced_build_bytes(
-        lambda: build_current_state(count)) / count
-    unslotted_bytes = _traced_build_bytes(
-        lambda: build_unslotted_state(count)) / count
-    improvement_pct = round((1.0 - current_bytes / unslotted_bytes) * 100, 2)
-    memory_cmp: Dict[str, object] = {
-        "workload": "scale_memory_bytes_per_live_credential",
-        "objects": count,
-        "current_bytes_per_credential": round(current_bytes, 1),
-        "unslotted_bytes_per_credential": round(unslotted_bytes, 1),
-        "improvement_pct": improvement_pct,
-        "criterion": (f">= {MEMORY_IMPROVEMENT_CRITERION_PCT}% fewer bytes "
-                      f"per live credential than the pre-sweep "
-                      f"(unslotted) representation"),
-        "criterion_met":
-            improvement_pct >= MEMORY_IMPROVEMENT_CRITERION_PCT,
-    }
 
     # -- bulk vs per-call world construction -----------------------------
     build_principals, build_live = (20_000, 2_000)
@@ -772,7 +500,7 @@ def bench_scale(results: Dict[str, dict], *, quick: bool,
             bulk_cmp["bulk_build_1m_credentials"] = live_credentials
         del world
         gc.collect()
-    return memory_cmp, bulk_cmp
+    return bulk_cmp
 
 
 def _build_scale_world(cls, principals: int, live: int):
@@ -899,7 +627,7 @@ def bench_shard_scaling(results: Dict[str, dict], *, quick: bool,
 
 
 def bench_persistence(results: Dict[str, dict], *, quick: bool
-                      ) -> Tuple[Dict[str, object], Dict[str, object]]:
+                      ) -> Dict[str, object]:
     """Record-store backends: write-behind SQLite, memory mirror, restart.
 
     Three workload families:
@@ -917,12 +645,6 @@ def bench_persistence(results: Dict[str, dict], *, quick: bool
     * ``restart_resume_100k`` — bulk-build 100k credential records into a
       SQLite file, flush, close; measure ``OasisService.resume`` cold:
       state load, allocator watermark replay, secret restore.
-
-    Plus the in-memory backend criterion: the default configuration (no
-    store attached — the live dicts ARE the in-memory backend) against
-    the vendored pre-refactor hot-path bodies
-    (``benchmarks/prestore_baseline.py``), interleaved min-latency pairs
-    on the existing activation and cascade workloads, <= 1.05x.
     """
     import tempfile
 
@@ -1095,11 +817,10 @@ def bench_persistence(results: Dict[str, dict], *, quick: bool
             records=records,
             **measure(resume_once, rounds=resume_rounds, inner=1))
 
-    # Ratios compare best observed per-op cost (interleaved rounds, min)
-    # — the same noise-rejection the obs-overhead comparison uses.
+    # Ratios compare best observed per-op cost (interleaved rounds, min).
     activation_ratio = round(
         activation_ops["sqlite"] / activation_ops["storeless"], 3)
-    persist_cmp: Dict[str, object] = {
+    return {
         "workload": "persist_activate_1k",
         "sqlite_min_us": activation_ops["sqlite"],
         "storeless_min_us": activation_ops["storeless"],
@@ -1109,99 +830,6 @@ def bench_persistence(results: Dict[str, dict], *, quick: bool
         "criterion_met":
             activation_ratio <= PERSIST_ACTIVATION_OVERHEAD_CRITERION,
     }
-
-    # -- in-memory backend (the storeless default) vs pre-refactor -------
-    # The refactor's zero-hot-path-regression bar, measured the robust
-    # way: interleaved pairs against the vendored pre-refactor bodies,
-    # alternating construction order, combining the median per-pair ratio
-    # with the pooled-min ratio (the obs-overhead dual statistic).
-    from prestore_baseline import PreStoreService
-
-    def _paired_ratio(build_side, *, pairs, rounds, inner):
-        pair_results: List[Tuple[float, float, float]] = []
-        for pair_index in range(pairs):
-            if pair_index % 2:
-                base_fn, base_setup = build_side(PreStoreService)
-                cur_fn, cur_setup = build_side(OasisService)
-            else:
-                cur_fn, cur_setup = build_side(OasisService)
-                base_fn, base_setup = build_side(PreStoreService)
-            cur, base = _interleaved_min(
-                cur_fn, base_fn, rounds=rounds, inner=inner,
-                setup_a=cur_setup, setup_b=base_setup)
-            pair_results.append((cur / base, cur, base))
-        pooled_cur = min(cur for _r, cur, _b in pair_results)
-        pooled_base = min(base for _r, _c, base in pair_results)
-        pair_results.sort()
-        half = len(pair_results) // 2
-        if len(pair_results) % 2:
-            median = pair_results[half][0]
-        else:
-            median = (pair_results[half - 1][0]
-                      + pair_results[half][0]) / 2
-        return {
-            "ratio": round(min(median, pooled_cur / pooled_base), 3),
-            "current_min_us": round(pooled_cur * 1e6, 3),
-            "prerefactor_min_us": round(pooled_base * 1e6, 3),
-            "pair_ratios": [round(r, 3) for r, _c, _b in pair_results],
-        }
-
-    def build_activation_side(cls):
-        world = ChainWorld(CHAIN_DEPTH, service_cls=cls,
-                           store_factory=(lambda: None)
-                           if cls is OasisService else None)
-        session, rmcs = world.build_session()
-        credentials = [Presentation(rmc) for rmc in rmcs]
-        deepest = world.services[-1]
-        pid = session.principal.id
-        return (lambda: deepest.activate_role(pid, "role", None,
-                                              credentials), None)
-
-    def build_cascade_side(cls):
-        world = ChainWorld(CHAIN_DEPTH, service_cls=cls,
-                           store_factory=(lambda: None)
-                           if cls is OasisService else None)
-        tick = [0]
-
-        def setup():
-            tick[0] += 1
-            session, _ = world.build_session(user=f"ab-{tick[0]}")
-            return session.root_rmc
-
-        def revoke(root):
-            world.services[0].revoke(root.ref, "logout")
-
-        return revoke, setup
-
-    act_pairs, act_rounds, act_inner = (3, 3, 100) if quick else (5, 5, 300)
-    cas_pairs, cas_rounds = (3, 8) if quick else (5, 12)
-    ab_activation = _paired_ratio(build_activation_side, pairs=act_pairs,
-                                  rounds=act_rounds, inner=act_inner)
-    ab_cascade = _paired_ratio(build_cascade_side, pairs=cas_pairs,
-                               rounds=cas_rounds, inner=1)
-
-    worst = max(ab_activation["ratio"], ab_cascade["ratio"])
-    membackend_cmp: Dict[str, object] = {
-        "workload": ("activation_service_fig1_depth16 / "
-                     "cascade_fig5_revoke_depth16"),
-        "baseline": "benchmarks/prestore_baseline.py (vendored "
-                    "pre-refactor hot-path bodies)",
-        "activation": ab_activation,
-        "cascade": ab_cascade,
-        "worst_cost_ratio": worst,
-        # Informational: the explicit memory-mirror store is NOT the
-        # in-memory backend; it pays real per-mutation mirroring.
-        "mirror_activation_cost_ratio": round(
-            activation_ops["memory"] / activation_ops["storeless"], 3),
-        "mirror_cascade_cost_ratio": round(
-            cascade_ops["memory"] / cascade_ops["storeless"], 3),
-        "criterion": (f"<= {MEMORY_BACKEND_OVERHEAD_CRITERION}x vs the "
-                      f"pre-refactor hot paths on activation and "
-                      f"depth-16 cascade (in-memory backend = storeless "
-                      f"default)"),
-        "criterion_met": worst <= MEMORY_BACKEND_OVERHEAD_CRITERION,
-    }
-    return persist_cmp, membackend_cmp
 
 
 def bench_rpc(results: Dict[str, dict], *, quick: bool) -> Dict[str, object]:
@@ -1374,17 +1002,17 @@ def run(quick: bool = False, full: bool = False,
     cascade_rounds = 5 if quick else 25
     results: Dict[str, dict] = {}
 
-    activation_cmp = bench_fig1_activation(results, **scale)
+    bench_fig1_activation(results, **scale)
     bench_fig2_entry_and_invocation(results, **scale)
     bench_fig3_cross_domain(results, **scale)
     bench_fig4_certificates(results, **scale)
     cascade_cmp = bench_fig5_cascade(results, rounds=cascade_rounds)
     independence_cmp = bench_fig5_fanout(results, quick=quick)
-    obs_cmp = bench_obs_overhead(results, quick=quick)
-    memory_cmp, bulk_cmp = bench_scale(results, quick=quick, full=full)
+    obs_cmp = bench_obs_enabled(results, quick=quick)
+    bulk_cmp = bench_scale(results, quick=quick, full=full)
     shard_cmp = bench_shard_scaling(results, quick=quick, full=full,
                                     worker_counts=worker_counts)
-    persist_cmp, membackend_cmp = bench_persistence(results, quick=quick)
+    persist_cmp = bench_persistence(results, quick=quick)
     rpc_cmp = bench_rpc(results, quick=quick)
     bench_verify_universe(results, quick=quick)
 
@@ -1406,15 +1034,12 @@ def run(quick: bool = False, full: bool = False,
         "shard_worker_counts": sorted({1, *worker_counts}),
         "workloads": results,
         "comparisons": {
-            "activation_fig1_depth16": activation_cmp,
             "cascade_fig5_depth16": cascade_cmp,
             "cascade_unrelated_independence": independence_cmp,
             "obs_overhead": obs_cmp,
-            "scale_memory": memory_cmp,
             "scale_bulk_build": bulk_cmp,
             "shard_scaling": shard_cmp,
             "persistence_activation_overhead": persist_cmp,
-            "memory_backend_overhead": membackend_cmp,
             "rpc_transport": rpc_cmp,
         },
     }
@@ -1460,30 +1085,18 @@ def main(argv: Optional[List[str]] = None) -> int:
         return (f"(criterion {entry['criterion']}: "
                 f"{'met' if entry['criterion_met'] else 'NOT met'})")
 
-    activation = comparisons["activation_fig1_depth16"]
     cascade = comparisons["cascade_fig5_depth16"]
     independence = comparisons["cascade_unrelated_independence"]
-    print(f"  fig1 depth-16 activation speedup: {activation['speedup']}x "
-          f"{verdict(activation)}")
     print(f"  fig5 depth-16 cascade speedup:    {cascade['speedup']}x "
           f"{verdict(cascade)}")
     print(f"  fig5 unrelated-state cost ratio:  "
           f"{independence['cost_ratio_1000_vs_100']}x "
           f"{verdict(independence)}")
-    obs = comparisons["obs_overhead"]
-    print(f"  obs disabled-path worst overhead: "
-          f"{obs['worst_overhead_pct']}% {verdict(obs)}")
-    for name, entry in obs["workloads"].items():
-        print(f"    {name:42s} instrumented "
-              f"{entry['instrumented_min_us']:>9.3f}us  baseline "
-              f"{entry['baseline_min_us']:>9.3f}us  "
-              f"overhead {entry['overhead_pct']}%")
-    memory = comparisons["scale_memory"]
+    enabled = comparisons["obs_overhead"]["enabled_path_informational"]
+    print("  obs enabled-path ops/s (informational): engine "
+          f"{enabled['activation_engine_fig1_depth16_ops_per_sec']:,.0f}, "
+          f"cascade {enabled['cascade_fig5_revoke_depth16_ops_per_sec']:,.0f}")
     bulk = comparisons["scale_bulk_build"]
-    print(f"  scale memory bytes/credential:    "
-          f"{memory['current_bytes_per_credential']} vs "
-          f"{memory['unslotted_bytes_per_credential']} unslotted "
-          f"(-{memory['improvement_pct']}%) {verdict(memory)}")
     print(f"  scale bulk world build speedup:   {bulk['speedup']}x "
           f"{verdict(bulk)}")
     shard = comparisons["shard_scaling"]
@@ -1491,11 +1104,8 @@ def main(argv: Optional[List[str]] = None) -> int:
           f"({shard['aggregate_mode']} mode, {shard['cpu_count']} cpu): "
           f"{shard['speedup']}x {verdict(shard)}")
     persist = comparisons["persistence_activation_overhead"]
-    membackend = comparisons["memory_backend_overhead"]
     print(f"  sqlite activation cost ratio:     "
           f"{persist['cost_ratio']}x {verdict(persist)}")
-    print(f"  memory backend worst cost ratio:  "
-          f"{membackend['worst_cost_ratio']}x {verdict(membackend)}")
     rpc = comparisons["rpc_transport"]
     print(f"  rpc activate throughput:          "
           f"{rpc['ops_per_sec']:,.0f} ops/s {verdict(rpc)}")

@@ -121,22 +121,14 @@ class HospitalWorld:
 
 
 class ChainWorld:
-    """A chain of services: svc-i's role requires svc-(i-1)'s (Fig. 1).
-
-    ``indexed_broker`` / ``batched_cascades`` select the optimized event
-    dispatch and cascade paths (both default on); turning both off rebuilds
-    the pre-optimization reference configuration for before/after numbers.
-    """
+    """A chain of services: svc-i's role requires svc-(i-1)'s (Fig. 1)."""
 
     def __init__(self, depth: int,
                  cache_validations: bool = True,
-                 indexed_broker: bool = True,
-                 batched_cascades: bool = True,
-                 service_cls: type = OasisService,
                  store_factory: Optional[Callable[[], object]] = None
                  ) -> None:
         self.clock = SimClock()
-        self.broker = EventBroker(indexed=indexed_broker)
+        self.broker = EventBroker()
         self.registry = ServiceRegistry()
         self.depth = depth
         # ``store_factory`` hands each service its own record store (the
@@ -151,9 +143,9 @@ class ChainWorld:
         login_policy.add_activation_rule(
             ActivationRule(RoleTemplate(root, (Var("u"),))))
         self.services: List[OasisService] = [
-            service_cls(login_policy, self.broker, self.registry,
-                        self.clock, cache_validations=cache_validations,
-                        batched_cascades=batched_cascades, **extra)]
+            OasisService(login_policy, self.broker, self.registry,
+                         self.clock, cache_validations=cache_validations,
+                         **extra)]
         previous = RoleTemplate(root, (Var("u"),))
         for level in range(1, depth + 1):
             if store_factory is not None:
@@ -164,9 +156,9 @@ class ChainWorld:
                 RoleTemplate(role, (Var("u"),)),
                 (PrerequisiteRole(previous, membership=True),)))
             self.services.append(
-                service_cls(policy, self.broker, self.registry, self.clock,
-                            cache_validations=cache_validations,
-                            batched_cascades=batched_cascades, **extra))
+                OasisService(policy, self.broker, self.registry,
+                             self.clock,
+                             cache_validations=cache_validations, **extra))
             previous = RoleTemplate(role, (Var("u"),))
 
     def build_session(self, user: str = "user"):
@@ -189,11 +181,9 @@ class FanoutWorld:
     on the amount of unrelated live state.
     """
 
-    def __init__(self, cache_validations: bool = True,
-                 indexed_broker: bool = True,
-                 batched_cascades: bool = True) -> None:
+    def __init__(self, cache_validations: bool = True) -> None:
         self.clock = SimClock()
-        self.broker = EventBroker(indexed=indexed_broker)
+        self.broker = EventBroker()
         self.registry = ServiceRegistry()
 
         root_policy = ServicePolicy(ServiceId("dom", "fan-root"))
@@ -202,8 +192,7 @@ class FanoutWorld:
         root_policy.add_activation_rule(ActivationRule(root_template))
         self.root = OasisService(root_policy, self.broker, self.registry,
                                  self.clock,
-                                 cache_validations=cache_validations,
-                                 batched_cascades=batched_cascades)
+                                 cache_validations=cache_validations)
 
         leaf_policy = ServicePolicy(ServiceId("dom", "fan-leaf"))
         leaf_role = leaf_policy.define_role("role", 1)
@@ -212,8 +201,7 @@ class FanoutWorld:
             (PrerequisiteRole(root_template, membership=True),)))
         self.leaf = OasisService(leaf_policy, self.broker, self.registry,
                                  self.clock,
-                                 cache_validations=cache_validations,
-                                 batched_cascades=batched_cascades)
+                                 cache_validations=cache_validations)
         self._users = 0
 
     def new_tree(self, fanout: int):

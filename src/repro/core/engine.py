@@ -218,18 +218,16 @@ class CredentialIndex:
 class RuleEngine:
     """Evaluates activation, authorization and appointment rules.
 
-    The default solver routes candidate selection through a
+    The solver routes candidate selection through a
     :class:`CredentialIndex` and orders credential conditions most
-    selective first (fewest candidates) to prune backtracking early;
-    ``optimized=False`` retains the seed's naive scan-and-slice solver as a
-    reference path for differential testing and benchmarking.  Both paths
+    selective first (fewest candidates) to prune backtracking early.  The
+    seed's scan-and-slice solver lives on as the differential suites'
+    oracle (``tests/reference/``), which overrides :meth:`_solve`; both
     produce the same solutions with identically ordered matched rows.
     """
 
-    def __init__(self, context: EvaluationContext, *,
-                 optimized: bool = True) -> None:
+    def __init__(self, context: EvaluationContext) -> None:
         self.context = context
-        self.optimized = optimized
         # Last (credentials, index) pair for callers that pass the same
         # endowment repeatedly without a prebuilt index.  Only tuples are
         # memoized: the strong reference keeps the identity check valid and
@@ -239,15 +237,14 @@ class RuleEngine:
         # Observability snapshot (see repro.obs.runtime): None keeps every
         # hot path on a single attribute-load-plus-branch guard.  When a
         # pipeline is installed, activation matches count unification
-        # steps (the indexed solver only; the naive path stays the
-        # untouched seed reference) into this histogram.
+        # steps into this histogram.
         self._obs = _obs_runtime.pipeline()
         self._step_counter: Optional[List[int]] = None
         if self._obs is not None:
             self._steps_histogram = self._obs.metrics.histogram(
                 "oasis_unification_steps", STEP_BUCKETS,
                 help_text="unification attempts + constraint evaluations "
-                          "per activation match (optimized solver)")
+                          "per activation match")
 
     # -- public entry points -------------------------------------------------
     def match_activation(self, rule: ActivationRule,
@@ -266,41 +263,13 @@ class RuleEngine:
         satisfiable but leaves a role parameter unbound — the caller must
         then supply it explicitly.
         """
-        if self._obs is not None:
-            return self._match_activation_observed(
-                rule, requested_parameters, credentials, context, index)
         context = context or self.context
-        unbound_error: Optional[ActivationDenied] = None
-        for match, role in self.enumerate_activations(
-                rule, credentials, context, requested_parameters, index):
-            if role is None:
-                unbound_error = ActivationDenied(
-                    f"rule for {rule.target.role_name} satisfied but leaves "
-                    f"parameters unbound; supply them in the activation "
-                    f"request")
-                continue
-            return match, role
-        if unbound_error is not None:
-            raise unbound_error
-        return None
-
-    def _match_activation_observed(
-            self, rule: ActivationRule,
-            requested_parameters: Optional[Sequence[Term]],
-            credentials: Sequence[PresentedCredential],
-            context: Optional[EvaluationContext],
-            index: Optional[CredentialIndex],
-            ) -> Optional[Tuple[RuleMatch, Role]]:
-        """:meth:`match_activation` with unification-step accounting.
-
-        Identical semantics; the step counter is armed for the duration so
-        the indexed solver's counting closure is selected (see
-        :meth:`_solve_indexed`), and the count lands in the
-        ``oasis_unification_steps`` histogram.
-        """
-        context = context or self.context
-        steps = [0]
-        self._step_counter = steps
+        obs = self._obs
+        if obs is not None:
+            # Arm the step counter for the duration so the solver's
+            # counting closure is selected (see :meth:`_solve_indexed`).
+            steps = [0]
+            self._step_counter = steps
         try:
             unbound_error: Optional[ActivationDenied] = None
             for match, role in self.enumerate_activations(
@@ -316,8 +285,8 @@ class RuleEngine:
                 raise unbound_error
             return None
         finally:
-            self._step_counter = None
-            if self.optimized:
+            if obs is not None:
+                self._step_counter = None
                 self._steps_histogram.observe(steps[0])
 
     def enumerate_activations(self, rule: ActivationRule,
@@ -428,10 +397,6 @@ class RuleEngine:
         # are bound; sound because the body is a conjunction.  The split is
         # cached on the (immutable) rule.
         credential_conditions, constraint_conditions = rule.condition_partition
-        if not self.optimized:
-            return self._solve_naive(
-                credential_conditions + constraint_conditions, subst,
-                credentials, context, [])
         if index is None:
             memo = self._index_memo
             if memo is not None and memo[0] is credentials:
@@ -442,7 +407,7 @@ class RuleEngine:
                     self._index_memo = (credentials, index)
         # Matched rows are emitted in this canonical order (credential
         # conditions in rule order, then constraints) regardless of the
-        # solve order below, so both solver paths produce identical matches.
+        # solve order below, so matches equal the reference solver's.
         canonical = credential_conditions + constraint_conditions
         if len(credential_conditions) > 1:
             # Most selective condition first: fewest candidate credentials.
@@ -524,55 +489,15 @@ class RuleEngine:
 
         return solve(0, subst)
 
-    def _solve_naive(self, conditions: Sequence[Condition],
-                     subst: Substitution,
-                     credentials: Sequence[PresentedCredential],
-                     context: EvaluationContext,
-                     matched: List[MatchedCondition]) -> Iterator[RuleMatch]:
-        """The seed engine's solver, retained verbatim as the reference path
-        for differential tests and the benchmark harness's baseline: linear
-        scan over all credentials per condition, list slicing per step."""
-        if not conditions:
-            yield RuleMatch(substitution=subst, matched=tuple(matched))
-            return
-        condition, rest = conditions[0], conditions[1:]
-
-        if isinstance(condition, ConstraintCondition):
-            if condition.constraint.evaluate(subst, context):
-                matched.append(MatchedCondition(condition, None))
-                yield from self._solve_naive(rest, subst, credentials,
-                                             context, matched)
-                matched.pop()
-            return
-
-        for credential in credentials:
-            if isinstance(condition, PrerequisiteRole):
-                if not credential.matches_prerequisite(condition):
-                    continue
-                pattern = condition.template.parameters
-            else:
-                assert isinstance(condition, AppointmentCondition)
-                if not credential.matches_appointment(condition):
-                    continue
-                pattern = condition.parameters
-            extended = unify_sequences(pattern, credential.parameters(), subst)
-            if extended is None:
-                continue
-            matched.append(MatchedCondition(condition, credential))
-            yield from self._solve_naive(rest, extended, credentials,
-                                         context, matched)
-            matched.pop()
-
     # -- explanation (repro.obs decision explainers) -------------------------
     #
     # The explain_* methods answer "why did this rule NOT match?" with the
     # deepest failing condition in CANONICAL order (credential conditions
     # in rule order, then constraints).  They run their own dedicated
-    # probe, independent of ``self.optimized`` and of the solve-order
-    # heuristics, so both engine configurations explain identically by
-    # construction — the property the differential tests assert.  They
-    # only run on denial paths, so their cost is irrelevant to the hot
-    # path.
+    # probe, independent of the solve-order heuristics, so the engine and
+    # the reference solver explain identically by construction — the
+    # property the differential tests assert.  They only run on denial
+    # paths, so their cost is irrelevant to the hot path.
 
     @staticmethod
     def _bindings_detail(condition: Condition, subst: Substitution) -> str:

@@ -208,7 +208,6 @@ class OasisService:
                  secret: Optional[ServiceSecret] = None,
                  heartbeat_timeout: Optional[float] = None,
                  access_log: Optional[AccessLog] = None,
-                 batched_cascades: bool = True,
                  store: Optional[RecordStore] = _STORE_UNSET,
                  allocator: Optional[CredentialRefAllocator] = None) -> None:
         self.policy = policy
@@ -262,15 +261,13 @@ class OasisService:
         # the very same dict objects the state core owns, so the storeless
         # configuration is bit-identical to the pre-refactor layout.
         self._records = self._state.records
-        # Fig. 5 dependency edges, consolidated.  The default (batched)
-        # mode keeps a reverse index ``dependency ref string -> ordered set
-        # of local dependent refs`` behind ONE service-level subscription;
-        # issuing/tearing down a credential is O(dependencies) dict work
-        # and a revocation cascade collapses the whole local subtree in a
-        # single pass.  ``batched_cascades=False`` retains the original
-        # per-dependency Subscription objects (``_dependency_subs``) and
-        # per-event recursive revocation as a reference path for
-        # differential tests and the seed cascade benchmark.
+        # Fig. 5 dependency edges, consolidated: a reverse index
+        # ``dependency ref string -> ordered set of local dependent refs``
+        # behind ONE service-level subscription; issuing/tearing down a
+        # credential is O(dependencies) dict work and a revocation cascade
+        # collapses the whole local subtree in a single pass.  (The
+        # original one-Subscription-per-dependency design is the
+        # differential suites' oracle, ``tests/reference/``.)
         #
         # Bucket representation is adaptive: a plain insertion-ordered list
         # up to ``_EDGE_LIST_MAX`` dependents (the common case — a
@@ -279,11 +276,9 @@ class OasisService:
         # ordered dict keyed by ref beyond that so high-fanout unlink stays
         # O(1).  Both shapes iterate in insertion order, so cascade order
         # is identical either way.
-        self._batched_cascades = batched_cascades
         self._dependents = self._state.dependents
         self._link_dependent = self._state.link_dependent
         self._unlink_dependencies = self._state.unlink_dependencies
-        self._dependency_subs: Dict[CredentialRef, List[Subscription]] = {}
         self._watches = self._state.watches
         self._methods: Dict[str, Callable[..., Any]] = {}
         # validation cache, two-level: ref -> {(requester, holder-claim)};
@@ -304,8 +299,8 @@ class OasisService:
         self._sig_cache = self._state.sig_cache
         # One service-level (wildcard) subscription covers every
         # CREDENTIAL_REVOKED consumer in this service — the signature-cache
-        # drop and, in batched mode, the cascade probe over the reverse
-        # dependency index — so a revocation event costs one handler call
+        # drop and the cascade probe over the reverse dependency index —
+        # so a revocation event costs one handler call
         # per *service*, not one per concern or per dependency edge.
         self._service_subs = [
             broker.subscribe(CREDENTIAL_REVOKED, self._on_revoked_event),
@@ -407,9 +402,6 @@ class OasisService:
                  len(self._watches)),
                 ({"service": service, "kind": "dependency_edges"},
                  sum(len(bucket) for bucket in self._dependents.values())),
-                ({"service": service, "kind": "dependency_subscriptions"},
-                 sum(len(subs)
-                     for subs in self._dependency_subs.values())),
                 ({"service": service, "kind": "sig_cache_refs"},
                  len(self._sig_cache))])
         yield ("oasis_memory_access_log", "gauge",
@@ -455,27 +447,17 @@ class OasisService:
     def _record_decision(self, kind: str, outcome: str, principal: str,
                          subject: str,
                          attempts: Tuple[RuleAttempt, ...] = (),
-                         reason: Optional[str] = None,
-                         span: Optional[Span] = None,
+                         reason: Optional[str] = None, *, span: Span,
                          detail: Tuple[Tuple[str, Any], ...] = ()) -> None:
-        if span is not None:
-            trace_id: Optional[str] = span.trace_id
-        else:
-            context = self._obs.tracer.current_context()
-            trace_id = context.trace_id if context is not None else None
         self._obs.decisions.record(Decision(
             timestamp=self.clock(), kind=kind, outcome=outcome,
             service=str(self.id), principal=principal, subject=subject,
-            rule_attempts=attempts, reason=reason, trace_id=trace_id,
+            rule_attempts=attempts, reason=reason, trace_id=span.trace_id,
             detail=detail))
 
-    def _explain_activation_attempt(self, rule: Any,
-                                    parameters: Optional[Sequence[Term]],
-                                    presented: Sequence[PresentedCredential],
-                                    context: EvaluationContext
-                                    ) -> RuleAttempt:
-        failure = self._engine.explain_activation(rule, parameters,
-                                                  presented, context)
+    @staticmethod
+    def _failed_attempt(rule: Any, failure: Optional[Any]) -> RuleAttempt:
+        """A failed :class:`RuleAttempt` from an ``explain_*`` result."""
         if failure is None:
             # The solver said no but the probe says yes — cannot happen
             # while both implement the same semantics; surface honestly
@@ -487,6 +469,22 @@ class OasisService:
             failed_condition=(str(failure.condition)
                               if failure.condition is not None else None),
             detail=failure.detail)
+
+    def _record_denial(self, kind: str, counter: Any, span: Span,
+                       principal: PrincipalId, subject: str,
+                       attempts: List[RuleAttempt],
+                       failure: Exception) -> None:
+        """The Decision, metric and span error of one denied request; a
+        presented certificate failing validation is its own attempt."""
+        if isinstance(failure, CredentialInvalid):
+            attempts.append(RuleAttempt(
+                rule="(credential validation)", outcome="failed",
+                failure_kind="credential-invalid", detail=str(failure)))
+        self._record_decision(kind, "denied", principal.value, subject,
+                              tuple(attempts), reason=str(failure),
+                              span=span)
+        counter.inc()
+        span.error(str(failure))
 
     def _audit(self, kind: str, principal: str, subject: str,
                detail: Tuple[Any, ...] = (),
@@ -516,63 +514,41 @@ class OasisService:
         :class:`CredentialInvalid` subclass when a presented certificate
         fails validation.
         """
-        if self._obs is not None:
-            return self._activate_role_observed(
-                principal, role_name, parameters, credentials,
-                environment, session_id, bound_key)
-        presented = self._validate_presentations(principal, credentials)
-        context = self.context.with_environment(**(environment or {}))
-        index = CredentialIndex(presented)
-        last_denial: Optional[ActivationDenied] = None
-        for rule in self.policy.activation_rules_for(role_name):
-            try:
-                result = self._engine.match_activation(
-                    rule, parameters, presented, context, index)
-            except ActivationDenied as denial:
-                last_denial = denial
-                continue
-            if result is None:
-                continue
-            match, role = result
-            return self._issue_rmc(principal, role, match,
-                                   environment or {}, session_id, bound_key)
-        self.stats.activations_denied += 1
-        denial = last_denial or ActivationDenied(
-            f"{principal} cannot activate {self.id}:{role_name} with the "
-            f"presented credentials")
-        self._audit(AccessKind.ACTIVATION_DENIED, principal.value,
-                    role_name, reason=str(denial))
-        raise denial
+        return self._activate_one(principal, role_name, parameters,
+                                  credentials, environment, session_id,
+                                  bound_key)
 
-    def _activate_role_observed(self, principal: PrincipalId, role_name: str,
-                                parameters: Optional[Sequence[Term]],
-                                credentials: Sequence[Presentation],
-                                environment: Optional[Dict[str, Any]],
-                                session_id: Optional[str],
-                                bound_key: Optional[str],
-                                ) -> RoleMembershipCertificate:
-        """Same semantics as :meth:`activate_role`, plus a span, a latency
-        sample and a structured :class:`Decision` per outcome."""
-        wall_start = time.perf_counter()
-        span = self._obs.tracer.start_span(
-            "activate_role", timestamp=self.clock(),
-            service=str(self.id), principal=principal.value, role=role_name)
-        attempts: List[RuleAttempt] = []
+    def _activate_one(self, principal: PrincipalId, role_name: str,
+                      parameters: Optional[Sequence[Term]],
+                      credentials: Sequence[Presentation],
+                      environment: Optional[Dict[str, Any]],
+                      session_id: Optional[str],
+                      bound_key: Optional[str],
+                      ) -> RoleMembershipCertificate:
+        """The one activation body behind :meth:`activate_role` and
+        :meth:`activate_roles_bulk`.  With a pipeline installed it also
+        emits a span, a latency sample and a structured
+        :class:`Decision` per outcome."""
+        obs = self._obs
+        if obs is not None:
+            wall_start = time.perf_counter()
+            span = obs.tracer.start_span(
+                "activate_role", timestamp=self.clock(),
+                service=str(self.id), principal=principal.value,
+                role=role_name)
+            attempts: List[RuleAttempt] = []
         try:
             try:
                 presented = self._validate_presentations(principal,
                                                          credentials)
             except CredentialInvalid as failure:
-                attempts.append(RuleAttempt(
-                    rule="(credential validation)", outcome="failed",
-                    failure_kind="credential-invalid", detail=str(failure)))
-                self._record_decision(
-                    "activation", "denied", principal.value, role_name,
-                    tuple(attempts), reason=str(failure), span=span)
-                self._obs_activation_denied.inc()
-                span.error(str(failure))
+                if obs is not None:
+                    self._record_denial(
+                        "activation", self._obs_activation_denied, span,
+                        principal, role_name, attempts, failure)
                 raise
-            context = self.context.with_environment(**(environment or {}))
+            context = self.context if not environment \
+                else self.context.with_environment(**environment)
             index = CredentialIndex(presented)
             last_denial: Optional[ActivationDenied] = None
             for rule in self.policy.activation_rules_for(role_name):
@@ -581,46 +557,47 @@ class OasisService:
                         rule, parameters, presented, context, index)
                 except ActivationDenied as denial:
                     last_denial = denial
-                    attempts.append(self._explain_activation_attempt(
-                        rule, parameters, presented, context))
-                    continue
+                    result = None
                 if result is None:
-                    attempts.append(self._explain_activation_attempt(
-                        rule, parameters, presented, context))
+                    if obs is not None:
+                        attempts.append(self._failed_attempt(
+                            rule, self._engine.explain_activation(
+                                rule, parameters, presented, context)))
                     continue
                 match, role = result
                 rmc = self._issue_rmc(principal, role, match,
                                       environment or {}, session_id,
                                       bound_key)
-                attempts.append(RuleAttempt(rule=str(rule),
-                                            outcome="matched"))
-                self._record_decision(
-                    "activation", "granted", principal.value, role_name,
-                    tuple(attempts), span=span,
-                    detail=(("credential_ref", str(rmc.ref)),))
-                self._obs_activation_granted.inc()
-                span.set_attr("credential_ref", str(rmc.ref))
+                if obs is not None:
+                    attempts.append(RuleAttempt(rule=str(rule),
+                                                outcome="matched"))
+                    self._record_decision(
+                        "activation", "granted", principal.value,
+                        role_name, tuple(attempts), span=span,
+                        detail=(("credential_ref", str(rmc.ref)),))
+                    self._obs_activation_granted.inc()
+                    span.set_attr("credential_ref", str(rmc.ref))
                 return rmc
             self.stats.activations_denied += 1
             denial = last_denial or ActivationDenied(
                 f"{principal} cannot activate {self.id}:{role_name} with "
                 f"the presented credentials")
-            if not attempts:
-                attempts.append(RuleAttempt(
-                    rule=f"(no activation rule for {role_name!r})",
-                    outcome="failed", failure_kind="no-rule"))
             self._audit(AccessKind.ACTIVATION_DENIED, principal.value,
                         role_name, reason=str(denial))
-            self._record_decision(
-                "activation", "denied", principal.value, role_name,
-                tuple(attempts), reason=str(denial), span=span)
-            self._obs_activation_denied.inc()
-            span.error(str(denial))
+            if obs is not None:
+                if not attempts:
+                    attempts.append(RuleAttempt(
+                        rule=f"(no activation rule for {role_name!r})",
+                        outcome="failed", failure_kind="no-rule"))
+                self._record_denial(
+                    "activation", self._obs_activation_denied, span,
+                    principal, role_name, attempts, denial)
             raise denial
         finally:
-            span.finish(self.clock())
-            self._obs_activation_latency.observe(
-                time.perf_counter() - wall_start)
+            if obs is not None:
+                span.finish(self.clock())
+                self._obs_activation_latency.observe(
+                    time.perf_counter() - wall_start)
 
     def _reserve_serials(self, top_serial: int) -> None:
         """Durably reserve a block of CRR serials ahead of use.
@@ -661,66 +638,17 @@ class OasisService:
                             ) -> List[RoleMembershipCertificate]:
         """Activate a batch of roles; returns one RMC per request, in order.
 
-        Semantically identical to calling :meth:`activate_role` per request
-        (same rule evaluation, same records, same audit entries, same
-        failure behaviour — the first denial raises and earlier requests
-        stay installed), but the per-call overhead is amortized: the
-        observability branch is taken once for the batch, rule lists are
-        fetched once per distinct role name, and requests without an
-        environment share the service's base evaluation context instead of
-        allocating a copy each.
+        Identical to calling :meth:`activate_role` per request — the same
+        body runs (same rule evaluation, records, audit entries, spans and
+        failure behaviour: the first denial raises and earlier requests
+        stay installed).
         """
-        if self._obs is not None:
-            # Observed path: per-request spans/decisions must be emitted
-            # exactly as the one-at-a-time API would, so just loop it.
-            return [self.activate_role(
-                        request.principal, request.role_name,
-                        request.parameters, request.credentials,
-                        request.environment, request.session_id,
-                        request.bound_key)
-                    for request in requests]
-        rmcs: List[RoleMembershipCertificate] = []
-        rules_for: Dict[str, Any] = {}
-        base_context = self.context
-        for request in requests:
-            presented = self._validate_presentations(request.principal,
-                                                     request.credentials)
-            environment = request.environment
-            context = base_context if not environment \
-                else base_context.with_environment(**environment)
-            index = CredentialIndex(presented)
-            rules = rules_for.get(request.role_name)
-            if rules is None:
-                rules = self.policy.activation_rules_for(request.role_name)
-                rules_for[request.role_name] = rules
-            last_denial: Optional[ActivationDenied] = None
-            matched = False
-            for rule in rules:
-                try:
-                    result = self._engine.match_activation(
-                        rule, request.parameters, presented, context, index)
-                except ActivationDenied as denial:
-                    last_denial = denial
-                    continue
-                if result is None:
-                    continue
-                match, role = result
-                rmcs.append(self._issue_rmc(
-                    request.principal, role, match, environment or {},
-                    request.session_id, request.bound_key))
-                matched = True
-                break
-            if not matched:
-                self.stats.activations_denied += 1
-                denial = last_denial or ActivationDenied(
-                    f"{request.principal} cannot activate "
-                    f"{self.id}:{request.role_name} with the presented "
-                    f"credentials")
-                self._audit(AccessKind.ACTIVATION_DENIED,
-                            request.principal.value, request.role_name,
-                            reason=str(denial))
-                raise denial
-        return rmcs
+        return [self._activate_one(
+                    request.principal, request.role_name,
+                    request.parameters, request.credentials,
+                    request.environment, request.session_id,
+                    request.bound_key)
+                for request in requests]
 
     def issue_rmcs_bulk(self, entries: Sequence[Tuple[PrincipalId, Role,
                                                       Sequence[CredentialRef],
@@ -734,8 +662,8 @@ class OasisService:
         activation conditions held and supplies the membership dependency
         edges that rule matching would have produced.  Everything
         downstream is identical to the rule-driven path — signed
-        certificate, credential record, event channel, reverse-index (or
-        per-edge subscription) wiring, audit entry, ``rmcs_issued`` counter
+        certificate, credential record, event channel, reverse-index
+        wiring, audit entry, ``rmcs_issued`` counter
         — so revocation cascades and callback validation behave exactly as
         if each RMC had come from :meth:`activate_role`.  Membership
         *constraint* watches are not installed (there is no rule match to
@@ -752,12 +680,8 @@ class OasisService:
         secret = self.secret
         service_id = self.id
         records = self._records
-        broker = self.broker
-        batched = self._batched_cascades
         link = self._link_dependent
         rmcs: List[RoleMembershipCertificate] = []
-        subscribe_entries: List[Tuple[Any, Dict[str, Any]]] = []
-        subscribe_owners: List[Tuple[CredentialRef, int]] = []
         for ref, (principal, role, dependencies, session_id) \
                 in zip(refs, entries):
             rmc = RoleMembershipCertificate.issue(
@@ -767,28 +691,11 @@ class OasisService:
                 membership_dependencies=tuple(dependencies),
                 session_id=session_id)
             records[ref] = record
-            if batched:
-                for dependency in record.membership_dependencies:
-                    link(dependency.qualified, ref)
-            elif record.membership_dependencies:
-                first = len(subscribe_entries)
-                for dependency in record.membership_dependencies:
-                    subscribe_entries.append((
-                        lambda event, dep=ref: self._on_dependency_revoked(
-                            dep, event),
-                        {"credential_ref": dependency.qualified}))
-                subscribe_owners.append(
-                    (ref, len(subscribe_entries) - first))
+            for dependency in record.membership_dependencies:
+                link(dependency.qualified, ref)
             self._audit(AccessKind.ACTIVATION, principal.value,
                         str(role.role_name), detail=role.parameters)
             rmcs.append(rmc)
-        if subscribe_entries:
-            subs = broker.subscribe_many(CREDENTIAL_REVOKED,
-                                         subscribe_entries)
-            cursor = 0
-            for ref, width in subscribe_owners:
-                self._dependency_subs[ref] = subs[cursor:cursor + width]
-                cursor += width
         if self._persist is not None:
             # One store round trip for the whole batch (write-behind on
             # serialising backends, dict.update on the memory backend).
@@ -821,100 +728,64 @@ class OasisService:
         """
         if method not in self._methods:
             raise UnknownMethod(f"{self.id} has no method {method!r}")
-        if self._obs is not None:
-            return self._invoke_observed(principal, method, arguments,
-                                         credentials, environment)
-        presented = self._validate_presentations(principal, credentials)
-        context = self.context.with_environment(**(environment or {}))
-        index = CredentialIndex(presented)
-        arguments = list(arguments)
-        for rule in self.policy.authorization_rules_for(method):
-            match = self._engine.match_authorization(
-                rule, arguments, presented, context, index)
-            if match is not None:
-                self.stats.invocations += 1
-                self._audit(AccessKind.INVOCATION, principal.value,
-                            method, detail=tuple(arguments))
-                return self._methods[method](*arguments)
-        self.stats.invocations_denied += 1
-        self._audit(AccessKind.INVOCATION_DENIED, principal.value,
-                    method, detail=tuple(arguments))
-        raise InvocationDenied(
-            f"{principal} may not invoke {self.id}.{method}{tuple(arguments)!r}")
-
-    def _invoke_observed(self, principal: PrincipalId, method: str,
-                         arguments: Sequence[Term],
-                         credentials: Sequence[Presentation],
-                         environment: Optional[Dict[str, Any]]) -> Any:
-        """Same semantics as :meth:`invoke`, plus a span and a Decision."""
-        span = self._obs.tracer.start_span(
-            "invoke", timestamp=self.clock(),
-            service=str(self.id), principal=principal.value, method=method)
-        attempts: List[RuleAttempt] = []
+        obs = self._obs
+        if obs is not None:
+            span = obs.tracer.start_span(
+                "invoke", timestamp=self.clock(), service=str(self.id),
+                principal=principal.value, method=method)
+            attempts: List[RuleAttempt] = []
         try:
             try:
                 presented = self._validate_presentations(principal,
                                                          credentials)
             except CredentialInvalid as failure:
-                attempts.append(RuleAttempt(
-                    rule="(credential validation)", outcome="failed",
-                    failure_kind="credential-invalid", detail=str(failure)))
-                self._record_decision(
-                    "invocation", "denied", principal.value, method,
-                    tuple(attempts), reason=str(failure), span=span)
-                self._obs_invocation_denied.inc()
-                span.error(str(failure))
+                if obs is not None:
+                    self._record_denial(
+                        "invocation", self._obs_invocation_denied, span,
+                        principal, method, attempts, failure)
                 raise
-            context = self.context.with_environment(**(environment or {}))
+            context = self.context if not environment \
+                else self.context.with_environment(**environment)
             index = CredentialIndex(presented)
             arguments = list(arguments)
             for rule in self.policy.authorization_rules_for(method):
                 match = self._engine.match_authorization(
                     rule, arguments, presented, context, index)
                 if match is None:
-                    failure = self._engine.explain_authorization(
-                        rule, arguments, presented, context)
-                    if failure is None:
-                        attempts.append(RuleAttempt(
-                            rule=str(rule), outcome="failed",
-                            failure_kind="unknown"))
-                    else:
-                        attempts.append(RuleAttempt(
-                            rule=str(rule), outcome="failed",
-                            failure_kind=failure.kind,
-                            failed_condition=(
-                                str(failure.condition)
-                                if failure.condition is not None else None),
-                            detail=failure.detail))
+                    if obs is not None:
+                        attempts.append(self._failed_attempt(
+                            rule, self._engine.explain_authorization(
+                                rule, arguments, presented, context)))
                     continue
                 self.stats.invocations += 1
                 self._audit(AccessKind.INVOCATION, principal.value,
                             method, detail=tuple(arguments))
-                attempts.append(RuleAttempt(rule=str(rule),
-                                            outcome="matched"))
-                self._record_decision(
-                    "invocation", "granted", principal.value, method,
-                    tuple(attempts), span=span)
-                self._obs_invocation_granted.inc()
+                if obs is not None:
+                    attempts.append(RuleAttempt(rule=str(rule),
+                                                outcome="matched"))
+                    self._record_decision(
+                        "invocation", "granted", principal.value, method,
+                        tuple(attempts), span=span)
+                    self._obs_invocation_granted.inc()
                 return self._methods[method](*arguments)
             self.stats.invocations_denied += 1
-            if not attempts:
-                attempts.append(RuleAttempt(
-                    rule=f"(no authorization rule for {method!r})",
-                    outcome="failed", failure_kind="no-rule"))
             self._audit(AccessKind.INVOCATION_DENIED, principal.value,
                         method, detail=tuple(arguments))
             denial = InvocationDenied(
                 f"{principal} may not invoke "
                 f"{self.id}.{method}{tuple(arguments)!r}")
-            self._record_decision(
-                "invocation", "denied", principal.value, method,
-                tuple(attempts), reason=str(denial), span=span)
-            self._obs_invocation_denied.inc()
-            span.error(str(denial))
+            if obs is not None:
+                if not attempts:
+                    attempts.append(RuleAttempt(
+                        rule=f"(no authorization rule for {method!r})",
+                        outcome="failed", failure_kind="no-rule"))
+                self._record_denial(
+                    "invocation", self._obs_invocation_denied, span,
+                    principal, method, attempts, denial)
             raise denial
         finally:
-            span.finish(self.clock())
+            if obs is not None:
+                span.finish(self.clock())
 
     # ------------------------------------------------------------------
     # Appointment (Sect. 2)
@@ -1009,36 +880,36 @@ class OasisService:
 
         Returns False when the credential was already revoked or unknown.
 
-        In the default batched mode the whole *local* dependent subtree is
-        collapsed in one reverse-index traversal and its revocation events
-        are published as a coalesced batch (drained FIFO, so the global
-        cascade stays breadth-first); other services pick the events up
-        through their own service-level subscriptions — the cross-service
-        hand-off of Fig. 5 is unchanged.
+        The whole *local* dependent subtree is collapsed in one
+        reverse-index traversal and its revocation events are published as
+        a coalesced batch (drained FIFO, so the global cascade stays
+        breadth-first); other services pick the events up through their
+        own service-level subscriptions — the cross-service hand-off of
+        Fig. 5 is unchanged.
         """
         record = self._records.get(ref)
         if record is None or not record.revoke(reason, self.clock()):
             return False
-        if self._obs is not None:
-            return self._revoke_observed(record, ref, reason)
-        self.stats.revocations += 1
-        if self._batched_cascades:
+        obs = self._obs
+        if obs is not None:
+            # The batch is published *inside* the root span: the broker
+            # delivers synchronously, so every downstream handler runs
+            # with this span on the tracer stack and stitches into the
+            # same trace automatically.
+            span = obs.tracer.start_span(
+                "revoke", timestamp=self.clock(), service=str(self.id),
+                credential_ref=str(ref), reason=reason)
+        try:
+            self.stats.revocations += 1
             events, flipped = self._collapse_subtree([(record, reason)])
             self._publish_cascade(events, flipped)
             return True
-        self._audit(AccessKind.REVOCATION,
-                    record.principal.value if record.principal else "-",
-                    str(ref), reason=reason)
-        self._teardown_watch(ref)
-        for subscription in self._dependency_subs.pop(ref, []):
-            subscription.cancel()
-        self._publish_cascade([self._revocation_event(ref, reason)],
-                              [record], single=True)
-        return True
+        finally:
+            if obs is not None:
+                span.finish(self.clock())
 
     def _publish_cascade(self, events: List[Event],
-                         records: Sequence[CredentialRecord] = (),
-                         single: bool = False) -> None:
+                         records: Sequence[CredentialRecord] = ()) -> None:
         """Publish a cascade's revocation events, crash-consistently.
 
         With a store attached the events are journalled with ONE durable
@@ -1054,59 +925,18 @@ class OasisService:
         forever.  Journalled first, a crash at any later point is
         recoverable: the log-tail replay re-applies every flip and
         :meth:`replay_pending` re-emits the events.  Storeless, this is
-        exactly the pre-refactor publish.
+        just the batch publish.
         """
         if not events:
             return
-        persist = self._persist
-        if persist is None:
-            if single:
-                self.broker.publish(events[0])
-            else:
-                self.broker.publish_batch(events)
+        if self._persist is None:
+            self.broker.publish_batch(events)
             return
         seq = self._state.log_cascade(events)
         for record in records:
             self._state.mark_revoked(record)
-        if single:
-            self.broker.publish(events[0])
-        else:
-            self.broker.publish_batch(events)
+        self.broker.publish_batch(events)
         self._state.log_cascade_done(seq)
-
-    def _revoke_observed(self, record: CredentialRecord, ref: CredentialRef,
-                         reason: str) -> bool:
-        """Tail of :meth:`revoke` under a root ``revoke`` span.
-
-        The batch is published *inside* the span: the broker delivers
-        synchronously, so every downstream handler (including unbatched
-        per-edge cascades on other services) runs with this span on the
-        tracer stack and stitches into the same trace automatically.
-        """
-        span = self._obs.tracer.start_span(
-            "revoke", timestamp=self.clock(), service=str(self.id),
-            credential_ref=str(ref), reason=reason)
-        try:
-            self.stats.revocations += 1
-            if self._batched_cascades:
-                events, flipped = self._collapse_subtree([(record, reason)])
-                self._publish_cascade(events, flipped)
-                return True
-            self._audit(AccessKind.REVOCATION,
-                        record.principal.value if record.principal else "-",
-                        str(ref), reason=reason)
-            self._record_decision(
-                "revocation", "revoked",
-                record.principal.value if record.principal else "-",
-                str(ref), reason=reason, span=span)
-            self._teardown_watch(ref)
-            for subscription in self._dependency_subs.pop(ref, []):
-                subscription.cancel()
-            self._publish_cascade([self._revocation_event(ref, reason)],
-                                  [record], single=True)
-            return True
-        finally:
-            span.finish(self.clock())
 
     def _collapse_subtree(self, revoked: List[Tuple[CredentialRecord, str]],
                           parent_ctx: Optional[SpanContext] = None,
@@ -1116,123 +946,82 @@ class OasisService:
         Breadth-first over the reverse dependency index; every reached
         credential is marked revoked, audited, unlinked from the index,
         and contributes exactly one ``CREDENTIAL_REVOKED`` event (its
-        channel closes here), matching the per-credential event count of
-        the unbatched reference path.  Cost is O(collapsed subtree), not
-        O(live credentials).
+        channel closes here).  Cost is O(collapsed subtree), not O(live
+        credentials).
+
+        With a pipeline installed every collapsed credential also gets a
+        ``cascade.revoke`` span parented on its revoker (the queue carries
+        each record's parent context and depth), the span context rides
+        out on the revocation event for cross-service stitching, and the
+        traversal's width and depth feed the cascade histograms.
 
         Returns the events and the flipped records.  The traversal itself
         never touches the store — :meth:`_publish_cascade` mirrors the
         records only after the cascade journal entry is durably committed
         (see its docstring for why the order matters).
         """
-        # Dual loop, same trick as the engine's dual solve closures: the
-        # common disabled-pipeline path runs the lean two-tuple loop below
-        # (one guard for the whole traversal); the span-carrying variant
-        # lives in :meth:`_collapse_subtree_observed`.
-        if self._obs is not None:
-            return self._collapse_subtree_observed(revoked, parent_ctx)
+        obs = self._obs
+        if obs is not None:
+            tracer = obs.tracer
+            if parent_ctx is None:
+                # Root-side collapse: hang cascade spans off whatever span
+                # is active (the ``revoke`` root span, or a caller's span).
+                parent_ctx = tracer.current_context()
         events: List[Event] = []
         flipped: List[CredentialRecord] = []
-        # Storeless (the default) skips flip collection entirely — the
-        # per-record branch keeps this hot loop's cost identical to the
-        # pre-refactor body (the memory_backend_overhead bench gate).
+        # Storeless (the default) skips flip collection entirely.
         collect = flipped.append if self._persist is not None else None
-        queue = deque(revoked)
-        while queue:
-            record, reason = queue.popleft()
-            ref = record.ref
-            self._audit(AccessKind.REVOCATION,
-                        record.principal.value if record.principal else "-",
-                        str(ref), reason=reason)
-            self._teardown_watch(ref)
-            self._unlink_dependencies(record)
-            if collect is not None:
-                collect(record)
-            events.append(self._revocation_event(ref, reason))
-            dependents = self._dependents.get(ref.qualified)
-            if not dependents:
-                continue
-            dependent_reason = (f"membership dependency {ref} revoked "
-                                f"({reason})")
-            for dependent_ref in list(dependents):
-                dependent = self._records.get(dependent_ref)
-                if dependent is None or not dependent.revoke(
-                        dependent_reason, self.clock()):
-                    continue
-                self.stats.revocations += 1
-                self.stats.cascade_revocations += 1
-                queue.append((dependent, dependent_reason))
-        return events, flipped
-
-    def _collapse_subtree_observed(
-            self, revoked: List[Tuple[CredentialRecord, str]],
-            parent_ctx: Optional[SpanContext] = None,
-            ) -> Tuple[List[Event], List[CredentialRecord]]:
-        """Span-carrying variant of :meth:`_collapse_subtree`.
-
-        Every collapsed credential gets a ``cascade.revoke`` span parented
-        on its revoker (the queue carries each record's parent context and
-        depth), the span context rides out on the revocation event for
-        cross-service stitching, and the traversal's width and depth feed
-        the cascade histograms.
-        """
-        tracer = self._obs.tracer
-        if parent_ctx is None:
-            # Root-side collapse: hang cascade spans off whatever span is
-            # active (the ``revoke`` root span, or a caller's span).
-            parent_ctx = tracer.current_context()
-        events: List[Event] = []
-        flipped: List[CredentialRecord] = []
-        collect = flipped.append if self._persist is not None else None
-        width = 0
         max_depth = 1
-        queue: deque = deque((record, reason, parent_ctx, 1)
-                             for record, reason in revoked)
+        queue: deque = deque()
+        for record, reason in revoked:
+            queue.append((record, reason, parent_ctx, 1))
         while queue:
             record, reason, ctx, depth = queue.popleft()
             ref = record.ref
+            principal = record.principal.value if record.principal else "-"
             if collect is not None:
                 collect(record)
-            span = tracer.start_span(
-                "cascade.revoke", timestamp=self.clock(), parent=ctx,
-                activate=False, service=str(self.id),
-                credential_ref=str(ref), reason=reason)
-            width += 1
-            if depth > max_depth:
-                max_depth = depth
-            self._audit(AccessKind.REVOCATION,
-                        record.principal.value if record.principal else "-",
-                        str(ref), reason=reason, trace_id=span.trace_id)
+            trace_id: Optional[str] = None
+            if obs is not None:
+                span = tracer.start_span(
+                    "cascade.revoke", timestamp=self.clock(), parent=ctx,
+                    activate=False, service=str(self.id),
+                    credential_ref=str(ref), reason=reason)
+                trace_id = span.trace_id
+                ctx = span.context
+                if depth > max_depth:
+                    max_depth = depth
+            self._audit(AccessKind.REVOCATION, principal, str(ref),
+                        reason=reason, trace_id=trace_id)
             self._teardown_watch(ref)
             self._unlink_dependencies(record)
-            # Span context rides on the event so a service that picks it
-            # up later (batched delivery) can parent its own cascade spans
-            # under this one.
-            events.append(self._revocation_event(ref, reason).with_attributes(
-                trace_id=span.trace_id, span_id=span.span_id))
-            self._record_decision(
-                "revocation", "revoked",
-                record.principal.value if record.principal else "-",
-                str(ref), reason=reason, span=span)
+            event = self._revocation_event(ref, reason)
+            if obs is not None:
+                # Span context rides on the event so a service that picks
+                # it up later (batched delivery) can parent its own
+                # cascade spans under this one.
+                event = event.with_attributes(trace_id=trace_id,
+                                              span_id=span.span_id)
+                self._record_decision("revocation", "revoked", principal,
+                                      str(ref), reason=reason, span=span)
+            events.append(event)
             dependents = self._dependents.get(ref.qualified)
-            if not dependents:
+            if dependents:
+                dependent_reason = (f"membership dependency {ref} revoked "
+                                    f"({reason})")
+                for dependent_ref in list(dependents):
+                    dependent = self._records.get(dependent_ref)
+                    if dependent is None or not dependent.revoke(
+                            dependent_reason, self.clock()):
+                        continue
+                    self.stats.revocations += 1
+                    self.stats.cascade_revocations += 1
+                    queue.append((dependent, dependent_reason, ctx,
+                                  depth + 1))
+            if obs is not None:
                 span.finish(self.clock())
-                continue
-            dependent_reason = (f"membership dependency {ref} revoked "
-                                f"({reason})")
-            child_ctx = span.context
-            for dependent_ref in list(dependents):
-                dependent = self._records.get(dependent_ref)
-                if dependent is None or not dependent.revoke(
-                        dependent_reason, self.clock()):
-                    continue
-                self.stats.revocations += 1
-                self.stats.cascade_revocations += 1
-                queue.append((dependent, dependent_reason, child_ctx,
-                              depth + 1))
-            span.finish(self.clock())
-        if width:
-            self._obs_cascade_width.observe(width)
+        if obs is not None and events:
+            self._obs_cascade_width.observe(len(events))
             self._obs_cascade_depth.observe(max_depth)
         return events, flipped
 
@@ -1261,19 +1050,16 @@ class OasisService:
         """Service-level entry point for every CREDENTIAL_REVOKED event.
 
         Two dict probes per event: drop any cached signature verifications
-        for the credential, then (batched mode) probe the reverse
-        dependency index.  Only events whose credential has local
-        dependents cost more, and then only O(local subtree).  Events this
-        service published itself find their buckets already unlinked and
-        fall through immediately.
+        for the credential, then probe the reverse dependency index.  Only
+        events whose credential has local dependents cost more, and then
+        only O(local subtree).  Events this service published itself find
+        their buckets already unlinked and fall through immediately.
         """
         ref_string = event.get("credential_ref")
         if ref_string is None:
             return
         if self._sig_cache.pop(ref_string, None) is not None:
             self.stats.sig_cache_invalidations += 1
-        if not self._batched_cascades:
-            return
         dependents = self._dependents.get(ref_string)
         if not dependents:
             return
@@ -1299,17 +1085,6 @@ class OasisService:
             events, flipped = self._collapse_subtree(seeds, parent_ctx)
             self._publish_cascade(events, flipped)
 
-    def _on_dependency_revoked(self, dependent: CredentialRef,
-                               event: Event) -> None:
-        # Reference (unbatched) path: one handler per dependency edge.
-        record = self._records.get(dependent)
-        if record is None or not record.active:
-            return
-        self.stats.cascade_revocations += 1
-        self.revoke(dependent,
-                    f"membership dependency {event.get('credential_ref')} "
-                    f"revoked ({event.get('reason')})")
-
     # ------------------------------------------------------------------
     # Membership constraint monitoring
     # ------------------------------------------------------------------
@@ -1317,21 +1092,10 @@ class OasisService:
                         environment: Dict[str, Any]) -> None:
         ref = record.ref
         # The state core installs the record (mirroring it to the store)
-        # and, in batched mode, registers every membership dependency: the
-        # edge along which the Fig. 5 cascade travels (O(dependencies)
-        # bucket inserts, no broker churn).  The reference path subscribes
-        # per dependency instead.
-        self._state.install(record, link=self._batched_cascades)
-        if not self._batched_cascades:
-            subs = []
-            for dependency in record.membership_dependencies:
-                subs.append(self.broker.subscribe(
-                    CREDENTIAL_REVOKED,
-                    lambda event, dep=ref: self._on_dependency_revoked(
-                        dep, event),
-                    credential_ref=str(dependency)))
-            if subs:
-                self._dependency_subs[ref] = subs
+        # and registers every membership dependency: the edge along which
+        # the Fig. 5 cascade travels (O(dependencies) bucket inserts, no
+        # broker churn).
+        self._state.install(record)
         constraints = match.membership_constraints()
         if constraints:
             watch = _MembershipWatch(
@@ -1618,8 +1382,7 @@ class OasisService:
                network: Optional[Any] = None,
                cache_validations: bool = True,
                heartbeat_timeout: Optional[float] = None,
-               access_log: Optional[AccessLog] = None,
-               batched_cascades: bool = True) -> "OasisService":
+               access_log: Optional[AccessLog] = None) -> "OasisService":
         """Rebuild a service from its record store after a restart.
 
         Loads the stored secret (certificates signed before the crash keep
@@ -1645,8 +1408,7 @@ class OasisService:
                       databases=databases, network=network,
                       cache_validations=cache_validations, secret=None,
                       heartbeat_timeout=heartbeat_timeout,
-                      access_log=access_log,
-                      batched_cascades=batched_cascades, store=store)
+                      access_log=access_log, store=store)
         service._recover()
         return service
 

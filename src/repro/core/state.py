@@ -203,18 +203,13 @@ class ServiceState:
     # ------------------------------------------------------------------
     # Credential records
     # ------------------------------------------------------------------
-    def install(self, record: CredentialRecord, link: bool = True) -> None:
-        """Install a freshly-issued credential record.
-
-        ``link`` registers the Fig. 5 reverse-dependency edges (the
-        unbatched reference cascade path manages broker subscriptions
-        instead and passes ``link=False``).
-        """
+    def install(self, record: CredentialRecord) -> None:
+        """Install a freshly-issued credential record and register its
+        Fig. 5 reverse-dependency edges."""
         ref = record.ref
         self.records[ref] = record
-        if link:
-            for dependency in record.membership_dependencies:
-                self.link_dependent(dependency.qualified, ref)
+        for dependency in record.membership_dependencies:
+            self.link_dependent(dependency.qualified, ref)
         store = self.store
         if store is not None:
             store.put(RECORDS, ref.qualified, record)

@@ -12,16 +12,16 @@ order so the cascade is breadth-first and terminates even with cyclic
 subscription graphs, since the OASIS layer never re-revokes an already
 revoked credential.
 
-Dispatch is *indexed*: subscriptions whose filter includes the broker's
-designated index key (``credential_ref`` by default — every Fig. 5 channel
-event carries it) are bucketed under ``(topic, value)``, so delivering an
-event costs O(matching + wildcard subscribers on the topic) rather than
-O(all topic subscribers).  The FIG5 cascade revokes S credentials against
-a population of N live subscriptions; the naive scan made that O(S·N),
-the index makes it O(S · services).  ``EventBroker(indexed=False)``
-retains the naive linear scan as a reference path; a differential test
-(``tests/events/test_broker_differential.py``) checks both paths deliver
-identical sequences.
+Dispatch is *indexed*: subscriptions whose filter includes the index key
+(:data:`DEFAULT_INDEX_KEY` — every Fig. 5 channel event carries it) are
+bucketed under ``(topic, value)``, so delivering an event costs
+O(matching + wildcard subscribers on the topic) rather than O(all topic
+subscribers).  The FIG5 cascade revokes S credentials against a
+population of N live subscriptions; a linear scan makes that O(S·N), the
+index makes it O(S · services).  The registration-order scan is the
+differential suites' oracle (``tests/reference/`` overrides
+:meth:`EventBroker._candidates`); ``tests/events/test_broker_differential.py``
+checks both deliver identical sequences.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ Handler = Callable[[Event], None]
 #: Distinguishes broker instances in exported metric labels.
 _BROKER_COUNTER = itertools.count(1)
 
-#: The default equality-filter key the dispatch index is built on.  Every
+#: The equality-filter key the dispatch index is built on.  Every
 #: per-credential channel event (revocation, re-issue, heartbeat) carries
 #: this attribute, so the index covers all Fig. 5 traffic.
 DEFAULT_INDEX_KEY = "credential_ref"
@@ -67,7 +67,7 @@ class Subscription:
     _broker: "EventBroker"
     _active: bool = True
     #: Global registration order; delivery merges index buckets and
-    #: wildcard lists on it so indexed dispatch preserves the naive order.
+    #: wildcard lists on it so dispatch preserves registration order.
     seq: int = field(default=0)
     #: Filters still to check at delivery time, given where the broker
     #: placed this subscription: a bucketed subscription's index-key
@@ -102,10 +102,7 @@ class EventBroker:
     event-driven revocation against polling.
     """
 
-    def __init__(self, indexed: bool = True,
-                 index_key: str = DEFAULT_INDEX_KEY) -> None:
-        self._indexed = indexed
-        self._index_key = index_key
+    def __init__(self) -> None:
         self._seq = itertools.count(1)
         # topic -> {seq: Subscription}; authoritative registry.  Dicts keep
         # insertion (= registration) order and give O(1) removal by seq.
@@ -151,14 +148,6 @@ class EventBroker:
                "live subscriptions",
                [({"broker": broker}, self.subscriber_count())])
 
-    @property
-    def indexed(self) -> bool:
-        return self._indexed
-
-    @property
-    def index_key(self) -> str:
-        return self._index_key
-
     def add_tap(self, handler: Handler) -> Callable[[], None]:
         """Register a tap that sees *every* delivered event, any topic.
 
@@ -184,14 +173,13 @@ class EventBroker:
                            seq=next(self._seq))
         sub.residual = tuple(sub.filter_attrs.items())
         self._subs.setdefault(topic, {})[sub.seq] = sub
-        if self._indexed:
-            if self._index_key in sub.filter_attrs:
-                key = (topic, sub.filter_attrs[self._index_key])
-                self._buckets.setdefault(key, {})[sub.seq] = sub
-                sub.residual = tuple(
-                    (k, v) for k, v in sub.residual if k != self._index_key)
-            else:
-                self._wildcards.setdefault(topic, {})[sub.seq] = sub
+        if DEFAULT_INDEX_KEY in sub.filter_attrs:
+            key = (topic, sub.filter_attrs[DEFAULT_INDEX_KEY])
+            self._buckets.setdefault(key, {})[sub.seq] = sub
+            sub.residual = tuple(
+                (k, v) for k, v in sub.residual if k != DEFAULT_INDEX_KEY)
+        else:
+            self._wildcards.setdefault(topic, {})[sub.seq] = sub
         return sub
 
     def subscribe_many(self, topic: str,
@@ -215,8 +203,7 @@ class EventBroker:
         if not batch:
             return []
         registry = self._subs.setdefault(topic, {})
-        indexed = self._indexed
-        index_key = self._index_key
+        index_key = DEFAULT_INDEX_KEY
         seq_counter = self._seq
         buckets = self._buckets
         wildcards: Optional[Dict[int, Subscription]] = None
@@ -225,7 +212,7 @@ class EventBroker:
             sub = Subscription(topic=topic, handler=handler,
                                filter_attrs=attrs, _broker=self,
                                seq=next(seq_counter))
-            if indexed and index_key in attrs:
+            if index_key in attrs:
                 if len(attrs) == 1:
                     sub.residual = ()
                 else:
@@ -234,10 +221,9 @@ class EventBroker:
                 buckets.setdefault((topic, attrs[index_key]), {})[sub.seq] = sub
             else:
                 sub.residual = tuple(attrs.items())
-                if indexed:
-                    if wildcards is None:
-                        wildcards = self._wildcards.setdefault(topic, {})
-                    wildcards[sub.seq] = sub
+                if wildcards is None:
+                    wildcards = self._wildcards.setdefault(topic, {})
+                wildcards[sub.seq] = sub
             registry[sub.seq] = sub
             subs.append(sub)
         return subs
@@ -307,12 +293,10 @@ class EventBroker:
 
     def _candidates(self, event: Event) -> List[Subscription]:
         """Subscriptions that may match ``event``, in registration order."""
-        if not self._indexed:
-            return list(self._subs.get(event.topic, {}).values())
         wildcards = self._wildcards.get(event.topic)
         bucket = None
         for key, value in event.attributes:
-            if key == self._index_key:
+            if key == DEFAULT_INDEX_KEY:
                 bucket = self._buckets.get((event.topic, value))
                 break
         # An event without the index key cannot match any indexed
@@ -322,7 +306,7 @@ class EventBroker:
         if not wildcards:
             return list(bucket.values())
         # Merge the two registration-ordered lists by seq so delivery
-        # order is identical to the naive scan's.
+        # order is identical to a registration-order scan's.
         merged: List[Subscription] = []
         left = iter(bucket.values())
         right = iter(wildcards.values())
@@ -378,10 +362,8 @@ class EventBroker:
         if subs is not None and subs.pop(sub.seq, None) is not None:
             if not subs:
                 del self._subs[sub.topic]
-        if not self._indexed:
-            return
-        if self._index_key in sub.filter_attrs:
-            key = (sub.topic, sub.filter_attrs[self._index_key])
+        if DEFAULT_INDEX_KEY in sub.filter_attrs:
+            key = (sub.topic, sub.filter_attrs[DEFAULT_INDEX_KEY])
             bucket = self._buckets.get(key)
             if bucket is not None:
                 bucket.pop(sub.seq, None)
@@ -416,8 +398,7 @@ class EventBroker:
             entry["subscriptions"] += len(bucket)
             entry["largest"] = max(entry["largest"], len(bucket))
         return {
-            "indexed": self._indexed,
-            "index_key": self._index_key,
+            "index_key": DEFAULT_INDEX_KEY,
             "published_count": self.published_count,
             "delivered_count": self.delivered_count,
             "subscriptions": self.subscriber_count(),

@@ -361,8 +361,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                        help="cascade chain depth (default 16, as Fig. 5)")
     trace.add_argument("--format", choices=("text", "json"),
                        default="text", help="rendering")
-    trace.add_argument("--naive-broker", action="store_true",
-                       help="use the unindexed dispatch reference path")
     trace.set_defaults(func=_cmd_trace)
 
     metrics = sub.add_parser(

@@ -71,8 +71,7 @@ def _build_chain(depth: int, broker: EventBroker, clock: SimClock):
     return services
 
 
-def run_chain_cascade(depth: int = 16, indexed_broker: bool = True,
-                      cascade_only: bool = True,
+def run_chain_cascade(depth: int = 16, cascade_only: bool = True,
                       ) -> Tuple[Observability, str]:
     """Run the demo cascade; returns the pipeline and the cascade's
     trace id.
@@ -86,7 +85,7 @@ def run_chain_cascade(depth: int = 16, indexed_broker: bool = True,
         raise ValueError("depth must be >= 1")
     with observed() as obs:
         clock = SimClock()
-        broker = EventBroker(indexed=indexed_broker)
+        broker = EventBroker()
         services = _build_chain(depth, broker, clock)
         principal = Principal("alice")
         session = principal.start_session(services[0], "role", ["alice"])
@@ -138,8 +137,7 @@ def run_denied_activation(obs: Observability) -> None:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    obs, trace_id = run_chain_cascade(
-        depth=args.depth, indexed_broker=not args.naive_broker)
+    obs, trace_id = run_chain_cascade(depth=args.depth)
     if args.format == "json":
         print(json.dumps(trace_to_dict(obs.tracer, trace_id), indent=2,
                          sort_keys=True))

@@ -13,10 +13,9 @@ Decisions are plain data (no imports from :mod:`repro.core`); the engine
 and service layers build them via :class:`RuleAttempt` rows whose fields
 are pre-rendered strings.  This keeps the explainer path-independent: the
 failing condition is computed by a dedicated canonical-order probe in the
-engine (see ``RuleEngine.explain_rule``), not by whichever solver
-(``optimized=True/False``) happened to run, so both engine configurations
-produce identical explanations by construction — a property the
-differential tests pin down.
+engine (see ``RuleEngine.explain_*``), not by the solver that ran, so the
+engine and the reference solver in ``tests/reference/`` produce identical
+explanations by construction — a property the differential tests pin down.
 
 Failure kinds (``RuleAttempt.failure_kind``):
 

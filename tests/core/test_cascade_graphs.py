@@ -3,11 +3,11 @@
 The Fig. 5 cascade is exercised on diamonds (a dependent reachable along
 two paths), on a dependency shared by two sessions, and on re-activation
 after a collapse.  Each scenario is additionally run under every
-combination of broker dispatch (indexed / naive scan) and cascade mode
-(batched reverse-index / per-dependency subscriptions) and the observable
-outcomes are asserted identical: every credential is revoked exactly once,
-with the same reason, and the broker's published/delivered counters match
-the naive reference path.
+combination of broker dispatch (indexed / the ``ScanBroker`` oracle) and
+cascade mode (batched reverse-index / the ``PerEdgeService`` oracle) and
+the observable outcomes are asserted identical: every credential is
+revoked exactly once, with the same reason, and the broker's
+published/delivered counters match the reference path.
 """
 
 import pytest
@@ -23,8 +23,11 @@ from repro.core import (
     ServiceRegistry,
     Var,
 )
+from repro.db import MemoryRecordStore
 from repro.events import CREDENTIAL_REVOKED, EventBroker, EventLog
 from repro.net import SimClock
+
+from tests.reference import PerEdgeService, ScanBroker
 
 
 class DiamondWorld:
@@ -32,10 +35,10 @@ class DiamondWorld:
 
     def __init__(self, indexed: bool = True, batched: bool = True) -> None:
         self.clock = SimClock()
-        self.broker = EventBroker(indexed=indexed)
+        self.broker = EventBroker() if indexed else ScanBroker()
         self.registry = ServiceRegistry()
         self.log = EventLog(self.broker)
-        self.batched = batched
+        self.service_cls = OasisService if batched else PerEdgeService
         a, a_role = self._service("A", ())
         b, b_role = self._service("B", (a_role,))
         c, c_role = self._service("C", (a_role,))
@@ -50,8 +53,8 @@ class DiamondWorld:
             template,
             tuple(PrerequisiteRole(p, membership=True)
                   for p in prerequisites)))
-        service = OasisService(policy, self.broker, self.registry,
-                               self.clock, batched_cascades=self.batched)
+        service = self.service_cls(policy, self.broker, self.registry,
+                                   self.clock)
         return service, template
 
     def build_session(self, user="u"):
@@ -145,8 +148,9 @@ class LocalDiamondWorld:
                 templates[name],
                 tuple(PrerequisiteRole(templates[p], membership=True)
                       for p in prereqs)))
-        self.service = OasisService(policy, self.broker, self.registry,
-                                    self.clock, batched_cascades=batched)
+        service_cls = OasisService if batched else PerEdgeService
+        self.service = service_cls(policy, self.broker, self.registry,
+                                   self.clock)
 
     def build(self):
         principal = Principal("u")
@@ -273,3 +277,23 @@ class TestReactivationAfterCascade:
         assert hospital.records.dependent_count(first.root_rmc.ref) == 1
         hospital.login.revoke(first.root_rmc.ref, "logout")
         assert not hospital.records.is_active(treating_2.ref)
+
+
+class TestCascadeModeIsNotAnOption:
+    """The per-edge cascade is a test oracle, not a production mode: it
+    cannot rebuild its subscriptions from a store, which is how a resumed
+    ``batched_cascades=False`` service once left recovered dependents
+    active after their recovered root was revoked."""
+
+    def test_resume_rejects_batched_cascades_keyword(self):
+        policy = ServicePolicy(ServiceId("dom", "only"))
+        with pytest.raises(TypeError, match="batched_cascades"):
+            OasisService.resume(MemoryRecordStore(), policy, EventBroker(),
+                                ServiceRegistry(), batched_cascades=False)
+        with pytest.raises(TypeError, match="batched_cascades"):
+            OasisService(policy, EventBroker(), ServiceRegistry(),
+                         batched_cascades=False)
+
+    def test_oracle_refuses_to_resume(self):
+        with pytest.raises(NotImplementedError, match="not persisted"):
+            PerEdgeService.resume(None, None, None, None)

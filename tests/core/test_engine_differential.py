@@ -2,7 +2,7 @@
 
 The optimized engine (credential index, selectivity ordering, persistent
 substitutions) must produce exactly the same *set* of solutions as the
-retained naive reference path (``RuleEngine(optimized=False)``, the seed
+naive reference (``tests.reference.NaiveRuleEngine``, the seed
 algorithm: linear credential scan in rule order).  Solution order may
 differ — selectivity ordering legitimately changes which choice point is
 explored first — so solutions are compared as multisets.
@@ -39,6 +39,8 @@ from repro.core import (
     Var,
 )
 
+from tests.reference import NaiveRuleEngine
+
 SVC = ServiceId("dom", "svc")
 ISSUER = ServiceId("dom", "issuer")
 CONSTANTS = ["a", "b", "c", "d"]
@@ -56,7 +58,7 @@ SHAPES = [
 
 def make_engines():
     context = EvaluationContext()
-    return RuleEngine(context), RuleEngine(context, optimized=False)
+    return RuleEngine(context), NaiveRuleEngine(context)
 
 
 def rmc(name, parameters, serial):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.events import Event, EventBroker
+from repro.events.broker import DEFAULT_INDEX_KEY
 
 
 @pytest.fixture
@@ -190,8 +191,10 @@ class TestPublishBatch:
 
 class TestIndexedDispatch:
     def test_default_is_indexed_on_credential_ref(self, broker):
-        assert broker.indexed
-        assert broker.index_key == "credential_ref"
+        assert broker.stats()["index_key"] == DEFAULT_INDEX_KEY \
+            == "credential_ref"
+        broker.subscribe("t", lambda e: None, credential_ref="r")
+        assert broker.stats()["index_buckets"]["t"]["buckets"] == 1
 
     def test_bucketed_subscription_still_checks_other_filters(self, broker):
         seen = []

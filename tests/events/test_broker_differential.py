@@ -1,11 +1,12 @@
 """Differential tests: indexed dispatch vs the naive linear scan.
 
-The indexed broker (``EventBroker(indexed=True)``, the default) buckets
-subscriptions that pin the index key (``credential_ref``) and merges the
-matching bucket with the topic's wildcard subscriptions at delivery time.
-These tests drive randomized publish/subscribe/cancel scripts through both
-paths and assert delivery is *identical*: same handler invocations, same
-order, same per-publish delivery counts, same broker counters.
+``EventBroker`` buckets subscriptions that pin the index key
+(``credential_ref``) and merges the matching bucket with the topic's
+wildcard subscriptions at delivery time; ``tests.reference.ScanBroker``
+scans every subscription in registration order.  These tests drive
+randomized publish/subscribe/cancel scripts through both and assert
+delivery is *identical*: same handler invocations, same order, same
+per-publish delivery counts, same broker counters.
 """
 
 import random
@@ -14,9 +15,15 @@ import pytest
 
 from repro.events import Event, EventBroker
 
+from tests.reference import ScanBroker
+
 TOPICS = ["credential.revoked", "credential.heartbeat", "app.custom"]
 REFS = [f"dom:svc#{serial}" for serial in range(8)]
 REASONS = ["logout", "cascade", None]
+
+
+def make_broker(indexed: bool) -> EventBroker:
+    return EventBroker() if indexed else ScanBroker()
 
 
 def run_script(broker: EventBroker, seed: int, steps: int = 500):
@@ -66,15 +73,15 @@ def run_script(broker: EventBroker, seed: int, steps: int = 500):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_randomized_scripts_deliver_identically(seed):
-    indexed = run_script(EventBroker(indexed=True), seed)
-    naive = run_script(EventBroker(indexed=False), seed)
+    indexed = run_script(EventBroker(), seed)
+    naive = run_script(ScanBroker(), seed)
     assert indexed == naive
 
 
 @pytest.mark.parametrize("indexed", [True, False])
 def test_nested_publish_order_matches(indexed):
     """Handlers that publish (cascades) keep FIFO order on both paths."""
-    broker = EventBroker(indexed=indexed)
+    broker = make_broker(indexed)
     order = []
 
     def fanout(event):
@@ -98,7 +105,7 @@ def test_nested_publish_order_matches(indexed):
 
 @pytest.mark.parametrize("indexed", [True, False])
 def test_cancel_during_delivery_matches(indexed):
-    broker = EventBroker(indexed=indexed)
+    broker = make_broker(indexed)
     seen = []
     subs = {}
 
@@ -116,7 +123,7 @@ def test_event_without_index_key_skips_buckets():
     """Indexed subscriptions cannot match an event lacking the key, so
     only wildcard subscriptions are consulted — and outcomes agree."""
     for indexed in (True, False):
-        broker = EventBroker(indexed=indexed)
+        broker = make_broker(indexed)
         seen = []
         broker.subscribe("t", lambda e: seen.append("indexed"),
                          credential_ref="r")

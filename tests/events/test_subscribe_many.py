@@ -10,6 +10,8 @@ import pytest
 
 from repro.events import Event, EventBroker
 
+from tests.reference import ScanBroker
+
 TOPIC = "credential.revoked"
 
 
@@ -49,8 +51,8 @@ def deliveries(broker, count=12):
     return seen, yield_subs
 
 
-def batch_broker(**kwargs):
-    broker = EventBroker(**kwargs)
+def batch_broker(broker_cls=EventBroker):
+    broker = broker_cls()
     broker._use_batch = True
     return broker
 
@@ -58,8 +60,9 @@ def batch_broker(**kwargs):
 class TestSubscribeManyDifferential:
     @pytest.mark.parametrize("indexed", [True, False])
     def test_delivery_identical_to_subscribe_loop(self, indexed):
-        bulk_seen, _ = deliveries(batch_broker(indexed=indexed))
-        loop_seen, _ = deliveries(EventBroker(indexed=indexed))
+        broker_cls = EventBroker if indexed else ScanBroker
+        bulk_seen, _ = deliveries(batch_broker(broker_cls))
+        loop_seen, _ = deliveries(broker_cls())
         assert bulk_seen == loop_seen
         assert bulk_seen  # the probe stream actually matched something
 

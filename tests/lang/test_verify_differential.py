@@ -8,7 +8,7 @@ and cross-checks both directions of soundness:
   marks derivable must replay end-to-end: one probe principal walks the
   minimal witness tree (activating roles, issuing appointments) and the
   final ``invoke`` must succeed.  Replayed under the optimized engine
-  *and* the naive reference engine.
+  *and* the naive reference engine (``tests.reference``).
 * **unreachable => denied** — a "ghost" privilege guarded by an
   unissuable credential, added post-hoc to each world, must be
   underivable statically and denied dynamically by both engines.
@@ -49,6 +49,8 @@ from repro.lang.verify import (
 from repro.scenarios.healthcare import build_hospital, build_national_ehr
 from repro.scenarios.membership import build_clinic, build_galleries
 
+from tests.reference import NaiveRuleEngine
+
 # A far-future expiry for the membership-card appointments whose expiry
 # parameter feeds a BeforeDeadlineConstraint (the deployments' simulated
 # clock starts at 0.0).
@@ -83,7 +85,8 @@ def add_ghost_privilege(service):
 
 def swap_engines(services, *, optimized):
     for service in services.values():
-        service._engine = RuleEngine(service.context, optimized=optimized)
+        engine_cls = RuleEngine if optimized else NaiveRuleEngine
+        service._engine = engine_cls(service.context)
 
 
 def assert_reachable_replay(services, graph, closure, *, seeds=None,

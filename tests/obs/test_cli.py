@@ -71,13 +71,6 @@ class TestCliCommands:
         assert "cascade.revoke" in out
         assert "svc-3" in out
 
-    def test_trace_naive_broker_agrees(self, capsys):
-        indexed = self._run(capsys, "trace", "--depth", "4",
-                            "--format", "json")
-        naive = self._run(capsys, "trace", "--depth", "4",
-                          "--format", "json", "--naive-broker")
-        assert json.loads(indexed) == json.loads(naive)
-
     def test_metrics_prometheus_output(self, capsys):
         out = self._run(capsys, "metrics", "--depth", "4")
         assert "# TYPE oasis_revocations_cascaded_total counter" in out \

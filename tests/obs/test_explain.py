@@ -1,5 +1,5 @@
 """Decision explainers: every denial names the failing condition, and
-both engine configurations (optimized on/off) explain identically."""
+the engine and the naive reference solver explain identically."""
 
 import pytest
 
@@ -10,6 +10,7 @@ from repro.obs.explain import Decision, DecisionLog, RuleAttempt
 from repro.obs.runtime import observed
 
 from tests.conftest import build_hospital
+from tests.reference import NaiveRuleEngine
 
 
 def _decision(timestamp=0.0, kind="activation", outcome="denied",
@@ -137,7 +138,7 @@ class TestServiceDecisions:
             if not optimized:
                 for service in (hospital.login, hospital.admin,
                                 hospital.records):
-                    service._engine.optimized = False
+                    service._engine = NaiveRuleEngine(service.context)
             _grant_and_deny(hospital)
         return [d.to_dict() for d in obs.decisions.query(kind="activation")]
 
@@ -186,8 +187,8 @@ class TestServiceDecisions:
         assert "ghost" in attempt.rule
 
     def test_explainers_agree_across_engine_paths(self):
-        """The differential property: flipping ``engine.optimized`` must
-        not change a single explained decision."""
+        """The differential property: swapping in the reference solver
+        must not change a single explained decision."""
         optimized = self._run(optimized=True)
         reference = self._run(optimized=False)
         assert optimized == reference

@@ -36,8 +36,9 @@ class TestSnapshotsAreDefensive:
         assert fresh["topics"] != {}
 
     def test_broker_stats_reports_dispatch_mode(self):
-        assert EventBroker(indexed=True).stats()["indexed"] is True
-        assert EventBroker(indexed=False).stats()["indexed"] is False
+        stats = EventBroker().stats()
+        assert stats["index_key"] == "credential_ref"
+        assert "indexed" not in stats
 
 
 class TestAuditTraceIds:

@@ -1,0 +1,20 @@
+"""Reference implementations the differential suites compare against.
+
+Each oracle subclasses the production class and overrides only the step
+whose algorithm differs, so everything else (validation, bookkeeping,
+observability) is the code under test:
+
+* :class:`NaiveRuleEngine` — the seed's scan-and-slice solver;
+* :class:`ScanBroker` — registration-order scan instead of indexed dispatch;
+* :class:`PerEdgeService` — one broker subscription per membership
+  dependency and per-event recursive revocation instead of the batched
+  reverse-index cascade.
+
+Nothing under ``src/`` imports these.
+"""
+
+from .broker import ScanBroker
+from .engine import NaiveRuleEngine
+from .service import PerEdgeService
+
+__all__ = ["NaiveRuleEngine", "ScanBroker", "PerEdgeService"]
