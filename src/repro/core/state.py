@@ -32,15 +32,20 @@ cascade's events are journalled to the store's append log with one durable
 is mirrored to the store and before the broker publishes anything (the
 mirror can auto-flush the write-behind buffer, so journal-first is what
 keeps every durable REVOKED record covered by a replayable log entry),
-and a ``{"op": "cascade-done"}`` marker lands after the batch drains.
+and a ``{"op": "cascade-done"}`` marker is appended after the batch
+drains.  The marker is *not* durable — it rides the next commit — so a
+cascade costs one durable commit, and a crash can eat the marker of a
+cascade that had fully published.
 :meth:`ServiceState.load` replays the log tail — applying every journalled
-revocation to the rebuilt records — and surfaces cascades that never
-reached their done marker so the service can re-emit them
-(``OasisService.replay_pending``).  Credential-record writes themselves
-are write-behind: an activation that never reached a flush is lost on a
-crash, which is safe because certificate checking fails closed (no record
-=> invalid), and serial watermark reservation (``serial-reserve`` log
-entries) guarantees the resumed allocator never re-issues a lost CRR.
+revocation to the rebuilt records — and surfaces cascades with no done
+marker on disk so the service can re-emit them
+(``OasisService.replay_pending``); re-emitting a finished cascade is the
+same idempotent path as one cut mid-publish.  Credential-record writes
+themselves are write-behind: an activation that never reached a flush is
+lost on a crash, which is safe because certificate checking fails closed
+(no record => invalid), and serial watermark reservation
+(``serial-reserve`` log entries) guarantees the resumed allocator never
+re-issues a lost CRR.
 """
 
 from __future__ import annotations
@@ -331,11 +336,15 @@ class ServiceState:
             durable=True)
 
     def log_cascade_done(self, seq: Optional[int]) -> None:
-        """Mark a journalled cascade fully published (prunable)."""
+        """Mark a journalled cascade fully published (prunable).
+
+        Not durable: the marker rides the next commit.  Losing it to a
+        crash only means :meth:`load` surfaces a cascade that had fully
+        published, and re-emitting that is idempotent.
+        """
         store = self.store
         if store is not None and seq is not None:
-            store.log_append({"op": "cascade-done", "cascade_seq": seq},
-                             durable=True)
+            store.log_append({"op": "cascade-done", "cascade_seq": seq})
 
     def reserve_serials(self, upto: int) -> None:
         """Durably reserve CRR serials up to ``upto`` (inclusive)."""

@@ -18,16 +18,21 @@ Two backends ship here and in :mod:`repro.db.sqlite_store`:
   benchmark harness).
 * :class:`~repro.db.sqlite_store.SqliteRecordStore` — durable, with a
   *write-behind* record buffer (activation and invocation stay
-  memory-speed) and a synchronously-committed append log (revocations are
-  on disk *before* their cascade publishes).
+  memory-speed) and an append log committed synchronously on demand, one
+  fsync per commit (revocations are on disk *before* their cascade
+  publishes).
 
 The append log carries small JSON-able dict entries.  The cascade
-protocol writes one ``{"op": "cascade", "events": [...]}`` entry before
-publishing and one ``{"op": "cascade-done", "cascade_seq": n}`` after the
-broker drains; :func:`completed_log_seqs` identifies matched pairs so
+protocol writes one ``{"op": "cascade", "events": [...]}`` entry
+*durably* before publishing and one ``{"op": "cascade-done",
+"cascade_seq": n}`` after the broker drains — not durably: the marker
+rides the next commit, so a journalled cascade is ONE durable commit on
+every backend.  :func:`completed_log_seqs` identifies matched pairs so
 :meth:`RecordStore.flush` can prune them.  Entries without a matching
-``done`` marker are exactly the cascades a restarted service must re-emit
-(see ``OasisService.resume``).
+``done`` marker are the cascades a restarted service re-emits (see
+``OasisService.resume``): those cut mid-publish, and at most one per
+store that had finished when the crash ate its uncommitted marker —
+re-emission is idempotent either way.
 """
 
 from __future__ import annotations

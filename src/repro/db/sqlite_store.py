@@ -16,10 +16,21 @@ ability to revoke ... is the essence of active security".  So:
   journal entry onto disk *before* any event reaches the broker — and
   before any flipped record is mirrored into the buffer, so an
   auto-flush triggered by the mirroring can never durably commit a
-  REVOKED record the log does not cover.  A crash after the commit but
-  before (or during) publish leaves a ``cascade`` entry with no
-  ``cascade-done`` marker — the recovery tail ``OasisService.resume``
-  replays and re-emits.
+  REVOKED record the log does not cover.  A plain ``log_append`` (the
+  ``cascade-done`` marker) stays in the open transaction and rides the
+  next commit.  A crash after the journal commit but before the marker
+  is committed leaves a ``cascade`` entry with no ``cascade-done`` — the
+  recovery tail ``OasisService.resume`` replays and re-emits.
+* **one fsync per durable commit**: the database runs in
+  ``journal_mode=WAL`` with ``synchronous=FULL``, so a commit is one WAL
+  append plus one fsync (a rollback journal costs a journal create +
+  fsync, a database write + fsync and an unlink).  FULL is what makes the
+  commit durable under WAL — NORMAL would defer the fsync to the next
+  checkpoint, which is exactly the guarantee ``durable=True`` exists to
+  give.  :meth:`flush` checkpoints the WAL back into the database so it
+  stays bounded; a clean :meth:`close` leaves only the ``.db`` file, a
+  killed process also leaves ``-wal``/``-shm`` sidecars the next open
+  recovers from.
 
 Buffering deliberately holds *references*, not copies: a credential record
 that is installed and later revoked before the next flush serialises once,
@@ -77,8 +88,10 @@ class SqliteRecordStore(RecordStore):
         # process main thread and then runs every op on the server's
         # single worker slot.  Concurrent use is still excluded.
         self._conn = sqlite3.connect(path, check_same_thread=False)
+        # Unconditional: ``:memory:`` answers "memory" and carries on.
+        self._conn.execute("PRAGMA journal_mode=WAL")
+        self._conn.execute("PRAGMA synchronous=FULL")
         self._conn.executescript(_SCHEMA)
-        self._conn.execute("PRAGMA synchronous=NORMAL")
         self._conn.commit()
         # Write-behind buffer: (bucket, key) -> live value | DELETED.
         self._pending: Dict[Tuple[str, str], Any] = {}
@@ -186,7 +199,8 @@ class SqliteRecordStore(RecordStore):
 
     # -- lifecycle ------------------------------------------------------
     def flush(self) -> None:
-        """Serialise the write-behind buffer, prune the log, commit."""
+        """Serialise the write-behind buffer, prune the log, commit, and
+        checkpoint the WAL."""
         self.flushes += 1
         conn = self._conn
         if self._pending:
@@ -213,6 +227,7 @@ class SqliteRecordStore(RecordStore):
             conn.executemany("DELETE FROM log WHERE seq=?",
                              [(seq,) for seq in victims])
         conn.commit()
+        conn.execute("PRAGMA wal_checkpoint")
 
     def close(self, flush: bool = True) -> None:
         if self._closed:
@@ -229,9 +244,14 @@ class SqliteRecordStore(RecordStore):
 
     # -- observability --------------------------------------------------
     def stats(self) -> Dict[str, Any]:
+        conn = self._conn
         return {
             "backend": self.backend,
             "ops": self._op_counts(),
             "pending_writes": len(self._pending),
-            "log_entries": len(self.log_entries()),
+            "log_entries": conn.execute(
+                "SELECT COUNT(*) FROM log").fetchone()[0],
+            "journal_mode": conn.execute(
+                "PRAGMA journal_mode").fetchone()[0],
+            "synchronous": conn.execute("PRAGMA synchronous").fetchone()[0],
         }

@@ -2,12 +2,19 @@
 
 The protocol under test (docs/persistence.md): a cascade's events are
 durably journalled *before* anything reaches the broker, and marked done
-only after the batch drains.  Killing the process anywhere in between and
-resuming from the store must converge to exactly the final credential
-and audit state of an uninterrupted run — revocation is "the essence of
-active security" and must never be lost, while in-flight activations may
-die (certificate checking fails closed).
+only after the batch drains — with a marker that is not itself durable
+but rides the next commit.  Killing the process anywhere in between (or
+right after, before the marker committed) and resuming from the store
+must converge to exactly the final credential and audit state of an
+uninterrupted run — revocation is "the essence of active security" and
+must never be lost, while in-flight activations may die (certificate
+checking fails closed).
 """
+
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
@@ -70,8 +77,7 @@ class World:
 
     def __init__(self, tmp_path, tag, login_secret, resource_secret,
                  flush_every=1024):
-        self.paths = {"login": str(tmp_path / f"{tag}-login.db"),
-                      "resource": str(tmp_path / f"{tag}-resource.db")}
+        self.paths = self.store_paths(tmp_path, tag)
         self.broker = EventBroker()
         self.registry = ServiceRegistry()
         self.login = OasisService(
@@ -101,6 +107,29 @@ class World:
             self.roots.append(root)
             self.mids.append(mid)
             self.leaves.append(leaf)
+
+    @staticmethod
+    def store_paths(tmp_path, tag):
+        return {"login": str(tmp_path / f"{tag}-login.db"),
+                "resource": str(tmp_path / f"{tag}-resource.db")}
+
+    @classmethod
+    def reopen(cls, tmp_path, tag):
+        """Resume over the files another process's World left behind."""
+        world = cls.__new__(cls)
+        world.paths = cls.store_paths(tmp_path, tag)
+        world.resume()
+        return world
+
+    def journal_ops(self):
+        """The ``op`` of every log entry on disk, per service — read
+        through a second connection, so only what was committed shows."""
+        ops = {}
+        for name, path in self.paths.items():
+            reader = SqliteRecordStore(path)
+            ops[name] = [entry["op"] for _, entry in reader.log_entries()]
+            reader.close(flush=False)
+        return ops
 
     def checkpoint(self):
         """Periodic durability point: records issued so far reach disk.
@@ -182,6 +211,23 @@ def assert_converged(resumed, twin):
         twin.revocation_audit(twin.resource)
 
 
+def revoke_and_hang(directory, report):
+    """Child body of the SIGKILL drill: build a file-backed world, lose
+    one write-behind install, revoke p0's chain, report, and never close
+    — the parent kills this process with the stores still open."""
+    world = World(directory, "killed", ServiceSecret.generate(),
+                  ServiceSecret.generate())
+    world.checkpoint()
+    lost = world.login.activate_role(PrincipalId("lost"), "root",
+                                     ["lost"], [])
+    world.login.revoke(world.roots[0].ref, "logout")
+    report.send({"revoked": (world.roots[0], world.mids[0],
+                             world.leaves[0]),
+                 "live_leaf": world.leaves[1],
+                 "lost_serial": lost.ref.serial})
+    time.sleep(600)
+
+
 class TestKillAndResume:
     def test_crash_before_publish_reemits_cascade(self, tmp_path, secrets,
                                                   uninterrupted):
@@ -231,6 +277,87 @@ class TestKillAndResume:
         assert replayed >= 1
         assert_converged(world, uninterrupted)
         world.shutdown()
+
+    def test_crash_after_completed_cascade_loses_only_the_marker(
+            self, tmp_path, secrets, uninterrupted):
+        """``revoke()`` returned, then the process died before anything
+        else committed: every service's ``cascade`` entry is on disk, no
+        ``cascade-done`` marker is (it rides the *next* commit).  Resume
+        re-applies and re-emits a cascade that had fully published —
+        idempotent — and once the markers land nothing is pending."""
+        world = World(tmp_path, "crashed", *secrets)
+        world.checkpoint()
+        assert world.login.revoke(world.roots[0].ref, "logout") is True
+        for service in (world.login, world.resource):
+            assert service.store.stats()["ops"]["durable_commits"] == 2
+        world.crash()
+        assert world.journal_ops() == {
+            "login": ["serial-reserve", "cascade"],
+            "resource": ["serial-reserve", "cascade"]}
+
+        world.resume()
+        assert not world.login.credential_record(world.roots[0].ref).active
+        assert not world.resource.credential_record(
+            world.leaves[0].ref).active
+        assert world.login.replay_pending() == 1
+        assert world.resource.replay_pending() == 2
+        assert_converged(world, uninterrupted)
+        world.shutdown()
+        assert world.journal_ops() == {"login": ["serial-reserve"],
+                                       "resource": ["serial-reserve"]}
+
+        world.resume()
+        assert world.login.replay_pending() == 0
+        assert world.resource.replay_pending() == 0
+        assert world.statuses(world.login) == \
+            uninterrupted.statuses(uninterrupted.login)
+        assert world.statuses(world.resource) == \
+            uninterrupted.statuses(uninterrupted.resource)
+        world.shutdown()
+
+    def test_sigkilled_process_stays_revoked_after_resume(self, tmp_path):
+        """The real thing: a child process revokes on file-backed stores
+        and is SIGKILLed with them open (``-wal``/``-shm`` left behind).
+        Resuming from the same paths in this process recovers the WAL:
+        revoked stays revoked at every service, the untouched chain keeps
+        working, and the serial watermark covers the install that died."""
+        context = multiprocessing.get_context("spawn")
+        receiver, sender = context.Pipe(duplex=False)
+        child = context.Process(target=revoke_and_hang,
+                                args=(tmp_path, sender))
+        child.start()
+        try:
+            sender.close()
+            assert receiver.poll(60), "child never reported its revoke"
+            report = receiver.recv()
+        finally:
+            receiver.close()
+            os.kill(child.pid, signal.SIGKILL)
+            child.join(30)
+        assert child.exitcode == -signal.SIGKILL
+        paths = World.store_paths(tmp_path, "killed")
+        for path in paths.values():
+            assert os.path.exists(path + "-wal")
+
+        world = World.reopen(tmp_path, "killed")
+        root, mid, leaf = report["revoked"]
+        assert not world.login.credential_record(root.ref).active
+        assert not world.resource.credential_record(mid.ref).active
+        assert not world.resource.credential_record(leaf.ref).active
+        world.login.replay_pending()
+        world.resource.replay_pending()
+        with pytest.raises(CredentialRevoked):
+            world.resource.invoke(PrincipalId("p0"), "use", ["p0"],
+                                  credentials=[Presentation(leaf)])
+        assert world.resource.invoke(
+            PrincipalId("p1"), "use", ["p1"],
+            credentials=[Presentation(report["live_leaf"])]) == "ok[p1]"
+        fresh = world.login.activate_role(PrincipalId("new"), "root",
+                                          ["new"], [])
+        assert fresh.ref.serial > report["lost_serial"]
+        world.shutdown()
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            os.path.basename(path) for path in paths.values())
 
     def test_no_access_after_revocation_survives_restart(self, tmp_path,
                                                          secrets):

@@ -7,6 +7,9 @@ that asymmetry (memory-speed records, synchronous revocation journal) is
 the crash-consistency design of docs/persistence.md.
 """
 
+import os
+import shutil
+
 import pytest
 
 from repro.core import (
@@ -127,6 +130,25 @@ class TestStats:
         stats = store.stats()
         stats["ops"]["puts"] = 999
         assert store.stats()["ops"]["puts"] == 1
+
+    def test_only_durable_appends_count_as_commits(self, store):
+        """A journalled cascade is ONE durable commit on either backend:
+        the ``cascade`` entry commits, its ``cascade-done`` marker rides
+        along later."""
+        seq = store.log_append({"op": "cascade", "events": []}, durable=True)
+        store.log_append({"op": "cascade-done", "cascade_seq": seq})
+        ops = store.stats()["ops"]
+        assert ops["log_appends"] == 2
+        assert ops["durable_commits"] == 1
+
+    def test_log_entries_stat_counts_without_decoding(self, store,
+                                                      monkeypatch):
+        for _ in range(3):
+            store.log_append({"op": "x"})
+        if store.backend == "sqlite":
+            monkeypatch.setattr(store, "log_entries", lambda: pytest.fail(
+                "stats() decoded the whole log"))
+        assert store.stats()["log_entries"] == 3
 
 
 class TestCompletedLogSeqs:
@@ -260,6 +282,21 @@ class TestSqliteWriteBehind:
         assert [s for s, _ in survivor.log_entries()] == [seq]
         survivor.close()
 
+    def test_unflushed_marker_rides_the_next_durable_commit(self, tmp_path):
+        path = str(tmp_path / "ride.db")
+        store = SqliteRecordStore(path)
+        first = store.log_append({"op": "cascade", "events": []},
+                                 durable=True)
+        marker = store.log_append({"op": "cascade-done",
+                                   "cascade_seq": first})
+        second = store.log_append({"op": "cascade", "events": []},
+                                  durable=True)
+        store.close(flush=False)
+        survivor = SqliteRecordStore(path)
+        assert [s for s, _ in survivor.log_entries()] == \
+            [first, marker, second]
+        survivor.close()
+
     def test_codec_roundtrips_credential_records(self, tmp_path):
         codec = ServiceStateCodec()
         path = str(tmp_path / "codec.db")
@@ -284,3 +321,55 @@ class TestSqliteWriteBehind:
     def test_flush_every_must_be_positive(self):
         with pytest.raises(ValueError):
             SqliteRecordStore(flush_every=0)
+
+
+class TestSqliteDurabilityConfig:
+    """One fsync per durable commit, and it must be a real one: WAL with
+    ``synchronous=FULL`` (NORMAL under WAL defers the fsync to the next
+    checkpoint)."""
+
+    def test_file_store_runs_wal_with_full_sync(self, tmp_path):
+        """``journal_mode`` is a property of the file, ``synchronous`` of
+        the connection — a reopened store must read back both too."""
+        path = str(tmp_path / "wal.db")
+        for _ in range(2):
+            store = SqliteRecordStore(path)
+            stats = store.stats()
+            assert stats["journal_mode"] == "wal"
+            assert stats["synchronous"] == 2            # FULL
+            store.log_append({"op": "x"}, durable=True)
+            assert os.path.exists(path + "-wal")
+            store.close()
+
+    def test_memory_database_reports_its_own_journal_mode(self):
+        store = SqliteRecordStore()
+        assert store.stats()["journal_mode"] == "memory"
+        store.put("b", "k", {"v": 1})
+        seq = store.log_append({"op": "x"}, durable=True)
+        store.flush()
+        assert store.get("b", "k") == {"v": 1}
+        assert [s for s, _ in store.log_entries()] == [seq]
+        store.close()
+
+    @pytest.mark.parametrize("flush", [True, False])
+    def test_close_leaves_only_the_database_file(self, tmp_path, flush):
+        store = SqliteRecordStore(str(tmp_path / "clean.db"))
+        store.put("b", "k", {"v": 1})
+        store.log_append({"op": "x"}, durable=True)
+        store.close(flush=flush)
+        assert os.listdir(tmp_path) == ["clean.db"]
+
+    def test_flush_checkpoints_the_wal_into_the_database(self, tmp_path):
+        """After ``flush()`` the ``.db`` file alone holds everything
+        committed so far, so the WAL restarts from its beginning and
+        stays bounded by one flush interval."""
+        store = SqliteRecordStore(str(tmp_path / "ckpt.db"))
+        store.put("b", "k", {"v": 1})
+        seq = store.log_append({"op": "x"}, durable=True)
+        store.flush()
+        shutil.copy(tmp_path / "ckpt.db", tmp_path / "copy.db")
+        store.close()
+        copy = SqliteRecordStore(str(tmp_path / "copy.db"))
+        assert copy.get("b", "k") == {"v": 1}
+        assert [s for s, _ in copy.log_entries()] == [seq]
+        copy.close()
