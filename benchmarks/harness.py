@@ -866,8 +866,7 @@ def bench_rpc(results: Dict[str, dict], *, quick: bool) -> Dict[str, object]:
     server = OasisServer("bench", world.services, broker=broker,
                          network=network, handlers=world.handlers)
     loop.run(server.start())
-    client = OasisClient("127.0.0.1", server.port, peer="bench",
-                         loop=loop).connect()
+    client = OasisClient("127.0.0.1", server.port, peer="bench").connect()
     try:
         rounds, inner = (3, 100) if quick else (8, 300)
         client.ping()  # warm the connection

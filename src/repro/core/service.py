@@ -1286,8 +1286,8 @@ class OasisService:
             from ..net import NetworkError
 
             try:
-                self._transport.validate(self.id, issuer, certificate,
-                                         principal_value, holder)
+                verdict = self._transport.validate(
+                    self.id, issuer, certificate, principal_value, holder)
             except NetworkError as failure:
                 # Fail closed: a credential that cannot be validated is
                 # treated as invalid for this request (it may be retried
@@ -1295,6 +1295,11 @@ class OasisService:
                 raise CredentialInvalid(
                     f"cannot validate {certificate.ref}: issuer "
                     f"unreachable ({failure})") from failure
+            # An issuer that does not raise has still not validated the
+            # credential unless it says so: only ``True`` passes.
+            if verdict is not True:
+                raise CredentialInvalid(
+                    f"issuer {issuer} did not validate {certificate.ref}")
             return
         self.registry.lookup(issuer)._serve_validation(
             certificate, principal_value, holder)

@@ -7,10 +7,12 @@ paper's *widely distributed* claim becomes literal: an
 :class:`~repro.core.service.OasisService` instances behind a
 length-prefixed JSON protocol (:mod:`repro.netd.protocol`) carrying the
 existing :mod:`repro.core.wire` certificate encodings, gated by the
-Sect. 4.1 challenge–response handshake; an async
-:class:`~repro.netd.client.AsyncOasisClient` (plus a synchronous facade
-and a :class:`~repro.netd.client.RemoteNetwork` satisfying the
-:class:`~repro.net.adapter.ValidationTransport` surface) talks to it; and
+Sect. 4.1 challenge–response handshake; one blocking
+:class:`~repro.netd.client.OasisClient` (and a
+:class:`~repro.netd.client.RemoteNetwork` built on it, satisfying the
+:class:`~repro.net.adapter.ValidationTransport` surface) talks to it;
+:mod:`repro.netd.ops` is the single definition of the service ops both
+ends — and the shard workers — speak; and
 :mod:`repro.netd.events` pushes coalesced ``CREDENTIAL_REVOKED`` batches
 — span context included — over persistent connections, so a Fig. 5
 revocation cascade crosses OS process boundaries without polling and
@@ -39,13 +41,12 @@ from .protocol import (
     read_frame,
     send_frame,
 )
-from .client import AsyncOasisClient, OasisClient, RemoteNetwork
+from .client import OasisClient, RemoteNetwork
 from .events import EventChannel, EventPump
 from .server import OasisServer
 from .runtime import LoopThread
 
 __all__ = [
-    "AsyncOasisClient",
     "ConnectionLost",
     "EventChannel",
     "EventPump",

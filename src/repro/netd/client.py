@@ -1,16 +1,15 @@
 """Clients for the OASIS socket protocol.
 
-Three layers, outermost first:
+Two layers:
 
-* :class:`AsyncOasisClient` — one TCP connection, request/response with
-  correlation ids, optional challenge–response handshake, per-call
-  deadlines.  Multiple in-flight requests are fine; a background reader
-  task dispatches responses by id and routes event pushes.
-* :class:`OasisClient` — the synchronous facade.  Wraps an async client
-  on a shared :class:`~repro.netd.runtime.LoopThread` and exposes the
-  service surface scenario code already speaks (``activate`` /
-  ``invoke`` / ``revoke`` / ``is_active`` …), with certificates decoded
-  back into real :mod:`repro.core` objects.
+* :class:`OasisClient` — one blocking TCP connection to an
+  :class:`~repro.netd.server.OasisServer`, one request in flight: the
+  paper's Sect. 4 caller ("validate a certificate presented as an
+  argument via callback to the issuer"), and what every caller in the
+  tree is.  Exposes the service surface scenario code already speaks
+  (``activate`` / ``invoke`` / ``revoke`` / ``is_active`` …); requests
+  are built by the encoders of :mod:`repro.netd.ops`, certificates
+  decoded back into real :mod:`repro.core` objects.
 * :class:`RemoteNetwork` — the :class:`~repro.net.sim.SimNetwork`
   surface (``register``/``unregister``/``has_endpoint``/``call``) over
   sockets, so an :class:`~repro.core.service.OasisService` constructed
@@ -24,55 +23,50 @@ Three layers, outermost first:
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-import asyncio
+import socket
+import threading
+import time
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple)
 
 from ..core import wire
 from ..core.credentials import CredentialRef
-from ..core.service import Presentation
 from ..core.state import ref_payload
 from ..crypto.challenge import ChallengeResponseClient, IssuedChallenge
 from ..crypto.keys import KeyPair
-from ..events import Event
+from .ops import activation_payload, presentation_payloads
 from .protocol import (
     MAX_FRAME,
     ConnectionLost,
+    FrameDecoder,
     OasisNetError,
+    ProtocolError,
     RpcTimeout,
+    encode_frame,
     raise_remote_error,
-    read_frame,
-    send_frame,
 )
-from .runtime import LoopThread
 
-__all__ = ["AsyncOasisClient", "OasisClient", "RemoteNetwork",
-           "presentation_payload"]
-
-CertificateLike = Union[Presentation, Any]
+__all__ = ["OasisClient", "RemoteNetwork"]
 
 
-def presentation_payload(credential: CertificateLike) -> Dict[str, Any]:
-    """A presented credential as its wire dict (bare certificates are
-    wrapped in a default :class:`Presentation` first)."""
-    if not isinstance(credential, Presentation):
-        credential = Presentation(credential)
-    payload: Dict[str, Any] = {
-        "cert": wire.encode_certificate(credential.certificate)}
-    if credential.holder is not None:
-        payload["holder"] = credential.holder
-    if credential.on_behalf_of is not None:
-        payload["on_behalf_of"] = credential.on_behalf_of
-    return payload
+def _remaining(deadline: float) -> float:
+    """Seconds left of a whole-call deadline, for ``settimeout`` (which
+    must never see 0: that means non-blocking)."""
+    remaining = deadline - time.monotonic()
+    if remaining <= 0:
+        raise socket.timeout("deadline passed")
+    return remaining
 
 
-def _credential_payloads(credentials: Sequence[CertificateLike]
-                         ) -> List[Dict[str, Any]]:
-    return [presentation_payload(credential) for credential in credentials]
+class OasisClient:
+    """One blocking connection to an :class:`~repro.netd.server.OasisServer`.
 
-
-class AsyncOasisClient:
-    """One connection to an :class:`~repro.netd.server.OasisServer`."""
+    Connects lazily on the first call and again after any transport
+    failure.  A lock admits one request at a time, so threads may share
+    a client; each blocks only itself, which is what lets a served
+    node's worker thread make a nested callback-validation RPC while
+    the serving loop keeps running.
+    """
 
     def __init__(self, host: str, port: int, *, peer: str = "server",
                  timeout: float = 10.0,
@@ -82,197 +76,27 @@ class AsyncOasisClient:
         self.peer = peer
         self.timeout = timeout
         self.max_frame = max_frame
-        self._ids = itertools.count(1)
-        self._reader: Optional[asyncio.StreamReader] = None
-        self._writer: Optional[asyncio.StreamWriter] = None
-        self._reader_task: Optional["asyncio.Task[None]"] = None
-        self._pending: Dict[int, "asyncio.Future[Dict[str, Any]]"] = {}
-        self._send_lock = asyncio.Lock()
-        self._push_handler: Optional[
-            Callable[[str, List[Event]], None]] = None
+        #: ``key:<fingerprint>`` once :meth:`handshake` succeeded on the
+        #: current connection.
         self.principal: Optional[str] = None
+        self._ids = itertools.count(1)
+        self._lock = threading.Lock()
+        self._sock: Optional[socket.socket] = None
+        self._decoder = FrameDecoder(max_frame)
 
     @property
     def connected(self) -> bool:
-        return self._writer is not None
-
-    async def connect(self) -> "AsyncOasisClient":
-        if self._writer is not None:
-            return self
-        try:
-            self._reader, self._writer = await asyncio.open_connection(
-                self.host, self.port)
-        except (ConnectionError, OSError) as error:
-            raise ConnectionLost(
-                f"cannot connect to {self.peer} at "
-                f"{self.host}:{self.port}: {error}") from error
-        self._reader_task = asyncio.get_running_loop().create_task(
-            self._read_loop())
-        return self
-
-    async def close(self) -> None:
-        writer, self._writer = self._writer, None
-        self._reader = None
-        task, self._reader_task = self._reader_task, None
-        if task is not None:
-            task.cancel()
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-        if writer is not None:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-        self._fail_pending(ConnectionLost(
-            f"connection to {self.peer} closed"))
-
-    def _fail_pending(self, error: Exception) -> None:
-        pending, self._pending = self._pending, {}
-        for future in pending.values():
-            if not future.done():
-                future.set_exception(error)
-
-    async def _read_loop(self) -> None:
-        reader = self._reader
-        assert reader is not None
-        try:
-            while True:
-                frame = await read_frame(reader, self.max_frame)
-                if frame is None:
-                    raise ConnectionLost(
-                        f"{self.peer} closed the connection")
-                if "push" in frame:
-                    self._handle_push(frame)
-                    continue
-                future = self._pending.pop(frame.get("id"), None)
-                if future is not None and not future.done():
-                    future.set_result(frame)
-        except asyncio.CancelledError:
-            raise
-        except Exception as error:  # noqa: BLE001 - fan out to waiters
-            if not isinstance(error, OasisNetError):
-                error = ConnectionLost(
-                    f"connection to {self.peer} failed: {error}")
-            self._fail_pending(error)
-
-    def _handle_push(self, frame: Dict[str, Any]) -> None:
-        handler = self._push_handler
-        if handler is None or frame.get("push") != "events":
-            return
-        origin = frame.get("origin", self.peer)
-        events = [Event.from_payload(payload)
-                  for payload in frame.get("events", ())]
-        handler(origin, events)
-
-    async def call(self, op: str, *, _timeout: Optional[float] = None,
-                   **fields: Any) -> Any:
-        """One RPC; returns the response value or raises.
-
-        Transport failures raise :class:`~repro.netd.protocol`
-        errors; remote handler failures re-raise as core exceptions or
-        :class:`~repro.netd.protocol.RpcError`.  A deadline miss closes
-        the connection — responses on it can no longer be trusted to
-        match requests that may still be executing remotely.
-        """
-        if self._writer is None:
-            await self.connect()
-        assert self._writer is not None
-        request_id = next(self._ids)
-        message = {"id": request_id, "op": op}
-        message.update(fields)
-        future: "asyncio.Future[Dict[str, Any]]" = \
-            asyncio.get_running_loop().create_future()
-        self._pending[request_id] = future
-        try:
-            async with self._send_lock:
-                await send_frame(self._writer, message, self.max_frame)
-            timeout = self.timeout if _timeout is None else _timeout
-            response = await asyncio.wait_for(future, timeout)
-        except asyncio.TimeoutError:
-            self._pending.pop(request_id, None)
-            await self.close()
-            raise RpcTimeout(
-                f"{self.peer} did not answer {op!r} within {timeout}s"
-            ) from None
-        except OasisNetError:
-            self._pending.pop(request_id, None)
-            raise
-        if response.get("ok"):
-            return response.get("value")
-        raise_remote_error(self.peer, response.get("error"))
-
-    async def handshake(self, keypair: KeyPair) -> str:
-        """Prove possession of ``keypair``'s private key (Sect. 4.1).
-
-        Returns the key-derived principal identity the server will
-        associate with this connection (``key:<fingerprint>``)."""
-        public = keypair.public
-        issued = await self.call("auth.hello",
-                                 key={"n": str(public.n),
-                                      "e": str(public.e)})
-        response = ChallengeResponseClient(keypair).respond(IssuedChallenge(
-            challenge_id=issued["challenge_id"],
-            encrypted_challenge=bytes.fromhex(issued["challenge"]),
-            nonce=bytes.fromhex(issued["nonce"])))
-        proved = await self.call("auth.prove",
-                                 challenge_id=issued["challenge_id"],
-                                 response=response.hex())
-        self.principal = proved["principal"]
-        return self.principal
-
-    async def subscribe_events(
-            self, handler: Callable[[str, List[Event]], None]) -> None:
-        """Receive the server's event pushes; ``handler(origin, events)``
-        runs on this client's event loop."""
-        self._push_handler = handler
-        await self.call("subscribe_events")
-
-
-class OasisClient:
-    """Synchronous facade over :class:`AsyncOasisClient`.
-
-    Owns a :class:`LoopThread` unless handed one to share; every method
-    blocks the calling thread while the loop does the I/O, so it is safe
-    to call from service worker threads (nested callback validation)
-    and from plain scripts alike.
-    """
-
-    def __init__(self, host: str, port: int, *, peer: str = "server",
-                 timeout: float = 10.0, max_frame: int = MAX_FRAME,
-                 loop: Optional[LoopThread] = None) -> None:
-        self._own_loop = loop is None
-        self._loop = (loop or LoopThread(f"oasis-client-{peer}")).start()
-        self._client = AsyncOasisClient(host, port, peer=peer,
-                                        timeout=timeout,
-                                        max_frame=max_frame)
-        self.timeout = timeout
-
-    @property
-    def peer(self) -> str:
-        return self._client.peer
-
-    @property
-    def principal(self) -> Optional[str]:
-        return self._client.principal
-
-    def _run(self, coro: Any) -> Any:
-        # The outer grace period only matters if the loop itself wedges;
-        # per-call deadlines are enforced inside AsyncOasisClient.
-        return self._loop.run(coro, timeout=self.timeout + 30.0)
+        return self._sock is not None
 
     def connect(self) -> "OasisClient":
-        self._run(self._client.connect())
+        with self._lock:
+            if self._sock is None:
+                self._open(self.timeout)
         return self
 
     def close(self) -> None:
-        try:
-            self._run(self._client.close())
-        finally:
-            if self._own_loop:
-                self._loop.stop()
+        with self._lock:
+            self._drop()
 
     def __enter__(self) -> "OasisClient":
         return self.connect()
@@ -280,17 +104,103 @@ class OasisClient:
     def __exit__(self, *exc: Any) -> None:
         self.close()
 
+    def _open(self, timeout: float) -> socket.socket:
+        try:
+            sock = socket.create_connection((self.host, self.port), timeout)
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        except OSError as error:
+            raise ConnectionLost(
+                f"cannot connect to {self.peer} at "
+                f"{self.host}:{self.port}: {error}") from error
+        self._sock = sock
+        return sock
+
+    def _drop(self) -> None:
+        """Close the connection and forget everything bound to it."""
+        sock, self._sock = self._sock, None
+        if sock is not None:
+            sock.close()
+        self._decoder = FrameDecoder(self.max_frame)
+        self.principal = None
+
     # -- raw + auth ---------------------------------------------------------
     def call(self, op: str, *, _timeout: Optional[float] = None,
              **fields: Any) -> Any:
-        return self._run(self._client.call(op, _timeout=_timeout, **fields))
+        """One RPC; returns the response value or raises.
+
+        Transport failures raise :class:`~repro.netd.protocol`
+        errors; remote handler failures re-raise as core exceptions or
+        :class:`~repro.netd.protocol.RpcError`.  ``timeout`` bounds the
+        whole call (connect, send, every ``recv``).  Any transport
+        failure closes the connection — after a deadline miss or a
+        framing error, frames on it can no longer be trusted to match
+        requests that may still be executing remotely — and the next
+        call reconnects.
+        """
+        timeout = self.timeout if _timeout is None else _timeout
+        deadline = time.monotonic() + timeout
+        request_id = next(self._ids)
+        message = {"id": request_id, "op": op}
+        message.update(fields)
+        request = encode_frame(message, self.max_frame)
+        with self._lock:
+            try:
+                sock = self._sock or self._open(timeout)
+                sock.settimeout(_remaining(deadline))
+                sock.sendall(request)
+                response = self._read_reply(sock, deadline)
+                if response.get("id") != request_id:
+                    raise ProtocolError(
+                        f"{self.peer} answered request {request_id} "
+                        f"({op!r}) with id {response.get('id')!r}")
+            except socket.timeout:  # before OSError: distinct on 3.9
+                self._drop()
+                raise RpcTimeout(
+                    f"{self.peer} did not answer {op!r} within {timeout}s"
+                ) from None
+            except OasisNetError:
+                self._drop()
+                raise
+            except OSError as error:
+                self._drop()
+                raise ConnectionLost(
+                    f"connection to {self.peer} failed: {error}") from error
+        if response.get("ok"):
+            return response.get("value")
+        raise_remote_error(self.peer, response.get("error"))
+
+    def _read_reply(self, sock: socket.socket,
+                    deadline: float) -> Dict[str, Any]:
+        """The next non-push frame.  Nothing subscribes on this
+        connection (event pushes have their own, see
+        :class:`~repro.netd.events.EventChannel`), so a ``push`` frame
+        is a stray and is skipped."""
+        while True:
+            sock.settimeout(_remaining(deadline))
+            data = sock.recv(65536)
+            if not data:
+                raise ConnectionLost(f"{self.peer} closed the connection")
+            for frame in self._decoder.feed(data):
+                if "push" not in frame:
+                    return frame
 
     def handshake(self, keypair: KeyPair) -> str:
-        return self._run(self._client.handshake(keypair))
+        """Prove possession of ``keypair``'s private key (Sect. 4.1).
 
-    def subscribe_events(
-            self, handler: Callable[[str, List[Event]], None]) -> None:
-        self._run(self._client.subscribe_events(handler))
+        Returns the key-derived principal identity the server will
+        associate with this connection (``key:<fingerprint>``)."""
+        public = keypair.public
+        issued = self.call("auth.hello",
+                           key={"n": str(public.n), "e": str(public.e)})
+        response = ChallengeResponseClient(keypair).respond(IssuedChallenge(
+            challenge_id=issued["challenge_id"],
+            encrypted_challenge=bytes.fromhex(issued["challenge"]),
+            nonce=bytes.fromhex(issued["nonce"])))
+        proved = self.call("auth.prove",
+                           challenge_id=issued["challenge_id"],
+                           response=response.hex())
+        self.principal = proved["principal"]
+        return self.principal
 
     # -- service surface ----------------------------------------------------
     def ping(self) -> Dict[str, Any]:
@@ -301,19 +211,13 @@ class OasisClient:
 
     def activate(self, service: str, principal: str, role: str,
                  parameters: Optional[Sequence[Any]] = None,
-                 credentials: Sequence[CertificateLike] = (),
+                 credentials: Sequence[Any] = (),
                  environment: Optional[Dict[str, Any]] = None,
                  session: Optional[str] = None) -> Any:
-        request: Dict[str, Any] = {"principal": principal, "role": role}
-        if parameters is not None:
-            request["parameters"] = list(parameters)
-        if credentials:
-            request["credentials"] = _credential_payloads(credentials)
-        if environment is not None:
-            request["environment"] = environment
-        if session is not None:
-            request["session"] = session
-        value = self.call("activate", service=service, request=request)
+        value = self.call(
+            "activate", service=service,
+            request=activation_payload(principal, role, parameters,
+                                       credentials, environment, session))
         return wire.decode_certificate(value["cert"])
 
     def activate_bulk(self, service: str,
@@ -324,23 +228,23 @@ class OasisClient:
 
     def appoint(self, service: str, appointer: str, name: str,
                 parameters: Sequence[Any],
-                credentials: Sequence[CertificateLike] = (),
+                credentials: Sequence[Any] = (),
                 holder: Optional[str] = None,
                 expires_at: Optional[float] = None) -> Any:
         value = self.call(
             "appoint", service=service, appointer=appointer, name=name,
             parameters=list(parameters),
-            credentials=_credential_payloads(credentials),
+            credentials=presentation_payloads(credentials),
             holder=holder, expires_at=expires_at)
         return wire.decode_certificate(value["cert"])
 
     def invoke(self, service: str, principal: str, method: str,
                arguments: Sequence[Any] = (),
-               credentials: Sequence[CertificateLike] = ()) -> Any:
+               credentials: Sequence[Any] = ()) -> Any:
         value = self.call(
             "invoke", service=service, principal=principal, method=method,
             arguments=list(arguments),
-            credentials=_credential_payloads(credentials))
+            credentials=presentation_payloads(credentials))
         return value["result"]
 
     def revoke(self, ref: CredentialRef, reason: str = "revoked") -> bool:
@@ -390,13 +294,10 @@ class RemoteNetwork:
 
     def __init__(self, node: str = "client",
                  peers: Optional[Mapping[str, Tuple[str, int]]] = None,
-                 loop: Optional[LoopThread] = None,
                  timeout: float = 10.0,
                  max_frame: int = MAX_FRAME) -> None:
         self.node = node
         self._peers: Dict[str, Tuple[str, int]] = dict(peers or {})
-        self._own_loop = loop is None
-        self._loop = loop or LoopThread(f"oasis-net-{node}")
         self._timeout = timeout
         self._max_frame = max_frame
         self._local: Dict[Tuple[str, str], Callable[..., Any]] = {}
@@ -442,7 +343,12 @@ class RemoteNetwork:
             "validate", domain=dst_domain, endpoint=name,
             cert=wire.encode_certificate(certificate),
             principal=principal_value, holder=holder)
-        return value.get("valid", True)
+        # Only the literal ``true`` validates; a reply without a verdict
+        # is a transport fault, which the service fails closed on.
+        if not isinstance(value, dict) or "valid" not in value:
+            raise ProtocolError(
+                f"{peer} answered validate without a verdict: {value!r}")
+        return value["valid"] is True
 
     # -- server-side helpers ------------------------------------------------
     def local_call(self, domain: str, name: str, *args: Any) -> Any:
@@ -481,17 +387,11 @@ class RemoteNetwork:
             host, port = self._peers[peer]
             client = OasisClient(host, port, peer=peer,
                                  timeout=self._timeout,
-                                 max_frame=self._max_frame,
-                                 loop=self._loop.start())
+                                 max_frame=self._max_frame)
             self._clients[peer] = client
         return client
 
     def close(self) -> None:
         for client in self._clients.values():
-            try:
-                client.close()
-            except OasisNetError:
-                pass
+            client.close()
         self._clients.clear()
-        if self._own_loop:
-            self._loop.stop()

@@ -34,7 +34,6 @@ from ..obs.runtime import Observability, disable, enable
 from .client import OasisClient, RemoteNetwork
 from .events import EventChannel
 from .protocol import OasisNetError
-from .runtime import LoopThread
 from .server import OasisServer
 from .worlds import NodeContext, resolve_factory
 
@@ -161,7 +160,6 @@ class Supervisor:
         self.ready_timeout = ready_timeout
         self._procs: Dict[str, subprocess.Popen] = {}
         self._clients: Dict[str, OasisClient] = {}
-        self._loop = LoopThread("oasis-supervisor")
 
     # -- lifecycle ----------------------------------------------------------
     def start(self, *names: str) -> "Supervisor":
@@ -207,8 +205,7 @@ class Supervisor:
                     f"{[p for p in spec.subscribe if not channels.get(p)]}")
                 time.sleep(0.05)
             except OasisNetError as error:
-                last_error = error
-                self._drop_client(name)
+                last_error = error  # the client reconnects on the next call
                 time.sleep(0.05)
         raise TimeoutError(
             f"node {name} not ready on {spec.host}:{spec.port} within "
@@ -219,18 +216,14 @@ class Supervisor:
         client = self._clients.get(name)
         if client is None:
             spec = self.specs[name]
-            client = OasisClient(spec.host, spec.port, peer=name,
-                                 loop=self._loop.start())
+            client = OasisClient(spec.host, spec.port, peer=name)
             self._clients[name] = client
         return client
 
     def _drop_client(self, name: str) -> None:
         client = self._clients.pop(name, None)
         if client is not None:
-            try:
-                client.close()
-            except OasisNetError:
-                pass
+            client.close()
 
     # -- fault drills -------------------------------------------------------
     def kill(self, name: str) -> None:
@@ -268,7 +261,6 @@ class Supervisor:
             self._procs.pop(name, None)
         for name in list(self._clients):
             self._drop_client(name)
-        self._loop.stop()
 
     def __enter__(self) -> "Supervisor":
         return self.start()

@@ -1,21 +1,13 @@
 """A dedicated asyncio loop on a background thread.
 
-The netd stack is async at the core, but two kinds of callers are
-synchronous by nature:
-
-* existing scenario/benchmark code driving the sync
-  :class:`~repro.netd.client.OasisClient` facade, and
-* an :class:`~repro.core.service.OasisService` handler performing a
-  *nested* callback-validation RPC to a peer while a server is already
-  dispatching it.
-
-Both are served by running all socket I/O on one loop that **no service
-code ever blocks**: a served service's handlers run on a single worker
-thread (see :mod:`repro.netd.server`), and when such a handler needs the
-network it submits a coroutine here and blocks *its own thread* — the
-loop keeps pumping bytes, so the nested RPC completes instead of
-deadlocking.  One :class:`LoopThread` per process is plenty; clients can
-share it.
+Nothing under ``src/`` runs on this: ``repro serve`` owns its loop
+through ``asyncio.run`` and :class:`~repro.netd.client.OasisClient` is a
+plain blocking socket.  :class:`LoopThread` is the documented way to
+host an asyncio :class:`~repro.netd.server.OasisServer` (or an
+:class:`~repro.netd.events.EventChannel`) inside a synchronous program —
+the test-suite's in-process nodes and ``benchmarks/harness.py`` do
+exactly that: start the loop, ``run(server.start())``, then drive the
+server over loopback with blocking clients from the main thread.
 """
 
 from __future__ import annotations
@@ -48,10 +40,6 @@ class LoopThread:
         if self._loop is None:
             raise RuntimeError("LoopThread not started")
         return self._loop
-
-    @property
-    def running(self) -> bool:
-        return self._loop is not None and self._loop.is_running()
 
     def start(self) -> "LoopThread":
         if self._thread is not None:
@@ -109,9 +97,3 @@ class LoopThread:
         self._loop = None
         self._thread = None
         self._started.clear()
-
-    def __enter__(self) -> "LoopThread":
-        return self.start()
-
-    def __exit__(self, *exc: Any) -> None:
-        self.stop()

@@ -2,11 +2,12 @@
 
 One :class:`OasisServer` hosts the :class:`~repro.core.service.OasisService`
 instances of one process behind the frame protocol of
-:mod:`repro.netd.protocol`.  The op vocabulary deliberately mirrors
-:class:`~repro.shard.worker.ShardWorker` — certificates cross as
-:mod:`repro.core.wire` payloads, CRRs as
-:func:`~repro.core.state.ref_payload` dicts — so a reader of one speaks
-the other.
+:mod:`repro.netd.protocol`.  The service ops (``activate`` … ``checkpoint``)
+are not defined here: :mod:`repro.netd.ops` is their single definition,
+shared with :class:`~repro.shard.worker.ShardWorker`.  This module adds
+what only a socket server has — the loop-thread ops (``ping``,
+``auth.*``, ``services``, ``subscribe_events``, ``shutdown``), inbound
+callback ``validate`` and ``stats``.
 
 Threading model (the part worth understanding):
 
@@ -17,11 +18,14 @@ Threading model (the part worth understanding):
   single-threaded — same guarantee the in-process world gives them.
 * When a handler on the worker thread needs the network itself — the
   records service validating a foreign certificate by callback to its
-  issuer — it blocks the *worker thread* on a sync client whose I/O
-  runs on a different loop (:class:`~repro.netd.runtime.LoopThread`).
-  The serving loop stays free, so nested RPC cannot deadlock the
-  process, and requests queued behind the blocked worker are exactly
-  the requests that must wait anyway (single-threaded state).
+  issuer — it blocks the *worker thread* in ``recv`` on that
+  :class:`~repro.netd.client.OasisClient`'s own socket.  The serving
+  loop is a different thread and stays free, so nested RPC cannot
+  deadlock the process (the peer's reply never needs this node's
+  worker: the issuer validates from its own state), and requests queued
+  behind the blocked worker are exactly the requests that must wait
+  anyway (single-threaded state).  A served node therefore runs two
+  threads — serving loop and service worker — and no client loop.
 
 Backpressure and timeouts: frames on one connection are processed
 strictly in order and the next read happens only after the response is
@@ -49,16 +53,13 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set
 
 from ..core import wire
-from ..core.access_log import AccessRecord
-from ..core.credentials import CredentialRef
-from ..core.service import (ActivationRequest, OasisService, Presentation)
-from ..core.state import ref_from_payload, ref_payload
-from ..core.types import PrincipalId
+from ..core.service import OasisService
 from ..crypto.challenge import ChallengeResponseServer
 from ..crypto.rsa import RSAPublicKey
 from ..events import EventBroker
 from ..obs.runtime import Observability
 from .events import EventPump
+from .ops import ServiceOps
 from .protocol import (
     MAX_FRAME,
     ConnectionLost,
@@ -116,9 +117,7 @@ class OasisServer:
         self.require_handshake = require_handshake
         self.request_timeout = request_timeout
         self.max_frame = max_frame
-        self.pipeline = pipeline
-        self._by_id = {service.id: service
-                       for service in self.services.values()}
+        self._ops = ServiceOps(node, self.services, self.handlers, pipeline)
         # ONE worker slot: hosted services stay single-threaded.
         self._executor = concurrent.futures.ThreadPoolExecutor(
             max_workers=1, thread_name_prefix=f"oasis-{node}")
@@ -318,106 +317,13 @@ class OasisServer:
             "endpoints": endpoints,
         }
 
-    # -- worker-thread ops (mirrors ShardWorker._execute) -------------------
-    def _service(self, key: str) -> OasisService:
-        try:
-            return self.services[key]
-        except KeyError:
-            raise KeyError(f"{self.node} hosts no service keyed "
-                           f"{key!r}") from None
-
-    def _service_for_ref(self, ref: CredentialRef) -> OasisService:
-        try:
-            return self._by_id[ref.service]
-        except KeyError:
-            raise KeyError(f"{self.node} hosts no service "
-                           f"{ref.service}") from None
-
-    @staticmethod
-    def _presentations(payloads: Any) -> List[Presentation]:
-        return [Presentation(wire.decode_certificate(entry["cert"]),
-                             holder=entry.get("holder"),
-                             on_behalf_of=entry.get("on_behalf_of"))
-                for entry in payloads]
-
-    def _activation_request(self, payload: Mapping[str, Any]
-                            ) -> ActivationRequest:
-        parameters = payload.get("parameters")
-        return ActivationRequest(
-            principal=PrincipalId(payload["principal"]),
-            role_name=payload["role"],
-            parameters=None if parameters is None else list(parameters),
-            credentials=self._presentations(payload.get("credentials", ())),
-            environment=payload.get("environment"),
-            session_id=payload.get("session"))
-
+    # -- worker-thread ops --------------------------------------------------
     def _execute(self, frame: Mapping[str, Any], op: Any) -> Any:
-        if op == "activate":
-            service = self._service(frame["service"])
-            request = self._activation_request(frame["request"])
-            certificate = service.activate_role(
-                request.principal, request.role_name, request.parameters,
-                request.credentials, environment=request.environment,
-                session_id=request.session_id)
-            return {"cert": wire.encode_certificate(certificate)}
-        if op == "activate_bulk":
-            service = self._service(frame["service"])
-            requests = [self._activation_request(payload)
-                        for payload in frame["requests"]]
-            certificates = service.activate_roles_bulk(requests)
-            return {"certs": [wire.encode_certificate(certificate)
-                              for certificate in certificates]}
-        if op == "invoke":
-            service = self._service(frame["service"])
-            result = service.invoke(
-                PrincipalId(frame["principal"]), frame["method"],
-                list(frame.get("arguments", ())),
-                credentials=self._presentations(
-                    frame.get("credentials", ())))
-            return {"result": result}
-        if op == "appoint":
-            service = self._service(frame["service"])
-            certificate = service.issue_appointment(
-                PrincipalId(frame["appointer"]), frame["name"],
-                list(frame.get("parameters", ())),
-                credentials=self._presentations(
-                    frame.get("credentials", ())),
-                holder=frame.get("holder"),
-                expires_at=frame.get("expires_at"))
-            return {"cert": wire.encode_certificate(certificate)}
-        if op == "revoke":
-            ref = ref_from_payload(frame["ref"])
-            service = self._service_for_ref(ref)
-            return {"revoked": service.revoke(ref, frame.get("reason",
-                                                             "revoked"))}
-        if op == "is_active":
-            ref = ref_from_payload(frame["ref"])
-            return {"active": self._service_for_ref(ref).is_active(ref)}
-        if op == "record":
-            return self._op_record(frame)
         if op == "validate":
             return self._op_validate(frame)
-        if op == "audit":
-            return self._op_audit(frame)
-        if op == "sessions":
-            service = self._service(frame["service"])
-            return {"sessions": sorted(service.live_sessions())}
         if op == "stats":
             return self.stats()
-        if op == "spans":
-            return {"spans": self.export_spans(frame.get("trace_id"),
-                                               frame.get("name"))}
-        if op == "handler":
-            handler = self.handlers.get(frame["name"])
-            if handler is None:
-                raise KeyError(f"{self.node} has no handler "
-                               f"{frame['name']!r}")
-            return {"result": handler(frame.get("payload"))}
-        if op == "checkpoint":
-            for service in self.services.values():
-                service.checkpoint()
-            return {}
-        raise ValueError(f"unknown op {op!r}")
+        return self._ops.execute(op, frame)
 
     def _op_validate(self, frame: Mapping[str, Any]) -> Any:
         """Inbound Sect. 4 callback validation: route to the local
@@ -430,36 +336,7 @@ class OasisServer:
             frame.get("principal"), frame.get("holder"))
         return {"valid": bool(valid)}
 
-    def _op_record(self, frame: Mapping[str, Any]) -> Any:
-        ref = ref_from_payload(frame["ref"])
-        record = self._service_for_ref(ref).credential_record(ref)
-        if record is None:
-            return {"found": False}
-        return {"found": True, "status": record.status,
-                "reason": record.revoked_reason,
-                "session": record.session_id,
-                "principal": record.principal.value,
-                "dependencies": [ref_payload(dep) for dep
-                                 in record.membership_dependencies]}
-
-    def _op_audit(self, frame: Mapping[str, Any]) -> Any:
-        service = self._service(frame["service"])
-        kind = frame.get("kind")
-        records: List[AccessRecord] = (service.access_log.query(kind=kind)
-                                       if kind is not None
-                                       else list(service.access_log))
-        return {"records": [[entry.timestamp, entry.kind, entry.principal,
-                             entry.subject, entry.reason]
-                            for entry in records]}
-
     # -- introspection ------------------------------------------------------
-    def export_spans(self, trace_id: Optional[str] = None,
-                     name: Optional[str] = None) -> List[Dict[str, Any]]:
-        if self.pipeline is None:
-            return []
-        return [span.to_dict() for span
-                in self.pipeline.tracer.spans(trace_id, name)]
-
     def stats(self) -> Dict[str, Any]:
         service_stats = {key: service.stats.snapshot()
                          for key, service in self.services.items()}

@@ -10,7 +10,9 @@ tests) and is the only component that talks to more than one shard:
   credential) pins the request, by session/principal key hash otherwise.
   Bulk entry points are batch-aware: entries are grouped per shard and
   travel as one ``issue_rmcs_bulk``/``activate_roles_bulk`` message per
-  shard, results reassembled in caller order.
+  shard, results reassembled in caller order.  Message fields are built
+  by the encoders of :mod:`repro.netd.ops`, the single definition of
+  the service ops' wire form.
 * **bus routing** — every worker response carries that worker's drained
   :class:`~repro.shard.bus.CrossShardBus` outbox; the router forwards
   each message to its target shard and breadth-first drains any messages
@@ -42,6 +44,7 @@ from ..core.credentials import CredentialRef
 from ..core.service import ActivationRequest, Presentation
 from ..core.state import ref_payload
 from ..core.types import PrincipalId
+from ..netd.ops import activation_payload, presentation_payloads
 from ..obs.runtime import Observability
 from ..obs.tracing import Tracer
 from .partition import shard_of_key, shard_of_ref
@@ -71,17 +74,12 @@ class ShardRequestError(RuntimeError):
         self.detail = message
 
 
-def _encode_presentations(credentials: Sequence[Any]) -> List[Dict[str, Any]]:
-    encoded = []
-    for item in credentials:
-        if isinstance(item, Presentation):
-            encoded.append({"cert": wire.encode_certificate(item.certificate),
-                            "holder": item.holder,
-                            "on_behalf_of": item.on_behalf_of})
-        else:  # a bare certificate
-            encoded.append({"cert": wire.encode_certificate(item),
-                            "holder": None, "on_behalf_of": None})
-    return encoded
+def _value(shard: int, response: Mapping[str, Any]) -> Any:
+    """A worker response's value, or its error re-raised here."""
+    if not response["ok"]:
+        error = response["error"]
+        raise ShardRequestError(shard, error["type"], error["message"])
+    return response["value"]
 
 
 class _WorkerHandle:
@@ -126,11 +124,7 @@ class _ProcessHandle(_WorkerHandle):
         super().__init__(shard)
         self.conn = conn
         self.process = process
-        ready = conn.recv()  # construction handshake
-        if not ready.get("ok"):
-            error = ready.get("error", {})
-            raise ShardRequestError(shard, error.get("type", "Error"),
-                                    error.get("message", "worker failed"))
+        _value(shard, conn.recv())  # construction handshake; raises
 
     def send(self, message: Dict[str, Any]) -> int:
         seq = self.next_seq()
@@ -216,10 +210,7 @@ class ShardRouter:
         bus_messages = response.get("bus", ())
         if route_bus and bus_messages:
             self._route_bus(bus_messages)
-        if not response["ok"]:
-            error = response["error"]
-            raise ShardRequestError(shard, error["type"], error["message"])
-        return response["value"]
+        return _value(shard, response)
 
     def _request(self, shard: int, op: str, **fields: Any) -> Any:
         return self._collect(shard, self._send(shard, op, **fields))
@@ -243,10 +234,7 @@ class ShardRouter:
                 raise ValueError(f"unknown bus message kind "
                                  f"{message['kind']!r}")
             response = self._handles[target].recv(seq)
-            if not response["ok"]:
-                error = response["error"]
-                raise ShardRequestError(target, error["type"],
-                                        error["message"])
+            _value(target, response)  # raises if the hop failed
             queue.extend(response.get("bus", ()))
 
     # -- placement ----------------------------------------------------------
@@ -320,18 +308,6 @@ class ShardRouter:
                 results[index] = wire.decode_certificate(cert_payload)
         return results
 
-    def _activation_payload(self, request: ActivationRequest
-                            ) -> Dict[str, Any]:
-        return {
-            "principal": request.principal.value,
-            "role": request.role_name,
-            "parameters": None if request.parameters is None
-            else list(request.parameters),
-            "credentials": _encode_presentations(request.credentials),
-            "environment": request.environment,
-            "session": request.session_id,
-        }
-
     def activate_role(self, service: str, principal: Any, role_name: str,
                       parameters: Optional[Sequence[Any]] = None,
                       credentials: Sequence[Any] = (),
@@ -342,14 +318,11 @@ class ShardRouter:
             else PrincipalId(str(principal))
         if shard is None:
             shard = self._placement(session_id, principal_id, credentials)
-        request = ActivationRequest(
-            principal=principal_id, role_name=role_name,
-            parameters=parameters,
-            credentials=[item if isinstance(item, Presentation)
-                         else Presentation(item) for item in credentials],
-            environment=environment, session_id=session_id)
-        value = self._request(shard, "activate", service=service,
-                              request=self._activation_payload(request))
+        value = self._request(
+            shard, "activate", service=service,
+            request=activation_payload(
+                principal_id.value, role_name, parameters, credentials,
+                environment, session_id))
         return wire.decode_certificate(value["cert"])
 
     def activate_roles_bulk(self, service: str,
@@ -365,8 +338,11 @@ class ShardRouter:
             groups.setdefault(shard, []).append(index)
         pending: List[Tuple[int, int, List[int]]] = []
         for shard, indices in sorted(groups.items()):
-            payload = [self._activation_payload(requests[index])
-                       for index in indices]
+            payload = [activation_payload(
+                request.principal.value, request.role_name,
+                request.parameters, request.credentials,
+                request.environment, request.session_id)
+                for request in (requests[index] for index in indices)]
             pending.append((shard,
                             self._send(shard, "activate_bulk",
                                        service=service, requests=payload),
@@ -390,7 +366,7 @@ class ShardRouter:
             shard, "invoke", service=service,
             principal=principal_id.value, method=method,
             arguments=list(arguments),
-            credentials=_encode_presentations(credentials))
+            credentials=presentation_payloads(credentials))
         return value["result"]
 
     def revoke(self, ref: CredentialRef, reason: str = "revoked") -> bool:

@@ -13,6 +13,13 @@ crosses the boundary, which is what lets the interned
 ``ServiceId``/``RoleName`` ``__reduce__`` paths land ``is``-identical on
 the far side.
 
+The service ops a worker answers (``activate`` … ``checkpoint``) are the
+table of :mod:`repro.netd.ops` — the same one a socket server answers —
+with this worker's ``link_dependencies`` step passed in as its
+``issued`` hook.  Only the shard-only ops are defined here:
+``issue_bulk``, ``bus.cascade`` / ``bus.link``, ``live_count``,
+``stats``, ``ping``, ``shutdown``.
+
 The worker never talks to its siblings directly: outgoing cross-shard
 messages (link registrations, coalesced cascade batches) accumulate on
 its :class:`~repro.shard.bus.CrossShardBus` and ride back to the
@@ -26,14 +33,14 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from ..core import wire
-from ..core.access_log import AccessRecord
 from ..core.credentials import CredentialRef
 from ..core.policy import ServicePolicy
-from ..core.service import (ActivationRequest, OasisService, Presentation,
-                            ServiceRegistry)
-from ..core.state import ServiceStateCodec, ref_from_payload, ref_payload
+from ..core.service import OasisService, ServiceRegistry
+from ..core.state import ServiceStateCodec, ref_from_payload
 from ..core.types import PrincipalId, Role, RoleName
 from ..db import default_store
+from ..netd.ops import ServiceOps
+from ..netd.protocol import error_payload
 from ..obs.runtime import Observability, disable, enable
 from .bus import CrossShardBus, ShardBroker
 from .partition import ShardedRefAllocator, shard_of_ref
@@ -129,36 +136,10 @@ class ShardWorker:
         self.services: Dict[str, OasisService] = dict(self.world.services)
         self.handlers: Dict[str, Callable[[Any], Any]] = \
             dict(getattr(self.world, "handlers", None) or {})
-        self._by_id = {service.id: service
-                       for service in self.services.values()}
+        self._ops = ServiceOps(f"worker {shard}", self.services,
+                               self.handlers, self.pipeline,
+                               issued=self._link_issued)
         self.requests = 0
-
-    # -- lookups ------------------------------------------------------------
-    def _service(self, key: str) -> OasisService:
-        try:
-            return self.services[key]
-        except KeyError:
-            raise KeyError(f"worker {self.shard} has no service "
-                           f"keyed {key!r}") from None
-
-    def _service_for_ref(self, ref: CredentialRef) -> OasisService:
-        try:
-            return self._by_id[ref.service]
-        except KeyError:
-            raise KeyError(f"worker {self.shard} hosts no service "
-                           f"{ref.service}") from None
-
-    @staticmethod
-    def _presentations(payloads: Sequence[Mapping[str, Any]]
-                       ) -> List[Presentation]:
-        return [Presentation(wire.decode_certificate(entry["cert"]),
-                             holder=entry.get("holder"),
-                             on_behalf_of=entry.get("on_behalf_of"))
-                for entry in payloads]
-
-    def _role(self, service: OasisService,
-              name: str, parameters: Sequence[Any]) -> Role:
-        return Role(RoleName(service.id, name), tuple(parameters))
 
     # -- operations ---------------------------------------------------------
     def dispatch(self, message: Mapping[str, Any]) -> Dict[str, Any]:
@@ -172,69 +153,39 @@ class ShardWorker:
                                         "ok": True, "value": value}
         except Exception as error:  # noqa: BLE001 - crosses the pipe
             response = {"seq": message.get("seq"), "ok": False,
-                        "error": {"type": type(error).__name__,
-                                  "message": str(error)}}
+                        "error": error_payload(error)}
         response["bus"] = self.bus.drain()
         return response
 
     def _execute(self, message: Mapping[str, Any]) -> Any:
+        """The shard-only ops; everything else is the shared table of
+        :mod:`repro.netd.ops`."""
         op = message["op"]
         if op == "issue_bulk":
             return self._op_issue_bulk(message)
-        if op == "activate":
-            return self._op_activate(message)
-        if op == "activate_bulk":
-            return self._op_activate_bulk(message)
-        if op == "invoke":
-            return self._op_invoke(message)
-        if op == "revoke":
-            service = self._service_for_ref(
-                ref := ref_from_payload(message["ref"]))
-            return {"revoked": service.revoke(ref,
-                                              message.get("reason",
-                                                          "revoked"))}
-        if op == "is_active":
-            ref = ref_from_payload(message["ref"])
-            return {"active": self._service_for_ref(ref).is_active(ref)}
-        if op == "record":
-            return self._op_record(message)
-        if op == "audit":
-            return self._op_audit(message)
-        if op == "sessions":
-            service = self._service(message["service"])
-            return {"sessions": sorted(service.live_sessions())}
         if op == "live_count":
             return {"counts": {key: len(service.active_credentials())
                                for key, service in self.services.items()}}
         if op == "stats":
             return self.stats()
-        if op == "spans":
-            return {"spans": self.export_spans(message.get("trace_id"),
-                                               message.get("name"))}
-        if op == "handler":
-            handler = self.handlers.get(message["name"])
-            if handler is None:
-                raise KeyError(f"worker {self.shard} has no handler "
-                               f"{message['name']!r}")
-            return {"result": handler(message.get("payload"))}
         if op == "bus.cascade":
             return {"delivered":
                     self.broker.deliver_remote(message["events"])}
         if op == "bus.link":
             return {"registered": self.bus.register_remote_links(
                 (ref, int(shard)) for ref, shard in message["links"])}
-        if op == "checkpoint":
-            for service in self.services.values():
-                service.checkpoint()
-            return {}
         if op == "ping":
             return {"shard": self.shard}
-        if op == "shutdown":  # meaningful for the child loop; no-op here
+        if op == "shutdown":  # the child loop exits after answering
             return None
-        raise ValueError(f"unknown worker op {op!r}")
+        return self._ops.execute(op, message)
+
+    def _role(self, service: OasisService,
+              name: str, parameters: Sequence[Any]) -> Role:
+        return Role(RoleName(service.id, name), tuple(parameters))
 
     def _op_issue_bulk(self, message: Mapping[str, Any]) -> Any:
-        service = self._service(message["service"])
+        service = self._ops.service(message["service"])
         entries = []
         all_deps: List[CredentialRef] = []
         for entry in message["entries"]:
@@ -250,80 +201,15 @@ class ShardWorker:
         return {"certs": [wire.encode_certificate(certificate)
                           for certificate in certificates]}
 
-    def _activation_request(self, payload: Mapping[str, Any]
-                            ) -> ActivationRequest:
-        parameters = payload.get("parameters")
-        return ActivationRequest(
-            principal=PrincipalId(payload["principal"]),
-            role_name=payload["role"],
-            parameters=None if parameters is None else list(parameters),
-            credentials=self._presentations(payload.get("credentials", ())),
-            environment=payload.get("environment"),
-            session_id=payload.get("session"))
-
     def _link_issued(self, service: OasisService, certificate: Any) -> None:
+        """The ``issued`` hook of the shared op table: register this
+        shard with the owners of the new credential's foreign
+        membership dependencies."""
         record = service.credential_record(certificate.ref)
         if record is not None and record.membership_dependencies:
             self.context.link_dependencies(record.membership_dependencies)
 
-    def _op_activate(self, message: Mapping[str, Any]) -> Any:
-        service = self._service(message["service"])
-        request = self._activation_request(message["request"])
-        certificate = service.activate_role(
-            request.principal, request.role_name, request.parameters,
-            request.credentials, environment=request.environment,
-            session_id=request.session_id)
-        self._link_issued(service, certificate)
-        return {"cert": wire.encode_certificate(certificate)}
-
-    def _op_activate_bulk(self, message: Mapping[str, Any]) -> Any:
-        service = self._service(message["service"])
-        requests = [self._activation_request(payload)
-                    for payload in message["requests"]]
-        certificates = service.activate_roles_bulk(requests)
-        for certificate in certificates:
-            self._link_issued(service, certificate)
-        return {"certs": [wire.encode_certificate(certificate)
-                          for certificate in certificates]}
-
-    def _op_invoke(self, message: Mapping[str, Any]) -> Any:
-        service = self._service(message["service"])
-        result = service.invoke(
-            PrincipalId(message["principal"]), message["method"],
-            list(message.get("arguments", ())),
-            credentials=self._presentations(message.get("credentials", ())))
-        return {"result": result}
-
-    def _op_record(self, message: Mapping[str, Any]) -> Any:
-        ref = ref_from_payload(message["ref"])
-        record = self._service_for_ref(ref).credential_record(ref)
-        if record is None:
-            return {"found": False}
-        return {"found": True, "status": record.status,
-                "reason": record.revoked_reason,
-                "session": record.session_id,
-                "principal": record.principal.value,
-                "dependencies": [ref_payload(dep) for dep
-                                 in record.membership_dependencies]}
-
-    def _op_audit(self, message: Mapping[str, Any]) -> Any:
-        service = self._service(message["service"])
-        kind = message.get("kind")
-        records: List[AccessRecord] = (service.access_log.query(kind=kind)
-                                       if kind is not None
-                                       else list(service.access_log))
-        return {"records": [[entry.timestamp, entry.kind, entry.principal,
-                             entry.subject, entry.reason]
-                            for entry in records]}
-
     # -- introspection ------------------------------------------------------
-    def export_spans(self, trace_id: Optional[str] = None,
-                     name: Optional[str] = None) -> List[Dict[str, Any]]:
-        if self.pipeline is None:
-            return []
-        return [span.to_dict() for span
-                in self.pipeline.tracer.spans(trace_id, name)]
-
     def stats(self) -> Dict[str, Any]:
         revocations = 0
         live = 0
@@ -357,9 +243,7 @@ def worker_main(conn: Any, shard: int, shards: int,
         worker = ShardWorker(shard, shards, factory, factory_args,
                              observed=observed)
     except Exception as error:  # noqa: BLE001 - surface construction failure
-        conn.send({"seq": None, "ok": False,
-                   "error": {"type": type(error).__name__,
-                             "message": str(error)},
+        conn.send({"seq": None, "ok": False, "error": error_payload(error),
                    "bus": []})
         conn.close()
         return
@@ -368,11 +252,9 @@ def worker_main(conn: Any, shard: int, shards: int,
     try:
         while True:
             message = conn.recv()
-            if message.get("op") == "shutdown":
-                conn.send({"seq": message.get("seq"), "ok": True,
-                           "value": None, "bus": worker.bus.drain()})
-                break
             conn.send(worker.dispatch(message))
+            if message.get("op") == "shutdown":
+                break
     except (EOFError, KeyboardInterrupt):
         pass
     finally:

@@ -34,7 +34,7 @@ class Node:
 
     def client(self, **kwargs):
         return OasisClient("127.0.0.1", self.port,
-                           peer=self.server.node, loop=self.loop,
+                           peer=self.server.node,
                            **kwargs).connect()
 
     def close(self):

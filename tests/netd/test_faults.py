@@ -3,16 +3,29 @@ error (mirroring the shard transport's contract), never a hang.
 
 * peer closes the connection mid-RPC  -> ConnectionLost
 * peer accepts but never responds    -> RpcTimeout
+* peer drip-feeds / answers off-script -> RpcTimeout / ProtocolError
+* peer answers a callback without "valid": true -> credential invalid
 * event channel peer restarts        -> reconnect + resubscribe
 """
 
 import asyncio
+import gc
+import threading
 import time
+import warnings
 
 import pytest
 
-from repro.events import CREDENTIAL_REVOKED, Event
-from repro.netd.client import OasisClient
+from repro.core.exceptions import CredentialInvalid
+from repro.core.policy import ServicePolicy
+from repro.core.rules import ActivationRule, PrerequisiteRole
+from repro.core.service import (OasisService, Presentation,
+                                ServiceRegistry)
+from repro.core.terms import Var
+from repro.core.types import PrincipalId, RoleTemplate, ServiceId
+from repro.events import CREDENTIAL_REVOKED, Event, EventBroker
+from repro.net.adapter import endpoint_name
+from repro.netd.client import OasisClient, RemoteNetwork
 from repro.netd.events import EventChannel
 from repro.netd.protocol import (
     ConnectionLost,
@@ -20,9 +33,10 @@ from repro.netd.protocol import (
     ProtocolError,
     RpcTimeout,
     read_frame,
+    encode_frame,
     send_frame,
 )
-from repro.netd.worlds import bench_world
+from repro.netd.worlds import NodeContext, bench_world
 
 from netd_helpers import Node
 from test_events import Collector
@@ -61,7 +75,7 @@ class TestClientFaults:
         faulty = FaultyServer(loop, slam).start()
         try:
             client = OasisClient("127.0.0.1", faulty.port, peer="evil",
-                                 loop=loop, timeout=5.0).connect()
+                                 timeout=5.0).connect()
             with pytest.raises(ConnectionLost):
                 client.ping()
             client.close()
@@ -76,7 +90,7 @@ class TestClientFaults:
         faulty = FaultyServer(loop, stall).start()
         try:
             client = OasisClient("127.0.0.1", faulty.port, peer="tar",
-                                 loop=loop, timeout=0.5).connect()
+                                 timeout=0.5).connect()
             started = time.monotonic()
             with pytest.raises(RpcTimeout):
                 client.ping()
@@ -89,7 +103,7 @@ class TestClientFaults:
         # Nothing listens on the probe port (it was bound and released).
         from repro.netd.deploy import free_port
         client = OasisClient("127.0.0.1", free_port(), peer="ghost",
-                             loop=loop, timeout=2.0)
+                             timeout=2.0)
         with pytest.raises(OasisNetError):
             client.connect()
 
@@ -102,7 +116,7 @@ class TestClientFaults:
         faulty = FaultyServer(loop, blast).start()
         try:
             client = OasisClient("127.0.0.1", faulty.port, peer="fat",
-                                 loop=loop, timeout=5.0,
+                                 timeout=5.0,
                                  max_frame=256).connect()
             with pytest.raises((ProtocolError, ConnectionLost)):
                 client.ping()
@@ -127,6 +141,200 @@ class TestClientFaults:
         client = bench_node.client()
         assert client.ping()["node"] == "bench"
         client.close()
+
+    def test_drip_feeding_peer_hits_whole_call_deadline(self, loop):
+        """One byte every 0.2 s keeps every ``recv`` inside a per-read
+        timeout; the deadline is for the whole call."""
+        connections = []
+
+        async def drip(reader, writer):
+            connections.append(writer)
+            request = await read_frame(reader)
+            if len(connections) > 1:  # the reconnect gets a real answer
+                await send_frame(writer, {"id": request["id"], "ok": True,
+                                          "value": {"node": "drip"}})
+                await reader.read()
+                writer.close()
+                return
+            reply = encode_frame({"id": request["id"], "ok": True,
+                                  "value": {"pad": "x" * 64}})
+            try:
+                for index in range(len(reply)):
+                    writer.write(reply[index:index + 1])
+                    await writer.drain()
+                    await asyncio.sleep(0.2)
+            except ConnectionError:
+                pass  # the client gave up, as it should
+            writer.close()
+
+        faulty = FaultyServer(loop, drip).start()
+        try:
+            client = OasisClient("127.0.0.1", faulty.port, peer="drip",
+                                 timeout=0.5).connect()
+            started = time.monotonic()
+            with pytest.raises(RpcTimeout):
+                client.ping()
+            assert time.monotonic() - started < 2
+            assert not client.connected
+            assert client.ping() == {"node": "drip"}
+            assert len(connections) == 2
+            client.close()
+        finally:
+            faulty.stop()
+
+    def test_wrong_reply_id_is_protocol_error_and_closes(self, loop):
+        async def mislabel(reader, writer):
+            request = await read_frame(reader)
+            await send_frame(writer, {"id": request["id"] + 7, "ok": True,
+                                      "value": {"node": "other"}})
+            await reader.read()  # hold the socket until the client closes
+            writer.close()
+
+        faulty = FaultyServer(loop, mislabel).start()
+        try:
+            client = OasisClient("127.0.0.1", faulty.port, peer="mislabel",
+                                 timeout=5.0).connect()
+            with pytest.raises(ProtocolError):
+                client.ping()
+            assert not client.connected
+            client.close()
+        finally:
+            faulty.stop()
+
+    def test_stray_push_is_skipped_not_returned(self, loop):
+        async def chatter(reader, writer):
+            request = await read_frame(reader)
+            await send_frame(writer, {"push": "events", "origin": "chatter",
+                                      "events": []})
+            await send_frame(writer, {"id": request["id"], "ok": True,
+                                      "value": {"node": "chatter"}})
+            await reader.read()
+            writer.close()
+
+        faulty = FaultyServer(loop, chatter).start()
+        try:
+            client = OasisClient("127.0.0.1", faulty.port, peer="chatter",
+                                 timeout=5.0).connect()
+            assert client.ping() == {"node": "chatter"}
+            client.close()
+        finally:
+            faulty.stop()
+
+    def test_threads_sharing_a_client_get_their_own_replies(self,
+                                                            bench_node):
+        client = bench_node.client()
+        live = client.activate("svc", "alice", "user", ["alice"])
+        dead = client.activate("svc", "bob", "user", ["bob"])
+        client.revoke(dead.ref, "gone")
+        wrong = []
+
+        def hammer(ref, expected):
+            for _ in range(200):
+                if client.ping()["node"] != "bench":
+                    wrong.append("ping")
+                if client.is_active(ref) is not expected:
+                    wrong.append(("is_active", expected))
+
+        threads = [threading.Thread(target=hammer, args=(live.ref, True)),
+                   threading.Thread(target=hammer, args=(dead.ref, False))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        client.close()
+
+    def test_close_twice_and_drop_leave_no_resource_warning(self, loop,
+                                                            bench_node):
+        async def stall(reader, writer):
+            await read_frame(reader)
+            await reader.read()
+            writer.close()
+
+        faulty = FaultyServer(loop, stall).start()
+        try:
+            gc.collect()  # earlier tests' garbage is not this test's
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                client = bench_node.client()
+                client.ping()
+                client.close()
+                client.close()
+                # A deadline miss has already closed the socket: dropping
+                # that client without close() leaks nothing either.
+                timed_out = OasisClient("127.0.0.1", faulty.port,
+                                        peer="tar", timeout=0.2)
+                with pytest.raises(RpcTimeout):
+                    timed_out.ping()
+                del client, timed_out
+                gc.collect()
+            assert [str(w.message) for w in caught
+                    if issubclass(w.category, ResourceWarning)
+                    and "socket.socket" in str(w.message)] == []
+        finally:
+            faulty.stop()
+
+
+ISSUER = ServiceId("bench", "svc")
+
+
+class TestCallbackVerdict:
+    """Only ``{"valid": true}`` validates a foreign certificate: a peer
+    that answers the callback without raising has not vouched for it."""
+
+    @pytest.mark.parametrize("verdict", [{"valid": False}, {}],
+                             ids=["valid-false", "no-verdict"])
+    def test_unvouched_certificate_is_denied_and_not_cached(self, loop,
+                                                            verdict):
+        async def liar(reader, writer):
+            """Advertises the issuer's endpoint, then answers every
+            ``validate`` with the scripted verdict."""
+            while True:
+                request = await read_frame(reader)
+                if request is None:
+                    writer.close()
+                    return
+                if request["op"] == "services":
+                    value = {"endpoints": [
+                        {"domain": ISSUER.domain,
+                         "endpoint": endpoint_name(ISSUER)}]}
+                else:
+                    assert request["op"] == "validate"
+                    value = verdict
+                await send_frame(writer, {"id": request["id"], "ok": True,
+                                          "value": value})
+
+        # The real issuer, somewhere the consumer cannot see.
+        issuer = bench_world(NodeContext(
+            "issuer", EventBroker(), ServiceRegistry(),
+            RemoteNetwork("issuer"))).services["svc"]
+        alice = PrincipalId("alice")
+        foreign = issuer.activate_role(alice, "user", ["alice"])
+
+        faulty = FaultyServer(loop, liar).start()
+        network = RemoteNetwork(
+            "consumer", peers={"liar": ("127.0.0.1", faulty.port)},
+            timeout=5.0)
+        try:
+            policy = ServicePolicy(ServiceId("consumer", "door"))
+            guest = policy.define_role("guest", 1)
+            policy.add_activation_rule(ActivationRule(
+                RoleTemplate(guest, (Var("u"),)),
+                (PrerequisiteRole(RoleTemplate(foreign.role.role_name,
+                                               (Var("u"),))),)))
+            consumer = OasisService(policy, EventBroker(),
+                                    ServiceRegistry(), network=network)
+            with pytest.raises(CredentialInvalid):
+                consumer.activate_role(alice, "guest", ["alice"],
+                                       [Presentation(foreign)])
+            assert consumer.stats.callbacks_made == 1
+            assert not consumer._validation_cache
+            assert not consumer._ecr_subs
+            assert not consumer.active_credentials()
+        finally:
+            network.close()
+            faulty.stop()
 
 
 class TestEventChannelReconnect:
