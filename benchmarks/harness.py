@@ -836,10 +836,10 @@ def bench_rpc(results: Dict[str, dict], *, quick: bool) -> Dict[str, object]:
     """Socket transport tier (repro.netd): RPC cost over real TCP.
 
     A served node (the minimal ``bench_world``: one free role, one
-    guarded method) runs in-process on a loop thread; a single blocking
+    guarded method) runs in-process on its own threads; a single blocking
     ``OasisClient`` connection drives it over loopback TCP, so every op
     pays the full wire cost — frame encode/decode both ways, dispatch
-    through the server's single worker slot, certificate payload
+    through the server's one service lock, certificate payload
     round-trip — without subprocess noise.
 
     * ``rpc_ping_roundtrip`` — the transport floor: one empty frame
@@ -854,18 +854,15 @@ def bench_rpc(results: Dict[str, dict], *, quick: bool) -> Dict[str, object]:
     from repro.core.service import ServiceRegistry
     from repro.events import EventBroker
     from repro.netd.client import OasisClient, RemoteNetwork
-    from repro.netd.runtime import LoopThread
     from repro.netd.server import OasisServer
     from repro.netd.worlds import NodeContext, bench_world
 
-    loop = LoopThread("bench-rpc").start()
     broker = EventBroker()
     network = RemoteNetwork("bench")
     ctx = NodeContext("bench", broker, ServiceRegistry(), network)
     world = bench_world(ctx)
     server = OasisServer("bench", world.services, broker=broker,
-                         network=network, handlers=world.handlers)
-    loop.run(server.start())
+                         network=network, handlers=world.handlers).start()
     client = OasisClient("127.0.0.1", server.port, peer="bench").connect()
     try:
         rounds, inner = (3, 100) if quick else (8, 300)
@@ -906,9 +903,8 @@ def bench_rpc(results: Dict[str, dict], *, quick: bool) -> Dict[str, object]:
                       setup=revoke_setup))
     finally:
         client.close()
-        loop.run(server.close())
+        server.close()
         network.close()
-        loop.stop()
 
     activate_ops = results["rpc_activate_throughput"]["ops_per_sec"]
     return {

@@ -1,4 +1,4 @@
-"""Real asyncio transport: OASIS services over TCP sockets (ROADMAP 1).
+"""Real socket transport: OASIS services over TCP (ROADMAP 1).
 
 Everything before this package ran in one Python process over the
 simulated substrate (:mod:`repro.net.sim`).  ``repro.netd`` is where the
@@ -13,10 +13,11 @@ Sect. 4.1 challenge–response handshake; one blocking
 :class:`~repro.net.adapter.ValidationTransport` surface) talks to it;
 :mod:`repro.netd.ops` is the single definition of the service ops both
 ends — and the shard workers — speak; and
-:mod:`repro.netd.events` pushes coalesced ``CREDENTIAL_REVOKED`` batches
-— span context included — over persistent connections, so a Fig. 5
-revocation cascade crosses OS process boundaries without polling and
-still stitches into ONE trace tree.
+:mod:`repro.netd.events` pushes ``CREDENTIAL_REVOKED`` batches, one
+frame per cascade — span context included — over persistent connections,
+so a Fig. 5 revocation cascade crosses OS process boundaries without
+polling and still stitches into ONE trace tree.  The whole package
+speaks one I/O model: threads on blocking sockets.
 
 ``repro serve`` (:mod:`repro.netd.cli`) boots one server process from a
 world-factory spec; :mod:`repro.netd.deploy` supervises several of them,
@@ -38,13 +39,10 @@ from .protocol import (
     RpcError,
     RpcTimeout,
     encode_frame,
-    read_frame,
-    send_frame,
 )
 from .client import OasisClient, RemoteNetwork
 from .events import EventChannel, EventPump
 from .server import OasisServer
-from .runtime import LoopThread
 
 __all__ = [
     "ConnectionLost",
@@ -53,7 +51,6 @@ __all__ = [
     "FrameDecoder",
     "FrameTooLarge",
     "HandshakeError",
-    "LoopThread",
     "MAX_FRAME",
     "OasisClient",
     "OasisNetError",
@@ -63,6 +60,4 @@ __all__ = [
     "RpcError",
     "RpcTimeout",
     "encode_frame",
-    "read_frame",
-    "send_frame",
 ]

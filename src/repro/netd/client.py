@@ -63,9 +63,9 @@ class OasisClient:
 
     Connects lazily on the first call and again after any transport
     failure.  A lock admits one request at a time, so threads may share
-    a client; each blocks only itself, which is what lets a served
-    node's worker thread make a nested callback-validation RPC while
-    the serving loop keeps running.
+    a client; each blocks only itself, which is what lets a handler on
+    a served node make a nested callback-validation RPC while the
+    node's other connection threads keep answering.
     """
 
     def __init__(self, host: str, port: int, *, peer: str = "server",

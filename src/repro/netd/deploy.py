@@ -18,7 +18,6 @@ connections, and can kill/restart individual nodes for fault drills.
 
 from __future__ import annotations
 
-import asyncio
 import os
 import signal
 import socket
@@ -121,33 +120,24 @@ def serve_node(spec: NodeSpec) -> None:
         handlers=dict(getattr(world, "handlers", None) or {}),
         host=spec.host, port=spec.port,
         require_handshake=spec.require_handshake, pipeline=pipeline)
-    try:
-        asyncio.run(_serve(spec, server, broker))
-    finally:
-        network.close()
-
-
-async def _serve(spec: NodeSpec, server: OasisServer,
-                 broker: EventBroker) -> None:
-    await server.start()
-    channels: List[EventChannel] = []
     for peer in spec.subscribe:
         host, port = spec.peers[peer]
-        channel = EventChannel(
+        server.channels[peer] = EventChannel(
             peer, host, port,
-            # Remote batches enter the local broker on the service worker
-            # thread — same single-threaded discipline as RPC dispatch.
+            # Remote batches enter the local broker under the service
+            # lock — same single-threaded discipline as RPC dispatch.
             lambda events: server.submit(broker.publish_batch, events))
-        channel.start()
-        channels.append(channel)
-        server.channels[peer] = channel
-    print(f"{READY_BANNER} node={spec.name} port={server.port}",
-          flush=True)
     try:
-        await server.serve_until_shutdown()
+        server.start()
+        for channel in server.channels.values():
+            channel.start()
+        print(f"{READY_BANNER} node={spec.name} port={server.port}",
+              flush=True)
+        server.serve_until_shutdown()
     finally:
-        for channel in channels:
-            await channel.stop()
+        for channel in server.channels.values():
+            channel.stop()
+        network.close()
 
 
 class Supervisor:

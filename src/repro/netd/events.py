@@ -4,8 +4,8 @@ Two halves:
 
 * :class:`EventPump` — server side.  Taps the process-local
   :class:`~repro.events.EventBroker` and pushes every *locally-minted*
-  event to subscribed connections as coalesced
-  ``{"push": "events", ...}`` frames.  Events whose attributes carry
+  event to subscribed connections, one ``{"push": "events", ...}``
+  frame per publishing call.  Events whose attributes carry
   ``net_origin`` arrived from another process and are **not** forwarded
   — that single rule is the loop-breaker that lets two servers
   subscribe to each other (or a chain P1→P2→P3 relay hop by hop)
@@ -30,12 +30,15 @@ uses, so anything that can be journalled can cross a process boundary.
 
 from __future__ import annotations
 
-import asyncio
+import queue
+import socket
 import threading
-from typing import Any, Callable, Dict, List, Optional
+import traceback
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..events import Event, EventBroker
-from .protocol import MAX_FRAME, OasisNetError, read_frame, send_frame
+from .protocol import (MAX_FRAME, FrameDecoder, OasisNetError,
+                       ProtocolError, encode_frame)
 
 __all__ = ["NET_ORIGIN", "EventPump", "EventChannel"]
 
@@ -46,60 +49,59 @@ NET_ORIGIN = "net_origin"
 
 class EventPump:
     """Collects locally-minted broker events and pushes them to
-    subscribed connections in coalesced batches.
+    subscribed connections, one frame per publishing call.
 
-    The broker delivers on the server's worker thread (service handlers
-    run there); the pump only *appends to a list* on that thread and
-    schedules one flush on the event loop, so the tap adds O(1) work to
-    the revocation hot path regardless of subscriber count.
-
-    ``coalesce_window`` delays the flush a few milliseconds so a
-    synchronous cascade's whole event batch lands in ONE push frame
-    instead of racing the loop into per-event frames; it is the latency
-    cost of batching and deliberately tiny.
+    The broker delivers on whichever thread holds the server's service
+    lock (service handlers run there); the tap only *appends to a list*,
+    so it adds O(1) work to the revocation hot path regardless of
+    subscriber count.  The lock holder calls :meth:`flush` when its call
+    ends and before it releases the lock: that is the batch boundary —
+    a synchronous cascade's whole event batch lands in ONE push frame —
+    and it queues frames in lock order.  A single pusher thread does the
+    sending, so a subscriber that reads slowly never holds up an RPC.
     """
 
-    def __init__(self, node: str, loop: asyncio.AbstractEventLoop,
-                 max_frame: int = MAX_FRAME,
-                 coalesce_window: float = 0.005) -> None:
+    def __init__(self, node: str) -> None:
         self.node = node
-        self._loop = loop
-        self._max_frame = max_frame
-        self._coalesce_window = coalesce_window
-        self._lock = threading.Lock()
         self._pending: List[Dict[str, Any]] = []
-        self._flush_scheduled = False
-        self._senders: Dict[int, Callable[[Dict[str, Any]],
-                                          "asyncio.Future[Any]"]] = {}
-        self._next_key = 0
+        self._senders: Set[Callable[[Dict[str, Any]], Any]] = set()
         self._untap: Optional[Callable[[], None]] = None
+        # Push frames awaiting the pusher; ``None`` ends it.
+        self._queue: "queue.SimpleQueue[Optional[Dict[str, Any]]]" = \
+            queue.SimpleQueue()
+        self._pusher = threading.Thread(
+            target=self._push_loop, name=f"oasis-{node}-pusher", daemon=True)
         self.pushed_events = 0
         self.pushed_batches = 0
         self.skipped_events = 0
 
     def attach(self, broker: EventBroker) -> None:
+        """Tap ``broker`` and start the pusher thread."""
         self._untap = broker.add_tap(self._tap)
+        self._pusher.start()
 
-    def detach(self) -> None:
+    def detach(self, timeout: Optional[float] = None) -> None:
+        """Leave the broker, push what is queued, stop the pusher
+        (waiting at most ``timeout`` for subscribers that do not read)."""
         if self._untap is not None:
             self._untap()
             self._untap = None
+            self._queue.put(None)
+            self._pusher.join(timeout)
 
     @property
     def subscriber_count(self) -> int:
         return len(self._senders)
 
-    def subscribe(self, sender: Callable[[Dict[str, Any]],
-                                         "asyncio.Future[Any]"]) -> int:
-        """Register an async send callable; returns an unsubscribe key."""
-        self._next_key += 1
-        self._senders[self._next_key] = sender
-        return self._next_key
+    def subscribe(self, sender: Callable[[Dict[str, Any]], Any]) -> None:
+        """Register a send callable; it runs on the pusher thread.
+        (This and :meth:`unsubscribe` are safe from any thread.)"""
+        self._senders.add(sender)
 
-    def unsubscribe(self, key: int) -> None:
-        self._senders.pop(key, None)
+    def unsubscribe(self, sender: Callable[[Dict[str, Any]], Any]) -> None:
+        self._senders.discard(sender)
 
-    # -- broker tap (worker thread) -----------------------------------------
+    # -- broker tap (service-lock holder) -----------------------------------
     def _tap(self, event: Event) -> None:
         if event.get(NET_ORIGIN) is not None:
             self.skipped_events += 1
@@ -111,37 +113,33 @@ class EventPump:
             # boundary; such events are process-local by construction.
             self.skipped_events += 1
             return
-        with self._lock:
-            self._pending.append(payload)
-            if self._flush_scheduled:
+        self._pending.append(payload)
+
+    def flush(self) -> None:
+        """Queue everything pending as ONE push frame.  Called by the
+        thread that published it, before it lets the next publisher in."""
+        if self._pending:
+            batch, self._pending = self._pending, []
+            if self._senders:
+                self.pushed_events += len(batch)
+                self.pushed_batches += 1
+                self._queue.put({"push": "events", "origin": self.node,
+                                 "events": batch})
+
+    # -- pusher thread ------------------------------------------------------
+    def _push_loop(self) -> None:
+        while True:
+            push = self._queue.get()
+            if push is None:
                 return
-            self._flush_scheduled = True
-        self._loop.call_soon_threadsafe(self._schedule_flush)
-
-    # -- flush (event loop) -------------------------------------------------
-    def _schedule_flush(self) -> None:
-        self._loop.call_later(self._coalesce_window,
-                              lambda: self._loop.create_task(self.flush()))
-
-    async def flush(self) -> int:
-        """Push everything pending as one batch; returns events pushed."""
-        with self._lock:
-            batch = self._pending
-            self._pending = []
-            self._flush_scheduled = False
-        if not batch or not self._senders:
-            return 0
-        push = {"push": "events", "origin": self.node, "events": batch}
-        self.pushed_events += len(batch)
-        self.pushed_batches += 1
-        for key, sender in list(self._senders.items()):
-            try:
-                await sender(push)
-            except (OasisNetError, ConnectionError, OSError):
-                # The connection handler notices the dead socket itself;
-                # dropping the sender here just stops repeat failures.
-                self._senders.pop(key, None)
-        return len(batch)
+            for sender in list(self._senders):
+                try:
+                    sender(push)
+                except (OasisNetError, OSError):
+                    # The connection thread notices the dead socket
+                    # itself; dropping the sender here just stops repeat
+                    # failures.
+                    self._senders.discard(sender)
 
 
 class EventChannel:
@@ -149,10 +147,11 @@ class EventChannel:
 
     ``deliver`` receives each pushed batch as a list of
     :class:`~repro.events.Event` objects already stamped with
-    ``net_origin=<peer name>``; it runs on the channel's event loop, so
-    a server embeds the channel by submitting the batch to its worker
-    thread (keeping the broker single-threaded), while tests may deliver
-    straight into a local broker.
+    ``net_origin=<peer name>``; it runs on the channel's own thread, so
+    a server embeds the channel by passing the batch through
+    :meth:`~repro.netd.server.OasisServer.submit` (keeping the broker
+    single-threaded), while tests may deliver straight into a local
+    broker.
     """
 
     def __init__(self, peer: str, host: str, port: int,
@@ -167,81 +166,103 @@ class EventChannel:
         self._reconnect_delay = reconnect_delay
         self._max_reconnect_delay = max_reconnect_delay
         self._max_frame = max_frame
-        self._task: Optional["asyncio.Task[None]"] = None
-        self._stopping = asyncio.Event()
-        self.connected = asyncio.Event()
+        self._thread = threading.Thread(
+            target=self._run, name=f"oasis-events-{peer}", daemon=True)
+        self._sock: Optional[socket.socket] = None
+        self._stopping = threading.Event()
+        self.connected = threading.Event()
         self.delivered_events = 0
         self.subscribes = 0
 
     def start(self) -> None:
-        """Begin the subscription; must run on the owning event loop."""
-        if self._task is None:
-            self._stopping.clear()
-            self._task = asyncio.get_running_loop().create_task(self._run())
+        """Begin the subscription, on a thread of its own."""
+        self._thread.start()
 
-    async def stop(self) -> None:
+    def stop(self) -> None:
+        """End the subscription: nothing is delivered after it returns."""
         self._stopping.set()
-        if self._task is not None:
-            self._task.cancel()
+        sock = self._sock
+        if sock is not None:
             try:
-                await self._task
-            except (asyncio.CancelledError, Exception):  # noqa: BLE001
-                pass
-            self._task = None
+                sock.shutdown(socket.SHUT_RDWR)  # wakes the blocked recv
+            except OSError:
+                pass  # already gone
+        if self._thread.is_alive():
+            self._thread.join()
         self.connected.clear()
 
-    async def wait_connected(self, timeout: float = 10.0) -> None:
-        await asyncio.wait_for(self.connected.wait(), timeout)
+    def wait_connected(self, timeout: float = 10.0) -> None:
+        if not self.connected.wait(timeout):
+            raise TimeoutError(f"no event subscription to {self.peer} "
+                               f"within {timeout}s")
 
-    async def _run(self) -> None:
+    def _run(self) -> None:
         delay = self._reconnect_delay
         while not self._stopping.is_set():
             try:
-                await self._session()
+                self._session()
                 delay = self._reconnect_delay  # clean session: reset backoff
-            except asyncio.CancelledError:
-                raise
-            except (OasisNetError, ConnectionError, OSError):
+            except (OasisNetError, OSError):
                 pass
             self.connected.clear()
-            if self._stopping.is_set():
+            if self._stopping.wait(delay):
                 return
-            await asyncio.sleep(delay)
             delay = min(delay * 2, self._max_reconnect_delay)
 
-    async def _session(self) -> None:
-        reader, writer = await asyncio.open_connection(self.host, self.port)
+    def _session(self) -> None:
+        # One attempt (connect, subscription reply) may not outlast the
+        # longest pause between attempts; once subscribed, reads block
+        # without bound.
+        sock = socket.create_connection((self.host, self.port),
+                                        self._max_reconnect_delay)
+        self._sock = sock
         try:
+            if self._stopping.is_set():
+                return  # stop() ran before it could see this socket
             # Request id 0 is reserved for the subscription on this
-            # connection — nothing else is ever sent on it, so the single
-            # expected response needs no dispatcher.
-            await send_frame(writer,
-                             {"id": 0, "op": "subscribe_events"},
-                             self._max_frame)
-            ack = await read_frame(reader, self._max_frame)
-            if ack is None or not ack.get("ok", False):
-                raise OasisNetError(
-                    f"peer {self.peer} refused event subscription: {ack!r}")
-            self.subscribes += 1
-            self.connected.set()
+            # connection — nothing else is ever sent on it.
+            sock.sendall(encode_frame({"id": 0, "op": "subscribe_events"},
+                                      self._max_frame))
+            decoder = FrameDecoder(self._max_frame)
             while True:
-                frame = await read_frame(reader, self._max_frame)
-                if frame is None:
-                    return  # graceful peer shutdown; reconnect loop decides
-                if frame.get("push") != "events":
-                    continue
-                origin = frame.get("origin", self.peer)
-                events = [
-                    Event.from_payload(payload).with_attributes(
-                        net_origin=origin)
-                    for payload in frame.get("events", ())
-                ]
-                if events:
-                    self.delivered_events += len(events)
-                    self._deliver(events)
+                data = sock.recv(65536)
+                if not data:
+                    return  # peer shut down (or died): reconnect loop decides
+                for frame in decoder.feed(data):
+                    if "push" in frame:
+                        # The peer subscribes this connection before it
+                        # replies, so a push may overtake the reply.
+                        if frame["push"] == "events":
+                            self._republish(frame)
+                    elif frame.get("ok", False):
+                        sock.settimeout(None)
+                        self.subscribes += 1
+                        self.connected.set()
+                    else:
+                        raise OasisNetError(
+                            f"peer {self.peer} refused event "
+                            f"subscription: {frame!r}")
         finally:
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            self._sock = None
+            sock.close()
+
+    def _republish(self, frame: Dict[str, Any]) -> None:
+        origin = frame.get("origin", self.peer)
+        try:
+            events = [
+                Event.from_payload(payload).with_attributes(
+                    net_origin=origin)
+                for payload in frame.get("events", ())
+            ]
+        except (AttributeError, KeyError, TypeError, ValueError) as error:
+            raise ProtocolError(f"peer {self.peer} pushed a malformed "
+                                f"event batch: {error!r}") from error
+        if not events:
+            return
+        self.delivered_events += len(events)
+        try:
+            self._deliver(events)
+        except Exception:  # noqa: BLE001 - the subscription must outlive it
+            # A local handler failed on this batch; later revocations
+            # still have to arrive.
+            traceback.print_exc()

@@ -19,7 +19,7 @@ definition of that vocabulary:
   ``audit``, ``sessions``, ``spans``, ``handler``, ``checkpoint``.
 
 What only one host has stays with it: the server's ``validate`` /
-``stats`` and loop-thread ops, the worker's ``issue_bulk`` / ``bus.*`` /
+``stats`` / ``auth.*`` and lock-free ops, the worker's ``issue_bulk`` / ``bus.*`` /
 ``live_count`` / ``stats`` / ``ping`` / ``shutdown``.
 """
 

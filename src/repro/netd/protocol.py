@@ -28,8 +28,9 @@ Malformed input is rejected *here*, with :class:`ProtocolError` — a
 truncated length prefix, an oversized frame (DoS guard; the limit is
 ``max_frame``), a body that is not valid UTF-8 JSON, or a body that is
 not an object.  :class:`FrameDecoder` is deliberately incremental and
-side-effect-free so the same code path serves asyncio streams, blocking
-sockets and the fuzz suite.
+side-effect-free, and with :func:`encode_frame` it is the only framing
+code there is: client, server, event channel and the fuzz suite all read
+through it.
 
 Error taxonomy
 ==============
@@ -50,10 +51,9 @@ what lets scenario code run unchanged against sockets.
 
 from __future__ import annotations
 
-import asyncio
 import json
 import struct
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List
 
 from ..core import exceptions as _core_exceptions
 from ..net.sim import NetworkError
@@ -69,8 +69,6 @@ __all__ = [
     "RpcError",
     "encode_frame",
     "FrameDecoder",
-    "read_frame",
-    "send_frame",
     "error_payload",
     "raise_remote_error",
 ]
@@ -197,52 +195,6 @@ def decode_body(body: bytes) -> Dict[str, Any]:
             f"frame body must be a JSON object, got "
             f"{type(message).__name__}")
     return message
-
-
-# -- asyncio stream helpers ----------------------------------------------------
-
-async def read_frame(reader: asyncio.StreamReader,
-                     max_frame: int = MAX_FRAME
-                     ) -> Optional[Dict[str, Any]]:
-    """Read one frame; ``None`` on clean EOF at a frame boundary.
-
-    EOF *inside* a frame — the peer died mid-message — raises
-    :exc:`ConnectionLost`: the two conditions mean different things to an
-    RPC client (graceful shutdown vs. a request that will never be
-    answered) and must stay distinguishable.
-    """
-    try:
-        header = await reader.readexactly(HEADER_SIZE)
-    except asyncio.IncompleteReadError as error:
-        if not error.partial:
-            return None
-        raise ConnectionLost(
-            "peer closed the connection inside a frame header") from error
-    except (ConnectionError, OSError) as error:
-        raise ConnectionLost(f"connection lost: {error}") from error
-    (length,) = _HEADER.unpack(header)
-    if length > max_frame:
-        raise FrameTooLarge(
-            f"peer announced a {length}-byte frame (limit {max_frame})")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as error:
-        raise ConnectionLost(
-            "peer closed the connection inside a frame body") from error
-    except (ConnectionError, OSError) as error:
-        raise ConnectionLost(f"connection lost: {error}") from error
-    return decode_body(body)
-
-
-async def send_frame(writer: asyncio.StreamWriter, payload: Dict[str, Any],
-                     max_frame: int = MAX_FRAME) -> None:
-    """Write one frame and drain — the drain is the backpressure point:
-    a slow reader stalls its own connection, never the whole server."""
-    try:
-        writer.write(encode_frame(payload, max_frame))
-        await writer.drain()
-    except (ConnectionError, OSError) as error:
-        raise ConnectionLost(f"connection lost: {error}") from error
 
 
 # -- remote error mapping ------------------------------------------------------

@@ -5,35 +5,43 @@ instances of one process behind the frame protocol of
 :mod:`repro.netd.protocol`.  The service ops (``activate`` … ``checkpoint``)
 are not defined here: :mod:`repro.netd.ops` is their single definition,
 shared with :class:`~repro.shard.worker.ShardWorker`.  This module adds
-what only a socket server has — the loop-thread ops (``ping``,
-``auth.*``, ``services``, ``subscribe_events``, ``shutdown``), inbound
-callback ``validate`` and ``stats``.
+what only a socket server has — the lock-free ops (``ping``,
+``services``, ``subscribe_events``, ``shutdown``), the handshake
+(``auth.*``), inbound callback ``validate`` and ``stats``.
 
-Threading model (the part worth understanding):
+Threading model (the part worth understanding) — threads on blocking
+sockets, like :class:`~repro.netd.client.OasisClient`:
 
-* The **event loop** does I/O only: accepting, framing, responding,
-  pushing event batches.  It never executes service code.
-* All service-state-touching ops run on ONE worker thread (a
-  single-slot executor), so every hosted service stays effectively
-  single-threaded — same guarantee the in-process world gives them.
-* When a handler on the worker thread needs the network itself — the
+* An **accept thread** gives every connection its own **connection
+  thread** running ``recv → decode → handle → send`` — the loop of
+  :func:`repro.shard.worker.worker_main`.
+* ONE lock is "the service worker": whatever touches shared state — a
+  service op, the handshake's challenge store, a remote event batch
+  entering the broker — runs under it on the calling thread, so every
+  hosted service stays effectively single-threaded — same guarantee the
+  in-process world gives them.  The lock-free ops touch nothing it
+  protects: liveness and route discovery answer while an op runs.
+* When a handler holding the lock needs the network itself — the
   records service validating a foreign certificate by callback to its
-  issuer — it blocks the *worker thread* in ``recv`` on that
-  :class:`~repro.netd.client.OasisClient`'s own socket.  The serving
-  loop is a different thread and stays free, so nested RPC cannot
-  deadlock the process (the peer's reply never needs this node's
-  worker: the issuer validates from its own state), and requests queued
-  behind the blocked worker are exactly the requests that must wait
-  anyway (single-threaded state).  A served node therefore runs two
-  threads — serving loop and service worker — and no client loop.
+  issuer — it blocks *its own thread* in ``recv`` on that
+  :class:`~repro.netd.client.OasisClient`'s socket.  Nested RPC cannot
+  deadlock the process (the peer's reply needs only the *peer's* lock:
+  the issuer validates from its own state and never calls back), and
+  requests waiting behind the blocked handler are exactly the requests
+  that must wait anyway (single-threaded state).
+* Events published under the lock go to the
+  :class:`~repro.netd.events.EventPump` before the lock is released and
+  leave on the pump's own thread: a slow subscriber delays no RPC.
 
 Backpressure and timeouts: frames on one connection are processed
 strictly in order and the next read happens only after the response is
-written and drained, so a client gets per-connection backpressure for
-free; a slow *reader* stalls only its own connection (``drain``), and a
-handler exceeding ``request_timeout`` gets an ``RpcTimeout``-typed error
-response.  Graceful shutdown stops accepting, flushes the event pump,
-and lets the worker finish the op in flight.
+written, so a client gets per-connection backpressure for free; a slow
+*reader* stalls only its own connection thread.  ``request_timeout``
+bounds an RPC's wait *for the lock* (``TimeoutError``-typed error
+response, connection still usable), not the handler's run time — the
+client's whole-call deadline covers a handler that never returns.
+Graceful shutdown stops accepting, lets the op in flight finish, pushes
+what the pump has queued and lets replies in flight go out.
 
 The challenge–response handshake (``auth.hello`` → ``auth.prove``)
 proves possession of the private key for a presented public key and
@@ -45,9 +53,8 @@ probes and route discovery carry no authority).
 
 from __future__ import annotations
 
-import asyncio
-import concurrent.futures
-import functools
+import socket
+import threading
 import time
 from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set
@@ -63,11 +70,11 @@ from .ops import ServiceOps
 from .protocol import (
     MAX_FRAME,
     ConnectionLost,
+    FrameDecoder,
     HandshakeError,
     ProtocolError,
+    encode_frame,
     error_payload,
-    read_frame,
-    send_frame,
 )
 
 __all__ = ["OasisServer"]
@@ -76,21 +83,43 @@ __all__ = ["OasisServer"]
 #: the handshake itself, and route discovery — none confer authority.
 _UNGATED_OPS = frozenset({"ping", "auth.hello", "auth.prove", "services"})
 
+#: How long :meth:`OasisServer.close` waits on a peer that does not read
+#: (queued pushes, a reply in flight) before cutting it off.
+_CLOSE_GRACE = 5.0
+
 
 class _Connection:
-    """Per-connection state: writer + send lock + auth + subscription."""
+    """Per-connection state: socket + thread + send lock + auth."""
 
-    __slots__ = ("writer", "lock", "principal", "pump_key")
+    __slots__ = ("sock", "max_frame", "thread", "lock", "principal",
+                 "closing")
 
-    def __init__(self, writer: asyncio.StreamWriter) -> None:
-        self.writer = writer
-        self.lock = asyncio.Lock()
+    def __init__(self, sock: socket.socket, max_frame: int,
+                 serve: Callable[["_Connection"], None], name: str) -> None:
+        self.sock = sock
+        self.max_frame = max_frame
+        self.thread = threading.Thread(target=serve, args=(self,),
+                                       name=name, daemon=True)
+        # Replies come from the connection thread, pushes from the
+        # pump's: one frame at a time on the wire.
+        self.lock = threading.Lock()
         self.principal: Optional[str] = None
-        self.pump_key: Optional[int] = None
+        self.closing = False
 
-    async def send(self, payload: Dict[str, Any], max_frame: int) -> None:
-        async with self.lock:
-            await send_frame(self.writer, payload, max_frame)
+    def send(self, payload: Dict[str, Any]) -> None:
+        data = encode_frame(payload, self.max_frame)
+        with self.lock:
+            try:
+                self.sock.sendall(data)
+            except OSError as error:
+                raise ConnectionLost(f"connection lost: {error}") from error
+
+    def shutdown(self, how: int) -> None:
+        self.closing = True  # for a peer whose requests keep coming
+        try:
+            self.sock.shutdown(how)
+        except OSError:
+            pass  # the peer (or the connection thread) got there first
 
 
 class OasisServer:
@@ -118,106 +147,144 @@ class OasisServer:
         self.request_timeout = request_timeout
         self.max_frame = max_frame
         self._ops = ServiceOps(node, self.services, self.handlers, pipeline)
-        # ONE worker slot: hosted services stay single-threaded.
-        self._executor = concurrent.futures.ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix=f"oasis-{node}")
+        # The service worker: hosted services stay single-threaded.
+        self._lock = threading.Lock()
         self._challenges = ChallengeResponseServer(clock=time.monotonic)
         # challenge_id -> key fingerprint: the identity a proof binds to
         # comes from the key presented at hello, never from the prover's
         # claim.  Bounded alongside the challenge store.
         self._challenge_keys: "OrderedDict[str, str]" = OrderedDict()
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
+        self._listener: Optional[socket.socket] = None
+        self._acceptor = threading.Thread(
+            target=self._accept_loop, name=f"oasis-{node}-accept",
+            daemon=True)
         self._connections: Set[_Connection] = set()
         self._closing = False
-        self.pump: Optional[EventPump] = None
-        # peer -> EventChannel, registered by the serve bootstrap so ping
-        # can report subscription liveness (readiness gates on it: a node
-        # whose inbound event channel is still reconnecting would silently
-        # miss cascade events published in the gap).
+        self.pump = EventPump(node)
+        # peer -> EventChannel, registered by the serve bootstrap before
+        # start() so ping can report subscription liveness (readiness
+        # gates on it: a node whose inbound event channel is still
+        # reconnecting would silently miss cascade events published in
+        # the gap).
         self.channels: Dict[str, Any] = {}
-        self.shutdown_requested = asyncio.Event()
+        self.shutdown_requested = threading.Event()
         self.requests = 0
+        self._requests_lock = threading.Lock()
 
     # -- lifecycle ----------------------------------------------------------
-    async def start(self) -> "OasisServer":
-        self._loop = asyncio.get_running_loop()
-        self.pump = EventPump(self.node, self._loop, self.max_frame)
+    def start(self) -> "OasisServer":
         if self.broker is not None:
             self.pump.attach(self.broker)
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port)
-        self.port = self._server.sockets[0].getsockname()[1]
+        self._listener = socket.create_server((self.host, self.port))
+        self.port = self._listener.getsockname()[1]
+        self._acceptor.start()
         return self
 
-    async def serve_until_shutdown(self) -> None:
+    def serve_until_shutdown(self) -> None:
         """Run until a client issues the ``shutdown`` op, then close."""
-        await self.shutdown_requested.wait()
-        await self.close()
+        self.shutdown_requested.wait()
+        self.close()
 
-    async def close(self) -> None:
-        """Graceful shutdown: stop accepting, flush events, finish the
-        op in flight, close every connection."""
+    def close(self) -> None:
+        """Graceful shutdown: stop accepting, finish the op in flight,
+        push what is queued, let replies in flight go out, close every
+        connection."""
         if self._closing:
             return
         self._closing = True
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        if self.pump is not None:
-            await self.pump.flush()
-            self.pump.detach()
+        if self._listener is not None:
+            try:
+                # close() alone neither wakes a thread blocked in accept()
+                # nor frees the port on Linux.
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # platforms that refuse it wake accept() on close()
+            self._listener.close()
+            self._acceptor.join()
+        # Through the lock: the op in flight finishes (so the last
+        # response's state mutations are not torn) and flushes first.
+        self._locked(-1, self.pump.detach, _CLOSE_GRACE)
         for conn in list(self._connections):
-            conn.writer.close()
-        # The worker may still be inside a handler; let it finish so the
-        # last response's state mutations are not torn.
-        await asyncio.get_running_loop().run_in_executor(
-            None, functools.partial(self._executor.shutdown, wait=True))
+            # EOF wakes the reader; a reply in flight still goes out.
+            conn.shutdown(socket.SHUT_RD)
+            conn.thread.join(_CLOSE_GRACE)
+            conn.shutdown(socket.SHUT_RDWR)
 
-    def submit(self, fn: Callable[..., Any], *args: Any
-               ) -> "concurrent.futures.Future[Any]":
-        """Run ``fn`` on the service worker thread (used by the deploy
-        layer to deliver remote event batches into the broker without
-        racing the dispatch path)."""
-        return self._executor.submit(fn, *args)
+    def _locked(self, wait: float, fn: Callable[..., Any],
+                *args: Any) -> Any:
+        """Run ``fn`` as the service worker: under THE lock, on the
+        calling thread, waiting at most ``wait`` seconds for it (``-1``:
+        without bound).  Events ``fn`` published leave as one push frame,
+        queued before the next holder can publish."""
+        if not self._lock.acquire(timeout=wait):
+            raise TimeoutError(
+                f"{self.node} stayed busy with another request for "
+                f"{wait}s")
+        try:
+            return fn(*args)
+        finally:
+            try:
+                self.pump.flush()
+            finally:
+                self._lock.release()
+
+    def submit(self, fn: Callable[..., Any], *args: Any) -> Any:
+        """Run ``fn`` as the service worker (used by the deploy layer to
+        deliver remote event batches into the broker without racing the
+        dispatch path).  Waits without bound: a remote batch is never
+        dropped for arriving at a busy node."""
+        return self._locked(-1, fn, *args)
 
     # -- connection handling ------------------------------------------------
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        conn = _Connection(writer)
-        self._connections.add(conn)
+    def _accept_loop(self) -> None:
+        assert self._listener is not None
+        while True:
+            try:
+                sock, _address = self._listener.accept()
+            except OSError:
+                if self._closing:
+                    return
+                time.sleep(0.1)  # out of descriptors, say: keep listening
+                continue
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            conn = _Connection(sock, self.max_frame, self._serve_connection,
+                               f"oasis-{self.node}-conn")
+            self._connections.add(conn)
+            conn.thread.start()
+
+    def _serve_connection(self, conn: _Connection) -> None:
+        decoder = FrameDecoder(self.max_frame)
         try:
-            while not self._closing:
+            while not conn.closing:
                 try:
-                    frame = await read_frame(reader, self.max_frame)
+                    data = conn.sock.recv(65536)
+                except OSError:
+                    break
+                if not data:
+                    break
+                try:
+                    frames = decoder.feed(data)
                 except ProtocolError as error:
                     # Malformed bytes: one typed parting error, then the
                     # connection is unusable (framing is lost).
                     try:
-                        await conn.send({"id": None, "ok": False,
-                                         "error": error_payload(error)},
-                                        self.max_frame)
+                        conn.send({"id": None, "ok": False,
+                                   "error": error_payload(error)})
                     except ConnectionLost:
                         pass
                     break
-                except ConnectionLost:
-                    break
-                if frame is None:
-                    break
-                await self._handle_frame(conn, frame)
+                for frame in frames:
+                    self._handle_frame(conn, frame)
         finally:
-            if conn.pump_key is not None and self.pump is not None:
-                self.pump.unsubscribe(conn.pump_key)
+            self.pump.unsubscribe(conn.send)
             self._connections.discard(conn)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            conn.shutdown(socket.SHUT_RDWR)  # wakes a push stuck in send
+            conn.sock.close()
 
-    async def _handle_frame(self, conn: _Connection,
-                            frame: Dict[str, Any]) -> None:
-        self.requests += 1
+    def _handle_frame(self, conn: _Connection,
+                      frame: Dict[str, Any]) -> None:
+        with self._requests_lock:  # every connection thread counts here
+            self.requests += 1
         request_id = frame.get("id")
         op = frame.get("op")
         try:
@@ -226,55 +293,40 @@ class OasisServer:
                 raise HandshakeError(
                     f"{self.node} requires a completed challenge-response "
                     f"handshake before {op!r}")
-            value = await self._dispatch(conn, frame, op)
+            value = self._dispatch(conn, frame, op)
             response = {"id": request_id, "ok": True, "value": value}
         except Exception as error:  # noqa: BLE001 - crosses the wire
             response = {"id": request_id, "ok": False,
                         "error": error_payload(error)}
         try:
-            await conn.send(response, self.max_frame)
+            conn.send(response)
         except ConnectionLost:
             return
         if op == "shutdown" and response["ok"]:
             self.shutdown_requested.set()
 
-    async def _dispatch(self, conn: _Connection, frame: Dict[str, Any],
-                        op: Any) -> Any:
-        # Loop-thread ops: no service state touched.
+    def _dispatch(self, conn: _Connection, frame: Dict[str, Any],
+                  op: Any) -> Any:
+        # Lock-free ops: nothing the service lock protects is touched.
         if op == "ping":
             return {"node": self.node, "services": sorted(self.services),
                     "channels": {peer: channel.connected.is_set()
                                  for peer, channel
                                  in self.channels.items()}}
-        if op == "auth.hello":
-            return self._auth_hello(frame)
-        if op == "auth.prove":
-            return self._auth_prove(conn, frame)
         if op == "services":
             return self._describe_services()
         if op == "subscribe_events":
-            if self.pump is None:
-                raise RuntimeError(f"{self.node} is not started")
-            if conn.pump_key is None:
-                conn.pump_key = self.pump.subscribe(
-                    lambda push: conn.send(push, self.max_frame))
+            self.pump.subscribe(conn.send)
             return {"subscribed": True}
         if op == "shutdown":
             return None
-        # Everything else mutates or reads service state: worker thread,
-        # bounded by the request timeout.
-        assert self._loop is not None
-        future = self._loop.run_in_executor(
-            self._executor, functools.partial(self._execute, frame, op))
-        try:
-            return await asyncio.wait_for(future, self.request_timeout)
-        except asyncio.TimeoutError:
-            raise TimeoutError(
-                f"{self.node} did not finish {op!r} within "
-                f"{self.request_timeout}s") from None
+        # Everything else touches shared state (the services, the
+        # challenge store): under the lock, bounded by the request timeout.
+        return self._locked(self.request_timeout, self._execute, conn,
+                            frame, op)
 
     # -- handshake ----------------------------------------------------------
-    def _auth_hello(self, frame: Dict[str, Any]) -> Dict[str, Any]:
+    def _auth_hello(self, frame: Mapping[str, Any]) -> Dict[str, Any]:
         key = frame.get("key") or {}
         try:
             public = RSAPublicKey(n=int(key["n"]), e=int(key["e"]))
@@ -291,7 +343,7 @@ class OasisServer:
                 "nonce": issued.nonce.hex()}
 
     def _auth_prove(self, conn: _Connection,
-                    frame: Dict[str, Any]) -> Dict[str, Any]:
+                    frame: Mapping[str, Any]) -> Dict[str, Any]:
         try:
             challenge_id = str(frame["challenge_id"])
             response = bytes.fromhex(frame["response"])
@@ -317,8 +369,13 @@ class OasisServer:
             "endpoints": endpoints,
         }
 
-    # -- worker-thread ops --------------------------------------------------
-    def _execute(self, frame: Mapping[str, Any], op: Any) -> Any:
+    # -- ops under the lock -------------------------------------------------
+    def _execute(self, conn: _Connection, frame: Mapping[str, Any],
+                 op: Any) -> Any:
+        if op == "auth.hello":
+            return self._auth_hello(frame)
+        if op == "auth.prove":
+            return self._auth_prove(conn, frame)
         if op == "validate":
             return self._op_validate(frame)
         if op == "stats":
@@ -334,7 +391,8 @@ class OasisServer:
         valid = self.network.local_call(
             frame["domain"], frame["endpoint"], certificate,
             frame.get("principal"), frame.get("holder"))
-        return {"valid": bool(valid)}
+        # Only the literal ``True`` vouches, here as at the caller.
+        return {"valid": valid is True}
 
     # -- introspection ------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
@@ -342,7 +400,6 @@ class OasisServer:
                          for key, service in self.services.items()}
         live = sum(len(service.active_credentials())
                    for service in self.services.values())
-        pump = self.pump
         return {
             "node": self.node,
             "requests": self.requests,
@@ -352,10 +409,10 @@ class OasisServer:
             "broker": self.broker.stats() if self.broker is not None
             else {},
             "pump": {
-                "subscribers": pump.subscriber_count if pump else 0,
-                "pushed_events": pump.pushed_events if pump else 0,
-                "pushed_batches": pump.pushed_batches if pump else 0,
-                "skipped_events": pump.skipped_events if pump else 0,
+                "subscribers": self.pump.subscriber_count,
+                "pushed_events": self.pump.pushed_events,
+                "pushed_batches": self.pump.pushed_batches,
+                "skipped_events": self.pump.skipped_events,
             },
             "handshake": {
                 "pending": self._challenges.pending_count,

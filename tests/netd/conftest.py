@@ -1,24 +1,15 @@
-"""Shared fixtures for the netd suite: an event loop thread and an
-in-process served bench world reachable over a real (loopback) socket."""
+"""Shared fixture for the netd suite: an in-process served bench world
+reachable over a real (loopback) socket."""
 
 import pytest
 
-from repro.netd.runtime import LoopThread
 from repro.netd.worlds import bench_world
 
 from netd_helpers import Node
 
 
-@pytest.fixture(scope="module")
-def loop():
-    thread = LoopThread("netd-tests")
-    thread.start()
-    yield thread
-    thread.stop()
-
-
 @pytest.fixture
-def bench_node(loop):
-    node = Node("bench", bench_world, loop)
+def bench_node():
+    node = Node("bench", bench_world)
     yield node
     node.close()

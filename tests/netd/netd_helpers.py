@@ -1,10 +1,12 @@
-"""Helpers for the netd suite: an in-process served node over loopback."""
+"""Helpers for the netd suite: an in-process served node over loopback,
+and the raw framed socket scripted peers and subscribers are made of."""
 
 import time
 
 from repro.core.service import ServiceRegistry
 from repro.events import EventBroker
 from repro.netd.client import OasisClient, RemoteNetwork
+from repro.netd.protocol import FrameDecoder, encode_frame
 from repro.netd.server import OasisServer
 from repro.netd.worlds import NodeContext
 
@@ -13,8 +15,7 @@ class Node:
     """One in-process served node plus its substrate, for tests that
     need to reach inside (broker, network) as well as over the wire."""
 
-    def __init__(self, name, factory, loop, peers=None, **server_kwargs):
-        self.loop = loop
+    def __init__(self, name, factory, peers=None, **server_kwargs):
         self.broker = EventBroker()
         self.registry = ServiceRegistry()
         self.network = RemoteNetwork(name, peers=dict(peers or {}))
@@ -26,7 +27,7 @@ class Node:
             name, world.services, broker=self.broker,
             network=self.network, handlers=world.handlers,
             **server_kwargs)
-        loop.run(self.server.start())
+        self.server.start()
 
     @property
     def port(self):
@@ -38,5 +39,36 @@ class Node:
                            **kwargs).connect()
 
     def close(self):
-        self.loop.run(self.server.close())
+        self.server.close()
         self.network.close()
+
+
+class Peer:
+    """One raw connection (a scripted server's accepted one, or a
+    hand-driven client's), framed with the same ``FrameDecoder`` /
+    ``encode_frame`` pair the package uses."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self._decoder = FrameDecoder()
+        self._frames = []
+
+    def read_frame(self):
+        """The next frame; ``None`` once the other end hung up."""
+        while not self._frames:
+            try:
+                data = self.sock.recv(65536)
+            except OSError:
+                return None
+            if not data:
+                return None
+            self._frames.extend(self._decoder.feed(data))
+        return self._frames.pop(0)
+
+    def send_frame(self, payload):
+        self.sock.sendall(encode_frame(payload))
+
+    def hold(self):
+        """Keep the socket open until the other end closes it."""
+        while self.read_frame() is not None:
+            pass

@@ -1,14 +1,20 @@
-"""Cross-process event channel semantics: pump coalescing, origin
-tagging, ping-pong suppression, span context preservation."""
+"""Cross-process event channel semantics: one push frame per publishing
+call, origin tagging, ping-pong suppression, span context preservation,
+slow and dead subscribers."""
 
+import socket
 import threading
 import time
 
+from repro.core.policy import ServicePolicy
+from repro.core.rules import ActivationRule, PrerequisiteRole
+from repro.core.terms import Var
+from repro.core.types import RoleTemplate, ServiceId
 from repro.events import CREDENTIAL_REVOKED, Event, EventBroker
 from repro.netd.events import NET_ORIGIN, EventChannel, EventPump
-from repro.netd.worlds import bench_world
+from repro.netd.worlds import World, bench_world
 
-from netd_helpers import Node
+from netd_helpers import Node, Peer
 
 
 class Collector:
@@ -36,56 +42,58 @@ class Collector:
 
 
 class TestEventPump:
-    def test_local_events_forwarded(self, loop):
+    def test_local_events_forwarded(self):
         broker = EventBroker()
-        pump = EventPump("origin-node", loop.loop)
+        pump = EventPump("origin-node")
         pump.attach(broker)
         pushes = []
         done = threading.Event()
 
-        async def sender(push):
+        def sender(push):
             pushes.append(push)
             done.set()
         pump.subscribe(sender)
         broker.publish(Event.make(CREDENTIAL_REVOKED,
                                   credential_ref="svc#1", reason="test"))
+        pump.flush()
         assert done.wait(5)
         assert pushes[0]["push"] == "events"
         assert pushes[0]["origin"] == "origin-node"
         assert pushes[0]["events"][0]["topic"] == CREDENTIAL_REVOKED
         pump.detach()
 
-    def test_batch_coalesced_into_one_push(self, loop):
+    def test_batch_coalesced_into_one_push(self):
         broker = EventBroker()
-        pump = EventPump("n", loop.loop)
+        pump = EventPump("n")
         pump.attach(broker)
         pushes = []
         done = threading.Event()
 
-        async def sender(push):
+        def sender(push):
             pushes.append(push)
             done.set()
         pump.subscribe(sender)
         broker.publish_batch([
             Event.make(CREDENTIAL_REVOKED, credential_ref=f"svc#{i}")
             for i in range(10)])
+        pump.flush()
         assert done.wait(5)
-        # One flush for the whole batch: the coalesce window outlasts a
-        # synchronous publish_batch by orders of magnitude.
+        # One flush for the whole batch: the publishing call's end is
+        # the batch boundary.
         assert sum(len(p["events"]) for p in pushes) == 10
         assert pump.pushed_batches == 1
         assert len(pushes[0]["events"]) == 10
         pump.detach()
 
-    def test_remote_origin_events_not_reforwarded(self, loop):
+    def test_remote_origin_events_not_reforwarded(self):
         """An event that *arrived* over the wire must not be pushed back
         out — that would ping-pong between mutually subscribed nodes."""
         broker = EventBroker()
-        pump = EventPump("n", loop.loop)
+        pump = EventPump("n")
         pump.attach(broker)
         pushes = []
 
-        async def sender(push):
+        def sender(push):
             pushes.append(push)
         pump.subscribe(sender)
         remote = Event.make(CREDENTIAL_REVOKED, credential_ref="svc#1")
@@ -93,6 +101,7 @@ class TestEventPump:
         broker.publish(remote)
         local = Event.make(CREDENTIAL_REVOKED, credential_ref="svc#2")
         broker.publish(local)
+        pump.flush()
         deadline = time.monotonic() + 5
         while time.monotonic() < deadline and not pushes:
             time.sleep(0.02)
@@ -102,9 +111,9 @@ class TestEventPump:
         assert pump.skipped_events == 1
         pump.detach()
 
-    def test_non_json_attrs_skipped_not_crashed(self, loop):
+    def test_non_json_attrs_skipped_not_crashed(self):
         broker = EventBroker()
-        pump = EventPump("n", loop.loop)
+        pump = EventPump("n")
         pump.attach(broker)
         broker.publish(Event.make(CREDENTIAL_REVOKED, ref=object()))
         assert pump.skipped_events == 1
@@ -112,20 +121,20 @@ class TestEventPump:
 
 
 class TestEventChannel:
-    def test_channel_delivers_with_origin_and_span_context(self, loop):
+    def test_channel_delivers_with_origin_and_span_context(self):
         """Events published at a served node arrive at the subscriber
         tagged with the origin and with span attrs intact."""
-        node = Node("issuer", bench_world, loop)
+        node = Node("issuer", bench_world)
         sink = Collector()
         try:
             channel = EventChannel("issuer", "127.0.0.1", node.port, sink)
-            loop.run(self._start(channel))
-            loop.run(channel.wait_connected(5))  # raises on timeout
+            channel.start()
+            channel.wait_connected(5)  # raises on timeout
             node.server.submit(
                 node.broker.publish,
                 Event.make(CREDENTIAL_REVOKED, credential_ref="svc#9",
                            reason="test", trace_id="issuer.t1",
-                           span_id="issuer.s1")).result(5)
+                           span_id="issuer.s1"))
             events = sink.wait(1)
             assert len(events) == 1
             event = events[0]
@@ -134,20 +143,20 @@ class TestEventChannel:
             assert event.get("span_id") == "issuer.s1"
             assert event.get("credential_ref") == "svc#9"
             assert channel.delivered_events == 1
-            loop.run(channel.stop())
+            channel.stop()
         finally:
             node.close()
 
-    def test_real_revocation_travels_channel(self, loop):
+    def test_real_revocation_travels_channel(self):
         """End to end on one node pair: revoke at the issuer, observe the
         CREDENTIAL_REVOKED event at the subscriber."""
-        node = Node("issuer2", bench_world, loop)
+        node = Node("issuer2", bench_world)
         sink = Collector()
         try:
             channel = EventChannel("issuer2", "127.0.0.1", node.port,
                                    sink)
-            loop.run(self._start(channel))
-            loop.run(channel.wait_connected(5))  # raises on timeout
+            channel.start()
+            channel.wait_connected(5)  # raises on timeout
             client = node.client()
             rmc = client.activate("svc", "alice", "user", ["alice"])
             client.revoke(rmc.ref, "bye")
@@ -156,10 +165,182 @@ class TestEventChannel:
                        and e.get("credential_ref") == str(rmc.ref)
                        for e in events)
             client.close()
-            loop.run(channel.stop())
+            channel.stop()
         finally:
             node.close()
 
-    @staticmethod
-    async def _start(channel):
-        channel.start()
+    def test_stop_returns_promptly_while_blocked_in_recv(self):
+        node = Node("quiet", bench_world)
+        try:
+            channel = EventChannel("quiet", "127.0.0.1", node.port,
+                                   Collector())
+            channel.start()
+            channel.wait_connected(5)
+            started = time.monotonic()
+            channel.stop()  # nothing will ever arrive to wake the recv
+            assert time.monotonic() - started < 1
+            assert not channel.connected.is_set()
+        finally:
+            node.close()
+
+
+DEPTH = 3
+
+
+def chain_world(ctx):
+    """One service whose roles ``r0 <- r1 <- r2`` depend on each other
+    by membership: revoking an ``r0`` publishes DEPTH events in one op."""
+    policy = ServicePolicy(ServiceId("bench", "svc"))
+    roles = [policy.define_role(f"r{level}", 1) for level in range(DEPTH)]
+    policy.add_activation_rule(
+        ActivationRule(RoleTemplate(roles[0], (Var("u"),))))
+    for lower, upper in zip(roles, roles[1:]):
+        policy.add_activation_rule(ActivationRule(
+            RoleTemplate(upper, (Var("u"),)),
+            (PrerequisiteRole(RoleTemplate(lower, (Var("u"),)),
+                              membership=True),)))
+    return World({"svc": ctx.service(policy)})
+
+
+def activate_chain(client, who):
+    """``who``'s r0..r2 at a :func:`chain_world` node, root first."""
+    chain = []
+    for level in range(DEPTH):
+        chain.append(client.activate("svc", who, f"r{level}", [who],
+                                     credentials=chain[-1:]))
+    return chain
+
+
+def subscribe_raw(port, rcvbuf=None):
+    """A subscribed connection the test reads (or does not) by hand."""
+    sock = socket.socket()
+    if rcvbuf is not None:  # before connect: it sizes the TCP window
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, rcvbuf)
+    sock.settimeout(5)
+    sock.connect(("127.0.0.1", port))
+    peer = Peer(sock)
+    peer.send_frame({"id": 0, "op": "subscribe_events"})
+    assert peer.read_frame() == {"id": 0, "ok": True,
+                                 "value": {"subscribed": True}}
+    return sock
+
+
+def flood(node):
+    """16 MiB of pushes: far past what the socket buffers between the
+    node and a subscriber that reads none of them can hold."""
+    blob = "x" * 16384
+    batch = [Event.make(CREDENTIAL_REVOKED, credential_ref=f"f#{i}",
+                        blob=blob) for i in range(64)]
+    for _ in range(16):
+        node.server.submit(node.broker.publish_batch, batch)
+
+
+def wait_until(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline and not condition():
+        time.sleep(0.02)
+    return condition()
+
+
+class TestPumpOverSockets:
+    """The pump's batch boundary, ordering and fault handling as a
+    subscriber sees them on the wire."""
+
+    def test_one_push_frame_per_cascade_in_order(self):
+        node = Node("chain", chain_world)
+        batches = []
+        channel = EventChannel("chain", "127.0.0.1", node.port,
+                               batches.append)
+        try:
+            channel.start()
+            channel.wait_connected(5)
+            client = node.client()
+            first = activate_chain(client, "alice")
+            second = activate_chain(client, "bob")
+            before = client.stats()["pump"]
+            client.revoke(first[0].ref, "one")
+            client.revoke(second[0].ref, "two")
+            assert wait_until(lambda: len(batches) >= 2)
+            # One frame per revoke, each carrying its whole cascade,
+            # in the order the revokes held the lock.
+            assert [[event.get("credential_ref") for event in batch]
+                    for batch in batches] == [
+                [str(rmc.ref) for rmc in first],
+                [str(rmc.ref) for rmc in second]]
+            after = client.stats()["pump"]
+            assert after["pushed_batches"] - before["pushed_batches"] == 2
+            assert after["pushed_events"] - before["pushed_events"] \
+                == 2 * DEPTH
+            client.close()
+        finally:
+            channel.stop()
+            node.close()
+
+    def test_subscriber_that_never_reads_delays_no_rpc(self):
+        node = Node("firehose", bench_world)
+        stuck = subscribe_raw(node.port, rcvbuf=2048)
+        try:
+            flood(node)
+            client = node.client(timeout=2.0)
+            started = time.monotonic()
+            for index in range(50):
+                who = f"u{index}"
+                rmc = client.activate("svc", who, "user", [who])
+                assert client.revoke(rmc.ref, "bye")
+                assert client.ping()["node"] == "firehose"
+            assert time.monotonic() - started < 2
+            assert client.stats()["pump"]["subscribers"] == 1
+            client.close()
+            # The failed send on the dead socket drops the subscriber.
+            stuck.close()
+            assert wait_until(
+                lambda: node.server.pump.subscriber_count == 0)
+        finally:
+            stuck.close()
+            node.close()
+
+    def test_close_gives_up_on_a_subscriber_that_never_reads(
+            self, monkeypatch):
+        monkeypatch.setattr("repro.netd.server._CLOSE_GRACE", 0.2)
+        node = Node("drain", bench_world)
+        stuck = subscribe_raw(node.port, rcvbuf=2048)
+        try:
+            flood(node)
+            started = time.monotonic()
+            node.close()  # the pusher is stuck mid-send to `stuck`
+            assert time.monotonic() - started < 2
+        finally:
+            stuck.close()
+
+    def test_subscriber_that_hung_up_is_forgotten(self):
+        node = Node("fickle", bench_world)
+        try:
+            gone = subscribe_raw(node.port)
+            stays = subscribe_raw(node.port)
+            assert node.server.pump.subscriber_count == 2
+            gone.close()
+            assert wait_until(
+                lambda: node.server.pump.subscriber_count == 1)
+            stays.close()
+        finally:
+            node.close()
+
+    def test_close_pushes_what_is_queued_first(self):
+        node = Node("parting", bench_world)
+        sink = Collector()
+        channel = EventChannel("parting", "127.0.0.1", node.port, sink)
+        try:
+            channel.start()
+            channel.wait_connected(5)
+            for index in range(20):
+                node.server.submit(
+                    node.broker.publish,
+                    Event.make(CREDENTIAL_REVOKED,
+                               credential_ref=f"svc#{index}"))
+            node.close()
+            assert [event.get("credential_ref")
+                    for event in sink.wait(20)] == \
+                [f"svc#{index}" for index in range(20)]
+        finally:
+            channel.stop()
+            node.close()

@@ -8,8 +8,8 @@ error (mirroring the shard transport's contract), never a hang.
 * event channel peer restarts        -> reconnect + resubscribe
 """
 
-import asyncio
 import gc
+import socket
 import threading
 import time
 import warnings
@@ -32,47 +32,64 @@ from repro.netd.protocol import (
     OasisNetError,
     ProtocolError,
     RpcTimeout,
-    read_frame,
     encode_frame,
-    send_frame,
 )
 from repro.netd.worlds import NodeContext, bench_world
 
-from netd_helpers import Node
+from netd_helpers import Node, Peer
 from test_events import Collector
 
 
 class FaultyServer:
-    """A raw TCP server with a scripted behaviour per connection."""
+    """A raw TCP server with a scripted behaviour per connection, each
+    on a thread of its own."""
 
-    def __init__(self, loop, behaviour):
-        self.loop = loop
+    def __init__(self, behaviour):
         self.behaviour = behaviour
-        self.server = None
+        self.listener = None
         self.port = None
+        self.peers = []
 
     def start(self):
-        async def boot():
-            self.server = await asyncio.start_server(
-                self.behaviour, "127.0.0.1", 0)
-            return self.server.sockets[0].getsockname()[1]
-        self.port = self.loop.run(boot())
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        threading.Thread(target=self._accept, daemon=True).start()
         return self
 
+    def _accept(self):
+        while True:
+            try:
+                sock, _address = self.listener.accept()
+            except OSError:
+                return
+            peer = Peer(sock)
+            self.peers.append(peer)
+            threading.Thread(target=self._script, args=(peer,),
+                             daemon=True).start()
+
+    def _script(self, peer):
+        try:
+            self.behaviour(peer)
+        finally:
+            peer.sock.close()
+
     def stop(self):
-        async def halt():
-            self.server.close()
-            await self.server.wait_closed()
-        self.loop.run(halt())
+        self.listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        self.listener.close()
+        for peer in self.peers:
+            try:
+                peer.sock.shutdown(socket.SHUT_RDWR)  # wakes its script
+            except OSError:
+                pass
 
 
 class TestClientFaults:
-    def test_peer_closing_mid_rpc_raises_connection_lost(self, loop):
-        async def slam(reader, writer):
-            await read_frame(reader)  # swallow the request...
-            writer.close()            # ...and hang up without answering
+    def test_peer_closing_mid_rpc_raises_connection_lost(self):
+        def slam(peer):
+            peer.read_frame()  # swallow the request...
+            # ...and hang up without answering (the script's return)
 
-        faulty = FaultyServer(loop, slam).start()
+        faulty = FaultyServer(slam).start()
         try:
             client = OasisClient("127.0.0.1", faulty.port, peer="evil",
                                  timeout=5.0).connect()
@@ -82,12 +99,12 @@ class TestClientFaults:
         finally:
             faulty.stop()
 
-    def test_stalled_peer_raises_timeout_not_hang(self, loop):
-        async def stall(reader, writer):
-            await read_frame(reader)
-            await asyncio.sleep(3600)  # never answer
+    def test_stalled_peer_raises_timeout_not_hang(self):
+        def stall(peer):
+            peer.read_frame()
+            peer.hold()  # never answer
 
-        faulty = FaultyServer(loop, stall).start()
+        faulty = FaultyServer(stall).start()
         try:
             client = OasisClient("127.0.0.1", faulty.port, peer="tar",
                                  timeout=0.5).connect()
@@ -99,7 +116,7 @@ class TestClientFaults:
         finally:
             faulty.stop()
 
-    def test_connect_refused_is_typed(self, loop):
+    def test_connect_refused_is_typed(self):
         # Nothing listens on the probe port (it was bound and released).
         from repro.netd.deploy import free_port
         client = OasisClient("127.0.0.1", free_port(), peer="ghost",
@@ -107,13 +124,13 @@ class TestClientFaults:
         with pytest.raises(OasisNetError):
             client.connect()
 
-    def test_oversized_response_rejected(self, loop):
-        async def blast(reader, writer):
-            await read_frame(reader)
-            await send_frame(writer, {"id": 1, "ok": True,
-                                      "value": {"blob": "x" * 4096}})
+    def test_oversized_response_rejected(self):
+        def blast(peer):
+            peer.read_frame()
+            peer.send_frame({"id": 1, "ok": True,
+                             "value": {"blob": "x" * 4096}})
 
-        faulty = FaultyServer(loop, blast).start()
+        faulty = FaultyServer(blast).start()
         try:
             client = OasisClient("127.0.0.1", faulty.port, peer="fat",
                                  timeout=5.0,
@@ -127,47 +144,39 @@ class TestClientFaults:
     def test_server_rejects_malformed_frame_without_dying(self, bench_node):
         """A garbage frame kills that connection only; the server keeps
         serving others."""
-        async def poke(port):
-            reader, writer = await asyncio.open_connection(
-                "127.0.0.1", port)
-            writer.write(b"\x00\x00\x00\x04nope")
-            await writer.drain()
-            reply = await read_frame(reader)
-            writer.close()
-            return reply
-        reply = bench_node.loop.run(poke(bench_node.port))
+        with socket.create_connection(("127.0.0.1", bench_node.port),
+                                      timeout=5) as sock:
+            sock.sendall(b"\x00\x00\x00\x04nope")
+            reply = Peer(sock).read_frame()
         assert reply is not None and reply["ok"] is False
         # Server is still alive for well-formed clients.
         client = bench_node.client()
         assert client.ping()["node"] == "bench"
         client.close()
 
-    def test_drip_feeding_peer_hits_whole_call_deadline(self, loop):
+    def test_drip_feeding_peer_hits_whole_call_deadline(self):
         """One byte every 0.2 s keeps every ``recv`` inside a per-read
         timeout; the deadline is for the whole call."""
         connections = []
 
-        async def drip(reader, writer):
-            connections.append(writer)
-            request = await read_frame(reader)
+        def drip(peer):
+            connections.append(peer)
+            request = peer.read_frame()
             if len(connections) > 1:  # the reconnect gets a real answer
-                await send_frame(writer, {"id": request["id"], "ok": True,
-                                          "value": {"node": "drip"}})
-                await reader.read()
-                writer.close()
+                peer.send_frame({"id": request["id"], "ok": True,
+                                 "value": {"node": "drip"}})
+                peer.hold()
                 return
             reply = encode_frame({"id": request["id"], "ok": True,
                                   "value": {"pad": "x" * 64}})
             try:
                 for index in range(len(reply)):
-                    writer.write(reply[index:index + 1])
-                    await writer.drain()
-                    await asyncio.sleep(0.2)
-            except ConnectionError:
+                    peer.sock.sendall(reply[index:index + 1])
+                    time.sleep(0.2)
+            except OSError:
                 pass  # the client gave up, as it should
-            writer.close()
 
-        faulty = FaultyServer(loop, drip).start()
+        faulty = FaultyServer(drip).start()
         try:
             client = OasisClient("127.0.0.1", faulty.port, peer="drip",
                                  timeout=0.5).connect()
@@ -182,15 +191,14 @@ class TestClientFaults:
         finally:
             faulty.stop()
 
-    def test_wrong_reply_id_is_protocol_error_and_closes(self, loop):
-        async def mislabel(reader, writer):
-            request = await read_frame(reader)
-            await send_frame(writer, {"id": request["id"] + 7, "ok": True,
-                                      "value": {"node": "other"}})
-            await reader.read()  # hold the socket until the client closes
-            writer.close()
+    def test_wrong_reply_id_is_protocol_error_and_closes(self):
+        def mislabel(peer):
+            request = peer.read_frame()
+            peer.send_frame({"id": request["id"] + 7, "ok": True,
+                             "value": {"node": "other"}})
+            peer.hold()  # hold the socket until the client closes
 
-        faulty = FaultyServer(loop, mislabel).start()
+        faulty = FaultyServer(mislabel).start()
         try:
             client = OasisClient("127.0.0.1", faulty.port, peer="mislabel",
                                  timeout=5.0).connect()
@@ -201,17 +209,16 @@ class TestClientFaults:
         finally:
             faulty.stop()
 
-    def test_stray_push_is_skipped_not_returned(self, loop):
-        async def chatter(reader, writer):
-            request = await read_frame(reader)
-            await send_frame(writer, {"push": "events", "origin": "chatter",
-                                      "events": []})
-            await send_frame(writer, {"id": request["id"], "ok": True,
-                                      "value": {"node": "chatter"}})
-            await reader.read()
-            writer.close()
+    def test_stray_push_is_skipped_not_returned(self):
+        def chatter(peer):
+            request = peer.read_frame()
+            peer.send_frame({"push": "events", "origin": "chatter",
+                             "events": []})
+            peer.send_frame({"id": request["id"], "ok": True,
+                             "value": {"node": "chatter"}})
+            peer.hold()
 
-        faulty = FaultyServer(loop, chatter).start()
+        faulty = FaultyServer(chatter).start()
         try:
             client = OasisClient("127.0.0.1", faulty.port, peer="chatter",
                                  timeout=5.0).connect()
@@ -245,14 +252,12 @@ class TestClientFaults:
         assert wrong == []
         client.close()
 
-    def test_close_twice_and_drop_leave_no_resource_warning(self, loop,
+    def test_close_twice_and_drop_leave_no_resource_warning(self,
                                                             bench_node):
-        async def stall(reader, writer):
-            await read_frame(reader)
-            await reader.read()
-            writer.close()
+        def stall(peer):
+            peer.hold()
 
-        faulty = FaultyServer(loop, stall).start()
+        faulty = FaultyServer(stall).start()
         try:
             gc.collect()  # earlier tests' garbage is not this test's
             with warnings.catch_warnings(record=True) as caught:
@@ -285,15 +290,13 @@ class TestCallbackVerdict:
 
     @pytest.mark.parametrize("verdict", [{"valid": False}, {}],
                              ids=["valid-false", "no-verdict"])
-    def test_unvouched_certificate_is_denied_and_not_cached(self, loop,
-                                                            verdict):
-        async def liar(reader, writer):
+    def test_unvouched_certificate_is_denied_and_not_cached(self, verdict):
+        def liar(peer):
             """Advertises the issuer's endpoint, then answers every
             ``validate`` with the scripted verdict."""
             while True:
-                request = await read_frame(reader)
+                request = peer.read_frame()
                 if request is None:
-                    writer.close()
                     return
                 if request["op"] == "services":
                     value = {"endpoints": [
@@ -302,8 +305,8 @@ class TestCallbackVerdict:
                 else:
                     assert request["op"] == "validate"
                     value = verdict
-                await send_frame(writer, {"id": request["id"], "ok": True,
-                                          "value": value})
+                peer.send_frame({"id": request["id"], "ok": True,
+                                 "value": value})
 
         # The real issuer, somewhere the consumer cannot see.
         issuer = bench_world(NodeContext(
@@ -312,7 +315,7 @@ class TestCallbackVerdict:
         alice = PrincipalId("alice")
         foreign = issuer.activate_role(alice, "user", ["alice"])
 
-        faulty = FaultyServer(loop, liar).start()
+        faulty = FaultyServer(liar).start()
         network = RemoteNetwork(
             "consumer", peers={"liar": ("127.0.0.1", faulty.port)},
             timeout=5.0)
@@ -338,26 +341,26 @@ class TestCallbackVerdict:
 
 
 class TestEventChannelReconnect:
-    def test_reconnect_and_resubscribe_after_peer_restart(self, loop):
-        node = Node("flappy", bench_world, loop)
+    def test_reconnect_and_resubscribe_after_peer_restart(self):
+        node = Node("flappy", bench_world)
         port = node.port
         sink = Collector()
         channel = EventChannel("flappy", "127.0.0.1", port, sink,
                                reconnect_delay=0.05)
         try:
-            loop.run(self._start(channel))
-            loop.run(channel.wait_connected(5))
+            channel.start()
+            channel.wait_connected(5)
             node.server.submit(
                 node.broker.publish,
                 Event.make(CREDENTIAL_REVOKED,
-                           credential_ref="svc#1")).result(5)
+                           credential_ref="svc#1"))
             assert len(sink.wait(1)) >= 1
 
             # Kill the server, then bring a fresh one up on the SAME port
             # (a restarted process).  The channel must reconnect and
             # resubscribe by itself.
             node.close()
-            node2 = Node("flappy", bench_world, loop, port=port)
+            node2 = Node("flappy", bench_world, port=port)
             try:
                 deadline = time.monotonic() + 10
                 while (time.monotonic() < deadline
@@ -368,15 +371,90 @@ class TestEventChannelReconnect:
                 node2.server.submit(
                     node2.broker.publish,
                     Event.make(CREDENTIAL_REVOKED,
-                               credential_ref="svc#2")).result(5)
+                               credential_ref="svc#2"))
                 events = sink.wait(2)
                 assert any(e.get("credential_ref") == "svc#2"
                            for e in events)
             finally:
                 node2.close()
         finally:
-            loop.run(channel.stop())
+            channel.stop()
 
-    @staticmethod
-    async def _start(channel):
-        channel.start()
+
+def push(*refs):
+    return {"push": "events", "origin": "script",
+            "events": [Event.make(CREDENTIAL_REVOKED,
+                                  credential_ref=ref).to_payload()
+                       for ref in refs]}
+
+
+class TestEventChannelFaults:
+    """Scripted publishers: the subscription survives what a peer (or a
+    local handler) can do wrong."""
+
+    def run_channel(self, behaviour, sink, count, deliver=None):
+        faulty = FaultyServer(behaviour).start()
+        channel = EventChannel("script", "127.0.0.1", faulty.port,
+                               deliver or sink, reconnect_delay=0.05)
+        try:
+            channel.start()
+            events = sink.wait(count)
+            return channel, [event.get("credential_ref")
+                             for event in events]
+        finally:
+            channel.stop()
+            faulty.stop()
+
+    def test_malformed_push_ends_the_session_not_the_channel(self):
+        sessions = []
+
+        def garbler(peer):
+            sessions.append(peer)
+            request = peer.read_frame()
+            peer.send_frame({"id": request["id"], "ok": True,
+                             "value": {"subscribed": True}})
+            if len(sessions) == 1:
+                peer.send_frame({"push": "events", "origin": "script",
+                                 "events": [{"no": "topic"}, 7]})
+            else:
+                peer.send_frame(push("svc#2"))
+            peer.hold()
+
+        channel, refs = self.run_channel(garbler, Collector(), 1)
+        assert refs == ["svc#2"]
+        assert channel.subscribes == 2  # it reconnected by itself
+
+    def test_push_overtaking_the_subscription_reply_is_delivered(self):
+        def eager(peer):
+            request = peer.read_frame()
+            peer.send_frame(push("svc#1"))
+            peer.send_frame({"id": request["id"], "ok": True,
+                             "value": {"subscribed": True}})
+            peer.send_frame(push("svc#2"))
+            peer.hold()
+
+        channel, refs = self.run_channel(eager, Collector(), 2)
+        assert refs == ["svc#1", "svc#2"]
+        assert channel.subscribes == 1
+
+    def test_failing_local_delivery_does_not_end_the_subscription(
+            self, capsys):
+        def steady(peer):
+            request = peer.read_frame()
+            peer.send_frame({"id": request["id"], "ok": True,
+                             "value": {"subscribed": True}})
+            peer.send_frame(push("svc#1"))
+            peer.send_frame(push("svc#2"))
+            peer.hold()
+
+        sink = Collector()
+
+        def deliver(events):
+            if events[0].get("credential_ref") == "svc#1":
+                raise RuntimeError("handler bug")
+            sink(events)
+
+        channel, refs = self.run_channel(steady, sink, 1, deliver=deliver)
+        assert refs == ["svc#2"]
+        assert channel.subscribes == 1
+        assert "handler bug" in capsys.readouterr().err  # reported

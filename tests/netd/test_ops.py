@@ -44,14 +44,14 @@ def parity_world(ctx):
 
 
 @pytest.fixture
-def hosts(loop, tmp_path, monkeypatch):
+def hosts(tmp_path, monkeypatch):
     """``{"server": call, "worker": call}`` over fresh twin hosts."""
     broker, network = EventBroker(), RemoteNetwork("twin")
     world = parity_world(NodeContext("twin", broker, ServiceRegistry(),
                                      network, clock=lambda: 0.0))
     server = OasisServer("twin", world.services, broker=broker,
                          network=network, handlers=world.handlers)
-    loop.run(server.start())
+    server.start()
     with monkeypatch.context() as env:
         # Shard workers refuse sqlite without a durable templated path.
         if configured_backend() == "sqlite" and configured_path() is None:
@@ -72,7 +72,7 @@ def hosts(loop, tmp_path, monkeypatch):
 
     yield {"server": served, "worker": sharded}
     sock.close()
-    loop.run(server.close())
+    server.close()
     network.close()
 
 

@@ -1,5 +1,10 @@
 """OasisServer RPC surface: ops, handshake gating, remote errors,
-graceful shutdown — all over a real loopback socket."""
+the one-lock threading model, graceful shutdown — all over a real
+loopback socket."""
+
+import sys
+import threading
+import time
 
 import pytest
 
@@ -11,7 +16,7 @@ from repro.core.exceptions import (
 )
 from repro.crypto import generate_keypair
 from repro.netd.protocol import HandshakeError, OasisNetError, RpcError
-from repro.netd.worlds import bench_world
+from repro.netd.worlds import World, bench_world
 
 from netd_helpers import Node
 
@@ -84,8 +89,8 @@ class TestBasicOps:
 
 
 class TestHandshakeGating:
-    def test_state_ops_refused_before_handshake(self, loop):
-        node = Node("gated", bench_world, loop, require_handshake=True)
+    def test_state_ops_refused_before_handshake(self):
+        node = Node("gated", bench_world, require_handshake=True)
         try:
             client = node.client()
             client.ping()  # liveness is ungated
@@ -95,8 +100,8 @@ class TestHandshakeGating:
         finally:
             node.close()
 
-    def test_handshake_unlocks_and_names_principal(self, loop):
-        node = Node("gated2", bench_world, loop, require_handshake=True)
+    def test_handshake_unlocks_and_names_principal(self):
+        node = Node("gated2", bench_world, require_handshake=True)
         try:
             client = node.client()
             keys = generate_keypair(bits=512)
@@ -108,11 +113,11 @@ class TestHandshakeGating:
         finally:
             node.close()
 
-    def test_identity_bound_to_hello_key(self, loop):
+    def test_identity_bound_to_hello_key(self):
         """The principal the server binds comes from the key presented
         at hello — a prover cannot claim a different identity, because
         the fingerprint is never read from the prove frame."""
-        node = Node("gated3", bench_world, loop, require_handshake=True)
+        node = Node("gated3", bench_world, require_handshake=True)
         try:
             client = node.client()
             keys = generate_keypair(bits=512)
@@ -133,7 +138,21 @@ class TestValidateOp:
             "validate", domain="bench", endpoint="oasis.validate/svc",
             cert=wire.encode_certificate(rmc), principal="alice",
             holder=None)
-        assert value.get("valid", True)
+        assert value == {"valid": True}
+        client.close()
+
+    @pytest.mark.parametrize("answer", [1, "yes"])
+    def test_only_the_literal_true_vouches(self, bench_node, answer):
+        """A handler that answers something truthy has not said ``True``:
+        the verdict crosses the wire as ``false``, never coerced."""
+        bench_node.network.register("bench", "loose", lambda *args: answer)
+        client = bench_node.client()
+        rmc = client.activate("svc", "alice", "user", ["alice"])
+        value = client.call(
+            "validate", domain="bench", endpoint="loose",
+            cert=wire.encode_certificate(rmc), principal="alice",
+            holder=None)
+        assert value == {"valid": False}
         client.close()
 
     def test_revoked_credential_fails_validation(self, bench_node):
@@ -150,21 +169,167 @@ class TestValidateOp:
 
 
 class TestShutdown:
-    def test_shutdown_op_stops_server(self, loop):
-        node = Node("bye", bench_world, loop)
-        waiter = loop.spawn(node.server.serve_until_shutdown())
+    def test_shutdown_op_stops_server(self):
+        node = Node("bye", bench_world)
+        waiter = threading.Thread(target=node.server.serve_until_shutdown)
+        waiter.start()
         client = node.client()
         client.shutdown()
-        waiter.result(timeout=10)  # serve loop exits on its own
+        waiter.join(timeout=10)  # serve loop exits on its own
+        assert not waiter.is_alive()
         client.close()
         node.network.close()
 
     def test_graceful_close_surfaces_typed_error(self, bench_node):
         client = bench_node.client()
         client.activate("svc", "alice", "user", ["alice"])
-        bench_node.loop.run(bench_node.server.close())
+        bench_node.server.close()
         # Connection is gone; a fresh call raises the transport's own
         # error instead of hanging.
         with pytest.raises(OasisNetError):
             client.ping()
         client.close()
+
+
+def with_handlers(handlers):
+    """``bench_world`` plus world-side ``handler`` ops (they run under
+    the service lock like every state-touching op)."""
+    def factory(ctx):
+        return World(bench_world(ctx).services, handlers)
+    return factory
+
+
+class TestConcurrency:
+    """Connection threads share ONE service lock: hosted state is never
+    entered twice at once, and only state-touching ops wait for it."""
+
+    def test_four_connections_never_overlap_inside_the_services(self):
+        inside, overlaps = [], []
+
+        def probe(payload):
+            inside.append(payload)
+            if len(inside) > 1:
+                overlaps.append(list(inside))
+            time.sleep(0)  # invite a switch while "inside"
+            inside.pop()
+            return payload
+
+        node = Node("busy", with_handlers({"probe": probe}))
+        serials, wrong = [], []
+
+        def session(index):
+            client = node.client()
+            for step in range(200):
+                who = f"t{index}-u{step}"
+                rmc = client.activate("svc", who, "user", [who])
+                serials.append(str(rmc.ref))
+                if rmc.role.parameters != (who,):
+                    wrong.append(("activate", who))
+                if client.invoke("svc", who, "echo", [who],
+                                 credentials=[rmc]) != who:
+                    wrong.append(("invoke", who))
+                if client.is_active(rmc.ref) is not True:
+                    wrong.append(("is_active", who))
+                if client.handler("probe", who) != who:
+                    wrong.append(("probe", who))
+                if client.ping()["node"] != "busy":
+                    wrong.append(("ping", who))
+            client.close()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            before = node.server.requests
+            threads = [threading.Thread(target=session, args=(index,))
+                       for index in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert wrong == [] and overlaps == []
+            assert len(set(serials)) == 800
+            client = node.client()
+            # Every frame counted, the lock-free pings and this one too.
+            assert client.stats()["requests"] == before + 4 * 200 * 5 + 1
+            client.close()
+        finally:
+            sys.setswitchinterval(interval)
+            node.close()
+
+    def test_only_state_touching_ops_wait_for_a_busy_handler(self):
+        entered, release = threading.Event(), threading.Event()
+        order = []
+
+        def block(_payload):
+            entered.set()
+            release.wait(10)
+            order.append("handler")
+
+        node = Node("held", with_handlers({"block": block}),
+                    request_timeout=0.2)
+        try:
+            holder, prober, waiter = (node.client() for _ in range(3))
+            ref = waiter.activate("svc", "alice", "user", ["alice"]).ref
+            holding = threading.Thread(target=holder.handler,
+                                       args=("block",))
+            holding.start()
+            assert entered.wait(5)
+            # Liveness and route discovery answer while the op runs...
+            assert prober.ping()["node"] == "held"
+            assert prober.services()["node"] == "held"
+            # ...a state-touching op gets a typed refusal once its wait
+            # for the lock runs out, and its connection stays usable...
+            with pytest.raises(RpcError) as info:
+                waiter.is_active(ref)
+            assert info.value.error_type == "TimeoutError"
+            assert waiter.ping()["node"] == "held"
+            # ...and a remote batch waits as long as it takes.
+            batch = threading.Thread(
+                target=node.server.submit, args=(order.append, "batch"))
+            batch.start()
+            batch.join(timeout=0.5)  # well past request_timeout
+            assert batch.is_alive() and order == []
+            release.set()
+            for thread in (holding, batch):
+                thread.join(timeout=5)
+                assert not thread.is_alive()
+            assert order == ["handler", "batch"]
+            assert waiter.is_active(ref)
+            for client in (holder, prober, waiter):
+                client.close()
+        finally:
+            release.set()
+            node.close()
+
+    def test_close_returns_after_the_reply_in_flight_was_written(self):
+        entered, release = threading.Event(), threading.Event()
+        replies, closed = [], threading.Event()
+
+        def slow(_payload):
+            entered.set()
+            release.wait(10)
+            return "done"
+
+        node = Node("closing", with_handlers({"slow": slow}))
+        client = node.client()
+        caller = threading.Thread(
+            target=lambda: replies.append(client.handler("slow")))
+        closer = threading.Thread(
+            target=lambda: (node.server.close(), closed.set()))
+        try:
+            caller.start()
+            assert entered.wait(5)
+            closer.start()
+            assert not closed.wait(0.3)  # close() waits for the op
+            release.set()
+            assert closed.wait(5)
+            # Written before close() returned: the caller reads a reply,
+            # not a dead connection.
+            caller.join(timeout=5)
+            assert not caller.is_alive()
+            assert replies == ["done"]
+        finally:
+            release.set()
+            client.close()
+            node.close()
