@@ -515,11 +515,14 @@ def bench_shard_scaling(results: Dict[str, dict], *, quick: bool,
                         ) -> Dict[str, object]:
     """Multi-worker scale-out tier (repro.shard, ROADMAP item 3).
 
-    For each worker count, a :class:`~repro.shard.ShardRouter` spawns N
-    worker processes hosting the sharded twin of the ScaleWorld (same
-    services, roles and 60/30/10 mixed-traffic mix, sessions partitioned
-    by stride so every worker owns a disjoint live slice), bulk-builds
-    the world concurrently, then runs the traffic concurrently on all
+    For each worker count, a :class:`~repro.shard.ShardRouter` boots N
+    worker processes (``repro serve --shard I/N`` nodes under its
+    ``Supervisor``, reached over loopback TCP) hosting the sharded twin
+    of the ScaleWorld (same services, roles and 60/30/10 mixed-traffic
+    mix, sessions partitioned by stride so every worker owns a disjoint
+    live slice), bulk-builds the world concurrently, then runs the
+    traffic concurrently — *inside* each worker, through a world handler,
+    so the transport is off the measured path — on all
     workers.  Two aggregates are recorded per run:
 
     * ``ops_per_sec_wall`` — total ops / coordinator wall time: the true
@@ -584,7 +587,7 @@ def bench_shard_scaling(results: Dict[str, dict], *, quick: bool,
         base = by_workers[str(counts[0])]
         # Speedup compares like with like: the metric the top run's mode
         # selected, from both runs (capacity@1 ~= wall@1 on an idle core,
-        # but mixing modes would skew the ratio by the pipe-wait slack).
+        # but mixing modes would skew the ratio by the reply-wait slack).
         metric = ("ops_per_sec_wall" if top["aggregate_mode"] == "wall"
                   else "ops_per_sec_capacity")
         speedup = (round(top[metric] / base[metric], 2)

@@ -1387,7 +1387,9 @@ class OasisService:
                network: Optional[Any] = None,
                cache_validations: bool = True,
                heartbeat_timeout: Optional[float] = None,
-               access_log: Optional[AccessLog] = None) -> "OasisService":
+               access_log: Optional[AccessLog] = None,
+               allocator: Optional[CredentialRefAllocator] = None
+               ) -> "OasisService":
         """Rebuild a service from its record store after a restart.
 
         Loads the stored secret (certificates signed before the crash keep
@@ -1413,7 +1415,8 @@ class OasisService:
                       databases=databases, network=network,
                       cache_validations=cache_validations, secret=None,
                       heartbeat_timeout=heartbeat_timeout,
-                      access_log=access_log, store=store)
+                      access_log=access_log, store=store,
+                      allocator=allocator)
         service._recover()
         return service
 

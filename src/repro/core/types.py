@@ -64,7 +64,7 @@ class ServiceId:
     share S service-id objects rather than each carrying its own.  Pickling
     and deep-copying route through :meth:`__reduce__` and therefore re-enter
     the pool — a round-tripped id is identical (``is``) to the canonical
-    one, which the multiprocessing sharding work depends on.
+    one.
     """
 
     domain: str

@@ -5,6 +5,8 @@ One invocation = one served process.  The world factory is named as
 contract and the built-in EHR worlds); peers give the addresses used for
 callback validation, and ``--subscribe`` opens persistent event-channel
 subscriptions so revocation cascades cross process boundaries.
+``--shard I/N`` makes the process one worker of a sharded universe
+(:mod:`repro.shard`; normally started by its ``ShardRouter``).
 
 Example — the Fig. 3 hospital records node::
 
@@ -25,7 +27,7 @@ from typing import Optional
 
 from .deploy import NodeSpec, serve_node
 
-__all__ = ["add_serve_parser", "cmd_serve", "parse_peer"]
+__all__ = ["add_serve_parser", "cmd_serve", "parse_peer", "parse_shard"]
 
 
 def parse_peer(value: str) -> tuple:
@@ -40,6 +42,16 @@ def parse_peer(value: str) -> tuple:
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"peer {value!r} has a non-numeric port") from None
+
+
+def parse_shard(value: str) -> tuple:
+    """``I/N`` → ``(I, N)``: this node serves partition I of N."""
+    index, _, count = value.partition("/")
+    if not (index.isdigit() and count.isdigit()
+            and int(index) < int(count)):
+        raise argparse.ArgumentTypeError(
+            f"shard {value!r} must look like I/N with 0 <= I < N")
+    return int(index), int(count)
 
 
 def add_serve_parser(sub: argparse._SubParsersAction) -> None:
@@ -75,6 +87,10 @@ def add_serve_parser(sub: argparse._SubParsersAction) -> None:
     serve.add_argument("--require-handshake", action="store_true",
                        help="refuse state-touching ops until the "
                             "challenge-response handshake completes")
+    serve.add_argument("--shard", type=parse_shard, default=None,
+                       metavar="I/N",
+                       help="serve partition I of an N-way sharded "
+                            "universe (repro.shard)")
     serve.set_defaults(func=cmd_serve)
 
 
@@ -89,7 +105,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         name=args.node, port=args.port, world=args.world,
         host=args.host, args=tuple(args.world_arg), peers=peers,
         subscribe=tuple(args.subscribe), state_dir=args.state_dir,
-        observed=args.observed, require_handshake=args.require_handshake)
+        observed=args.observed, require_handshake=args.require_handshake,
+        shard=args.shard)
     try:
         serve_node(spec)
     except KeyboardInterrupt:

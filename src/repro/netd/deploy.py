@@ -2,7 +2,9 @@
 
 :func:`serve_node` is what ``repro serve`` runs: build one node's world
 on a :class:`~repro.netd.worlds.NodeContext`, host it in an
-:class:`~repro.netd.server.OasisServer`, open
+:class:`~repro.netd.server.OasisServer` (for a ``--shard I/N`` node: a
+:class:`~repro.shard.worker.ShardWorker` over a forwarding
+:class:`~repro.shard.bus.ShardBroker`), open
 :class:`~repro.netd.events.EventChannel` subscriptions to the peers
 named in the spec, print a ``OASIS-READY`` line and serve until a
 client sends ``shutdown`` (or the process is killed — which is exactly
@@ -13,7 +15,10 @@ next incarnation resumes from the store).
 processes (``python -m repro serve ...``), waits for readiness by
 pinging each port, hands out :class:`~repro.netd.client.OasisClient`
 connections, and can kill/restart individual nodes for fault drills.
-``examples/serve_ehr.py`` and the netd integration tests drive it.
+It is the one place the tree spawns a process:
+``examples/serve_ehr.py``, the netd integration tests and
+:class:`~repro.shard.router.ShardRouter` (whose workers are nodes) all
+drive it.
 """
 
 from __future__ import annotations
@@ -67,6 +72,9 @@ class NodeSpec:
     state_dir: Optional[str] = None
     observed: bool = False
     require_handshake: bool = False
+    #: ``(index, count)`` when this node serves one partition of a
+    #: sharded universe (see :mod:`repro.shard`).
+    shard: Optional[Tuple[int, int]] = None
 
     def argv(self) -> List[str]:
         """The ``python -m repro serve`` command line for this spec."""
@@ -85,6 +93,8 @@ class NodeSpec:
             argv.append("--observed")
         if self.require_handshake:
             argv.append("--require-handshake")
+        if self.shard is not None:
+            argv += ["--shard", "{}/{}".format(*self.shard)]
         return argv
 
 
@@ -97,11 +107,19 @@ def serve_node(spec: NodeSpec) -> None:
         pipeline = Observability(trace_id_prefix=f"{spec.name}.")
         enable(pipeline)
     try:
-        broker = EventBroker()
+        shard, shards = spec.shard or (None, 1)
+        if shard is None:
+            broker, server_cls = EventBroker(), OasisServer
+        else:
+            # Imported here: repro.shard's router imports this module.
+            from ..shard import CrossShardBus, ShardBroker, ShardWorker
+            broker = ShardBroker(CrossShardBus(shard, shards))
+            server_cls = ShardWorker
         registry = ServiceRegistry()
         network = RemoteNetwork(spec.name, peers=spec.peers)
         ctx = NodeContext(spec.name, broker, registry, network,
-                          state_dir=spec.state_dir)
+                          state_dir=spec.state_dir, shard=shard,
+                          shards=shards)
         world = resolve_factory(spec.world)(ctx, *spec.args)
         # Make boot-time state (notably each service's signing secret)
         # durable before accepting traffic: stores are write-behind, and
@@ -115,7 +133,7 @@ def serve_node(spec: NodeSpec) -> None:
             # Services snapshot the pipeline at construction; the global
             # need not stay set.
             disable()
-    server = OasisServer(
+    server = server_cls(
         spec.name, world.services, broker=broker, network=network,
         handlers=dict(getattr(world, "handlers", None) or {}),
         host=spec.host, port=spec.port,
@@ -232,9 +250,10 @@ class Supervisor:
     # -- teardown -----------------------------------------------------------
     def stop(self) -> None:
         """Graceful fleet shutdown: ask politely, then escalate."""
-        for name in list(self._procs):
+        for name, proc in list(self._procs.items()):
             try:
-                self.client(name).shutdown()
+                if proc.poll() is None:  # else the port may be a stranger's
+                    self.client(name).shutdown()
             except OasisNetError:
                 pass
         for name, proc in list(self._procs.items()):

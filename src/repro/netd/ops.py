@@ -1,8 +1,8 @@
 """The wire form of the service operations — defined once.
 
-A hosted :class:`~repro.core.service.OasisService` is reached the same
-way whether its host is a socket server (:mod:`repro.netd.server`) or a
-shard worker on a pipe (:mod:`repro.shard.worker`): a small dict message
+A hosted :class:`~repro.core.service.OasisService` is reached through
+its :class:`~repro.netd.server.OasisServer` (a shard worker,
+:mod:`repro.shard.worker`, is one) by a small dict message
 ``{"op": <name>, ...fields}`` whose certificates are
 :mod:`repro.core.wire` payloads and whose CRRs are
 :func:`~repro.core.state.ref_payload` dicts.  This module is the single
@@ -13,14 +13,14 @@ definition of that vocabulary:
   :class:`~repro.netd.client.OasisClient` and
   :class:`~repro.shard.router.ShardRouter`;
 * :class:`ServiceOps`, the **decode-and-dispatch host** over a
-  ``{key: OasisService}`` mapping that ``OasisServer._execute`` and
-  ``ShardWorker._execute`` both call: ``activate``, ``activate_bulk``,
+  ``{key: OasisService}`` mapping that ``OasisServer._execute`` calls:
+  ``activate``, ``activate_bulk``,
   ``invoke``, ``appoint``, ``revoke``, ``is_active``, ``record``,
   ``audit``, ``sessions``, ``spans``, ``handler``, ``checkpoint``.
 
-What only one host has stays with it: the server's ``validate`` /
-``stats`` / ``auth.*`` and lock-free ops, the worker's ``issue_bulk`` / ``bus.*`` /
-``live_count`` / ``stats`` / ``ping`` / ``shutdown``.
+What is not a service op stays with the server — ``validate`` /
+``stats`` / ``auth.*`` and the lock-free ops — and what only a shard has
+with its subclass: ``issue_bulk`` / ``bus.*`` / ``live_count``.
 """
 
 from __future__ import annotations

@@ -21,8 +21,8 @@ connection:
 
 Certificates cross as :mod:`repro.core.wire` payloads and events as
 :meth:`repro.events.messages.Event.to_payload` dicts — the same encodings
-the persistence journal and the shard pipes already round-trip, so nothing
-process-local ever crosses the boundary.
+the persistence journal already round-trips, so nothing process-local
+ever crosses the boundary.
 
 Malformed input is rejected *here*, with :class:`ProtocolError` — a
 truncated length prefix, an oversized frame (DoS guard; the limit is
@@ -41,9 +41,8 @@ catching ``NetworkError``) then treats a dead socket exactly like a
 partitioned simulated link — "issuer unreachable" stays a policy decision
 owned by the service, not the transport.  :class:`RpcError` is the one
 exception that is *not* a transport failure: the remote handler raised,
-and the type name rides back (mirroring
-:class:`repro.shard.router.ShardRequestError`) so callers can branch on
-the access-control outcome.  Well-known core exception types are re-raised
+and the type name rides back so callers can branch on the outcome.
+Well-known core exception types are re-raised
 as themselves by :func:`raise_remote_error` — a remote
 ``ActivationDenied`` is an ``ActivationDenied`` at the client, which is
 what lets scenario code run unchanged against sockets.
@@ -114,9 +113,9 @@ class HandshakeError(OasisNetError):
 class RpcError(RuntimeError):
     """A remote handler raised; not a transport failure.
 
-    ``error_type`` preserves the remote exception class name (mirroring
-    :class:`repro.shard.router.ShardRequestError`) so callers can branch
-    on the outcome without sharing exception objects across the wire.
+    ``error_type`` preserves the remote exception class name so callers
+    can branch on the outcome without sharing exception objects across
+    the wire.
     """
 
     def __init__(self, node: str, error_type: str, message: str) -> None:

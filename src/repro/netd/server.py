@@ -3,18 +3,18 @@
 One :class:`OasisServer` hosts the :class:`~repro.core.service.OasisService`
 instances of one process behind the frame protocol of
 :mod:`repro.netd.protocol`.  The service ops (``activate`` … ``checkpoint``)
-are not defined here: :mod:`repro.netd.ops` is their single definition,
-shared with :class:`~repro.shard.worker.ShardWorker`.  This module adds
-what only a socket server has — the lock-free ops (``ping``,
-``services``, ``subscribe_events``, ``shutdown``), the handshake
-(``auth.*``), inbound callback ``validate`` and ``stats``.
+are not defined here: :mod:`repro.netd.ops` is their single definition.
+This module adds what is about the host, not a service — the lock-free
+ops (``ping``, ``services``, ``subscribe_events``, ``shutdown``), the
+handshake (``auth.*``), inbound callback ``validate`` and ``stats``.
+:class:`~repro.shard.worker.ShardWorker` is the one subclass: the server
+of a ``--shard I/N`` node.
 
 Threading model (the part worth understanding) — threads on blocking
 sockets, like :class:`~repro.netd.client.OasisClient`:
 
 * An **accept thread** gives every connection its own **connection
-  thread** running ``recv → decode → handle → send`` — the loop of
-  :func:`repro.shard.worker.worker_main`.
+  thread** running ``recv → decode → handle → send``.
 * ONE lock is "the service worker": whatever touches shared state — a
   service op, the handshake's challenge store, a remote event batch
   entering the broker — runs under it on the calling thread, so every
@@ -107,7 +107,9 @@ class _Connection:
         self.closing = False
 
     def send(self, payload: Dict[str, Any]) -> None:
-        data = encode_frame(payload, self.max_frame)
+        self.write(encode_frame(payload, self.max_frame))
+
+    def write(self, data: bytes) -> None:
         with self.lock:
             try:
                 self.sock.sendall(data)
@@ -124,6 +126,10 @@ class _Connection:
 
 class OasisServer:
     """Serve a set of OASIS services over TCP."""
+
+    #: ``issued(service, certificate)`` hook of the op table (see
+    #: :class:`~repro.netd.ops.ServiceOps`); a subclass defines a method.
+    _issued: Optional[Callable[[OasisService, Any], None]] = None
 
     def __init__(self, node: str, services: Mapping[str, OasisService], *,
                  broker: Optional[EventBroker] = None,
@@ -146,7 +152,8 @@ class OasisServer:
         self.require_handshake = require_handshake
         self.request_timeout = request_timeout
         self.max_frame = max_frame
-        self._ops = ServiceOps(node, self.services, self.handlers, pipeline)
+        self._ops = ServiceOps(node, self.services, self.handlers, pipeline,
+                               issued=self._issued)
         # The service worker: hosted services stay single-threaded.
         self._lock = threading.Lock()
         self._challenges = ChallengeResponseServer(clock=time.monotonic)
@@ -294,15 +301,25 @@ class OasisServer:
                     f"{self.node} requires a completed challenge-response "
                     f"handshake before {op!r}")
             value = self._dispatch(conn, frame, op)
-            response = {"id": request_id, "ok": True, "value": value}
+            # Framed in here: a reply that is too large or not JSON is
+            # the op's failure, answered like one.
+            data = encode_frame({"id": request_id, "ok": True,
+                                 "value": value}, self.max_frame)
+            ok = True
         except Exception as error:  # noqa: BLE001 - crosses the wire
-            response = {"id": request_id, "ok": False,
-                        "error": error_payload(error)}
+            payload = error_payload(error)
+            # The message may quote the request (an unknown key as long
+            # as a frame): cut it to what fits even if every character
+            # escapes to 12 bytes.
+            payload["message"] = payload["message"][:self.max_frame // 16]
+            data = encode_frame({"id": request_id, "ok": False,
+                                 "error": payload}, self.max_frame)
+            ok = False
         try:
-            conn.send(response)
+            conn.write(data)
         except ConnectionLost:
             return
-        if op == "shutdown" and response["ok"]:
+        if op == "shutdown" and ok:
             self.shutdown_requested.set()
 
     def _dispatch(self, conn: _Connection, frame: Dict[str, Any],

@@ -2,10 +2,11 @@
 
 A served process is handed a :class:`NodeContext` (broker, registry,
 :class:`~repro.netd.client.RemoteNetwork`, wall clock, optional state
-directory) and a factory ``factory(ctx, *args)`` returning an object
-with a ``services`` mapping and optionally a ``handlers`` mapping —
-the exact contract :mod:`repro.shard.worker` uses, so world code is
-portable between the pipe transport and sockets.
+directory, and — for a ``--shard I/N`` node — the partition it owns) and
+a factory ``factory(ctx, *args)`` returning an object with a
+``services`` mapping and optionally a ``handlers`` mapping.  It is the
+only world contract there is: the shard worlds of
+:mod:`repro.shard.worlds` are built on the same context.
 
 Every node rebuilds the *policies* it needs locally (policies are
 code), but hosts only its own services: the Fig. 3 EHR deployment
@@ -67,19 +68,26 @@ class NodeContext:
     def __init__(self, node: str, broker: EventBroker,
                  registry: ServiceRegistry, network: Any,
                  clock: Callable[[], float] = time.time,
-                 state_dir: Optional[str] = None) -> None:
+                 state_dir: Optional[str] = None,
+                 shard: Optional[int] = None, shards: int = 1) -> None:
         self.node = node
         self.broker = broker
         self.registry = registry
         self.network = network
         self.clock = clock
         self.state_dir = state_dir
+        #: The partition this node serves (``None``: the whole universe).
+        self.shard = shard
+        self.shards = shards
 
     def store(self, policy: ServicePolicy) -> Optional[Any]:
         """The env-selected store, with the served on-disk default: a
         sqlite backend without an explicit path lands in this node's
-        state directory instead of ``:memory:`` (see :mod:`repro.db`)."""
-        return default_store(ServiceStateCodec(),
+        state directory instead of ``:memory:`` (see :mod:`repro.db`).
+        A shard node passes its index, which switches on the strict
+        rules there: sqlite *requires* a durable ``{shard}``-templated
+        ``OASIS_STORE_PATH``."""
+        return default_store(ServiceStateCodec(), shard=self.shard,
                              service=str(policy.service),
                              state_dir=self.state_dir)
 
@@ -93,8 +101,14 @@ class NodeContext:
         its presence means a previous incarnation issued certificates
         under that signing secret, and a killed-and-restarted server
         must keep verifying them (then re-emit any journalled cascade
-        cut mid-publish)."""
+        cut mid-publish).  On a shard node either branch mints only
+        serials whose ref hashes to this shard."""
         store = self.store(policy)
+        if self.shard is not None:
+            # Imported here: repro.shard's router imports netd.deploy.
+            from ..shard.partition import ShardedRefAllocator
+            kwargs["allocator"] = ShardedRefAllocator(
+                policy.service, self.shard, self.shards)
         if store is not None and store.get(META, "secret") is not None:
             service = OasisService.resume(
                 store, policy, self.broker, self.registry,

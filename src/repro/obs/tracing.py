@@ -262,7 +262,7 @@ class Tracer:
         """Merge spans exported elsewhere (:meth:`Span.to_dict` payloads).
 
         This is the coordinator half of cross-process stitching: workers
-        export their spans as dicts over a pipe, the coordinator adopts
+        export their spans as dicts in RPC replies, the coordinator adopts
         them all into one tracer, and :meth:`tree` reconstructs the
         multi-process cascade as a single tree (provided the workers used
         distinct ``id_prefix`` values).  Already-present span ids are

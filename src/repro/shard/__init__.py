@@ -4,7 +4,9 @@ Partitions credential records and live sessions across N worker
 processes by ``CredentialRef`` hash and routes revocation cascades
 across shard boundaries as coalesced event batches, preserving the
 single-process observable semantics (same grants, same cascade
-completeness, same per-service audit streams).  See docs/scaling.md.
+completeness, same per-service audit streams).  The processes are
+:mod:`repro.netd` nodes — there is one multi-process substrate — and
+this package adds only what sharding needs.  See docs/scaling.md.
 
 Layers:
 
@@ -13,10 +15,12 @@ Layers:
   ownership.
 * :mod:`repro.shard.bus` — remote dependency links and the forwarding
   broker (:class:`CrossShardBus`/:class:`ShardBroker`).
-* :mod:`repro.shard.worker` — the per-process worker
-  (:class:`ShardWorker`/:class:`ShardContext`).
-* :mod:`repro.shard.router` — the coordinator
-  (:class:`ShardRouter`), metric and trace merging.
+* :mod:`repro.shard.worker` — :class:`ShardWorker`, the
+  :class:`~repro.netd.server.OasisServer` a ``repro serve --shard I/N``
+  process runs.
+* :mod:`repro.shard.router` — the coordinator (:class:`ShardRouter`): a
+  :class:`~repro.netd.deploy.Supervisor` of workers, metric and trace
+  merging.
 * :mod:`repro.shard.worlds` — module-level world factories for
   benchmarks and tests.
 """
@@ -24,8 +28,8 @@ Layers:
 from .bus import CrossShardBus, ShardBroker
 from .partition import (ShardedRefAllocator, shard_of_key, shard_of_ref,
                         stable_hash)
-from .router import ShardRequestError, ShardRouter
-from .worker import ShardContext, ShardWorker
+from .router import ShardRouter
+from .worker import ShardWorker
 
 __all__ = [
     "CrossShardBus",
@@ -34,8 +38,6 @@ __all__ = [
     "shard_of_key",
     "shard_of_ref",
     "stable_hash",
-    "ShardRequestError",
     "ShardRouter",
-    "ShardContext",
     "ShardWorker",
 ]

@@ -1,241 +1,188 @@
 """Shard coordinator: request fan-out, bus routing, metric/trace merging.
 
-The :class:`ShardRouter` owns N workers (child processes over
-``multiprocessing`` pipes by default; in-process :class:`ShardWorker`
-objects with ``inprocess=True`` for deterministic single-interpreter
-tests) and is the only component that talks to more than one shard:
+The :class:`ShardRouter` owns N workers — ordinary served nodes
+(``python -m repro serve … --shard I/N``) booted, watched and stopped by
+a :class:`~repro.netd.deploy.Supervisor` — and talks to them through the
+supervisor's blocking :class:`~repro.netd.client.OasisClient`
+connections, one request in flight per worker.  It is the only component
+that talks to more than one shard:
 
 * **request routing** — ``issue/activate/invoke/revoke`` go to the
   owning shard: by ``CredentialRef`` hash when a ref (or a presented
   credential) pins the request, by session/principal key hash otherwise.
-  Bulk entry points are batch-aware: entries are grouped per shard and
-  travel as one ``issue_rmcs_bulk``/``activate_roles_bulk`` message per
-  shard, results reassembled in caller order.  Message fields are built
-  by the encoders of :mod:`repro.netd.ops`, the single definition of
-  the service ops' wire form.
-* **bus routing** — every worker response carries that worker's drained
-  :class:`~repro.shard.bus.CrossShardBus` outbox; the router forwards
+  Bulk entry points are batch-aware: entries are grouped per shard, every
+  involved worker is sent its group at the same time in frames of at
+  most :data:`BULK_CHUNK` entries (a reply must fit ``MAX_FRAME``), and
+  results are reassembled in caller order.  Message fields are built by
+  the encoders of :mod:`repro.netd.ops`, the single definition of the
+  service ops' wire form.
+* **bus routing** — a worker's reply carries that worker's drained
+  :class:`~repro.shard.bus.CrossShardBus` outbox (the router fetches at
+  once what did not fit the frame); the router forwards
   each message to its target shard and breadth-first drains any messages
   *those* deliveries produce.  A cross-shard cascade therefore settles
   completely before the originating call returns — callers observe the
-  same synchronous-cascade semantics as the single-process service.
+  same synchronous-cascade semantics as the single-process service.  A
+  fan-out collects *every* worker's reply before it routes anything, so
+  no hop ever meets a worker that still owes an answer.
 * **merging** — per-shard stats become coordinator-level
   ``oasis_shard_*`` metric families (registerable as a collector on an
   :class:`~repro.obs.runtime.Observability` pipeline), and worker span
   exports merge into one tracer via :meth:`~repro.obs.tracing.Tracer.adopt`
   so a multi-worker cascade renders as a single trace tree.
 
-Responses are matched to requests by sequence number, not arrival order:
-when routing a cascade hop to a worker that still owes an earlier
-response, the earlier response is stashed until its caller collects it.
-Workers process their pipe strictly in order, so this never deadlocks.
+Errors are whatever :meth:`OasisClient.call
+<repro.netd.client.OasisClient.call>` raises: a worker-side denial is
+the same core exception the in-process service raises, any other
+worker-side failure an :class:`~repro.netd.protocol.RpcError` carrying
+the remote type name, a dead or hung worker an
+:class:`~repro.netd.protocol.OasisNetError`.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
+import weakref
 from collections import deque
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple, Union)
+from concurrent.futures import ThreadPoolExecutor, wait
+from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
+                    Tuple, Union)
 
 from ..core import wire
 from ..core.credentials import CredentialRef
+from ..core.exceptions import OasisError
 from ..core.service import ActivationRequest, Presentation
 from ..core.state import ref_payload
 from ..core.types import PrincipalId
+from ..netd.deploy import NodeSpec, Supervisor, free_port
 from ..netd.ops import activation_payload, presentation_payloads
+from ..netd.protocol import FrameTooLarge, RpcError
 from ..obs.runtime import Observability
 from ..obs.tracing import Tracer
 from .partition import shard_of_key, shard_of_ref
-from .worker import ShardWorker, worker_main
 
-__all__ = ["ShardRouter", "ShardRequestError", "START_METHOD_ENV"]
+__all__ = ["ShardRouter"]
 
-#: Environment override for the multiprocessing start method
-#: (``fork``/``spawn``/``forkserver``); defaults to ``fork`` when the
-#: platform offers it (cheapest), ``spawn`` otherwise.
-START_METHOD_ENV = "OASIS_SHARD_START_METHOD"
+#: Seconds a worker may take to answer one request before the router
+#: gives it up as hung.  Requests include world handlers that build a
+#: worker's whole slice (the 1M-principal tier: minutes on a busy host),
+#: so this only has to be finite.
+WORKER_DEADLINE = 900.0
 
-
-class ShardRequestError(RuntimeError):
-    """A worker-side exception, re-raised at the coordinator.
-
-    ``error_type`` preserves the worker-side exception class name
-    (``ActivationDenied``, ``InvocationDenied``, ...) so callers can
-    branch on the access-control outcome without sharing exception
-    objects across the pipe.
-    """
-
-    def __init__(self, shard: int, error_type: str, message: str) -> None:
-        super().__init__(f"shard {shard}: {error_type}: {message}")
-        self.shard = shard
-        self.error_type = error_type
-        self.detail = message
-
-
-def _value(shard: int, response: Mapping[str, Any]) -> Any:
-    """A worker response's value, or its error re-raised here."""
-    if not response["ok"]:
-        error = response["error"]
-        raise ShardRequestError(shard, error["type"], error["message"])
-    return response["value"]
-
-
-class _WorkerHandle:
-    """Seq-matched request/response channel to one worker."""
-
-    def __init__(self, shard: int) -> None:
-        self.shard = shard
-        self._seq = 0
-        self._stash: Dict[int, Dict[str, Any]] = {}
-
-    def next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def send(self, message: Dict[str, Any]) -> int:
-        raise NotImplementedError
-
-    def recv(self, seq: int) -> Dict[str, Any]:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        pass
-
-
-class _InprocessHandle(_WorkerHandle):
-    def __init__(self, shard: int, worker: ShardWorker) -> None:
-        super().__init__(shard)
-        self.worker = worker
-
-    def send(self, message: Dict[str, Any]) -> int:
-        seq = self.next_seq()
-        message["seq"] = seq
-        self._stash[seq] = self.worker.dispatch(message)
-        return seq
-
-    def recv(self, seq: int) -> Dict[str, Any]:
-        return self._stash.pop(seq)
-
-
-class _ProcessHandle(_WorkerHandle):
-    def __init__(self, shard: int, conn: Any, process: Any) -> None:
-        super().__init__(shard)
-        self.conn = conn
-        self.process = process
-        _value(shard, conn.recv())  # construction handshake; raises
-
-    def send(self, message: Dict[str, Any]) -> int:
-        seq = self.next_seq()
-        message["seq"] = seq
-        self.conn.send(message)
-        return seq
-
-    def recv(self, seq: int) -> Dict[str, Any]:
-        while seq not in self._stash:
-            response = self.conn.recv()
-            self._stash[response["seq"]] = response
-        return self._stash.pop(seq)
-
-    def close(self) -> None:
-        self.conn.close()
-        self.process.join(timeout=5)
-        if self.process.is_alive():
-            self.process.terminate()
-            self.process.join(timeout=5)
+#: Entries per bulk frame.  A 20,000-entry ``issue_bulk`` reply is
+#: 5.6 MB and ``MAX_FRAME`` is 4 MiB.
+BULK_CHUNK = 5_000
 
 
 class ShardRouter:
-    """Coordinator for a sharded OASIS universe (see module docstring)."""
+    """Coordinator for a sharded OASIS universe (see module docstring).
+
+    ``factory(ctx, *factory_args)`` is the world every worker rebuilds
+    locally: a module-level callable (it travels by name) whose extra
+    arguments travel as strings (``--world-arg``).
+    """
 
     def __init__(self, shards: int, factory: Callable[..., Any],
                  factory_args: Sequence[Any] = (), *,
                  observed: bool = False,
-                 inprocess: bool = False,
-                 start_method: Optional[str] = None,
                  pipeline: Optional[Observability] = None) -> None:
         if shards <= 0:
             raise ValueError("shards must be positive")
         self.shards = shards
         self.observed = observed
-        self._pipeline = pipeline
-        self._closed = False
         # Coordinator-side counters (the per-shard ones live in workers).
         self.requests_routed = [0] * shards
         self.cross_shard_batches_routed = 0
         self.cross_shard_events_routed = 0
         self.links_routed = 0
-        self._handles: List[_WorkerHandle] = []
-        if inprocess:
-            for shard in range(shards):
-                worker = ShardWorker(shard, shards, factory, factory_args,
-                                     observed=observed)
-                self._handles.append(_InprocessHandle(shard, worker))
-        else:
-            method = (start_method
-                      or os.environ.get(START_METHOD_ENV, "").strip()
-                      or None)
-            if method is None:
-                available = multiprocessing.get_all_start_methods()
-                method = "fork" if "fork" in available else "spawn"
-            ctx = multiprocessing.get_context(method)
-            started: List[Tuple[Any, Any]] = []
-            for shard in range(shards):
-                parent_conn, child_conn = ctx.Pipe(duplex=True)
-                process = ctx.Process(
-                    target=worker_main,
-                    args=(child_conn, shard, shards, factory,
-                          tuple(factory_args), observed),
-                    daemon=True)
-                process.start()
-                child_conn.close()
-                started.append((parent_conn, process))
-            for shard, (parent_conn, process) in enumerate(started):
-                self._handles.append(
-                    _ProcessHandle(shard, parent_conn, process))
+        world = f"{factory.__module__}:{factory.__qualname__}"
+        self.fleet = Supervisor([
+            NodeSpec(name=f"w{shard}", port=free_port(), world=world,
+                     args=tuple(str(arg) for arg in factory_args),
+                     observed=observed, shard=(shard, shards))
+            for shard in range(shards)])
+        # Runs once: at close(), when the router is dropped, or at exit.
+        self._stop = weakref.finalize(self, self.fleet.stop)
+        # One thread per worker: a fan-out blocks in ``call`` on each.
+        self._pool = ThreadPoolExecutor(shards, "oasis-shard-router")
+        try:
+            try:
+                self.fleet.start()
+            except RuntimeError:
+                # A worker exited before it was ready: it may have lost
+                # the race for its free_port().  Once more, on fresh ones.
+                self.fleet.stop()
+                for spec in self.fleet.specs.values():
+                    spec.port = free_port()
+                self.fleet.start()
+        except BaseException:
+            self.close()  # a worker that failed to boot takes the rest along
+            raise
         if pipeline is not None:
             pipeline.metrics.register_collector(self._collect_shard_metrics)
 
     # -- low-level plumbing -------------------------------------------------
-    def _send(self, shard: int, op: str, **fields: Any) -> int:
+    def _call(self, shard: int, op: str, fields: Mapping[str, Any],
+              outbox: Any) -> Dict[str, Any]:
+        """One request to one worker; what its bus queued moves into
+        ``outbox`` (anything with ``extend``)."""
         self.requests_routed[shard] += 1
-        message = {"op": op}
-        message.update(fields)
-        return self._handles[shard].send(message)
+        client = self.fleet.client(f"w{shard}")
+        try:
+            value = client.call(op, _timeout=WORKER_DEADLINE, **fields)
+        except (OasisError, RpcError):
+            # The worker refused the op (a transport failure is neither),
+            # maybe after queueing forwards — a failed batch's partial
+            # cascade: they must still settle.
+            self._collect(client, {"more": True}, outbox)
+            raise
+        self._collect(client, value, outbox)
+        return value
 
-    def _collect(self, shard: int, seq: int,
-                 route_bus: bool = True) -> Any:
-        response = self._handles[shard].recv(seq)
-        bus_messages = response.get("bus", ())
-        if route_bus and bus_messages:
-            self._route_bus(bus_messages)
-        return _value(shard, response)
+    @staticmethod
+    def _collect(client: Any, reply: Dict[str, Any], outbox: Any) -> None:
+        """Move a reply's outbox out; while the worker holds ``more``
+        than the frame had room for, fetch it with an empty ``bus.link``."""
+        while True:
+            outbox.extend(reply.pop("outbox", ()))
+            if not reply.pop("more", False):
+                return
+            reply = client.call("bus.link", _timeout=WORKER_DEADLINE,
+                                links=[])
+            if reply.get("more") and not reply.get("outbox"):
+                raise FrameTooLarge(f"{client.peer} queued a bus message "
+                                    f"no frame can carry")
 
     def _request(self, shard: int, op: str, **fields: Any) -> Any:
-        return self._collect(shard, self._send(shard, op, **fields))
+        outbox: List[Dict[str, Any]] = []
+        try:
+            return self._call(shard, op, fields, outbox)
+        finally:
+            self._route_bus(outbox)
 
-    def _route_bus(self, messages: Iterable[Mapping[str, Any]]) -> None:
-        """Breadth-first drain of cross-shard messages until quiescence."""
+    def _fanout(self, requests: Sequence[Tuple[int, str, Dict[str, Any]]]
+                ) -> List[Any]:
+        """One request on each listed worker at once.  Collects *every*
+        reply, then routes the bus, then raises the first error."""
+        outbox: List[Dict[str, Any]] = []
+        futures = [self._pool.submit(self._call, shard, op, fields, outbox)
+                   for shard, op, fields in requests]
+        wait(futures)
+        self._route_bus(outbox)
+        return [future.result() for future in futures]
+
+    def _route_bus(self, messages: Sequence[Mapping[str, Any]]) -> None:
+        """Breadth-first drain of cross-shard messages until quiescence.
+        A message of kind K is the fields of op ``bus.K`` plus ``to``."""
         queue = deque(messages)
         while queue:
-            message = queue.popleft()
-            target = message["to"]
-            if message["kind"] == "cascade":
+            fields = dict(queue.popleft())
+            target, kind = fields.pop("to"), fields.pop("kind")
+            if kind == "cascade":
                 self.cross_shard_batches_routed += 1
-                self.cross_shard_events_routed += len(message["events"])
-                seq = self._send(target, "bus.cascade",
-                                 events=message["events"])
-            elif message["kind"] == "link":
-                self.links_routed += len(message["links"])
-                seq = self._send(target, "bus.link",
-                                 links=message["links"])
+                self.cross_shard_events_routed += len(fields["events"])
             else:
-                raise ValueError(f"unknown bus message kind "
-                                 f"{message['kind']!r}")
-            response = self._handles[target].recv(seq)
-            _value(target, response)  # raises if the hop failed
-            queue.extend(response.get("bus", ()))
+                self.links_routed += len(fields["links"])
+            self._call(target, f"bus.{kind}", fields, queue)
 
     # -- placement ----------------------------------------------------------
     def shard_for_ref(self, ref: CredentialRef) -> int:
@@ -262,6 +209,31 @@ class ShardRouter:
         return self.shard_for_key(value)
 
     # -- access-control API (mirrors OasisService) --------------------------
+    def _bulk(self, op: str, service: str, field: str,
+              placement: Sequence[int],
+              payloads: Sequence[Dict[str, Any]]) -> List[Any]:
+        """Entry ``i`` (wire form ``payloads[i]``) goes to shard
+        ``placement[i]``: every involved worker gets its entries at the
+        same time, :data:`BULK_CHUNK` per frame; certificates come back
+        in entry order."""
+        groups: Dict[int, List[int]] = {}
+        for index, shard in enumerate(placement):
+            groups.setdefault(shard, []).append(index)
+        results: List[Any] = [None] * len(payloads)
+        longest = max(map(len, groups.values()), default=0)
+        for start in range(0, longest, BULK_CHUNK):
+            chunks = [(shard, indices[start:start + BULK_CHUNK])
+                      for shard, indices in sorted(groups.items())
+                      if len(indices) > start]
+            values = self._fanout([
+                (shard, op, {"service": service,
+                             field: [payloads[index] for index in chunk]})
+                for shard, chunk in chunks])
+            for (_shard, chunk), value in zip(chunks, values):
+                for index, cert_payload in zip(chunk, value["certs"]):
+                    results[index] = wire.decode_certificate(cert_payload)
+        return results
+
     def issue_rmcs_bulk(self, service: str,
                         entries: Sequence[Tuple[Any, str, Sequence[Any],
                                                 Sequence[CredentialRef],
@@ -272,41 +244,22 @@ class ShardRouter:
         Each entry is ``(principal, role_name, parameters, dependencies,
         session_id)``.  Placement follows ``shards`` when given (explicit
         pinning, used by tests that lay dependency edges across a shard
-        boundary), otherwise the session/principal key hash.  One
-        ``issue_rmcs_bulk`` message goes to each involved shard; results
+        boundary), otherwise the session/principal key hash.  Results
         come back in entry order.
         """
-        groups: Dict[int, List[int]] = {}
-        for index, entry in enumerate(entries):
-            principal, _role, _params, _deps, session = entry
-            shard = shards[index] if shards is not None \
-                else self._placement(session, principal)
-            groups.setdefault(shard, []).append(index)
-        pending: List[Tuple[int, int, List[int]]] = []
-        for shard, indices in sorted(groups.items()):
-            payload = []
-            for index in indices:
-                principal, role, parameters, dependencies, session = \
-                    entries[index]
-                value = principal.value \
-                    if isinstance(principal, PrincipalId) else str(principal)
-                payload.append({
-                    "principal": value,
-                    "role": role,
-                    "parameters": list(parameters),
-                    "dependencies": [ref_payload(dep)
-                                     for dep in dependencies],
-                    "session": session,
-                })
-            pending.append((shard,
-                            self._send(shard, "issue_bulk", service=service,
-                                       entries=payload), indices))
-        results: List[Any] = [None] * len(entries)
-        for shard, seq, indices in pending:
-            value = self._collect(shard, seq)
-            for index, cert_payload in zip(indices, value["certs"]):
-                results[index] = wire.decode_certificate(cert_payload)
-        return results
+        placement = shards if shards is not None else [
+            self._placement(session, principal)
+            for principal, _role, _params, _deps, session in entries]
+        payloads = [{
+            "principal": principal.value
+            if isinstance(principal, PrincipalId) else str(principal),
+            "role": role,
+            "parameters": list(parameters),
+            "dependencies": [ref_payload(dep) for dep in dependencies],
+            "session": session,
+        } for principal, role, parameters, dependencies, session in entries]
+        return self._bulk("issue_bulk", service, "entries", placement,
+                          payloads)
 
     def activate_role(self, service: str, principal: Any, role_name: str,
                       parameters: Optional[Sequence[Any]] = None,
@@ -329,30 +282,17 @@ class ShardRouter:
                             requests: Sequence[ActivationRequest],
                             shards: Optional[Sequence[int]] = None
                             ) -> List[Any]:
-        """Batch-aware activation: one ``activate_roles_bulk`` per shard."""
-        groups: Dict[int, List[int]] = {}
-        for index, request in enumerate(requests):
-            shard = shards[index] if shards is not None \
-                else self._placement(request.session_id, request.principal,
-                                     request.credentials)
-            groups.setdefault(shard, []).append(index)
-        pending: List[Tuple[int, int, List[int]]] = []
-        for shard, indices in sorted(groups.items()):
-            payload = [activation_payload(
-                request.principal.value, request.role_name,
-                request.parameters, request.credentials,
-                request.environment, request.session_id)
-                for request in (requests[index] for index in indices)]
-            pending.append((shard,
-                            self._send(shard, "activate_bulk",
-                                       service=service, requests=payload),
-                            indices))
-        results: List[Any] = [None] * len(requests)
-        for shard, seq, indices in pending:
-            value = self._collect(shard, seq)
-            for index, cert_payload in zip(indices, value["certs"]):
-                results[index] = wire.decode_certificate(cert_payload)
-        return results
+        """Batch-aware activation, placed like :meth:`activate_role`."""
+        placement = shards if shards is not None else [
+            self._placement(request.session_id, request.principal,
+                            request.credentials) for request in requests]
+        payloads = [activation_payload(
+            request.principal.value, request.role_name,
+            request.parameters, request.credentials,
+            request.environment, request.session_id)
+            for request in requests]
+        return self._bulk("activate_bulk", service, "requests", placement,
+                          payloads)
 
     def invoke(self, service: str, principal: Any, method: str,
                arguments: Sequence[Any] = (),
@@ -389,9 +329,8 @@ class ShardRouter:
 
     # -- whole-universe queries ---------------------------------------------
     def _all(self, op: str, **fields: Any) -> Dict[int, Any]:
-        pending = [(shard, self._send(shard, op, **dict(fields)))
-                   for shard in range(self.shards)]
-        return {shard: self._collect(shard, seq) for shard, seq in pending}
+        return dict(enumerate(self._fanout(
+            [(shard, op, fields) for shard in range(self.shards)])))
 
     def audit(self, service: str,
               kind: Optional[str] = None) -> Dict[int, List[List[Any]]]:
@@ -427,13 +366,12 @@ class ShardRouter:
         """Send one handler call to every worker *concurrently*, then
         collect.  This is the parallel traffic path of the scaling
         benchmark: all workers run their slice at the same time."""
-        pending = [(shard,
-                    self._send(shard, "handler", name=name,
-                               payload=None if payloads is None
-                               else payloads.get(shard)))
-                   for shard in range(self.shards)]
-        return {shard: self._collect(shard, seq)["result"]
-                for shard, seq in pending}
+        values = self._fanout([
+            (shard, "handler",
+             {"name": name, "payload": None if payloads is None
+              else payloads.get(shard)})
+            for shard in range(self.shards)])
+        return {shard: value["result"] for shard, value in enumerate(values)}
 
     # -- observability merging ----------------------------------------------
     def worker_stats(self) -> Dict[int, Dict[str, Any]]:
@@ -455,7 +393,7 @@ class ShardRouter:
     def _collect_shard_metrics(self):
         """Pull-time collector: per-shard gauges/counters merged at the
         coordinator (family shapes match ``MetricsRegistry.collect``)."""
-        if self._closed:
+        if not self._stop.alive:
             return
         per_shard = self.worker_stats()
         def samples(field: str):
@@ -521,16 +459,8 @@ class ShardRouter:
 
     # -- lifecycle ----------------------------------------------------------
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        for shard, handle in enumerate(self._handles):
-            try:
-                seq = handle.send({"op": "shutdown"})
-                handle.recv(seq)
-            except (BrokenPipeError, EOFError, OSError):
-                pass
-            handle.close()
+        self._pool.shutdown()
+        self._stop()
 
     def __enter__(self) -> "ShardRouter":
         return self

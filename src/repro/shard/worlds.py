@@ -1,12 +1,14 @@
 """Shard-aware demo worlds: module-level factories for workers.
 
-Worker processes do not unpickle live services (policies hold closures);
-they *rebuild* the world locally from a module-level factory, which must
-therefore be importable by name in a spawned child — that is why these
-live in the package rather than in a test or benchmark file.  Each
-factory takes the worker's :class:`~repro.shard.worker.ShardContext`
-first and returns an object with a ``services`` mapping and optional
-``handlers``.
+A worker process *rebuilds* the world locally (policies hold closures;
+nothing live crosses a process boundary) from a factory named on its
+command line as ``module:function`` — importable by name in the child,
+which is why these live in the package rather than in a test or
+benchmark file.  The contract is that of :mod:`repro.netd.worlds`: each
+factory takes the node's :class:`~repro.netd.worlds.NodeContext` first
+(``ctx.shard`` / ``ctx.shards`` say which partition it serves), extra
+arguments arrive as strings (``--world-arg``), and it returns an object
+with a ``services`` mapping and optional ``handlers``.
 
 :class:`ShardScaleWorld` is the sharded twin of the single-process
 ``ScaleWorld`` in ``benchmarks/workloads.py`` — same two services, same
@@ -27,7 +29,7 @@ from ..core import (ActivationRule, AuthorizationRule, PrerequisiteRole,
                     ServiceId, ServicePolicy, Var)
 from ..core.access_log import AccessLog
 from ..db import Database
-from .worker import ShardContext
+from ..netd.worlds import NodeContext
 
 __all__ = [
     "scale_policies",
@@ -82,7 +84,7 @@ class ShardScaleWorld:
 
     CHUNK = 50_000
 
-    def __init__(self, ctx: ShardContext,
+    def __init__(self, ctx: NodeContext,
                  access_log_capacity: Optional[int] = 10_000) -> None:
         self.ctx = ctx
         policies = scale_policies()
@@ -230,7 +232,7 @@ class ShardScaleWorld:
         }
 
 
-def scale_world_factory(ctx: ShardContext) -> ShardScaleWorld:
+def scale_world_factory(ctx: NodeContext) -> ShardScaleWorld:
     return ShardScaleWorld(ctx)
 
 
@@ -241,7 +243,7 @@ class GraphShardWorld:
     dependency edges are laid down by the tests through the router's
     trusted bulk-issue path."""
 
-    def __init__(self, ctx: ShardContext, names: List[str]) -> None:
+    def __init__(self, ctx: NodeContext, names: List[str]) -> None:
         self.ctx = ctx
         self.services = {}
         for name in names:
@@ -258,6 +260,6 @@ class GraphShardWorld:
         self.handlers: Dict[str, Any] = {}
 
 
-def graph_world_factory(ctx: ShardContext,
-                        names: List[str]) -> GraphShardWorld:
-    return GraphShardWorld(ctx, names)
+def graph_world_factory(ctx: NodeContext, names: str) -> GraphShardWorld:
+    """``names``: the service names, comma-joined (one ``--world-arg``)."""
+    return GraphShardWorld(ctx, names.split(","))

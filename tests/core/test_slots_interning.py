@@ -159,9 +159,9 @@ def _cross_process_probe(conn):
 
 
 class TestCrossProcessRoundTrips:
-    """Sharded workers exchange certificates and refs over
-    ``multiprocessing`` pipes; interned identifiers must re-intern on
-    arrival in a process that never constructed them before."""
+    """Pickled certificates and refs (the ``__reduce__`` paths) must
+    re-intern on arrival in a process that never constructed them
+    before; a ``multiprocessing`` pipe to a spawned child is the probe."""
 
     def test_pipe_round_trip_reinterns_in_spawned_child(self, svc):
         secret = ServiceSecret.generate()

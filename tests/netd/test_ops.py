@@ -1,12 +1,14 @@
 """Op-surface parity: the shared ops of :mod:`repro.netd.ops` answer the
-same through an ``OasisServer`` over loopback and through
-``ShardWorker.dispatch`` in-process.
+same through an ``OasisServer`` and through a ``ShardWorker`` (the
+``--shard 0/1`` server), both over loopback.
 
 One table drives both hosts.  Each case is a script over a
 ``call(op, **fields) -> reply envelope`` function, so it can chain ops
 (``invoke`` needs what ``activate`` returned); both hosts run the same
 policy on the same frozen clock, so everything but the signing secret
-is deterministic and the replies must be equal.
+is deterministic and the replies must be equal — key for key: a worker
+adds its ``outbox`` only to the reply of an op that queued one.  The
+four shard-only ops have no twin; their reply shapes are pinned below.
 """
 
 import dataclasses
@@ -18,17 +20,18 @@ from repro.core import wire
 from repro.core.access_log import AccessKind
 from repro.core.rules import AppointmentRule, PrerequisiteRole
 from repro.core.service import ServiceRegistry
-from repro.core.state import ref_payload
+from repro.core.state import ref_from_payload, ref_payload
 from repro.core.terms import Var
 from repro.core.types import RoleName, RoleTemplate
 from repro.db import PATH_ENV, configured_backend, configured_path
 from repro.events import EventBroker
 from repro.netd.client import RemoteNetwork
 from repro.netd.ops import activation_payload, presentation_payload
-from repro.netd.protocol import FrameDecoder, encode_frame
+from repro.netd.protocol import MAX_FRAME, FrameDecoder, encode_frame
 from repro.netd.server import OasisServer
 from repro.netd.worlds import NodeContext, bench_world
-from repro.shard.worker import ShardWorker
+from repro.shard import (CrossShardBus, ShardBroker, ShardedRefAllocator,
+                         ShardWorker)
 
 
 def parity_world(ctx):
@@ -40,40 +43,60 @@ def parity_world(ctx):
     service.policy.add_appointment_rule(AppointmentRule(
         "badge", (Var("b"),), (PrerequisiteRole(user),)))
     world.handlers["double"] = lambda payload: {"doubled": payload["n"] * 2}
+
+    def revoke_then_fail(payload):
+        service.revoke(ref_from_payload(payload), "half done")
+        raise RuntimeError("after the revoke")
+
+    world.handlers["revoke_then_fail"] = revoke_then_fail
     return world
 
 
-@pytest.fixture
-def hosts(tmp_path, monkeypatch):
-    """``{"server": call, "worker": call}`` over fresh twin hosts."""
-    broker, network = EventBroker(), RemoteNetwork("twin")
+def _host(server_cls, broker, max_frame=MAX_FRAME, **shard):
+    """One started twin and a ``call`` over a raw loopback socket."""
+    network = RemoteNetwork("twin")
     world = parity_world(NodeContext("twin", broker, ServiceRegistry(),
-                                     network, clock=lambda: 0.0))
-    server = OasisServer("twin", world.services, broker=broker,
-                         network=network, handlers=world.handlers)
+                                     network, clock=lambda: 0.0, **shard))
+    server = server_cls("twin", world.services, broker=broker,
+                        network=network, handlers=world.handlers,
+                        max_frame=max_frame)
     server.start()
-    with monkeypatch.context() as env:
-        # Shard workers refuse sqlite without a durable templated path.
-        if configured_backend() == "sqlite" and configured_path() is None:
-            env.setenv(PATH_ENV, str(tmp_path / "store-{shard}.sqlite"))
-        worker = ShardWorker(0, 1, parity_world)
     sock = socket.create_connection(("127.0.0.1", server.port), timeout=10)
     decoder = FrameDecoder()
 
-    def served(op, **fields):
+    def call(op, **fields):
         sock.sendall(encode_frame(dict(fields, id=1, op=op)))
         frames = []
         while not frames:
             frames = decoder.feed(sock.recv(65536))
         return frames[0]
 
-    def sharded(op, **fields):
-        return worker.dispatch(dict(fields, op=op))
+    def close():
+        sock.close()
+        server.close()
+        network.close()
 
+    return call, close
+
+
+def _worker(tmp_path, monkeypatch, shards, **options):
+    """Shard 0 of ``shards``, hosted like ``serve_node`` hosts it."""
+    with monkeypatch.context() as env:
+        # Shard workers refuse sqlite without a durable templated path.
+        if configured_backend() == "sqlite" and configured_path() is None:
+            env.setenv(PATH_ENV, str(tmp_path / "store-{shard}.sqlite"))
+        return _host(ShardWorker, ShardBroker(CrossShardBus(0, shards)),
+                     shard=0, shards=shards, **options)
+
+
+@pytest.fixture
+def hosts(tmp_path, monkeypatch):
+    """``{"server": call, "worker": call}`` over fresh twin hosts."""
+    served, close_server = _host(OasisServer, EventBroker())
+    sharded, close_worker = _worker(tmp_path, monkeypatch, 1)
     yield {"server": served, "worker": sharded}
-    sock.close()
-    server.close()
-    network.close()
+    close_worker()
+    close_server()
 
 
 def _value(reply):
@@ -214,3 +237,120 @@ def test_errors_are_typed_the_same_on_both_hosts(hosts, message):
         assert all(isinstance(part, str)
                    for part in reply["error"].values())
     assert replies[0]["error"]["type"] == replies[1]["error"]["type"]
+
+
+# -- the shard-only ops (no twin: reply shapes pinned) -----------------------
+
+@pytest.fixture
+def lone_worker(tmp_path, monkeypatch):
+    """``call`` into shard 0 of 2, on its own."""
+    call, close = _worker(tmp_path, monkeypatch, 2)
+    yield call
+    close()
+
+
+def test_shard_only_ops_and_the_outbox_that_rides_their_replies(
+        lone_worker):
+    """Whatever the worker queues for shard 1 shows in the reply of the
+    op that queued it, and in no other."""
+    call = lone_worker
+    service_id = wire.decode_certificate(
+        _activate(call, "probe")["cert"]).ref.service
+    foreign = ShardedRefAllocator(service_id, 1, 2).next()
+
+    issued = _value(call("issue_bulk", service="svc", entries=[{
+        "principal": "alice", "role": "user", "parameters": ["alice"],
+        "dependencies": [ref_payload(foreign)], "session": "s1"}]))
+    assert set(issued) == {"certs", "outbox"}
+    assert issued["outbox"] == [
+        {"kind": "link", "to": 1, "links": [[foreign.qualified, 0]]}]
+    (payload,) = issued["certs"]
+    ref = wire.decode_certificate(payload).ref
+    assert ShardedRefAllocator(service_id, 0, 2).owns_serial(ref.serial)
+
+    assert _value(call("bus.link", links=[[ref.qualified, 1]])) == \
+        {"registered": 1}
+    assert _value(call("live_count")) == {"counts": {"svc": 2}}
+    assert _value(call("is_active", ref=ref_payload(ref))) == \
+        {"active": True}
+
+    revoked = _value(call("revoke", ref=ref_payload(ref), reason="done"))
+    assert set(revoked) == {"revoked", "outbox"}
+    (batch,) = revoked["outbox"]
+    assert batch["kind"] == "cascade" and batch["to"] == 1
+    (event,) = batch["events"]
+    assert ["credential_ref", ref.qualified] in event["attributes"]
+    # Taken with the reply: the next one has nothing to carry.
+    assert _value(call("revoke", ref=ref_payload(ref))) == \
+        {"revoked": False}
+
+    assert set(_value(call("bus.cascade", events=batch["events"]))) == \
+        {"delivered"}
+
+    stats = _value(call("stats"))
+    assert "outbox" not in stats
+    assert stats["shard"] == 0 and stats["revocations"] == 1
+    assert stats["live_credentials"] == 1
+    assert stats["events_published"] >= 1
+    assert stats["bus"]["batches_sent"] == 1
+    assert stats["bus"]["batches_received"] == 1
+    assert stats["bus"]["links_registered"] == 1
+
+
+def test_a_refused_op_leaves_its_forwards_for_the_next_reply(lone_worker):
+    call = lone_worker
+    ref = _ref(_activate(call))
+    call("bus.link", links=[[ref_from_payload(ref).qualified, 1]])
+    refused = call("handler", name="revoke_then_fail", payload=ref)
+    assert refused["ok"] is False
+    assert set(refused) == {"id", "ok", "error"}
+    assert refused["error"]["type"] == "RuntimeError"
+    collected = _value(call("bus.link", links=[]))
+    assert collected["registered"] == 0
+    (batch,) = collected["outbox"]
+    assert batch["kind"] == "cascade" and batch["to"] == 1
+
+
+def test_an_outbox_larger_than_a_frame_is_split_never_dropped(
+        tmp_path, monkeypatch):
+    """One cascade batch of 41 linked events (~6 KB) against a 2 KiB
+    frame: the reply to ``revoke`` carries what fits and says ``more``,
+    empty ``bus.link`` calls fetch the rest, every event arrives once."""
+    call, close = _worker(tmp_path, monkeypatch, 2, max_frame=2048)
+    try:
+        def issue(names, dependencies):
+            value = _value(call("issue_bulk", service="svc", entries=[{
+                "principal": name, "role": "user", "parameters": [name],
+                "session": f"s-{name}", "dependencies": dependencies}
+                for name in names]))
+            return [wire.decode_certificate(payload).ref
+                    for payload in value["certs"]]
+
+        (root,) = refs = issue(["root"], [])
+        for index in range(0, 40, 4):  # four certificates fit a reply
+            refs += issue([f"u{n}" for n in range(index, index + 4)],
+                          [ref_payload(root)])
+        for ref in refs:
+            assert _value(call("bus.link", links=[[ref.qualified, 1]])) \
+                == {"registered": 1}
+
+        reply = _value(call("revoke", ref=ref_payload(root), reason="r"))
+        assert reply["revoked"] is True and reply["more"] is True
+        pieces = list(reply["outbox"])
+        fetches = 0
+        while reply.get("more"):
+            reply = _value(call("bus.link", links=[]))
+            assert reply["outbox"], "a fetch that brings nothing"
+            pieces += reply["outbox"]
+            fetches += 1
+        assert fetches >= 2
+        assert all(piece["kind"] == "cascade" and piece["to"] == 1
+                   for piece in pieces)
+        forwarded = [dict(map(tuple, event["attributes"]))["credential_ref"]
+                     for piece in pieces for event in piece["events"]]
+        assert sorted(forwarded) == sorted(ref.qualified for ref in refs)
+        # Nothing left behind, and the ``bus`` counters saw ONE batch.
+        assert _value(call("bus.link", links=[])) == {"registered": 0}
+        assert _value(call("stats"))["bus"]["batches_sent"] == 1
+    finally:
+        close()

@@ -199,6 +199,46 @@ def with_handlers(handlers):
     return factory
 
 
+class TestUnframableReply:
+    """A reply that cannot be framed is the op's failure: a typed error
+    on the same connection, not a dead connection thread."""
+
+    @pytest.mark.parametrize("handler, error_type", [
+        (lambda _payload: "x" * 5000, "FrameTooLarge"),
+        (lambda _payload: {1, 2, 3}, "TypeError"),
+    ], ids=["oversize", "not-json"])
+    def test_typed_error_and_the_connection_stays_usable(
+            self, handler, error_type):
+        node = Node("framing", with_handlers({"bad": handler}),
+                    max_frame=1024)
+        try:
+            client = node.client()
+            sock = client._sock
+            with pytest.raises(RpcError) as info:
+                client.handler("bad")
+            assert info.value.error_type == error_type
+            assert client.ping()["node"] == "framing"
+            assert client._sock is sock  # it never had to reconnect
+            assert client.stats()["connections"] == 1
+            client.close()
+        finally:
+            node.close()
+
+    def test_error_reply_quoting_a_frame_sized_key_is_cut_to_fit(self):
+        node = Node("framing", bench_world, max_frame=1024)
+        try:
+            client = node.client()
+            sock = client._sock
+            with pytest.raises(RpcError) as info:
+                client.call("sessions", service="\U0001f511" * 80)
+            assert info.value.error_type == "KeyError"
+            assert client.ping()["node"] == "framing"
+            assert client._sock is sock
+            client.close()
+        finally:
+            node.close()
+
+
 class TestConcurrency:
     """Connection threads share ONE service lock: hosted state is never
     entered twice at once, and only state-touching ops wait for it."""

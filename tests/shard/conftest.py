@@ -44,6 +44,14 @@ def sharded_store_env(tmp_path):
 
 
 @pytest.fixture
+def worlds_on_path(monkeypatch):
+    """Workers can import ``shard_worlds`` (they inherit the env)."""
+    here = os.path.dirname(os.path.abspath(__file__))
+    monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+        part for part in (here, os.environ.get("PYTHONPATH")) if part))
+
+
+@pytest.fixture
 def sharded_store_path(tmp_path, monkeypatch):
     """Whole-test flavour for tests that only ever run sharded."""
     if _needs_template():

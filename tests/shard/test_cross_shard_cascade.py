@@ -50,7 +50,8 @@ def revocation_counts(router, names):
 
 @pytest.fixture
 def router(sharded_store_path):
-    with ShardRouter(2, graph_world_factory, (DIAMOND,)) as instance:
+    with ShardRouter(2, graph_world_factory,
+                     (",".join(DIAMOND),)) as instance:
         yield instance
 
 
@@ -111,7 +112,7 @@ class TestDeepCrossShardTrace:
 
     def test_depth16_chain_stitches_into_one_trace_tree(
             self, sharded_store_path):
-        with ShardRouter(2, graph_world_factory, (["chain"],),
+        with ShardRouter(2, graph_world_factory, ("chain",),
                          observed=True) as router:
             chain = []
             for index in range(self.DEPTH + 1):
@@ -156,7 +157,7 @@ class TestDeepCrossShardTrace:
 class TestMergedMetrics:
     def test_shard_families_merge_at_coordinator(self, sharded_store_path):
         pipeline = Observability()
-        with ShardRouter(2, graph_world_factory, (DIAMOND,),
+        with ShardRouter(2, graph_world_factory, (",".join(DIAMOND),),
                          pipeline=pipeline) as router:
             a, *_rest = build_diamond(router)
             router.revoke(a.ref, "logout")

@@ -14,13 +14,14 @@ design, so serials are normalised out of subjects and reasons).
 
 import re
 
-from repro.core import (ActivationRule, AuthorizationRule, OasisService,
-                        Presentation, PrerequisiteRole, PrincipalId, Role,
+from repro.core import (ActivationRule, AuthorizationRule, OasisError,
+                        OasisService, Presentation, PrerequisiteRole,
+                        PrincipalId, Role,
                         RoleName, RoleTemplate, ServiceId, ServicePolicy,
                         ServiceRegistry, Var)
 from repro.core.access_log import AccessLog
 from repro.events import EventBroker
-from repro.shard import ShardRequestError, ShardRouter
+from repro.shard import ShardRouter
 from repro.shard.worlds import graph_world_factory, scale_world_factory
 
 NAMES = ["A", "B", "C", "D"]
@@ -99,7 +100,8 @@ def run_single_process():
 # -- the sharded run (diamond split across the boundary) --------------------
 def run_sharded(shards=2):
     pins = {"A": 0, "B": 1, "C": 1, "D": 0}
-    with ShardRouter(shards, graph_world_factory, (NAMES,)) as router:
+    with ShardRouter(shards, graph_world_factory,
+                     (",".join(NAMES),)) as router:
         def issue(name, deps, session, shard):
             (certificate,) = router.issue_rmcs_bulk(
                 name, [("alice", "role", ["alice"], deps, session)],
@@ -126,8 +128,8 @@ def run_sharded(shards=2):
         try:
             router.invoke("D", "alice", "ping", ["alice"], credentials=[d])
             denial = None
-        except ShardRequestError as error:
-            denial = error.error_type
+        except OasisError as error:
+            denial = type(error).__name__
 
         audit = {}
         for name in NAMES:
