@@ -81,14 +81,6 @@ PERSIST_ACTIVATION_OVERHEAD_CRITERION = 1.25
 SHARD_SCALING_CRITERION = 2.5
 #: Worker counts the sharded tier measures by default.
 SHARD_WORKER_COUNTS = (1, 2, 4)
-#: Socket transport (repro.netd): activate RPCs per second a single
-#: blocking client connection must sustain against a served node over
-#: loopback TCP.  Each op is a full frame round trip (request encode,
-#: 4-byte-prefixed JSON both ways, dispatch through the server's worker
-#: slot, certificate decode) — the bar is set well below a healthy run
-#: (~5-10k/s locally) but high enough to catch an accidental sync point
-#: or per-RPC reconnect.
-RPC_ACTIVATE_THROUGHPUT_CRITERION = 1000.0
 
 
 def _percentile(sorted_values: List[float], q: float) -> float:
@@ -835,93 +827,6 @@ def bench_persistence(results: Dict[str, dict], *, quick: bool
     }
 
 
-def bench_rpc(results: Dict[str, dict], *, quick: bool) -> Dict[str, object]:
-    """Socket transport tier (repro.netd): RPC cost over real TCP.
-
-    A served node (the minimal ``bench_world``: one free role, one
-    guarded method) runs in-process on its own threads; a single blocking
-    ``OasisClient`` connection drives it over loopback TCP, so every op
-    pays the full wire cost — frame encode/decode both ways, dispatch
-    through the server's one service lock, certificate payload
-    round-trip — without subprocess noise.
-
-    * ``rpc_ping_roundtrip`` — the transport floor: one empty frame
-      round trip (informational).
-    * ``rpc_activate_throughput`` — activate RPCs on one connection,
-      distinct principal per op; each response carries a signed RMC.
-      Criterion: >= 1000 ops/s.
-    * ``rpc_revoke_latency`` — revoke a freshly activated credential
-      (activation in the untimed setup), including the cascade commit
-      and the event pump pass.
-    """
-    from repro.core.service import ServiceRegistry
-    from repro.events import EventBroker
-    from repro.netd.client import OasisClient, RemoteNetwork
-    from repro.netd.server import OasisServer
-    from repro.netd.worlds import NodeContext, bench_world
-
-    broker = EventBroker()
-    network = RemoteNetwork("bench")
-    ctx = NodeContext("bench", broker, ServiceRegistry(), network)
-    world = bench_world(ctx)
-    server = OasisServer("bench", world.services, broker=broker,
-                         network=network, handlers=world.handlers).start()
-    client = OasisClient("127.0.0.1", server.port, peer="bench").connect()
-    try:
-        rounds, inner = (3, 100) if quick else (8, 300)
-        client.ping()  # warm the connection
-        results["rpc_ping_roundtrip"] = dict(
-            description=("one ping frame round trip over loopback TCP — "
-                         "the transport floor under the rpc_* workloads"),
-            **measure(client.ping, rounds=rounds, inner=inner))
-
-        counter = [0]
-
-        def activate() -> None:
-            counter[0] += 1
-            client.activate("svc", f"rpc-user-{counter[0]}", "user",
-                            [f"rpc-user-{counter[0]}"])
-
-        results["rpc_activate_throughput"] = dict(
-            description=("activate RPCs over a single blocking client "
-                         "connection, distinct principal per op; each "
-                         "response carries a signed RMC payload"),
-            **measure(activate, rounds=rounds, inner=inner))
-
-        def revoke_setup():
-            counter[0] += 1
-            return client.activate("svc", f"rpc-user-{counter[0]}",
-                                   "user", [f"rpc-user-{counter[0]}"])
-
-        def revoke(rmc) -> None:
-            client.revoke(rmc.ref, "bench")
-
-        # inner=1: revocation is destructive, so every sample activates a
-        # fresh credential in the untimed setup hook.
-        results["rpc_revoke_latency"] = dict(
-            description=("revoke a freshly activated credential over the "
-                         "socket (activation untimed), including the "
-                         "cascade commit and event pump pass"),
-            **measure(revoke, rounds=30 if quick else 200, inner=1,
-                      setup=revoke_setup))
-    finally:
-        client.close()
-        server.close()
-        network.close()
-
-    activate_ops = results["rpc_activate_throughput"]["ops_per_sec"]
-    return {
-        "workload": "rpc_activate_throughput",
-        "ops_per_sec": activate_ops,
-        "ping_roundtrip_ops_per_sec":
-            results["rpc_ping_roundtrip"]["ops_per_sec"],
-        "criterion": (f">= {RPC_ACTIVATE_THROUGHPUT_CRITERION:.0f} "
-                      f"activate RPCs/s over one connection"),
-        "criterion_met":
-            activate_ops >= RPC_ACTIVATE_THROUGHPUT_CRITERION,
-    }
-
-
 def bench_verify_universe(results: Dict[str, dict], *, quick: bool) -> None:
     """Whole-universe symbolic verification over the largest scenario set.
 
@@ -936,8 +841,7 @@ def bench_verify_universe(results: Dict[str, dict], *, quick: bool) -> None:
         AuthorizationRule, PrerequisiteRole, RoleTemplate, ServicePolicy,
         Var)
     from repro.domains import Deployment, ServiceLevelAgreement, SlaTerm
-    from repro.lang.analysis import PolicyUniverse
-    from repro.lang.passes import LintContext
+    from repro.lang import PolicyUniverse
     from repro.lang.verify import verify_universe
     from repro.scenarios.healthcare import (build_hospital,
                                             build_national_ehr)
@@ -973,21 +877,21 @@ def bench_verify_universe(results: Dict[str, dict], *, quick: bool) -> None:
                                       (Var("d"), Var("h")),
                                       membership=True))]).install(lab)
 
-    context = LintContext(universe=PolicyUniverse(
-        service.policy for service in deployment.registry.all_services()))
-    report = verify_universe(context)  # warm + capture counters
+    universe = PolicyUniverse(
+        service.policy for service in deployment.registry.all_services())
+    report = verify_universe(universe)  # warm + capture counters
     rounds, inner = (3, 5) if quick else (5, 20)
     results["verify_universe"] = dict(
         description=("whole-universe verification (graph compilation + "
                      "default no-escalation/revocation-sound battery) "
                      "over the combined Sect. 5 scenario deployment"),
-        services=len(context.universe.services),
+        services=len(universe.services),
         atoms=len(report.graph.atoms),
         rule_edges=len(report.graph.edges),
         fixpoint_iterations=report.iterations,
         fixpoint_runs=report.fixpoint_runs,
         findings=len(report.diagnostics),
-        **measure(lambda: verify_universe(context),
+        **measure(lambda: verify_universe(universe),
                   rounds=rounds, inner=inner))
 
 
@@ -1011,7 +915,6 @@ def run(quick: bool = False, full: bool = False,
     shard_cmp = bench_shard_scaling(results, quick=quick, full=full,
                                     worker_counts=worker_counts)
     persist_cmp = bench_persistence(results, quick=quick)
-    rpc_cmp = bench_rpc(results, quick=quick)
     bench_verify_universe(results, quick=quick)
 
     # Every workload records how many workers produced it (1 unless the
@@ -1038,7 +941,6 @@ def run(quick: bool = False, full: bool = False,
             "scale_bulk_build": bulk_cmp,
             "shard_scaling": shard_cmp,
             "persistence_activation_overhead": persist_cmp,
-            "rpc_transport": rpc_cmp,
         },
     }
 
@@ -1104,9 +1006,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     persist = comparisons["persistence_activation_overhead"]
     print(f"  sqlite activation cost ratio:     "
           f"{persist['cost_ratio']}x {verdict(persist)}")
-    rpc = comparisons["rpc_transport"]
-    print(f"  rpc activate throughput:          "
-          f"{rpc['ops_per_sec']:,.0f} ops/s {verdict(rpc)}")
     return 0
 
 

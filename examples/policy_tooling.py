@@ -23,6 +23,7 @@ from repro.core import (
 )
 from repro.domains import Deployment
 from repro.lang import PolicyUniverse, load_policies, parse_policy
+from repro.lang.verify import build_graph, run_fixpoint
 
 POLICY_DIR = os.path.join(os.path.dirname(__file__), "policies")
 # buggy_clinic.oasis also lives in that directory, but it is the linter's
@@ -38,18 +39,20 @@ def main() -> None:
                                        allow_unresolved=True)
     print(f"loaded {len(policies)} service policies from {POLICY_DIR}")
 
+    # 2. One rule graph, one fixpoint: every analysis reads these.
+    graph = build_graph(universe)
     print("\nrole dependency graph:")
-    for prereq, dependent in universe.role_dependency_graph():
+    for prereq, dependent in graph.role_edges():
         print(f"  {prereq} -> {dependent}")
 
-    reachable = universe.reachable_roles()
+    closure = run_fixpoint(graph)
     print("\nreachability:")
     for role in universe.all_roles():
-        marker = "ok " if role in reachable else "UNREACHABLE"
+        marker = "ok " if closure.role_reachable(role) else "UNREACHABLE"
         print(f"  {marker} {role}")
 
     print("\nlint findings:")
-    findings = universe.lint()
+    findings = universe.diagnose()
     for finding in findings:
         print(f"  {finding}")
     if not findings:
@@ -66,7 +69,7 @@ def main() -> None:
     flawed_universe = PolicyUniverse(
         list(policies.values()) + [flawed])
     print("\nlint on a flawed satellite policy:")
-    for finding in flawed_universe.lint():
+    for finding in flawed_universe.diagnose():
         if "reporting" in finding.subject or "auditor" in finding.subject:
             print(f"  {finding}")
     print("  -> the logged_in_user condition is passive (no *): logging "

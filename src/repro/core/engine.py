@@ -301,7 +301,7 @@ class RuleEngine:
 
         Each item is ``(match, role)``; ``role`` is None when the body is
         satisfiable but leaves head parameters unbound.  Used by the model
-        checker (:mod:`repro.lang.model_check`) to enumerate all ground
+        checker (:mod:`repro.lang.verify.ground`) to enumerate all ground
         roles a credential endowment can reach, and by
         :meth:`match_activation` which takes the first ground solution.
         """

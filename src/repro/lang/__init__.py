@@ -3,6 +3,13 @@
 ``parse_policy(text, registry)`` turns policy text into an executable
 :class:`~repro.core.policy.ServicePolicy`; ``format_document`` renders
 parsed policy back to canonical text.
+
+Analysis is one stack: a :class:`PolicyUniverse` (:mod:`.universe`) holds
+the policies under review, :mod:`.verify` compiles it into one rule graph
+and runs one least fixpoint over it, and the lint passes (:mod:`.passes`),
+``cli reach`` / ``graph`` and the property checker all read that result —
+every finding is a :class:`Diagnostic`.  :class:`GroundReachability` asks
+the different, exact, per-principal question of the same universe.
 """
 
 from .ast import (
@@ -30,7 +37,7 @@ from .diagnostics import (
     render_sarif,
     render_text,
 )
-from .analysis import Finding, PolicyUniverse
+from .universe import PolicyUniverse
 from .loader import (
     PolicyUnit,
     discover_policy_files,
@@ -39,17 +46,15 @@ from .loader import (
     load_unit,
     load_units,
 )
-from .passes import LintContext, run_passes
-from .model_check import Endowment, GroundReachability, ReachabilityResult
+from .passes import run_passes
+from .verify.ground import Endowment, GroundReachability, ReachabilityResult
 
 __all__ = [
     "CODES",
     "CodeInfo",
     "Diagnostic",
     "Endowment",
-    "Finding",
     "GroundReachability",
-    "LintContext",
     "PolicyUniverse",
     "PolicyUnit",
     "ReachabilityResult",

@@ -19,12 +19,15 @@ Commands:
 Exit status convention (lint/verify): 0 clean, 1 findings, 2 usage or
 internal error.
 * ``check <paths...>`` — parse, compile and validate every policy file,
-  then lint.  Exit status 1 when any error-severity finding (or a parse
-  failure) occurs; ``--strict`` extends that to warnings.
+  then run the lint passes, one ``severity[slug] subject: message`` line
+  per diagnostic.  Exit status 1 when any error-severity finding (or a
+  parse failure) occurs; ``--strict`` extends that to warnings.
 * ``format <file>`` — print the canonical pretty-printed form (useful for
   normalising policies before review/diff).
-* ``graph <paths...>`` — print the cross-service role dependency edges.
-* ``reach <paths...>`` — print reachable and unreachable roles.
+* ``graph <paths...>`` — print the cross-service role dependency edges
+  of the verifier's rule graph.
+* ``reach <paths...>`` — print reachable and unreachable roles, from the
+  same closure OAS004 and ``verify`` read.
 * ``trace`` / ``metrics`` — observability demos (``repro.obs``): run a
   Fig. 5 revocation cascade under the tracing pipeline and print the
   causal trace tree / exported metric families.  Also reachable as
@@ -38,7 +41,6 @@ import sys
 from typing import List, Optional
 
 from ..core.exceptions import PolicyError
-from .analysis import PolicyUniverse
 from .diagnostics import (
     Diagnostic,
     filter_diagnostics,
@@ -49,8 +51,10 @@ from .diagnostics import (
 )
 from .loader import discover_policy_files, load_policies, load_unit
 from .parser import ParseError, parse_document
-from .passes import LintContext, run_passes
+from .passes import run_passes
 from .printer import format_document
+from .universe import PolicyUniverse
+from .verify import PropertyError, build_graph, run_fixpoint, verify_universe
 
 __all__ = ["main"]
 
@@ -101,15 +105,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
         except PolicyError as error:
             print(f"error: {service}: {error}", file=sys.stderr)
             status = 1
-    findings = universe.lint()
-    for finding in findings:
-        stream = sys.stderr if finding.severity == "error" else sys.stdout
-        print(str(finding), file=stream)
-        if finding.severity == "error":
+    diagnostics = universe.diagnose()
+    for d in diagnostics:
+        stream = sys.stderr if d.severity == "error" else sys.stdout
+        print(f"{d.severity}[{d.name}] {d.subject}: {d.message}",
+              file=stream)
+        if d.severity == "error":
             status = 1
-        elif finding.severity == "warning" and args.strict:
+        elif d.severity == "warning" and args.strict:
             status = 1
-    if not findings:
+    if not diagnostics:
         print("lint: clean")
     return status
 
@@ -157,12 +162,12 @@ def _load_lint_units(paths: List[str]):
     return files, units, diagnostics
 
 
-def _report(diagnostics: List[Diagnostic], context: LintContext,
+def _report(diagnostics: List[Diagnostic], universe: PolicyUniverse,
             args: argparse.Namespace, clean_message: str,
             tool_name: str) -> int:
     """Filter, render and turn diagnostics into an exit status."""
     try:
-        diagnostics = filter_diagnostics(diagnostics, context.sources,
+        diagnostics = filter_diagnostics(diagnostics, universe.sources,
                                          select=args.select,
                                          ignore=args.ignore)
     except ValueError as error:
@@ -174,7 +179,7 @@ def _report(diagnostics: List[Diagnostic], context: LintContext,
     elif args.format == "sarif":
         print(render_sarif(diagnostics, tool_name=tool_name))
     else:
-        report = render_text(diagnostics, context.sources)
+        report = render_text(diagnostics, universe.sources)
         if report:
             print(report)
         else:
@@ -193,25 +198,23 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         files, units, diagnostics = _load_lint_units(args.paths)
     except _UsageError:
         return 2
-    context = LintContext.from_units(units)
-    diagnostics.extend(run_passes(context))
-    return _report(diagnostics, context, args,
+    universe = PolicyUniverse.from_units(units)
+    diagnostics.extend(run_passes(universe))
+    return _report(diagnostics, universe, args,
                    f"lint: clean ({len(files)} file(s), "
-                   f"{len(context.files)} service(s))",
+                   f"{len(universe.files)} service(s))",
                    tool_name="oasis-policy-lint")
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    from .verify import PropertyError, verify_universe
-
     try:
         files, units, diagnostics = _load_lint_units(args.paths)
     except _UsageError:
         return 2
-    context = LintContext.from_units(units)
+    universe = PolicyUniverse.from_units(units)
     try:
         report = verify_universe(
-            context, args.property or (),
+            universe, args.property or (),
             assume_revoked=args.assume_revoked or (),
             max_delegation_depth=args.max_delegation_depth)
     except PropertyError as error:
@@ -225,7 +228,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
              f"{len(report.graph.atoms)} atoms, "
              f"{len(report.graph.edges)} rules, "
              f"{report.iterations} fixpoint iterations)")
-    return _report(diagnostics, context, args, clean,
+    return _report(diagnostics, universe, args, clean,
                    tool_name="oasis-policy-verify")
 
 
@@ -260,17 +263,17 @@ def _cmd_format(args: argparse.Namespace) -> int:
 
 
 def _cmd_graph(args: argparse.Namespace) -> int:
-    universe = _load(args.paths)
-    for prereq, dependent in universe.role_dependency_graph():
+    for prereq, dependent in build_graph(_load(args.paths)).role_edges():
         print(f"{prereq} -> {dependent}")
     return 0
 
 
 def _cmd_reach(args: argparse.Namespace) -> int:
     universe = _load(args.paths)
-    reachable = universe.reachable_roles()
+    closure = run_fixpoint(build_graph(universe))
     for role in universe.all_roles():
-        marker = "reachable  " if role in reachable else "UNREACHABLE"
+        marker = "reachable  " if closure.role_reachable(role) \
+            else "UNREACHABLE"
         print(f"{marker}  {role}")
     return 0
 

@@ -55,7 +55,7 @@ class UnresolvedConstraint(EnvironmentalConstraint):
     """Placeholder for a named constraint with no registered factory.
 
     Produced only when compiling with ``allow_unresolved=True`` — the mode
-    used by analysis tooling (:mod:`repro.lang.analysis`) that inspects
+    used by analysis tooling (:mod:`repro.lang.passes`) that inspects
     policy structure without executing it.  Evaluation fails closed.
     """
 

@@ -149,7 +149,8 @@ class Diagnostic:
 
     @property
     def name(self) -> str:
-        """The code's kebab-case slug (the legacy ``Finding.code``)."""
+        """The code's kebab-case slug, as ``check`` prints it and
+        ``--select`` / ``--ignore`` accept it."""
         return CODES[self.code].name
 
     @property

@@ -1,8 +1,9 @@
 """Loading policy files from disk into a :class:`PolicyUniverse`.
 
 Deployments keep one ``.oasis`` policy file per service; the loader
-parses, compiles and collects them so the analysis tooling (and the CLI in
-:mod:`repro.lang.cli`) can work on the whole system.
+parses, compiles and collects them, paths and text attached, so the
+analysis tooling (and the CLI in :mod:`repro.lang.cli`) can work on the
+whole system and point its findings at policy source.
 """
 
 from __future__ import annotations
@@ -15,10 +16,10 @@ from ..core.constraints import ConstraintRegistry
 from ..core.exceptions import PolicyError
 from ..core.policy import ServicePolicy
 from ..core.types import ServiceId
-from .analysis import PolicyUniverse
 from .ast import PolicyDocument
 from .compiler import compile_document
 from .parser import ParseError, parse_document
+from .universe import PolicyUniverse
 
 __all__ = ["POLICY_SUFFIX", "PolicyUnit", "load_policy_file",
            "load_policies", "load_unit", "load_units",
@@ -113,7 +114,12 @@ def load_policies(paths: Iterable[str],
                   registry: Optional[ConstraintRegistry] = None,
                   allow_unresolved: bool = False,
                   ) -> Tuple[Dict[ServiceId, ServicePolicy], PolicyUniverse]:
-    """Load many policy files; returns ``(policies, universe)``."""
+    """Load many policy files; returns ``(policies, universe)``.
+
+    The universe keeps each service's file and text
+    (:meth:`PolicyUniverse.from_units`), so its findings carry the same
+    file/line positions ``cli lint`` reports.
+    """
     units = load_units(paths, registry, allow_unresolved)
     policies = {unit.service: unit.policy for unit in units}
-    return policies, PolicyUniverse(policies.values())
+    return policies, PolicyUniverse.from_units(units)

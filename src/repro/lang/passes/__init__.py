@@ -1,6 +1,7 @@
 """Static-analysis passes over a policy universe.
 
-Each pass is a module exposing ``run(context) -> Iterator[Diagnostic]``.
+Each pass is a module exposing ``run(universe) -> Iterator[Diagnostic]``
+over the one :class:`~repro.lang.universe.PolicyUniverse` container.
 Passes operate on *compiled* rules (so they also work for policies built
 programmatically), but compiled rules carry the source spans the parser
 threaded through (:class:`~repro.core.rules.SourceSpan`), so findings on
@@ -25,85 +26,12 @@ The pass list, in reporting order:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Tuple
+from typing import List
 
-from ...core.policy import ServicePolicy
-from ...core.rules import (
-    ActivationRule,
-    AppointmentRule,
-    AuthorizationRule,
-)
-from ...core.types import RoleName, ServiceId
-from ..analysis import PolicyUniverse
 from ..diagnostics import Diagnostic
+from ..universe import PolicyUniverse
 
-__all__ = ["LintContext", "ALL_PASSES", "run_passes"]
-
-
-@dataclass
-class LintContext:
-    """Everything a pass may need: the universe plus source attribution.
-
-    ``files`` maps each analysed service to the path of the policy file
-    that defined it; ``sources`` maps paths to raw policy text.  Both are
-    empty for programmatically-built universes — passes must tolerate
-    missing files and ``None`` spans.
-    """
-
-    universe: PolicyUniverse
-    files: Mapping[ServiceId, str] = field(default_factory=dict)
-    sources: Mapping[str, str] = field(default_factory=dict)
-
-    @classmethod
-    def from_units(cls, units,
-                   universe: Optional[PolicyUniverse] = None
-                   ) -> "LintContext":
-        """Build a context from loader :class:`~repro.lang.loader.PolicyUnit`
-        records (the CLI path)."""
-        if universe is None:
-            universe = PolicyUniverse(unit.policy for unit in units)
-        return cls(universe=universe,
-                   files={unit.service: unit.path for unit in units},
-                   sources={unit.path: unit.text for unit in units})
-
-    def file_of(self, service: ServiceId) -> Optional[str]:
-        return self.files.get(service)
-
-    # -- rule iteration ------------------------------------------------------
-    def policies(self) -> Iterator[Tuple[ServiceId, ServicePolicy]]:
-        for service in self.universe.services:
-            yield service, self.universe.policy(service)
-
-    def activation_rules(self) -> Iterator[Tuple[ServiceId, RoleName,
-                                                 ActivationRule]]:
-        for service, policy in self.policies():
-            for name in policy.role_names:
-                for rule in policy.activation_rules_for(name):
-                    yield service, RoleName(service, name), rule
-
-    def authorization_rules(self) -> Iterator[Tuple[ServiceId, str,
-                                                    AuthorizationRule]]:
-        for service, policy in self.policies():
-            for method in policy.guarded_methods:
-                for rule in policy.authorization_rules_for(method):
-                    yield service, method, rule
-
-    def appointment_rules(self) -> Iterator[Tuple[ServiceId, str,
-                                                  AppointmentRule]]:
-        for service, policy in self.policies():
-            for name in policy.appointment_names:
-                for rule in policy.appointment_rules_for(name):
-                    yield service, name, rule
-
-    def all_rules(self) -> Iterator[Tuple[ServiceId, str, object]]:
-        """Every rule with a human-readable subject string."""
-        for service, target, rule in self.activation_rules():
-            yield service, str(target), rule
-        for service, method, rule in self.authorization_rules():
-            yield service, f"{service}:{method}()", rule
-        for service, name, rule in self.appointment_rules():
-            yield service, f"appointment {service}:{name}", rule
+__all__ = ["ALL_PASSES", "run_passes"]
 
 
 def _load_passes():
@@ -131,12 +59,12 @@ def _load_passes():
 ALL_PASSES = _load_passes()
 
 
-def run_passes(context: LintContext,
+def run_passes(universe: PolicyUniverse,
                passes=ALL_PASSES) -> List[Diagnostic]:
     """Run the passes and return findings sorted by severity, code and
     position.  Suppression pragmas and select/ignore filters are applied
     by the caller (:func:`repro.lang.diagnostics.filter_diagnostics`)."""
     diagnostics: List[Diagnostic] = []
     for run in passes:
-        diagnostics.extend(run(context))
+        diagnostics.extend(run(universe))
     return sorted(diagnostics, key=Diagnostic.sort_key)

@@ -16,13 +16,11 @@ that accretion are detectable statically:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, List, Sequence
+from typing import Iterator, List, Sequence
 
 from ...core.rules import Condition
 from ..diagnostics import Diagnostic
-
-if TYPE_CHECKING:
-    from . import LintContext
+from ..universe import PolicyUniverse
 
 __all__ = ["run"]
 
@@ -39,16 +37,16 @@ def _contains_all(superset: Sequence[Condition],
     return True
 
 
-def _grouped(context: "LintContext"):
+def _grouped(universe: PolicyUniverse):
     """Rules grouped per (service, head) with head-equality keys."""
     groups = {}
-    for service, target, rule in context.activation_rules():
+    for service, target, rule in universe.activation_rules():
         key = (service, "activation", str(target), rule.target)
         groups.setdefault(key, (str(target), []))[1].append(rule)
-    for service, method, rule in context.authorization_rules():
+    for service, method, rule in universe.authorization_rules():
         key = (service, "authorization", method, rule.parameters)
         groups.setdefault(key, (f"{service}:{method}()", []))[1].append(rule)
-    for service, name, rule in context.appointment_rules():
+    for service, name, rule in universe.appointment_rules():
         key = (service, "appointment", name, rule.parameters)
         groups.setdefault(
             key, (f"appointment {service}:{name}", []))[1].append(rule)
@@ -56,9 +54,9 @@ def _grouped(context: "LintContext"):
         yield service, subject, rules
 
 
-def run(context: "LintContext") -> Iterator[Diagnostic]:
-    for service, subject, rules in _grouped(context):
-        path = context.file_of(service)
+def run(universe: PolicyUniverse) -> Iterator[Diagnostic]:
+    for service, subject, rules in _grouped(universe):
+        path = universe.file_of(service)
         shadowed: List[int] = []
         for j, rule in enumerate(rules):
             for i, earlier in enumerate(rules[:j]):

@@ -12,7 +12,7 @@ unknown and is not reported.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from ...core.rules import (
     AppointmentCondition,
@@ -20,24 +20,13 @@ from ...core.rules import (
 )
 from ...core.terms import Var
 from ..diagnostics import Diagnostic
-
-if TYPE_CHECKING:
-    from . import LintContext
+from ..universe import PolicyUniverse
+from ..verify.graph import _type_name
 
 __all__ = ["run"]
 
 
-def _type_name(value: object) -> Optional[str]:
-    if isinstance(value, str):
-        return "string"
-    if isinstance(value, bool):
-        return "boolean"
-    if isinstance(value, (int, float)):
-        return "number"
-    return None
-
-
-def run(context: "LintContext") -> Iterator[Diagnostic]:
+def run(universe: PolicyUniverse) -> Iterator[Diagnostic]:
     # (kind, identity..., position) -> first-seen type and example
     observations: Dict[Tuple, Dict[str, Tuple[object, str]]] = {}
     diagnostics: List[Diagnostic] = []
@@ -77,16 +66,16 @@ def run(context: "LintContext") -> Iterator[Diagnostic]:
                         condition.parameters,
                         subject, path, condition.origin)
 
-    for service, target, rule in context.activation_rules():
-        path = context.file_of(service)
+    for service, target, rule in universe.activation_rules():
+        path = universe.file_of(service)
         observe(("role", target), str(target), rule.target.parameters,
                 str(target), path, rule.origin)
         observe_body(rule, str(target), path)
-    for service, method, rule in context.authorization_rules():
+    for service, method, rule in universe.authorization_rules():
         observe_body(rule, f"{service}:{method}()",
-                     context.file_of(service))
-    for service, name, rule in context.appointment_rules():
-        path = context.file_of(service)
+                     universe.file_of(service))
+    for service, name, rule in universe.appointment_rules():
+        path = universe.file_of(service)
         subject = f"appointment {service}:{name}"
         observe(("appointment", service, name), subject, rule.parameters,
                 subject, path, rule.origin)

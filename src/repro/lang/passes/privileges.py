@@ -10,36 +10,25 @@ surfacing.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator, Set
+from typing import Iterator, Set
 
 from ...core.rules import PrerequisiteRole
 from ...core.types import RoleName
 from ..diagnostics import Diagnostic
-
-if TYPE_CHECKING:
-    from . import LintContext
+from ..universe import PolicyUniverse
 
 __all__ = ["run"]
 
 
-def run(context: "LintContext") -> Iterator[Diagnostic]:
-    universe = context.universe
+def run(universe: PolicyUniverse) -> Iterator[Diagnostic]:
     gating: Set[RoleName] = {
-        prereq for prereq, _ in universe.role_dependency_graph()}
-    for service, policy in context.policies():
-        for method in policy.guarded_methods:
-            for rule in policy.authorization_rules_for(method):
-                for condition in rule.conditions:
-                    if isinstance(condition, PrerequisiteRole):
-                        gating.add(condition.template.role_name)
-        for name in policy.appointment_names:
-            for rule in policy.appointment_rules_for(name):
-                for condition in rule.conditions:
-                    if isinstance(condition, PrerequisiteRole):
-                        gating.add(condition.template.role_name)
+        condition.template.role_name
+        for _, _, rule in universe.all_rules()
+        for condition in rule.conditions
+        if isinstance(condition, PrerequisiteRole)}
 
     anchors = {}
-    for _, target, rule in context.activation_rules():
+    for _, target, rule in universe.activation_rules():
         anchors.setdefault(target, rule)
     for role in universe.all_roles():
         if role in gating:
@@ -48,5 +37,5 @@ def run(context: "LintContext") -> Iterator[Diagnostic]:
         yield Diagnostic(
             "OAS012",
             "role gates no method, appointment or other role",
-            subject=str(role), file=context.file_of(role.service),
+            subject=str(role), file=universe.file_of(role.service),
             span=rule.origin if rule is not None else None)

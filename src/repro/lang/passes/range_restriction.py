@@ -13,19 +13,17 @@ warning, not an error.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from ...core.rules import AppointmentCondition, PrerequisiteRole
 from ..diagnostics import Diagnostic
-
-if TYPE_CHECKING:
-    from . import LintContext
+from ..universe import PolicyUniverse
 
 __all__ = ["run"]
 
 
-def run(context: "LintContext") -> Iterator[Diagnostic]:
-    for service, target, rule in context.activation_rules():
+def run(universe: PolicyUniverse) -> Iterator[Diagnostic]:
+    for service, target, rule in universe.activation_rules():
         if not rule.conditions:
             continue        # initial-role idiom: parameters supplied at
             #                 activation time by design
@@ -42,5 +40,5 @@ def run(context: "LintContext") -> Iterator[Diagnostic]:
                 f"head variable(s) {names} are bound by no credential "
                 f"condition in the body; every activation request must "
                 f"supply them explicitly",
-                subject=str(target), file=context.file_of(service),
+                subject=str(target), file=universe.file_of(service),
                 span=rule.origin)

@@ -17,31 +17,25 @@ time by unification.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, Set, Tuple
+from typing import Dict, Iterator, Set, Tuple
 
 from ...core.rules import AppointmentCondition, PrerequisiteRole
-from ...core.types import RoleName, ServiceId
+from ...core.types import ServiceId
 from ..diagnostics import Diagnostic
-
-if TYPE_CHECKING:
-    from . import LintContext
+from ..universe import PolicyUniverse
 
 __all__ = ["run"]
 
 
-def run(context: "LintContext") -> Iterator[Diagnostic]:
-    universe = context.universe
+def run(universe: PolicyUniverse) -> Iterator[Diagnostic]:
     services = set(universe.services)
-    arities: Dict[RoleName, int] = {}
-    for service, policy in context.policies():
-        for name in policy.role_names:
-            arities[RoleName(service, name)] = policy.role_arity(name)
+    arities = universe.role_arities()
     issuable: Dict[Tuple[ServiceId, str], Set[int]] = {}
-    for issuer, name, arity in universe.appointments_defined():
-        issuable.setdefault((issuer, name), set()).add(arity)
+    for issuer, name, rule in universe.appointment_rules():
+        issuable.setdefault((issuer, name), set()).add(len(rule.parameters))
 
-    for service, subject, rule in context.all_rules():
-        path = context.file_of(service)
+    for service, subject, rule in universe.all_rules():
+        path = universe.file_of(service)
         for condition in rule.conditions:
             if isinstance(condition, PrerequisiteRole):
                 role = condition.template.role_name

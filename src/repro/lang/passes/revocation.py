@@ -19,7 +19,7 @@ dependency graph (Fig. 5).  Two things can silently break that cascade:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ...core.rules import (
     AppointmentCondition,
@@ -28,9 +28,7 @@ from ...core.rules import (
 )
 from ...core.types import RoleName
 from ..diagnostics import Diagnostic
-
-if TYPE_CHECKING:
-    from . import LintContext
+from ..universe import PolicyUniverse
 
 __all__ = ["run"]
 
@@ -42,7 +40,7 @@ def _describe(condition: Condition) -> str:
     return f"appointment {condition.issuer}:{condition.name}"
 
 
-def run(context: "LintContext") -> Iterator[Diagnostic]:
+def run(universe: PolicyUniverse) -> Iterator[Diagnostic]:
     # Per role: its passive credential conditions (description + the role
     # it names, when it names one), and the membership edges R -> S (S a
     # membership prerequisite of R).
@@ -50,8 +48,8 @@ def run(context: "LintContext") -> Iterator[Diagnostic]:
     membership_edges: Dict[RoleName,
                            List[Tuple[RoleName, PrerequisiteRole]]] = {}
 
-    for service, target, rule in context.activation_rules():
-        path = context.file_of(service)
+    for service, target, rule in universe.activation_rules():
+        path = universe.file_of(service)
         for condition in rule.conditions:
             if not isinstance(condition, (PrerequisiteRole,
                                           AppointmentCondition)):
@@ -99,7 +97,7 @@ def run(context: "LintContext") -> Iterator[Diagnostic]:
                     f"but {ancestor.name} holds {what} only passively — "
                     f"revoking it will not cascade to {start.name}",
                     subject=str(start),
-                    file=context.file_of(start.service),
+                    file=universe.file_of(start.service),
                     span=via.origin)
             for upstream, _ in membership_edges.get(ancestor, ()):
                 frontier.append((upstream, via))

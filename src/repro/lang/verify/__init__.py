@@ -9,6 +9,13 @@ OAS1xx diagnostics with minimal witness derivation trees (:mod:`.witness`,
 :mod:`.properties`).  Witnesses can be replayed against the live runtime
 (:mod:`.replay`), which is how the differential soundness tests pin the
 static analysis to the dynamic engine.
+
+:class:`PolicyGraph` is *the* compiled form of a
+:class:`~repro.lang.universe.PolicyUniverse` and :func:`run_fixpoint`
+*the* reachability algorithm: the OAS004/OAS005 lint pass and ``cli
+reach`` / ``graph`` read them too, so lint and verify cannot disagree.
+:mod:`.ground` asks the other question — exact, ground,
+constraint-evaluating reachability for one concrete endowment.
 """
 
 from .fixpoint import FlowResult, run_fixpoint

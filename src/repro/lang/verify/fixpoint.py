@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Optional, Set
 
+from ...core.types import RoleName
 from .graph import Atom, PolicyGraph, RuleEdge
 
 __all__ = ["FlowResult", "run_fixpoint"]
@@ -55,6 +56,11 @@ class FlowResult:
 
     def derivable(self, atom: Atom) -> bool:
         return atom in self.cost
+
+    def role_reachable(self, role: RoleName) -> bool:
+        """Whether ``role``, declared by an analysed service, is
+        derivable — what OAS004 and ``cli reach`` report."""
+        return self.graph.defined_roles[role] in self.cost
 
     def condition_holds(self, atom: Atom, membership: bool) -> bool:
         """Whether an edge condition on ``atom`` is satisfied in this

@@ -33,8 +33,8 @@ from ...core.rules import (
     SourceSpan,
 )
 from ...core.terms import Var
-from ...core.types import ServiceId
-from ..passes import LintContext
+from ...core.types import RoleName, ServiceId
+from ..universe import PolicyUniverse
 
 __all__ = ["Atom", "EdgeCondition", "RuleEdge", "PolicyGraph",
            "build_graph"]
@@ -128,6 +128,9 @@ class PolicyGraph:
     external: Set[Atom]
     signatures: Dict[Atom, Tuple[str, ...]]
     files: Mapping[ServiceId, str]
+    #: the atom of every role an analysed service declares (whether or
+    #: not any rule mentions it) — what "is role R reachable?" looks up.
+    defined_roles: Dict[RoleName, Atom]
 
     def privileges(self) -> List[Atom]:
         return sorted(a for a in self.atoms if a.kind == PRIVILEGE)
@@ -147,6 +150,57 @@ class PolicyGraph:
         types = self.signatures.get(atom, ("?",) * atom.arity)
         return f"{atom}({', '.join(types)})"
 
+    def role_edges(self) -> List[Tuple[RoleName, RoleName]]:
+        """The Fig. 1 role dependency graph: (prerequisite -> dependent)
+        over every activation rule, each edge once, sorted."""
+        edges = {(RoleName(c.atom.service, c.atom.name),
+                  RoleName(edge.target.service, edge.target.name))
+                 for edge in self.edges if edge.kind == "activation"
+                 for c in edge.conditions if c.atom.kind == ROLE}
+        return sorted(edges, key=lambda edge: (str(edge[0]), str(edge[1])))
+
+    def role_cycles(self) -> List[List[RoleName]]:
+        """Cross-service prerequisite cycles (Tarjan SCCs of size > 1,
+        plus self-loops) of :meth:`role_edges`."""
+        graph: Dict[RoleName, List[RoleName]] = {}
+        for prereq, dependent in self.role_edges():
+            graph.setdefault(prereq, []).append(dependent)
+            graph.setdefault(dependent, [])
+
+        index_counter = [0]
+        indices: Dict[RoleName, int] = {}
+        lowlinks: Dict[RoleName, int] = {}
+        on_stack: Set[RoleName] = set()
+        stack: List[RoleName] = []
+        cycles: List[List[RoleName]] = []
+
+        def strongconnect(node: RoleName) -> None:
+            indices[node] = lowlinks[node] = index_counter[0]
+            index_counter[0] += 1
+            stack.append(node)
+            on_stack.add(node)
+            for successor in graph[node]:
+                if successor not in indices:
+                    strongconnect(successor)
+                    lowlinks[node] = min(lowlinks[node], lowlinks[successor])
+                elif successor in on_stack:
+                    lowlinks[node] = min(lowlinks[node], indices[successor])
+            if lowlinks[node] == indices[node]:
+                component = []
+                while True:
+                    member = stack.pop()
+                    on_stack.discard(member)
+                    component.append(member)
+                    if member == node:
+                        break
+                if len(component) > 1 or node in graph[node]:
+                    cycles.append(sorted(component, key=str))
+
+        for node in sorted(graph, key=str):
+            if node not in indices:
+                strongconnect(node)
+        return cycles
+
 
 def _type_name(value: object) -> Optional[str]:
     if isinstance(value, bool):
@@ -159,31 +213,28 @@ def _type_name(value: object) -> Optional[str]:
 
 
 class _Builder:
-    def __init__(self, context: LintContext) -> None:
-        self.context = context
-        self.universe = context.universe
-        self.in_universe = set(self.universe.services)
+    def __init__(self, universe: PolicyUniverse) -> None:
+        self.universe = universe
+        self.in_universe = set(universe.services)
         self.atoms: Set[Atom] = set()
         self.edges: List[RuleEdge] = []
-        self.role_arities: Dict[Tuple[ServiceId, str], int] = {}
+        self.defined_roles: Dict[RoleName, Atom] = {
+            role: Atom.role(role.service, role.name, arity)
+            for role, arity in universe.role_arities().items()}
         # (atom, position) -> observed constant types
         self.observed: Dict[Tuple[Atom, int], Set[str]] = {}
-        for service in self.universe.services:
-            policy = self.universe.policy(service)
-            for name in policy.role_names:
-                self.role_arities[(service, name)] = policy.role_arity(name)
 
     def build(self) -> PolicyGraph:
-        for service, target, rule in self.context.activation_rules():
+        for service, target, rule in self.universe.activation_rules():
             atom = self._role_atom(target.service, target.name,
                                    rule.target.arity)
             self._add_edge("activation", service, atom, str(target), rule,
                            rule.target.parameters)
-        for service, method, rule in self.context.authorization_rules():
+        for service, method, rule in self.universe.authorization_rules():
             atom = Atom.privilege(service, method)
             self._add_edge("authorization", service, atom,
                            f"{service}:{method}()", rule, rule.parameters)
-        for service, name, rule in self.context.appointment_rules():
+        for service, name, rule in self.universe.appointment_rules():
             atom = Atom.appointment(service, name, len(rule.parameters))
             self._add_edge("appointment", service, atom,
                            f"appointment {service}:{name}", rule,
@@ -211,7 +262,8 @@ class _Builder:
             edges_by_target=by_target,
             external=external,
             signatures=signatures,
-            files=dict(self.context.files),
+            files=dict(self.universe.files),
+            defined_roles=self.defined_roles,
         )
 
     def _role_atom(self, service: ServiceId, name: str,
@@ -219,8 +271,8 @@ class _Builder:
         """Role atoms are keyed by declared arity when the defining service
         is in the universe, so differently-writ references (the OAS010
         arity dodge) still meet at one node."""
-        arity = self.role_arities.get((service, name), reference_arity)
-        return Atom.role(service, name, arity)
+        return self.defined_roles.get(RoleName(service, name)) \
+            or Atom.role(service, name, reference_arity)
 
     def _observe(self, atom: Atom, parameters: Tuple) -> None:
         for position, term in enumerate(parameters):
@@ -263,9 +315,9 @@ class _Builder:
             conditions=tuple(conditions),
             constraint_count=constraint_count,
             origin=getattr(rule, "origin", None),
-            file=self.context.file_of(service), rule=rule))
+            file=self.universe.file_of(service), rule=rule))
 
 
-def build_graph(context: LintContext) -> PolicyGraph:
-    """Compile the whole universe of ``context`` into one rule graph."""
-    return _Builder(context).build()
+def build_graph(universe: PolicyUniverse) -> PolicyGraph:
+    """Compile the whole ``universe`` into one rule graph."""
+    return _Builder(universe).build()

@@ -1,9 +1,10 @@
 """Ground model checking: exact reachability for a concrete principal.
 
-The static analysis of :mod:`repro.lang.analysis` answers *schema-level*
-questions ("could anyone ever reach role R?") by over-approximating.  This
-module answers the *instance-level* questions the paper's examples turn
-on — "given the credentials this principal actually holds, can they ever
+The symbolic fixpoint of :mod:`repro.lang.verify.fixpoint` answers
+*schema-level* questions ("could anyone ever reach role R?") by
+over-approximating.  This module asks a different question of the same
+:class:`~repro.lang.universe.PolicyUniverse` — the *instance-level* one
+the paper's examples turn on — "given the credentials this principal actually holds, can they ever
 read Joe Bloggs' record?" — exactly, by exhaustive exploration of the
 ground state space the companion formal model ([17]) defines:
 
@@ -21,20 +22,20 @@ for the optimistic over-approximation instead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import List, Optional, Set, Tuple
 
-from ..core.constraints import EvaluationContext
-from ..core.credentials import (
+from ...core.constraints import EvaluationContext
+from ...core.credentials import (
     AppointmentCertificate,
     CredentialRef,
     RoleMembershipCertificate,
 )
-from ..core.engine import PresentedCredential, RuleEngine
-from ..core.rules import ConstraintCondition
-from ..core.terms import Term
-from ..core.types import Role, RoleName, ServiceId
-from .analysis import PolicyUniverse
+from ...core.engine import PresentedCredential, RuleEngine
+from ...core.rules import ActivationRule, ConstraintCondition
+from ...core.terms import Term
+from ...core.types import Role, RoleName, ServiceId
+from ..universe import PolicyUniverse
 
 __all__ = ["Endowment", "GroundReachability", "ReachabilityResult"]
 
@@ -104,38 +105,40 @@ class GroundReachability:
         self.ignore_constraints = ignore_constraints
         self._engine = RuleEngine(self.context)
 
-    def _strip_constraints(self, rule):
-        from dataclasses import replace
-
-        kept = tuple(condition for condition in rule.conditions
-                     if not isinstance(condition, ConstraintCondition))
-        return replace(rule, conditions=kept)
+    def _rules(self) -> List[Tuple[RoleName, ActivationRule,
+                                   ActivationRule]]:
+        """Every activation rule of the universe, as ``(target, rule,
+        candidate)``: the candidate is what gets matched — the rule
+        itself, or the rule without its constraints when they are being
+        ignored."""
+        rules = []
+        for _, target, rule in self.universe.activation_rules():
+            candidate = rule
+            if self.ignore_constraints:
+                candidate = replace(rule, conditions=tuple(
+                    condition for condition in rule.conditions
+                    if not isinstance(condition, ConstraintCondition)))
+            rules.append((target, rule, candidate))
+        return rules
 
     def explore(self, endowment: Endowment) -> ReachabilityResult:
         """Least fixpoint of rule application from the endowment."""
-        held: Set[Role] = set()
+        rules = self._rules()
         appointment_creds = endowment.credentials()
 
         # Seed: attempt each declared initial activation through its own
         # rules (so an impossible seed contributes nothing).
-        seeds: Set[Role] = set()
+        held: Set[Role] = set()
         for role in endowment.initial_activations:
-            service = role.role_name.service
-            if service not in self.universe.services:
-                continue
-            policy = self.universe.policy(service)
-            if not policy.defines_role(role.role_name.name):
-                continue
-            for rule in policy.activation_rules_for(role.role_name.name):
-                candidate = rule if not self.ignore_constraints \
-                    else self._strip_constraints(rule)
+            for target, _, candidate in rules:
+                if target != role.role_name:
+                    continue
                 matches = self._engine.enumerate_activations(
                     candidate, appointment_creds,
                     requested_parameters=list(role.parameters))
                 if any(r == role for _, r in matches):
-                    seeds.add(role)
+                    held.add(role)
                     break
-        held |= seeds
 
         iterations = 0
         changed = True
@@ -144,22 +147,16 @@ class GroundReachability:
             changed = False
             credentials = appointment_creds + [_rmc_fact(role)
                                                for role in held]
-            for service in self.universe.services:
-                policy = self.universe.policy(service)
-                for name in policy.role_names:
-                    for rule in policy.activation_rules_for(name):
-                        candidate = rule if not self.ignore_constraints \
-                            else self._strip_constraints(rule)
-                        if candidate.is_initial and not rule.conditions:
-                            # Unconditional initial roles need explicit
-                            # seeding: their parameters are request-chosen.
-                            continue
-                        for _match, role in \
-                                self._engine.enumerate_activations(
-                                    candidate, credentials):
-                            if role is not None and role not in held:
-                                held.add(role)
-                                changed = True
+            for _, rule, candidate in rules:
+                if candidate.is_initial and not rule.conditions:
+                    # Unconditional initial roles need explicit
+                    # seeding: their parameters are request-chosen.
+                    continue
+                for _match, role in self._engine.enumerate_activations(
+                        candidate, credentials):
+                    if role is not None and role not in held:
+                        held.add(role)
+                        changed = True
         return ReachabilityResult(roles=held, iterations=iterations)
 
     def can_reach(self, endowment: Endowment, target: Role) -> bool:

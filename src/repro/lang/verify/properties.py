@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..diagnostics import Diagnostic, RelatedLocation
-from ..passes import LintContext
+from ..universe import PolicyUniverse
 from .fixpoint import FlowResult, run_fixpoint
 from .graph import Atom, PolicyGraph, RuleEdge, build_graph
 from .witness import (
@@ -393,7 +393,7 @@ def _check_survivors(graph: PolicyGraph, surviving: FlowResult,
 # -- the runner --------------------------------------------------------------
 
 def verify_universe(
-    context: LintContext,
+    universe: PolicyUniverse,
     properties: Sequence[str] = (),
     *,
     assume_revoked: Sequence[str] = (),
@@ -409,7 +409,7 @@ def verify_universe(
     Raises :class:`PropertyError` for unparsable properties or
     references — a usage error, distinct from refuted properties.
     """
-    graph = build_graph(context)
+    graph = build_graph(universe)
     full = run_fixpoint(graph)
     report = VerificationReport(
         graph=graph, closure=full, properties=(),

@@ -254,46 +254,39 @@ class SimNetwork:
         Advances the clock by one one-way latency before the handler runs
         and another after it returns, and counts two messages.
         """
-        if self._obs is not None:
-            return self._call_observed(src_domain, dst_domain, name,
-                                       *args, **kwargs)
-        return self._call(src_domain, dst_domain, name, *args, **kwargs)
-
-    def _call_observed(self, src_domain: str, dst_domain: str, name: str,
-                       *args: Any, **kwargs: Any) -> Any:
-        span = self._obs.tracer.start_span(
-            "rpc.call", timestamp=self.clock.now(),
-            src=src_domain, dst=dst_domain, endpoint=name)
+        obs = self._obs
+        if obs is not None:
+            span = obs.tracer.start_span(
+                "rpc.call", timestamp=self.clock.now(),
+                src=src_domain, dst=dst_domain, endpoint=name)
         try:
-            result = self._call(src_domain, dst_domain, name,
-                                *args, **kwargs)
+            handler = self._endpoints.get((dst_domain, name))
+            if handler is None:
+                raise LookupError(f"no endpoint {dst_domain}/{name}")
+            if self.is_partitioned(src_domain, dst_domain):
+                # The caller blocks for its timeout before concluding
+                # failure.
+                self.clock.advance(self.partition_timeout)
+                self.stats.messages += 1  # the lost request
+                raise NetworkPartitioned(
+                    f"{src_domain} cannot reach {dst_domain} (partition; "
+                    f"timed out after {self.partition_timeout}s)")
+            one_way = self.latency.one_way(src_domain, dst_domain)
+            self.clock.advance(one_way)
+            result = handler(*args, **kwargs)
+            self.clock.advance(one_way)
+            self.stats.calls += 1
+            self.stats.messages += 2
+            self.stats.total_latency += 2 * one_way
         except NetworkError as failure:
-            self._obs_rpc_calls.inc(outcome="failed")
-            span.error(str(failure))
+            if obs is not None:
+                self._obs_rpc_calls.inc(outcome="failed")
+                span.error(str(failure))
             raise
         else:
-            self._obs_rpc_calls.inc(outcome="ok")
+            if obs is not None:
+                self._obs_rpc_calls.inc(outcome="ok")
             return result
         finally:
-            span.finish(self.clock.now())
-
-    def _call(self, src_domain: str, dst_domain: str, name: str,
-              *args: Any, **kwargs: Any) -> Any:
-        handler = self._endpoints.get((dst_domain, name))
-        if handler is None:
-            raise LookupError(f"no endpoint {dst_domain}/{name}")
-        if self.is_partitioned(src_domain, dst_domain):
-            # The caller blocks for its timeout before concluding failure.
-            self.clock.advance(self.partition_timeout)
-            self.stats.messages += 1  # the lost request
-            raise NetworkPartitioned(
-                f"{src_domain} cannot reach {dst_domain} "
-                f"(partition; timed out after {self.partition_timeout}s)")
-        one_way = self.latency.one_way(src_domain, dst_domain)
-        self.clock.advance(one_way)
-        result = handler(*args, **kwargs)
-        self.clock.advance(one_way)
-        self.stats.calls += 1
-        self.stats.messages += 2
-        self.stats.total_latency += 2 * one_way
-        return result
+            if obs is not None:
+                span.finish(self.clock.now())

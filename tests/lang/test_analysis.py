@@ -4,11 +4,27 @@ import pytest
 
 from repro.core import ServiceId
 from repro.lang import PolicyUniverse, parse_policy
+from repro.lang.verify import Atom, build_graph, run_fixpoint
 
 
 def universe_of(*texts):
     return PolicyUniverse(parse_policy(text, allow_unresolved=True)
                           for text in texts)
+
+
+def reachable_roles(universe, **fixpoint_options):
+    """Names of the defined roles derivable in the one closure."""
+    closure = run_fixpoint(build_graph(universe), **fixpoint_options)
+    return {str(role) for role in universe.all_roles()
+            if closure.role_reachable(role)}
+
+
+def unreachable_roles(universe):
+    return sorted({str(role) for role in universe.all_roles()}
+                  - reachable_roles(universe))
+
+
+ALLOCATED = Atom.appointment(ServiceId("hospital", "admin"), "allocated", 2)
 
 
 LOGIN = """
@@ -49,48 +65,47 @@ class TestStructure:
     def test_dependency_graph(self):
         universe = universe_of(LOGIN, ADMIN, RECORDS)
         edges = {(str(a), str(b))
-                 for a, b in universe.role_dependency_graph()}
+                 for a, b in build_graph(universe).role_edges()}
         assert ("hospital/login:logged_in_user",
                 "hospital/admin:administrator") in edges
         assert ("hospital/login:logged_in_user",
                 "hospital/records:treating_doctor") in edges
 
     def test_appointments_defined_and_required(self):
-        universe = universe_of(LOGIN, ADMIN, RECORDS)
-        admin = ServiceId("hospital", "admin")
-        assert (admin, "allocated", 2) in universe.appointments_defined()
-        assert (admin, "allocated", 2) in universe.appointments_required()
+        graph = build_graph(universe_of(LOGIN, ADMIN, RECORDS))
+        # defined: some appointment rule derives it; required: some rule
+        # has it as a credential condition.
+        assert ALLOCATED in graph.edges_by_target
+        assert ALLOCATED in {condition.atom for edge in graph.edges
+                             for condition in edge.conditions}
 
 
 class TestReachability:
     def test_full_chain_reachable(self):
         universe = universe_of(LOGIN, ADMIN, RECORDS)
-        reachable = {str(role) for role in universe.reachable_roles()}
-        assert "hospital/records:treating_doctor" in reachable
-        assert universe.unreachable_roles() == []
+        assert "hospital/records:treating_doctor" in reachable_roles(universe)
+        assert unreachable_roles(universe) == []
 
     def test_missing_appointment_makes_role_unreachable(self):
-        # No admin service: 'allocated' can never be issued.
+        # No admin service in the universe: 'allocated' is an external
+        # credential, assumed obtainable, so the role counts as reachable
+        # unless the appointment is explicitly taken away.
         universe = universe_of(LOGIN, RECORDS)
-        unreachable = [str(role) for role in universe.unreachable_roles()]
-        # Without assume_issuable knowledge of hospital/admin the analysis
-        # cannot prove issuability... the appointment issuer is NOT in the
-        # universe, so the conservative over-approximation treats it as
-        # unavailable only if we pass an explicit appointment set.
-        assert universe.reachable_roles(appointments=set(),
-                                        assume_issuable=True) is not None
-        restricted = universe.reachable_roles(appointments=set(),
-                                              assume_issuable=False)
-        assert all(str(role) != "hospital/records:treating_doctor"
-                   for role in restricted)
+        assert "hospital/records:treating_doctor" in reachable_roles(universe)
+        restricted = reachable_roles(universe,
+                                     revoked=frozenset({ALLOCATED}))
+        assert "hospital/records:treating_doctor" not in restricted
 
     def test_explicit_appointments_enable_roles(self):
-        universe = universe_of(LOGIN, RECORDS)
-        admin = ServiceId("hospital", "admin")
-        reachable = universe.reachable_roles(
-            appointments={(admin, "allocated", 2)}, assume_issuable=False)
-        assert any(str(role) == "hospital/records:treating_doctor"
-                   for role in reachable)
+        # A universe where nothing can issue 'allocated' (the issuer is
+        # analysed and has no appointment rule): only the assumption that
+        # the principal holds the certificate enables the role.
+        mute_admin = "service hospital/admin\n"
+        universe = universe_of(LOGIN, mute_admin, RECORDS)
+        assert "hospital/records:treating_doctor" not in \
+            reachable_roles(universe)
+        assert "hospital/records:treating_doctor" in reachable_roles(
+            universe, assumptions=frozenset({ALLOCATED}))
 
     def test_cycle_roles_unreachable(self):
         a = """
@@ -104,12 +119,13 @@ class TestReachability:
         activate rb(u) <- dom/a:ra(u)
         """
         universe = universe_of(a, b)
-        assert len(universe.unreachable_roles()) == 2
+        assert len(unreachable_roles(universe)) == 2
 
 
 class TestCycles:
     def test_no_cycles_in_hospital(self):
-        assert universe_of(LOGIN, ADMIN, RECORDS).find_cycles() == []
+        graph = build_graph(universe_of(LOGIN, ADMIN, RECORDS))
+        assert graph.role_cycles() == []
 
     def test_two_role_cycle_found(self):
         a = """
@@ -122,14 +138,14 @@ class TestCycles:
         role rb(u)
         activate rb(u) <- dom/a:ra(u)
         """
-        cycles = universe_of(a, b).find_cycles()
+        cycles = build_graph(universe_of(a, b)).role_cycles()
         assert len(cycles) == 1
         assert len(cycles[0]) == 2
 
 
 class TestLint:
     def test_clean_universe(self):
-        findings = universe_of(LOGIN, ADMIN, RECORDS).lint()
+        findings = universe_of(LOGIN, ADMIN, RECORDS).diagnose()
         assert all(f.severity != "error" for f in findings)
 
     def test_passive_dependency_warning(self):
@@ -138,8 +154,8 @@ class TestLint:
         role auditor(u)
         activate auditor(u) <- hospital/login:logged_in_user(u)
         """
-        findings = universe_of(LOGIN, passive).lint()
-        codes = [f.code for f in findings if f.severity == "warning"]
+        findings = universe_of(LOGIN, passive).diagnose()
+        codes = [f.name for f in findings if f.severity == "warning"]
         assert "passive-dependency" in codes
 
     def test_unknown_role_error(self):
@@ -148,8 +164,8 @@ class TestLint:
         role needs_ghost(u)
         activate needs_ghost(u) <- hospital/login:ghost_role(u)*
         """
-        findings = universe_of(LOGIN, broken).lint()
-        assert any(f.code == "unknown-role" and f.severity == "error"
+        findings = universe_of(LOGIN, broken).diagnose()
+        assert any(f.name == "unknown-role" and f.severity == "error"
                    for f in findings)
 
     def test_unissuable_appointment_error(self):
@@ -159,8 +175,8 @@ class TestLint:
         activate needs_cert(u) <-
             appointment hospital/login:never_issued(u)*
         """
-        findings = universe_of(LOGIN, broken).lint()
-        assert any(f.code == "unissuable-appointment" for f in findings)
+        findings = universe_of(LOGIN, broken).diagnose()
+        assert any(f.name == "unissuable-appointment" for f in findings)
 
     def test_unreachable_role_error(self):
         cyc = """
@@ -168,10 +184,24 @@ class TestLint:
         role ra(u)
         activate ra(u) <- dom/a2:never(u)*
         """
-        # dom/a2 is unknown to the universe -> reachability treats the
-        # prerequisite as unreachable (it is not in any policy).
-        findings = universe_of(cyc).lint()
-        assert any(f.code == "unreachable-role" for f in findings)
+        # dom/a2 is unknown to the universe -> its policy cannot be
+        # inspected, so the prerequisite is assumed obtainable (the rule
+        # verify and OAS002/OAS003 apply too): NOT unreachable.
+        findings = universe_of(cyc).diagnose()
+        assert not any(f.name == "unreachable-role" for f in findings)
+
+    def test_unreachable_role_error_in_universe(self):
+        # The in-universe twin: dom/a is analysed and defines no `never`,
+        # so the reference dangles (OAS002) and the role is dead (OAS004).
+        broken = """
+        service dom/a
+        role ra(u)
+        activate ra(u) <- dom/a:never(u)*
+        """
+        findings = universe_of(broken).diagnose()
+        assert any(f.name == "unknown-role" for f in findings)
+        assert any(f.name == "unreachable-role" and f.severity == "error"
+                   for f in findings)
 
     def test_privilege_less_role_info(self):
         idle = """
@@ -179,13 +209,5 @@ class TestLint:
         role ornament(u)
         activate ornament(u)
         """
-        findings = universe_of(idle).lint()
-        assert any(f.code == "privilege-less-role" for f in findings)
-
-    def test_finding_str(self):
-        findings = universe_of("""
-        service dom/idle
-        role ornament(u)
-        activate ornament(u)
-        """).lint()
-        assert "privilege-less-role" in str(findings[0])
+        findings = universe_of(idle).diagnose()
+        assert any(f.name == "privilege-less-role" for f in findings)

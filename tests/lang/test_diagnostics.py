@@ -23,7 +23,8 @@ from repro.lang.diagnostics import (
 )
 from repro.lang.loader import load_unit
 from repro.lang.parser import ParseError, parse_document
-from repro.lang.passes import LintContext, run_passes
+from repro.lang.passes import run_passes
+from repro.lang.universe import PolicyUniverse
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
@@ -42,7 +43,7 @@ class TestCodeRegistry:
         assert set(CODES) == lint_codes | verify_codes
 
     def test_slugs_match_legacy_finding_codes(self):
-        # The legacy universe.lint() codes must survive as slugs.
+        # The slugs `check` prints and --select accepts must stay stable.
         for slug in ("range-restriction", "unknown-role",
                      "unissuable-appointment", "unreachable-role",
                      "prerequisite-cycle", "passive-dependency",
@@ -349,7 +350,6 @@ EXPECTED_BUGGY_FINDINGS = {
     ("OAS004", 24, 1),    # auditor unreachable (ghost)
     ("OAS004", 28, 1),    # ward_clerk unreachable
     ("OAS004", 50, 1),    # mascot unreachable
-    ("OAS004", 70, 1),    # locum unreachable (clinic/hr not in universe)
     ("OAS005", 32, 1),    # doctor <-> surgeon cycle
     ("OAS005", 50, 1),    # mascot <-> ward_clerk cycle
     ("OAS006", 24, 24),   # auditor passively depends on ghost
@@ -384,17 +384,15 @@ class TestBuggyFixture:
 
     def test_diagnose_matches_run_passes(self):
         unit = load_unit(BUGGY, allow_unresolved=True)
-        context = LintContext.from_units([unit])
-        diagnostics = run_passes(context)
+        diagnostics = run_passes(PolicyUniverse.from_units([unit]))
         got = {(d.code, d.span.line, d.span.column) for d in diagnostics
                if d.span is not None}
         assert got == EXPECTED_BUGGY_FINDINGS
 
-    def test_legacy_lint_shim_sees_same_findings(self):
+    def test_diagnose_sees_same_findings(self):
         unit = load_unit(BUGGY, allow_unresolved=True)
-        context = LintContext.from_units([unit])
-        findings = context.universe.lint()
-        assert {f.code for f in findings} == {
+        findings = PolicyUniverse.from_units([unit]).diagnose()
+        assert {d.name for d in findings} == {
             CODES[code].name for code, _, _ in EXPECTED_BUGGY_FINDINGS}
 
     def test_sarif_output_for_fixture_is_schema_clean(self, capsys):
@@ -412,6 +410,13 @@ class TestLintCli:
         status = main(["lint", "--strict"] + CLEAN)
         assert status == 0
         assert "lint: clean" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("path", CLEAN, ids=os.path.basename)
+    def test_each_deployed_policy_lints_clean_alone(self, path, capsys):
+        # A deployable policy must lint clean without its neighbours:
+        # credentials of services outside the universe are assumed
+        # obtainable, so a partial universe raises no OAS004.
+        assert main(["lint", "--strict", path]) == 0
 
     def test_warning_only_policy(self, tmp_path, capsys):
         text = ("service hospital/x\n"

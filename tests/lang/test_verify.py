@@ -8,7 +8,7 @@ import pytest
 
 from repro.lang.cli import main
 from repro.lang.loader import load_unit
-from repro.lang.passes import LintContext
+from repro.lang.universe import PolicyUniverse
 from repro.lang.verify import (
     Atom,
     PropertyError,
@@ -37,9 +37,9 @@ SNAPSHOT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "snapshots", "escalation_witness.txt")
 
 
-def _context(paths):
+def _universe(paths):
     units = [load_unit(path, allow_unresolved=True) for path in paths]
-    return LintContext.from_units(units)
+    return PolicyUniverse.from_units(units)
 
 
 def _relative_paths(text):
@@ -48,12 +48,12 @@ def _relative_paths(text):
 
 @pytest.fixture(scope="module")
 def trio_graph():
-    return build_graph(_context(CLEAN_TRIO))
+    return build_graph(_universe(CLEAN_TRIO))
 
 
 @pytest.fixture(scope="module")
 def buggy_graph():
-    return build_graph(_context(BUGGY_PAIR))
+    return build_graph(_universe(BUGGY_PAIR))
 
 
 # -- the rule graph ------------------------------------------------------------
@@ -76,7 +76,7 @@ class TestGraph:
         assert not trio_graph.external
 
     def test_out_of_universe_reference_is_external(self):
-        graph = build_graph(_context(
+        graph = build_graph(_universe(
             [os.path.join(POLICY_DIR, "records.oasis"),
              os.path.join(POLICY_DIR, "login.oasis")]))
         external = {str(atom) for atom in graph.external}
@@ -304,12 +304,12 @@ class TestPropertyParsing:
 
 class TestProperties:
     def test_default_battery_flags_buggy_pair(self):
-        report = verify_universe(_context(BUGGY_PAIR))
+        report = verify_universe(_universe(BUGGY_PAIR))
         codes = {d.code for d in report.diagnostics}
         assert codes == {"OAS101", "OAS102"}
 
     def test_escalation_diagnostic_details(self):
-        report = verify_universe(_context(BUGGY_PAIR), ["no-escalation"])
+        report = verify_universe(_universe(BUGGY_PAIR), ["no-escalation"])
         (finding,) = report.diagnostics
         assert finding.code == "OAS101"
         assert finding.subject == "privilege clinic/main.prescribe"
@@ -324,12 +324,12 @@ class TestProperties:
     def test_single_service_appointment_loop_is_not_escalation(self):
         # read_chart needs the allocated appointment, but everything stays
         # inside clinic/main: no cross-service chain, no OAS101.
-        report = verify_universe(_context(BUGGY_PAIR), ["no-escalation"])
+        report = verify_universe(_universe(BUGGY_PAIR), ["no-escalation"])
         assert all(d.subject != "privilege clinic/main.read_chart"
                    for d in report.diagnostics)
 
     def test_revocation_soundness_holes(self):
-        report = verify_universe(_context(BUGGY_PAIR),
+        report = verify_universe(_universe(BUGGY_PAIR),
                                  ["revocation-sound"])
         positions = {(d.span.line, d.span.column)
                      for d in report.diagnostics}
@@ -344,18 +344,18 @@ class TestProperties:
         # (the OAS101 on read_record is pragma-suppressed in the file;
         # verify_universe itself reports it — suppression is the
         # reporter/CLI layer's job)
-        report = verify_universe(_context(CLEAN_TRIO))
+        report = verify_universe(_universe(CLEAN_TRIO))
         assert {d.code for d in report.diagnostics} <= {"OAS101"}
 
     def test_can_reach_holds(self):
         report = verify_universe(
-            _context(CLEAN_TRIO),
+            _universe(CLEAN_TRIO),
             ["can-reach(anyone, hospital/records.read_record)"])
         assert report.diagnostics == []
 
     def test_cannot_reach_refuted_with_witness(self):
         report = verify_universe(
-            _context(CLEAN_TRIO),
+            _universe(CLEAN_TRIO),
             ["cannot-reach(anyone, hospital/records.read_record)"])
         (finding,) = report.diagnostics
         assert finding.code == "OAS100"
@@ -365,17 +365,17 @@ class TestProperties:
 
     def test_can_reach_refuted_for_underivable(self):
         report = verify_universe(
-            _context(BUGGY_PAIR),
+            _universe(BUGGY_PAIR),
             ["can-reach(anyone, role clinic/main:mascot)"])
         (finding,) = report.diagnostics
         assert finding.code == "OAS100"
         assert "cannot reach" in finding.message
 
     def test_delegation_depth_bound(self):
-        ok = verify_universe(_context(CLEAN_TRIO),
+        ok = verify_universe(_universe(CLEAN_TRIO),
                              ["delegation-depth<=1"])
         assert ok.diagnostics == []
-        tight = verify_universe(_context(CLEAN_TRIO),
+        tight = verify_universe(_universe(CLEAN_TRIO),
                                 ["delegation-depth<=0"])
         (finding,) = tight.diagnostics
         assert finding.code == "OAS103"
@@ -384,7 +384,7 @@ class TestProperties:
 
     def test_assume_revoked_blocks_membership_chains(self):
         report = verify_universe(
-            _context(CLEAN_TRIO),
+            _universe(CLEAN_TRIO),
             ["can-reach(anyone, hospital/records.read_record)"],
             assume_revoked=["role hospital/login:logged_in_user"])
         assert any(d.code == "OAS100" and "cannot reach" in d.message
@@ -392,7 +392,7 @@ class TestProperties:
 
     def test_assume_revoked_reports_passive_survivors(self):
         report = verify_universe(
-            _context(BUGGY_PAIR), ["revocation-sound"],
+            _universe(BUGGY_PAIR), ["revocation-sound"],
             assume_revoked=["role clinic/main:receptionist"])
         survivors = [d for d in report.diagnostics if d.code == "OAS104"]
         (finding,) = survivors
@@ -400,7 +400,7 @@ class TestProperties:
         assert "held before revocation" in finding.notes
 
     def test_report_counters(self):
-        report = verify_universe(_context(CLEAN_TRIO))
+        report = verify_universe(_universe(CLEAN_TRIO))
         assert report.fixpoint_runs >= 2
         assert report.iterations >= report.fixpoint_runs
         assert len(report.graph.edges) == 5

@@ -37,8 +37,7 @@ from repro.core import (
 )
 from repro.core.engine import RuleEngine
 from repro.domains import Deployment, ServiceLevelAgreement, SlaTerm
-from repro.lang.analysis import PolicyUniverse
-from repro.lang.passes import LintContext
+from repro.lang.universe import PolicyUniverse
 from repro.lang.verify import (
     Atom,
     build_graph,
@@ -62,9 +61,8 @@ GHOST_METHOD = "drain_vault"
 def verifier_view(deployment):
     """The static side: services keyed by id, graph and full closure."""
     services = {s.id: s for s in deployment.registry.all_services()}
-    context = LintContext(universe=PolicyUniverse(
+    graph = build_graph(PolicyUniverse(
         s.policy for s in services.values()))
-    graph = build_graph(context)
     return services, graph, run_fixpoint(graph)
 
 
