@@ -6,8 +6,9 @@ roles are deactivated *immediately* when membership conditions break.
 
 This experiment drives the same revocation workload through both designs:
 
-* **event-driven** (OASIS): ECR subscriptions; staleness is zero, message
-  cost is one event per actual revocation;
+* **event-driven** (OASIS): cached validations dropped by revocation
+  events; staleness is zero, message cost is one event per actual
+  revocation;
 * **polling baseline**: cached validity refreshed every T seconds;
   staleness averages ~T/2, and every poll costs a callback per watched
   credential whether anything changed or not.
@@ -138,22 +139,40 @@ def test_fig5_staleness_and_message_cost_series(benchmark):
 
 
 def test_fig5_heartbeat_failure_detection(benchmark):
-    """Fig. 5's 'heartbeats or change events': a holder notices a dead
-    issuer within one timeout."""
-    from repro.events import CredentialChannel, EventBroker, HeartbeatMonitor
+    """Fig. 5's 'heartbeats or change events': a holder with 50 cached
+    foreign validations notices a dead issuer within one timeout."""
+    from repro.core import (ActivationRule, OasisService, PrerequisiteRole,
+                            Presentation, PrincipalId, RoleTemplate,
+                            ServiceId, ServicePolicy, ServiceRegistry, Var)
+    from repro.events import EventBroker
     from repro.net import Scheduler, SimClock
 
     clock = SimClock()
     scheduler = Scheduler(clock)
-    broker = EventBroker()
-    monitor = HeartbeatMonitor(broker, timeout=5.0, clock=clock)
-    channels = []
+    broker, registry = EventBroker(), ServiceRegistry()
+    issuer_policy = ServicePolicy(ServiceId("dom", "issuer"))
+    user = issuer_policy.define_role("user", 1)
+    issuer_policy.add_activation_rule(
+        ActivationRule(RoleTemplate(user, (Var("u"),))))
+    issuer = OasisService(issuer_policy, broker, registry, clock)
+    holder_policy = ServicePolicy(ServiceId("dom", "holder"))
+    guest = holder_policy.define_role("guest", 1)
+    holder_policy.add_activation_rule(ActivationRule(
+        RoleTemplate(guest, (Var("u"),)),
+        (PrerequisiteRole(RoleTemplate(user, (Var("u"),))),)))
+    holder = OasisService(holder_policy, broker, registry, clock,
+                          heartbeat_timeout=5.0)
     for index in range(50):
-        channel = CredentialChannel(broker, f"svc#{index}")
-        channels.append(channel)
-        monitor.watch(channel.credential_ref)
-        scheduler.schedule_periodic(2.0, channel.heartbeat)
+        principal = PrincipalId(f"u{index}")
+        rmc = issuer.activate_role(principal, "user", [principal.value])
+        holder.activate_role(principal, "guest", [principal.value],
+                             [Presentation(rmc)])
+    cancel = issuer.start_heartbeats(scheduler, interval=2.0)
     scheduler.run_for(10.0)
-    assert monitor.silent_credentials() == []
+    assert holder.suspect_credentials() == []
 
-    benchmark(monitor.silent_credentials)
+    benchmark(holder.suspect_credentials)
+
+    cancel()  # issuer dies
+    scheduler.run_for(10.0)
+    assert len(holder.suspect_credentials()) == 50

@@ -12,7 +12,8 @@ served deployment (:mod:`repro.netd`):
   TCP* to the front process and subscribes to its event stream;
 * **national** — national-EHR ``registry`` + ``patient-records``, which
   validates treating RMCs by callback to the records process and caches
-  them behind an ECR subscription fed by records' event stream.
+  them (the ECR); records' event stream reaches its service-level
+  revocation handler, which drops the cached entry.
 
 The driver below is a pure RPC client: it never touches a service
 object.  It replays the paper's flow (registrar accredits the hospital

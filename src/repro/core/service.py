@@ -12,16 +12,19 @@ An :class:`OasisService` implements the full life-cycle of Fig. 2:
   appointment certificates for third parties;
 * **active security (Fig. 5)**: every credential has an event channel;
   issuing a credential whose activation used membership-flagged credentials
-  subscribes the new CR to their revocation events, so revocation cascades
-  along the role-dependency edges — across services — without polling.
-  Membership-flagged *constraints* are re-evaluated when a watched database
-  table changes and on explicit sweeps (for time-based conditions).
+  links the new CR under theirs in a reverse dependency index, so revocation
+  cascades along the role-dependency edges — across services — without
+  polling.  Membership-flagged *constraints* are re-evaluated when a watched
+  database table changes and on explicit sweeps (time-based conditions).
 * **validation caching**: validation of a foreign credential may be cached;
-  the service then holds an *external CR proxy* (ECR) — a subscription to
-  the issuer's revocation channel that drops the cache entry the moment the
-  credential dies.  This is the paper's "cache the certificate and the
-  result of validation in order to reduce the communication overhead of
-  repeated callback", and ABL1 measures exactly this trade-off.
+  the cached entry is the service's *external CR proxy* (ECR).  The paper's
+  "cache the certificate and the result of validation in order to reduce
+  the communication overhead of repeated callback" — ABL1 measures exactly
+  this trade-off.
+
+Cached validations, verified signatures, dependency edges and heartbeat
+windows are dicts keyed by the CRR string, kept true by the service-level
+subscriptions the constructor makes — never one per cached credential.
 """
 
 from __future__ import annotations
@@ -42,8 +45,6 @@ from ..events import (
     CREDENTIAL_REVOKED,
     Event,
     EventBroker,
-    HeartbeatMonitor,
-    Subscription,
 )
 from ..crypto.hmac_sig import ServiceSecret
 from .constraints import EvaluationContext
@@ -210,6 +211,8 @@ class OasisService:
                  access_log: Optional[AccessLog] = None,
                  store: Optional[RecordStore] = _STORE_UNSET,
                  allocator: Optional[CredentialRefAllocator] = None) -> None:
+        if heartbeat_timeout is not None and heartbeat_timeout <= 0:
+            raise ValueError("heartbeat_timeout must be positive")
         self.policy = policy
         self.id: ServiceId = policy.service
         self.broker = broker
@@ -281,37 +284,35 @@ class OasisService:
         self._unlink_dependencies = self._state.unlink_dependencies
         self._watches = self._state.watches
         self._methods: Dict[str, Callable[..., Any]] = {}
-        # validation cache, two-level: ref -> {(requester, holder-claim)};
-        # presence = valid.  Keying the outer level by ref makes the ECR
-        # drop on revocation O(entries for that ref) instead of a scan of
-        # the whole cache — revocation cost must not grow with the number
-        # of unrelated cached validations.
+        # validation cache (the ECRs), two-level: CRR string ->
+        # {(requester, holder-claim)}; presence = valid.  Keying the outer
+        # level by ref makes the drop on revocation O(entries for that ref)
+        # instead of a scan of the whole cache — revocation cost must not
+        # grow with the number of unrelated cached validations.
         self._validation_cache = self._state.validation_cache
-        self._ecr_subs: Dict[CredentialRef, List[Subscription]] = {}
-        # Signature-verification cache: str(ref) -> set of certificate
+        # Signature-verification cache: CRR string -> set of certificate
         # fingerprints whose MAC already verified.  A fingerprint covers the
         # signature bytes, the claimed bindings and the secret generation,
         # so tampered certificates, stolen presentations and rotated
-        # secrets all miss.  Invalidation rides the same event channels as
-        # the ECR cache: any CREDENTIAL_REVOKED / CREDENTIAL_REISSUED event
-        # for the ref drops its entry (local revocations publish on the
-        # credential's channel and so flow through here too).
+        # secrets all miss.
         self._sig_cache = self._state.sig_cache
-        # One service-level (wildcard) subscription covers every
-        # CREDENTIAL_REVOKED consumer in this service — the signature-cache
-        # drop and the cascade probe over the reverse dependency index —
-        # so a revocation event costs one handler call
-        # per *service*, not one per concern or per dependency edge.
+        # Fig. 5 heartbeat fail-safe: CRR string -> (ref, last heard) for
+        # each cached ref; a cached validation is trusted only while its
+        # entry exists and is younger than the timeout.
+        self._heartbeat_timeout = heartbeat_timeout
+        self._heard: Optional[Dict[str, Tuple[CredentialRef, float]]] = (
+            {} if heartbeat_timeout is not None else None)
+        # The only subscriptions a service makes: one handler takes every
+        # revocation and re-issue event — cache drops, then the cascade
+        # probe — so an event costs one handler call per *service*, not one
+        # per concern, cached validation or dependency edge.
         self._service_subs = [
-            broker.subscribe(CREDENTIAL_REVOKED, self._on_revoked_event),
-            broker.subscribe(CREDENTIAL_REISSUED, self._on_sig_cache_event),
+            broker.subscribe(CREDENTIAL_REVOKED, self._on_credential_event),
+            broker.subscribe(CREDENTIAL_REISSUED, self._on_credential_event),
         ]
-        # Fig. 5 heartbeat fail-safe: when a timeout is configured, cached
-        # validations are only trusted while the issuer's heartbeats keep
-        # arriving; silence forces a fresh callback.
-        self._heartbeats: Optional[HeartbeatMonitor] = (
-            HeartbeatMonitor(broker, heartbeat_timeout, clock)
-            if heartbeat_timeout is not None else None)
+        if heartbeat_timeout is not None:
+            self._service_subs.append(
+                broker.subscribe(CREDENTIAL_HEARTBEAT, self._on_heartbeat))
 
         # Observability snapshot (see repro.obs.runtime): taken once at
         # construction, so every hot-path guard below is a single
@@ -390,7 +391,7 @@ class OasisService:
                "credential records currently active",
                [({"service": service}, live)])
         yield ("oasis_validation_cache_entries", "gauge",
-               "cached foreign-credential validations (ECR-backed)",
+               "cached foreign-credential validations (ECRs)",
                [({"service": service}, self.validation_cache_size)])
         # Resident-state gauges: what the 1M-principal scale work must keep
         # small.  Sampled at export only; no hot-path bookkeeping.
@@ -901,7 +902,7 @@ class OasisService:
                 credential_ref=str(ref), reason=reason)
         try:
             self.stats.revocations += 1
-            events, flipped = self._collapse_subtree([(record, reason)])
+            events, flipped = self._collapse_subtree([record])
             self._publish_cascade(events, flipped)
             return True
         finally:
@@ -938,7 +939,7 @@ class OasisService:
         self.broker.publish_batch(events)
         self._state.log_cascade_done(seq)
 
-    def _collapse_subtree(self, revoked: List[Tuple[CredentialRecord, str]],
+    def _collapse_subtree(self, revoked: List[CredentialRecord],
                           parent_ctx: Optional[SpanContext] = None,
                           ) -> Tuple[List[Event], List[CredentialRecord]]:
         """Collapse the local dependent subtree of already-revoked roots.
@@ -973,11 +974,12 @@ class OasisService:
         collect = flipped.append if self._persist is not None else None
         max_depth = 1
         queue: deque = deque()
-        for record, reason in revoked:
-            queue.append((record, reason, parent_ctx, 1))
+        for record in revoked:
+            queue.append((record, parent_ctx, 1))
         while queue:
-            record, reason, ctx, depth = queue.popleft()
+            record, ctx, depth = queue.popleft()
             ref = record.ref
+            reason = record.revoked_reason
             principal = record.principal.value if record.principal else "-"
             if collect is not None:
                 collect(record)
@@ -1005,19 +1007,8 @@ class OasisService:
                 self._record_decision("revocation", "revoked", principal,
                                       str(ref), reason=reason, span=span)
             events.append(event)
-            dependents = self._dependents.get(ref.qualified)
-            if dependents:
-                dependent_reason = (f"membership dependency {ref} revoked "
-                                    f"({reason})")
-                for dependent_ref in list(dependents):
-                    dependent = self._records.get(dependent_ref)
-                    if dependent is None or not dependent.revoke(
-                            dependent_reason, self.clock()):
-                        continue
-                    self.stats.revocations += 1
-                    self.stats.cascade_revocations += 1
-                    queue.append((dependent, dependent_reason, ctx,
-                                  depth + 1))
+            for dependent in self._revoke_dependents(ref.qualified, reason):
+                queue.append((dependent, ctx, depth + 1))
             if obs is not None:
                 span.finish(self.clock())
         if obs is not None and events:
@@ -1025,15 +1016,30 @@ class OasisService:
             self._obs_cascade_depth.observe(max_depth)
         return events, flipped
 
+    def _revoke_dependents(self, key: str, reason: Optional[str]
+                           ) -> List[CredentialRecord]:
+        """Flip the live local dependents of the credential named ``key``
+        (a CRR string, local or foreign) and return them: the one place a
+        revocation crosses a Fig. 5 dependency edge."""
+        bucket = self._dependents.get(key)
+        if not bucket:
+            return []
+        reason = f"membership dependency {key} revoked ({reason})"
+        flipped = [record for record in map(self._records.get, bucket)
+                   if record is not None
+                   and record.revoke(reason, self.clock())]
+        self.stats.revocations += len(flipped)
+        self.stats.cascade_revocations += len(flipped)
+        return flipped
+
     def _revocation_event(self, ref: CredentialRef, reason: str) -> Event:
         """The CREDENTIAL_REVOKED event for ``ref``'s Fig. 5 channel.
 
-        Channels are *virtual* on the issuer side: the channel identity is
-        the CRR string carried on every event, so nothing per-credential
-        needs to stay resident between publishes.  Exactly-once closing is
-        guaranteed by the ``CredentialRecord.revoke`` state transition that
-        gates every call site, which is what the former per-credential
-        ``CredentialChannel`` object's ``closed`` flag duplicated.
+        Channels are *virtual*: the channel identity is the CRR string
+        carried on every event, so nothing per-credential needs to stay
+        resident between publishes, on either side.  Exactly-once closing
+        is guaranteed by the ``CredentialRecord.revoke`` state transition
+        that gates every call site.
         """
         return Event.make(CREDENTIAL_REVOKED, timestamp=self.clock(),
                           credential_ref=ref.qualified, reason=reason)
@@ -1046,44 +1052,40 @@ class OasisService:
                 f"RMC {rmc.ref} was not issued by {self.id}")
         return self.revoke(rmc.ref, reason)
 
-    def _on_revoked_event(self, event: Event) -> None:
-        """Service-level entry point for every CREDENTIAL_REVOKED event.
+    def _on_credential_event(self, event: Event) -> None:
+        """Every CREDENTIAL_REVOKED and CREDENTIAL_REISSUED event.
 
-        Two dict probes per event: drop any cached signature verifications
-        for the credential, then probe the reverse dependency index.  Only
-        events whose credential has local dependents cost more, and then
-        only O(local subtree).  Events this service published itself find
-        their buckets already unlinked and fall through immediately.
+        Dict pops drop the credential's verified signatures, cached
+        validation and heartbeat window.  A re-issue stops there (the
+        record stays valid); a revocation then probes the reverse
+        dependency index, costing more only when the credential has live
+        local dependents, and then O(local subtree).
         """
         ref_string = event.get("credential_ref")
         if ref_string is None:
             return
         if self._sig_cache.pop(ref_string, None) is not None:
             self.stats.sig_cache_invalidations += 1
-        dependents = self._dependents.get(ref_string)
-        if not dependents:
+        stale = self._state.drop_validation(ref_string)
+        if stale is not None:
+            self.stats.cache_invalidations += len(stale)
+            if self._heard is not None:
+                self._heard.pop(ref_string, None)
+        if event.topic != CREDENTIAL_REVOKED:
             return
-        reason = (f"membership dependency {ref_string} revoked "
-                  f"({event.get('reason')})")
-        seeds: List[Tuple[CredentialRecord, str]] = []
-        for dependent_ref in list(dependents):
-            record = self._records.get(dependent_ref)
-            if record is None or not record.revoke(reason, self.clock()):
-                continue
-            self.stats.revocations += 1
-            self.stats.cascade_revocations += 1
-            seeds.append((record, reason))
-        if seeds:
-            parent_ctx: Optional[SpanContext] = None
-            if self._obs is not None:
-                trace_id = event.get("trace_id")
-                span_id = event.get("span_id")
-                if trace_id is not None and span_id is not None:
-                    # Stitch: the publishing service put its cascade span's
-                    # context on the event; our local subtree hangs off it.
-                    parent_ctx = SpanContext(trace_id, span_id)
-            events, flipped = self._collapse_subtree(seeds, parent_ctx)
-            self._publish_cascade(events, flipped)
+        seeds = self._revoke_dependents(ref_string, event.get("reason"))
+        if not seeds:
+            return
+        parent_ctx: Optional[SpanContext] = None
+        if self._obs is not None:
+            trace_id = event.get("trace_id")
+            span_id = event.get("span_id")
+            if trace_id is not None and span_id is not None:
+                # Stitch: the publishing service put its cascade span's
+                # context on the event; our local subtree hangs off it.
+                parent_ctx = SpanContext(trace_id, span_id)
+        events, flipped = self._collapse_subtree(seeds, parent_ctx)
+        self._publish_cascade(events, flipped)
 
     # ------------------------------------------------------------------
     # Membership constraint monitoring
@@ -1104,10 +1106,10 @@ class OasisService:
                 environment=dict(environment))
             for condition in constraints:
                 watch.watched_tables |= condition.constraint.watched_tables()
-            self._watches[ref] = watch
+            self._watches[ref.qualified] = watch
 
     def _teardown_watch(self, ref: CredentialRef) -> None:
-        self._watches.pop(ref, None)
+        self._watches.pop(ref.qualified, None)
 
     def _recheck_watch(self, watch: _MembershipWatch) -> bool:
         """Re-evaluate one credential's membership constraints; revoke on
@@ -1188,12 +1190,14 @@ class OasisService:
         # by the issuer.
         requester = self._rmc_binding(principal, presentation)
         cache_key = (requester, presentation.holder)
-        cached_entries = self._validation_cache.get(ref)
+        key = ref.qualified
+        cached_entries = self._validation_cache.get(key)
         if self.cache_validations and cached_entries is not None \
                 and cache_key in cached_entries \
-                and not self._heartbeat_silent(ref):
-            # Cached result is trustworthy only while the ECR subscription
-            # lives; expiry must still be checked locally against the clock.
+                and not self._heartbeat_silent(key):
+            # The entry exists only until a revocation or re-issue event
+            # names the credential; expiry must still be checked locally
+            # against the clock.
             if isinstance(certificate, AppointmentCertificate) \
                     and certificate.is_expired(self.clock()):
                 raise CredentialExpired(f"appointment {ref} expired")
@@ -1203,33 +1207,28 @@ class OasisService:
                                 presentation.holder)
         if self.cache_validations:
             self._state.cache_validation(ref, cache_key)
-            if self._heartbeats is not None:
+            if self._heard is not None:
                 # A successful callback is fresh evidence of issuer
-                # liveness: re-arm the heartbeat window.
-                self._heartbeats.unwatch(str(ref))
-                self._heartbeats.watch(str(ref))
-            self._subscribe_ecr(ref)
+                # liveness: (re)start the heartbeat window.
+                self._heard[key] = (ref, self.clock())
 
-    def _subscribe_ecr(self, ref: CredentialRef) -> None:
-        """The ECR proxy of Fig. 5: invalidate the cached validation on
-        revocation (terminal) or re-issue (cache-only drop)."""
-        if ref in self._ecr_subs:
-            return
-        self._ecr_subs[ref] = [
-            self.broker.subscribe(
-                CREDENTIAL_REVOKED,
-                lambda event, r=ref: self._drop_ecr(r, final=True),
-                credential_ref=str(ref)),
-            self.broker.subscribe(
-                CREDENTIAL_REISSUED,
-                lambda event, r=ref: self._drop_ecr(r, final=False),
-                credential_ref=str(ref)),
-        ]
-
-    def _heartbeat_silent(self, ref: CredentialRef) -> bool:
-        if self._heartbeats is None:
+    def _heartbeat_silent(self, key: str) -> bool:
+        """True when a heartbeat timeout is set and the credential named
+        ``key`` was not heard of within it — or has no window at all."""
+        heard = self._heard
+        if heard is None:
             return False
-        return str(ref) in self._heartbeats.silent_credentials()
+        entry = heard.get(key)
+        return entry is None \
+            or self.clock() - entry[1] > self._heartbeat_timeout
+
+    def _on_heartbeat(self, event: Event) -> None:
+        """Restart the window of a cached credential; one dict probe for
+        the heartbeats of every credential this service does not cache."""
+        key = event.get("credential_ref")
+        entry = self._heard.get(key)
+        if entry is not None:
+            self._heard[key] = (entry[0], self.clock())
 
     def suspect_credentials(self) -> List[CredentialRef]:
         """Foreign credentials whose issuers' heartbeats have gone silent.
@@ -1238,11 +1237,11 @@ class OasisService:
         ``heartbeat_timeout``; cached validations for these are bypassed
         until a callback succeeds again.
         """
-        if self._heartbeats is None:
+        if self._heard is None:
             return []
-        silent = set(self._heartbeats.silent_credentials())
-        return sorted((ref for ref in self._validation_cache
-                       if str(ref) in silent),
+        now = self.clock()
+        return sorted((ref for ref, seen in self._heard.values()
+                       if now - seen > self._heartbeat_timeout),
                       key=str)
 
     def start_heartbeats(self, scheduler: Any,
@@ -1266,14 +1265,6 @@ class OasisService:
             self.stats.heartbeats_sent += sent
 
         return scheduler.schedule_periodic(interval, beat)
-
-    def _drop_ecr(self, ref: CredentialRef, final: bool) -> None:
-        stale = self._state.drop_validation(ref)
-        if stale:
-            self.stats.cache_invalidations += len(stale)
-        if final:
-            for sub in self._ecr_subs.pop(ref, []):
-                sub.cancel()
 
     def _callback_validate(self, certificate: Certificate,
                            principal_value: str,
@@ -1357,7 +1348,7 @@ class OasisService:
         """
         fingerprint = (certificate.signature, principal_value, holder,
                        self.secret.generation)
-        ref_key = str(certificate.ref)
+        ref_key = certificate.ref.qualified
         cached = self._sig_cache.get(ref_key)
         if cached is not None and fingerprint in cached:
             self.stats.sig_cache_hits += 1
@@ -1370,11 +1361,6 @@ class OasisService:
         if cached is None:
             self._sig_cache[ref_key] = cached = set()
         cached.add(fingerprint)
-
-    def _on_sig_cache_event(self, event: Event) -> None:
-        ref = event.get("credential_ref")
-        if ref and self._sig_cache.pop(ref, None) is not None:
-            self.stats.sig_cache_invalidations += 1
 
     # ------------------------------------------------------------------
     # Persistence and crash recovery
@@ -1396,9 +1382,10 @@ class OasisService:
         verifying), reconstructs credential records — revoked ones
         included, so dead credentials still answer callbacks with their
         revocation reason — relinks the Fig. 5 dependency edges, restores
-        the validation cache with fresh ECR subscriptions, replays the
-        append log's tail, and advances the CRR allocator past every
-        serial that may have escaped in a certificate.
+        the validation cache (with a heartbeat timeout, each restored
+        entry's window starts now), replays the append log's tail, and
+        advances the CRR allocator past every serial that may have escaped
+        in a certificate.
 
         Cascades journalled but never marked done are re-audited here and
         queued; call :meth:`replay_pending` once every participating
@@ -1439,9 +1426,12 @@ class OasisService:
                         event.get("credential_ref") or "-",
                         reason=event.get("reason"))
             self.stats.revocations += 1
-        if self.cache_validations:
+        if self._heard is not None:
+            # Fail closed: a restored validation is trusted for one window
+            # from the restart, then only while its issuer keeps beating.
+            now = self.clock()
             for ref in recovered.validation_refs:
-                self._subscribe_ecr(ref)
+                self._heard[ref.qualified] = (ref, now)
         self._pending_replay = recovered.pending_cascades
 
     def replay_pending(self) -> int:

@@ -3,7 +3,7 @@
 This module is the seam the multi-layer refactor carved out of
 ``OasisService``: every piece of state a service must not lose — the
 credential records of Fig. 4, the reverse-dependency index the Fig. 5
-cascade traverses, the validation-cache keys backing ECR proxies, and the
+cascade traverses, the cached foreign validations (ECR proxies), and the
 session liveness derivable from records — lives in a
 :class:`ServiceState` and mutates through it, as operations against the
 keyed-record storage interface of :mod:`repro.db.kv`.
@@ -17,7 +17,7 @@ Three buckets hold everything:
   generic "unknown credential".
 * ``validation`` — one entry per cached foreign credential: the
   ``(requester, holder)`` pairs whose callback validation succeeded, so a
-  restart can rebuild the cache *and* its ECR subscriptions.
+  restart can rebuild the cache.
 * ``meta`` — the service secret (certificates must keep verifying across a
   restart) and small recovery bookkeeping.
 
@@ -166,8 +166,8 @@ class RecoveredState:
 
     #: Highest CRR serial that must never be re-allocated.
     max_serial: int
-    #: Foreign refs whose validation-cache entries were restored (the
-    #: service re-creates one ECR subscription pair per ref).
+    #: Foreign refs whose validation-cache entries were restored (a
+    #: service with a heartbeat timeout starts one window per ref).
     validation_refs: List[CredentialRef]
     #: Journalled revocations applied during replay, in log order — each
     #: is ``(record-or-None, event)`` for exactly the events of cascades
@@ -183,7 +183,9 @@ class ServiceState:
 
     The dicts here are the service's *live* working set — the hot paths
     read them directly (the service aliases them at construction, so a
-    storeless service is bit-identical to the pre-refactor layout).  Every
+    storeless service is bit-identical to the pre-refactor layout).  All
+    but ``records`` (own credentials, under the ``CredentialRef`` a
+    certificate carries) are keyed by the CRR string.  Every
     *mutation* flows through a method below, which keeps the attached
     store in sync: reference-cheap ``put``s for the in-memory backend,
     write-behind buffering for SQLite.  ``store=None`` (the default
@@ -201,9 +203,9 @@ class ServiceState:
         self.dependents: Dict[str, Union[List[CredentialRef],
                                          Dict[CredentialRef, None]]] = {}
         self.validation_cache: Dict[
-            CredentialRef, Dict[Tuple[str, Optional[str]], bool]] = {}
+            str, Dict[Tuple[str, Optional[str]], bool]] = {}
         self.sig_cache: Dict[str, Set[Tuple]] = {}
-        self.watches: Dict[CredentialRef, _MembershipWatch] = {}
+        self.watches: Dict[str, _MembershipWatch] = {}
 
     # ------------------------------------------------------------------
     # Credential records
@@ -281,25 +283,26 @@ class ServiceState:
                 del self.dependents[key]
 
     # ------------------------------------------------------------------
-    # Validation cache (ECR-backed)
+    # Validation cache (the ECRs)
     # ------------------------------------------------------------------
     def cache_validation(self, ref: CredentialRef,
                          cache_key: Tuple[str, Optional[str]]) -> None:
-        entries = self.validation_cache.setdefault(ref, {})
+        key = ref.qualified
+        entries = self.validation_cache.setdefault(key, {})
         entries[cache_key] = True
         store = self.store
         if store is not None:
-            store.put(VALIDATION, ref.qualified, {
+            store.put(VALIDATION, key, {
                 "ref": ref_payload(ref),
                 "entries": [[requester, holder]
                             for requester, holder in entries]})
 
-    def drop_validation(self, ref: CredentialRef
+    def drop_validation(self, key: str
                         ) -> Optional[Dict[Tuple[str, Optional[str]], bool]]:
-        stale = self.validation_cache.pop(ref, None)
+        stale = self.validation_cache.pop(key, None)
         store = self.store
         if store is not None and stale is not None:
-            store.delete(VALIDATION, ref.qualified)
+            store.delete(VALIDATION, key)
         return stale
 
     # ------------------------------------------------------------------
@@ -386,8 +389,8 @@ class ServiceState:
         returns: records (revoked ones included) and the reverse index are
         rebuilt, every journalled revocation has been applied, and the
         returned :class:`RecoveredState` lists what the service layer owes
-        — audit entries for interrupted cascades, ECR re-subscription, and
-        re-emission of unpublished events.
+        — audit entries for interrupted cascades, heartbeat windows for
+        restored validations, and re-emission of unpublished events.
         """
         store = self.store
         if store is None:
@@ -408,7 +411,7 @@ class ServiceState:
         validation_refs: List[CredentialRef] = []
         for key, payload in store.scan(VALIDATION):
             ref = ref_from_payload(payload["ref"])
-            self.validation_cache[ref] = {
+            self.validation_cache[ref.qualified] = {
                 (requester, holder): True
                 for requester, holder in payload.get("entries", ())}
             validation_refs.append(ref)

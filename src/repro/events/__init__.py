@@ -4,8 +4,14 @@ OASIS "depends on an active middleware platform to notify services of any
 relevant changes in their environment" (Abstract).  This package is the
 reproduction's substitute for the Cambridge Event Architecture: a topic
 based publish/subscribe broker (:mod:`repro.events.broker`), immutable event
-records (:mod:`repro.events.messages`) and per-credential channels with
-heartbeat monitoring (:mod:`repro.events.channels`, realising Fig. 5).
+records (:mod:`repro.events.messages`) and an event log
+(:mod:`repro.events.log`).
+
+The per-credential channels of Fig. 5 are virtual: a channel is the CRR
+string every revocation, re-issue and heartbeat event carries (the broker
+indexes on it).  The issuer publishes on it; each holder service consumes
+all of them through a fixed handful of service-level subscriptions
+(``repro.core.service``), never one per credential.
 """
 
 from .messages import (
@@ -16,7 +22,6 @@ from .messages import (
     ROLE_DEACTIVATED,
 )
 from .broker import EventBroker, Subscription
-from .channels import CredentialChannel, HeartbeatMonitor
 from .log import EventLog
 
 __all__ = [
@@ -28,6 +33,4 @@ __all__ = [
     "EventBroker",
     "EventLog",
     "Subscription",
-    "CredentialChannel",
-    "HeartbeatMonitor",
 ]

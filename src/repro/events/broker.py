@@ -57,8 +57,9 @@ _MISSING = object()
 class Subscription:
     """A live subscription; call :meth:`cancel` to stop receiving events.
 
-    Slotted: the Fig. 5 architecture takes one subscription per dependency
-    edge, so a scale world carries hundreds of thousands of these.
+    Slotted: the per-edge Fig. 5 design (the differential suites' oracle)
+    takes one subscription per dependency edge, so a scale world can carry
+    hundreds of thousands of these.
     """
 
     topic: str

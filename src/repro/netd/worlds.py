@@ -19,7 +19,7 @@ splits into
   by callback *over TCP* to the front node;
 * :func:`ehr_national` — national ``registry`` + ``patient-records``,
   validating treating RMCs by callback to the records node and caching
-  them behind an ECR subscription.
+  the results (the ECRs).
 
 Cross-service references (the admin service's id in the records policy,
 the foreign ``treating_doctor`` role in the national policy) are plain

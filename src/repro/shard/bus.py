@@ -49,10 +49,10 @@ class CrossShardBus:
 
     Holds the remote-link registry for credentials this shard owns and an
     outbox of coalesced messages for other shards.  The transport is
-    deliberately not here: the worker loop drains the outbox into its
-    pipe responses and the coordinator routes each message to the target
-    worker (see :mod:`repro.shard.router`), so delivery order per link is
-    the pipe's FIFO order.
+    deliberately not here: the worker drains the outbox into its RPC
+    replies and the coordinator routes each message to the target worker
+    (see :mod:`repro.shard.router`), so delivery order per link is the
+    order the coordinator reads them off the worker's replies.
     """
 
     def __init__(self, shard: int, shards: int) -> None:

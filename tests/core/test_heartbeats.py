@@ -13,22 +13,26 @@ from repro.core import (
     ServiceRegistry,
     Var,
 )
+from repro.core.state import ServiceStateCodec
+from repro.db import MemoryRecordStore
 from repro.events import EventBroker
 from repro.net import Scheduler, SimClock
 
 
-@pytest.fixture
-def world():
-    clock = SimClock()
-    scheduler = Scheduler(clock)
-    broker = EventBroker()
-    registry = ServiceRegistry()
+def build(clock, broker, registry, heartbeat_timeout=10.0, store=False):
+    """An issuer (login) and a holder (portal) whose ``visitor`` role needs
+    a login RMC as a membership condition; by default the portal distrusts
+    10 s of issuer silence.  ``store`` gives each a memory record store."""
+
+    def record_store():
+        return MemoryRecordStore(ServiceStateCodec()) if store else None
 
     login_policy = ServicePolicy(ServiceId("dom", "login"))
     logged_in = login_policy.define_role("logged_in_user", 1)
     login_policy.add_activation_rule(
         ActivationRule(RoleTemplate(logged_in, (Var("u"),))))
-    login = OasisService(login_policy, broker, registry, clock)
+    login = OasisService(login_policy, broker, registry, clock,
+                         store=record_store())
 
     portal_policy = ServicePolicy(ServiceId("dom", "portal"))
     visitor = portal_policy.define_role("visitor", 1)
@@ -36,9 +40,17 @@ def world():
         RoleTemplate(visitor, (Var("u"),)),
         (PrerequisiteRole(RoleTemplate(logged_in, (Var("u"),)),
                           membership=True),)))
-    # The portal distrusts silent issuers after 10 s.
     portal = OasisService(portal_policy, broker, registry, clock,
-                          heartbeat_timeout=10.0)
+                          heartbeat_timeout=heartbeat_timeout,
+                          store=record_store())
+    return login, portal
+
+
+@pytest.fixture
+def world():
+    clock = SimClock()
+    scheduler = Scheduler(clock)
+    login, portal = build(clock, EventBroker(), ServiceRegistry())
     return clock, scheduler, login, portal
 
 
@@ -108,3 +120,46 @@ class TestHolderFailSafe:
         clock, scheduler, login, portal = world
         # login itself has no heartbeat_timeout; it caches nothing foreign
         assert login.suspect_credentials() == []
+
+
+class TestResumedHolder:
+    """A restarted holder starts every restored validation's heartbeat
+    window at resume: silence after the restart is suspicion, exactly as
+    before it (fail closed)."""
+
+    @pytest.fixture
+    def resumed(self):
+        clock = SimClock()
+        login, portal = build(clock, EventBroker(), ServiceRegistry(),
+                              store=True)
+        session = Principal("u").start_session(login, "logged_in_user",
+                                               ["u"])
+        session.activate(portal, "visitor")  # caches the login RMC
+        clock.advance(5.0)
+        # A fresh process: new broker and registry, both services rebuilt
+        # from their stores.
+        broker, registry = EventBroker(), ServiceRegistry()
+        OasisService.resume(login.store, login.policy, broker, registry,
+                            clock)
+        portal = OasisService.resume(portal.store, portal.policy, broker,
+                                     registry, clock, heartbeat_timeout=10.0)
+        assert portal.validation_cache_size == 1
+        return clock, portal, session
+
+    def test_silence_after_resume_is_suspect(self, resumed):
+        clock, portal, session = resumed
+        clock.advance(11.0)  # no heartbeat since the restart
+        assert portal.suspect_credentials() == [session.root_rmc.ref]
+        callbacks = portal.stats.callbacks_made
+        session.activate(portal, "visitor")
+        assert portal.stats.callbacks_made == callbacks + 1
+
+    def test_restored_entry_hits_within_window(self, resumed):
+        clock, portal, session = resumed
+        clock.advance(9.0)
+        assert portal.suspect_credentials() == []
+        callbacks = portal.stats.callbacks_made
+        hits = portal.stats.cache_hits
+        session.activate(portal, "visitor")
+        assert portal.stats.callbacks_made == callbacks
+        assert portal.stats.cache_hits == hits + 1

@@ -106,12 +106,19 @@ class TestValidationCache:
         certificate = doctor.appointments()[0]
         from repro.core import CredentialInvalid, Presentation
 
+        records = hospital.records
+        invalidations = records.stats.cache_invalidations
         hospital.admin.rotate_secret()
+        # Dropped by the re-issue event while the record stays active.
+        assert records.stats.cache_invalidations == invalidations + 1
+        assert hospital.admin.is_active(certificate.ref)
+        callbacks = records.stats.callbacks_made
         with pytest.raises(CredentialInvalid):
-            hospital.records.activate_role(
+            records.activate_role(
                 doctor.id, "treating_doctor", None,
                 [Presentation(session.root_rmc),
                  Presentation(certificate, holder="d1")])
+        assert records.stats.callbacks_made > callbacks
 
     def test_rotation_does_not_cascade_revoke(self, hospital):
         """Re-issue events differ from revocation: roles already activated

@@ -1,124 +1,128 @@
-"""Tests for credential event channels and heartbeat monitoring (Fig. 5)."""
+"""Fig. 5 event channels, holder side: the heartbeat window.
+
+Channels are virtual — a channel is the CRR string on every event — so
+heartbeat monitoring lives in the holder service: one wildcard
+``CREDENTIAL_HEARTBEAT`` subscription and one window entry per cached
+foreign validation, and silence past the timeout makes it suspect.
+"""
 
 import pytest
 
-from repro.events import (
-    CREDENTIAL_HEARTBEAT,
-    CREDENTIAL_REVOKED,
-    CredentialChannel,
-    EventBroker,
-    HeartbeatMonitor,
+from repro.core import (
+    ActivationRule,
+    OasisService,
+    PrerequisiteRole,
+    Principal,
+    RoleTemplate,
+    ServiceId,
+    ServicePolicy,
+    ServiceRegistry,
+    Var,
 )
-from repro.net import SimClock
+from repro.events import CREDENTIAL_HEARTBEAT, Event, EventBroker
+from repro.net import Scheduler, SimClock
 
 
 @pytest.fixture
-def broker():
-    return EventBroker()
+def world():
+    clock = SimClock()
+    broker = EventBroker()
+    registry = ServiceRegistry()
+    login_policy = ServicePolicy(ServiceId("dom", "login"))
+    logged_in = login_policy.define_role("logged_in_user", 1)
+    login_policy.add_activation_rule(
+        ActivationRule(RoleTemplate(logged_in, (Var("u"),))))
+    login = OasisService(login_policy, broker, registry, clock)
+    portal_policy = ServicePolicy(ServiceId("dom", "portal"))
+    visitor = portal_policy.define_role("visitor", 1)
+    portal_policy.add_activation_rule(ActivationRule(
+        RoleTemplate(visitor, (Var("u"),)),
+        (PrerequisiteRole(RoleTemplate(logged_in, (Var("u"),))),)))
+    portal = OasisService(portal_policy, broker, registry, clock,
+                          heartbeat_timeout=10.0)
+    return clock, broker, login, portal
 
 
-@pytest.fixture
-def clock():
-    return SimClock()
+def cache_login(login, portal, user="u"):
+    """Activate at the portal, which caches the foreign login RMC."""
+    session = Principal(user).start_session(login, "logged_in_user", [user])
+    session.activate(portal, "visitor", [user])
+    return session.root_rmc.ref
 
 
-class TestCredentialChannel:
-    def test_revocation_reaches_subscriber(self, broker):
-        channel = CredentialChannel(broker, "svc#1")
-        seen = []
-        channel.subscribe_revocation(seen.append)
-        channel.notify_revoked("testing", timestamp=5.0)
-        assert len(seen) == 1
-        assert seen[0].get("credential_ref") == "svc#1"
-        assert seen[0].get("reason") == "testing"
-        assert seen[0].timestamp == 5.0
-
-    def test_channel_scoping(self, broker):
-        channel_a = CredentialChannel(broker, "svc#1")
-        channel_b = CredentialChannel(broker, "svc#2")
-        seen = []
-        channel_a.subscribe_revocation(seen.append)
-        channel_b.notify_revoked("other")
-        assert seen == []
-
-    def test_revocation_closes_channel(self, broker):
-        channel = CredentialChannel(broker, "svc#1")
-        assert channel.notify_revoked("once") >= 0
-        assert channel.closed
-        assert channel.notify_revoked("twice") == 0
-        assert channel.heartbeat() == 0
-
-    def test_heartbeats_flow(self, broker):
-        channel = CredentialChannel(broker, "svc#1")
-        beats = []
-        channel.subscribe_heartbeat(beats.append)
-        channel.heartbeat(timestamp=1.0)
-        channel.heartbeat(timestamp=2.0)
-        assert [b.timestamp for b in beats] == [1.0, 2.0]
-
-    def test_empty_ref_rejected(self, broker):
-        with pytest.raises(ValueError):
-            CredentialChannel(broker, "")
+def heartbeat(broker, ref):
+    broker.publish(Event.make(CREDENTIAL_HEARTBEAT,
+                              credential_ref=ref.qualified))
 
 
 class TestHeartbeatMonitor:
-    def test_fresh_watch_is_not_silent(self, broker, clock):
-        monitor = HeartbeatMonitor(broker, timeout=10.0, clock=clock)
-        monitor.watch("svc#1")
-        assert monitor.silent_credentials() == []
+    """The portal as heartbeat monitor: one window per cached ref."""
 
-    def test_silence_detected_after_timeout(self, broker, clock):
-        monitor = HeartbeatMonitor(broker, timeout=10.0, clock=clock)
-        monitor.watch("svc#1")
+    def test_fresh_watch_is_not_silent(self, world):
+        clock, broker, login, portal = world
+        ref = cache_login(login, portal)
+        assert ref.qualified in portal._heard
+        assert portal.suspect_credentials() == []
+
+    def test_silence_detected_after_timeout(self, world):
+        clock, broker, login, portal = world
+        ref = cache_login(login, portal)
         clock.advance(11.0)
-        assert monitor.silent_credentials() == ["svc#1"]
+        assert portal.suspect_credentials() == [ref]
 
-    def test_heartbeat_resets_silence(self, broker, clock):
-        monitor = HeartbeatMonitor(broker, timeout=10.0, clock=clock)
-        channel = CredentialChannel(broker, "svc#1")
-        monitor.watch("svc#1")
+    def test_heartbeat_resets_silence(self, world):
+        clock, broker, login, portal = world
+        ref = cache_login(login, portal)
         clock.advance(8.0)
-        channel.heartbeat()
+        heartbeat(broker, ref)
         clock.advance(8.0)
-        assert monitor.silent_credentials() == []  # 8 < 10 since last beat
-        assert monitor.last_heartbeat("svc#1") == pytest.approx(8.0)
+        assert portal.suspect_credentials() == []  # 8 < 10 since last beat
+        assert portal._heard[ref.qualified][1] == pytest.approx(8.0)
 
-    def test_only_watched_channels_tracked(self, broker, clock):
-        monitor = HeartbeatMonitor(broker, timeout=10.0, clock=clock)
-        CredentialChannel(broker, "svc#1").heartbeat()
-        assert monitor.last_heartbeat("svc#1") is None
+    def test_only_watched_channels_tracked(self, world):
+        clock, broker, login, portal = world
+        session = Principal("u").start_session(login, "logged_in_user",
+                                               ["u"])
+        heartbeat(broker, session.root_rmc.ref)  # never cached at portal
+        assert portal._heard == {}
 
-    def test_unwatch(self, broker, clock):
-        monitor = HeartbeatMonitor(broker, timeout=10.0, clock=clock)
-        monitor.watch("svc#1")
-        monitor.unwatch("svc#1")
+    def test_unwatch(self, world):
+        """A revocation drops the cache entry and its window with it."""
+        clock, broker, login, portal = world
+        ref = cache_login(login, portal)
+        login.revoke(ref, "logout")
         clock.advance(100.0)
-        assert monitor.silent_credentials() == []
-        assert monitor.watched == []
+        assert portal.suspect_credentials() == []
+        assert portal._heard == {}
+        assert portal.validation_cache_size == 0
 
-    def test_double_watch_is_idempotent(self, broker, clock):
-        monitor = HeartbeatMonitor(broker, timeout=10.0, clock=clock)
-        monitor.watch("svc#1")
-        monitor.watch("svc#1")
-        assert monitor.watched == ["svc#1"]
+    def test_double_watch_is_idempotent(self, world):
+        """One heartbeat subscription however many refs are cached."""
+        clock, broker, login, portal = world
+        for user in ("a", "b", "c"):
+            cache_login(login, portal, user)
+        assert len(portal._heard) == 3
         assert broker.subscriber_count(CREDENTIAL_HEARTBEAT) == 1
 
-    def test_timeout_must_be_positive(self, broker, clock):
-        with pytest.raises(ValueError):
-            HeartbeatMonitor(broker, timeout=0, clock=clock)
+    def test_timeout_must_be_positive(self, world):
+        clock, broker, login, portal = world
+        subscriptions = broker.subscriber_count()
+        for timeout in (0, -1.0):
+            with pytest.raises(ValueError):
+                OasisService(ServicePolicy(ServiceId("dom", "other")),
+                             broker, ServiceRegistry(), clock,
+                             heartbeat_timeout=timeout)
+        assert broker.subscriber_count() == subscriptions
 
-    def test_periodic_heartbeats_with_scheduler(self, broker, clock):
+    def test_periodic_heartbeats_with_scheduler(self, world):
         """The deployment pattern: issuer heartbeats on a schedule; the
         holder notices when they stop."""
-        from repro.net import Scheduler
-
+        clock, broker, login, portal = world
         scheduler = Scheduler(clock)
-        monitor = HeartbeatMonitor(broker, timeout=5.0, clock=clock)
-        channel = CredentialChannel(broker, "svc#1")
-        monitor.watch("svc#1")
-        cancel = scheduler.schedule_periodic(2.0, channel.heartbeat)
+        ref = cache_login(login, portal)
+        cancel = login.start_heartbeats(scheduler, interval=2.0)
         scheduler.run_for(20.0)
-        assert monitor.silent_credentials() == []
+        assert portal.suspect_credentials() == []
         cancel()  # issuer dies
-        scheduler.run_for(10.0)
-        assert monitor.silent_credentials() == ["svc#1"]
+        scheduler.run_for(10.5)
+        assert portal.suspect_credentials() == [ref]

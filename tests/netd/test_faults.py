@@ -326,14 +326,16 @@ class TestCallbackVerdict:
                 RoleTemplate(guest, (Var("u"),)),
                 (PrerequisiteRole(RoleTemplate(foreign.role.role_name,
                                                (Var("u"),))),)))
-            consumer = OasisService(policy, EventBroker(),
+            broker = EventBroker()
+            consumer = OasisService(policy, broker,
                                     ServiceRegistry(), network=network)
+            subscriptions = broker.stats()["subscriptions"]
             with pytest.raises(CredentialInvalid):
                 consumer.activate_role(alice, "guest", ["alice"],
                                        [Presentation(foreign)])
             assert consumer.stats.callbacks_made == 1
             assert not consumer._validation_cache
-            assert not consumer._ecr_subs
+            assert broker.stats()["subscriptions"] == subscriptions
             assert not consumer.active_credentials()
         finally:
             network.close()

@@ -74,9 +74,10 @@ class PerEdgeService(OasisService):
             if obs is not None:
                 span.finish(self.clock())
 
-    def _on_revoked_event(self, event: Event) -> None:
-        # Only the signature-cache drop; cascading is per edge.
-        self._on_sig_cache_event(event)
+    def _revoke_dependents(self, key, reason):
+        # The service-level handler still drops cached entries; cascading
+        # is per edge.
+        return []
 
     def _on_dependency_revoked(self, dependent: CredentialRef,
                                event: Event) -> None:
