@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import FrozenSet, Iterator, Optional, Tuple, Union
 
-from .constraints import EnvironmentalConstraint
+from .constraints import ComparisonConstraint, EnvironmentalConstraint
 from .exceptions import PolicyError
 from .terms import Term, Var, variables_in
 from .types import RoleTemplate, ServiceId
@@ -290,6 +290,15 @@ class AuthorizationRule:
     def condition_partition(self) -> Tuple[Tuple[Condition, ...],
                                            Tuple[Condition, ...]]:
         return partition_conditions(self.conditions)
+
+    @cached_property
+    def pure(self) -> bool:
+        """True when every constraint is a :class:`ComparisonConstraint`,
+        which reads nothing but the substitution: the verdict is then a
+        function of the arguments and the presented credentials alone (what
+        :mod:`repro.core.decisions` may cache)."""
+        return all(type(condition.constraint) is ComparisonConstraint
+                   for condition in self.condition_partition[1])
 
     def __str__(self) -> str:
         params = ", ".join(repr(p) for p in self.parameters)

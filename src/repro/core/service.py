@@ -21,10 +21,13 @@ An :class:`OasisService` implements the full life-cycle of Fig. 2:
   "cache the certificate and the result of validation in order to reduce
   the communication overhead of repeated callback" — ABL1 measures exactly
   this trade-off.
+* **decision caching**: a warm invoke's authorization grant is memoised
+  after its presentations validate (:mod:`repro.core.decisions`).
 
-Cached validations, verified signatures, dependency edges and heartbeat
-windows are dicts keyed by the CRR string, kept true by the service-level
-subscriptions the constructor makes — never one per cached credential.
+Cached validations, authorization grants, verified signatures, dependency
+edges and heartbeat windows are dicts keyed by the CRR string, kept true
+by the service-level subscriptions the constructor makes — never one per
+cached credential.
 """
 
 from __future__ import annotations
@@ -55,6 +58,7 @@ from .credentials import (
     CredentialRefAllocator,
     RoleMembershipCertificate,
 )
+from .decisions import DecisionCache, decision_key
 from .engine import CredentialIndex, PresentedCredential, RuleEngine, RuleMatch
 from .access_log import AccessKind, AccessLog
 from .exceptions import (
@@ -110,6 +114,8 @@ class ServiceStats:
     sig_verifications: int = 0
     sig_cache_hits: int = 0
     sig_cache_invalidations: int = 0
+    decision_cache_hits: int = 0
+    decision_cache_invalidations: int = 0
     revocations: int = 0
     cascade_revocations: int = 0
     membership_rechecks: int = 0
@@ -302,6 +308,10 @@ class OasisService:
         self._heartbeat_timeout = heartbeat_timeout
         self._heard: Optional[Dict[str, Tuple[CredentialRef, float]]] = (
             {} if heartbeat_timeout is not None else None)
+        # Authorization grants of warm invokes (repro.core.decisions):
+        # volatile, evicted by the same credential events as the caches
+        # above.
+        self._decisions = DecisionCache()
         # The only subscriptions a service makes: one handler takes every
         # revocation and re-issue event — cache drops, then the cascade
         # probe — so an event costs one handler call per *service*, not one
@@ -393,6 +403,9 @@ class OasisService:
         yield ("oasis_validation_cache_entries", "gauge",
                "cached foreign-credential validations (ECRs)",
                [({"service": service}, self.validation_cache_size)])
+        yield ("oasis_decision_cache_entries", "gauge",
+               "memoised authorization grants",
+               [({"service": service}, len(self._decisions))])
         # Resident-state gauges: what the 1M-principal scale work must keep
         # small.  Sampled at export only; no hot-path bookkeeping.
         yield ("oasis_memory_resident_objects", "gauge",
@@ -745,36 +758,53 @@ class OasisService:
                         "invocation", self._obs_invocation_denied, span,
                         principal, method, attempts, failure)
                 raise
-            context = self.context if not environment \
-                else self.context.with_environment(**environment)
-            index = CredentialIndex(presented)
-            arguments = list(arguments)
-            for rule in self.policy.authorization_rules_for(method):
-                match = self._engine.match_authorization(
-                    rule, arguments, presented, context, index)
-                if match is None:
+            arguments = tuple(arguments)
+            rules = self.policy.authorization_rules_for(method)
+            # Only after validation: a dead or forged credential never
+            # reaches the decision cache (see repro.core.decisions).
+            key = decision_key(method, arguments, presented)
+            hit = None if key is None else self._decisions.lookup(key, rules)
+            granted = None
+            detail: Tuple[Tuple[str, Any], ...] = ()
+            if hit is not None:
+                self.stats.decision_cache_hits += 1
+                _rules, granted, arguments = hit
+                detail = (("decision_cache", "hit"),)
+            else:
+                context = self.context if not environment \
+                    else self.context.with_environment(**environment)
+                index = CredentialIndex(presented)
+                for rule in rules:
+                    if self._engine.match_authorization(
+                            rule, arguments, presented, context,
+                            index) is not None:
+                        granted = rule
+                        if key is not None \
+                                and all(rule.pure for rule in rules):
+                            self._decisions.store(key, rules, rule)
+                        break
                     if obs is not None:
                         attempts.append(self._failed_attempt(
                             rule, self._engine.explain_authorization(
                                 rule, arguments, presented, context)))
-                    continue
+            if granted is not None:
                 self.stats.invocations += 1
                 self._audit(AccessKind.INVOCATION, principal.value,
-                            method, detail=tuple(arguments))
+                            method, detail=arguments)
                 if obs is not None:
-                    attempts.append(RuleAttempt(rule=str(rule),
+                    attempts.append(RuleAttempt(rule=str(granted),
                                                 outcome="matched"))
                     self._record_decision(
                         "invocation", "granted", principal.value, method,
-                        tuple(attempts), span=span)
+                        tuple(attempts), span=span, detail=detail)
                     self._obs_invocation_granted.inc()
                 return self._methods[method](*arguments)
             self.stats.invocations_denied += 1
             self._audit(AccessKind.INVOCATION_DENIED, principal.value,
-                        method, detail=tuple(arguments))
+                        method, detail=arguments)
             denial = InvocationDenied(
                 f"{principal} may not invoke "
-                f"{self.id}.{method}{tuple(arguments)!r}")
+                f"{self.id}.{method}{arguments!r}")
             if obs is not None:
                 if not attempts:
                     attempts.append(RuleAttempt(
@@ -1056,10 +1086,11 @@ class OasisService:
         """Every CREDENTIAL_REVOKED and CREDENTIAL_REISSUED event.
 
         Dict pops drop the credential's verified signatures, cached
-        validation and heartbeat window.  A re-issue stops there (the
-        record stays valid); a revocation then probes the reverse
-        dependency index, costing more only when the credential has live
-        local dependents, and then O(local subtree).
+        validation, heartbeat window and the authorization grants that
+        named it.  A re-issue stops there (the record stays valid); a
+        revocation then probes the reverse dependency index, costing more
+        only when the credential has live local dependents, and then
+        O(local subtree).
         """
         ref_string = event.get("credential_ref")
         if ref_string is None:
@@ -1071,6 +1102,8 @@ class OasisService:
             self.stats.cache_invalidations += len(stale)
             if self._heard is not None:
                 self._heard.pop(ref_string, None)
+        self.stats.decision_cache_invalidations += \
+            self._decisions.evict(ref_string)
         if event.topic != CREDENTIAL_REVOKED:
             return
         seeds = self._revoke_dependents(ref_string, event.get("reason"))

@@ -69,7 +69,10 @@ class ServiceId:
 
     domain: str
     name: str
-    _hash: int = field(default=0, init=False, repr=False, compare=False)
+    # No default: the generated ``__init__`` re-runs on the shared instance
+    # at every construction, and a default would reset the field until
+    # ``__post_init__`` — a window in which another thread reads hash 0.
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __new__(cls, domain: str = "", name: str = "") -> "ServiceId":
         if cls is not ServiceId:  # subclasses manage their own identity
@@ -116,7 +119,10 @@ class RoleName:
 
     service: ServiceId
     name: str
-    _hash: int = field(default=0, init=False, repr=False, compare=False)
+    # No defaults, for the reason given on ServiceId: a concurrent str()
+    # must never see an empty string (it is signed into every RMC).
+    _hash: int = field(init=False, repr=False, compare=False)
+    _text: str = field(init=False, repr=False, compare=False)
 
     def __new__(cls, service: ServiceId = None,  # type: ignore[assignment]
                 name: str = "") -> "RoleName":
@@ -140,6 +146,9 @@ class RoleName:
         # Cached for the same reason as ServiceId (nested dataclass hashing
         # is otherwise recomputed on every index lookup).
         object.__setattr__(self, "_hash", hash((self.service, self.name)))
+        # Every audit record of an activation names the role: one shared
+        # string per interned name, not one per record.
+        object.__setattr__(self, "_text", f"{self.service}:{self.name}")
 
     def __hash__(self) -> int:
         return self._hash
@@ -148,7 +157,7 @@ class RoleName:
         return (RoleName, (self.service, self.name))
 
     def __str__(self) -> str:
-        return f"{self.service}:{self.name}"
+        return self._text
 
 
 @dataclass(frozen=True, **DATACLASS_SLOTS)

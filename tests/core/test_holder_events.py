@@ -9,11 +9,15 @@ working for validations restored by ``resume``.
 import pytest
 
 from repro.core import (
+    AuthorizationRule,
     CredentialRevoked,
     OasisService,
     Presentation,
+    PrerequisiteRole,
     PrincipalId,
+    RoleTemplate,
     ServiceRegistry,
+    Var,
 )
 from repro.events import CREDENTIAL_HEARTBEAT, Event, EventBroker
 from repro.net import SimClock
@@ -37,12 +41,22 @@ def test_subscriptions_do_not_grow_with_cached_validations(timeout,
     broker = EventBroker()
     login, portal = build(SimClock(), broker, ServiceRegistry(),
                           heartbeat_timeout=timeout)
+    visitor = RoleTemplate(portal.policy.define_role("visitor", 1),
+                           (Var("u"),))
+    portal.policy.add_authorization_rule(AuthorizationRule(
+        "greet", (Var("u"),), (PrerequisiteRole(visitor),)))
+    portal.register_method("greet", lambda user: f"hello {user}")
     at_construction = broker.stats()["subscriptions"]
     assert at_construction == 2 + per_service
     for index in range(50):
         user = f"u{index}"
-        visit(portal, user, log_in(login, user))
+        membership = visit(portal, user, log_in(login, user))
+        for _ in range(2):  # the second greeting is a decision-cache hit
+            portal.invoke(PrincipalId(user), "greet", [user],
+                          [Presentation(membership)])
     assert portal.validation_cache_size == 50
+    assert len(portal._decisions) == 50
+    assert portal.stats.decision_cache_hits == 50
     assert broker.stats()["subscriptions"] == at_construction
 
 
