@@ -20,11 +20,13 @@ credential's event channel (Fig. 5).
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Tuple
+from typing import Any, List, Optional, Tuple, Union
 
-from ..crypto.hmac_sig import FieldValue, ServiceSecret, sign_fields, verify_fields
+from ..crypto.hmac_sig import (FieldValue, ServiceSecret, canonical_encode,
+                               sign_fields, verify_fields)
 from .exceptions import CredentialError, SignatureInvalid
 from .terms import DATACLASS_SLOTS, Term, is_ground
 from .types import PrincipalId, Role, RoleName, ServiceId
@@ -37,6 +39,8 @@ __all__ = [
     "CredentialStatus",
     "CredentialRefAllocator",
     "encode_parameters",
+    "certificate_digest",
+    "same_certificate",
 ]
 
 
@@ -104,6 +108,9 @@ class RoleMembershipCertificate:
     issued_at: float
     bound_key: Optional[str] = None
     signature: bytes = field(default=b"", repr=False)
+    #: Memoised wire form (:func:`repro.core.wire.certificate_text`).
+    wire_text: Optional[str] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def protected_fields(self) -> Tuple[FieldValue, ...]:
         """The field sequence entering the signature (order is part of the
@@ -166,6 +173,9 @@ class AppointmentCertificate:
     holder: Optional[str] = None
     secret_generation: int = 0
     signature: bytes = field(default=b"", repr=False)
+    #: Memoised wire form (:func:`repro.core.wire.certificate_text`).
+    wire_text: Optional[str] = field(default=None, init=False, repr=False,
+                                     compare=False)
 
     def protected_fields(self) -> Tuple[FieldValue, ...]:
         return (
@@ -221,6 +231,29 @@ class AppointmentCertificate:
         return AppointmentCertificate.issue(
             secret, self.issuer, self.name, self.parameters, self.ref,
             issued_at, self.expires_at, self.holder)
+
+
+def certificate_digest(certificate: Union[RoleMembershipCertificate,
+                                          AppointmentCertificate]) -> str:
+    """SHA-256 over everything a certificate asserts, in the signature's
+    type-tagged field encoding: what a validation cached before a restart
+    stays bound to once the certificate object itself is gone."""
+    return hashlib.sha256(canonical_encode((
+        str(certificate.issuer), certificate.protected_fields(),
+        getattr(certificate, "secret_generation", 0),
+        certificate.signature))).hexdigest()
+
+
+def same_certificate(held: Any, presented: Any) -> bool:
+    """Whether a cache entry holding ``held`` — the certificate it
+    validated, or that certificate's :func:`certificate_digest` — covers
+    ``presented``.  A copy with any field changed (same ref and signature)
+    is a different certificate: it must go back to its issuer."""
+    if held is presented:
+        return True
+    if type(held) is str:
+        return held == certificate_digest(presented)
+    return held == presented
 
 
 class CredentialStatus:

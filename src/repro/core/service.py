@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..db import Database, RecordStore, default_store
-from ..net.adapter import VALIDATE_ENDPOINT, ValidationTransport
+from ..net import VALIDATE_ENDPOINT, NetworkError, ValidationTransport
 from ..obs import runtime as _obs_runtime
 from ..obs.explain import Decision, RuleAttempt
 from ..obs.tracing import Span, SpanContext
@@ -57,6 +57,7 @@ from .credentials import (
     CredentialRef,
     CredentialRefAllocator,
     RoleMembershipCertificate,
+    same_certificate,
 )
 from .decisions import DecisionCache, decision_key
 from .engine import CredentialIndex, PresentedCredential, RuleEngine, RuleMatch
@@ -291,16 +292,16 @@ class OasisService:
         self._watches = self._state.watches
         self._methods: Dict[str, Callable[..., Any]] = {}
         # validation cache (the ECRs), two-level: CRR string ->
-        # {(requester, holder-claim)}; presence = valid.  Keying the outer
-        # level by ref makes the drop on revocation O(entries for that ref)
-        # instead of a scan of the whole cache — revocation cost must not
-        # grow with the number of unrelated cached validations.
+        # {(requester, holder-claim): the certificate validated}.  Keying
+        # the outer level by ref makes the drop on revocation O(entries for
+        # that ref) instead of a scan of the whole cache — revocation cost
+        # must not grow with the number of unrelated cached validations.
         self._validation_cache = self._state.validation_cache
-        # Signature-verification cache: CRR string -> set of certificate
-        # fingerprints whose MAC already verified.  A fingerprint covers the
-        # signature bytes, the claimed bindings and the secret generation,
-        # so tampered certificates, stolen presentations and rotated
-        # secrets all miss.
+        # Signature-verification cache: CRR string -> {(principal, holder,
+        # secret generation): the certificate whose MAC verified}.  Both
+        # caches hit only for that certificate (``same_certificate``), so
+        # tampered copies, stolen presentations and rotated secrets all
+        # miss.
         self._sig_cache = self._state.sig_cache
         # Fig. 5 heartbeat fail-safe: CRR string -> (ref, last heard) for
         # each cached ref; a cached validation is trusted only while its
@@ -1186,19 +1187,68 @@ class OasisService:
     def _validate_presentations(self, principal: PrincipalId,
                                 presentations: Sequence[Presentation],
                                 ) -> List[PresentedCredential]:
-        presented = []
+        """Validate every presented certificate in presentation order:
+        the service's own here, foreign ones from the validation cache or
+        by callback to their issuer (Sect. 4: 'validate a certificate
+        presented as an argument via callback to the issuer').  Callbacks
+        through the network are collected and made in one transport call
+        — one RPC per issuing peer over sockets.  The first presentation
+        that fails, in presentation order, is audited and raised."""
+        presented: List[PresentedCredential] = []
+        failed: Optional[Tuple[int, CredentialInvalid]] = None
+        # Allocated only on a miss: warm requests (the common case) make
+        # no garbage here beyond their result.
+        deferred: Optional[List[Tuple[int, Certificate, str,
+                                      Optional[str]]]] = None
+        transport = self._transport
         for presentation in presentations:
             certificate = presentation.certificate
+            presented.append(PresentedCredential(certificate))
             try:
                 if certificate.issuer == self.id:
                     self._validate_local(principal, presentation)
-                else:
-                    self._validate_remote(principal, presentation)
+                    continue
+                # The effective requester: the invoking principal, or the
+                # original requester a gateway attests under an SLA.  Both
+                # the RMC principal binding and the appointment holder
+                # binding are checked against it by the issuer.
+                requester = self._rmc_binding(principal, presentation)
+                holder = presentation.holder
+                if self._cached_validation(certificate, requester, holder):
+                    continue
+                self.stats.callbacks_made += 1
+                if transport is not None \
+                        and transport.reaches(certificate.issuer):
+                    if deferred is None:
+                        deferred = []
+                    deferred.append((len(presented) - 1, certificate,
+                                     requester, holder))
+                    continue
+                self.registry.lookup(certificate.issuer)._serve_validation(
+                    certificate, requester, holder)
+                self._cache_validation(certificate, requester, holder)
             except CredentialInvalid as failure:
-                self._audit(AccessKind.VALIDATION_FAILED, principal.value,
-                            str(certificate.ref), reason=str(failure))
-                raise
-            presented.append(PresentedCredential(certificate))
+                failed = (len(presented) - 1, failure)
+                break
+        if deferred is not None:
+            verdicts = transport.validate_many(self.id, [
+                (certificate.issuer, certificate, requester, holder)
+                for _index, certificate, requester, holder in deferred])
+            for (index, certificate, requester, holder), verdict \
+                    in zip(deferred, verdicts):
+                try:
+                    self._accept_verdict(certificate, verdict)
+                except CredentialInvalid as failure:
+                    if failed is None or index < failed[0]:
+                        failed = (index, failure)
+                    continue
+                self._cache_validation(certificate, requester, holder)
+        if failed is not None:
+            index, failure = failed
+            self._audit(AccessKind.VALIDATION_FAILED, principal.value,
+                        str(presentations[index].certificate.ref),
+                        reason=str(failure))
+            raise failure
         return presented
 
     @staticmethod
@@ -1213,37 +1263,65 @@ class OasisService:
                                 self._rmc_binding(principal, presentation),
                                 presentation.holder)
 
-    def _validate_remote(self, principal: PrincipalId,
-                         presentation: Presentation) -> None:
-        certificate = presentation.certificate
-        ref = certificate.ref
-        # The effective requester: the invoking principal, or the original
-        # requester a gateway attests under an SLA.  Both the RMC principal
-        # binding and the appointment holder binding are checked against it
-        # by the issuer.
-        requester = self._rmc_binding(principal, presentation)
-        cache_key = (requester, presentation.holder)
-        key = ref.qualified
-        cached_entries = self._validation_cache.get(key)
-        if self.cache_validations and cached_entries is not None \
-                and cache_key in cached_entries \
-                and not self._heartbeat_silent(key):
-            # The entry exists only until a revocation or re-issue event
-            # names the credential; expiry must still be checked locally
-            # against the clock.
-            if isinstance(certificate, AppointmentCertificate) \
-                    and certificate.is_expired(self.clock()):
-                raise CredentialExpired(f"appointment {ref} expired")
-            self.stats.cache_hits += 1
+    def _cached_validation(self, certificate: Certificate, requester: str,
+                           holder: Optional[str]) -> bool:
+        """True when a cached validation (the ECR) covers this exact
+        certificate for this requester and holder claim.  The entry
+        exists only until a revocation or re-issue event names the
+        credential; expiry must still be checked locally against the
+        clock."""
+        if not self.cache_validations:
+            return False
+        key = certificate.ref.qualified
+        entries = self._validation_cache.get(key)
+        if entries is None:
+            return False
+        cache_key = (requester, holder)
+        held = entries.get(cache_key)
+        if held is not certificate:
+            if held is None or not same_certificate(held, certificate):
+                return False
+            # An equal copy, or a digest restored by ``resume``: the next
+            # presentation of this object is an identity test.
+            entries[cache_key] = certificate
+        if self._heard is not None and self._heartbeat_silent(key):
+            return False
+        if isinstance(certificate, AppointmentCertificate) \
+                and certificate.is_expired(self.clock()):
+            raise CredentialExpired(f"appointment {certificate.ref} expired")
+        self.stats.cache_hits += 1
+        return True
+
+    def _cache_validation(self, certificate: Certificate, requester: str,
+                          holder: Optional[str]) -> None:
+        """Remember a successful callback, bound to the certificate."""
+        if not self.cache_validations:
             return
-        self._callback_validate(certificate, requester,
-                                presentation.holder)
-        if self.cache_validations:
-            self._state.cache_validation(ref, cache_key)
-            if self._heard is not None:
-                # A successful callback is fresh evidence of issuer
-                # liveness: (re)start the heartbeat window.
-                self._heard[key] = (ref, self.clock())
+        ref = certificate.ref
+        self._state.cache_validation(ref, (requester, holder), certificate)
+        if self._heard is not None:
+            # A successful callback is fresh evidence of issuer
+            # liveness: (re)start the heartbeat window.
+            self._heard[ref.qualified] = (ref, self.clock())
+
+    @staticmethod
+    def _accept_verdict(certificate: Certificate, verdict: Any) -> None:
+        """Raise unless an issuer's callback verdict is the literal
+        ``True``.  A transport failure fails closed: a credential that
+        cannot be validated is invalid for this request (it may be
+        retried once the issuer is reachable again)."""
+        if isinstance(verdict, NetworkError):
+            raise CredentialInvalid(
+                f"cannot validate {certificate.ref}: issuer unreachable "
+                f"({verdict})") from verdict
+        if isinstance(verdict, BaseException):
+            raise verdict  # the issuer's refusal, typed
+        # An issuer that does not raise has still not validated the
+        # credential unless it says so: only ``True`` passes.
+        if verdict is not True:
+            raise CredentialInvalid(
+                f"issuer {certificate.issuer} did not validate "
+                f"{certificate.ref}")
 
     def _heartbeat_silent(self, key: str) -> bool:
         """True when a heartbeat timeout is set and the credential named
@@ -1299,35 +1377,6 @@ class OasisService:
 
         return scheduler.schedule_periodic(interval, beat)
 
-    def _callback_validate(self, certificate: Certificate,
-                           principal_value: str,
-                           holder: Optional[str]) -> None:
-        """Callback to the issuer (Sect. 4: 'validate a certificate
-        presented as an argument via callback to the issuer')."""
-        self.stats.callbacks_made += 1
-        issuer = certificate.issuer
-        if self._transport is not None and self._transport.reaches(issuer):
-            from ..net import NetworkError
-
-            try:
-                verdict = self._transport.validate(
-                    self.id, issuer, certificate, principal_value, holder)
-            except NetworkError as failure:
-                # Fail closed: a credential that cannot be validated is
-                # treated as invalid for this request (it may be retried
-                # once the issuer is reachable again).
-                raise CredentialInvalid(
-                    f"cannot validate {certificate.ref}: issuer "
-                    f"unreachable ({failure})") from failure
-            # An issuer that does not raise has still not validated the
-            # credential unless it says so: only ``True`` passes.
-            if verdict is not True:
-                raise CredentialInvalid(
-                    f"issuer {issuer} did not validate {certificate.ref}")
-            return
-        self.registry.lookup(issuer)._serve_validation(
-            certificate, principal_value, holder)
-
     def _serve_validation(self, certificate: Certificate,
                           principal_value: str,
                           holder: Optional[str]) -> bool:
@@ -1372,28 +1421,30 @@ class OasisService:
     def _verify_signature(self, certificate: Certificate,
                           principal_value: str,
                           holder: Optional[str]) -> None:
-        """MAC verification behind the fingerprint-keyed cache.
+        """MAC verification behind the verified-signature cache.
 
-        Only *successful* verifications are cached; a fingerprint binds the
-        exact signature bytes, the presented identities and the current
-        secret generation, so any change to certificate, presenter or
-        secret re-verifies from scratch.
+        Only *successful* verifications are cached, each holding the
+        certificate that verified under the presented identities and the
+        current secret generation: any change to certificate, presenter
+        or secret re-verifies from scratch.
         """
-        fingerprint = (certificate.signature, principal_value, holder,
-                       self.secret.generation)
+        binding = (principal_value, holder, self.secret.generation)
         ref_key = certificate.ref.qualified
         cached = self._sig_cache.get(ref_key)
-        if cached is not None and fingerprint in cached:
-            self.stats.sig_cache_hits += 1
-            return
+        if cached is not None:
+            held = cached.get(binding)
+            if held is certificate or held is not None \
+                    and same_certificate(held, certificate):
+                self.stats.sig_cache_hits += 1
+                return
         self.stats.sig_verifications += 1
         if isinstance(certificate, RoleMembershipCertificate):
             certificate.verify(self.secret, PrincipalId(principal_value))
         else:
             certificate.verify(self.secret, holder)
         if cached is None:
-            self._sig_cache[ref_key] = cached = set()
-        cached.add(fingerprint)
+            self._sig_cache[ref_key] = cached = {}
+        cached[binding] = certificate
 
     # ------------------------------------------------------------------
     # Persistence and crash recovery

@@ -16,8 +16,9 @@ Three buckets hold everything:
   credential with ``CredentialRevoked`` (reason preserved) rather than a
   generic "unknown credential".
 * ``validation`` — one entry per cached foreign credential: the
-  ``(requester, holder)`` pairs whose callback validation succeeded, so a
-  restart can rebuild the cache.
+  ``(requester, holder)`` pairs whose callback validation succeeded, each
+  with the certificate it validated (its digest once serialised), so a
+  restart can rebuild the cache without it covering a tampered copy.
 * ``meta`` — the service secret (certificates must keep verifying across a
   restart) and small recovery bookkeeping.
 
@@ -65,7 +66,8 @@ from typing import (
 from ..crypto.hmac_sig import ServiceSecret
 from ..db.kv import RecordStore, StoreCodec
 from ..events import Event
-from .credentials import CredentialRecord, CredentialRef, CredentialStatus
+from .credentials import (CredentialRecord, CredentialRef, CredentialStatus,
+                          certificate_digest)
 from .rules import ConstraintCondition
 from .terms import Substitution
 from .types import PrincipalId, ServiceId
@@ -109,11 +111,18 @@ def ref_from_payload(payload: Dict[str, Any]) -> CredentialRef:
 class ServiceStateCodec(StoreCodec):
     """Encodes service-state bucket values for serialising backends.
 
-    Only the ``records`` bucket holds rich objects; ``validation`` and
-    ``meta`` values are already JSON-able dicts and pass through.
+    ``records`` hold rich objects; a ``validation`` entry holds the
+    certificate it validated, serialised as its
+    :func:`~repro.core.credentials.certificate_digest` (what the entry
+    stays bound to after a restart); ``meta`` values pass through.
     """
 
     def encode(self, bucket: str, value: Any) -> Any:
+        if bucket == VALIDATION:
+            return {"ref": value["ref"], "entries": [
+                [requester, holder,
+                 held if type(held) is str else certificate_digest(held)]
+                for requester, holder, held in value["entries"]]}
         if bucket != RECORDS:
             return value
         record: CredentialRecord = value
@@ -202,9 +211,11 @@ class ServiceState:
         self.records: Dict[CredentialRef, CredentialRecord] = {}
         self.dependents: Dict[str, Union[List[CredentialRef],
                                          Dict[CredentialRef, None]]] = {}
+        # The values of both caches are the certificate validated (a
+        # restored validation entry: its digest until the next hit).
         self.validation_cache: Dict[
-            str, Dict[Tuple[str, Optional[str]], bool]] = {}
-        self.sig_cache: Dict[str, Set[Tuple]] = {}
+            str, Dict[Tuple[str, Optional[str]], Any]] = {}
+        self.sig_cache: Dict[str, Dict[Tuple, Any]] = {}
         self.watches: Dict[str, _MembershipWatch] = {}
 
     # ------------------------------------------------------------------
@@ -286,19 +297,23 @@ class ServiceState:
     # Validation cache (the ECRs)
     # ------------------------------------------------------------------
     def cache_validation(self, ref: CredentialRef,
-                         cache_key: Tuple[str, Optional[str]]) -> None:
+                         cache_key: Tuple[str, Optional[str]],
+                         certificate: Any) -> None:
+        """Cache ``certificate``'s validation for ``cache_key``.  The store
+        entry holds the certificate object; :class:`ServiceStateCodec`
+        reduces it to its digest only if the entry is ever serialised."""
         key = ref.qualified
         entries = self.validation_cache.setdefault(key, {})
-        entries[cache_key] = True
+        entries[cache_key] = certificate
         store = self.store
         if store is not None:
             store.put(VALIDATION, key, {
                 "ref": ref_payload(ref),
-                "entries": [[requester, holder]
-                            for requester, holder in entries]})
+                "entries": [[requester, holder, held] for
+                            (requester, holder), held in entries.items()]})
 
     def drop_validation(self, key: str
-                        ) -> Optional[Dict[Tuple[str, Optional[str]], bool]]:
+                        ) -> Optional[Dict[Tuple[str, Optional[str]], Any]]:
         stale = self.validation_cache.pop(key, None)
         store = self.store
         if store is not None and stale is not None:
@@ -410,11 +425,15 @@ class ServiceState:
                     self.link_dependent(dependency.qualified, record.ref)
         validation_refs: List[CredentialRef] = []
         for key, payload in store.scan(VALIDATION):
-            ref = ref_from_payload(payload["ref"])
-            self.validation_cache[ref.qualified] = {
-                (requester, holder): True
-                for requester, holder in payload.get("entries", ())}
-            validation_refs.append(ref)
+            # An entry not bound to a certificate covers any copy of it:
+            # dropped, so the next presentation calls back.
+            entries = {(entry[0], entry[1]): entry[2]
+                       for entry in payload.get("entries", ())
+                       if len(entry) == 3 and entry[2] is not None}
+            if entries:
+                ref = ref_from_payload(payload["ref"])
+                self.validation_cache[ref.qualified] = entries
+                validation_refs.append(ref)
         # Log-tail replay, in append order.  Cascades with a done marker
         # were fully published before the crash: repair record state
         # silently.  Cascades without one are the interrupted tail: apply

@@ -1,4 +1,4 @@
-"""Wire encoding of certificates: JSON-able dictionaries.
+"""Wire encoding of certificates: JSON-able dictionaries, sent as text.
 
 The simulator passes certificate objects by reference; a real deployment
 serialises them.  This module defines the interchange format — flat,
@@ -8,12 +8,22 @@ decoders.  Signatures are computed over the *canonical field encoding*
 (:mod:`repro.crypto.hmac_sig`), not over this representation, so
 re-encoding does not invalidate certificates.
 
+On the wire a certificate is an opaque token: the compact JSON text of
+its dict (:func:`certificate_text`), memoised on the certificate, so a
+certificate is serialised once however often it is presented or
+forwarded.  :func:`certificate_from_text` decodes a text once per
+process: the same exact text later returns the identical frozen object.
+The key is the exact string, never a parse of it — JSON ``1``, ``1.0``
+and ``true`` compare equal as dict values but decode to different terms.
+
 Round-tripping is property-tested: ``decode(encode(cert)) == cert`` and
 the decoded certificate still verifies.
 """
 
 from __future__ import annotations
 
+import json
+import threading
 from typing import Any, Dict, Tuple, Union
 
 from .credentials import (
@@ -28,6 +38,10 @@ from .types import Role, RoleName, ServiceId
 __all__ = [
     "encode_certificate",
     "decode_certificate",
+    "certificate_text",
+    "certificate_from_text",
+    "decode_stats",
+    "CERTIFICATE_CACHE_MAX",
     "encode_term",
     "decode_term",
     "WireError",
@@ -178,7 +192,73 @@ def decode_certificate(data: Any) -> Certificate:
                 signature=bytes.fromhex(data["signature"]))
     except WireError:
         raise
-    except (KeyError, TypeError, ValueError) as error:
+    except (KeyError, TypeError, ValueError, OverflowError) as error:
         raise WireError(f"malformed {kind!r} certificate: {error}") \
             from error
     raise WireError(f"unknown certificate kind {kind!r}")
+
+
+# -- certificates as text ------------------------------------------------------
+
+#: Distinct certificate texts one process keeps decoded; on overflow the
+#: whole map is dropped (a clear costs one re-parse per text still in use).
+CERTIFICATE_CACHE_MAX = 1024
+
+_COMPACT = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+# Connection threads and clients share the map: the lock keeps the cap
+# check-then-clear and the counters whole.
+_lock = threading.Lock()
+_decoded: Dict[str, Certificate] = {}
+_hits = 0
+_misses = 0
+
+
+def certificate_text(certificate: Certificate) -> str:
+    """The certificate's wire token: the compact JSON text of
+    :func:`encode_certificate`, computed once per certificate object.
+    A freshly encoded text also enters the decode map, so a certificate
+    this process issued comes back to it as the identical object."""
+    text = getattr(certificate, "wire_text", None)
+    if text is None:
+        text = _COMPACT.encode(encode_certificate(certificate))
+        object.__setattr__(certificate, "wire_text", text)
+        _remember(text, certificate)
+    return text
+
+
+def certificate_from_text(text: Any) -> Certificate:
+    """Inverse of :func:`certificate_text`; the identical object for a
+    text this process has seen, otherwise parsed, decoded and kept (with
+    ``text`` as its wire form, so forwarding it re-encodes nothing)."""
+    global _hits, _misses
+    if type(text) is not str:
+        raise WireError(
+            f"certificate must travel as a JSON string, not "
+            f"{type(text).__name__}")
+    with _lock:
+        certificate = _decoded.get(text)
+        if certificate is not None:
+            _hits += 1
+            return certificate
+        _misses += 1
+    try:
+        certificate = decode_certificate(json.loads(text))
+    except (ValueError, RecursionError) as error:  # incl. JSONDecodeError
+        raise WireError(f"certificate text is not a certificate: "
+                        f"{error}") from error
+    object.__setattr__(certificate, "wire_text", text)
+    _remember(text, certificate)
+    return certificate
+
+
+def _remember(text: str, certificate: Certificate) -> None:
+    with _lock:
+        if len(_decoded) >= CERTIFICATE_CACHE_MAX:
+            _decoded.clear()
+        _decoded[text] = certificate
+
+
+def decode_stats() -> Dict[str, int]:
+    """This process's decode map: ``hits``, ``misses`` and ``size``."""
+    with _lock:
+        return {"hits": _hits, "misses": _misses, "size": len(_decoded)}

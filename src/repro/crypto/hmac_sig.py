@@ -68,9 +68,36 @@ def canonical_encode(value: FieldValue) -> bytes:
 
     Every value is tagged with a one-byte type marker and length-prefixed so
     that concatenation of encodings is unambiguous.
+
+    Every certificate signature and check runs this, so the exact field
+    types are dispatched first, commonest first; subclasses (and the
+    ``TypeError`` for anything else) take :func:`_encode_subclass`, which
+    yields the same bytes.
     """
+    kind = type(value)
+    if kind is str:
+        raw = value.encode("utf-8")
+        return b"S%d:%b" % (len(raw), raw)
+    if kind is tuple:
+        parts = b"".join([canonical_encode(item) for item in value])
+        return b"T%d:%b" % (len(parts), parts)
     if value is None:
         return b"N0:"
+    if kind is float:
+        raw = repr(value).encode("ascii")
+        return b"F%d:%b" % (len(raw), raw)
+    if kind is int:
+        raw = b"%d" % value
+        return b"I%d:%b" % (len(raw), raw)
+    if kind is bool:
+        return b"B1:\x01" if value else b"B1:\x00"
+    if kind is bytes:
+        return b"Y%d:%b" % (len(value), value)
+    return _encode_subclass(value)
+
+
+def _encode_subclass(value: FieldValue) -> bytes:
+    """The general rule behind :func:`canonical_encode`'s fast paths."""
     if isinstance(value, bool):  # must precede int: bool is a subclass
         return b"B1:" + (b"\x01" if value else b"\x00")
     if isinstance(value, int):

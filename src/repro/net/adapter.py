@@ -17,7 +17,7 @@ closed) that belongs to the service, not the transport.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, List, Sequence, Tuple
 
 __all__ = ["VALIDATE_ENDPOINT", "endpoint_name", "ValidationTransport"]
 
@@ -34,7 +34,7 @@ class ValidationTransport:
     """Binds one service's validation endpoint to a network.
 
     ``network`` is anything with the :class:`~repro.net.sim.SimNetwork`
-    surface (``register``/``unregister``/``has_endpoint``/``call``).
+    surface (``register``/``unregister``/``has_endpoint``/``call_many``).
     """
 
     __slots__ = ("network",)
@@ -64,11 +64,18 @@ class ValidationTransport:
         return self.network.has_endpoint(issuer.domain,
                                          endpoint_name(issuer))
 
-    def validate(self, caller: Any, issuer: Any, certificate: Any,
-                 principal_value: str, holder: Any) -> Any:
-        """Issue the callback-validation RPC; raises ``NetworkError`` on
-        transport failure and whatever the issuer's handler raises on an
-        invalid credential."""
-        return self.network.call(caller.domain, issuer.domain,
-                                 endpoint_name(issuer),
-                                 certificate, principal_value, holder)
+    def validate_many(self, caller: Any,
+                      requests: Sequence[Tuple[Any, Any, str, Any]]
+                      ) -> List[Any]:
+        """The callback validations of one request, each ``(issuer,
+        certificate, principal_value, holder)``: one outcome per request,
+        in order — the issuer's verdict, or the exception raised for it
+        (``NetworkError`` on transport failure, whatever the issuer's
+        handler raises on an invalid credential).  How many messages that
+        takes is the network's business: the simulated network sends one
+        round trip per certificate, the socket network one RPC per
+        issuing peer."""
+        return self.network.call_many(caller.domain, [
+            (issuer.domain, endpoint_name(issuer),
+             (certificate, principal_value, holder))
+            for issuer, certificate, principal_value, holder in requests])

@@ -20,7 +20,7 @@ from __future__ import annotations
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs import runtime as _obs_runtime
 
@@ -290,3 +290,18 @@ class SimNetwork:
         finally:
             if obs is not None:
                 span.finish(self.clock.now())
+
+    def call_many(self, src_domain: str,
+                  calls: Sequence[Tuple[str, str, Tuple[Any, ...]]]
+                  ) -> List[Any]:
+        """One :meth:`call` per ``(dst_domain, name, args)``, in order —
+        each its own simulated round trip — returning one outcome per
+        call: the handler's result or the exception the call raised."""
+        outcomes: List[Any] = []
+        for dst_domain, name, args in calls:
+            try:
+                outcomes.append(self.call(src_domain, dst_domain, name,
+                                          *args))
+            except Exception as error:  # noqa: BLE001 - an outcome
+                outcomes.append(error)
+        return outcomes

@@ -11,10 +11,11 @@ Two layers:
   are built by the encoders of :mod:`repro.netd.ops`, certificates
   decoded back into real :mod:`repro.core` objects.
 * :class:`RemoteNetwork` — the :class:`~repro.net.sim.SimNetwork`
-  surface (``register``/``unregister``/``has_endpoint``/``call``) over
-  sockets, so an :class:`~repro.core.service.OasisService` constructed
-  with ``network=RemoteNetwork(...)`` performs Sect. 4 callback
-  validation against *remote* issuers without a single changed line in
+  surface (``register``/``unregister``/``has_endpoint``/``call_many``)
+  over sockets, so an :class:`~repro.core.service.OasisService`
+  constructed with ``network=RemoteNetwork(...)`` performs Sect. 4
+  callback validation against *remote* issuers — one ``validate_many``
+  RPC per issuing peer per request — without a single changed line in
   the core.  Endpoint→peer routing is discovered lazily through each
   peer's ``services`` op and cached; unknown issuers simply report "no
   endpoint", which the service already treats as fail-closed.
@@ -44,6 +45,7 @@ from .protocol import (
     RpcTimeout,
     encode_frame,
     raise_remote_error,
+    remote_error,
 )
 
 __all__ = ["OasisClient", "RemoteNetwork"]
@@ -218,13 +220,13 @@ class OasisClient:
             "activate", service=service,
             request=activation_payload(principal, role, parameters,
                                        credentials, environment, session))
-        return wire.decode_certificate(value["cert"])
+        return wire.certificate_from_text(value["cert"])
 
     def activate_bulk(self, service: str,
                       requests: Sequence[Dict[str, Any]]) -> List[Any]:
         value = self.call("activate_bulk", service=service,
                           requests=list(requests))
-        return [wire.decode_certificate(cert) for cert in value["certs"]]
+        return [wire.certificate_from_text(cert) for cert in value["certs"]]
 
     def appoint(self, service: str, appointer: str, name: str,
                 parameters: Sequence[Any],
@@ -236,7 +238,7 @@ class OasisClient:
             parameters=list(parameters),
             credentials=presentation_payloads(credentials),
             holder=holder, expires_at=expires_at)
-        return wire.decode_certificate(value["cert"])
+        return wire.certificate_from_text(value["cert"])
 
     def invoke(self, service: str, principal: str, method: str,
                arguments: Sequence[Any] = (),
@@ -281,15 +283,15 @@ class RemoteNetwork:
 
     A served process hands this to every hosted
     :class:`~repro.core.service.OasisService` as its ``network``; local
-    services land in ``_local`` (the server dispatches inbound
-    ``validate`` ops there), and foreign issuers are reached through
-    per-peer :class:`OasisClient` connections with lazily discovered
-    ``(domain, endpoint) -> peer`` routes.
+    services land in ``_local`` (the server dispatches the entries of
+    inbound ``validate_many`` ops there), and foreign issuers are reached
+    through per-peer :class:`OasisClient` connections with lazily
+    discovered ``(domain, endpoint) -> peer`` routes.
 
-    Only the callback-validation protocol travels here — ``call`` expects
-    the adapter's ``(certificate, principal_value, holder)`` argument
-    shape, which is the entire surface :class:`ValidationTransport`
-    needs.
+    Only the callback-validation protocol travels here — ``call_many``
+    expects the adapter's ``(certificate, principal_value, holder)``
+    argument shape, which is the entire surface
+    :class:`ValidationTransport` needs.
     """
 
     def __init__(self, node: str = "client",
@@ -303,6 +305,9 @@ class RemoteNetwork:
         self._local: Dict[Tuple[str, str], Callable[..., Any]] = {}
         self._clients: Dict[str, OasisClient] = {}
         self._routes: Dict[Tuple[str, str], str] = {}
+        #: ``validate_many`` RPCs sent, and the validations they carried.
+        self.callback_rpcs = 0
+        self.callback_entries = 0
 
     def add_peer(self, name: str, host: str, port: int) -> None:
         self._peers[name] = (host, port)
@@ -324,35 +329,67 @@ class RemoteNetwork:
             return True
         return self._route(key) is not None
 
-    def call(self, src_domain: str, dst_domain: str, name: str,
-             *args: Any, **kwargs: Any) -> Any:
-        """Callback-validation RPC (the :class:`ValidationTransport`
-        protocol); local endpoints short-circuit without touching a
-        socket."""
-        key = (dst_domain, name)
-        local = self._local.get(key)
-        if local is not None:
-            return local(*args, **kwargs)
-        peer = self._route(key)
-        if peer is None:
-            raise OasisNetError(
-                f"{self.node}: no peer hosts endpoint "
-                f"{dst_domain}/{name}")
-        certificate, principal_value, holder = args
-        value = self._client(peer).call(
-            "validate", domain=dst_domain, endpoint=name,
-            cert=wire.encode_certificate(certificate),
-            principal=principal_value, holder=holder)
-        # Only the literal ``true`` validates; a reply without a verdict
-        # is a transport fault, which the service fails closed on.
-        if not isinstance(value, dict) or "valid" not in value:
-            raise ProtocolError(
-                f"{peer} answered validate without a verdict: {value!r}")
-        return value["valid"] is True
+    def call_many(self, src_domain: str,
+                  calls: Sequence[Tuple[str, str, Tuple[Any, ...]]]
+                  ) -> List[Any]:
+        """The callback validations of one request (the
+        :class:`ValidationTransport` protocol), each ``(dst_domain,
+        endpoint, args)``: one outcome per call, in order — the verdict,
+        or the exception the handler or the transport raised.
+
+        Local endpoints answer without touching a socket; the rest travel
+        as ONE ``validate_many`` RPC per peer.  A peer that cannot be
+        reached, or that answers with one verdict too few or too many,
+        fails every entry it was sent (the service fails those closed)."""
+        outcomes: List[Any] = [None] * len(calls)
+        batches: Dict[str, List[int]] = {}
+        for index, (dst_domain, name, args) in enumerate(calls):
+            local = self._local.get((dst_domain, name))
+            if local is not None:
+                try:
+                    outcomes[index] = local(*args)
+                except Exception as error:  # noqa: BLE001 - an outcome
+                    outcomes[index] = error
+                continue
+            peer = self._route((dst_domain, name))
+            if peer is None:
+                outcomes[index] = OasisNetError(
+                    f"{self.node}: no peer hosts endpoint "
+                    f"{dst_domain}/{name}")
+            else:
+                batches.setdefault(peer, []).append(index)
+        for peer, indices in batches.items():
+            entries = []
+            for index in indices:
+                dst_domain, name, (certificate, principal, holder) = \
+                    calls[index]
+                entries.append({"domain": dst_domain, "endpoint": name,
+                                "cert": wire.certificate_text(certificate),
+                                "principal": principal, "holder": holder})
+            self.callback_rpcs += 1
+            self.callback_entries += len(entries)
+            try:
+                value = self._client(peer).call("validate_many",
+                                                entries=entries)
+                verdicts = value.get("entries") \
+                    if isinstance(value, dict) else None
+                if not isinstance(verdicts, list) \
+                        or len(verdicts) != len(entries):
+                    raise ProtocolError(
+                        f"{peer} answered {len(entries)} validations "
+                        f"with {value!r}")
+            except Exception as failure:  # noqa: BLE001 - every outcome
+                verdicts = [failure] * len(entries)
+            for index, verdict in zip(indices, verdicts):
+                # An error object is the issuer's refusal, typed.
+                outcomes[index] = remote_error(peer, verdict) \
+                    if isinstance(verdict, dict) else verdict
+        return outcomes
 
     # -- server-side helpers ------------------------------------------------
     def local_call(self, domain: str, name: str, *args: Any) -> Any:
-        """Dispatch an inbound ``validate`` op to a local handler."""
+        """Dispatch one inbound ``validate_many`` entry to a local
+        handler."""
         handler = self._local.get((domain, name))
         if handler is None:
             raise KeyError(f"{self.node} hosts no endpoint {domain}/{name}")

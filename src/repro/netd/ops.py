@@ -4,7 +4,7 @@ A hosted :class:`~repro.core.service.OasisService` is reached through
 its :class:`~repro.netd.server.OasisServer` (a shard worker,
 :mod:`repro.shard.worker`, is one) by a small dict message
 ``{"op": <name>, ...fields}`` whose certificates are
-:mod:`repro.core.wire` payloads and whose CRRs are
+:func:`~repro.core.wire.certificate_text` strings and whose CRRs are
 :func:`~repro.core.state.ref_payload` dicts.  This module is the single
 definition of that vocabulary:
 
@@ -18,7 +18,7 @@ definition of that vocabulary:
   ``invoke``, ``appoint``, ``revoke``, ``is_active``, ``record``,
   ``audit``, ``sessions``, ``spans``, ``handler``, ``checkpoint``.
 
-What is not a service op stays with the server — ``validate`` /
+What is not a service op stays with the server — ``validate_many`` /
 ``stats`` / ``auth.*`` and the lock-free ops — and what only a shard has
 with its subclass: ``issue_bulk`` / ``bus.*`` / ``live_count``.
 """
@@ -47,7 +47,7 @@ def presentation_payload(credential: Any) -> Dict[str, Any]:
     if not isinstance(credential, Presentation):
         credential = Presentation(credential)
     payload: Dict[str, Any] = {
-        "cert": wire.encode_certificate(credential.certificate)}
+        "cert": wire.certificate_text(credential.certificate)}
     if credential.holder is not None:
         payload["holder"] = credential.holder
     if credential.on_behalf_of is not None:
@@ -119,7 +119,7 @@ class ServiceOps:
     @staticmethod
     def _presentations(payloads: Sequence[Mapping[str, Any]]
                        ) -> List[Presentation]:
-        return [Presentation(wire.decode_certificate(entry["cert"]),
+        return [Presentation(wire.certificate_from_text(entry["cert"]),
                              holder=entry.get("holder"),
                              on_behalf_of=entry.get("on_behalf_of"))
                 for entry in payloads]
@@ -135,11 +135,10 @@ class ServiceOps:
             environment=payload.get("environment"),
             session_id=payload.get("session"))
 
-    def _encode_issued(self, service: OasisService,
-                       certificate: Any) -> Dict[str, Any]:
+    def _encode_issued(self, service: OasisService, certificate: Any) -> str:
         if self._issued is not None:
             self._issued(service, certificate)
-        return wire.encode_certificate(certificate)
+        return wire.certificate_text(certificate)
 
     def execute(self, op: Any, message: Mapping[str, Any]) -> Any:
         """Run one shared op; ``ValueError`` for any other name."""

@@ -19,10 +19,11 @@ connection:
 * **push** — ``{"push": "events", "origin": <node>, "events": [...]}``
   (server → client only, on connections that issued ``subscribe_events``)
 
-Certificates cross as :mod:`repro.core.wire` payloads and events as
-:meth:`repro.events.messages.Event.to_payload` dicts — the same encodings
-the persistence journal already round-trips, so nothing process-local
-ever crosses the boundary.
+Certificates cross as one JSON string each, the memoised
+:func:`repro.core.wire.certificate_text` token, and events as
+:meth:`repro.events.messages.Event.to_payload` dicts (the encoding the
+persistence journal already round-trips), so nothing process-local ever
+crosses the boundary.
 
 Malformed input is rejected *here*, with :class:`ProtocolError` — a
 truncated length prefix, an oversized frame (DoS guard; the limit is
@@ -36,10 +37,10 @@ Error taxonomy
 ==============
 
 :class:`OasisNetError` subclasses :class:`repro.net.sim.NetworkError` on
-purpose: the service core's fail-closed branch (``_callback_validate``
-catching ``NetworkError``) then treats a dead socket exactly like a
-partitioned simulated link — "issuer unreachable" stays a policy decision
-owned by the service, not the transport.  :class:`RpcError` is the one
+purpose: the service core's fail-closed branch (``_accept_verdict``
+refusing a ``NetworkError`` outcome) then treats a dead socket exactly
+like a partitioned simulated link — "issuer unreachable" stays a policy
+decision owned by the service, not the transport.  :class:`RpcError` is the one
 exception that is *not* a transport failure: the remote handler raised,
 and the type name rides back so callers can branch on the outcome.
 Well-known core exception types are re-raised
@@ -69,6 +70,7 @@ __all__ = [
     "encode_frame",
     "FrameDecoder",
     "error_payload",
+    "remote_error",
     "raise_remote_error",
 ]
 
@@ -127,14 +129,18 @@ class RpcError(RuntimeError):
 
 # -- encoding ------------------------------------------------------------------
 
+#: Compact separators: frames are a hot path (every RPC is two) and the
+#: payloads are machine-built, so pretty-printing only costs bytes.  One
+#: encoder for the process — ``json.dumps`` with arguments builds a new one
+#: per call.  No circular-reference bookkeeping: a payload that refers to
+#: itself still fails (``RecursionError``), as the op's failure.
+_COMPACT = json.JSONEncoder(separators=(",", ":"), check_circular=False)
+
+
 def encode_frame(payload: Dict[str, Any],
                  max_frame: int = MAX_FRAME) -> bytes:
-    """One message as length-prefixed JSON bytes.
-
-    Compact separators: frames are a hot path (every RPC is two) and the
-    payloads are machine-built, so pretty-printing only costs bytes.
-    """
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
+    """One message as length-prefixed JSON bytes."""
+    body = _COMPACT.encode(payload).encode("utf-8")
     if len(body) > max_frame:
         raise FrameTooLarge(
             f"outgoing frame of {len(body)} bytes exceeds the "
@@ -220,15 +226,20 @@ def error_payload(error: BaseException) -> Dict[str, str]:
     return {"type": type(error).__name__, "message": str(error)}
 
 
-def raise_remote_error(node: str, payload: Any) -> "NoReturn":  # noqa: F821
-    """Re-raise a remote error: core exceptions as themselves (so scenario
-    code catches ``ActivationDenied`` etc. unchanged), everything else as
-    :exc:`RpcError` carrying the remote type name."""
+def remote_error(node: str, payload: Any) -> Exception:
+    """A remote error as an exception: core exceptions as themselves (so
+    scenario code catches ``ActivationDenied`` etc. unchanged), everything
+    else as :exc:`RpcError` carrying the remote type name."""
     if not isinstance(payload, dict):
-        raise RpcError(node, "UnknownError", repr(payload))
+        return RpcError(node, "UnknownError", repr(payload))
     error_type = str(payload.get("type", "UnknownError"))
     message = str(payload.get("message", ""))
     known = _KNOWN_EXCEPTIONS.get(error_type)
     if known is not None:
-        raise known(message)
-    raise RpcError(node, error_type, message)
+        return known(message)
+    return RpcError(node, error_type, message)
+
+
+def raise_remote_error(node: str, payload: Any) -> "NoReturn":  # noqa: F821
+    """Raise :func:`remote_error`."""
+    raise remote_error(node, payload)

@@ -6,7 +6,7 @@ instances of one process behind the frame protocol of
 are not defined here: :mod:`repro.netd.ops` is their single definition.
 This module adds what is about the host, not a service — the lock-free
 ops (``ping``, ``services``, ``subscribe_events``, ``shutdown``), the
-handshake (``auth.*``), inbound callback ``validate`` and ``stats``.
+handshake (``auth.*``), inbound callback ``validate_many`` and ``stats``.
 :class:`~repro.shard.worker.ShardWorker` is the one subclass: the server
 of a ``--shard I/N`` node.
 
@@ -393,23 +393,32 @@ class OasisServer:
             return self._auth_hello(frame)
         if op == "auth.prove":
             return self._auth_prove(conn, frame)
-        if op == "validate":
-            return self._op_validate(frame)
+        if op == "validate_many":
+            return self._op_validate_many(frame)
         if op == "stats":
             return self.stats()
         return self._ops.execute(op, frame)
 
-    def _op_validate(self, frame: Mapping[str, Any]) -> Any:
-        """Inbound Sect. 4 callback validation: route to the local
-        handler a hosted service registered on the RemoteNetwork."""
+    def _op_validate_many(self, frame: Mapping[str, Any]) -> Any:
+        """Inbound Sect. 4 callback validations, one verdict per entry:
+        each entry goes to the local handler a hosted service registered
+        on the RemoteNetwork.  A refusal is the entry's typed error, so
+        the caller re-raises ``CredentialRevoked`` as itself."""
         if self.network is None:
             raise RuntimeError(f"{self.node} has no network attached")
-        certificate = wire.decode_certificate(frame["cert"])
-        valid = self.network.local_call(
-            frame["domain"], frame["endpoint"], certificate,
-            frame.get("principal"), frame.get("holder"))
-        # Only the literal ``True`` vouches, here as at the caller.
-        return {"valid": valid is True}
+        verdicts: List[Any] = []
+        for entry in frame["entries"]:
+            try:
+                valid = self.network.local_call(
+                    entry["domain"], entry["endpoint"],
+                    wire.certificate_from_text(entry["cert"]),
+                    entry.get("principal"), entry.get("holder"))
+            except Exception as error:  # noqa: BLE001 - crosses the wire
+                verdicts.append(error_payload(error))
+            else:
+                # Only the literal ``True`` vouches, here as at the caller.
+                verdicts.append(valid is True)
+        return {"entries": verdicts}
 
     # -- introspection ------------------------------------------------------
     def stats(self) -> Dict[str, Any]:
@@ -435,5 +444,12 @@ class OasisServer:
                 "pending": self._challenges.pending_count,
                 "expired": self._challenges.expired_count,
                 "evicted": self._challenges.evicted_count,
+            },
+            # Hit ratio of this process's certificate decode map, and the
+            # batching factor of its outbound callbacks (entries / rpcs).
+            "wire": wire.decode_stats(),
+            "callbacks": {
+                "rpcs": getattr(self.network, "callback_rpcs", 0),
+                "entries": getattr(self.network, "callback_entries", 0),
             },
         }

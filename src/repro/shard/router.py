@@ -69,7 +69,7 @@ __all__ = ["ShardRouter"]
 WORKER_DEADLINE = 900.0
 
 #: Entries per bulk frame.  A 20,000-entry ``issue_bulk`` reply is
-#: 5.6 MB and ``MAX_FRAME`` is 4 MiB.
+#: ~6.8 MB of certificate texts and ``MAX_FRAME`` is 4 MiB.
 BULK_CHUNK = 5_000
 
 
@@ -230,8 +230,8 @@ class ShardRouter:
                              field: [payloads[index] for index in chunk]})
                 for shard, chunk in chunks])
             for (_shard, chunk), value in zip(chunks, values):
-                for index, cert_payload in zip(chunk, value["certs"]):
-                    results[index] = wire.decode_certificate(cert_payload)
+                for index, text in zip(chunk, value["certs"]):
+                    results[index] = wire.certificate_from_text(text)
         return results
 
     def issue_rmcs_bulk(self, service: str,
@@ -276,7 +276,7 @@ class ShardRouter:
             request=activation_payload(
                 principal_id.value, role_name, parameters, credentials,
                 environment, session_id))
-        return wire.decode_certificate(value["cert"])
+        return wire.certificate_from_text(value["cert"])
 
     def activate_roles_bulk(self, service: str,
                             requests: Sequence[ActivationRequest],

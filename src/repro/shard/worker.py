@@ -144,7 +144,7 @@ class ShardWorker(OasisServer):
                             dependencies, entry.get("session")))
         certificates = service.issue_rmcs_bulk(entries)
         self.link_dependencies(all_deps)
-        return {"certs": [wire.encode_certificate(certificate)
+        return {"certs": [wire.certificate_text(certificate)
                           for certificate in certificates]}
 
     # -- cross-shard dependency edges ---------------------------------------

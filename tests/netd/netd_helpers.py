@@ -1,6 +1,9 @@
 """Helpers for the netd suite: an in-process served node over loopback,
-and the raw framed socket scripted peers and subscribers are made of."""
+the raw framed socket scripted peers and subscribers are made of, and a
+server that runs a script on each connection."""
 
+import socket
+import threading
 import time
 
 from repro.core.service import ServiceRegistry
@@ -72,3 +75,46 @@ class Peer:
         """Keep the socket open until the other end closes it."""
         while self.read_frame() is not None:
             pass
+
+
+class FaultyServer:
+    """A raw TCP server with a scripted behaviour per connection, each
+    on a thread of its own."""
+
+    def __init__(self, behaviour):
+        self.behaviour = behaviour
+        self.listener = None
+        self.port = None
+        self.peers = []
+
+    def start(self):
+        self.listener = socket.create_server(("127.0.0.1", 0))
+        self.port = self.listener.getsockname()[1]
+        threading.Thread(target=self._accept, daemon=True).start()
+        return self
+
+    def _accept(self):
+        while True:
+            try:
+                sock, _address = self.listener.accept()
+            except OSError:
+                return
+            peer = Peer(sock)
+            self.peers.append(peer)
+            threading.Thread(target=self._script, args=(peer,),
+                             daemon=True).start()
+
+    def _script(self, peer):
+        try:
+            self.behaviour(peer)
+        finally:
+            peer.sock.close()
+
+    def stop(self):
+        self.listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
+        self.listener.close()
+        for peer in self.peers:
+            try:
+                peer.sock.shutdown(socket.SHUT_RDWR)  # wakes its script
+            except OSError:
+                pass

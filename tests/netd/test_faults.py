@@ -4,7 +4,7 @@ error (mirroring the shard transport's contract), never a hang.
 * peer closes the connection mid-RPC  -> ConnectionLost
 * peer accepts but never responds    -> RpcTimeout
 * peer drip-feeds / answers off-script -> RpcTimeout / ProtocolError
-* peer answers a callback without "valid": true -> credential invalid
+* peer answers a callback without a true verdict -> credential invalid
 * event channel peer restarts        -> reconnect + resubscribe
 """
 
@@ -36,51 +36,8 @@ from repro.netd.protocol import (
 )
 from repro.netd.worlds import NodeContext, bench_world
 
-from netd_helpers import Node, Peer
+from netd_helpers import FaultyServer, Node, Peer
 from test_events import Collector
-
-
-class FaultyServer:
-    """A raw TCP server with a scripted behaviour per connection, each
-    on a thread of its own."""
-
-    def __init__(self, behaviour):
-        self.behaviour = behaviour
-        self.listener = None
-        self.port = None
-        self.peers = []
-
-    def start(self):
-        self.listener = socket.create_server(("127.0.0.1", 0))
-        self.port = self.listener.getsockname()[1]
-        threading.Thread(target=self._accept, daemon=True).start()
-        return self
-
-    def _accept(self):
-        while True:
-            try:
-                sock, _address = self.listener.accept()
-            except OSError:
-                return
-            peer = Peer(sock)
-            self.peers.append(peer)
-            threading.Thread(target=self._script, args=(peer,),
-                             daemon=True).start()
-
-    def _script(self, peer):
-        try:
-            self.behaviour(peer)
-        finally:
-            peer.sock.close()
-
-    def stop(self):
-        self.listener.shutdown(socket.SHUT_RDWR)  # wakes accept()
-        self.listener.close()
-        for peer in self.peers:
-            try:
-                peer.sock.shutdown(socket.SHUT_RDWR)  # wakes its script
-            except OSError:
-                pass
 
 
 class TestClientFaults:
@@ -285,15 +242,15 @@ ISSUER = ServiceId("bench", "svc")
 
 
 class TestCallbackVerdict:
-    """Only ``{"valid": true}`` validates a foreign certificate: a peer
+    """Only a ``true`` verdict validates a foreign certificate: a peer
     that answers the callback without raising has not vouched for it."""
 
-    @pytest.mark.parametrize("verdict", [{"valid": False}, {}],
+    @pytest.mark.parametrize("verdict", [{"entries": [False]}, {}],
                              ids=["valid-false", "no-verdict"])
     def test_unvouched_certificate_is_denied_and_not_cached(self, verdict):
         def liar(peer):
             """Advertises the issuer's endpoint, then answers every
-            ``validate`` with the scripted verdict."""
+            ``validate_many`` with the scripted reply."""
             while True:
                 request = peer.read_frame()
                 if request is None:
@@ -303,7 +260,7 @@ class TestCallbackVerdict:
                         {"domain": ISSUER.domain,
                          "endpoint": endpoint_name(ISSUER)}]}
                 else:
-                    assert request["op"] == "validate"
+                    assert request["op"] == "validate_many"
                     value = verdict
                 peer.send_frame({"id": request["id"], "ok": True,
                                  "value": value})

@@ -12,6 +12,7 @@ four shard-only ops have no twin; their reply shapes are pinned below.
 """
 
 import dataclasses
+import json
 import socket
 
 import pytest
@@ -106,7 +107,7 @@ def _value(reply):
 
 def _certificate(payload):
     """A wire certificate minus the one host-specific part."""
-    return dataclasses.replace(wire.decode_certificate(payload),
+    return dataclasses.replace(wire.certificate_from_text(payload),
                                signature=b"")
 
 
@@ -117,7 +118,7 @@ def _activate(call, principal="alice", **extra):
 
 
 def _ref(value):
-    return ref_payload(wire.decode_certificate(value["cert"]).ref)
+    return ref_payload(wire.certificate_from_text(value["cert"]).ref)
 
 
 def case_activate(call):
@@ -131,14 +132,14 @@ def case_activate_bulk(call):
 
 
 def case_invoke(call):
-    rmc = wire.decode_certificate(_activate(call)["cert"])
+    rmc = wire.certificate_from_text(_activate(call)["cert"])
     return _value(call("invoke", service="svc", principal="alice",
                        method="echo", arguments=["hi"],
                        credentials=[presentation_payload(rmc)]))
 
 
 def case_appoint(call):
-    rmc = wire.decode_certificate(_activate(call)["cert"])
+    rmc = wire.certificate_from_text(_activate(call)["cert"])
     value = _value(call("appoint", service="svc", appointer="alice",
                         name="badge", parameters=["gold"],
                         credentials=[presentation_payload(rmc)],
@@ -219,6 +220,40 @@ def test_shared_op_answers_the_same_on_both_hosts(hosts, op):
     assert served == sharded
 
 
+@pytest.mark.parametrize("host", ["server", "worker"])
+def test_certificates_cross_as_one_json_string(hosts, host):
+    """Every ``cert`` is the certificate's memoised compact JSON text, in
+    replies and in presentations; a dict where the text belongs is a
+    typed ``WireError``."""
+    call = hosts[host]
+    text = _activate(call)["cert"]
+    assert isinstance(text, str) and json.loads(text)["kind"] == "rmc"
+    rmc = wire.certificate_from_text(text)
+    assert rmc.wire_text == text
+    assert presentation_payload(rmc) == {"cert": text}
+    bulk = _value(call("activate_bulk", service="svc", requests=[
+        activation_payload(name, "user", [name]) for name in "xy"]))
+    assert all(isinstance(cert, str) for cert in bulk["certs"])
+    appointed = _value(call("appoint", service="svc", appointer="alice",
+                            name="badge", parameters=["gold"],
+                            credentials=[presentation_payload(rmc)]))
+    assert json.loads(appointed["cert"])["kind"] == "appointment"
+    refused = call("invoke", service="svc", principal="alice",
+                   method="echo", arguments=["hi"],
+                   credentials=[{"cert": json.loads(text)}])
+    assert refused["ok"] is False
+    assert refused["error"]["type"] == "WireError"
+
+
+def test_issue_bulk_certificates_are_text(lone_worker):
+    issued = _value(lone_worker("issue_bulk", service="svc", entries=[{
+        "principal": "carol", "role": "user", "parameters": ["carol"],
+        "dependencies": [], "session": None}]))
+    (text,) = issued["certs"]
+    assert isinstance(text, str)
+    assert wire.certificate_from_text(text).role.parameters == ("carol",)
+
+
 @pytest.mark.parametrize("message", [
     {"op": "definitely_not_an_op"},
     {"op": "activate", "service": "nope",
@@ -254,7 +289,7 @@ def test_shard_only_ops_and_the_outbox_that_rides_their_replies(
     """Whatever the worker queues for shard 1 shows in the reply of the
     op that queued it, and in no other."""
     call = lone_worker
-    service_id = wire.decode_certificate(
+    service_id = wire.certificate_from_text(
         _activate(call, "probe")["cert"]).ref.service
     foreign = ShardedRefAllocator(service_id, 1, 2).next()
 
@@ -265,7 +300,7 @@ def test_shard_only_ops_and_the_outbox_that_rides_their_replies(
     assert issued["outbox"] == [
         {"kind": "link", "to": 1, "links": [[foreign.qualified, 0]]}]
     (payload,) = issued["certs"]
-    ref = wire.decode_certificate(payload).ref
+    ref = wire.certificate_from_text(payload).ref
     assert ShardedRefAllocator(service_id, 0, 2).owns_serial(ref.serial)
 
     assert _value(call("bus.link", links=[[ref.qualified, 1]])) == \
@@ -323,7 +358,7 @@ def test_an_outbox_larger_than_a_frame_is_split_never_dropped(
                 "principal": name, "role": "user", "parameters": [name],
                 "session": f"s-{name}", "dependencies": dependencies}
                 for name in names]))
-            return [wire.decode_certificate(payload).ref
+            return [wire.certificate_from_text(payload).ref
                     for payload in value["certs"]]
 
         (root,) = refs = issue(["root"], [])

@@ -15,7 +15,8 @@ from repro.core.exceptions import (
     UnknownRole,
 )
 from repro.crypto import generate_keypair
-from repro.netd.protocol import HandshakeError, OasisNetError, RpcError
+from repro.netd.protocol import (HandshakeError, OasisNetError, RpcError,
+                                 remote_error)
 from repro.netd.worlds import World, bench_world
 
 from netd_helpers import Node
@@ -128,17 +129,25 @@ class TestHandshakeGating:
             node.close()
 
 
+def validation(rmc, endpoint="oasis.validate/svc", principal="alice"):
+    """One ``validate_many`` entry for the bench node's service."""
+    return {"domain": "bench", "endpoint": endpoint,
+            "cert": wire.certificate_text(rmc), "principal": principal,
+            "holder": None}
+
+
 class TestValidateOp:
     def test_validation_endpoint_reachable_over_wire(self, bench_node):
-        """The ``validate`` op dispatches into the service's callback
-        validation handler — the path remote issuers use."""
+        """The ``validate_many`` op dispatches each entry into the
+        service's callback validation handler — the path remote issuers
+        use — and answers one verdict per entry, in order."""
         client = bench_node.client()
         rmc = client.activate("svc", "alice", "user", ["alice"])
-        value = client.call(
-            "validate", domain="bench", endpoint="oasis.validate/svc",
-            cert=wire.encode_certificate(rmc), principal="alice",
-            holder=None)
-        assert value == {"valid": True}
+        value = client.call("validate_many", entries=[
+            validation(rmc), validation(rmc, principal="mallory")])
+        (good, stolen) = value["entries"]
+        assert good is True
+        assert stolen["type"] == "SignatureInvalid"
         client.close()
 
     @pytest.mark.parametrize("answer", [1, "yes"])
@@ -148,23 +157,47 @@ class TestValidateOp:
         bench_node.network.register("bench", "loose", lambda *args: answer)
         client = bench_node.client()
         rmc = client.activate("svc", "alice", "user", ["alice"])
-        value = client.call(
-            "validate", domain="bench", endpoint="loose",
-            cert=wire.encode_certificate(rmc), principal="alice",
-            holder=None)
-        assert value == {"valid": False}
+        value = client.call("validate_many",
+                            entries=[validation(rmc, endpoint="loose")])
+        assert value == {"entries": [False]}
         client.close()
 
     def test_revoked_credential_fails_validation(self, bench_node):
+        """A refusal rides its entry as a typed error, which the caller's
+        network turns back into the core exception."""
         client = bench_node.client()
         rmc = client.activate("svc", "alice", "user", ["alice"])
         client.revoke(rmc.ref, "gone")
-        with pytest.raises(CredentialRevoked):
-            client.call(
-                "validate", domain="bench",
-                endpoint="oasis.validate/svc",
-                cert=wire.encode_certificate(rmc), principal="alice",
-                holder=None)
+        (verdict,) = client.call("validate_many",
+                                 entries=[validation(rmc)])["entries"]
+        assert verdict["type"] == "CredentialRevoked"
+        assert isinstance(remote_error("bench", verdict), CredentialRevoked)
+        client.close()
+
+    @pytest.mark.parametrize("cert", [{"kind": "rmc"}, "{not json", 7],
+                             ids=["dict", "not-json", "number"])
+    def test_a_malformed_entry_fails_only_itself(self, bench_node, cert):
+        client = bench_node.client()
+        rmc = client.activate("svc", "alice", "user", ["alice"])
+        value = client.call("validate_many", entries=[
+            dict(validation(rmc), cert=cert), validation(rmc)])
+        (bad, good) = value["entries"]
+        assert bad["type"] == "WireError"
+        assert good is True
+        client.close()
+
+    def test_stats_count_decodes_and_callbacks(self, bench_node):
+        client = bench_node.client()
+        rmc = client.activate("svc", "alice", "user", ["alice"])
+        before = client.stats()["wire"]
+        for _ in range(3):
+            client.invoke("svc", "alice", "echo", ["hi"], credentials=[rmc])
+        stats = client.stats()
+        # Issued here, so even the first presentation is a decode hit.
+        assert stats["wire"]["hits"] == before["hits"] + 3
+        assert stats["wire"]["misses"] == before["misses"]
+        assert 0 < stats["wire"]["size"] <= wire.CERTIFICATE_CACHE_MAX
+        assert stats["callbacks"] == {"rpcs": 0, "entries": 0}
         client.close()
 
 
@@ -206,7 +239,9 @@ class TestUnframableReply:
     @pytest.mark.parametrize("handler, error_type", [
         (lambda _payload: "x" * 5000, "FrameTooLarge"),
         (lambda _payload: {1, 2, 3}, "TypeError"),
-    ], ids=["oversize", "not-json"])
+        (lambda _payload: (lambda loop: loop.append(loop) or loop)([]),
+         "RecursionError"),
+    ], ids=["oversize", "not-json", "circular"])
     def test_typed_error_and_the_connection_stays_usable(
             self, handler, error_type):
         node = Node("framing", with_handlers({"bad": handler}),

@@ -8,13 +8,17 @@ observability) is the code under test:
 * :class:`ScanBroker` — registration-order scan instead of indexed dispatch;
 * :class:`PerEdgeService` — one broker subscription per membership
   dependency and per-event recursive revocation instead of the batched
-  reverse-index cascade.
+  reverse-index cascade;
+* :func:`reference_canonical_encode` — the isinstance-chain field
+  encoding, against the exact-type dispatch that replaced it.
 
 Nothing under ``src/`` imports these.
 """
 
 from .broker import ScanBroker
+from .canonical import canonical_encode as reference_canonical_encode
 from .engine import NaiveRuleEngine
 from .service import PerEdgeService
 
-__all__ = ["NaiveRuleEngine", "ScanBroker", "PerEdgeService"]
+__all__ = ["NaiveRuleEngine", "ScanBroker", "PerEdgeService",
+           "reference_canonical_encode"]
