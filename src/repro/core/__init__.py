@@ -92,7 +92,6 @@ from .service import (
     Presentation,
     ServiceRegistry,
     ServiceStats,
-    VALIDATE_ENDPOINT,
 )
 from .state import (
     RecoveredState,
@@ -151,7 +150,6 @@ __all__ = [
     # service
     "ActivationRequest", "OasisService", "Presentation",
     "ServiceRegistry", "ServiceStats",
-    "VALIDATE_ENDPOINT",
     # state core
     "RecoveredState", "ServiceState", "ServiceStateCodec",
     # session

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..db import Database, RecordStore, default_store
-from ..net import VALIDATE_ENDPOINT, NetworkError, ValidationTransport
+from ..net import NetworkError
 from ..obs import runtime as _obs_runtime
 from ..obs.explain import Decision, RuleAttempt
 from ..obs.tracing import Span, SpanContext
@@ -89,7 +89,6 @@ __all__ = [
     "ServiceStats",
     "Presentation",
     "ActivationRequest",
-    "VALIDATE_ENDPOINT",
 ]
 
 Certificate = Union[RoleMembershipCertificate, AppointmentCertificate]
@@ -174,12 +173,15 @@ class ActivationRequest:
 
 
 class ServiceRegistry:
-    """Maps service ids to live services for direct (in-process) callback.
+    """Maps service ids to the live services of one process.
 
-    When a :class:`~repro.net.SimNetwork` is supplied to services, foreign
-    validation goes over the network and pays simulated latency; otherwise
-    it falls back to this registry.  Either way the *logical* protocol is
-    the same callback of Sect. 4.
+    It is the only table from an issuer to a service: a foreign
+    certificate's Sect. 4 callback is routed by ``certificate.issuer``
+    alone.  A service without a network resolves its callbacks here
+    (:meth:`validate_many`); :class:`~repro.net.SimNetwork` finds the
+    issuer here and charges simulated latency; and
+    :class:`~repro.netd.client.RemoteNetwork` answers the issuers listed
+    here without a socket.
     """
 
     def __init__(self) -> None:
@@ -202,6 +204,25 @@ class ServiceRegistry:
 
     def all_services(self) -> List["OasisService"]:
         return list(self._services.values())
+
+    def validate(self, certificate: Certificate, principal_value: str,
+                 holder: Optional[str]) -> Any:
+        """One callback to ``certificate``'s issuer, in process: its
+        verdict, or the exception raised for it."""
+        try:
+            return self.lookup(certificate.issuer)._serve_validation(
+                certificate, principal_value, holder)
+        except Exception as error:  # noqa: BLE001 - an outcome
+            return error
+
+    def validate_many(self, _caller: "OasisService",
+                      requests: Sequence[Tuple[Certificate, str,
+                                               Optional[str]]]
+                      ) -> List[Any]:
+        """The callback validations of one request, each ``(certificate,
+        principal_value, holder)``: one outcome per request, in order.
+        The networks take the same arguments."""
+        return [self.validate(*request) for request in requests]
 
 
 class OasisService:
@@ -334,13 +355,6 @@ class OasisService:
             self._init_obs()
 
         registry.register(self)
-        # Transport is one adapter over the now-agnostic core: the service
-        # owns the validation *protocol*, the adapter owns endpoint naming
-        # and the wire (ROADMAP item 1's seam).
-        self._transport = (ValidationTransport(network)
-                           if network is not None else None)
-        if self._transport is not None:
-            self._transport.bind(self.id, self._serve_validation)
         for database in self.context.databases.values():
             database.add_listener(self._on_database_change)
 
@@ -1190,17 +1204,18 @@ class OasisService:
         """Validate every presented certificate in presentation order:
         the service's own here, foreign ones from the validation cache or
         by callback to their issuer (Sect. 4: 'validate a certificate
-        presented as an argument via callback to the issuer').  Callbacks
-        through the network are collected and made in one transport call
-        — one RPC per issuing peer over sockets.  The first presentation
-        that fails, in presentation order, is audited and raised."""
+        presented as an argument via callback to the issuer').  Every
+        foreign cache miss is resolved by ONE call after the loop, routed
+        by ``certificate.issuer``: to the network when the service has one
+        (one RPC per issuing peer over sockets), else to the registry.
+        The first presentation that fails, in presentation order, is
+        audited and raised."""
         presented: List[PresentedCredential] = []
         failed: Optional[Tuple[int, CredentialInvalid]] = None
         # Allocated only on a miss: warm requests (the common case) make
         # no garbage here beyond their result.
-        deferred: Optional[List[Tuple[int, Certificate, str,
-                                      Optional[str]]]] = None
-        transport = self._transport
+        misses: Optional[List[Tuple[Certificate, str, Optional[str]]]] = None
+        positions: List[int]
         for presentation in presentations:
             certificate = presentation.certificate
             presented.append(PresentedCredential(certificate))
@@ -1217,25 +1232,19 @@ class OasisService:
                 if self._cached_validation(certificate, requester, holder):
                     continue
                 self.stats.callbacks_made += 1
-                if transport is not None \
-                        and transport.reaches(certificate.issuer):
-                    if deferred is None:
-                        deferred = []
-                    deferred.append((len(presented) - 1, certificate,
-                                     requester, holder))
-                    continue
-                self.registry.lookup(certificate.issuer)._serve_validation(
-                    certificate, requester, holder)
-                self._cache_validation(certificate, requester, holder)
+                if misses is None:
+                    misses, positions = [], []
+                misses.append((certificate, requester, holder))
+                positions.append(len(presented) - 1)
             except CredentialInvalid as failure:
                 failed = (len(presented) - 1, failure)
                 break
-        if deferred is not None:
-            verdicts = transport.validate_many(self.id, [
-                (certificate.issuer, certificate, requester, holder)
-                for _index, certificate, requester, holder in deferred])
-            for (index, certificate, requester, holder), verdict \
-                    in zip(deferred, verdicts):
+        if misses is not None:
+            resolver = self.registry if self.network is None \
+                else self.network
+            verdicts = resolver.validate_many(self, misses)
+            for index, (certificate, requester, holder), verdict \
+                    in zip(positions, misses, verdicts):
                 try:
                     self._accept_verdict(certificate, verdict)
                 except CredentialInvalid as failure:
@@ -1476,12 +1485,6 @@ class OasisService:
         service is resumed to re-emit their ``CREDENTIAL_REVOKED`` events
         so the cross-service cascade cut by the crash completes.
         """
-        if network is not None:
-            # The crashed instance's validation endpoint may still be
-            # registered on the network (the process died, the simulated
-            # network did not); clear it so the constructor's bind does
-            # not trip the duplicate-registration error.
-            ValidationTransport(network).unbind(policy.service)
         service = cls(policy, broker, registry, clock=clock,
                       databases=databases, network=network,
                       cache_validations=cache_validations, secret=None,

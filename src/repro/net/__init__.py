@@ -3,11 +3,12 @@
 Replaces the paper's physical testbed with a deterministic simulated clock,
 discrete-event scheduler and latency-bearing RPC network so that the
 engineering benchmarks (callback vs cache, polling vs events) measure
-reproducible simulated time and message counts.  See DESIGN.md Sect. 3 for
-the substitution rationale.
+reproducible simulated time and message counts.  The network keeps no
+table of its own: a callback validation goes to the issuer the caller's
+:class:`~repro.core.service.ServiceRegistry` names for the certificate.
+See DESIGN.md Sect. 3 for the substitution rationale.
 """
 
-from .adapter import VALIDATE_ENDPOINT, ValidationTransport, endpoint_name
 from .sim import (
     LatencyModel,
     NetworkError,
@@ -26,7 +27,4 @@ __all__ = [
     "Scheduler",
     "SimClock",
     "SimNetwork",
-    "VALIDATE_ENDPOINT",
-    "ValidationTransport",
-    "endpoint_name",
 ]

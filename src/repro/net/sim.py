@@ -11,8 +11,9 @@ substrate:
   (heartbeats, polling loops, certificate expiry sweeps).
 * :class:`LatencyModel` — per-domain-pair one-way latencies with sensible
   defaults (fast intra-domain, slow inter-domain).
-* :class:`SimNetwork` — named endpoints and synchronous RPC that advances
-  the clock by the round-trip time and counts messages and bytes.
+* :class:`SimNetwork` — the test network: synchronous RPC that advances
+  the clock by the round-trip time and counts messages, and carries a
+  service's callback validations to the issuers its registry names.
 """
 
 from __future__ import annotations
@@ -194,13 +195,13 @@ class NetworkStats:
 
 
 class SimNetwork:
-    """Named endpoints plus synchronous RPC with simulated latency.
+    """Synchronous RPC between domains with simulated latency.
 
-    Endpoints are addressed as ``(domain, name)``.  A call advances the
-    shared clock by the round-trip latency of the domain pair and is counted
-    in :attr:`stats`; the handler runs at the logical receive instant.
-    Handlers may issue nested calls (the Fig. 3 hospital → national EHR
-    chain does), which accumulate latency naturally.
+    A call names the handler it runs in the destination domain; it
+    advances the shared clock by the round-trip latency of the domain pair
+    and is counted in :attr:`stats`; the handler runs at the logical
+    receive instant.  Handlers may issue nested calls (the Fig. 3 hospital
+    → national EHR chain does), which accumulate latency naturally.
     """
 
     def __init__(self, clock: Optional[SimClock] = None,
@@ -210,7 +211,6 @@ class SimNetwork:
         self.latency = latency or LatencyModel()
         self.stats = NetworkStats()
         self.partition_timeout = partition_timeout
-        self._endpoints: Dict[Tuple[str, str], Callable[..., Any]] = {}
         self._partitions: set = set()
         self._obs = _obs_runtime.pipeline()
         if self._obs is not None:
@@ -233,23 +233,10 @@ class SimNetwork:
     def is_partitioned(self, domain_a: str, domain_b: str) -> bool:
         return frozenset((domain_a, domain_b)) in self._partitions
 
-    def register(self, domain: str, name: str,
-                 handler: Callable[..., Any]) -> None:
-        """Expose ``handler`` at address ``(domain, name)``."""
-        key = (domain, name)
-        if key in self._endpoints:
-            raise ValueError(f"endpoint {domain}/{name} already registered")
-        self._endpoints[key] = handler
-
-    def unregister(self, domain: str, name: str) -> None:
-        self._endpoints.pop((domain, name), None)
-
-    def has_endpoint(self, domain: str, name: str) -> bool:
-        return (domain, name) in self._endpoints
-
-    def call(self, src_domain: str, dst_domain: str, name: str,
-             *args: Any, **kwargs: Any) -> Any:
-        """Synchronous RPC from ``src_domain`` to endpoint ``name``.
+    def call(self, src_domain: str, dst_domain: str,
+             handler: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+        """Synchronous RPC from ``src_domain`` to ``handler``, which runs
+        in ``dst_domain``.
 
         Advances the clock by one one-way latency before the handler runs
         and another after it returns, and counts two messages.
@@ -258,11 +245,9 @@ class SimNetwork:
         if obs is not None:
             span = obs.tracer.start_span(
                 "rpc.call", timestamp=self.clock.now(),
-                src=src_domain, dst=dst_domain, endpoint=name)
+                src=src_domain, dst=dst_domain,
+                endpoint=getattr(handler, "__qualname__", repr(handler)))
         try:
-            handler = self._endpoints.get((dst_domain, name))
-            if handler is None:
-                raise LookupError(f"no endpoint {dst_domain}/{name}")
             if self.is_partitioned(src_domain, dst_domain):
                 # The caller blocks for its timeout before concluding
                 # failure.
@@ -291,17 +276,25 @@ class SimNetwork:
             if obs is not None:
                 span.finish(self.clock.now())
 
-    def call_many(self, src_domain: str,
-                  calls: Sequence[Tuple[str, str, Tuple[Any, ...]]]
-                  ) -> List[Any]:
-        """One :meth:`call` per ``(dst_domain, name, args)``, in order —
-        each its own simulated round trip — returning one outcome per
-        call: the handler's result or the exception the call raised."""
+    def validate_many(self, caller: Any,
+                      requests: Sequence[Tuple[Any, str, Optional[str]]]
+                      ) -> List[Any]:
+        """The callback validations of one request, each ``(certificate,
+        principal_value, holder)``: one :meth:`call` per certificate, in
+        order, to the issuer ``caller.registry`` names for it, returning
+        one outcome per request — the issuer's verdict, or the exception
+        raised for it.  An issuer the registry does not know costs no
+        message."""
+        registry = caller.registry
+        src_domain = caller.id.domain
         outcomes: List[Any] = []
-        for dst_domain, name, args in calls:
+        for certificate, principal_value, holder in requests:
+            issuer = certificate.issuer
             try:
-                outcomes.append(self.call(src_domain, dst_domain, name,
-                                          *args))
+                handler = registry.lookup(issuer)._serve_validation
+                outcomes.append(self.call(src_domain, issuer.domain, handler,
+                                          certificate, principal_value,
+                                          holder))
             except Exception as error:  # noqa: BLE001 - an outcome
                 outcomes.append(error)
         return outcomes

@@ -8,9 +8,10 @@ paper's *widely distributed* claim becomes literal: an
 length-prefixed JSON protocol (:mod:`repro.netd.protocol`) carrying the
 existing :mod:`repro.core.wire` certificate encodings, gated by the
 Sect. 4.1 challenge–response handshake; one blocking
-:class:`~repro.netd.client.OasisClient` (and a
-:class:`~repro.netd.client.RemoteNetwork` built on it, satisfying the
-:class:`~repro.net.adapter.ValidationTransport` surface) talks to it;
+:class:`~repro.netd.client.OasisClient` talks to it, and a
+:class:`~repro.netd.client.RemoteNetwork` built on that client carries a
+service's callback validations to the peer hosting each certificate's
+issuer — the same ``validate_many`` call the simulated network answers;
 :mod:`repro.netd.ops` is the single definition of the service ops both
 ends — and the shard workers — speak; and
 :mod:`repro.netd.events` pushes ``CREDENTIAL_REVOKED`` batches, one

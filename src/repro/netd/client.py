@@ -10,15 +10,16 @@ Two layers:
   (``activate`` / ``invoke`` / ``revoke`` / ``is_active`` …); requests
   are built by the encoders of :mod:`repro.netd.ops`, certificates
   decoded back into real :mod:`repro.core` objects.
-* :class:`RemoteNetwork` — the :class:`~repro.net.sim.SimNetwork`
-  surface (``register``/``unregister``/``has_endpoint``/``call_many``)
-  over sockets, so an :class:`~repro.core.service.OasisService`
-  constructed with ``network=RemoteNetwork(...)`` performs Sect. 4
-  callback validation against *remote* issuers — one ``validate_many``
-  RPC per issuing peer per request — without a single changed line in
-  the core.  Endpoint→peer routing is discovered lazily through each
-  peer's ``services`` op and cached; unknown issuers simply report "no
-  endpoint", which the service already treats as fail-closed.
+* :class:`RemoteNetwork` — the network of a served process: an
+  :class:`~repro.core.service.OasisService` constructed with
+  ``network=RemoteNetwork(...)`` performs Sect. 4 callback validation
+  against *remote* issuers — one ``validate_many`` RPC per issuing peer
+  per request — through the same ``validate_many(caller, requests)``
+  call :class:`~repro.net.sim.SimNetwork` answers.  The route is the
+  certificate's issuer: issuers in the caller's registry answer without
+  a socket, the rest go to the peer whose ``services`` reply lists that
+  :class:`~repro.core.types.ServiceId` (discovered lazily and cached);
+  an issuer no peer lists fails closed.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ import itertools
 import socket
 import threading
 import time
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..core import wire
 from ..core.credentials import CredentialRef
 from ..core.state import ref_payload
+from ..core.types import ServiceId
 from ..crypto.challenge import ChallengeResponseClient, IssuedChallenge
 from ..crypto.keys import KeyPair
 from .ops import activation_payload, presentation_payloads
@@ -279,19 +280,13 @@ class OasisClient:
 
 
 class RemoteNetwork:
-    """The :class:`~repro.net.sim.SimNetwork` surface over TCP.
+    """Callback validation over TCP, for the services of one process.
 
     A served process hands this to every hosted
-    :class:`~repro.core.service.OasisService` as its ``network``; local
-    services land in ``_local`` (the server dispatches the entries of
-    inbound ``validate_many`` ops there), and foreign issuers are reached
-    through per-peer :class:`OasisClient` connections with lazily
-    discovered ``(domain, endpoint) -> peer`` routes.
-
-    Only the callback-validation protocol travels here — ``call_many``
-    expects the adapter's ``(certificate, principal_value, holder)``
-    argument shape, which is the entire surface
-    :class:`ValidationTransport` needs.
+    :class:`~repro.core.service.OasisService` as its ``network``.  Foreign
+    issuers are reached through per-peer :class:`OasisClient` connections
+    with lazily discovered ``ServiceId -> peer`` routes; the server side
+    of a callback is ``OasisServer``'s ``validate_many`` op.
     """
 
     def __init__(self, node: str = "client",
@@ -302,9 +297,8 @@ class RemoteNetwork:
         self._peers: Dict[str, Tuple[str, int]] = dict(peers or {})
         self._timeout = timeout
         self._max_frame = max_frame
-        self._local: Dict[Tuple[str, str], Callable[..., Any]] = {}
         self._clients: Dict[str, OasisClient] = {}
-        self._routes: Dict[Tuple[str, str], str] = {}
+        self._routes: Dict[ServiceId, str] = {}
         #: ``validate_many`` RPCs sent, and the validations they carried.
         self.callback_rpcs = 0
         self.callback_entries = 0
@@ -312,59 +306,38 @@ class RemoteNetwork:
     def add_peer(self, name: str, host: str, port: int) -> None:
         self._peers[name] = (host, port)
 
-    # -- SimNetwork surface -------------------------------------------------
-    def register(self, domain: str, name: str,
-                 handler: Callable[..., Any]) -> None:
-        key = (domain, name)
-        if key in self._local:
-            raise ValueError(f"endpoint {domain}/{name} already registered")
-        self._local[key] = handler
+    def validate_many(self, caller: Any,
+                      requests: Sequence[Tuple[Any, str, Optional[str]]]
+                      ) -> List[Any]:
+        """The callback validations of one request, each ``(certificate,
+        principal_value, holder)``: one outcome per request, in order —
+        the issuer's verdict, or the exception the issuer or the
+        transport raised.
 
-    def unregister(self, domain: str, name: str) -> None:
-        self._local.pop((domain, name), None)
-
-    def has_endpoint(self, domain: str, name: str) -> bool:
-        key = (domain, name)
-        if key in self._local:
-            return True
-        return self._route(key) is not None
-
-    def call_many(self, src_domain: str,
-                  calls: Sequence[Tuple[str, str, Tuple[Any, ...]]]
-                  ) -> List[Any]:
-        """The callback validations of one request (the
-        :class:`ValidationTransport` protocol), each ``(dst_domain,
-        endpoint, args)``: one outcome per call, in order — the verdict,
-        or the exception the handler or the transport raised.
-
-        Local endpoints answer without touching a socket; the rest travel
-        as ONE ``validate_many`` RPC per peer.  A peer that cannot be
-        reached, or that answers with one verdict too few or too many,
-        fails every entry it was sent (the service fails those closed)."""
-        outcomes: List[Any] = [None] * len(calls)
+        Issuers in ``caller.registry`` answer without touching a socket;
+        the rest travel as ONE ``validate_many`` RPC per peer.  An issuer
+        no peer lists, a peer that cannot be reached, and a peer that
+        answers with one verdict too few or too many fail the entries
+        concerned (the service fails those closed)."""
+        registry = caller.registry
+        outcomes: List[Any] = [None] * len(requests)
         batches: Dict[str, List[int]] = {}
-        for index, (dst_domain, name, args) in enumerate(calls):
-            local = self._local.get((dst_domain, name))
-            if local is not None:
-                try:
-                    outcomes[index] = local(*args)
-                except Exception as error:  # noqa: BLE001 - an outcome
-                    outcomes[index] = error
+        for index, request in enumerate(requests):
+            issuer = request[0].issuer
+            if issuer in registry:
+                outcomes[index] = registry.validate(*request)
                 continue
-            peer = self._route((dst_domain, name))
+            peer = self._route(issuer)
             if peer is None:
                 outcomes[index] = OasisNetError(
-                    f"{self.node}: no peer hosts endpoint "
-                    f"{dst_domain}/{name}")
+                    f"{self.node}: no peer hosts issuer {issuer}")
             else:
                 batches.setdefault(peer, []).append(index)
         for peer, indices in batches.items():
             entries = []
             for index in indices:
-                dst_domain, name, (certificate, principal, holder) = \
-                    calls[index]
-                entries.append({"domain": dst_domain, "endpoint": name,
-                                "cert": wire.certificate_text(certificate),
+                certificate, principal, holder = requests[index]
+                entries.append({"cert": wire.certificate_text(certificate),
                                 "principal": principal, "holder": holder})
             self.callback_rpcs += 1
             self.callback_entries += len(entries)
@@ -386,37 +359,23 @@ class RemoteNetwork:
                     if isinstance(verdict, dict) else verdict
         return outcomes
 
-    # -- server-side helpers ------------------------------------------------
-    def local_call(self, domain: str, name: str, *args: Any) -> Any:
-        """Dispatch one inbound ``validate_many`` entry to a local
-        handler."""
-        handler = self._local.get((domain, name))
-        if handler is None:
-            raise KeyError(f"{self.node} hosts no endpoint {domain}/{name}")
-        return handler(*args)
-
-    def local_endpoints(self) -> List[Dict[str, str]]:
-        """What this node advertises through the ``services`` op."""
-        return [{"domain": domain, "endpoint": name}
-                for domain, name in self._local]
-
-    # -- routing ------------------------------------------------------------
-    def _route(self, key: Tuple[str, str]) -> Optional[str]:
-        route = self._routes.get(key)
+    def _route(self, issuer: ServiceId) -> Optional[str]:
+        route = self._routes.get(issuer)
         if route is not None:
             return route
-        # Lazy discovery: ask every configured peer what it hosts.  A
-        # miss is NOT negative-cached — at boot a peer may register its
-        # services moments after we first ask.
+        # Lazy discovery: ask every configured peer what it hosts; the
+        # first peer to list a service keeps it.  A miss is NOT
+        # negative-cached — at boot a peer may register its services
+        # moments after we first ask.
         for peer in self._peers:
             try:
                 advertised = self._client(peer).services()
             except OasisNetError:
                 continue
-            for entry in advertised.get("endpoints", ()):
-                entry_key = (entry["domain"], entry["endpoint"])
-                self._routes.setdefault(entry_key, peer)
-        return self._routes.get(key)
+            for entry in advertised.get("services", ()):
+                self._routes.setdefault(
+                    ServiceId(entry["domain"], entry["name"]), peer)
+        return self._routes.get(issuer)
 
     def _client(self, peer: str) -> OasisClient:
         client = self._clients.get(peer)

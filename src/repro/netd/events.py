@@ -30,10 +30,10 @@ uses, so anything that can be journalled can cross a process boundary.
 
 from __future__ import annotations
 
+import logging
 import queue
 import socket
 import threading
-import traceback
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from ..events import Event, EventBroker
@@ -41,6 +41,8 @@ from .protocol import (MAX_FRAME, FrameDecoder, OasisNetError,
                        ProtocolError, encode_frame)
 
 __all__ = ["NET_ORIGIN", "EventPump", "EventChannel"]
+
+_log = logging.getLogger(__name__)
 
 #: Attribute stamped on republished remote events; its presence means
 #: "arrived over the wire — do not forward again".
@@ -265,4 +267,5 @@ class EventChannel:
         except Exception:  # noqa: BLE001 - the subscription must outlive it
             # A local handler failed on this batch; later revocations
             # still have to arrive.
-            traceback.print_exc()
+            _log.exception("delivering a batch of %d events pushed by "
+                           "peer %s failed", len(events), self.peer)

@@ -60,6 +60,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set
 
 from ..core import wire
+from ..core.exceptions import CredentialInvalid
 from ..core.service import OasisService
 from ..crypto.challenge import ChallengeResponseServer
 from ..crypto.rsa import RSAPublicKey
@@ -375,15 +376,13 @@ class OasisServer:
         return {"principal": conn.principal}
 
     def _describe_services(self) -> Dict[str, Any]:
-        endpoints: List[Dict[str, str]] = []
-        if self.network is not None:
-            endpoints = self.network.local_endpoints()
+        """The ``services`` reply: also the callback route table a peer's
+        :class:`~repro.netd.client.RemoteNetwork` builds."""
         return {
             "node": self.node,
             "services": [{"key": key, "domain": service.id.domain,
                           "name": service.id.name}
                          for key, service in self.services.items()],
-            "endpoints": endpoints,
         }
 
     # -- ops under the lock -------------------------------------------------
@@ -400,19 +399,25 @@ class OasisServer:
         return self._ops.execute(op, frame)
 
     def _op_validate_many(self, frame: Mapping[str, Any]) -> Any:
-        """Inbound Sect. 4 callback validations, one verdict per entry:
-        each entry goes to the local handler a hosted service registered
-        on the RemoteNetwork.  A refusal is the entry's typed error, so
-        the caller re-raises ``CredentialRevoked`` as itself."""
-        if self.network is None:
-            raise RuntimeError(f"{self.node} has no network attached")
+        """Inbound Sect. 4 callback validations, one verdict per entry
+        ``{cert, principal, holder}``: each goes to the hosted service
+        whose id is the decoded certificate's ``issuer``, and that
+        service's MAC check refuses a certificate whose issuer was
+        edited.  A refusal — or an issuer this node does not host — is
+        the entry's typed error, so the caller re-raises
+        ``CredentialRevoked`` as itself."""
+        hosted = self._ops._by_id
         verdicts: List[Any] = []
         for entry in frame["entries"]:
             try:
-                valid = self.network.local_call(
-                    entry["domain"], entry["endpoint"],
-                    wire.certificate_from_text(entry["cert"]),
-                    entry.get("principal"), entry.get("holder"))
+                certificate = wire.certificate_from_text(entry["cert"])
+                issuer = hosted.get(certificate.issuer)
+                if issuer is None:
+                    raise CredentialInvalid(
+                        f"cannot validate: {self.node} does not host "
+                        f"issuer {certificate.issuer}")
+                valid = issuer._serve_validation(
+                    certificate, entry.get("principal"), entry.get("holder"))
             except Exception as error:  # noqa: BLE001 - crosses the wire
                 verdicts.append(error_payload(error))
             else:

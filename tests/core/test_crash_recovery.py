@@ -485,30 +485,29 @@ class TestKillAndResume:
         world.shutdown()
 
     def test_resume_against_same_network(self, tmp_path, secrets):
-        """Resuming on a network that still holds the crashed instance's
-        endpoint registration must re-bind, not raise the simulated
-        network's duplicate-registration error."""
+        """A service resumed on the network its crashed instance used
+        answers callbacks for the certificates that instance issued: the
+        route is the certificate's issuer, found in the new registry."""
         network = SimNetwork()
-        broker = EventBroker()
-        registry = ServiceRegistry()
         path = str(tmp_path / "net-login.db")
         login = OasisService(
-            login_policy(), broker, registry, network=network,
-            secret=secrets[0],
+            login_policy(), EventBroker(), ServiceRegistry(),
+            network=network, secret=secrets[0],
             store=SqliteRecordStore(path, codec=ServiceStateCodec()))
         root = login.activate_role(PrincipalId("p0"), "root", ["p0"], [])
         login.checkpoint()
         login.store.close(flush=False)
-        # The process "died"; its registration survives on the network.
-        assert network.has_endpoint("crash", "oasis.validate/login")
 
+        broker, registry = EventBroker(), ServiceRegistry()
         resumed = OasisService.resume(
             SqliteRecordStore(path, codec=ServiceStateCodec()),
-            login_policy(), EventBroker(), ServiceRegistry(),
-            network=network)
-        assert network.has_endpoint("crash", "oasis.validate/login")
-        record = resumed.credential_record(root.ref)
-        assert record is not None and record.active
+            login_policy(), broker, registry, network=network)
+        resource = OasisService(resource_policy(), broker, registry,
+                                network=network, store=None)
+        resource.activate_role(PrincipalId("p0"), "mid", None,
+                               [Presentation(root)])
+        assert network.stats.calls == 1
+        assert resumed.stats.callbacks_served == 1
         resumed.store.close()
 
     def test_sessions_survive_restart(self, tmp_path, secrets):

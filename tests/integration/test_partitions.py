@@ -109,7 +109,6 @@ class TestPartitionedValidation:
 
     def test_raw_network_error_type(self, world):
         deployment, _, _ = world
-        deployment.network.register("away", "echo", lambda x: x)
         deployment.network.partition("home", "away")
         with pytest.raises(NetworkPartitioned):
-            deployment.network.call("home", "away", "echo", 1)
+            deployment.network.call("home", "away", lambda x: x, 1)

@@ -115,26 +115,27 @@ class TestLatencyModel:
             LatencyModel().set_latency("a", "b", -0.1)
 
 
+def echo(value):
+    return value
+
+
 class TestSimNetwork:
     def test_call_advances_clock_by_round_trip(self):
         network = SimNetwork(latency=LatencyModel(inter_domain=0.05))
-        network.register("b", "echo", lambda x: x)
-        result = network.call("a", "b", "echo", 42)
+        result = network.call("a", "b", echo, 42)
         assert result == 42
         assert network.clock.now() == pytest.approx(0.1)
 
     def test_intra_domain_is_cheaper(self):
         network = SimNetwork(
             latency=LatencyModel(intra_domain=0.001, inter_domain=0.05))
-        network.register("a", "echo", lambda x: x)
-        network.call("a", "a", "echo", 1)
+        network.call("a", "a", echo, 1)
         assert network.clock.now() == pytest.approx(0.002)
 
     def test_stats_accumulate(self):
         network = SimNetwork()
-        network.register("b", "noop", lambda: None)
-        network.call("a", "b", "noop")
-        network.call("a", "b", "noop")
+        network.call("a", "b", lambda: None)
+        network.call("a", "b", lambda: None)
         assert network.stats.calls == 2
         assert network.stats.messages == 4
         network.stats.reset()
@@ -143,28 +144,12 @@ class TestSimNetwork:
     def test_nested_calls_accumulate_latency(self):
         """Fig. 3 shape: hospital -> national, which calls back."""
         network = SimNetwork(latency=LatencyModel(inter_domain=0.05))
-        network.register("national", "outer",
-                         lambda: network.call("national", "hospital",
-                                              "inner"))
-        network.register("hospital", "inner", lambda: "ok")
-        network.call("hospital", "national", "outer")
+
+        def outer():
+            return network.call("national", "hospital", lambda: "ok")
+
+        assert network.call("hospital", "national", outer) == "ok"
         assert network.clock.now() == pytest.approx(0.2)  # two round trips
-
-    def test_unknown_endpoint(self):
-        with pytest.raises(LookupError):
-            SimNetwork().call("a", "b", "ghost")
-
-    def test_duplicate_registration_rejected(self):
-        network = SimNetwork()
-        network.register("a", "x", lambda: None)
-        with pytest.raises(ValueError):
-            network.register("a", "x", lambda: None)
-
-    def test_unregister(self):
-        network = SimNetwork()
-        network.register("a", "x", lambda: None)
-        network.unregister("a", "x")
-        assert not network.has_endpoint("a", "x")
 
     def test_handler_exceptions_propagate(self):
         network = SimNetwork()
@@ -172,6 +157,5 @@ class TestSimNetwork:
         def boom():
             raise RuntimeError("kaboom")
 
-        network.register("b", "boom", boom)
         with pytest.raises(RuntimeError):
-            network.call("a", "b", "boom")
+            network.call("a", "b", boom)

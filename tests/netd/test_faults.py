@@ -9,6 +9,7 @@ error (mirroring the shard transport's contract), never a hang.
 """
 
 import gc
+import logging
 import socket
 import threading
 import time
@@ -24,7 +25,6 @@ from repro.core.service import (OasisService, Presentation,
 from repro.core.terms import Var
 from repro.core.types import PrincipalId, RoleTemplate, ServiceId
 from repro.events import CREDENTIAL_REVOKED, Event, EventBroker
-from repro.net.adapter import endpoint_name
 from repro.netd.client import OasisClient, RemoteNetwork
 from repro.netd.events import EventChannel
 from repro.netd.protocol import (
@@ -249,16 +249,16 @@ class TestCallbackVerdict:
                              ids=["valid-false", "no-verdict"])
     def test_unvouched_certificate_is_denied_and_not_cached(self, verdict):
         def liar(peer):
-            """Advertises the issuer's endpoint, then answers every
+            """Lists the issuer among its services, then answers every
             ``validate_many`` with the scripted reply."""
             while True:
                 request = peer.read_frame()
                 if request is None:
                     return
                 if request["op"] == "services":
-                    value = {"endpoints": [
-                        {"domain": ISSUER.domain,
-                         "endpoint": endpoint_name(ISSUER)}]}
+                    value = {"node": "liar", "services": [
+                        {"key": "svc", "domain": ISSUER.domain,
+                         "name": ISSUER.name}]}
                 else:
                     assert request["op"] == "validate_many"
                     value = verdict
@@ -397,7 +397,7 @@ class TestEventChannelFaults:
         assert channel.subscribes == 1
 
     def test_failing_local_delivery_does_not_end_the_subscription(
-            self, capsys):
+            self, caplog):
         def steady(peer):
             request = peer.read_frame()
             peer.send_frame({"id": request["id"], "ok": True,
@@ -413,7 +413,15 @@ class TestEventChannelFaults:
                 raise RuntimeError("handler bug")
             sink(events)
 
-        channel, refs = self.run_channel(steady, sink, 1, deliver=deliver)
-        assert refs == ["svc#2"]
+        with caplog.at_level(logging.ERROR, logger="repro.netd.events"):
+            channel, refs = self.run_channel(steady, sink, 1,
+                                             deliver=deliver)
+        assert refs == ["svc#2"]  # the next batch still arrived
         assert channel.subscribes == 1
-        assert "handler bug" in capsys.readouterr().err  # reported
+        # Logged once, naming the peer and the batch size.
+        (record,) = [record for record in caplog.records
+                     if record.name == "repro.netd.events"]
+        assert record.levelno == logging.ERROR
+        assert "peer script" in record.getMessage()
+        assert "batch of 1 events" in record.getMessage()
+        assert "handler bug" in str(record.exc_info[1])

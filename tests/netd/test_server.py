@@ -129,10 +129,10 @@ class TestHandshakeGating:
             node.close()
 
 
-def validation(rmc, endpoint="oasis.validate/svc", principal="alice"):
-    """One ``validate_many`` entry for the bench node's service."""
-    return {"domain": "bench", "endpoint": endpoint,
-            "cert": wire.certificate_text(rmc), "principal": principal,
+def validation(rmc, principal="alice"):
+    """One ``validate_many`` entry; the node routes it by the
+    certificate's issuer."""
+    return {"cert": wire.certificate_text(rmc), "principal": principal,
             "holder": None}
 
 
@@ -151,14 +151,15 @@ class TestValidateOp:
         client.close()
 
     @pytest.mark.parametrize("answer", [1, "yes"])
-    def test_only_the_literal_true_vouches(self, bench_node, answer):
-        """A handler that answers something truthy has not said ``True``:
+    def test_only_the_literal_true_vouches(self, bench_node, monkeypatch,
+                                           answer):
+        """An issuer that answers something truthy has not said ``True``:
         the verdict crosses the wire as ``false``, never coerced."""
-        bench_node.network.register("bench", "loose", lambda *args: answer)
+        monkeypatch.setattr(bench_node.world.services["svc"],
+                            "_serve_validation", lambda *args: answer)
         client = bench_node.client()
         rmc = client.activate("svc", "alice", "user", ["alice"])
-        value = client.call("validate_many",
-                            entries=[validation(rmc, endpoint="loose")])
+        value = client.call("validate_many", entries=[validation(rmc)])
         assert value == {"entries": [False]}
         client.close()
 

@@ -21,6 +21,7 @@ from repro.core.exceptions import (
     SignatureInvalid,
 )
 from repro.core.service import Presentation
+from repro.core.types import ServiceId
 from repro.netd.worlds import ehr_front, ehr_records
 
 from netd_helpers import Node
@@ -35,7 +36,7 @@ def fleet():
                    peers={"front": ("127.0.0.1", front.port)})
     # Route discovery (one ``services`` RPC) happens here, not inside
     # the requests the tests count.
-    assert records.network.has_endpoint("hospital", "oasis.validate/login")
+    assert records.network._route(ServiceId("hospital", "login")) == "front"
     clients = {"front": front.client(), "records": records.client()}
     yield front, records, clients
     for client in clients.values():
