@@ -7,15 +7,17 @@ individually" (Sect. 2).  An :class:`AccessLog` attached to an
 :class:`~repro.core.service.OasisService` records every security-relevant
 event — activations, invocations, appointment issues, revocations and the
 corresponding denials — as immutable :class:`AccessRecord` entries that can
-be filtered by principal, kind or time window.
+be filtered by principal, kind or time window.  The log is a
+:class:`~repro.obs.ring.RecordRing`, the bounded store every retained
+record in the package shares.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
+from ..obs.ring import RecordRing
 from .terms import DATACLASS_SLOTS
 
 __all__ = ["AccessRecord", "AccessLog"]
@@ -62,49 +64,15 @@ class AccessRecord:
         return " ".join(parts)
 
 
-class AccessLog:
+class AccessLog(RecordRing):
     """An append-only log of access records with simple querying.
 
-    ``capacity`` bounds memory: the log becomes a ring and the oldest
-    records are discarded once the bound is hit (deployments would spill to
-    stable storage instead).  Discards are counted — :meth:`stats` reports
-    them so long-running scale workloads can bound retention without
-    silently losing the fact that they did.  The default stays unbounded.
+    ``capacity`` bounds memory (deployments would spill to stable storage
+    instead); :meth:`stats` counts what was discarded.  The default stays
+    unbounded.
     """
 
-    __slots__ = ("_capacity", "_records", "recorded", "discarded")
-
-    def __init__(self, capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self._capacity = capacity
-        # A maxlen deque evicts from the head in O(1); the list-based ring
-        # paid an O(n) shift per overflowing append.
-        self._records: Deque[AccessRecord] = deque(maxlen=capacity)
-        self.recorded = 0
-        self.discarded = 0
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-    def __iter__(self) -> Iterator[AccessRecord]:
-        return iter(self._records)
-
-    def append(self, record: AccessRecord) -> None:
-        self.recorded += 1
-        if self._capacity is not None \
-                and len(self._records) == self._capacity:
-            self.discarded += 1  # the deque evicts the oldest on append
-        self._records.append(record)
-
-    def stats(self) -> Dict[str, Any]:
-        """Retention counters: ring size/bound and what fell off the end."""
-        return {
-            "size": len(self._records),
-            "capacity": self._capacity,
-            "recorded": self.recorded,
-            "discarded": self.discarded,
-        }
+    __slots__ = ()
 
     def record(self, timestamp: float, kind: str, principal: str,
                subject: str, detail: Tuple[Any, ...] = (),
@@ -122,34 +90,15 @@ class AccessLog:
               since: Optional[float] = None,
               until: Optional[float] = None,
               trace_id: Optional[str] = None) -> List[AccessRecord]:
-        """All records matching every given filter.
-
-        The time window is half-open, ``[since, until)``: a record at
-        exactly ``since`` is included, one at exactly ``until`` is not —
-        so consecutive windows ``[a, b)`` and ``[b, c)`` partition the
-        log with no duplicated or dropped records.
-        """
-        results = []
-        for record in self._records:
-            if kind is not None and record.kind != kind:
-                continue
-            if principal is not None and record.principal != principal:
-                continue
-            if subject is not None and record.subject != subject:
-                continue
-            if since is not None and record.timestamp < since:
-                continue
-            if until is not None and record.timestamp >= until:
-                continue
-            if trace_id is not None and record.trace_id != trace_id:
-                continue
-            results.append(record)
-        return results
+        """All records matching every given filter; the time window is
+        half-open, ``[since, until)`` (see :meth:`RecordRing.select`)."""
+        return self.select(since, until, kind=kind, principal=principal,
+                           subject=subject, trace_id=trace_id)
 
     def denials(self) -> List[AccessRecord]:
-        return [record for record in self._records
+        return [record for record in self
                 if record.kind.endswith("denied")
                 or record.kind == AccessKind.VALIDATION_FAILED]
 
     def principals_seen(self) -> List[str]:
-        return sorted({record.principal for record in self._records})
+        return sorted({record.principal for record in self})

@@ -627,28 +627,3 @@ class RuleEngine:
             credential_conditions + constraint_conditions, rule.parameters,
             subst, tuple(credentials), context, require_ground_head=False)
         return failure
-
-    def explain_appointment(self, rule: AppointmentRule,
-                            requested_parameters: Sequence[Term],
-                            credentials: Sequence[PresentedCredential],
-                            context: Optional[EvaluationContext] = None,
-                            ) -> Optional[ConditionFailure]:
-        """Why :meth:`match_appointment` failed, or None if it would
-        succeed."""
-        context = context or self.context
-        if len(requested_parameters) != len(rule.parameters):
-            return ConditionFailure(
-                "head-mismatch", None,
-                f"appointment takes {len(rule.parameters)} parameter(s), "
-                f"{len(requested_parameters)} given")
-        subst = unify_sequences(rule.parameters, requested_parameters)
-        if subst is None:
-            return ConditionFailure(
-                "head-mismatch", None,
-                f"parameters {tuple(requested_parameters)!r} do not unify "
-                f"with rule parameters {rule.parameters!r}")
-        credential_conditions, constraint_conditions = rule.condition_partition
-        _, failure = self._probe(
-            credential_conditions + constraint_conditions, rule.parameters,
-            subst, tuple(credentials), context, require_ground_head=False)
-        return failure

@@ -232,18 +232,6 @@ class ServiceState:
         if store is not None:
             store.put(RECORDS, ref.qualified, record)
 
-    def install_many(self, records: Sequence[CredentialRecord]) -> None:
-        """Mirror a bulk-installed batch in one store round trip.
-
-        The caller's bulk loop has already placed the records in
-        :attr:`records` and linked their edges (hot loop, hoisted locals);
-        this only owes the store its batch put.
-        """
-        store = self.store
-        if store is not None:
-            store.put_many(RECORDS, [(record.ref.qualified, record)
-                                     for record in records])
-
     def mark_revoked(self, record: CredentialRecord) -> None:
         """Mirror an already-flipped record's terminal state."""
         store = self.store

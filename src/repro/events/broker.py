@@ -183,52 +183,6 @@ class EventBroker:
             self._wildcards.setdefault(topic, {})[sub.seq] = sub
         return sub
 
-    def subscribe_many(self, topic: str,
-                       entries: Iterable[Tuple[Handler, Mapping[str, Any]]],
-                       ) -> List[Subscription]:
-        """Register a batch of subscriptions on one topic in one pass.
-
-        Equivalent to calling :meth:`subscribe` per entry (same registration
-        order, same delivery semantics) but the per-call overhead — topic
-        registry lookup, index-key classification, residual-filter
-        construction — is paid once per *shape* instead of once per
-        subscription.  The dominant caller is bulk credential issuance,
-        where every entry filters on exactly the index key
-        (``credential_ref=...``): that shape short-circuits to an empty
-        residual without rebuilding filter tuples.
-        """
-        if not topic:
-            raise ValueError("topic must be non-empty")
-        batch = [(handler, dict(filter_attrs))
-                 for handler, filter_attrs in entries]
-        if not batch:
-            return []
-        registry = self._subs.setdefault(topic, {})
-        index_key = DEFAULT_INDEX_KEY
-        seq_counter = self._seq
-        buckets = self._buckets
-        wildcards: Optional[Dict[int, Subscription]] = None
-        subs: List[Subscription] = []
-        for handler, attrs in batch:
-            sub = Subscription(topic=topic, handler=handler,
-                               filter_attrs=attrs, _broker=self,
-                               seq=next(seq_counter))
-            if index_key in attrs:
-                if len(attrs) == 1:
-                    sub.residual = ()
-                else:
-                    sub.residual = tuple(
-                        (k, v) for k, v in attrs.items() if k != index_key)
-                buckets.setdefault((topic, attrs[index_key]), {})[sub.seq] = sub
-            else:
-                sub.residual = tuple(attrs.items())
-                if wildcards is None:
-                    wildcards = self._wildcards.setdefault(topic, {})
-                wildcards[sub.seq] = sub
-            registry[sub.seq] = sub
-            subs.append(sub)
-        return subs
-
     def subscriber_count(self, topic: Optional[str] = None) -> int:
         if topic is None:
             return sum(len(subs) for subs in self._subs.values())

@@ -5,58 +5,35 @@ deployments a middleware-level audit trail (which credential-revocation
 events fired, when, and why) and gives tests a deterministic record to
 assert against.  ``replay`` re-delivers a filtered slice into a handler —
 useful to rebuild read-side state after a restart, the standard event-
-sourcing pattern.
+sourcing pattern.  Retention is a :class:`~repro.obs.ring.RecordRing`,
+the bounded store the access log, the decision log and the tracer share.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Callable, List, Optional
 
+from ..obs.ring import RecordRing
 from .broker import EventBroker
 from .messages import Event
 
 __all__ = ["EventLog"]
 
 
-class EventLog:
+class EventLog(RecordRing):
     """Records every event delivered by a broker, in order.
 
-    With a ``capacity`` the log is a ring: the oldest events are evicted in
-    O(1) once the bound is hit, and :meth:`stats` reports how many fell off
-    so bounded retention never silently loses that it dropped history.  The
-    default stays unbounded.
+    ``capacity`` bounds it, oldest events evicted first and counted in
+    :meth:`stats`; the default stays unbounded.
     """
 
-    __slots__ = ("_capacity", "_events", "recorded", "discarded",
-                 "_untap", "_closed")
+    __slots__ = ("_untap", "_closed")
 
     def __init__(self, broker: EventBroker,
                  capacity: Optional[int] = None) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self._capacity = capacity
-        self._events: Deque[Event] = deque(maxlen=capacity)
-        self.recorded = 0
-        self.discarded = 0
-        self._untap = broker.add_tap(self._record)
+        super().__init__(capacity)
+        self._untap = broker.add_tap(self.append)
         self._closed = False
-
-    def _record(self, event: Event) -> None:
-        self.recorded += 1
-        if self._capacity is not None \
-                and len(self._events) == self._capacity:
-            self.discarded += 1  # the deque evicts the oldest on append
-        self._events.append(event)
-
-    def stats(self) -> Dict[str, Any]:
-        """Retention counters: ring size/bound and what fell off the end."""
-        return {
-            "size": len(self._events),
-            "capacity": self._capacity,
-            "recorded": self.recorded,
-            "discarded": self.discarded,
-        }
 
     def close(self) -> None:
         """Stop recording (the log remains queryable)."""
@@ -68,36 +45,22 @@ class EventLog:
     def closed(self) -> bool:
         return self._closed
 
-    def __len__(self) -> int:
-        return len(self._events)
-
     def events(self, topic: Optional[str] = None,
                since: Optional[float] = None,
                until: Optional[float] = None,
                **attrs) -> List[Event]:
         """Events matching the filters, in delivery order.
 
-        The time window is half-open, ``[since, until)`` — consecutive
-        windows partition the log with no duplicates (same convention as
-        :meth:`repro.core.access_log.AccessLog.query`).
+        The time window is half-open, ``[since, until)`` (see
+        :meth:`~repro.obs.ring.RecordRing.select`); an ``attrs`` value of
+        ``None`` matches an attribute that is ``None`` or absent.
         """
-        results = []
-        for event in self._events:
-            if topic is not None and event.topic != topic:
-                continue
-            if since is not None and event.timestamp < since:
-                continue
-            if until is not None and event.timestamp >= until:
-                continue
-            event_attrs = event.attrs
-            if any(event_attrs.get(key) != want
-                   for key, want in attrs.items()):
-                continue
-            results.append(event)
-        return results
+        return [event for event in self.select(since, until, topic=topic)
+                if all(event.attrs.get(key) == want
+                       for key, want in attrs.items())]
 
     def topics(self) -> List[str]:
-        return sorted({event.topic for event in self._events})
+        return sorted({event.topic for event in self})
 
     def replay(self, handler: Callable[[Event], None],
                topic: Optional[str] = None, **attrs) -> int:

@@ -303,9 +303,6 @@ class RemoteNetwork:
         self.callback_rpcs = 0
         self.callback_entries = 0
 
-    def add_peer(self, name: str, host: str, port: int) -> None:
-        self._peers[name] = (host, port)
-
     def validate_many(self, caller: Any,
                       requests: Sequence[Tuple[Any, str, Optional[str]]]
                       ) -> List[Any]:

@@ -5,7 +5,8 @@ Two halves:
 * :class:`EventPump` — server side.  Taps the process-local
   :class:`~repro.events.EventBroker` and pushes every *locally-minted*
   event to subscribed connections, one ``{"push": "events", ...}``
-  frame per publishing call.  Events whose attributes carry
+  frame per publishing call (several, in order, when the batch is larger
+  than ``max_frame``).  Events whose attributes carry
   ``net_origin`` arrived from another process and are **not** forwarded
   — that single rule is the loop-breaker that lets two servers
   subscribe to each other (or a chain P1→P2→P3 relay hop by hop)
@@ -34,11 +35,13 @@ import logging
 import queue
 import socket
 import threading
-from typing import Any, Callable, Dict, List, Optional, Set
+from collections import deque
+from typing import Any, Callable, Dict, Iterator, List, Optional, Set
 
 from ..events import Event, EventBroker
-from .protocol import (MAX_FRAME, FrameDecoder, OasisNetError,
-                       ProtocolError, encode_frame)
+from .protocol import (MAX_FRAME, ConnectionLost, FrameDecoder,
+                       FrameTooLarge, OasisNetError, ProtocolError,
+                       encode_frame, take_fitting)
 
 __all__ = ["NET_ORIGIN", "EventPump", "EventChannel"]
 
@@ -61,6 +64,7 @@ class EventPump:
     a synchronous cascade's whole event batch lands in ONE push frame —
     and it queues frames in lock order.  A single pusher thread does the
     sending, so a subscriber that reads slowly never holds up an RPC.
+    Only a dead connection drops a subscriber.
     """
 
     def __init__(self, node: str) -> None:
@@ -76,6 +80,8 @@ class EventPump:
         self.pushed_events = 0
         self.pushed_batches = 0
         self.skipped_events = 0
+        #: Largest push frame body; a server sets its own ``max_frame``.
+        self.max_frame = MAX_FRAME
 
     def attach(self, broker: EventBroker) -> None:
         """Tap ``broker`` and start the pusher thread."""
@@ -136,12 +142,32 @@ class EventPump:
                 return
             for sender in list(self._senders):
                 try:
-                    sender(push)
-                except (OasisNetError, OSError):
+                    try:
+                        sender(push)
+                    except FrameTooLarge:  # refused before a byte went out
+                        for frame in self._split(push):
+                            sender(frame)
+                except (ConnectionLost, OSError):
                     # The connection thread notices the dead socket
                     # itself; dropping the sender here just stops repeat
                     # failures.
                     self._senders.discard(sender)
+                except OasisNetError:
+                    _log.exception("push from %s failed", self.node)
+
+    def _split(self, push: Dict[str, Any]) -> Iterator[Dict[str, Any]]:
+        """``push`` as frames of at most :attr:`max_frame` bytes, events
+        in order; an event too large for any frame is skipped alone."""
+        pending = deque([push])
+        while pending:
+            taken = take_fitting(pending, self.max_frame, lambda _: "events")
+            if not taken and pending:
+                _log.warning("%s skipped an event larger than a %d-byte "
+                             "push frame", self.node, self.max_frame)
+                head = pending.popleft()
+                if len(head["events"]) > 1:
+                    pending.appendleft(dict(head, events=head["events"][1:]))
+            yield from taken
 
 
 class EventChannel:

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import json
 import struct
-from typing import Any, Dict, List
+from typing import Any, Callable, Deque, Dict, List, Mapping
 
 from ..core import exceptions as _core_exceptions
 from ..net.sim import NetworkError
@@ -146,6 +146,37 @@ def encode_frame(payload: Dict[str, Any],
             f"outgoing frame of {len(body)} bytes exceeds the "
             f"{max_frame}-byte limit")
     return _HEADER.pack(len(body)) + body
+
+
+def body_size(payload: Any) -> int:
+    """Bytes ``payload`` takes inside a frame body."""
+    return len(_COMPACT.encode(payload).encode("utf-8"))
+
+
+def take_fitting(pending: Deque[Dict[str, Any]], room: int,
+                 field: Callable[[Mapping[str, Any]], str]
+                 ) -> List[Dict[str, Any]]:
+    """Messages from the head of ``pending``, oldest first, that fit
+    ``room`` encoded bytes as one JSON list; the first that does not is
+    split at an item of its list ``message[field(message)]``, the rest
+    left at the head.  Nothing taken, ``pending`` non-empty: its first
+    item alone is larger.  (The one splitter: shard outboxes and event
+    pushes both cross in frames it cuts.)"""
+    taken: List[Dict[str, Any]] = []
+    while pending and room > 0:
+        message = pending.popleft()
+        name = field(message)
+        items = message[name]
+        room -= body_size(dict(message, **{name: []})) + 1
+        fit = 0
+        while fit < len(items) and \
+                (room := room - body_size(items[fit]) - 1) >= 0:
+            fit += 1
+        if fit < len(items):
+            pending.appendleft(dict(message, **{name: items[fit:]}))
+        if fit:
+            taken.append(dict(message, **{name: items[:fit]}))
+    return taken
 
 
 class FrameDecoder:

@@ -169,6 +169,7 @@ class OasisServer:
         self._connections: Set[_Connection] = set()
         self._closing = False
         self.pump = EventPump(node)
+        self.pump.max_frame = max_frame
         # peer -> EventChannel, registered by the serve bootstrap before
         # start() so ping can report subscription liveness (readiness
         # gates on it: a node whose inbound event channel is still

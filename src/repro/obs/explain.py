@@ -45,6 +45,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from .ring import RecordRing
+
 __all__ = ["RuleAttempt", "Decision", "DecisionLog"]
 
 
@@ -139,31 +141,16 @@ class Decision:
         return "\n".join(lines)
 
 
-class DecisionLog:
-    """Capacity-bounded store of decisions with half-open time queries.
-
-    Query semantics match :meth:`repro.core.access_log.AccessLog.query`:
-    ``since`` is inclusive, ``until`` exclusive — ``[since, until)`` —
-    so adjacent windows tile without overlap.
+class DecisionLog(RecordRing):
+    """Capacity-bounded store of decisions with half-open ``[since,
+    until)`` time queries, like every :class:`~repro.obs.ring.RecordRing`.
     """
 
     def __init__(self, capacity: Optional[int] = 10_000) -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self._capacity = capacity
-        self._decisions: List[Decision] = []
-        self.discarded = 0
+        super().__init__(capacity)
 
-    def record(self, decision: Decision) -> None:
-        self._decisions.append(decision)
-        if self._capacity is not None \
-                and len(self._decisions) > self._capacity:
-            overflow = len(self._decisions) - self._capacity
-            del self._decisions[:overflow]
-            self.discarded += overflow
-
-    def __len__(self) -> int:
-        return len(self._decisions)
+    record = RecordRing.append
+    reset = RecordRing.clear
 
     def query(self, kind: Optional[str] = None,
               outcome: Optional[str] = None,
@@ -174,30 +161,9 @@ class DecisionLog:
               since: Optional[float] = None,
               until: Optional[float] = None) -> List[Decision]:
         """Decisions matching every given filter, in record order."""
-        results = []
-        for decision in self._decisions:
-            if kind is not None and decision.kind != kind:
-                continue
-            if outcome is not None and decision.outcome != outcome:
-                continue
-            if service is not None and decision.service != service:
-                continue
-            if principal is not None and decision.principal != principal:
-                continue
-            if subject is not None and decision.subject != subject:
-                continue
-            if trace_id is not None and decision.trace_id != trace_id:
-                continue
-            if since is not None and decision.timestamp < since:
-                continue
-            if until is not None and decision.timestamp >= until:
-                continue
-            results.append(decision)
-        return results
+        return self.select(since, until, kind=kind, outcome=outcome,
+                           service=service, principal=principal,
+                           subject=subject, trace_id=trace_id)
 
     def denials(self) -> List[Decision]:
-        return [d for d in self._decisions if d.outcome == "denied"]
-
-    def reset(self) -> None:
-        self._decisions.clear()
-        self.discarded = 0
+        return [d for d in self if d.outcome == "denied"]

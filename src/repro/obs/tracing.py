@@ -23,6 +23,8 @@ from __future__ import annotations
 
 from typing import Any, Dict, Iterable, Iterator, List, NamedTuple, Optional
 
+from .ring import RecordRing
+
 __all__ = ["SpanContext", "Span", "SpanTree", "Tracer"]
 
 
@@ -135,7 +137,7 @@ class SpanTree(NamedTuple):
         return sum(1 for _ in self.walk())
 
 
-class Tracer:
+class Tracer(RecordRing):
     """Creates spans, tracks the active span stack, stores finished spans.
 
     * :meth:`start_span` opens a span; with ``activate=True`` it also
@@ -144,8 +146,8 @@ class Tracer:
       ``activate_role``).  Explicit ``parent`` contexts override the
       stack, which is how event handlers re-parent themselves onto the
       remote span whose event they are processing.
-    * ``capacity`` bounds memory exactly like the access and event logs:
-      oldest spans are discarded first.
+    * The tracer is the :class:`~repro.obs.ring.RecordRing` of its spans:
+      ``capacity`` bounds memory, oldest spans discarded first.
     * ``id_prefix`` namespaces the generated ids (``w0.t0001`` instead of
       ``t0001``).  Ids are deterministic *per tracer*, so two tracers in
       different worker processes would mint colliding ids; giving each
@@ -156,15 +158,11 @@ class Tracer:
 
     def __init__(self, capacity: Optional[int] = 100_000,
                  id_prefix: str = "") -> None:
-        if capacity is not None and capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self._capacity = capacity
+        super().__init__(capacity)
         self._id_prefix = id_prefix
-        self._spans: List[Span] = []
         self._stack: List[Span] = []
         self._trace_seq = 0
         self._span_seq = 0
-        self.discarded = 0
 
     # -- span lifecycle ----------------------------------------------------
     def start_span(self, name: str, timestamp: float = 0.0,
@@ -189,11 +187,7 @@ class Tracer:
         self._span_seq += 1
         span = Span(self, trace_id, f"{self._id_prefix}s{self._span_seq:04d}",
                     parent_id, name, timestamp, attrs)
-        self._spans.append(span)
-        if self._capacity is not None and len(self._spans) > self._capacity:
-            overflow = len(self._spans) - self._capacity
-            del self._spans[:overflow]
-            self.discarded += overflow
+        self.append(span)
         if activate:
             self._stack.append(span)
         return span
@@ -213,21 +207,13 @@ class Tracer:
             self._stack.remove(span)
 
     # -- queries -----------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self._spans)
-
     def spans(self, trace_id: Optional[str] = None,
               name: Optional[str] = None) -> List[Span]:
         """Finished or live spans, in start order, optionally filtered."""
-        return [span for span in self._spans
-                if (trace_id is None or span.trace_id == trace_id)
-                and (name is None or span.name == name)]
+        return self.select(trace_id=trace_id, name=name)
 
     def trace_ids(self) -> List[str]:
-        seen: Dict[str, None] = {}
-        for span in self._spans:
-            seen.setdefault(span.trace_id, None)
-        return list(seen)
+        return list(dict.fromkeys(span.trace_id for span in self))
 
     def tree(self, trace_id: str) -> List[SpanTree]:
         """The trace as a forest of :class:`SpanTree` roots.
@@ -237,12 +223,8 @@ class Tracer:
         rather than disappearing.  Children are ordered by start time,
         then by span id (sim-clock ties are common).
         """
-        nodes: Dict[str, SpanTree] = {}
-        order: List[Span] = []
-        for span in self._spans:
-            if span.trace_id == trace_id:
-                nodes[span.span_id] = SpanTree(span, [])
-                order.append(span)
+        order = self.select(trace_id=trace_id)
+        nodes = {span.span_id: SpanTree(span, []) for span in order}
         roots: List[SpanTree] = []
         for span in order:
             node = nodes[span.span_id]
@@ -269,7 +251,7 @@ class Tracer:
         skipped so repeated exports are idempotent.  Returns the number of
         spans adopted.
         """
-        present = {span.span_id for span in self._spans}
+        present = {span.span_id for span in self}
         adopted = 0
         for payload in span_dicts:
             if payload["span_id"] in present:
@@ -281,17 +263,12 @@ class Tracer:
             span.end = payload.get("end")
             span.status = payload.get("status", "ok")
             present.add(span.span_id)
-            self._spans.append(span)
+            self.append(span)
             adopted += 1
-        if self._capacity is not None and len(self._spans) > self._capacity:
-            overflow = len(self._spans) - self._capacity
-            del self._spans[:overflow]
-            self.discarded += overflow
         return adopted
 
     def reset(self) -> None:
-        self._spans.clear()
+        self.clear()
         self._stack.clear()
         self._trace_seq = 0
         self._span_seq = 0
-        self.discarded = 0

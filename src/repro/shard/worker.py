@@ -37,7 +37,6 @@ is trusted-local (docs/scaling.md).
 from __future__ import annotations
 
 import os
-import sys
 from collections import deque
 from typing import Any, Deque, Dict, List, Mapping, Sequence
 
@@ -46,7 +45,7 @@ from ..core.credentials import CredentialRef
 from ..core.service import OasisService
 from ..core.state import ref_from_payload
 from ..core.types import PrincipalId, Role, RoleName
-from ..netd.protocol import HEADER_SIZE, encode_frame
+from ..netd.protocol import body_size, take_fitting
 from ..netd.server import OasisServer
 from .bus import ShardBroker
 from .partition import shard_of_ref
@@ -56,11 +55,6 @@ __all__ = ["ShardWorker"]
 #: Frame bytes kept for the envelope around an outbox: the reply's, and
 #: the request's the router forwards a message in.
 _ENVELOPE = 256
-
-
-def _size(payload: Any) -> int:
-    """Bytes ``payload`` takes inside a frame."""
-    return len(encode_frame(payload, sys.maxsize)) - HEADER_SIZE
 
 
 class ShardWorker(OasisServer):
@@ -104,31 +98,13 @@ class ShardWorker(OasisServer):
         if self._pending:
             # As much as fits next to the value (encoded here as well, to
             # know its size); the router asks for the rest.
-            value["outbox"] = self._take(
-                self.max_frame - _ENVELOPE - _size(value))
+            value["outbox"] = take_fitting(
+                self._pending, self.max_frame - _ENVELOPE - body_size(value),
+                lambda message: "events" if message["kind"] == "cascade"
+                else "links")
             if self._pending:
                 value["more"] = True
         return value
-
-    def _take(self, room: int) -> List[Dict[str, Any]]:
-        """Pending messages, oldest first, that fit ``room`` encoded
-        bytes; the first that does not is split at an item."""
-        taken: List[Dict[str, Any]] = []
-        while self._pending and room > 0:
-            message = self._pending.popleft()
-            field = "events" if message["kind"] == "cascade" else "links"
-            items = message[field]
-            room -= _size(dict(message, **{field: []})) + 1
-            fit = 0
-            while fit < len(items) and \
-                    (room := room - _size(items[fit]) - 1) >= 0:
-                fit += 1
-            if fit < len(items):
-                self._pending.appendleft(
-                    dict(message, **{field: items[fit:]}))
-            if fit:
-                taken.append(dict(message, **{field: items[:fit]}))
-        return taken
 
     def _op_issue_bulk(self, message: Mapping[str, Any]) -> Any:
         service = self._ops.service(message["service"])

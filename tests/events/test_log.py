@@ -59,6 +59,15 @@ class TestEventLog:
         assert len(log.events(since=2.0)) == 2
         assert len(log.events(topic="t", key="x")) == 1
 
+    def test_filter_on_none_attribute(self, broker):
+        """An attribute filter of ``None`` matches, it does not switch the
+        filter off: events whose attribute is None or absent."""
+        log = EventLog(broker)
+        broker.publish(Event.make("t", n=0, key=None))
+        broker.publish(Event.make("t", n=1, key="x"))
+        broker.publish(Event.make("t", n=2))
+        assert [event.get("n") for event in log.events(key=None)] == [0, 2]
+
     def test_capacity(self, broker):
         log = EventLog(broker, capacity=2)
         for index in range(5):

@@ -12,6 +12,7 @@ from repro.core.terms import Var
 from repro.core.types import RoleTemplate, ServiceId
 from repro.events import CREDENTIAL_REVOKED, Event, EventBroker
 from repro.netd.events import NET_ORIGIN, EventChannel, EventPump
+from repro.netd.protocol import encode_frame
 from repro.netd.worlds import World, bench_world
 
 from netd_helpers import Node, Peer
@@ -110,6 +111,33 @@ class TestEventPump:
             [[["credential_ref", "svc#2"]]]
         assert pump.skipped_events == 1
         pump.detach()
+
+    def test_event_too_large_for_any_frame_skipped_alone(self):
+        broker = EventBroker()
+        pump = EventPump("n")
+        pump.max_frame = 512
+        pump.attach(broker)
+        sent = []
+        done = threading.Event()
+
+        def sender(push):  # what a connection does: frame, then write
+            encode_frame(push, pump.max_frame)
+            sent.extend(event["attributes"][0][1]
+                        for event in push["events"])
+            done.set()
+        pump.subscribe(sender)
+        broker.publish_batch([
+            Event.make(CREDENTIAL_REVOKED, credential_ref="svc#1"),
+            Event.make(CREDENTIAL_REVOKED, credential_ref="x" * 1000),
+            Event.make(CREDENTIAL_REVOKED, credential_ref="svc#2"),
+            Event.make(CREDENTIAL_REVOKED, credential_ref="y" * 1000)])
+        pump.flush()
+        broker.publish(Event.make(CREDENTIAL_REVOKED, credential_ref="svc#3"))
+        pump.flush()
+        pump.detach(5)
+        assert done.is_set()
+        assert sent == ["svc#1", "svc#2", "svc#3"]
+        assert pump.subscriber_count == 1
 
     def test_non_json_attrs_skipped_not_crashed(self):
         broker = EventBroker()
@@ -323,6 +351,38 @@ class TestPumpOverSockets:
                 lambda: node.server.pump.subscriber_count == 1)
             stays.close()
         finally:
+            node.close()
+
+    def test_batch_larger_than_a_frame_crosses_in_order(self):
+        """A cascade batch too large for one ``max_frame`` push crosses
+        as several frames, in order — and the subscriber stays
+        subscribed for every later revocation."""
+        node = Node("bulky", bench_world, max_frame=2048)
+        sink = Collector()
+        channel = EventChannel("bulky", "127.0.0.1", node.port, sink,
+                               max_frame=2048)
+        try:
+            channel.start()
+            channel.wait_connected(5)
+            node.server.submit(
+                node.broker.publish,
+                Event.make(CREDENTIAL_REVOKED, credential_ref="svc#first"))
+            assert [event.get("credential_ref")
+                    for event in sink.wait(1)] == ["svc#first"]
+            node.server.submit(node.broker.publish_batch, [
+                Event.make(CREDENTIAL_REVOKED, credential_ref=f"svc#{index}",
+                           reason=f"{index:03d}".ljust(50, "x"))
+                for index in range(200)])
+            assert [event.get("credential_ref")
+                    for event in sink.wait(201)] == \
+                ["svc#first"] + [f"svc#{index}" for index in range(200)]
+            assert node.server.pump.subscriber_count == 1
+            node.server.submit(
+                node.broker.publish,
+                Event.make(CREDENTIAL_REVOKED, credential_ref="svc#last"))
+            assert sink.wait(202)[-1].get("credential_ref") == "svc#last"
+        finally:
+            channel.stop()
             node.close()
 
     def test_close_pushes_what_is_queued_first(self):

@@ -2,6 +2,7 @@
 
 import json
 import struct
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,10 +14,12 @@ from repro.netd.protocol import (
     OasisNetError,
     ProtocolError,
     RpcError,
+    body_size,
     decode_body,
     encode_frame,
     error_payload,
     raise_remote_error,
+    take_fitting,
 )
 
 
@@ -39,6 +42,32 @@ class TestEncodeFrame:
         data = encode_frame({})
         assert data[:4] == struct.pack(">I", 2)
         assert data[4:] == b"{}"
+
+
+class TestTakeFitting:
+    @staticmethod
+    def items_field(_message):
+        return "items"
+
+    @given(st.lists(st.text(st.characters(min_codepoint=32,
+                                          max_codepoint=126),
+                            max_size=40), min_size=1, max_size=60),
+           st.integers(min_value=128, max_value=600))
+    @settings(max_examples=60, deadline=None)
+    def test_splits_in_order_within_room(self, items, room):
+        pending = deque([{"kind": "k", "items": items}])
+        parts = []
+        while pending:
+            taken = take_fitting(pending, room, self.items_field)
+            assert taken, "every item here fits a part of its own"
+            assert body_size(taken) <= room
+            parts.extend(taken)
+        assert [item for part in parts for item in part["items"]] == items
+
+    def test_item_larger_than_room_is_left_pending(self):
+        pending = deque([{"items": ["x" * 100, "y"]}])
+        assert take_fitting(pending, 50, self.items_field) == []
+        assert pending[0]["items"] == ["x" * 100, "y"]
 
 
 class TestFrameDecoder:
