@@ -32,6 +32,7 @@ cached credential.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -288,6 +289,7 @@ class OasisService:
                 self.secret = stored_secret
             else:
                 self._state.save_secret(self.secret)
+            self._state.attach_facts(self.context.databases)
         # Hot-path aliases: reads (and the engine-facing fast paths) touch
         # the very same dict objects the state core owns, so the storeless
         # configuration is bit-identical to the pre-refactor layout.
@@ -355,8 +357,9 @@ class OasisService:
             self._init_obs()
 
         registry.register(self)
-        for database in self.context.databases.values():
-            database.add_listener(self._on_database_change)
+        for db_name, database in self.context.databases.items():
+            database.add_listener(functools.partial(
+                self._on_database_change, db_name))
 
     # ------------------------------------------------------------------
     # Observability wiring (only runs when a pipeline is installed)
@@ -438,24 +441,6 @@ class OasisService:
                [({"service": service, "field": name}, value)
                 for name, value in self.access_log.stats().items()
                 if value is not None])
-        # Storage-layer lookup costs: the Table/Database counters, one
-        # family per counter, labelled by database and table.  A family
-        # must be yielded exactly once, so samples are gathered across all
-        # attached databases first.  Database.stats() hands back a
-        # defensive copy — sampling never perturbs the live counters.
-        store_samples: Dict[str, List[Tuple[Dict[str, Any], Any]]] = {
-            "rows_scanned": [], "index_probes": [], "indexes_built": []}
-        for db_name, database in self.context.databases.items():
-            for table_name, table_stats in database.stats()["tables"].items():
-                for counter, samples in store_samples.items():
-                    samples.append((
-                        {"service": service, "database": db_name,
-                         "table": table_name}, table_stats[counter]))
-        for counter, samples in store_samples.items():
-            if samples:
-                yield (f"oasis_store_{counter}", "counter",
-                       f"table lookup cost: {counter.replace('_', ' ')}",
-                       samples)
         if self._persist is not None:
             persist_stats = self._persist.stats()
             backend = persist_stats["backend"]
@@ -1185,15 +1170,20 @@ class OasisService:
                 revoked += 1
         return revoked
 
-    def _on_database_change(self, table: str, op: str, row: Any) -> None:
-        # Identify the databases this service sees containing this table;
-        # re-check any watch that depends on it.
-        affected_names = {name for name, db in self.context.databases.items()
-                          if db.has_table(table)}
-        for watch in list(self._watches.values()):
-            if any((db_name, table) in watch.watched_tables
-                   for db_name in affected_names):
-                self._recheck_watch(watch)
+    def _on_database_change(self, db_name: str, table: str, op: str,
+                            rows: List[Any]) -> None:
+        # The fact is committed before any cascade it triggers is
+        # journalled: fact durable -> cascade journalled -> published.  A
+        # row the store refuses is still live in memory: re-check anyway.
+        try:
+            self._state.mirror_facts(
+                db_name, self.context.databases[db_name].table(table), op,
+                rows)
+        finally:
+            watched = (db_name, table)
+            for watch in list(self._watches.values()):
+                if watched in watch.watched_tables:
+                    self._recheck_watch(watch)
 
     # ------------------------------------------------------------------
     # Credential validation (local + callback + cache/ECR)

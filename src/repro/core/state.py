@@ -8,7 +8,7 @@ session liveness derivable from records — lives in a
 :class:`ServiceState` and mutates through it, as operations against the
 keyed-record storage interface of :mod:`repro.db.kv`.
 
-Three buckets hold everything:
+Three buckets hold the credential state:
 
 * ``records`` — ``CRR qualified string -> CredentialRecord`` (encoded via
   :class:`ServiceStateCodec` on serialising backends).  Revoked records
@@ -22,10 +22,18 @@ Three buckets hold everything:
 * ``meta`` — the service secret (certificates must keep verifying across a
   restart) and small recovery bookkeeping.
 
+Constraint facts (Sect. 2: "ascertained by database lookup") are state
+too: each row of an attached :class:`~repro.db.Database` is a record of
+bucket ``facts/<context db name>/<table>``, keyed by the JSON text of its
+values, and META ``facts`` lists the buckets the store holds.  Every fact
+mutation is committed before the service's listener returns; at a restart
+a held table's stored rows replace the caller's seeds.
+
 The transient caches (signature-verification cache, membership-constraint
-watches) are deliberately **not** persisted: both are pure re-computation
-(a MAC check; a rule-match re-evaluation at next activation) and holding
-them durable would buy nothing but serialisation cost.
+watches) are **not** persisted.  The signature cache is a MAC check away
+from being rebuilt; the watches are simply lost, so a credential resumed
+with a membership-watched constraint is not revoked when that constraint
+later turns false (a known limit, see docs/persistence.md).
 
 Crash-consistency protocol (see docs/persistence.md): a revocation
 cascade's events are journalled to the store's append log with one durable
@@ -51,6 +59,7 @@ re-issues a lost CRR.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import (
     Any,
@@ -65,6 +74,7 @@ from typing import (
 
 from ..crypto.hmac_sig import ServiceSecret
 from ..db.kv import RecordStore, StoreCodec
+from ..db.store import Database, Row, Table
 from ..events import Event
 from .credentials import (CredentialRecord, CredentialRef, CredentialStatus,
                           certificate_digest)
@@ -87,6 +97,8 @@ __all__ = [
 RECORDS = "records"
 VALIDATION = "validation"
 META = "meta"
+#: The META key listing the fact buckets the store holds.
+FACTS = "facts"
 
 #: Reverse-dependency buckets stay plain lists up to this many dependents,
 #: then promote to an ordered dict (O(1) unlink for high-fanout parents).
@@ -95,6 +107,29 @@ EDGE_LIST_MAX = 8
 #: CRR serials are reserved from the durable log in blocks of this size;
 #: one durable append buys this many memory-speed allocations.
 SERIAL_RESERVE = 1024
+
+
+def fact_bucket(db_name: str, table: str) -> str:
+    """The store bucket holding one attached table's rows."""
+    return f"{FACTS}/{db_name}/{table}"
+
+
+def _fact_items(table: Table, rows: Sequence[Row]
+                ) -> List[Tuple[str, List[Any]]]:
+    """``(key, values)`` store items for ``rows`` of ``table``.  Only JSON
+    scalars round-trip unchanged: a tuple would come back as a list, and a
+    ``not_exists`` lookup on that exclusion row would then grant."""
+    items = []
+    for row in rows:
+        values = [row[column] for column in table.columns]
+        for value in values:
+            if value is not None and not isinstance(value, (str, int, float)):
+                raise ValueError(
+                    f"fact {dict(row)!r} of table {table.name!r} holds "
+                    f"{type(value).__name__}; a stored fact must be "
+                    f"str, int, float, bool or None")
+        items.append((json.dumps(values), values))
+    return items
 
 
 def ref_payload(ref: CredentialRef) -> Dict[str, Any]:
@@ -371,6 +406,46 @@ class ServiceState:
             # verifies after a restart — so it skips the write-behind
             # window and lands durably right away.
             store.flush()
+
+    # ------------------------------------------------------------------
+    # Constraint facts
+    # ------------------------------------------------------------------
+    def attach_facts(self, databases: Dict[str, Database]) -> None:
+        """Bind the attached tables to their store buckets: a held table
+        takes the stored rows (no listener sees it), any other one is
+        mirrored as it stands and recorded as held."""
+        store = self.store
+        if store is None or not databases:
+            return
+        held = store.get(META, FACTS) or []
+        added = []
+        for db_name, database in databases.items():
+            for table_name in database.table_names:
+                table = database.table(table_name)
+                bucket = fact_bucket(db_name, table_name)
+                if bucket in held:
+                    table.replace(dict(zip(table.columns, values))
+                                  for _, values in store.scan(bucket))
+                else:
+                    store.put_many(bucket, _fact_items(table, list(table)))
+                    added.append(bucket)
+        if added:
+            store.put(META, FACTS, sorted(held + added))
+            store.flush()
+
+    def mirror_facts(self, db_name: str, table: Table, op: str,
+                     rows: Sequence[Row]) -> None:
+        """Write one fact mutation through to the store and commit it."""
+        store = self.store
+        if store is None:
+            return
+        bucket = fact_bucket(db_name, table.name)
+        items = _fact_items(table, rows)
+        if op == "insert":
+            store.put_many(bucket, items)
+        else:
+            store.delete_many(bucket, [key for key, _ in items])
+        store.flush()
 
     def load_secret(self) -> Optional[ServiceSecret]:
         store = self.store

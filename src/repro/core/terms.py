@@ -24,8 +24,8 @@ so application code can write ``Role("doctor", ("d42",))`` and policy code
 from __future__ import annotations
 
 import sys
-from typing import (Any, Callable, Dict, Hashable, Iterable, Iterator,
-                    Mapping, Optional, Tuple, Union)
+from typing import (Any, Dict, Hashable, Iterable, Iterator, Mapping,
+                    Optional, Tuple, Union)
 
 __all__ = [
     "Var",
@@ -40,7 +40,6 @@ __all__ = [
     "InternPool",
     "intern_pool",
     "pool_stats",
-    "intern_atom",
     "DATACLASS_SLOTS",
 ]
 
@@ -61,7 +60,9 @@ class InternPool:
     :class:`~repro.core.types.RoleName`, and naive construction allocates a
     fresh instance each time.  The pool maps a hashable key to the one
     canonical instance, so a world with S services holds S ``ServiceId``
-    objects no matter how many credentials reference them.
+    objects no matter how many credentials reference them.  The owning
+    class's ``__new__`` probes and fills ``_pool`` itself (one dict lookup
+    on the construction hot path) and counts the hit or miss.
 
     The design is deliberately *invalidation-free*: only immutable value
     objects whose identity is fully determined by the key may be pooled, so
@@ -82,39 +83,6 @@ class InternPool:
         self.hits = 0
         self.misses = 0
         self._pool: Dict[Hashable, Any] = {}
-
-    def __len__(self) -> int:
-        return len(self._pool)
-
-    def intern(self, key: Hashable, factory: Callable[[], Any]) -> Any:
-        """Return the canonical instance for ``key``, creating via
-        ``factory`` on first sight."""
-        instance = self._pool.get(key)
-        if instance is not None:
-            self.hits += 1
-            return instance
-        self.misses += 1
-        instance = factory()
-        self._pool[key] = instance
-        return instance
-
-    def get(self, key: Hashable) -> Optional[Any]:
-        """The pooled instance for ``key``, or None (counts as hit/miss)."""
-        instance = self._pool.get(key)
-        if instance is not None:
-            self.hits += 1
-        else:
-            self.misses += 1
-        return instance
-
-    def put(self, key: Hashable, instance: Any) -> Any:
-        """Install ``instance`` as canonical for ``key`` unless one exists;
-        returns the canonical instance either way."""
-        existing = self._pool.get(key)
-        if existing is not None:
-            return existing
-        self._pool[key] = instance
-        return instance
 
     def stats(self) -> Dict[str, int]:
         return {"entries": len(self._pool), "hits": self.hits,
@@ -138,22 +106,6 @@ def pool_stats() -> Dict[str, Dict[str, int]]:
     """Per-pool entry/hit/miss counts, consumed by the
     ``oasis_memory_intern_pool`` observability collector."""
     return {name: pool.stats() for name, pool in sorted(_POOLS.items())}
-
-
-def intern_atom(value: Term) -> Term:
-    """Canonicalize an atomic term: strings via :func:`sys.intern`, tuples
-    element-wise; other atoms pass through.
-
-    Meant for *small, recurring* atoms — role names, service names, status
-    strings — where wire decoding or policy loading would otherwise
-    allocate a fresh copy per certificate.  Do not feed it unbounded
-    populations (principal ids): interned strings live for the process.
-    """
-    if type(value) is str:
-        return sys.intern(value)
-    if type(value) is tuple:
-        return tuple(intern_atom(item) for item in value)
-    return value
 
 
 class Var:

@@ -76,7 +76,9 @@ def canonical_encode(value: FieldValue) -> bytes:
     """
     kind = type(value)
     if kind is str:
-        raw = value.encode("utf-8")
+        # surrogatepass: a lone surrogate decoded off the wire must fail
+        # the MAC check, not escape it as a UnicodeEncodeError.
+        raw = value.encode("utf-8", "surrogatepass")
         return b"S%d:%b" % (len(raw), raw)
     if kind is tuple:
         parts = b"".join([canonical_encode(item) for item in value])
@@ -107,7 +109,7 @@ def _encode_subclass(value: FieldValue) -> bytes:
         raw = repr(value).encode("ascii")
         return b"F" + str(len(raw)).encode("ascii") + b":" + raw
     if isinstance(value, str):
-        raw = value.encode("utf-8")
+        raw = value.encode("utf-8", "surrogatepass")
         return b"S" + str(len(raw)).encode("ascii") + b":" + raw
     if isinstance(value, bytes):
         return b"Y" + str(len(value)).encode("ascii") + b":" + value

@@ -1,15 +1,16 @@
-"""Storage layer: relational constraint store + keyed-record state store.
+"""Storage layer: one keyed-record store, and the relational view over it.
 
-Two stores live here with deliberately different jobs:
-
-* :class:`Database`/:class:`Table` — the in-memory *relational* store that
-  environmental constraints query ("ascertained by database lookup at some
-  service", Sect. 2).
 * :class:`RecordStore` and its backends — the *keyed-record* store holding
-  issuer-side security state (credential records, validation-cache keys,
-  recovery metadata) behind one ``(bucket, key) -> record`` interface with
-  an append log for crash-consistent revocation.  See
-  :mod:`repro.db.kv` and docs/persistence.md.
+  every piece of a service's state (credential records, validation-cache
+  keys, recovery metadata, constraint facts) behind one
+  ``(bucket, key) -> record`` interface with an append log for
+  crash-consistent revocation.  See :mod:`repro.db.kv` and
+  docs/persistence.md.
+* :class:`Database`/:class:`Table` — the indexed in-memory view that
+  environmental constraints query ("ascertained by database lookup at some
+  service", Sect. 2).  A service built with a store mirrors each row into
+  a ``facts/<db>/<table>`` bucket and commits every change before its
+  listener returns, so a retracted fact stays retracted across a restart.
 
 Backend selection for services that are not handed an explicit store goes
 through :func:`default_store`, driven by two environment variables:

@@ -102,8 +102,8 @@ class RecordStore:
     can round-trip.  Subclasses implement the primitive verbs; the batch
     variants have loop defaults a backend may override with something
     cheaper.  All implementations keep the operation counters exposed by
-    :meth:`stats` (surfaced through the obs registry as ``oasis_store_*``
-    collectors).
+    :meth:`stats` (surfaced through the obs registry as
+    ``oasis_record_store_*`` collectors).
     """
 
     backend = "abstract"

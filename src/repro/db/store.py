@@ -13,9 +13,12 @@ un-indexed column builds a hash index for that column (one O(n) pass),
 after which every equality lookup on it is an O(1) bucket probe instead of
 a full scan.  Constraint evaluation repeats the same lookup shapes
 millions of times in a scale world, so the column set worth indexing is
-exactly the set that gets queried — no schema declaration needed.  The
-:meth:`Table.stats` counters (rows scanned, index probes, indexes built)
-make the behaviour assertable in tests and visible in benchmarks.
+exactly the set that gets queried — no schema declaration needed.
+
+A ``Database`` is a memory view, not a durable store: a service built
+with a record store mirrors every row of its attached databases into that
+store (``facts/<db>/<table>`` buckets, see :mod:`repro.core.state`), and
+at a restart the stored rows replace whatever the caller seeded.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import (
 __all__ = ["Row", "Table", "Database"]
 
 Row = Mapping[str, Any]
-ChangeListener = Callable[[str, str, Row], None]  # (table, op, row)
+ChangeListener = Callable[[str, str, List[Row]], None]  # (table, op, rows)
 
 
 def _freeze(row: Row, columns: Tuple[str, ...]) -> Tuple[Any, ...]:
@@ -52,8 +55,7 @@ class Table:
     the logical reading constraints give them.
     """
 
-    __slots__ = ("name", "columns", "_positions", "_rows", "_indexes",
-                 "rows_scanned", "index_probes", "indexes_built")
+    __slots__ = ("name", "columns", "_positions", "_rows", "_indexes")
 
     def __init__(self, name: str, columns: Iterable[str]) -> None:
         self.name = name
@@ -68,11 +70,6 @@ class Table:
             column: position for position, column in enumerate(self.columns)}
         self._rows: Set[Tuple[Any, ...]] = set()
         self._indexes: Dict[str, Dict[Any, Set[Tuple[Any, ...]]]] = {}
-        # Observability counters for the lookup regression tests and the
-        # scale benchmarks: how much work selects actually did.
-        self.rows_scanned = 0
-        self.index_probes = 0
-        self.indexes_built = 0
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -91,7 +88,6 @@ class Table:
         for values in self._rows:
             index.setdefault(values[position], set()).add(values)
         self._indexes[column] = index
-        self.indexes_built += 1
 
     def indexed_columns(self) -> List[str]:
         return sorted(self._indexes)
@@ -180,14 +176,12 @@ class Table:
                 # again — pay one O(n) pass now, probe in O(1) forever.
                 self.create_index(column)
             bucket = self._indexes[column].get(remaining.pop(column), set())
-            self.index_probes += 1
             candidates = bucket if candidates is None \
                 else candidates & bucket
         pool: Iterable[Tuple[Any, ...]] = (
             self._rows if candidates is None else candidates)
         results = []
         for values in pool:
-            self.rows_scanned += 1
             row = dict(zip(self.columns, values))
             if all(row[col] == want for col, want in remaining.items()):
                 results.append(row)
@@ -196,30 +190,24 @@ class Table:
     def exists(self, **criteria: Any) -> bool:
         return bool(self.select(**criteria))
 
-    def stats(self) -> Dict[str, Any]:
-        """Lookup-cost counters and the current index set."""
-        return {
-            "rows": len(self._rows),
-            "indexed_columns": self.indexed_columns(),
-            "rows_scanned": self.rows_scanned,
-            "index_probes": self.index_probes,
-            "indexes_built": self.indexes_built,
-        }
-
-    def reset_stats(self) -> None:
-        """Zero the lookup-cost counters (indexes stay built)."""
-        self.rows_scanned = 0
-        self.index_probes = 0
-        self.indexes_built = 0
+    def replace(self, rows: Iterable[Row]) -> None:
+        """Swap the whole row set for ``rows``; built indexes follow."""
+        self._rows.clear()
+        for index in self._indexes.values():
+            index.clear()
+        self.insert_many(rows)
 
 
 class Database:
     """A named collection of tables with change notification.
 
-    Listeners receive ``(table_name, op, row)`` where ``op`` is ``"insert"``
-    or ``"delete"``; the OASIS membership monitor subscribes so that
-    retracting a fact (e.g. a doctor-patient registration) can deactivate
-    roles whose membership rule depends on it.
+    Listeners receive ``(table_name, op, rows)`` once per mutation call,
+    where ``op`` is ``"insert"`` or ``"delete"`` and ``rows`` lists every
+    row the call actually added or removed (a no-op call notifies nobody).
+    The OASIS service subscribes to mirror the change into its record
+    store and so that retracting a fact (e.g. a doctor-patient
+    registration) can deactivate roles whose membership rule depends on
+    it.
     """
 
     __slots__ = ("name", "_tables", "_listeners")
@@ -242,9 +230,6 @@ class Database:
         except KeyError:
             raise KeyError(f"no table {name!r} in database {self.name}") from None
 
-    def has_table(self, name: str) -> bool:
-        return name in self._tables
-
     @property
     def table_names(self) -> List[str]:
         return sorted(self._tables)
@@ -259,63 +244,36 @@ class Database:
 
         return unsubscribe
 
-    def _notify(self, table_name: str, op: str, row: Row) -> None:
-        for listener in list(self._listeners):
-            listener(table_name, op, row)
+    def _notify(self, table_name: str, op: str, rows: List[Row]) -> None:
+        if rows:
+            for listener in list(self._listeners):
+                listener(table_name, op, rows)
 
     def insert(self, table_name: str, **row: Any) -> bool:
         inserted = self.table(table_name).insert(row)
         if inserted:
-            self._notify(table_name, "insert", row)
+            self._notify(table_name, "insert", [row])
         return inserted
 
     def put_many(self, table_name: str, rows: Sequence[Row]) -> int:
         """Bulk insert; returns the number of rows actually inserted.
 
-        Listener semantics are identical to ``insert`` in a loop — one
-        ``(table, "insert", row)`` notification per *new* row, in input
-        order — but the table-level batch path amortizes schema checks, and
-        the listener list is snapshotted once per batch.
+        The table-level batch path amortizes schema checks, and listeners
+        see the whole batch of *new* rows, in input order, in one call.
         """
         inserted = self.table(table_name).insert_many(rows)
-        if inserted and self._listeners:
-            listeners = list(self._listeners)
-            for row in inserted:
-                for listener in listeners:
-                    listener(table_name, "insert", row)
+        self._notify(table_name, "insert", inserted)
         return len(inserted)
 
     def delete(self, table_name: str, **criteria: Any) -> int:
         table = self.table(table_name)
         victims = table.select(**criteria)
-        count = table.delete(**criteria)
-        for row in victims:
-            self._notify(table_name, "delete", row)
-        return count
+        table.delete(**criteria)
+        self._notify(table_name, "delete", victims)
+        return len(victims)
 
     def select(self, table_name: str, **criteria: Any) -> List[Dict[str, Any]]:
         return self.table(table_name).select(**criteria)
 
     def exists(self, table_name: str, **criteria: Any) -> bool:
         return self.table(table_name).exists(**criteria)
-
-    def stats(self) -> Dict[str, Any]:
-        """Per-table lookup-cost counters plus database-wide totals.
-
-        Returns a defensive copy (nested dicts are fresh per call), so a
-        benchmark may freely diff two snapshots; the live counters are
-        unaffected.
-        """
-        tables = {name: table.stats()
-                  for name, table in sorted(self._tables.items())}
-        totals = {
-            counter: sum(entry[counter] for entry in tables.values())
-            for counter in ("rows_scanned", "index_probes", "indexes_built")}
-        totals["rows"] = sum(entry["rows"] for entry in tables.values())
-        return {"name": self.name, "tables": tables, "totals": totals}
-
-    def reset_stats(self) -> None:
-        """Zero every table's lookup-cost counters, so a benchmark run can
-        isolate the storage work of one workload."""
-        for table in self._tables.values():
-            table.reset_stats()

@@ -119,9 +119,8 @@ class TestDatabase:
     def test_create_and_lookup(self):
         db = Database()
         db.create_table("t", ["a"])
-        assert db.has_table("t")
         assert db.table_names == ["t"]
-        assert not db.has_table("z")
+        assert db.table("t").columns == ("a",)
 
     def test_duplicate_table_rejected(self):
         db = Database()
@@ -145,10 +144,11 @@ class TestDatabase:
         db = Database()
         db.create_table("t", ["a"])
         log = []
-        db.add_listener(lambda table, op, row: log.append((table, op, row)))
+        db.add_listener(lambda table, op, rows: log.append((table, op, rows)))
         db.insert("t", a=1)
         db.delete("t", a=1)
-        assert log == [("t", "insert", {"a": 1}), ("t", "delete", {"a": 1})]
+        assert log == [("t", "insert", [{"a": 1}]),
+                       ("t", "delete", [{"a": 1}])]
 
     def test_duplicate_insert_does_not_notify(self):
         db = Database()
@@ -166,8 +166,11 @@ class TestDatabase:
         db.insert("t", a=1, b=2)
         log = []
         db.add_listener(lambda *args: log.append(args))
-        db.delete("t", a=1)
-        assert len(log) == 2
+        assert db.delete("t", a=1) == 2
+        # One call per delete, naming every removed row.
+        [(table, op, rows)] = log
+        assert (table, op) == ("t", "delete")
+        assert sorted(row["b"] for row in rows) == [1, 2]
 
     def test_unsubscribe(self):
         db = Database()

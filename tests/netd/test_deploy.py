@@ -1,17 +1,23 @@
 """Multi-process integration: real OS processes, real sockets.
 
-Two drills:
+Three drills:
 
 * cross-process revocation — the Fig. 5 cascade crossing a process
   boundary via the event channel;
 * kill-and-resume — SIGKILL a served node with a sqlite state directory
   and check the restarted process still honours certificates issued by
   its previous incarnation (ROADMAP's crash-consistency story over the
-  served transport).
+  served transport);
+* fact retraction — a care registration deleted on a served node stays
+  deleted through a SIGKILL and restart.
 """
 
+import os
 import time
 
+import pytest
+
+from repro.core.exceptions import ActivationDenied
 from repro.core.service import Presentation
 from repro.netd.deploy import NodeSpec, Supervisor, free_port
 
@@ -132,6 +138,30 @@ class TestKillAndResume:
             client = fleet.client("bench")
             assert not client.is_active(rmc.ref), \
                 "revocation lost across crash"
+
+    def test_fact_retraction_survives_sigkill(self, tmp_path, monkeypatch):
+        """The retraction commits before the handler replies, so the
+        restarted node's re-seeded table is replaced by the stored,
+        emptied one and the activation stays refused."""
+        monkeypatch.setenv("OASIS_STORE_BACKEND", "sqlite")
+        monkeypatch.delenv("OASIS_STORE_PATH", raising=False)
+        here = os.path.dirname(os.path.abspath(__file__))
+        monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
+            part for part in (here, os.environ.get("PYTHONPATH")) if part))
+        spec = NodeSpec(name="records", port=free_port(),
+                        world="fact_worlds:registered_world",
+                        state_dir=str(tmp_path / "state"))
+        with Supervisor([spec]) as fleet:
+            client = fleet.client("records")
+            client.activate("records", "dan", "treating_doctor",
+                            ["dan", "p1"])
+            assert client.handler("retract", {"doctor": "dan"}) == 1
+            fleet.kill("records")
+            fleet.restart("records")
+            client = fleet.client("records")
+            with pytest.raises(ActivationDenied):
+                client.activate("records", "dan", "treating_doctor",
+                                ["dan", "p1"])
 
     def test_memory_backend_loses_state_as_expected(self, tmp_path,
                                                     monkeypatch):

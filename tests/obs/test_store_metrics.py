@@ -1,11 +1,9 @@
 """Storage-layer counters surfaced through the metrics registry.
 
-The ``oasis_store_*`` families export the Table/Database lookup-cost
-counters (rows scanned, index probes, indexes built) per attached
-database and table; services running over a record store additionally
-export the store's operation counters and write-behind gauges.  All of it
-is pulled at export time from defensive-copy snapshots, so collecting
-never perturbs the live counters.
+Services running over a record store export the store's operation
+counters and write-behind gauges, constraint-fact writes included (facts
+are rows of the same store).  All of it is pulled at export time from
+snapshots, so collecting never perturbs the live counters.
 """
 
 from repro.core import (
@@ -18,7 +16,7 @@ from repro.core import (
     ServiceRegistry,
     Var,
 )
-from repro.db import MemoryRecordStore
+from repro.db import Database, MemoryRecordStore
 from repro.events import EventBroker
 from repro.obs.runtime import observed
 
@@ -34,65 +32,68 @@ def samples(family):
             for sample in family["samples"]}
 
 
+def login_policy():
+    policy = ServicePolicy(ServiceId("obs", "login"))
+    role = policy.define_role("user", 1)
+    policy.add_activation_rule(
+        ActivationRule(RoleTemplate(role, (Var("u"),))))
+    return policy
+
+
 class TestStoreLookupCounters:
-    def test_table_counters_exported_per_database_and_table(self):
+    """The record store's counters, fact writes included."""
+
+    def test_fact_writes_in_store_ops(self):
+        db = Database("main")
+        db.create_table("registered", ["doctor", "patient"])
+        store = MemoryRecordStore()
         with observed() as obs:
-            hospital = build_hospital()
-            doctor = hospital.new_doctor("dr-jones", "pat-1")
-            session = doctor.start_session(hospital.login, "logged_in_user",
-                                           ["dr-jones"])
-            session.activate(hospital.records, "treating_doctor",
-                             use_appointments=doctor.appointments())
+            OasisService(login_policy(), EventBroker(), ServiceRegistry(),
+                         databases={"main": db}, store=store)
+            before = samples(families_by_name(obs)["oasis_record_store_ops"])
+            db.put_many("registered", [
+                {"doctor": "d1", "patient": "p1"},
+                {"doctor": "d1", "patient": "p2"}])
+            db.delete("registered", patient="p1")
             families = families_by_name(obs)
-        for counter in ("oasis_store_rows_scanned",
-                        "oasis_store_index_probes",
-                        "oasis_store_indexes_built"):
-            assert counter in families, counter
-            assert families[counter]["type"] == "counter"
-        probes = samples(families["oasis_store_index_probes"])
-        key = (("database", "main"), ("service", "hospital/records"),
-               ("table", "registered"))
-        # The treating_doctor membership constraint consulted the
-        # registration table at least once, through an index.
-        assert probes[key] >= 1
-        # The per-table sample mirrors the live counter exactly.
-        live = hospital.db.table("registered").index_probes
-        assert probes[key] == live
+        after = samples(families["oasis_record_store_ops"])
+        labels = (("backend", "memory"), ("service", "obs/login"))
+
+        def moved(op):
+            key = (labels[0], ("op", op), labels[1])
+            return after[key] - before[key]
+
+        # One batch of two rows, one delete, and a commit for each call.
+        assert (moved("puts"), moved("deletes"), moved("flushes")) == (
+            2, 1, 2)
+        assert not [name for name in families
+                    if name.startswith("oasis_store_")]
 
     def test_collecting_does_not_perturb_live_counters(self):
         """Regression guard in the spirit of the ServiceStats.snapshot()
         defensive-copy tests: exports sample copies, never live state."""
+        store = MemoryRecordStore()
         with observed() as obs:
-            hospital = build_hospital()
-            doctor = hospital.new_doctor("dr-jones", "pat-1")
-            session = doctor.start_session(hospital.login, "logged_in_user",
-                                           ["dr-jones"])
-            session.activate(hospital.records, "treating_doctor",
-                             use_appointments=doctor.appointments())
-            before = hospital.db.stats()["totals"]
-            first = samples(families_by_name(obs)
-                            ["oasis_store_rows_scanned"])
-            # Mutating collected output must not reach the live tables...
+            OasisService(login_policy(), EventBroker(), ServiceRegistry(),
+                         store=store)
+            before = store.stats()
+            first = samples(families_by_name(obs)["oasis_record_store_ops"])
+            # Mutating collected output must not reach the live store...
             for family in obs.metrics.collect():
                 for sample in family["samples"]:
                     sample["value"] = -1
                     sample["labels"]["injected"] = True
-            second = samples(families_by_name(obs)
-                             ["oasis_store_rows_scanned"])
+            second = samples(families_by_name(obs)["oasis_record_store_ops"])
         assert first == second
-        assert hospital.db.stats()["totals"] == before
+        assert store.stats() == before
 
 
 class TestRecordStoreCounters:
     def test_store_ops_and_gauges_exported(self):
         store = MemoryRecordStore()
-        policy = ServicePolicy(ServiceId("obs", "login"))
-        role = policy.define_role("user", 1)
-        policy.add_activation_rule(
-            ActivationRule(RoleTemplate(role, (Var("u"),))))
         with observed() as obs:
-            service = OasisService(policy, EventBroker(), ServiceRegistry(),
-                                   store=store)
+            service = OasisService(login_policy(), EventBroker(),
+                                   ServiceRegistry(), store=store)
             Principal("alice").start_session(service, "user", ["alice"])
             families = families_by_name(obs)
         ops = samples(families["oasis_record_store_ops"])
