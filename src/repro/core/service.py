@@ -77,6 +77,7 @@ from .policy import ServicePolicy
 from .state import (
     RECORDS,
     SERIAL_RESERVE,
+    Drain,
     ServiceState,
     ServiceStateCodec,
     _MembershipWatch,
@@ -943,31 +944,61 @@ class OasisService:
                          records: Sequence[CredentialRecord] = ()) -> None:
         """Publish a cascade's revocation events, crash-consistently.
 
-        With a store attached the events are journalled with ONE durable
-        append *before* anything else — the commit point at which the
-        revocation survives a crash — then the flipped ``records`` are
-        mirrored to the store (write-behind on SQLite), the events are
-        published, and a ``cascade-done`` marker lands after the batch
-        drains.  The journal MUST come first: record mirroring can
-        auto-flush a full write-behind buffer, and a REVOKED record that
-        reaches disk before its journal entry would leave a crash with a
-        partially-revoked durable subtree that :meth:`resume` cannot see
-        (no ``cascade`` entry to replay) — dependents would stay active
-        forever.  Journalled first, a crash at any later point is
-        recoverable: the log-tail replay re-applies every flip and
-        :meth:`replay_pending` re-emits the events.  Storeless, this is
-        just the batch publish.
+        With a store attached the events are journalled *before* anything
+        else — the commit point at which the revocation survives a crash
+        — then the flipped ``records`` are mirrored to the store
+        (write-behind on SQLite) and the events are published.  The
+        journal MUST come first: record mirroring can auto-flush a full
+        write-behind buffer, and a REVOKED record that reaches disk before
+        its journal entry would leave a crash with a partially-revoked
+        durable subtree that :meth:`resume` cannot see (no ``cascade``
+        entry to replay) — dependents would stay active forever.
+
+        The :class:`~repro.core.state.Drain` the broker is running decides
+        the rest.  With none, this cascade is the *origin* of one: its
+        entry is synced (the one fsync of an in-process revocation) and
+        :meth:`_drain_cascade` publishes.  Inside a drain an origin of
+        this process started, this is a *covered hop*: its entry commits
+        without an fsync.  Either way its ``cascade-done`` marker is held
+        by the drain — never written before the events it closes are
+        delivered, nor before every hop's entry is synced — so a crash at
+        any point leaves a pending entry whose re-emission
+        (:meth:`replay_pending`) re-drives whatever was lost.  Storeless,
+        this is just the batch publish.
         """
         if not events:
             return
         if self._persist is None:
             self.broker.publish_batch(events)
             return
-        seq = self._state.log_cascade(events)
+        state = self._state
+        drain = self.broker.cascade_drain
+        seq = state.log_cascade(events, drain)
         for record in records:
-            self._state.mark_revoked(record)
-        self.broker.publish_batch(events)
-        self._state.log_cascade_done(seq)
+            state.mark_revoked(record)
+        self._drain_cascade(seq, events, drain)
+
+    def _drain_cascade(self, seq: Optional[int], events: List[Event],
+                       drain: Optional[Drain]) -> None:
+        """Publish the journalled cascade ``seq`` and hold its marker in
+        ``drain``; with none, as the origin of a new drain.  Inside a
+        drain started elsewhere (a remote batch) the events only queue:
+        the new drain covers nothing and ends with that one."""
+        broker = self.broker
+        if drain is None:
+            drain = Drain.start(broker, covering=not broker.draining)
+            if drain.covering:
+                drain.hold(self._state, seq)
+                completed = False
+                try:
+                    broker.publish_batch(events)
+                    completed = True
+                finally:
+                    drain.end(completed)
+                return
+            broker.after_drain(drain.end)
+        broker.publish_batch(events)
+        drain.hold(self._state, seq)
 
     def _collapse_subtree(self, revoked: List[CredentialRecord],
                           parent_ctx: Optional[SpanContext] = None,
@@ -1517,14 +1548,14 @@ class OasisService:
         Returns the number of events re-published.  Re-delivery is
         idempotent: ``CredentialRecord.revoke`` refuses an already-revoked
         record, so services that saw (part of) the original batch simply
-        no-op.  Each cascade gets its ``cascade-done`` marker once the
-        batch drains, after which the journal entries are prunable.
+        no-op.  Each cascade is the origin of a drain, its entry synced
+        at load; the closing flush syncs the hops it re-drove and writes
+        every held marker, after which the journal entries are prunable.
         """
         pending, self._pending_replay = self._pending_replay, []
         count = 0
         for seq, events in pending:
-            self.broker.publish_batch(events)
-            self._state.log_cascade_done(seq)
+            self._drain_cascade(seq, events, self.broker.cascade_drain)
             count += len(events)
         if pending and self._persist is not None:
             self._persist.flush()

@@ -36,15 +36,23 @@ with a membership-watched constraint is not revoked when that constraint
 later turns false (a known limit, see docs/persistence.md).
 
 Crash-consistency protocol (see docs/persistence.md): a revocation
-cascade's events are journalled to the store's append log with one durable
-``{"op": "cascade", "events": [...]}`` entry *before* any flipped record
-is mirrored to the store and before the broker publishes anything (the
-mirror can auto-flush the write-behind buffer, so journal-first is what
-keeps every durable REVOKED record covered by a replayable log entry),
-and a ``{"op": "cascade-done"}`` marker is appended after the batch
-drains.  The marker is *not* durable — it rides the next commit — so a
-cascade costs one durable commit, and a crash can eat the marker of a
-cascade that had fully published.
+cascade's events are journalled to the store's append log with one
+committed ``{"op": "cascade", "events": [...]}`` entry *before* any
+flipped record is mirrored to the store and before the broker publishes
+anything (the mirror can auto-flush the write-behind buffer, so
+journal-first is what keeps every durable REVOKED record covered by a
+replayable log entry), and a ``{"op": "cascade-done"}`` marker follows
+once the batch has drained.  A :class:`Drain` decides how each entry is
+committed and when its marker is written.  The *origin* — the cascade
+whose publish starts a broker drain — syncs its entry (one fsync); every
+*covered hop* journalled by another service while that drain runs
+commits its entry without an fsync, which a process kill survives but a
+power cut may not.  Every marker of the drain is *held* until each store
+the drain touched has synced after its entry, so the origin's synced
+entry stays pending — re-emitted after a restart — until every hop it
+covers is as safe as it is.  An in-process revocation therefore costs
+one fsync, and a crash can still eat the marker of a cascade that had
+fully published.
 :meth:`ServiceState.load` replays the log tail — applying every journalled
 revocation to the rebuilt records — and surfaces cascades with no done
 marker on disk so the service can re-emit them
@@ -89,6 +97,7 @@ __all__ = [
     "ServiceStateCodec",
     "ServiceState",
     "RecoveredState",
+    "Drain",
     "ref_payload",
     "ref_from_payload",
 ]
@@ -191,6 +200,85 @@ class ServiceStateCodec(StoreCodec):
                 ref_from_payload(dep)
                 for dep in payload.get("dependencies", ())),
             session_id=payload.get("session_id"))
+
+
+class Drain:
+    """The cascades journalled while one broker drain runs.
+
+    A drain started by a journalled cascade of this process is
+    *covering*: that origin synced its entry, so every other cascade
+    journalled before the drain ends — caused by the origin's events —
+    commits its entry unsynced and marks its store *touched*.  A drain
+    that started elsewhere (a remote batch, a bare publish) covers
+    nothing: each of its cascades syncs its own entry, as no entry of
+    this process re-drives the events that caused it.
+
+    Either way the ``cascade-done`` markers of the drain are *held*: none
+    is written before the drain has delivered every event, nor before
+    each touched store has synced after its entry.  A drain still
+    waiting when it ends is parked on every store it involves; the first
+    flush of any of them syncs the touched stores and writes the markers,
+    and a crash close of any of them drops the markers unwritten.
+    """
+
+    __slots__ = ("broker", "covering", "touched", "markers")
+
+    def __init__(self, broker: Any, covering: bool) -> None:
+        self.broker = broker
+        self.covering = covering
+        #: Touched store -> its sync generation before the entry.
+        self.touched: Dict[RecordStore, int] = {}
+        self.markers: List[Tuple["ServiceState", Optional[int]]] = []
+
+    @classmethod
+    def start(cls, broker: Any, covering: bool) -> "Drain":
+        drain = broker.cascade_drain = cls(broker, covering)
+        return drain
+
+    def hold(self, state: "ServiceState", seq: Optional[int]) -> None:
+        self.markers.append((state, seq))
+
+    def end(self, completed: bool) -> None:
+        """The drain stopped.  ``completed=False`` (a handler raised out
+        of it) drops the markers: those cascades stay pending."""
+        self.broker.cascade_drain = None
+        if not completed:
+            return
+        if self._synced():
+            self._write_markers()
+        else:
+            for store in self._stores():
+                store.held[self] = None
+
+    def release(self) -> None:
+        """Sync each touched store not synced since its entry, then write
+        the markers — or drop them, if a sync did not take (a reader can
+        hold back a checkpoint)."""
+        for store, generation in self.touched.items():
+            if store.synced <= generation:
+                store.sync()
+        self.abandon()
+        if self._synced():
+            self._write_markers()
+
+    def _synced(self) -> bool:
+        return all(store.synced > generation
+                   for store, generation in self.touched.items())
+
+    def abandon(self) -> None:
+        for store in self._stores():
+            store.held.pop(self, None)
+
+    def _stores(self) -> Set[RecordStore]:
+        stores = set(self.touched)
+        for state, _ in self.markers:
+            if state.store is not None:
+                stores.add(state.store)
+        return stores
+
+    def _write_markers(self) -> None:
+        for state, seq in self.markers:
+            state.log_cascade_done(seq)
 
 
 @dataclass
@@ -359,9 +447,12 @@ class ServiceState:
     # ------------------------------------------------------------------
     # Crash-consistent cascade journal
     # ------------------------------------------------------------------
-    def log_cascade(self, events: Sequence[Event]) -> Optional[int]:
-        """Durably journal a cascade's events; returns the log seq.
+    def log_cascade(self, events: Sequence[Event],
+                    drain: Optional[Drain] = None) -> Optional[int]:
+        """Journal a cascade's events; returns the log seq.
 
+        The entry is committed and synced, unless ``drain`` covers it: then
+        it is committed without an fsync and the store marked touched.
         MUST be called before the events are published AND before any of
         the flipped records is mirrored via :meth:`mark_revoked`: the
         commit is the point at which the revocation is guaranteed to
@@ -371,17 +462,20 @@ class ServiceState:
         store = self.store
         if store is None:
             return None
-        return store.log_append(
-            {"op": "cascade", "service": self.service_name,
-             "events": [event.to_payload() for event in events]},
-            durable=True)
+        entry = {"op": "cascade", "service": self.service_name,
+                 "events": [event.to_payload() for event in events]}
+        if drain is None or not drain.covering:
+            return store.log_append(entry, durable=True)
+        drain.touched[store] = store.synced
+        return store.log_append(entry, durable=True, sync=False)
 
     def log_cascade_done(self, seq: Optional[int]) -> None:
         """Mark a journalled cascade fully published (prunable).
 
         Not durable: the marker rides the next commit.  Losing it to a
         crash only means :meth:`load` surfaces a cascade that had fully
-        published, and re-emitting that is idempotent.
+        published, and re-emitting that is idempotent.  Only a released
+        :class:`Drain` calls this.
         """
         store = self.store
         if store is not None and seq is not None:
@@ -473,6 +567,9 @@ class ServiceState:
         store = self.store
         if store is None:
             raise ValueError("cannot resume without a record store")
+        # A dead process may have committed entries it never synced; this
+        # one is about to act on them (and cover hops with them).
+        store.sync()
         records = self.records
         by_qualified: Dict[str, CredentialRecord] = {}
         max_serial = 0

@@ -18,21 +18,23 @@ Two backends ship here and in :mod:`repro.db.sqlite_store`:
   benchmark harness).
 * :class:`~repro.db.sqlite_store.SqliteRecordStore` — durable, with a
   *write-behind* record buffer (activation and invocation stay
-  memory-speed) and an append log committed synchronously on demand, one
-  fsync per commit (revocations are on disk *before* their cascade
-  publishes).
+  memory-speed) and an append log committed on demand, with or without
+  an fsync (revocations are on disk *before* their cascade publishes).
 
 The append log carries small JSON-able dict entries.  The cascade
 protocol writes one ``{"op": "cascade", "events": [...]}`` entry
-*durably* before publishing and one ``{"op": "cascade-done",
-"cascade_seq": n}`` after the broker drains — not durably: the marker
-rides the next commit, so a journalled cascade is ONE durable commit on
-every backend.  :func:`completed_log_seqs` identifies matched pairs so
-:meth:`RecordStore.flush` can prune them.  Entries without a matching
-``done`` marker are the cascades a restarted service re-emits (see
-``OasisService.resume``): those cut mid-publish, and at most one per
-store that had finished when the crash ate its uncommitted marker —
-re-emission is idempotent either way.
+*committed* before publishing and one ``{"op": "cascade-done",
+"cascade_seq": n}`` marker after the broker drains.  A commit is
+*synced* (fsynced: survives a power cut) or not (it survives a process
+kill only); :attr:`RecordStore.synced` counts the points at which every
+committed entry became synced.  The service that starts a drain syncs
+its entry; the in-process hops of that drain commit theirs unsynced,
+and every marker of the drain is *held* on its stores until each store
+the drain touched has synced after its entry (see ``repro.core.state``
+and docs/persistence.md).  :func:`completed_log_seqs` identifies
+matched pairs so :meth:`RecordStore.flush` can prune them.  Entries
+without a matching ``done`` marker are the cascades a restarted service
+re-emits (see ``OasisService.resume``) — re-emission is idempotent.
 """
 
 from __future__ import annotations
@@ -117,6 +119,14 @@ class RecordStore:
         self.log_appends = 0
         self.durable_commits = 0
         self.flushes = 0
+        #: Sync generation: bumped whenever every entry committed so far
+        #: has become power-cut safe.  Never reset (held markers compare
+        #: against it).
+        self.synced = 0
+        #: Held cascade markers waiting on this store, in hold order:
+        #: objects with ``release()`` (run before the next flush) and
+        #: ``abandon()`` (run at a crash close) — see ``repro.core.state``.
+        self.held: Dict[Any, None] = {}
 
     # -- primitive verbs ------------------------------------------------
     def get(self, bucket: str, key: str, default: Any = None) -> Any:
@@ -152,13 +162,16 @@ class RecordStore:
         return sum(1 for key in keys if self.delete(bucket, key))
 
     # -- append log -----------------------------------------------------
-    def log_append(self, entry: Dict[str, Any], durable: bool = False) -> int:
+    def log_append(self, entry: Dict[str, Any], durable: bool = False,
+                   sync: bool = True) -> int:
         """Append ``entry`` to the log; returns its sequence number.
 
-        ``durable=True`` means the entry is committed to stable storage
-        before the call returns — the cascade-ordering guarantee rests on
-        this.  Non-durable appends may ride along with the next flush or
-        durable append.
+        ``durable=True`` commits the entry before the call returns — the
+        cascade-ordering guarantee rests on this — and syncs it (one
+        fsync: it survives a power cut) unless ``sync=False``, which
+        leaves it committed only (it survives a process kill).  Only
+        synced commits count as ``durable_commits``.  Non-durable appends
+        ride along with the next commit.
         """
         raise NotImplementedError
 
@@ -167,17 +180,36 @@ class RecordStore:
         raise NotImplementedError
 
     # -- lifecycle ------------------------------------------------------
-    def flush(self) -> None:
-        """Checkpoint: persist buffered record writes, prune completed
-        cascade entries from the log."""
+    def sync(self) -> None:
+        """Make every log entry appended so far power-cut safe."""
         raise NotImplementedError
+
+    def flush(self) -> None:
+        """Checkpoint: release the held markers, persist buffered record
+        writes, prune completed cascade entries from the log, sync."""
+        raise NotImplementedError
+
+    def release_held(self) -> None:
+        """Release every marker held on this store — each first syncs the
+        stores it waits on.  Every flush starts here."""
+        for held in list(self.held):
+            held.release()
 
     def close(self, flush: bool = True) -> None:
         """Release the backend.  ``flush=False`` abandons buffered record
-        writes and any uncommitted log entries — the crash switch the
-        kill-and-resume tests flip."""
+        writes, held markers and any uncommitted log entries — the crash
+        switch the kill-and-resume tests flip."""
         if flush:
             self.flush()
+        else:
+            self.abandon_held()
+
+    def abandon_held(self) -> None:
+        """Drop every marker held on this store, unwritten: the cascades
+        they would close stay pending and are re-emitted after a
+        restart."""
+        for held in list(self.held):
+            held.abandon()
 
     # -- observability --------------------------------------------------
     def _op_counts(self) -> Dict[str, int]:
@@ -264,10 +296,15 @@ class MemoryRecordStore(RecordStore):
     def count(self, bucket: str) -> int:
         return len(self._buckets.get(bucket, ()))
 
-    def log_append(self, entry: Dict[str, Any], durable: bool = False) -> int:
+    def log_append(self, entry: Dict[str, Any], durable: bool = False,
+                   sync: bool = True) -> int:
         self.log_appends += 1
         if durable:
-            self.durable_commits += 1
+            if sync:
+                self.durable_commits += 1
+            # Nothing here outlives the process, so every commit is as
+            # synced as it gets.
+            self.synced += 1
         self._log_seq += 1
         self._log.append((self._log_seq, entry))
         return self._log_seq
@@ -275,9 +312,14 @@ class MemoryRecordStore(RecordStore):
     def log_entries(self) -> List[Tuple[int, Dict[str, Any]]]:
         return list(self._log)
 
+    def sync(self) -> None:
+        self.synced += 1
+
     def flush(self) -> None:
+        self.release_held()
         self.flushes += 1
         victims = completed_log_seqs(self._log)
         if victims:
             self._log = [(seq, entry) for seq, entry in self._log
                          if seq not in victims]
+        self.synced += 1

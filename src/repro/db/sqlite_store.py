@@ -12,25 +12,31 @@ ability to revoke ... is the essence of active security".  So:
   merge the buffer over the table, so the store is always read-your-writes
   consistent within the process.
 * **the append log is write-through on demand**: ``log_append(durable=True)``
-  commits synchronously, which is how a revocation cascade gets its
+  commits before it returns, which is how a revocation cascade gets its
   journal entry onto disk *before* any event reaches the broker — and
   before any flipped record is mirrored into the buffer, so an
-  auto-flush triggered by the mirroring can never durably commit a
-  REVOKED record the log does not cover.  A plain ``log_append`` (the
+  auto-flush triggered by the mirroring can never commit a REVOKED
+  record the log does not cover.  A plain ``log_append`` (a released
   ``cascade-done`` marker) stays in the open transaction and rides the
   next commit.  A crash after the journal commit but before the marker
   is committed leaves a ``cascade`` entry with no ``cascade-done`` — the
   recovery tail ``OasisService.resume`` replays and re-emits.
-* **one fsync per durable commit**: the database runs in
-  ``journal_mode=WAL`` with ``synchronous=FULL``, so a commit is one WAL
-  append plus one fsync (a rollback journal costs a journal create +
-  fsync, a database write + fsync and an unlink).  FULL is what makes the
-  commit durable under WAL — NORMAL would defer the fsync to the next
-  checkpoint, which is exactly the guarantee ``durable=True`` exists to
-  give.  :meth:`flush` checkpoints the WAL back into the database so it
-  stays bounded; a clean :meth:`close` leaves only the ``.db`` file, a
-  killed process also leaves ``-wal``/``-shm`` sidecars the next open
-  recovers from.
+* **synced and unsynced commits**: the database runs in
+  ``journal_mode=WAL`` and the connection rests at ``synchronous=FULL``,
+  so a plain durable commit is one WAL append plus one fsync (a rollback
+  journal costs a journal create + fsync, a database write + fsync and
+  an unlink) and survives a power cut.  ``sync=False`` drops the
+  connection to ``NORMAL`` around its commit: the WAL append reaches the
+  OS, which survives a process kill, but the fsync waits for the next
+  synced commit or checkpoint — that is how an in-process cascade hop
+  journals without an fsync of its own (see ``repro.core.state``).
+  sqlite refuses to change the level inside a transaction, so anything
+  riding the open transaction is committed (synced) first.
+  :attr:`synced` counts the points at which everything committed became
+  synced; :meth:`flush` and :meth:`sync` checkpoint the WAL back into
+  the database, which syncs it and keeps it bounded.  A clean
+  :meth:`close` leaves only the ``.db`` file, a killed process also
+  leaves ``-wal``/``-shm`` sidecars the next open recovers from.
 
 Buffering deliberately holds *references*, not copies: a credential record
 that is installed and later revoked before the next flush serialises once,
@@ -68,6 +74,8 @@ CREATE TABLE IF NOT EXISTS log (
 );
 """
 
+_APPEND = "INSERT INTO log (payload) VALUES (?)"
+
 
 class SqliteRecordStore(RecordStore):
     """Durable record store over a single SQLite database."""
@@ -89,8 +97,11 @@ class SqliteRecordStore(RecordStore):
         # single worker slot.  Concurrent use is still excluded.
         self._conn = sqlite3.connect(path, check_same_thread=False)
         # Unconditional: ``:memory:`` answers "memory" and carries on.
-        self._conn.execute("PRAGMA journal_mode=WAL")
+        mode = self._conn.execute("PRAGMA journal_mode=WAL").fetchone()[0]
         self._conn.execute("PRAGMA synchronous=FULL")
+        # Without a WAL (``:memory:``) nothing outlives the process:
+        # every commit is as synced as it gets.
+        self._volatile = mode != "wal"
         self._conn.executescript(_SCHEMA)
         self._conn.commit()
         # Write-behind buffer: (bucket, key) -> live value | DELETED.
@@ -179,18 +190,40 @@ class SqliteRecordStore(RecordStore):
         return len(keys)
 
     # -- append log -----------------------------------------------------
-    def log_append(self, entry: Dict[str, Any], durable: bool = False) -> int:
+    def log_append(self, entry: Dict[str, Any], durable: bool = False,
+                   sync: bool = True) -> int:
         self.log_appends += 1
         # No ``default=`` fallback: a journal entry that cannot survive
         # the JSON round trip type-faithfully must fail loudly here, at
         # journal time, not decode differently at replay.
-        cursor = self._conn.execute(
-            "INSERT INTO log (payload) VALUES (?)",
-            (json.dumps(entry),))
-        if durable:
-            self._conn.commit()
+        payload = (json.dumps(entry),)
+        conn = self._conn
+        if not durable or sync:
+            seq = conn.execute(_APPEND, payload).lastrowid
+            if durable:
+                self._commit_synced()
+            return int(seq)
+        if conn.in_transaction:
+            # An fsync, but ahead of this entry: ``synced`` must not
+            # count it as the entry's.
+            conn.commit()
             self.durable_commits += 1
-        return int(cursor.lastrowid)
+        conn.execute("PRAGMA synchronous=NORMAL")
+        try:
+            seq = conn.execute(_APPEND, payload).lastrowid
+            conn.commit()
+        finally:
+            if conn.in_transaction:
+                conn.rollback()
+            conn.execute("PRAGMA synchronous=FULL")
+        if self._volatile:
+            self.synced += 1
+        return int(seq)
+
+    def _commit_synced(self) -> None:
+        self._conn.commit()
+        self.durable_commits += 1
+        self.synced += 1
 
     def log_entries(self) -> List[Tuple[int, Dict[str, Any]]]:
         return [(int(seq), json.loads(payload))
@@ -198,9 +231,21 @@ class SqliteRecordStore(RecordStore):
                     "SELECT seq, payload FROM log ORDER BY seq")]
 
     # -- lifecycle ------------------------------------------------------
+    def sync(self) -> None:
+        """Commit what rides the open transaction and checkpoint the WAL:
+        the checkpoint fsyncs it, so every committed entry is synced."""
+        self._conn.commit()
+        self._checkpoint()
+
+    def _checkpoint(self) -> None:
+        busy, _, _ = self._conn.execute("PRAGMA wal_checkpoint").fetchone()
+        if not busy:
+            self.synced += 1
+
     def flush(self) -> None:
-        """Serialise the write-behind buffer, prune the log, commit, and
-        checkpoint the WAL."""
+        """Release the held markers, serialise the write-behind buffer,
+        prune the log, commit, and checkpoint the WAL."""
+        self.release_held()
         self.flushes += 1
         conn = self._conn
         if self._pending:
@@ -227,7 +272,7 @@ class SqliteRecordStore(RecordStore):
             conn.executemany("DELETE FROM log WHERE seq=?",
                              [(seq,) for seq in victims])
         conn.commit()
-        conn.execute("PRAGMA wal_checkpoint")
+        self._checkpoint()
 
     def close(self, flush: bool = True) -> None:
         if self._closed:
@@ -235,8 +280,9 @@ class SqliteRecordStore(RecordStore):
         if flush:
             self.flush()
         else:
-            # Crash semantics: abandon the buffer and roll back anything
-            # not yet durably committed.
+            # Crash semantics: abandon the buffer, the held markers and
+            # anything not yet committed.
+            self.abandon_held()
             self._pending.clear()
             self._conn.rollback()
         self._conn.close()

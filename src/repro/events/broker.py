@@ -117,6 +117,10 @@ class EventBroker:
         self._taps: List[Handler] = []
         self._publishing = False
         self._queue: Deque[Event] = deque()
+        self._after_drain: List[Callable[[bool], None]] = []
+        #: The journalled cascades of the running drain — a
+        #: ``repro.core.state.Drain`` its publishers share — or None.
+        self.cascade_drain: Any = None
         self.published_count = 0
         self.delivered_count = 0
         self._topic_published: Dict[str, int] = {}
@@ -225,12 +229,27 @@ class EventBroker:
             return 0
         return self._drain(first=len(batch))
 
+    @property
+    def draining(self) -> bool:
+        """True while a drain runs: a publish now only queues."""
+        return self._publishing
+
+    def after_drain(self, callback: Callable[[bool], None]) -> None:
+        """Call ``callback(True)`` once the running drain has delivered
+        every queued event, or ``callback(False)`` if a handler raised out
+        of it.  Outside a drain it runs at once."""
+        if not self._publishing:
+            callback(True)
+        else:
+            self._after_drain.append(callback)
+
     def _drain(self, first: int) -> int:
         """Drain the queue; count deliveries of the first ``first`` events
         (they are the caller's own — the queue was empty before them)."""
         self._publishing = True
         own_deliveries = 0
         popped = 0
+        completed = False
         try:
             while self._queue:
                 if self._obs is not None:
@@ -242,8 +261,13 @@ class EventBroker:
                 popped += 1
                 if popped <= first:
                     own_deliveries += delivered
+            completed = True
         finally:
             self._publishing = False
+            if self._after_drain:
+                callbacks, self._after_drain = self._after_drain, []
+                for callback in callbacks:
+                    callback(completed)
         return own_deliveries
 
     def _candidates(self, event: Event) -> List[Subscription]:

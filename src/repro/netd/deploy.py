@@ -39,9 +39,10 @@ from .client import OasisClient, RemoteNetwork
 from .events import EventChannel
 from .protocol import OasisNetError
 from .server import OasisServer
-from .worlds import NodeContext, resolve_factory
+from .worlds import NodeContext, World, resolve_factory
 
-__all__ = ["NodeSpec", "serve_node", "Supervisor", "free_port"]
+__all__ = ["NodeSpec", "boot_world", "serve_node", "Supervisor",
+           "free_port"]
 
 #: Printed (and flushed) by a served process once its port is accepting.
 READY_BANNER = "OASIS-READY"
@@ -98,6 +99,26 @@ class NodeSpec:
         return argv
 
 
+def boot_world(ctx: NodeContext, world: str, *args: str) -> World:
+    """Build the ``module:function`` world on ``ctx``, ready to serve.
+
+    A resumed service's journalled cascades are re-emitted only once the
+    factory has returned: a cascade replayed while the world is half
+    built would miss every service built after its own — in
+    ``ehr_front``, ``admin`` would never revoke an ``administrator``
+    role whose login died with the last incarnation.  Then boot-time
+    state (notably each service's signing secret) is made durable before
+    any traffic: stores are write-behind, and a SIGKILL before the first
+    flush would otherwise resume as a *fresh* service whose new secret
+    rejects every outstanding certificate."""
+    built = resolve_factory(world)(ctx, *args)
+    for service in built.services.values():
+        service.replay_pending()
+    for service in built.services.values():
+        service.checkpoint()
+    return built
+
+
 def serve_node(spec: NodeSpec) -> None:
     """Run one served node to completion (blocking)."""
     pipeline: Optional[Observability] = None
@@ -120,14 +141,7 @@ def serve_node(spec: NodeSpec) -> None:
         ctx = NodeContext(spec.name, broker, registry, network,
                           state_dir=spec.state_dir, shard=shard,
                           shards=shards)
-        world = resolve_factory(spec.world)(ctx, *spec.args)
-        # Make boot-time state (notably each service's signing secret)
-        # durable before accepting traffic: stores are write-behind, and
-        # a SIGKILL before the first flush would otherwise resume as a
-        # *fresh* service whose new secret rejects every outstanding
-        # certificate.
-        for service in world.services.values():
-            service.checkpoint()
+        world = boot_world(ctx, spec.world, *spec.args)
     finally:
         if spec.observed:
             # Services snapshot the pipeline at construction; the global

@@ -100,9 +100,11 @@ class NodeContext:
         Resume detection peeks at the store's META ``secret`` record:
         its presence means a previous incarnation issued certificates
         under that signing secret, and a killed-and-restarted server
-        must keep verifying them (then re-emit any journalled cascade
-        cut mid-publish).  On a shard node either branch mints only
-        serials whose ref hashes to this shard."""
+        must keep verifying them.  Journalled cascades cut mid-publish
+        are re-emitted by :func:`~repro.netd.deploy.boot_world` once
+        every service of the world exists, so each dependent service is
+        subscribed when they arrive.  On a shard node either branch mints
+        only serials whose ref hashes to this shard."""
         store = self.store(policy)
         if self.shard is not None:
             # Imported here: repro.shard's router imports netd.deploy.
@@ -110,12 +112,10 @@ class NodeContext:
             kwargs["allocator"] = ShardedRefAllocator(
                 policy.service, self.shard, self.shards)
         if store is not None and store.get(META, "secret") is not None:
-            service = OasisService.resume(
+            return OasisService.resume(
                 store, policy, self.broker, self.registry,
                 clock=self.clock, databases=databases,
                 network=self.network, **kwargs)
-            service.replay_pending()
-            return service
         return OasisService(policy, self.broker, self.registry,
                             clock=self.clock, databases=databases,
                             network=self.network, store=store, **kwargs)

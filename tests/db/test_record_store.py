@@ -341,6 +341,41 @@ class TestSqliteDurabilityConfig:
             assert os.path.exists(path + "-wal")
             store.close()
 
+    def test_unsynced_commit_survives_a_crash_close(self, tmp_path):
+        """``sync=False`` skips the fsync, not the commit: a process kill
+        (``close(flush=False)``) keeps the entry and the reopened store
+        reads it back; only a power cut could lose it."""
+        path = str(tmp_path / "unsynced.db")
+        store = SqliteRecordStore(path)
+        seq = store.log_append({"op": "cascade", "events": []},
+                               durable=True, sync=False)
+        assert store.stats()["ops"]["durable_commits"] == 0
+        assert store.synced == 0
+        assert store.stats()["synchronous"] == 2      # back at FULL
+        store.close(flush=False)
+        survivor = SqliteRecordStore(path)
+        assert [s for s, _ in survivor.log_entries()] == [seq]
+        survivor.close()
+
+    def test_synced_generation_counts_fsyncing_commits(self, tmp_path):
+        """What rides the open transaction is committed synced before an
+        unsynced commit (sqlite cannot change the safety level inside a
+        transaction) — an fsync that must not pass for the unsynced
+        entry's; a sync or flush checkpoints everything."""
+        store = SqliteRecordStore(str(tmp_path / "gen.db"))
+        store.log_append({"op": "cascade-done", "cascade_seq": 0})
+        store.log_append({"op": "cascade", "events": []}, durable=True,
+                         sync=False)
+        assert (store.synced, store.durable_commits) == (0, 1)
+        store.log_append({"op": "cascade", "events": []}, durable=True)
+        assert (store.synced, store.durable_commits) == (1, 2)
+        store.log_append({"op": "cascade", "events": []}, durable=True,
+                         sync=False)
+        store.sync()
+        store.flush()
+        assert (store.synced, store.durable_commits) == (3, 2)
+        store.close()
+
     def test_memory_database_reports_its_own_journal_mode(self):
         store = SqliteRecordStore()
         assert store.stats()["journal_mode"] == "memory"
