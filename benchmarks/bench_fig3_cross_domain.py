@@ -18,17 +18,16 @@ import pytest
 
 from repro.core import (
     ActivationRule,
-    AppointmentCondition,
-    AppointmentRule,
-    AuthorizationRule,
     Presentation,
     PrerequisiteRole,
     Principal,
+    RoleName,
     RoleTemplate,
     ServicePolicy,
     Var,
 )
 from repro.domains import Deployment
+from repro.netd.worlds import login_policy, national_policy, registry_policy
 
 from workloads import record_result
 
@@ -36,47 +35,25 @@ from workloads import record_result
 def build_world(n_hospitals=1):
     deployment = Deployment()
     national = deployment.create_domain("national-ehr")
-
-    registry_policy = ServicePolicy(national.service_id("registry"))
-    registrar = registry_policy.define_role("registrar", 0)
-    registry_policy.add_activation_rule(
-        ActivationRule(RoleTemplate(registrar)))
-    registry_policy.add_appointment_rule(AppointmentRule(
-        "accredited_hospital", (Var("h"),),
-        (PrerequisiteRole(RoleTemplate(registrar)),)))
-    registry = national.add_service(registry_policy)
-
-    national_policy = ServicePolicy(national.service_id("patient-records"))
-    hospital_role = national_policy.define_role("hospital", 1)
-    national_policy.add_activation_rule(ActivationRule(
-        RoleTemplate(hospital_role, (Var("h"),)),
-        (AppointmentCondition(registry.id, "accredited_hospital",
-                              (Var("h"),), membership=True),)))
+    registry = national.add_service(registry_policy())
+    names = [f"hospital-{index}" for index in range(n_hospitals)]
 
     hospitals = []
-    for index in range(n_hospitals):
-        domain = deployment.create_domain(f"hospital-{index}")
-        login_policy = ServicePolicy(domain.service_id("login"))
-        logged_in = login_policy.define_role("logged_in_user", 1)
-        login_policy.add_activation_rule(
-            ActivationRule(RoleTemplate(logged_in, (Var("u"),))))
-        login = domain.add_service(login_policy)
-
+    for name in names:
+        domain = deployment.create_domain(name)
+        login = domain.add_service(login_policy(name))
+        # Treating needs a login only here: no admin, no allocation.
         records_policy = ServicePolicy(domain.service_id("records"))
         treating = records_policy.define_role("treating_doctor", 2)
+        logged_in = RoleName(login.id, "logged_in_user")
         records_policy.add_activation_rule(ActivationRule(
             RoleTemplate(treating, (Var("d"), Var("p"))),
             (PrerequisiteRole(RoleTemplate(logged_in, (Var("d"),)),
                               membership=True),)))
         records = domain.add_service(records_policy)
-        national_policy.add_authorization_rule(AuthorizationRule(
-            "request_EHR", (Var("p"),),
-            (PrerequisiteRole(RoleTemplate(hospital_role, (Var("h"),))),
-             PrerequisiteRole(RoleTemplate(treating,
-                                           (Var("d"), Var("p")))))))
         hospitals.append((domain, login, records))
 
-    national_svc = national.add_service(national_policy)
+    national_svc = national.add_service(national_policy(hospitals=names))
     national_svc.register_method("request_EHR", lambda p: f"EHR[{p}]")
 
     registrar_session = Principal("registrar").start_session(registry,

@@ -48,9 +48,13 @@ from repro.core import (  # noqa: E402
     RoleName,
     RuleEngine,
     ServiceId,
+    ServiceRegistry,
 )
 from repro.core.credentials import CredentialRef  # noqa: E402
 from repro.crypto import ServiceSecret  # noqa: E402
+from repro.events import EventBroker  # noqa: E402
+from repro.net import SimClock  # noqa: E402
+from repro.netd.worlds import NodeContext, ScaleWorld  # noqa: E402
 
 from workloads import ChainWorld, FanoutWorld, HospitalWorld  # noqa: E402
 
@@ -430,17 +434,15 @@ def bench_scale(results: Dict[str, dict], *, quick: bool,
       credential (CI gates it against the committed figure) and build
       time recorded alongside ops/sec and latency.
     """
-    from workloads import ScaleWorld
-
     # -- bulk vs per-call world construction -----------------------------
     build_principals, build_live = (20_000, 2_000)
-    bulk_world = ScaleWorld(build_principals, build_live)
+    bulk_world = _scale_world()
     start = time.perf_counter()
-    bulk_world.build_bulk()
+    bulk_world.build_bulk(build_principals, build_live)
     bulk_seconds = time.perf_counter() - start
-    percall_world = ScaleWorld(build_principals, build_live)
+    percall_world = _scale_world()
     start = time.perf_counter()
-    percall_world.build_percall()
+    percall_world.build_percall(build_principals, build_live)
     percall_seconds = time.perf_counter() - start
     build_speedup = (round(percall_seconds / bulk_seconds, 2)
                      if bulk_seconds else math.inf)
@@ -467,11 +469,10 @@ def bench_scale(results: Dict[str, dict], *, quick: bool,
         # untraced build below).
         gc.collect()
         world_bytes = _traced_build_bytes(
-            lambda p=principals, lv=live:
-            _build_scale_world(ScaleWorld, p, lv))
-        world = ScaleWorld(principals, live)
+            lambda p=principals, lv=live: _built_scale_world(p, lv))
+        world = _scale_world()
         start = time.perf_counter()
-        world.build_bulk()
+        world.build_bulk(principals, live)
         build_seconds = time.perf_counter() - start
         live_credentials = world.live_credential_count()
         timing = measure(world.mixed_op, rounds=rounds, inner=inner)
@@ -495,9 +496,15 @@ def bench_scale(results: Dict[str, dict], *, quick: bool,
     return bulk_cmp
 
 
-def _build_scale_world(cls, principals: int, live: int):
-    world = cls(principals, live)
-    world.build_bulk()
+def _scale_world() -> ScaleWorld:
+    """The unsharded scale world, in this process on a simulated clock."""
+    return ScaleWorld(NodeContext("scale", EventBroker(), ServiceRegistry(),
+                                  None, clock=SimClock()))
+
+
+def _built_scale_world(principals: int, live: int) -> ScaleWorld:
+    world = _scale_world()
+    world.build_bulk(principals, live)
     return world
 
 
@@ -509,13 +516,13 @@ def bench_shard_scaling(results: Dict[str, dict], *, quick: bool,
 
     For each worker count, a :class:`~repro.shard.ShardRouter` boots N
     worker processes (``repro serve --shard I/N`` nodes under its
-    ``Supervisor``, reached over loopback TCP) hosting the sharded twin
-    of the ScaleWorld (same services, roles and 60/30/10 mixed-traffic
-    mix, sessions partitioned by stride so every worker owns a disjoint
-    live slice), bulk-builds the world concurrently, then runs the
-    traffic concurrently — *inside* each worker, through a world handler,
-    so the transport is off the measured path — on all
-    workers.  Two aggregates are recorded per run:
+    ``Supervisor``, reached over loopback TCP) hosting the ScaleWorld
+    (each worker's context gives it a stride of the sessions, so every
+    worker owns a disjoint live slice), bulk-builds the world
+    concurrently, then runs the traffic concurrently — *inside* each
+    worker, through a world handler, so the transport is off the
+    measured path — on all workers.  Two aggregates are recorded per
+    run:
 
     * ``ops_per_sec_wall`` — total ops / coordinator wall time: the true
       concurrent throughput *on this host*;
@@ -530,7 +537,6 @@ def bench_shard_scaling(results: Dict[str, dict], *, quick: bool,
     the number is reproducible and auditable.
     """
     from repro.shard import ShardRouter
-    from repro.shard.worlds import scale_world_factory
 
     cpu_count = os.cpu_count() or 1
     counts = tuple(sorted({1, *worker_counts}))
@@ -543,7 +549,7 @@ def bench_shard_scaling(results: Dict[str, dict], *, quick: bool,
         by_workers: Dict[str, Dict[str, object]] = {}
         for workers in counts:
             gc.collect()
-            with ShardRouter(workers, scale_world_factory) as router:
+            with ShardRouter(workers, ScaleWorld) as router:
                 start = time.perf_counter()
                 router.call_handler_all("build", {
                     shard: {"principals": principals, "live": live}

@@ -12,21 +12,14 @@ index.  Experiments report two kinds of numbers:
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.core import (
     ActivationRule,
-    AppointmentCondition,
-    AppointmentRule,
-    AuthorizationRule,
-    ConstraintCondition,
-    DatabaseLookupConstraint,
     OasisService,
     PrerequisiteRole,
     Presentation,
     Principal,
-    PrincipalId,
-    Role,
     RoleTemplate,
     ServiceId,
     ServicePolicy,
@@ -36,6 +29,8 @@ from repro.core import (
 from repro.db import Database
 from repro.events import EventBroker
 from repro.net import Scheduler, SimClock
+from repro.netd.worlds import admin_policy, chain_policies, login_policy
+from repro.scenarios.healthcare import records_db_policy
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -60,48 +55,16 @@ class HospitalWorld:
         self.db.create_table("registered", ["doctor", "patient"])
         self.db.create_table("excluded", ["patient", "doctor"])
 
-        login_policy = ServicePolicy(ServiceId("hospital", "login"))
-        self.logged_in = login_policy.define_role("logged_in_user", 1)
-        login_policy.add_activation_rule(
-            ActivationRule(RoleTemplate(self.logged_in, (Var("u"),))))
-        self.login = OasisService(login_policy, self.broker, self.registry,
-                                  self.clock,
-                                  cache_validations=cache_validations)
+        def service(policy, **kwargs) -> OasisService:
+            return OasisService(policy, self.broker, self.registry,
+                                self.clock,
+                                cache_validations=cache_validations,
+                                **kwargs)
 
-        admin_policy = ServicePolicy(ServiceId("hospital", "admin"))
-        administrator = admin_policy.define_role("administrator", 1)
-        admin_policy.add_activation_rule(ActivationRule(
-            RoleTemplate(administrator, (Var("u"),)),
-            (PrerequisiteRole(RoleTemplate(self.logged_in, (Var("u"),)),
-                              membership=True),)))
-        admin_policy.add_appointment_rule(AppointmentRule(
-            "allocated", (Var("d"), Var("p")),
-            (PrerequisiteRole(RoleTemplate(administrator, (Var("a"),))),)))
-        self.admin = OasisService(admin_policy, self.broker, self.registry,
-                                  self.clock,
-                                  cache_validations=cache_validations)
-
-        records_policy = ServicePolicy(ServiceId("hospital", "records"))
-        treating = records_policy.define_role("treating_doctor", 2)
-        records_policy.add_activation_rule(ActivationRule(
-            RoleTemplate(treating, (Var("d"), Var("p"))),
-            (PrerequisiteRole(RoleTemplate(self.logged_in, (Var("d"),)),
-                              membership=True),
-             AppointmentCondition(self.admin.id, "allocated",
-                                  (Var("d"), Var("p")), membership=True),
-             ConstraintCondition(DatabaseLookupConstraint.exists(
-                 "main", "registered", doctor=Var("d"), patient=Var("p")),
-                 membership=True))))
-        records_policy.add_authorization_rule(AuthorizationRule(
-            "read_record", (Var("p"),),
-            (PrerequisiteRole(RoleTemplate(treating,
-                                           (Var("d"), Var("p")))),
-             ConstraintCondition(DatabaseLookupConstraint.not_exists(
-                 "main", "excluded", patient=Var("p"), doctor=Var("d"))))))
-        self.records = OasisService(records_policy, self.broker,
-                                    self.registry, self.clock,
-                                    databases={"main": self.db},
-                                    cache_validations=cache_validations)
+        self.login = service(login_policy())
+        self.admin = service(admin_policy())
+        self.records = service(records_db_policy(),
+                               databases={"main": self.db})
         self.records.register_method("read_record",
                                      lambda pat: f"EHR[{pat}]")
 
@@ -134,32 +97,12 @@ class ChainWorld:
         # ``store_factory`` hands each service its own record store (the
         # persistence benchmarks compare backends); ``None`` keeps the
         # default behaviour (OASIS_STORE_BACKEND / storeless).
-        extra: Dict[str, object] = {}
-        if store_factory is not None:
-            extra = {"store": store_factory()}
-
-        login_policy = ServicePolicy(ServiceId("dom", "svc-0"))
-        root = login_policy.define_role("role", 1)
-        login_policy.add_activation_rule(
-            ActivationRule(RoleTemplate(root, (Var("u"),))))
         self.services: List[OasisService] = [
-            OasisService(login_policy, self.broker, self.registry,
-                         self.clock, cache_validations=cache_validations,
-                         **extra)]
-        previous = RoleTemplate(root, (Var("u"),))
-        for level in range(1, depth + 1):
-            if store_factory is not None:
-                extra = {"store": store_factory()}
-            policy = ServicePolicy(ServiceId("dom", f"svc-{level}"))
-            role = policy.define_role("role", 1)
-            policy.add_activation_rule(ActivationRule(
-                RoleTemplate(role, (Var("u"),)),
-                (PrerequisiteRole(previous, membership=True),)))
-            self.services.append(
-                OasisService(policy, self.broker, self.registry,
-                             self.clock,
-                             cache_validations=cache_validations, **extra))
-            previous = RoleTemplate(role, (Var("u"),))
+            OasisService(policy, self.broker, self.registry, self.clock,
+                         cache_validations=cache_validations,
+                         **({} if store_factory is None
+                            else {"store": store_factory()}))
+            for policy in chain_policies(depth)]
 
     def build_session(self, user: str = "user"):
         principal = Principal(user)
@@ -220,165 +163,3 @@ class FanoutWorld:
                                           presentation)
                   for _ in range(fanout)]
         return root_rmc, leaves
-
-
-class ScaleWorld:
-    """The million-principal single-node world (ROADMAP open item 3).
-
-    Two services: ``login`` issues a parameterless-prerequisite root role
-    per principal; ``resource`` issues a leaf role whose activation takes
-    the root credential as a *membership* dependency (one Fig. 5 edge per
-    live session) and guards a ``use`` method on the leaf role.  Every
-    principal gets a root credential; a ``live`` subset additionally holds
-    a leaf credential and keeps its RMCs client-side — those are the live
-    sessions the mixed traffic runs over.  An ``accounts`` fact table is
-    populated one row per principal through ``Database.put_many``.
-
-    :meth:`build_bulk` constructs the world through the bulk APIs
-    (``issue_rmcs_bulk`` in chunks); :meth:`build_percall` is the
-    one-at-a-time reference path (``activate_role`` per credential) used
-    for the bulk-vs-per-call speedup comparison and by the differential
-    tests.
-    """
-
-    #: issue_rmcs_bulk batch size: bounds peak temporary lists while
-    #: keeping per-batch overhead negligible.
-    CHUNK = 50_000
-
-    def __init__(self, principals: int, live: int,
-                 access_log_capacity: Optional[int] = 10_000) -> None:
-        if live > principals:
-            raise ValueError("live sessions cannot exceed principals")
-        self.principals = principals
-        self.live = live
-        self.clock = SimClock()
-        self.broker = EventBroker()
-        self.registry = ServiceRegistry()
-        self.db = Database("scale-db")
-        self.db.create_table("accounts", ["principal", "tier"])
-
-        login_policy = ServicePolicy(ServiceId("scale", "login"))
-        self.root_role = login_policy.define_role("root", 1)
-        self.root_template = RoleTemplate(self.root_role, (Var("u"),))
-        login_policy.add_activation_rule(ActivationRule(self.root_template))
-        from repro.core.access_log import AccessLog
-        self.login = OasisService(
-            login_policy, self.broker, self.registry, self.clock,
-            access_log=AccessLog(capacity=access_log_capacity))
-
-        resource_policy = ServicePolicy(ServiceId("scale", "resource"))
-        self.leaf_role = resource_policy.define_role("leaf", 1)
-        leaf_template = RoleTemplate(self.leaf_role, (Var("u"),))
-        resource_policy.add_activation_rule(ActivationRule(
-            leaf_template,
-            (PrerequisiteRole(self.root_template, membership=True),)))
-        resource_policy.add_authorization_rule(AuthorizationRule(
-            "use", (Var("u"),), (PrerequisiteRole(leaf_template),)))
-        self.resource = OasisService(
-            resource_policy, self.broker, self.registry, self.clock,
-            databases={"main": self.db},
-            access_log=AccessLog(capacity=access_log_capacity))
-        self.resource.register_method("use", lambda user: f"ok[{user}]")
-
-        # Client-side state, kept for the live subset only: principal id,
-        # root RMC, leaf RMC — index i is live session i.
-        self.session_principals: List[PrincipalId] = []
-        self.session_roots: List = []
-        self.session_leaves: List = []
-        self._cursor = 0
-
-    # -- construction -------------------------------------------------------
-    def _put_accounts(self) -> None:
-        self.db.put_many("accounts", [
-            {"principal": f"p{index}", "tier": index % 4}
-            for index in range(self.principals)])
-
-    def build_bulk(self) -> None:
-        """Build the whole world through the bulk APIs."""
-        self._put_accounts()
-        live = self.live
-        for start in range(0, self.principals, self.CHUNK):
-            stop = min(start + self.CHUNK, self.principals)
-            ids = [PrincipalId(f"p{index}") for index in range(start, stop)]
-            roots = self.login.issue_rmcs_bulk([
-                (pid, Role(self.root_role, (pid.value,)), (),
-                 f"s{start + offset}")
-                for offset, pid in enumerate(ids)])
-            live_ids = [pid for index, pid in enumerate(ids, start)
-                        if index < live]
-            if live_ids:
-                leaves = self.resource.issue_rmcs_bulk([
-                    (pid, Role(self.leaf_role, (pid.value,)),
-                     (roots[offset].ref,), f"s{start + offset}")
-                    for offset, pid in enumerate(live_ids)])
-                self.session_principals.extend(live_ids)
-                self.session_roots.extend(roots[:len(live_ids)])
-                self.session_leaves.extend(leaves)
-
-    def build_percall(self) -> None:
-        """Reference path: one ``activate_role`` call per credential."""
-        self._put_accounts()
-        for index in range(self.principals):
-            pid = PrincipalId(f"p{index}")
-            root = self.login.activate_role(
-                pid, "root", [pid.value], [], session_id=f"s{index}")
-            if index < self.live:
-                leaf = self.resource.activate_role(
-                    pid, "leaf", None, [Presentation(root)],
-                    session_id=f"s{index}")
-                self.session_principals.append(pid)
-                self.session_roots.append(root)
-                self.session_leaves.append(leaf)
-
-    # -- mixed traffic ------------------------------------------------------
-    def invoke_op(self) -> None:
-        """Guarded invocation by the next live session (60% of traffic)."""
-        index = self._cursor % self.live
-        self._cursor += 1
-        self.resource.invoke(
-            self.session_principals[index], "use",
-            [self.session_principals[index].value],
-            credentials=[Presentation(self.session_leaves[index])])
-
-    def churn_op(self) -> None:
-        """Leaf churn: revoke one live session's leaf role and activate a
-        fresh one through the full rule path (30% of traffic)."""
-        index = self._cursor % self.live
-        self._cursor += 1
-        pid = self.session_principals[index]
-        self.resource.revoke(self.session_leaves[index].ref, "churn")
-        self.session_leaves[index] = self.resource.activate_role(
-            pid, "leaf", None, [Presentation(self.session_roots[index])],
-            session_id=f"s{index}")
-
-    def root_revoke_op(self) -> None:
-        """Session collapse and re-login: revoking the root cascades to the
-        leaf across services; both are then re-issued (10% of traffic)."""
-        index = self._cursor % self.live
-        self._cursor += 1
-        pid = self.session_principals[index]
-        self.login.revoke(self.session_roots[index].ref, "logout")
-        root = self.login.issue_rmcs_bulk(
-            [(pid, Role(self.root_role, (pid.value,)), (),
-              f"s{index}")])[0]
-        leaf = self.resource.issue_rmcs_bulk(
-            [(pid, Role(self.leaf_role, (pid.value,)), (root.ref,),
-              f"s{index}")])[0]
-        self.session_roots[index] = root
-        self.session_leaves[index] = leaf
-
-    def mixed_op(self) -> None:
-        """One step of the 60/30/10 invoke/churn/collapse mix."""
-        slot = self._cursor % 10
-        if slot < 6:
-            self.invoke_op()
-        elif slot < 9:
-            self.churn_op()
-        else:
-            self.root_revoke_op()
-
-    # -- accounting ---------------------------------------------------------
-    def live_credential_count(self) -> int:
-        """Active credential records across both services."""
-        return (len(self.login.active_credentials())
-                + len(self.resource.active_credentials()))

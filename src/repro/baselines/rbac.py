@@ -40,9 +40,6 @@ class Rbac0System:
         self._role_permissions[role] = set()
         self.admin_operations += 1
 
-    def has_role(self, role: str) -> bool:
-        return role in self._role_permissions
-
     def assign_user(self, user: str, role: str) -> None:
         self._require_role(role)
         roles = self._user_roles.setdefault(user, set())
@@ -110,10 +107,6 @@ class Rbac0System:
     @property
     def role_count(self) -> int:
         return len(self._role_permissions)
-
-    @property
-    def permission_assignment_count(self) -> int:
-        return sum(len(p) for p in self._role_permissions.values())
 
 
 class Rbac1System(Rbac0System):

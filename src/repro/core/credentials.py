@@ -317,11 +317,6 @@ class CredentialRefAllocator:
         self._next_serial = serial + 1
         return CredentialRef(self._service, serial)
 
-    @property
-    def next_serial(self) -> int:
-        """The serial the next allocation will use (resume bookkeeping)."""
-        return self._next_serial
-
     def advance_past(self, serial: int) -> None:
         """Ensure future allocations start strictly after ``serial``.
 

@@ -211,9 +211,6 @@ class CredentialIndex:
         """Credentials that can possibly satisfy ``condition``."""
         return self._buckets.get(condition.index_key, self._EMPTY)
 
-    def __len__(self) -> int:
-        return len(self.credentials)
-
 
 class RuleEngine:
     """Evaluates activation, authorization and appointment rules.

@@ -302,14 +302,6 @@ class OasisService:
         # collapses the whole local subtree in a single pass.  (The
         # original one-Subscription-per-dependency design is the
         # differential suites' oracle, ``tests/reference/``.)
-        #
-        # Bucket representation is adaptive: a plain insertion-ordered list
-        # up to ``_EDGE_LIST_MAX`` dependents (the common case — a
-        # million-credential world is mostly chains and small fans, and a
-        # one-entry dict costs ~3.5x a one-entry list), promoted to an
-        # ordered dict keyed by ref beyond that so high-fanout unlink stays
-        # O(1).  Both shapes iterate in insertion order, so cascade order
-        # is identical either way.
         self._dependents = self._state.dependents
         self._link_dependent = self._state.link_dependent
         self._unlink_dependencies = self._state.unlink_dependencies

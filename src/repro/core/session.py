@@ -132,10 +132,6 @@ class Session:
 
     # -- properties ----------------------------------------------------------
     @property
-    def started(self) -> bool:
-        return self._root_ref is not None
-
-    @property
     def terminated(self) -> bool:
         return self._terminated
 

@@ -106,10 +106,6 @@ class RSAPublicKey:
     n: int
     e: int
 
-    @property
-    def bit_length(self) -> int:
-        return self.n.bit_length()
-
     def fingerprint(self) -> str:
         """A short stable identifier for binding the key into certificates."""
         import hashlib

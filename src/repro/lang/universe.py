@@ -64,9 +64,6 @@ class PolicyUniverse:
     def services(self) -> List[ServiceId]:
         return sorted(self._policies)
 
-    def policy(self, service: ServiceId) -> ServicePolicy:
-        return self._policies[service]
-
     def file_of(self, service: ServiceId) -> Optional[str]:
         return self.files.get(service)
 

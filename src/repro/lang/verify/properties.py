@@ -97,10 +97,6 @@ class VerificationReport:
     iterations: int = 0        # fixpoint iterations across all closures
     fixpoint_runs: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return not self.diagnostics
-
 
 # -- reference / property parsing --------------------------------------------
 

@@ -39,6 +39,7 @@ from ..core import (
 )
 from ..events import EventBroker
 from ..net import SimClock
+from ..netd.worlds import chain_policies
 from .export import (
     metrics_to_json_dict,
     render_prometheus,
@@ -49,26 +50,6 @@ from .runtime import Observability, observed
 
 __all__ = ["run_chain_cascade", "run_denied_activation",
            "cmd_trace", "cmd_metrics"]
-
-
-def _build_chain(depth: int, broker: EventBroker, clock: SimClock):
-    """A chain of services: svc-i's role requires svc-(i-1)'s (Fig. 1)."""
-    registry = ServiceRegistry()
-    login_policy = ServicePolicy(ServiceId("dom", "svc-0"))
-    root = login_policy.define_role("role", 1)
-    login_policy.add_activation_rule(
-        ActivationRule(RoleTemplate(root, (Var("u"),))))
-    services = [OasisService(login_policy, broker, registry, clock)]
-    previous = RoleTemplate(root, (Var("u"),))
-    for level in range(1, depth + 1):
-        policy = ServicePolicy(ServiceId("dom", f"svc-{level}"))
-        role = policy.define_role("role", 1)
-        policy.add_activation_rule(ActivationRule(
-            RoleTemplate(role, (Var("u"),)),
-            (PrerequisiteRole(previous, membership=True),)))
-        services.append(OasisService(policy, broker, registry, clock))
-        previous = RoleTemplate(role, (Var("u"),))
-    return services
 
 
 def run_chain_cascade(depth: int = 16, cascade_only: bool = True,
@@ -86,7 +67,9 @@ def run_chain_cascade(depth: int = 16, cascade_only: bool = True,
     with observed() as obs:
         clock = SimClock()
         broker = EventBroker()
-        services = _build_chain(depth, broker, clock)
+        registry = ServiceRegistry()
+        services = [OasisService(policy, broker, registry, clock)
+                    for policy in chain_policies(depth)]
         principal = Principal("alice")
         session = principal.start_session(services[0], "role", ["alice"])
         rmcs = [session.root_rmc]

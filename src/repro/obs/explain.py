@@ -150,7 +150,6 @@ class DecisionLog(RecordRing):
         super().__init__(capacity)
 
     record = RecordRing.append
-    reset = RecordRing.clear
 
     def query(self, kind: Optional[str] = None,
               outcome: Optional[str] = None,

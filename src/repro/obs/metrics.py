@@ -22,8 +22,8 @@ format and a JSON equivalent.
 
 from __future__ import annotations
 
-from typing import (Any, Callable, Dict, Iterable, List, Mapping, Optional,
-                    Sequence, Tuple)
+from typing import (Any, Callable, Dict, Iterable, List, Mapping, Sequence,
+                    Tuple)
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
            "LATENCY_BUCKETS"]
@@ -277,9 +277,6 @@ class MetricsRegistry:
         return self._get_or_create(Histogram, name, help_text, label_names,
                                    buckets=buckets)  # type: ignore[return-value]
 
-    def get(self, name: str) -> Optional[_Instrument]:
-        return self._instruments.get(name)
-
     def register_collector(self, collector: Collector) -> Callable[[], None]:
         """Add a pull-time sample source; returns an unregister function."""
         self._collectors.append(collector)
@@ -321,7 +318,3 @@ class MetricsRegistry:
             family["samples"].sort(
                 key=lambda s: sorted(s["labels"].items()))
         return [families[name] for name in sorted(families)]
-
-    def reset(self) -> None:
-        self._instruments.clear()
-        self._collectors.clear()

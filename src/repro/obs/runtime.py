@@ -80,13 +80,6 @@ class Observability:
         self.decisions = DecisionLog(capacity=decision_capacity)
         self.metrics.register_collector(_collect_intern_pools)
 
-    def reset(self) -> None:
-        self.tracer.reset()
-        self.metrics.reset()
-        self.decisions.reset()
-        # metrics.reset() drops collectors; restore the process-wide one.
-        self.metrics.register_collector(_collect_intern_pools)
-
 
 _pipeline: Optional[Observability] = None
 

@@ -3,9 +3,10 @@
 Builds, on a :class:`~repro.domains.Deployment`, the cast used throughout
 the paper: a hospital domain (login, admin, records services with the
 ``treating_doctor(doc, pat)`` role) and optionally the national EHR domain
-of Fig. 3 (registry + patient record management service).  Examples,
-benchmarks and downstream experiments all start from here instead of
-re-assembling policies by hand.
+of Fig. 3 (registry + patient record management service).  The policies
+are the served EHR nodes' (:mod:`repro.netd.worlds`), except that this
+hospital's records service has a database: :func:`records_db_policy`
+adds the registration and exclusion lookups.
 """
 
 from __future__ import annotations
@@ -14,25 +15,45 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.credentials import AppointmentCertificate, RoleMembershipCertificate
-from ..core.rules import (
-    ActivationRule,
-    AppointmentCondition,
-    AppointmentRule,
-    AuthorizationRule,
-    ConstraintCondition,
-    PrerequisiteRole,
-)
+from ..core.rules import (ActivationRule, AppointmentCondition,
+                          AuthorizationRule, ConstraintCondition,
+                          PrerequisiteRole)
 from ..core.constraints import DatabaseLookupConstraint
 from ..core.policy import ServicePolicy
 from ..core.service import OasisService, Presentation
 from ..core.session import Principal, Session
 from ..core.terms import Var
-from ..core.types import RoleTemplate
+from ..core.types import RoleName, RoleTemplate, ServiceId
 from ..db import Database
 from ..domains.domain import Deployment, Domain
+from ..netd.worlds import (admin_policy, login_policy, national_policy,
+                           registry_policy)
 
 __all__ = ["HospitalScenario", "NationalEhrScenario",
-           "build_hospital", "build_national_ehr"]
+           "build_hospital", "build_national_ehr", "records_db_policy"]
+
+
+def records_db_policy(domain: str = "hospital") -> ServicePolicy:
+    """Records over a ``main`` database: ``treating_doctor`` holds while
+    the pair is ``registered``; ``excluded`` doctors may not read."""
+    policy = ServicePolicy(ServiceId(domain, "records"))
+    treating = policy.define_role("treating_doctor", 2)
+    logged_in = RoleName(ServiceId(domain, "login"), "logged_in_user")
+    policy.add_activation_rule(ActivationRule(
+        RoleTemplate(treating, (Var("d"), Var("p"))),
+        (PrerequisiteRole(RoleTemplate(logged_in, (Var("d"),)),
+                          membership=True),
+         AppointmentCondition(ServiceId(domain, "admin"), "allocated",
+                              (Var("d"), Var("p")), membership=True),
+         ConstraintCondition(DatabaseLookupConstraint.exists(
+             "main", "registered", doctor=Var("d"), patient=Var("p")),
+             membership=True))))
+    policy.add_authorization_rule(AuthorizationRule(
+        "read_record", (Var("p"),),
+        (PrerequisiteRole(RoleTemplate(treating, (Var("d"), Var("p")))),
+         ConstraintCondition(DatabaseLookupConstraint.not_exists(
+             "main", "excluded", patient=Var("p"), doctor=Var("d"))))))
+    return policy
 
 
 @dataclass
@@ -93,40 +114,10 @@ def build_hospital(deployment: Deployment,
     db.create_table("registered", ["doctor", "patient"])
     db.create_table("excluded", ["patient", "doctor"])
 
-    login_policy = ServicePolicy(domain.service_id("login"))
-    logged_in = login_policy.define_role("logged_in_user", 1)
-    login_policy.add_activation_rule(
-        ActivationRule(RoleTemplate(logged_in, (Var("u"),))))
-    login = domain.add_service(login_policy)
-
-    admin_policy = ServicePolicy(domain.service_id("admin"))
-    administrator = admin_policy.define_role("administrator", 1)
-    admin_policy.add_activation_rule(ActivationRule(
-        RoleTemplate(administrator, (Var("u"),)),
-        (PrerequisiteRole(RoleTemplate(logged_in, (Var("u"),)),
-                          membership=True),)))
-    admin_policy.add_appointment_rule(AppointmentRule(
-        "allocated", (Var("d"), Var("p")),
-        (PrerequisiteRole(RoleTemplate(administrator, (Var("a"),))),)))
-    admin = domain.add_service(admin_policy)
-
-    records_policy = ServicePolicy(domain.service_id("records"))
-    treating = records_policy.define_role("treating_doctor", 2)
-    records_policy.add_activation_rule(ActivationRule(
-        RoleTemplate(treating, (Var("d"), Var("p"))),
-        (PrerequisiteRole(RoleTemplate(logged_in, (Var("d"),)),
-                          membership=True),
-         AppointmentCondition(admin.id, "allocated", (Var("d"), Var("p")),
-                              membership=True),
-         ConstraintCondition(DatabaseLookupConstraint.exists(
-             "main", "registered", doctor=Var("d"), patient=Var("p")),
-             membership=True))))
-    records_policy.add_authorization_rule(AuthorizationRule(
-        "read_record", (Var("p"),),
-        (PrerequisiteRole(RoleTemplate(treating, (Var("d"), Var("p")))),
-         ConstraintCondition(DatabaseLookupConstraint.not_exists(
-             "main", "excluded", patient=Var("p"), doctor=Var("d"))))))
-    records = domain.add_service(records_policy, databases={"main": db})
+    login = domain.add_service(login_policy(domain_name))
+    admin = domain.add_service(admin_policy(domain_name))
+    records = domain.add_service(records_db_policy(domain_name),
+                                 databases={"main": db})
 
     scenario = HospitalScenario(deployment=deployment, domain=domain,
                                 db=db, login=login, admin=admin,
@@ -201,34 +192,9 @@ def build_national_ehr(deployment: Deployment,
     """Assemble the national EHR domain and accredit ``hospitals``."""
     domain = deployment.create_domain(domain_name)
 
-    registry_policy = ServicePolicy(domain.service_id("registry"))
-    registrar = registry_policy.define_role("registrar", 0)
-    registry_policy.add_activation_rule(
-        ActivationRule(RoleTemplate(registrar)))
-    registry_policy.add_appointment_rule(AppointmentRule(
-        "accredited_hospital", (Var("h"),),
-        (PrerequisiteRole(RoleTemplate(registrar)),)))
-    registry = domain.add_service(registry_policy)
-
-    national_policy = ServicePolicy(domain.service_id("patient-records"))
-    hospital_role = national_policy.define_role("hospital", 1)
-    national_policy.add_activation_rule(ActivationRule(
-        RoleTemplate(hospital_role, (Var("h"),)),
-        (AppointmentCondition(registry.id, "accredited_hospital",
-                              (Var("h"),), membership=True),)))
-    for hospital in hospitals:
-        treating_foreign = RoleTemplate(
-            hospital.records.policy.define_role("treating_doctor", 2),
-            (Var("d"), Var("p")))
-        national_policy.add_authorization_rule(AuthorizationRule(
-            "request_EHR", (Var("p"),),
-            (PrerequisiteRole(RoleTemplate(hospital_role, (Var("h"),))),
-             PrerequisiteRole(treating_foreign))))
-        national_policy.add_authorization_rule(AuthorizationRule(
-            "append_to_EHR", (Var("p"), Var("entry")),
-            (PrerequisiteRole(RoleTemplate(hospital_role, (Var("h"),))),
-             PrerequisiteRole(treating_foreign))))
-    patient_records = domain.add_service(national_policy)
+    registry = domain.add_service(registry_policy(domain_name))
+    patient_records = domain.add_service(national_policy(
+        domain_name, [hospital.domain.name for hospital in hospitals]))
 
     ehr_store: Dict[str, List[str]] = {}
     patient_records.register_method(

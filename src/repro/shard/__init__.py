@@ -21,8 +21,10 @@ Layers:
 * :mod:`repro.shard.router` — the coordinator (:class:`ShardRouter`): a
   :class:`~repro.netd.deploy.Supervisor` of workers, metric and trace
   merging.
-* :mod:`repro.shard.worlds` — module-level world factories for
-  benchmarks and tests.
+
+A shard's world is an ordinary :mod:`repro.netd.worlds` factory: the
+node's context says which stride it serves (``ctx.shard``/``ctx.shards``),
+as :class:`~repro.netd.worlds.ScaleWorld` shows.
 """
 
 from .bus import CrossShardBus, ShardBroker

@@ -59,8 +59,7 @@ class ShardedRefAllocator(CredentialRefAllocator):
     allocation — micro-costs, and the bulk path amortises bookkeeping.
 
     Invariant: ``_next_serial`` always sits on an owned serial, so
-    :attr:`next_serial` (used for durable serial-reserve watermarks)
-    stays meaningful for resume.
+    :meth:`next` hands it out without probing first.
     """
 
     __slots__ = ("shard", "shards")

@@ -5,35 +5,23 @@ domain with a login service (initial role ``logged_in_user``), an admin
 service (role ``administrator``, appointment ``allocated`` — the screening
 nurse/administrator allocating a patient to a doctor) and a records service
 (parametrised role ``treating_doctor(doc, pat)`` guarded by a registration
-database and a patient exclusion list).
+database and a patient exclusion list).  The policies are the ones
+:mod:`repro.scenarios` builds its hospital from, here on one broker with
+no network.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
 import pytest
 
-from repro.core import (
-    ActivationRule,
-    AppointmentCondition,
-    AppointmentRule,
-    AuthorizationRule,
-    ConstraintCondition,
-    DatabaseLookupConstraint,
-    OasisService,
-    PrerequisiteRole,
-    Principal,
-    RoleTemplate,
-    ServiceId,
-    ServicePolicy,
-    ServiceRegistry,
-    Var,
-)
+from repro.core import OasisService, Principal, ServiceRegistry
 from repro.db import Database
 from repro.events import EventBroker
 from repro.net import Scheduler, SimClock
+from repro.netd.worlds import admin_policy, login_policy
+from repro.scenarios.healthcare import records_db_policy
 
 
 @dataclass
@@ -76,47 +64,13 @@ def build_hospital(cache_validations: bool = True) -> Hospital:
     db.create_table("registered", ["doctor", "patient"])
     db.create_table("excluded", ["patient", "doctor"])
 
-    login_id = ServiceId("hospital", "login")
-    login_policy = ServicePolicy(login_id)
-    logged_in = login_policy.define_role("logged_in_user", 1)
-    login_policy.add_activation_rule(
-        ActivationRule(RoleTemplate(logged_in, (Var("uid"),))))
-    login = OasisService(login_policy, broker, registry, clock,
-                         cache_validations=cache_validations)
+    def service(policy, **kwargs):
+        return OasisService(policy, broker, registry, clock,
+                            cache_validations=cache_validations, **kwargs)
 
-    admin_id = ServiceId("hospital", "admin")
-    admin_policy = ServicePolicy(admin_id)
-    administrator = admin_policy.define_role("administrator", 1)
-    admin_policy.add_activation_rule(ActivationRule(
-        RoleTemplate(administrator, (Var("uid"),)),
-        (PrerequisiteRole(RoleTemplate(logged_in, (Var("uid"),)),
-                          membership=True),)))
-    admin_policy.add_appointment_rule(AppointmentRule(
-        "allocated", (Var("doc"), Var("pat")),
-        (PrerequisiteRole(RoleTemplate(administrator, (Var("a"),))),)))
-    admin = OasisService(admin_policy, broker, registry, clock,
-                         cache_validations=cache_validations)
-
-    records_id = ServiceId("hospital", "records")
-    records_policy = ServicePolicy(records_id)
-    treating = records_policy.define_role("treating_doctor", 2)
-    records_policy.add_activation_rule(ActivationRule(
-        RoleTemplate(treating, (Var("doc"), Var("pat"))),
-        (PrerequisiteRole(RoleTemplate(logged_in, (Var("doc"),)),
-                          membership=True),
-         AppointmentCondition(admin_id, "allocated",
-                              (Var("doc"), Var("pat")), membership=True),
-         ConstraintCondition(DatabaseLookupConstraint.exists(
-             "main", "registered", doctor=Var("doc"), patient=Var("pat")),
-             membership=True))))
-    records_policy.add_authorization_rule(AuthorizationRule(
-        "read_record", (Var("pat"),),
-        (PrerequisiteRole(RoleTemplate(treating, (Var("doc"), Var("pat")))),
-         ConstraintCondition(DatabaseLookupConstraint.not_exists(
-             "main", "excluded", patient=Var("pat"), doctor=Var("doc"))))))
-    records = OasisService(records_policy, broker, registry, clock,
-                           databases={"main": db},
-                           cache_validations=cache_validations)
+    login = service(login_policy())
+    admin = service(admin_policy())
+    records = service(records_db_policy(), databases={"main": db})
     records.register_method("read_record", lambda pat: f"EHR[{pat}]")
 
     return Hospital(clock=clock, scheduler=scheduler, broker=broker,

@@ -20,7 +20,7 @@ from repro.core.terms import Var
 from repro.core.types import PrincipalId, RoleTemplate, ServiceId
 from repro.events import EventBroker
 from repro.netd.client import RemoteNetwork
-from repro.netd.worlds import ADMIN_ID, ehr_front
+from repro.netd.worlds import ehr_front
 
 from netd_helpers import Node
 
@@ -74,7 +74,7 @@ def edited_issuer_verdicts(front):
     # MAC stands between the edit and a ``true``.
     assert login.ref.serial == admin.ref.serial
     data = json.loads(wire.certificate_text(login))
-    data["issuer"] = {"domain": ADMIN_ID.domain, "name": ADMIN_ID.name}
+    data["issuer"] = {"domain": "hospital", "name": "admin"}
     edited = json.dumps(data, separators=(",", ":"))
     return validate_many(front, entry(edited),
                          entry(wire.certificate_text(login)))

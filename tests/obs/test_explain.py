@@ -88,7 +88,7 @@ class TestDecisionLog:
             log.record(_decision(timestamp=timestamp))
         assert [d.timestamp for d in log.query()] == [2.0, 3.0]
         assert log.discarded == 1
-        log.reset()
+        log.clear()
         assert log.query() == [] and log.discarded == 0
 
 

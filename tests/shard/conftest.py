@@ -43,7 +43,7 @@ def sharded_store_env(tmp_path):
     return _env
 
 
-@pytest.fixture
+@pytest.fixture(autouse=True)
 def worlds_on_path(monkeypatch):
     """Workers can import ``shard_worlds`` (they inherit the env)."""
     here = os.path.dirname(os.path.abspath(__file__))

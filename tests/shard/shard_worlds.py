@@ -1,10 +1,32 @@
 """World factories only the sharded suite needs.  A worker is a separate
 ``repro serve`` process that imports its factory by name, so they live
-in a module of their own (the ``worlds_on_path`` fixture puts this
-directory on the workers' ``PYTHONPATH``), not in a test file."""
+in a module of their own (the autouse ``worlds_on_path`` fixture puts
+this directory on the workers' ``PYTHONPATH``), not in a test file."""
 
+from repro.core import (ActivationRule, AuthorizationRule, PrerequisiteRole,
+                        RoleTemplate, ServiceId, ServicePolicy, Var)
+from repro.core.access_log import AccessLog
 from repro.core.state import ref_from_payload
-from repro.shard.worlds import graph_world_factory
+from repro.netd.worlds import World
+
+
+def graph_world_factory(ctx, names):
+    """Policy world for dependency-graph tests: one ``graph`` service per
+    comma-joined name in ``names``, each defining a unary ``role`` and a
+    ``ping`` method guarded by it.  Credentials and their (possibly
+    cross-shard) dependency edges are laid down by the tests through the
+    router's trusted bulk-issue path."""
+    services = {}
+    for name in names.split(","):
+        policy = ServicePolicy(ServiceId("graph", name))
+        template = RoleTemplate(policy.define_role("role", 1), (Var("u"),))
+        policy.add_activation_rule(ActivationRule(template))
+        policy.add_authorization_rule(AuthorizationRule(
+            "ping", (Var("u"),), (PrerequisiteRole(template),)))
+        service = ctx.service(policy, access_log=AccessLog(capacity=10_000))
+        service.register_method("ping", lambda u: f"pong[{u}]")
+        services[name] = service
+    return World(services)
 
 
 def faulty_graph_factory(ctx, names):

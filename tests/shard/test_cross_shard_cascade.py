@@ -15,9 +15,10 @@ shard actually owns, so routing by ref hash finds every record.
 
 import pytest
 
+from repro.events.messages import CREDENTIAL_REVOKED, Event
 from repro.obs.runtime import Observability
-from repro.shard import ShardRouter
-from repro.shard.worlds import graph_world_factory
+from repro.shard import CrossShardBus, ShardBroker, ShardRouter
+from shard_worlds import graph_world_factory
 
 DIAMOND = ["A", "B", "C", "D"]
 
@@ -105,6 +106,22 @@ class TestDiamondAcrossBoundary:
         counts = revocation_counts(router, DIAMOND)
         assert all(count == 1 for count in counts.values())
         assert len(counts) == 4
+
+
+class TestSinglePublish:
+    def test_one_published_revocation_reaches_the_linked_shard(self):
+        """``ShardBroker.publish`` — the one-event path, which heartbeats
+        take — forwards like a cascade batch: a revocation of a ref that
+        shard 1 holds dependents of lands in shard 0's outbox for it."""
+        bus = CrossShardBus(0, 2)
+        broker = ShardBroker(bus)
+        bus.register_remote_links([("graph/A#7", 1)])
+        event = Event.make(CREDENTIAL_REVOKED, credential_ref="graph/A#7",
+                           reason="logout")
+        broker.publish(event)
+        assert bus.drain() == [{"kind": "cascade", "to": 1,
+                                "events": [event.to_payload()]}]
+        assert broker.published_count == 1
 
 
 class TestDeepCrossShardTrace:

@@ -5,9 +5,9 @@ single-process service grants; ``stats()`` reports every worker."""
 
 from repro.core import ActivationRequest, Presentation, PrincipalId
 from repro.shard import ShardRouter, shard_of_key, shard_of_ref
-from repro.shard.worlds import graph_world_factory
+from shard_worlds import graph_world_factory
 
-from test_shard_differential import build_plain_universe
+from test_shard_differential import in_process
 
 ALICE = PrincipalId("alice")
 SESSIONS = ["s0", "s1", "s2", "s3", "s4", "s5"]
@@ -22,7 +22,7 @@ def test_activation_lands_on_the_owning_shard(sharded_store_env):
     requests = [ActivationRequest(ALICE, "role", ["alice"],
                                   session_id=session)
                 for session in SESSIONS]
-    plain = build_plain_universe()["A"]
+    plain = in_process(graph_world_factory, "A,B").services["A"]
     plain_single = plain.activate_role(ALICE, "role", ["alice"],
                                        session_id="s-single")
     plain_bulk = plain.activate_roles_bulk(requests)

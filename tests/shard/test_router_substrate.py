@@ -21,9 +21,9 @@ from repro.db import BACKEND_ENV, PATH_ENV
 from repro.netd.client import OasisClient
 from repro.netd.protocol import FrameTooLarge, OasisNetError, RpcError
 from repro.shard import ShardRouter, router as router_module, shard_of_ref
-from repro.shard.worlds import graph_world_factory
 
 import shard_worlds
+from shard_worlds import graph_world_factory
 
 NAMES = "A,B"
 
@@ -136,7 +136,7 @@ class TestOutboxLargerThanAFrame:
 
 class TestRefusedOp:
     def test_forwards_of_a_failed_handler_settle_before_its_error(
-            self, sharded_store_path, worlds_on_path):
+            self, sharded_store_path):
         with ShardRouter(2, shard_worlds.faulty_graph_factory,
                          (NAMES,)) as router:
             a = issue(router, "A", "u", [], "sa", shard=0)
@@ -152,7 +152,7 @@ class TestRefusedOp:
 
 class TestBootFailure:
     def test_a_worker_that_cannot_build_its_world_is_loud(
-            self, sharded_store_path, worlds_on_path, monkeypatch):
+            self, sharded_store_path, monkeypatch):
         spawned = []
         popen = subprocess.Popen
 
@@ -189,7 +189,7 @@ class TestBootFailure:
 COORDINATOR = """
 import time
 from repro.shard import ShardRouter
-from repro.shard.worlds import graph_world_factory
+from shard_worlds import graph_world_factory
 router = ShardRouter(2, graph_world_factory, ("A,B",))
 print("PORTS", *(spec.port for spec in router.fleet.specs.values()),
       flush=True)
@@ -213,8 +213,9 @@ class TestWorkerLifetime:
         """SIGKILL: no ``shutdown`` is sent, no finalizer runs — the
         workers notice that the process that started them is gone."""
         import repro
-        env = dict(os.environ, PYTHONPATH=os.path.dirname(
-            os.path.dirname(os.path.abspath(repro.__file__))))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join((
+            os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__))),
+            os.path.dirname(os.path.abspath(__file__)))))
         coordinator = subprocess.Popen(
             [sys.executable, "-c", COORDINATOR], env=env,
             stdout=subprocess.PIPE, text=True)

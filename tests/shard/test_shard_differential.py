@@ -2,27 +2,26 @@
 
 The same logical script — issue a diamond plus a bystander, exercise the
 grants, collapse the diamond, try the revoked grant — runs once against
-plain ``OasisService`` objects and once against a 2-worker
-:class:`~repro.shard.ShardRouter` with every diamond edge crossing the
-boundary.  The observations must agree: same grant results, same cascade
-completeness, same denial outcome, and the same per-service REVOCATION
-audit records *modulo cross-shard interleaving* (shards are independent
-log streams, so streams are compared as sorted multisets) *modulo ref
-serials* (rejection-sampling allocators mint different serials by
-design, so serials are normalised out of subjects and reasons).
+the graph world built in this process and once against the same factory
+on a 2-worker :class:`~repro.shard.ShardRouter` with every diamond edge
+crossing the boundary.  The observations must agree: same grant results,
+same cascade completeness, same denial outcome, and the same per-service
+REVOCATION audit records *modulo cross-shard interleaving* (shards are
+independent log streams, so streams are compared as sorted multisets)
+*modulo ref serials* (rejection-sampling allocators mint different
+serials by design, so serials are normalised out of subjects and
+reasons).  The scale world is compared the same way, in this process
+and across workers.
 """
 
 import re
 
-from repro.core import (ActivationRule, AuthorizationRule, OasisError,
-                        OasisService, Presentation, PrerequisiteRole,
-                        PrincipalId, Role,
-                        RoleName, RoleTemplate, ServiceId, ServicePolicy,
-                        ServiceRegistry, Var)
-from repro.core.access_log import AccessLog
+from repro.core import (OasisError, Presentation, PrincipalId, Role,
+                        RoleName, ServiceRegistry)
 from repro.events import EventBroker
+from repro.netd.worlds import NodeContext, ScaleWorld
 from repro.shard import ShardRouter
-from repro.shard.worlds import graph_world_factory, scale_world_factory
+from shard_worlds import graph_world_factory
 
 NAMES = ["A", "B", "C", "D"]
 _SERIAL = re.compile(r"#\d+")
@@ -32,27 +31,14 @@ def normalized(text):
     return _SERIAL.sub("#n", str(text))
 
 
-# -- the single-process twin (mirrors GraphShardWorld exactly) --------------
-def build_plain_universe():
-    broker = EventBroker()
-    registry = ServiceRegistry()
-    services = {}
-    for name in NAMES:
-        policy = ServicePolicy(ServiceId("graph", name))
-        role = policy.define_role("role", 1)
-        template = RoleTemplate(role, (Var("u"),))
-        policy.add_activation_rule(ActivationRule(template))
-        policy.add_authorization_rule(AuthorizationRule(
-            "ping", (Var("u"),), (PrerequisiteRole(template),)))
-        service = OasisService(policy, broker, registry, lambda: 0.0,
-                               access_log=AccessLog(capacity=10_000))
-        service.register_method("ping", lambda u: f"pong[{u}]")
-        services[name] = service
-    return services
+def in_process(factory, *args):
+    """``factory``'s world built in this process: one broker, no network."""
+    return factory(NodeContext("plain", EventBroker(), ServiceRegistry(),
+                               None, clock=lambda: 0.0), *args)
 
 
 def run_single_process():
-    services = build_plain_universe()
+    services = in_process(graph_world_factory, ",".join(NAMES)).services
     user = PrincipalId("alice")
 
     def issue(name, deps, session):
@@ -162,29 +148,52 @@ class TestGraphDifferential:
 
 
 class TestScaleWorldDifferential:
-    def built_state(self, workers, sharded_store_env):
-        """Build the scale world at a given worker count; return the
-        observable whole-universe state (partition-independent)."""
+    BUILD = {"principals": 30, "live": 12}
+    COLLAPSE = {"sessions": [0, 3, 4, 11]}
+
+    def sharded_state(self, workers, sharded_store_env, collapse=None):
+        """Build the scale world at a given worker count (and collapse
+        the scripted sessions); return the observable whole-universe
+        state (partition-independent)."""
         with sharded_store_env():
-            with ShardRouter(workers, scale_world_factory) as router:
+            with ShardRouter(workers, ScaleWorld) as router:
                 router.call_handler_all("build", {
-                    shard: {"principals": 30, "live": 12}
-                    for shard in range(workers)})
+                    shard: self.BUILD for shard in range(workers)})
+                if collapse:
+                    router.call_handler_all("collapse", {
+                        shard: collapse for shard in range(workers)})
                 states = router.call_handler_all("state")
                 live = router.live_credential_count()
                 sessions = router.live_sessions("login")
         merged = {}
         for state in states.values():
-            merged.update(state["sessions"])
+            merged.update(state)
         return {"live": live, "sessions": merged,
                 "login_sessions": sessions}
 
     def test_worker_count_does_not_change_observable_state(
             self, sharded_store_env):
-        lone = self.built_state(1, sharded_store_env)
-        split = self.built_state(3, sharded_store_env)
+        lone = self.sharded_state(1, sharded_store_env)
+        split = self.sharded_state(3, sharded_store_env)
         assert lone == split
         assert lone["live"] == 30 + 12
         assert len(lone["sessions"]) == 12
         assert all(entry == {"root_active": True, "leaf_active": True}
                    for entry in lone["sessions"].values())
+
+    def test_sharded_world_matches_the_in_process_one(
+            self, sharded_store_env):
+        world = in_process(ScaleWorld)
+        world.handlers["build"](self.BUILD)
+        assert world.handlers["collapse"](self.COLLAPSE) == 4
+        plain = world.state()
+
+        split = self.sharded_state(2, sharded_store_env, self.COLLAPSE)
+        assert split["live"] == world.live_credential_count() \
+            == 30 + 12 - 2 * 4
+        assert split["sessions"] == plain
+        assert sorted(name for name, entry in plain.items()
+                      if not entry["root_active"]) == ["s0", "s11", "s3",
+                                                      "s4"]
+        assert all(entry["leaf_active"] == entry["root_active"]
+                   for entry in plain.values())
