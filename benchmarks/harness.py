@@ -644,7 +644,7 @@ def bench_persistence(results: Dict[str, dict], *, quick: bool
       marks them done after.  Memory-mirror and storeless variants are
       measured alongside, informationally.
     * ``restart_resume_100k`` — bulk-build 100k credential records into a
-      SQLite file, flush, close; measure ``OasisService.resume`` cold:
+      SQLite file, flush, close; measure a cold ``OasisService`` rebuild:
       state load, allocator watermark replay, secret restore.
     """
     import tempfile
@@ -797,22 +797,22 @@ def bench_persistence(results: Dict[str, dict], *, quick: bool
         def resume_once() -> None:
             store = SqliteRecordStore(resume_path,
                                       codec=ServiceStateCodec())
-            OasisService.resume(store, login_policy(), EventBroker(),
-                                ServiceRegistry())
+            OasisService(login_policy(), EventBroker(), ServiceRegistry(),
+                         store=store)
             store.close(flush=False)
 
         # One untimed pass to verify the rebuild and capture its size.
         probe_store = SqliteRecordStore(resume_path,
                                         codec=ServiceStateCodec())
-        probe = OasisService.resume(probe_store, login_policy(),
-                                    EventBroker(), ServiceRegistry())
+        probe = OasisService(login_policy(), EventBroker(),
+                             ServiceRegistry(), store=probe_store)
         resumed = len(probe._records)
         probe_store.close(flush=False)
         assert resumed == records, (resumed, records)
 
         resume_rounds = 2 if quick else 5
         results["restart_resume_100k"] = dict(
-            description=("cold OasisService.resume from a SQLite file "
+            description=("cold OasisService rebuild from a SQLite file "
                          "holding the full credential set: state load, "
                          "serial-watermark replay, secret restore"),
             records=records,

@@ -353,6 +353,8 @@ class OasisService:
         for db_name, database in self.context.databases.items():
             database.add_listener(functools.partial(
                 self._on_database_change, db_name))
+        if store is not None:
+            self._recover()
 
     # ------------------------------------------------------------------
     # Observability wiring (only runs when a pipeline is installed)
@@ -1474,40 +1476,21 @@ class OasisService:
     @classmethod
     def resume(cls, store: RecordStore, policy: ServicePolicy,
                broker: EventBroker, registry: ServiceRegistry,
-               clock: Callable[[], float] = lambda: 0.0,
-               databases: Optional[Dict[str, Database]] = None,
-               network: Optional[Any] = None,
-               cache_validations: bool = True,
-               heartbeat_timeout: Optional[float] = None,
-               access_log: Optional[AccessLog] = None,
-               allocator: Optional[CredentialRefAllocator] = None
-               ) -> "OasisService":
-        """Rebuild a service from its record store after a restart.
+               **kwargs: Any) -> "OasisService":
+        """The constructor, with the store required.
 
-        Loads the stored secret (certificates signed before the crash keep
-        verifying), reconstructs credential records — revoked ones
-        included, so dead credentials still answer callbacks with their
-        revocation reason — relinks the Fig. 5 dependency edges, restores
-        the validation cache (with a heartbeat timeout, each restored
-        entry's window starts now), replays the append log's tail, and
-        advances the CRR allocator past every serial that may have escaped
-        in a certificate.
-
-        Cascades journalled but never marked done are re-audited here and
-        queued; call :meth:`replay_pending` once every participating
-        service is resumed to re-emit their ``CREDENTIAL_REVOKED`` events
-        so the cross-service cascade cut by the crash completes.
-        """
-        service = cls(policy, broker, registry, clock=clock,
-                      databases=databases, network=network,
-                      cache_validations=cache_validations, secret=None,
-                      heartbeat_timeout=heartbeat_timeout,
-                      access_log=access_log, store=store,
-                      allocator=allocator)
-        service._recover()
-        return service
+        Building a service on a store *is* resuming it (see
+        :meth:`_recover`); this spelling only refuses ``store=None``."""
+        if store is None:
+            raise ValueError("cannot resume without a record store")
+        return cls(policy, broker, registry, store=store, **kwargs)
 
     def _recover(self) -> None:
+        """Resume from the store (a no-op on an empty one): records, edges,
+        validation cache and journal tail via :meth:`ServiceState.load`.
+        Cascades cut by a crash are re-audited and queued for
+        :meth:`replay_pending`, which the caller runs once every service
+        of the world exists."""
         recovered = self._state.load(self.clock())
         # Never re-issue a CRR: past both the highest stored serial and
         # the durable reservation watermark (which covers write-behind

@@ -557,16 +557,15 @@ class ServiceState:
     def load(self, clock_now: float) -> RecoveredState:
         """Rebuild live state from the store and replay the log tail.
 
-        Called on an *empty* state by ``OasisService.resume``.  After it
-        returns: records (revoked ones included) and the reverse index are
-        rebuilt, every journalled revocation has been applied, and the
+        Called on an *empty* state by every ``OasisService`` built with a
+        store: an empty store loads nothing, a used one everything.  After
+        it returns: records (revoked ones included) and the reverse index
+        are rebuilt, every journalled revocation has been applied, and the
         returned :class:`RecoveredState` lists what the service layer owes
         — audit entries for interrupted cascades, heartbeat windows for
         restored validations, and re-emission of unpublished events.
         """
         store = self.store
-        if store is None:
-            raise ValueError("cannot resume without a record store")
         # A dead process may have committed entries it never synced; this
         # one is about to act on them (and cover hops with them).
         store.sync()

@@ -34,7 +34,7 @@ the drain touched has synced after its entry (see ``repro.core.state``
 and docs/persistence.md).  :func:`completed_log_seqs` identifies
 matched pairs so :meth:`RecordStore.flush` can prune them.  Entries
 without a matching ``done`` marker are the cascades a restarted service
-re-emits (see ``OasisService.resume``) — re-emission is idempotent.
+re-emits (``OasisService.replay_pending``) — re-emission is idempotent.
 """
 
 from __future__ import annotations

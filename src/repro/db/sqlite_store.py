@@ -20,7 +20,7 @@ ability to revoke ... is the essence of active security".  So:
   ``cascade-done`` marker) stays in the open transaction and rides the
   next commit.  A crash after the journal commit but before the marker
   is committed leaves a ``cascade`` entry with no ``cascade-done`` — the
-  recovery tail ``OasisService.resume`` replays and re-emits.
+  recovery tail a service built on the store replays and re-emits.
 * **synced and unsynced commits**: the database runs in
   ``journal_mode=WAL`` and the connection rests at ``synchronous=FULL``,
   so a plain durable commit is one WAL append plus one fsync (a rollback

@@ -19,7 +19,6 @@ from .messages import (
     CREDENTIAL_REVOKED,
     CREDENTIAL_REISSUED,
     CREDENTIAL_HEARTBEAT,
-    ROLE_DEACTIVATED,
 )
 from .broker import EventBroker, Subscription
 from .log import EventLog
@@ -29,7 +28,6 @@ __all__ = [
     "CREDENTIAL_REVOKED",
     "CREDENTIAL_REISSUED",
     "CREDENTIAL_HEARTBEAT",
-    "ROLE_DEACTIVATED",
     "EventBroker",
     "EventLog",
     "Subscription",

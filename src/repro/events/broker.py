@@ -204,7 +204,7 @@ class EventBroker:
         self._queue.append(event)
         if self._publishing:
             return 0  # outer publish loop will drain the queue
-        return self._drain(first=1)
+        return self._drain(own=1)
 
     def publish_batch(self, events: Iterable[Event]) -> int:
         """Publish a coalesced batch of events in one queue pass.
@@ -227,7 +227,7 @@ class EventBroker:
             self._queue.append(event)
         if self._publishing:
             return 0
-        return self._drain(first=len(batch))
+        return self._drain(own=len(batch))
 
     @property
     def draining(self) -> bool:
@@ -243,12 +243,13 @@ class EventBroker:
         else:
             self._after_drain.append(callback)
 
-    def _drain(self, first: int) -> int:
-        """Drain the queue; count deliveries of the first ``first`` events
-        (they are the caller's own — the queue was empty before them)."""
+    def _drain(self, own: int) -> int:
+        """Drain the queue; count deliveries of the caller's ``own``
+        events, the last ones queued.  Any before them were left by a
+        drain a handler raised out of: delivered first, not counted."""
         self._publishing = True
         own_deliveries = 0
-        popped = 0
+        leftover = len(self._queue) - own
         completed = False
         try:
             while self._queue:
@@ -258,8 +259,10 @@ class EventBroker:
                         self._queue_depth_peak = depth
                 current = self._queue.popleft()
                 delivered = self._deliver(current)
-                popped += 1
-                if popped <= first:
+                if leftover:
+                    leftover -= 1
+                elif own:
+                    own -= 1
                     own_deliveries += delivered
             completed = True
         finally:

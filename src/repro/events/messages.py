@@ -18,7 +18,6 @@ __all__ = [
     "CREDENTIAL_REVOKED",
     "CREDENTIAL_REISSUED",
     "CREDENTIAL_HEARTBEAT",
-    "ROLE_DEACTIVATED",
 ]
 
 #: Topic kinds used by the OASIS layer.
@@ -28,7 +27,6 @@ CREDENTIAL_REVOKED = "credential.revoked"
 #: Holders drop cached validations but do NOT cascade-revoke dependants.
 CREDENTIAL_REISSUED = "credential.reissued"
 CREDENTIAL_HEARTBEAT = "credential.heartbeat"
-ROLE_DEACTIVATED = "role.deactivated"
 
 #: Attribute value types that survive a JSON journal round trip with
 #: their Python type intact (``bool`` is an ``int`` subclass; listing it

@@ -47,7 +47,7 @@ from ..core.rules import (
 )
 from ..core.access_log import AccessLog
 from ..core.service import OasisService, Presentation, ServiceRegistry
-from ..core.state import META, ServiceStateCodec
+from ..core.state import ServiceStateCodec
 from ..core.terms import Var
 from ..core.types import PrincipalId, Role, RoleName, RoleTemplate, ServiceId
 from ..db import Database, default_store
@@ -91,22 +91,20 @@ class NodeContext:
     def service(self, policy: ServicePolicy,
                 databases: Optional[Dict[str, Database]] = None,
                 **kwargs: Any) -> OasisService:
-        """Build — or, when the store already holds state, *resume* — an
-        :class:`OasisService` wired for this node.
+        """Build an :class:`OasisService` wired for this node.
 
         The store is the env-selected one, with the served on-disk
         default: a sqlite backend without an explicit path lands in this
         node's state directory instead of ``:memory:``, and on a shard
         node sqlite *requires* a durable ``{shard}``-templated
-        ``OASIS_STORE_PATH`` (see :mod:`repro.db`).  Resume detection
-        peeks at its META ``secret`` record: its presence means a
-        previous incarnation issued certificates under that signing
-        secret, and a killed-and-restarted server must keep verifying
-        them.  Journalled cascades cut mid-publish are re-emitted by
-        :func:`~repro.netd.deploy.boot_world` once every service of the
+        ``OASIS_STORE_PATH`` (see :mod:`repro.db`).  A store a previous
+        incarnation used is resumed by construction, signing secret
+        included, so a killed-and-restarted server keeps verifying its
+        certificates.  Journalled cascades cut mid-publish are re-emitted
+        by :func:`~repro.netd.deploy.boot_world` once every service of the
         world exists, so each dependent service is subscribed when they
-        arrive.  On a shard node either branch mints only serials whose
-        ref hashes to this shard."""
+        arrive.  On a shard node the service mints only serials whose ref
+        hashes to this shard."""
         store = default_store(ServiceStateCodec(), shard=self.shard,
                               service=str(policy.service),
                               state_dir=self.state_dir)
@@ -115,11 +113,6 @@ class NodeContext:
             from ..shard.partition import ShardedRefAllocator
             kwargs["allocator"] = ShardedRefAllocator(
                 policy.service, self.shard, self.shards)
-        if store is not None and store.get(META, "secret") is not None:
-            return OasisService.resume(
-                store, policy, self.broker, self.registry,
-                clock=self.clock, databases=databases,
-                network=self.network, **kwargs)
         return OasisService(policy, self.broker, self.registry,
                             clock=self.clock, databases=databases,
                             network=self.network, store=store, **kwargs)

@@ -287,13 +287,22 @@ class TestCascadeModeIsNotAnOption:
 
     def test_resume_rejects_batched_cascades_keyword(self):
         policy = ServicePolicy(ServiceId("dom", "only"))
-        with pytest.raises(TypeError, match="batched_cascades"):
-            OasisService.resume(MemoryRecordStore(), policy, EventBroker(),
-                                ServiceRegistry(), batched_cascades=False)
-        with pytest.raises(TypeError, match="batched_cascades"):
-            OasisService(policy, EventBroker(), ServiceRegistry(),
-                         batched_cascades=False)
+        for store in (MemoryRecordStore(), None):
+            with pytest.raises(TypeError, match="batched_cascades"):
+                OasisService(policy, EventBroker(), ServiceRegistry(),
+                             store=store, batched_cascades=False)
 
     def test_oracle_refuses_to_resume(self):
+        policy = ServicePolicy(ServiceId("dom", "root"))
+        policy.add_activation_rule(ActivationRule(
+            RoleTemplate(policy.define_role("role", 1), (Var("u"),))))
+        store = MemoryRecordStore()
+        used = OasisService(policy, EventBroker(), ServiceRegistry(),
+                            store=store)
+        Principal("u").start_session(used, "role", ["u"])
+        # An empty store is a fresh start; a used one would be a resume.
+        PerEdgeService(policy, EventBroker(), ServiceRegistry(),
+                       store=MemoryRecordStore())
         with pytest.raises(NotImplementedError, match="not persisted"):
-            PerEdgeService.resume(None, None, None, None)
+            PerEdgeService(policy, EventBroker(), ServiceRegistry(),
+                           store=store)

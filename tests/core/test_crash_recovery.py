@@ -72,6 +72,16 @@ def resource_policy():
     return policy
 
 
+def desk_policy():
+    """One service that both issues ``root`` and guards ``use`` with it."""
+    policy = ServicePolicy(ServiceId("crash", "desk"))
+    root = RoleTemplate(policy.define_role("root", 1), (Var("u"),))
+    policy.add_activation_rule(ActivationRule(root))
+    policy.add_authorization_rule(AuthorizationRule(
+        "use", (Var("u"),), (PrerequisiteRole(root),)))
+    return policy
+
+
 class World:
     """login (root) -> resource (mid -> leaf), both SQLite-file backed."""
 
@@ -153,14 +163,14 @@ class World:
         their stores."""
         self.broker = EventBroker()
         self.registry = ServiceRegistry()
-        self.login = OasisService.resume(
-            SqliteRecordStore(self.paths["login"],
-                              codec=ServiceStateCodec()),
-            login_policy(), self.broker, self.registry)
-        self.resource = OasisService.resume(
-            SqliteRecordStore(self.paths["resource"],
-                              codec=ServiceStateCodec()),
-            resource_policy(), self.broker, self.registry)
+        self.login = OasisService(
+            login_policy(), self.broker, self.registry,
+            store=SqliteRecordStore(self.paths["login"],
+                                    codec=ServiceStateCodec()))
+        self.resource = OasisService(
+            resource_policy(), self.broker, self.registry,
+            store=SqliteRecordStore(self.paths["resource"],
+                                    codec=ServiceStateCodec()))
         self.resource.register_method("use", lambda user: f"ok[{user}]")
 
     def crash_publishes_after(self, allowed):
@@ -408,6 +418,42 @@ class TestKillAndResume:
         assert fresh.ref.serial > max(escaped)
         world.shutdown()
 
+    @pytest.mark.parametrize("route", ["explicit-store", "env-store"])
+    def test_constructing_over_a_used_store_resumes_it(self, tmp_path,
+                                                       monkeypatch, route):
+        """Building a service on a store an earlier run used is resuming
+        it, whichever way the store arrives: the plain constructor hands
+        out no serial of that run again, so its revoked certificate stays
+        revoked instead of naming a fresh credential."""
+        path = str(tmp_path / "desk.db")
+        if route == "env-store":
+            monkeypatch.setenv("OASIS_STORE_BACKEND", "sqlite")
+            monkeypatch.setenv("OASIS_STORE_PATH", path)
+
+        def build():
+            kwargs = {} if route == "env-store" else {
+                "store": SqliteRecordStore(path, codec=ServiceStateCodec())}
+            service = OasisService(desk_policy(), EventBroker(),
+                                   ServiceRegistry(), **kwargs)
+            service.register_method("use", lambda user: f"ok[{user}]")
+            return service
+
+        first = build()
+        revoked = first.activate_role(PrincipalId("u"), "root", ["u"], [])
+        first.revoke(revoked.ref, "logout")
+        watermark = first._serials_reserved
+        first.store.close()
+
+        second = build()
+        fresh = second.activate_role(PrincipalId("u"), "root", ["u"], [])
+        assert fresh.ref.serial > watermark >= revoked.ref.serial
+        with pytest.raises(CredentialRevoked):
+            second.invoke(PrincipalId("u"), "use", ["u"],
+                          credentials=[Presentation(revoked)])
+        assert second.invoke(PrincipalId("u"), "use", ["u"],
+                             credentials=[Presentation(fresh)]) == "ok[u]"
+        second.store.close()
+
     def test_journal_precedes_record_flips_in_store(self, tmp_path,
                                                     secrets):
         """Ordering invariant: during a cascade, the durable ``cascade``
@@ -501,9 +547,9 @@ class TestKillAndResume:
         login.store.close(flush=False)
 
         broker, registry = EventBroker(), ServiceRegistry()
-        resumed = OasisService.resume(
-            SqliteRecordStore(path, codec=ServiceStateCodec()),
-            login_policy(), broker, registry, network=network)
+        resumed = OasisService(
+            login_policy(), broker, registry, network=network,
+            store=SqliteRecordStore(path, codec=ServiceStateCodec()))
         resource = OasisService(resource_policy(), broker, registry,
                                 network=network, store=None)
         resource.activate_role(PrincipalId("p0"), "mid", None,

@@ -41,7 +41,7 @@ class ChainWorld:
     def __init__(self, tmp_path, tag):
         self.paths = [str(tmp_path / f"{tag}-svc-{level}.db")
                       for level in range(DEPTH)]
-        self.open(resume=False)
+        self.open()
         self.chains = {}
         for principal in PRINCIPALS:
             pid = PrincipalId(principal)
@@ -57,16 +57,15 @@ class ChainWorld:
         world = cls.__new__(cls)
         world.paths = [str(tmp_path / f"{tag}-svc-{level}.db")
                        for level in range(DEPTH)]
-        world.open(resume=True)
+        world.open()
         return world
 
-    def open(self, resume):
+    def open(self):
         self.broker, registry = EventBroker(), ServiceRegistry()
-        build = OasisService.resume if resume else \
-            (lambda store, *args: OasisService(*args, store=store))
         self.services = [
-            build(SqliteRecordStore(path, codec=ServiceStateCodec()),
-                  policy, self.broker, registry)
+            OasisService(policy, self.broker, registry,
+                         store=SqliteRecordStore(
+                             path, codec=ServiceStateCodec()))
             for path, policy in zip(self.paths, chain_policies(DEPTH))]
 
     def revoke(self):

@@ -56,8 +56,8 @@ def treat(service):
 
 def resume(store, membership=False):
     facts = seeded_facts()
-    service = OasisService.resume(store, policy(membership), EventBroker(),
-                                  ServiceRegistry(), databases=facts)
+    service = OasisService(policy(membership), EventBroker(),
+                           ServiceRegistry(), databases=facts, store=store)
     return service, facts
 
 
@@ -109,8 +109,8 @@ def test_stored_rows_win_over_seeds_and_new_tables_are_mirrored():
     seeds = seeded_facts()
     seeds["main"].create_table("excluded", ["patient", "doctor"])
     seeds["main"].insert("excluded", patient="p3", doctor="eve")
-    OasisService.resume(store, policy(), EventBroker(), ServiceRegistry(),
-                        databases=seeds)
+    OasisService(policy(), EventBroker(), ServiceRegistry(),
+                 databases=seeds, store=store)
     assert sorted(row["patient"] for row in
                   seeds["main"].select("registered")) == ["p1", "p2"]
     # A table the store did not hold keeps its seeds and is now held.

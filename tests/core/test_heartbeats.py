@@ -139,10 +139,10 @@ class TestResumedHolder:
         # A fresh process: new broker and registry, both services rebuilt
         # from their stores.
         broker, registry = EventBroker(), ServiceRegistry()
-        OasisService.resume(login.store, login.policy, broker, registry,
-                            clock)
-        portal = OasisService.resume(portal.store, portal.policy, broker,
-                                     registry, clock, heartbeat_timeout=10.0)
+        OasisService(login.policy, broker, registry, clock,
+                     store=login.store)
+        portal = OasisService(portal.policy, broker, registry, clock,
+                              heartbeat_timeout=10.0, store=portal.store)
         assert portal.validation_cache_size == 1
         return clock, portal, session
 

@@ -68,10 +68,10 @@ def test_validation_cached_before_resume_dropped_by_later_revocation():
     visit(portal, "u", rmc)
     # A fresh process: new broker and registry, state from the stores.
     broker, registry = EventBroker(), ServiceRegistry()
-    login = OasisService.resume(login.store, login.policy, broker,
-                                registry, clock)
-    portal = OasisService.resume(portal.store, portal.policy, broker,
-                                 registry, clock)
+    login = OasisService(login.policy, broker, registry, clock,
+                         store=login.store)
+    portal = OasisService(portal.policy, broker, registry, clock,
+                          store=portal.store)
     assert portal.validation_cache_size == 1
     invalidations = portal.stats.cache_invalidations
     login.revoke(rmc.ref, "logout")

@@ -152,7 +152,7 @@ class PowerWorld:
             store.power_cut()
         broker, registry = EventBroker(), ServiceRegistry()
         self.services = [
-            OasisService.resume(store, policy, broker, registry)
+            OasisService(policy, broker, registry, store=store)
             for policy, store in zip(self.make_policies(), self.stores)]
         for service in self.services:
             service.replay_pending()

@@ -188,6 +188,31 @@ class TestPublishBatch:
         broker.publish(Event.make("first"))
         assert order == ["first", "second", "third"]
 
+    def test_events_left_by_a_raise_are_delivered_but_not_counted(
+            self, broker):
+        """A handler raised with a nested publish still queued: the next
+        publish delivers that leftover first, in order, but returns only
+        the deliveries of the events it appended itself."""
+        order = []
+
+        def failing(event):
+            broker.publish(Event.make("left", n=event.get("n")))
+            raise RuntimeError("handler failed")
+
+        broker.subscribe("fail", failing)
+        broker.subscribe("left", lambda e: order.append(("left", e.get("n"))))
+        broker.subscribe("left", lambda e: order.append(("again", e.get("n"))))
+        broker.subscribe("own", lambda e: order.append(("own", e.get("n"))))
+        with pytest.raises(RuntimeError):
+            broker.publish(Event.make("fail", n=1))
+        assert broker.publish(Event.make("quiet")) == 0
+        assert order == [("left", 1), ("again", 1)]
+        with pytest.raises(RuntimeError):
+            broker.publish(Event.make("fail", n=2))
+        assert broker.publish_batch(
+            [Event.make("quiet"), Event.make("own", n=3)]) == 1
+        assert order[2:] == [("left", 2), ("again", 2), ("own", 3)]
+
 
 class TestIndexedDispatch:
     def test_default_is_indexed_on_credential_ref(self, broker):

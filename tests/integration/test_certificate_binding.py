@@ -200,9 +200,9 @@ def resumed(backend, tmp_path):
             stores[name] = open_store(name)
 
     broker, registry = EventBroker(), ServiceRegistry()
-    OasisService.resume(stores["login"], login_policy, broker, registry)
-    portal = OasisService.resume(stores["portal"], portal_policy, broker,
-                                 registry)
+    OasisService(login_policy, broker, registry, store=stores["login"])
+    portal = OasisService(portal_policy, broker, registry,
+                          store=stores["portal"])
     try:
         assert portal.validation_cache_size == 1
         callbacks = portal.stats.callbacks_made

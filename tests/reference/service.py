@@ -13,17 +13,16 @@ class PerEdgeService(OasisService):
     revocation channel of each of its membership dependencies, and each
     delivered event revokes one dependent, which publishes its own event
     in turn.  The reverse-dependency index is still maintained (install
-    links, revoke unlinks) but never drives a cascade."""
+    links, revoke unlinks) but never drives a cascade.  It refuses a
+    store that already holds records."""
 
     def __init__(self, *args, **kwargs) -> None:
         self._dependency_subs: Dict[CredentialRef, List[Subscription]] = {}
         super().__init__(*args, **kwargs)
-
-    @classmethod
-    def resume(cls, *args, **kwargs):
-        raise NotImplementedError(
-            "per-edge subscriptions are not persisted, so a recovered "
-            "root's recovered dependents would stay active")
+        if self._records:
+            raise NotImplementedError(
+                "per-edge subscriptions are not persisted, so a recovered "
+                "root's recovered dependents would stay active")
 
     def _install_record(self, record, match, environment) -> None:
         super()._install_record(record, match, environment)
