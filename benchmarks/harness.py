@@ -520,14 +520,17 @@ def bench_shard_scaling(results: Dict[str, dict], *, quick: bool,
     (each worker's context gives it a stride of the sessions, so every
     worker owns a disjoint live slice), bulk-builds the world
     concurrently, then runs the traffic concurrently — *inside* each
-    worker, through a world handler, so the transport is off the
-    measured path — on all workers.  Two aggregates are recorded per
-    run:
+    worker, through a world handler, so no op crosses the transport —
+    on all workers.  Two aggregates are recorded per run:
 
     * ``ops_per_sec_wall`` — total ops / coordinator wall time: the true
-      concurrent throughput *on this host*;
+      concurrent throughput *on this host*.  It includes settling the
+      traffic's revocations across shards: each worker's reply carries
+      the events it minted, and the router delivers them to every other
+      worker before the call returns;
     * ``ops_per_sec_capacity`` — sum over workers of ops per worker
-      CPU-second: the throughput N dedicated cores would deliver, which
+      CPU-second, timed inside the handler (so without that delivery):
+      the throughput N dedicated cores would deliver, which
       is the honest scaling figure when the host has fewer cores than
       workers (time-slicing caps wall-clock speedup at the core count).
 

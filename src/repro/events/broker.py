@@ -156,9 +156,10 @@ class EventBroker:
     def add_tap(self, handler: Handler) -> Callable[[], None]:
         """Register a tap that sees *every* delivered event, any topic.
 
-        Taps are for observability (event logs, debugging, audit) — they
-        run after regular subscribers and must not publish.  Returns an
-        un-tap function.
+        Taps are for observability (event logs, debugging, audit) and
+        for carrying events off the node — they run after regular
+        subscribers, even when one of those raised, and must not
+        publish.  Returns an un-tap function.
         """
         self._taps.append(handler)
 
@@ -314,29 +315,33 @@ class EventBroker:
         # delivery.  Only each subscription's *residual* filters need
         # checking here — topic and (for bucketed subscriptions) the index
         # key are guaranteed by candidate selection.
+        # A subscriber that raises still leaves the event to the taps: it
+        # was published, and a tap may be what carries it off this node.
         delivered = 0
-        for sub in self._candidates(event):
-            if not sub._active:
-                continue
-            residual = sub.residual
-            if residual:
-                attrs = event.attrs
-                satisfied = True
-                for key, want in residual:
-                    if attrs.get(key, _MISSING) != want:
-                        satisfied = False
-                        break
-                if not satisfied:
+        try:
+            for sub in self._candidates(event):
+                if not sub._active:
                     continue
-            sub.handler(event)
-            delivered += 1
-        self.delivered_count += delivered
-        if delivered:
-            self._topic_delivered[event.topic] = \
-                self._topic_delivered.get(event.topic, 0) + delivered
-        if self._taps:
-            for tap in tuple(self._taps):
-                tap(event)
+                residual = sub.residual
+                if residual:
+                    attrs = event.attrs
+                    satisfied = True
+                    for key, want in residual:
+                        if attrs.get(key, _MISSING) != want:
+                            satisfied = False
+                            break
+                    if not satisfied:
+                        continue
+                sub.handler(event)
+                delivered += 1
+        finally:
+            self.delivered_count += delivered
+            if delivered:
+                self._topic_delivered[event.topic] = \
+                    self._topic_delivered.get(event.topic, 0) + delivered
+            if self._taps:
+                for tap in tuple(self._taps):
+                    tap(event)
         return delivered
 
     def _remove(self, sub: Subscription) -> None:

@@ -3,8 +3,9 @@
 :func:`serve_node` is what ``repro serve`` runs: build one node's world
 on a :class:`~repro.netd.worlds.NodeContext`, host it in an
 :class:`~repro.netd.server.OasisServer` (for a ``--shard I/N`` node: a
-:class:`~repro.shard.worker.ShardWorker` over a forwarding
-:class:`~repro.shard.bus.ShardBroker`), open
+:class:`~repro.shard.worker.ShardWorker`, whose
+:class:`~repro.shard.worker.Outbox` taps the broker before the world is
+built, so boot-time replays reach the other shards too), open
 :class:`~repro.netd.events.EventChannel` subscriptions to the peers
 named in the spec, print a ``OASIS-READY`` line and serve until a
 client sends ``shutdown`` (or the process is killed — which is exactly
@@ -30,7 +31,8 @@ import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.service import ServiceRegistry
 from ..events import EventBroker
@@ -129,13 +131,15 @@ def serve_node(spec: NodeSpec) -> None:
         enable(pipeline)
     try:
         shard, shards = spec.shard or (None, 1)
+        broker = EventBroker()
+        make_server: Callable[..., OasisServer]
         if shard is None:
-            broker, server_cls = EventBroker(), OasisServer
+            make_server = partial(OasisServer, broker=broker)
         else:
             # Imported here: repro.shard's router imports this module.
-            from ..shard import CrossShardBus, ShardBroker, ShardWorker
-            broker = ShardBroker(CrossShardBus(shard, shards))
-            server_cls = ShardWorker
+            from ..shard import Outbox, ShardWorker
+            make_server = partial(ShardWorker,
+                                  outbox=Outbox(broker, shard, shards))
         registry = ServiceRegistry()
         network = RemoteNetwork(spec.name, peers=spec.peers)
         ctx = NodeContext(spec.name, broker, registry, network,
@@ -147,8 +151,8 @@ def serve_node(spec: NodeSpec) -> None:
             # Services snapshot the pipeline at construction; the global
             # need not stay set.
             disable()
-    server = server_cls(
-        spec.name, world.services, broker=broker, network=network,
+    server = make_server(
+        spec.name, world.services, network=network,
         handlers=dict(getattr(world, "handlers", None) or {}),
         host=spec.host, port=spec.port,
         require_handshake=spec.require_handshake, pipeline=pipeline)

@@ -20,7 +20,7 @@ definition of that vocabulary:
 
 What is not a service op stays with the server — ``validate_many`` /
 ``stats`` / ``auth.*`` and the lock-free ops — and what only a shard has
-with its subclass: ``issue_bulk`` / ``bus.*`` / ``live_count``.
+with its subclass: ``issue_bulk`` / ``bus.cascade``.
 """
 
 from __future__ import annotations
@@ -84,22 +84,15 @@ class ServiceOps:
     """Executes the shared ops against the services one host holds.
 
     ``host`` names the hosting node or worker in error messages.
-    ``issued(service, certificate)`` runs after every op that issues a
-    certificate (``activate``, ``activate_bulk``, ``appoint``) and before
-    it is encoded — the shard worker registers cross-shard dependency
-    links there; a socket server has nothing to add.
     """
 
     def __init__(self, host: str, services: Mapping[str, OasisService],
                  handlers: Mapping[str, Callable[[Any], Any]],
-                 pipeline: Optional[Observability] = None,
-                 issued: Optional[Callable[[OasisService, Any], None]]
-                 = None) -> None:
+                 pipeline: Optional[Observability] = None) -> None:
         self.host = host
         self.services = services
         self.handlers = handlers
         self.pipeline = pipeline
-        self._issued = issued
         self._by_id = {service.id: service for service in services.values()}
 
     def service(self, key: str) -> OasisService:
@@ -135,11 +128,6 @@ class ServiceOps:
             environment=payload.get("environment"),
             session_id=payload.get("session"))
 
-    def _encode_issued(self, service: OasisService, certificate: Any) -> str:
-        if self._issued is not None:
-            self._issued(service, certificate)
-        return wire.certificate_text(certificate)
-
     def execute(self, op: Any, message: Mapping[str, Any]) -> Any:
         """Run one shared op; ``ValueError`` for any other name."""
         if op == "activate":
@@ -149,13 +137,13 @@ class ServiceOps:
                 request.principal, request.role_name, request.parameters,
                 request.credentials, environment=request.environment,
                 session_id=request.session_id)
-            return {"cert": self._encode_issued(service, certificate)}
+            return {"cert": wire.certificate_text(certificate)}
         if op == "activate_bulk":
             service = self.service(message["service"])
             requests = [self._activation_request(payload)
                         for payload in message["requests"]]
             certificates = service.activate_roles_bulk(requests)
-            return {"certs": [self._encode_issued(service, certificate)
+            return {"certs": [wire.certificate_text(certificate)
                               for certificate in certificates]}
         if op == "invoke":
             service = self.service(message["service"])
@@ -174,7 +162,7 @@ class ServiceOps:
                     message.get("credentials", ())),
                 holder=message.get("holder"),
                 expires_at=message.get("expires_at"))
-            return {"cert": self._encode_issued(service, certificate)}
+            return {"cert": wire.certificate_text(certificate)}
         if op == "revoke":
             ref = ref_from_payload(message["ref"])
             service = self._service_for_ref(ref)

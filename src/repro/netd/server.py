@@ -128,10 +128,6 @@ class _Connection:
 class OasisServer:
     """Serve a set of OASIS services over TCP."""
 
-    #: ``issued(service, certificate)`` hook of the op table (see
-    #: :class:`~repro.netd.ops.ServiceOps`); a subclass defines a method.
-    _issued: Optional[Callable[[OasisService, Any], None]] = None
-
     def __init__(self, node: str, services: Mapping[str, OasisService], *,
                  broker: Optional[EventBroker] = None,
                  network: Optional[Any] = None,
@@ -153,8 +149,7 @@ class OasisServer:
         self.require_handshake = require_handshake
         self.request_timeout = request_timeout
         self.max_frame = max_frame
-        self._ops = ServiceOps(node, self.services, self.handlers, pipeline,
-                               issued=self._issued)
+        self._ops = ServiceOps(node, self.services, self.handlers, pipeline)
         # The service worker: hosted services stay single-threaded.
         self._lock = threading.Lock()
         self._challenges = ChallengeResponseServer(clock=time.monotonic)

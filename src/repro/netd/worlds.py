@@ -103,8 +103,10 @@ class NodeContext:
         certificates.  Journalled cascades cut mid-publish are re-emitted
         by :func:`~repro.netd.deploy.boot_world` once every service of the
         world exists, so each dependent service is subscribed when they
-        arrive.  On a shard node the service mints only serials whose ref
-        hashes to this shard."""
+        arrive; on a shard node they also ride the worker's first reply
+        to every other shard, whose services decide from their own
+        reverse-dependency index.  On a shard node the service mints only
+        serials whose ref hashes to this shard."""
         store = default_store(ServiceStateCodec(), shard=self.shard,
                               service=str(policy.service),
                               state_dir=self.state_dir)

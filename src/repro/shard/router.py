@@ -16,13 +16,15 @@ that talks to more than one shard:
   results are reassembled in caller order.  Message fields are built by
   the encoders of :mod:`repro.netd.ops`, the single definition of the
   service ops' wire form.
-* **bus routing** — a worker's reply carries that worker's drained
-  :class:`~repro.shard.bus.CrossShardBus` outbox (the router fetches at
-  once what did not fit the frame); the router forwards
-  each message to its target shard and breadth-first drains any messages
-  *those* deliveries produce.  A cross-shard cascade therefore settles
-  completely before the originating call returns — callers observe the
-  same synchronous-cascade semantics as the single-process service.  A
+* **bus routing** — a worker's reply carries the batches of events
+  that worker minted (its :class:`~repro.shard.worker.Outbox`; the
+  router fetches at once what did not fit the frame); the router hands
+  each batch to ``bus.cascade`` on every *other* worker and
+  breadth-first drains the batches *those* deliveries mint.  No worker
+  is told who depends on what: each receiving service's own reverse
+  index decides.  A cross-shard cascade therefore settles completely
+  before the originating call returns — callers observe the same
+  synchronous-cascade semantics as the single-process service.  A
   fan-out collects *every* worker's reply before it routes anything, so
   no hop ever meets a worker that still owes an answer.
 * **merging** — per-shard stats become coordinator-level
@@ -42,7 +44,6 @@ the remote type name, a dead or hung worker an
 from __future__ import annotations
 
 import weakref
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
                     Tuple, Union)
@@ -93,7 +94,6 @@ class ShardRouter:
         self.requests_routed = [0] * shards
         self.cross_shard_batches_routed = 0
         self.cross_shard_events_routed = 0
-        self.links_routed = 0
         world = f"{factory.__module__}:{factory.__qualname__}"
         self.fleet = Supervisor([
             NodeSpec(name=f"w{shard}", port=free_port(), world=world,
@@ -123,7 +123,7 @@ class ShardRouter:
     # -- low-level plumbing -------------------------------------------------
     def _call(self, shard: int, op: str, fields: Mapping[str, Any],
               outbox: Any) -> Dict[str, Any]:
-        """One request to one worker; what its bus queued moves into
+        """One request to one worker; the batches it minted move into
         ``outbox`` (anything with ``extend``)."""
         self.requests_routed[shard] += 1
         client = self.fleet.client(f"w{shard}")
@@ -131,7 +131,7 @@ class ShardRouter:
             value = client.call(op, _timeout=WORKER_DEADLINE, **fields)
         except (OasisError, RpcError):
             # The worker refused the op (a transport failure is neither),
-            # maybe after queueing forwards — a failed batch's partial
+            # maybe after minting events — a failed batch's partial
             # cascade: they must still settle.
             self._collect(client, {"more": True}, outbox)
             raise
@@ -141,16 +141,17 @@ class ShardRouter:
     @staticmethod
     def _collect(client: Any, reply: Dict[str, Any], outbox: Any) -> None:
         """Move a reply's outbox out; while the worker holds ``more``
-        than the frame had room for, fetch it with an empty ``bus.link``."""
+        than the frame had room for, fetch it with an empty
+        ``bus.cascade``."""
         while True:
             outbox.extend(reply.pop("outbox", ()))
             if not reply.pop("more", False):
                 return
-            reply = client.call("bus.link", _timeout=WORKER_DEADLINE,
-                                links=[])
+            reply = client.call("bus.cascade", _timeout=WORKER_DEADLINE,
+                                events=[])
             if reply.get("more") and not reply.get("outbox"):
-                raise FrameTooLarge(f"{client.peer} queued a bus message "
-                                    f"no frame can carry")
+                raise FrameTooLarge(f"{client.peer} minted an event no "
+                                    f"frame can carry")
 
     def _request(self, shard: int, op: str, **fields: Any) -> Any:
         outbox: List[Dict[str, Any]] = []
@@ -170,19 +171,35 @@ class ShardRouter:
         self._route_bus(outbox)
         return [future.result() for future in futures]
 
-    def _route_bus(self, messages: Sequence[Mapping[str, Any]]) -> None:
-        """Breadth-first drain of cross-shard messages until quiescence.
-        A message of kind K is the fields of op ``bus.K`` plus ``to``."""
-        queue = deque(messages)
-        while queue:
-            fields = dict(queue.popleft())
-            target, kind = fields.pop("to"), fields.pop("kind")
-            if kind == "cascade":
-                self.cross_shard_batches_routed += 1
-                self.cross_shard_events_routed += len(fields["events"])
-            else:
-                self.links_routed += len(fields["links"])
-            self._call(target, f"bus.{kind}", fields, queue)
+    def _route_bus(self, batches: Sequence[Mapping[str, Any]]) -> None:
+        """Breadth-first drain until quiescence, a level at a time: every
+        worker is handed, in order, the level's batches — the fields of
+        op ``bus.cascade``, ``origin`` and ``events`` — that another
+        worker minted, all workers at once; what those deliveries mint,
+        in shard order, is the next level."""
+        while batches:
+            minted: Dict[int, List[Dict[str, Any]]] = {}
+            futures = []
+            for shard in range(self.shards):
+                inbound = [batch for batch in batches
+                           if batch["origin"] != f"w{shard}"]
+                if inbound:
+                    self.cross_shard_batches_routed += len(inbound)
+                    self.cross_shard_events_routed += sum(
+                        len(batch["events"]) for batch in inbound)
+                    futures.append(self._pool.submit(
+                        self._deliver, shard, inbound,
+                        minted.setdefault(shard, [])))
+            wait(futures)
+            for future in futures:
+                future.result()
+            batches = [batch for shard in sorted(minted)
+                       for batch in minted[shard]]
+
+    def _deliver(self, shard: int, batches: Sequence[Mapping[str, Any]],
+                 outbox: List[Dict[str, Any]]) -> None:
+        for batch in batches:
+            self._call(shard, "bus.cascade", batch, outbox)
 
     # -- placement ----------------------------------------------------------
     def shard_for_ref(self, ref: CredentialRef) -> int:
@@ -347,9 +364,8 @@ class ShardRouter:
         return sorted(merged)
 
     def live_credential_count(self) -> int:
-        values = self._all("live_count")
-        return sum(sum(value["counts"].values())
-                   for value in values.values())
+        return sum(stats["live_credentials"]
+                   for stats in self.worker_stats().values())
 
     def checkpoint(self) -> None:
         self._all("checkpoint")
@@ -385,7 +401,6 @@ class ShardRouter:
                 "cross_shard_batches_routed":
                     self.cross_shard_batches_routed,
                 "cross_shard_events_routed": self.cross_shard_events_routed,
-                "links_routed": self.links_routed,
             },
             "workers": self.worker_stats(),
         }
@@ -412,7 +427,6 @@ class ShardRouter:
                "broker events published per shard",
                samples("events_published"))
         bus_samples = []
-        link_samples = []
         for shard, stats in sorted(per_shard.items()):
             bus = stats.get("bus", {})
             for direction, batches, events in (
@@ -424,21 +438,15 @@ class ShardRouter:
                 bus_samples.append((
                     {"shard": str(shard), "direction": direction,
                      "unit": "events"}, bus.get(events, 0)))
-            link_samples.append(({"shard": str(shard)},
-                                 bus.get("remote_links", 0)))
         yield ("oasis_shard_cross_shard_traffic_total", "counter",
                "coalesced cross-shard cascade traffic per shard",
                bus_samples)
-        yield ("oasis_shard_remote_links", "gauge",
-               "live remote dependency links registered per shard",
-               link_samples)
         yield ("oasis_shard_router_bus_total", "counter",
                "cross-shard messages routed by the coordinator",
                [({"kind": "cascade_batches"},
                  self.cross_shard_batches_routed),
                 ({"kind": "cascade_events"},
-                 self.cross_shard_events_routed),
-                ({"kind": "links"}, self.links_routed)])
+                 self.cross_shard_events_routed)])
 
     def spans(self, trace_id: Optional[str] = None) -> List[Dict[str, Any]]:
         """Span exports from every worker (dicts, coordinator-mergeable)."""
@@ -458,6 +466,13 @@ class ShardRouter:
         return target
 
     # -- lifecycle ----------------------------------------------------------
+    def restart(self, shard: int) -> None:
+        """Relaunch worker ``shard`` (after ``fleet.kill``) and settle the
+        cascades its services replayed while booting: they reach the
+        other shards before this returns, not with the worker's next op."""
+        self.fleet.restart(f"w{shard}")
+        self._request(shard, "bus.cascade", events=[])
+
     def close(self) -> None:
         self._pool.shutdown()
         self._stop()

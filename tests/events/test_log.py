@@ -40,6 +40,17 @@ class TestTap:
         broker.publish(Event.make("a"))
         assert order == ["sub", "tap"]
 
+    def test_tap_sees_an_event_whose_subscriber_raised(self, broker):
+        def fail(event):
+            raise RuntimeError("subscriber failed")
+
+        seen = []
+        broker.subscribe("a", fail)
+        broker.add_tap(seen.append)
+        with pytest.raises(RuntimeError):
+            broker.publish(Event.make("a"))
+        assert [event.topic for event in seen] == ["a"]
+
 
 class TestEventLog:
     def test_records_in_order(self, broker):

@@ -7,13 +7,15 @@ One table drives both hosts.  Each case is a script over a
 (``invoke`` needs what ``activate`` returned); both hosts run the same
 policy on the same frozen clock, so everything but the signing secret
 is deterministic and the replies must be equal — key for key: a worker
-adds its ``outbox`` only to the reply of an op that queued one.  The
-four shard-only ops have no twin; their reply shapes are pinned below.
+adds its ``outbox`` only to the reply of an op that minted events for
+other shards, and a lone shard has none.  The two shard-only ops have
+no twin; their reply shapes are pinned below.
 """
 
 import dataclasses
 import json
 import socket
+from functools import partial
 
 import pytest
 
@@ -26,13 +28,13 @@ from repro.core.terms import Var
 from repro.core.types import RoleName, RoleTemplate
 from repro.db import PATH_ENV, configured_backend, configured_path
 from repro.events import EventBroker
+from repro.events.messages import CREDENTIAL_REVOKED, Event
 from repro.netd.client import RemoteNetwork
 from repro.netd.ops import activation_payload, presentation_payload
 from repro.netd.protocol import MAX_FRAME, FrameDecoder, encode_frame
 from repro.netd.server import OasisServer
 from repro.netd.worlds import NodeContext, bench_world
-from repro.shard import (CrossShardBus, ShardBroker, ShardedRefAllocator,
-                         ShardWorker)
+from repro.shard import Outbox, ShardedRefAllocator, ShardWorker
 
 
 def parity_world(ctx):
@@ -53,14 +55,14 @@ def parity_world(ctx):
     return world
 
 
-def _host(server_cls, broker, max_frame=MAX_FRAME, **shard):
-    """One started twin and a ``call`` over a raw loopback socket."""
+def _host(make_server, broker, max_frame=MAX_FRAME, **shard):
+    """One started twin and a ``call`` over a raw loopback socket;
+    ``make_server`` already knows ``broker``."""
     network = RemoteNetwork("twin")
     world = parity_world(NodeContext("twin", broker, ServiceRegistry(),
                                      network, clock=lambda: 0.0, **shard))
-    server = server_cls("twin", world.services, broker=broker,
-                        network=network, handlers=world.handlers,
-                        max_frame=max_frame)
+    server = make_server("twin", world.services, network=network,
+                         handlers=world.handlers, max_frame=max_frame)
     server.start()
     sock = socket.create_connection(("127.0.0.1", server.port), timeout=10)
     decoder = FrameDecoder()
@@ -86,14 +88,16 @@ def _worker(tmp_path, monkeypatch, shards, **options):
         # Shard workers refuse sqlite without a durable templated path.
         if configured_backend() == "sqlite" and configured_path() is None:
             env.setenv(PATH_ENV, str(tmp_path / "store-{shard}.sqlite"))
-        return _host(ShardWorker, ShardBroker(CrossShardBus(0, shards)),
-                     shard=0, shards=shards, **options)
+        broker = EventBroker()
+        return _host(partial(ShardWorker, outbox=Outbox(broker, 0, shards)),
+                     broker, shard=0, shards=shards, **options)
 
 
 @pytest.fixture
 def hosts(tmp_path, monkeypatch):
     """``{"server": call, "worker": call}`` over fresh twin hosts."""
-    served, close_server = _host(OasisServer, EventBroker())
+    broker = EventBroker()
+    served, close_server = _host(partial(OasisServer, broker=broker), broker)
     sharded, close_worker = _worker(tmp_path, monkeypatch, 1)
     yield {"server": served, "worker": sharded}
     close_worker()
@@ -284,73 +288,78 @@ def lone_worker(tmp_path, monkeypatch):
     close()
 
 
+def _credential_refs(batch):
+    return [dict(map(tuple, event["attributes"]))["credential_ref"]
+            for event in batch["events"]]
+
+
 def test_shard_only_ops_and_the_outbox_that_rides_their_replies(
         lone_worker):
-    """Whatever the worker queues for shard 1 shows in the reply of the
-    op that queued it, and in no other."""
+    """What the worker mints shows in the reply of the op that minted
+    it, and in no other; what another shard minted comes in through
+    ``bus.cascade``, the reverse index decides, and only the
+    consequences go out again."""
     call = lone_worker
-    service_id = wire.certificate_from_text(
-        _activate(call, "probe")["cert"]).ref.service
+    probe = _ref(_activate(call, "probe"))
+    service_id = ref_from_payload(probe).service
     foreign = ShardedRefAllocator(service_id, 1, 2).next()
 
     issued = _value(call("issue_bulk", service="svc", entries=[{
         "principal": "alice", "role": "user", "parameters": ["alice"],
         "dependencies": [ref_payload(foreign)], "session": "s1"}]))
-    assert set(issued) == {"certs", "outbox"}
-    assert issued["outbox"] == [
-        {"kind": "link", "to": 1, "links": [[foreign.qualified, 0]]}]
+    assert set(issued) == {"certs"}  # a foreign dependency queues nothing
     (payload,) = issued["certs"]
     ref = wire.certificate_from_text(payload).ref
     assert ShardedRefAllocator(service_id, 0, 2).owns_serial(ref.serial)
 
-    assert _value(call("bus.link", links=[[ref.qualified, 1]])) == \
-        {"registered": 1}
-    assert _value(call("live_count")) == {"counts": {"svc": 2}}
+    # Shard 1 revoked ``foreign``: the dependent here dies, and only its
+    # revocation goes out — the received event is not sent back.
+    stimulus = Event.make(CREDENTIAL_REVOKED, credential_ref=foreign.qualified,
+                          reason="logout").to_payload()
+    delivered = _value(call("bus.cascade", origin="w1", events=[stimulus]))
+    assert set(delivered) == {"delivered", "outbox"}
+    assert delivered["delivered"] >= 1
+    (batch,) = delivered["outbox"]
+    assert batch["origin"] == "twin"
+    assert _credential_refs(batch) == [ref.qualified]
     assert _value(call("is_active", ref=ref_payload(ref))) == \
-        {"active": True}
+        {"active": False}
 
-    revoked = _value(call("revoke", ref=ref_payload(ref), reason="done"))
+    revoked = _value(call("revoke", ref=probe, reason="done"))
     assert set(revoked) == {"revoked", "outbox"}
     (batch,) = revoked["outbox"]
-    assert batch["kind"] == "cascade" and batch["to"] == 1
-    (event,) = batch["events"]
-    assert ["credential_ref", ref.qualified] in event["attributes"]
+    assert _credential_refs(batch) == [ref_from_payload(probe).qualified]
     # Taken with the reply: the next one has nothing to carry.
-    assert _value(call("revoke", ref=ref_payload(ref))) == \
-        {"revoked": False}
-
-    assert set(_value(call("bus.cascade", events=batch["events"]))) == \
-        {"delivered"}
+    assert _value(call("revoke", ref=probe)) == {"revoked": False}
 
     stats = _value(call("stats"))
     assert "outbox" not in stats
-    assert stats["shard"] == 0 and stats["revocations"] == 1
-    assert stats["live_credentials"] == 1
-    assert stats["events_published"] >= 1
-    assert stats["bus"]["batches_sent"] == 1
-    assert stats["bus"]["batches_received"] == 1
-    assert stats["bus"]["links_registered"] == 1
+    assert stats["shard"] == 0 and stats["revocations"] == 2
+    assert stats["live_credentials"] == 0
+    assert stats["events_published"] >= 3
+    assert stats["bus"] == {"batches_sent": 2, "events_sent": 2,
+                            "batches_received": 1, "events_received": 1}
 
 
 def test_a_refused_op_leaves_its_forwards_for_the_next_reply(lone_worker):
     call = lone_worker
     ref = _ref(_activate(call))
-    call("bus.link", links=[[ref_from_payload(ref).qualified, 1]])
     refused = call("handler", name="revoke_then_fail", payload=ref)
     assert refused["ok"] is False
     assert set(refused) == {"id", "ok", "error"}
     assert refused["error"]["type"] == "RuntimeError"
-    collected = _value(call("bus.link", links=[]))
-    assert collected["registered"] == 0
+    collected = _value(call("bus.cascade", events=[]))
+    assert collected["delivered"] == 0
     (batch,) = collected["outbox"]
-    assert batch["kind"] == "cascade" and batch["to"] == 1
+    assert batch["origin"] == "twin"
+    assert _credential_refs(batch) == [ref_from_payload(ref).qualified]
 
 
 def test_an_outbox_larger_than_a_frame_is_split_never_dropped(
         tmp_path, monkeypatch):
-    """One cascade batch of 41 linked events (~6 KB) against a 2 KiB
-    frame: the reply to ``revoke`` carries what fits and says ``more``,
-    empty ``bus.link`` calls fetch the rest, every event arrives once."""
+    """One cascade of 41 events (~6 KB) against a 2 KiB frame: the reply
+    to ``revoke`` carries what fits and says ``more``, empty
+    ``bus.cascade`` calls fetch the rest, every event arrives once."""
     call, close = _worker(tmp_path, monkeypatch, 2, max_frame=2048)
     try:
         def issue(names, dependencies):
@@ -365,27 +374,23 @@ def test_an_outbox_larger_than_a_frame_is_split_never_dropped(
         for index in range(0, 40, 4):  # four certificates fit a reply
             refs += issue([f"u{n}" for n in range(index, index + 4)],
                           [ref_payload(root)])
-        for ref in refs:
-            assert _value(call("bus.link", links=[[ref.qualified, 1]])) \
-                == {"registered": 1}
 
         reply = _value(call("revoke", ref=ref_payload(root), reason="r"))
         assert reply["revoked"] is True and reply["more"] is True
         pieces = list(reply["outbox"])
         fetches = 0
         while reply.get("more"):
-            reply = _value(call("bus.link", links=[]))
+            reply = _value(call("bus.cascade", events=[]))
             assert reply["outbox"], "a fetch that brings nothing"
             pieces += reply["outbox"]
             fetches += 1
         assert fetches >= 2
-        assert all(piece["kind"] == "cascade" and piece["to"] == 1
-                   for piece in pieces)
-        forwarded = [dict(map(tuple, event["attributes"]))["credential_ref"]
-                     for piece in pieces for event in piece["events"]]
+        assert all(piece["origin"] == "twin" for piece in pieces)
+        forwarded = [ref for piece in pieces
+                     for ref in _credential_refs(piece)]
         assert sorted(forwarded) == sorted(ref.qualified for ref in refs)
         # Nothing left behind, and the ``bus`` counters saw ONE batch.
-        assert _value(call("bus.link", links=[])) == {"registered": 0}
+        assert _value(call("bus.cascade", events=[])) == {"delivered": 0}
         assert _value(call("stats"))["bus"]["batches_sent"] == 1
     finally:
         close()

@@ -7,6 +7,7 @@ from repro.core import (ActivationRule, AuthorizationRule, PrerequisiteRole,
                         RoleTemplate, ServiceId, ServicePolicy, Var)
 from repro.core.access_log import AccessLog
 from repro.core.state import ref_from_payload
+from repro.events import CREDENTIAL_REVOKED
 from repro.netd.worlds import World
 
 
@@ -30,8 +31,11 @@ def graph_world_factory(ctx, names):
 
 
 def faulty_graph_factory(ctx, names):
-    """The graph world plus a handler that revokes the credential it is
-    handed and *then* fails — a refused op with forwards already queued."""
+    """The graph world plus two refused ops with events already minted:
+    ``revoke_then_fail`` revokes the credential it is handed and *then*
+    fails; ``revoke_past_a_failing_listener`` revokes it while a broker
+    subscriber that raises listens, so the failure comes out of the
+    revocation's own delivery."""
     world = graph_world_factory(ctx, names)
 
     def revoke_then_fail(payload):
@@ -39,7 +43,20 @@ def faulty_graph_factory(ctx, names):
         world.services[ref.service.name].revoke(ref, "half done")
         raise RuntimeError("after the revoke")
 
+    def fail(event):
+        raise RuntimeError("a listener failed")
+
+    def revoke_past_a_failing_listener(payload):
+        ref = ref_from_payload(payload)
+        listener = ctx.broker.subscribe(CREDENTIAL_REVOKED, fail)
+        try:
+            world.services[ref.service.name].revoke(ref, "listener fails")
+        finally:
+            listener.cancel()
+
     world.handlers["revoke_then_fail"] = revoke_then_fail
+    world.handlers["revoke_past_a_failing_listener"] = \
+        revoke_past_a_failing_listener
     return world
 
 

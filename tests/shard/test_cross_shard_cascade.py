@@ -2,11 +2,13 @@
 
 Ports the diamond / cross-edge graphs of
 ``tests/core/test_cascade_graphs.py`` to a 2-shard universe where the
-graph edges deliberately span the boundary: the cascade must converge
-(every transitively dependent credential dead), revoke each credential
-exactly once (no double revocation through the two diamond paths, no
-ping-pong between shards), and — with observability on — stitch into a
-single coordinator-side trace tree.
+graph edges deliberately span the boundary, and again to 3 shards, where
+every batch a shard mints fans out to two others: the cascade must
+converge (every transitively dependent credential dead), revoke each
+credential exactly once (no double revocation through the two diamond
+paths, no ping-pong between shards, nothing on a shard that holds no
+dependent), and — with observability on — stitch into a single
+coordinator-side trace tree.
 
 Worker placement is pinned through ``issue_rmcs_bulk(..., shards=...)``;
 the workers' rejection-sampling allocators then mint serials the pinned
@@ -15,9 +17,10 @@ shard actually owns, so routing by ref hash finds every record.
 
 import pytest
 
+from repro.events import EventBroker
 from repro.events.messages import CREDENTIAL_REVOKED, Event
 from repro.obs.runtime import Observability
-from repro.shard import CrossShardBus, ShardBroker, ShardRouter
+from repro.shard import Outbox, ShardRouter
 from shard_worlds import graph_world_factory
 
 DIAMOND = ["A", "B", "C", "D"]
@@ -49,14 +52,16 @@ def revocation_counts(router, names):
     return counts
 
 
-@pytest.fixture
-def router(sharded_store_path):
-    with ShardRouter(2, graph_world_factory,
-                     (",".join(DIAMOND),)) as instance:
-        yield instance
-
-
 class TestDiamondAcrossBoundary:
+    #: Shards 0 and 1 hold the graph; any further shard is a bystander.
+    SHARDS = 2
+
+    @pytest.fixture
+    def router(self, sharded_store_path):
+        with ShardRouter(self.SHARDS, graph_world_factory,
+                         (",".join(DIAMOND),)) as instance:
+            yield instance
+
     def test_collapse_converges_and_revokes_exactly_once(self, router):
         a, b, c, d = build_diamond(router)
         survivor = issue(router, "A", "v", [], "sv", shard=1)
@@ -75,6 +80,12 @@ class TestDiamondAcrossBoundary:
         workers = router.worker_stats()
         assert sum(stats["revocations"]
                    for stats in workers.values()) == 4
+        # A bystander heard every batch and revoked nothing.
+        for shard in range(2, self.SHARDS):
+            assert workers[shard]["revocations"] == 0
+            assert workers[shard]["bus"]["batches_received"] >= 3
+            for name in DIAMOND:
+                assert router.audit(name, kind="revocation")[shard] == []
 
     def test_reason_composes_along_one_path(self, router):
         a, _b, _c, d = build_diamond(router)
@@ -108,43 +119,61 @@ class TestDiamondAcrossBoundary:
         assert len(counts) == 4
 
 
+class TestDiamondAcrossThreeShards(TestDiamondAcrossBoundary):
+    """The same graphs beside a third shard that holds none of them:
+    each batch goes to two shards, one of which has nothing to do."""
+
+    SHARDS = 3
+
+
 class TestSinglePublish:
-    def test_one_published_revocation_reaches_the_linked_shard(self):
-        """``ShardBroker.publish`` — the one-event path, which heartbeats
-        take — forwards like a cascade batch: a revocation of a ref that
-        shard 1 holds dependents of lands in shard 0's outbox for it."""
-        bus = CrossShardBus(0, 2)
-        broker = ShardBroker(bus)
-        bus.register_remote_links([("graph/A#7", 1)])
+    def test_one_published_revocation_lands_in_the_outbox(self):
+        """``EventBroker.publish`` — the one-event path, which heartbeats
+        take — is tapped like a cascade batch: a locally minted
+        revocation lands in the outbox, one another shard sent (it
+        carries ``net_origin``) does not."""
+        broker = EventBroker()
+        outbox = Outbox(broker, 0, 2)
         event = Event.make(CREDENTIAL_REVOKED, credential_ref="graph/A#7",
                            reason="logout")
         broker.publish(event)
-        assert bus.drain() == [{"kind": "cascade", "to": 1,
-                                "events": [event.to_payload()]}]
-        assert broker.published_count == 1
+        broker.publish(event.with_attributes(net_origin="w1"))
+        assert outbox.minted == [event.to_payload()]
+        assert broker.published_count == 2
+
+    def test_an_event_no_frame_can_encode_stays_on_its_shard(self):
+        """As with ``EventPump``: a non-JSON attribute makes an event
+        process-local, not a failed publish."""
+        broker = EventBroker()
+        outbox = Outbox(broker, 0, 2)
+        broker.publish(Event.make("local.note", handle=object()))
+        assert outbox.minted == []
 
 
 class TestDeepCrossShardTrace:
     DEPTH = 16
+    SHARDS = 2
 
     def test_depth16_chain_stitches_into_one_trace_tree(
             self, sharded_store_path):
-        with ShardRouter(2, graph_world_factory, ("chain",),
+        with ShardRouter(self.SHARDS, graph_world_factory, ("chain",),
                          observed=True) as router:
             chain = []
             for index in range(self.DEPTH + 1):
                 deps = [chain[-1].ref] if chain else []
                 chain.append(issue(router, "chain", "u", deps,
-                                   f"s{index}", shard=index % 2))
+                                   f"s{index}", shard=index % self.SHARDS))
 
             router.revoke(chain[0].ref, "logout")
 
             for certificate in chain:
                 assert router.is_active(certificate.ref) is False
-            # One coalesced hop per boundary crossing: the chain
-            # alternates shards, so depth crossings exactly.
-            assert router.cross_shard_batches_routed == self.DEPTH
-            assert router.cross_shard_events_routed == self.DEPTH
+            # One coalesced batch per revocation, each to every other
+            # shard: the chain changes shard at every link, so each
+            # batch holds one event.
+            hops = (self.DEPTH + 1) * (self.SHARDS - 1)
+            assert router.cross_shard_batches_routed == hops
+            assert router.cross_shard_events_routed == hops
 
             spans = router.spans()
             roots = [span for span in spans
@@ -171,6 +200,10 @@ class TestDeepCrossShardTrace:
             assert count(forest[0]) > self.DEPTH
 
 
+class TestDeepCrossShardTraceOnThreeShards(TestDeepCrossShardTrace):
+    SHARDS = 3
+
+
 class TestMergedMetrics:
     def test_shard_families_merge_at_coordinator(self, sharded_store_path):
         pipeline = Observability()
@@ -186,7 +219,6 @@ class TestMergedMetrics:
                         "oasis_shard_live_credentials",
                         "oasis_shard_events_published_total",
                         "oasis_shard_cross_shard_traffic_total",
-                        "oasis_shard_remote_links",
                         "oasis_shard_router_bus_total"}
             assert expected <= set(families)
 
@@ -200,6 +232,6 @@ class TestMergedMetrics:
             bus = families["oasis_shard_router_bus_total"]
             by_kind = {sample["labels"]["kind"]: sample["value"]
                        for sample in bus["samples"]}
-            assert by_kind["cascade_batches"] == \
-                router.cross_shard_batches_routed
-            assert by_kind["links"] == router.links_routed
+            assert by_kind == {
+                "cascade_batches": router.cross_shard_batches_routed,
+                "cascade_events": router.cross_shard_events_routed}

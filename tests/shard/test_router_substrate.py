@@ -4,7 +4,7 @@ of blocking clients — one error taxonomy, fan-outs that collect every
 reply before routing the bus, chunked bulk frames, an outbox larger than
 a frame, a refused op whose forwards still settle, loud boot failure, a
 lost port race, workers that never outlive their coordinator, and what a
-worker restart does and does not bring back."""
+worker restart brings back."""
 
 import gc
 import os
@@ -16,8 +16,10 @@ import time
 import pytest
 
 from repro.core.exceptions import CredentialRevoked
-from repro.core.state import ref_payload
-from repro.db import BACKEND_ENV, PATH_ENV
+from repro.core.state import ServiceState, ref_payload
+from repro.db import BACKEND_ENV, PATH_ENV, resolve_store_path
+from repro.db.sqlite_store import SqliteRecordStore
+from repro.events.messages import CREDENTIAL_REVOKED, Event
 from repro.netd.client import OasisClient
 from repro.netd.protocol import FrameTooLarge, OasisNetError, RpcError
 from repro.shard import ShardRouter, router as router_module, shard_of_ref
@@ -62,21 +64,20 @@ class TestBusOverReplies:
         a = issue(router, "A", "u", [], "sa", shard=0)
         issue(router, "B", "u", [a.ref], "sb", shard=1)
         stats = router.worker_stats()
-        assert stats[0]["bus"]["remote_links"] == 1
-        assert stats[1]["bus"]["remote_links"] == 0
+        assert all(set(worker["bus"]) == {
+            "batches_sent", "events_sent", "batches_received",
+            "events_received"} for worker in stats.values())
         assert all("outbox" not in worker for worker in stats.values())
         assert [worker["shard"] for worker in stats.values()] == [0, 1]
 
     def test_one_bulk_call_links_both_ways(self, router):
-        """Each worker's reply carries a link for the other: both are
-        collected before either is routed."""
+        """One bulk call lays an edge each way across the boundary, and
+        each cascades on its own."""
         a = issue(router, "A", "u", [], "sa", shard=0)
         b = issue(router, "A", "u", [], "sb", shard=1)
-        before = router.links_routed
         c, d = router.issue_rmcs_bulk(
             "B", [("u", "role", ["u"], [b.ref], "sc"),
                   ("u", "role", ["u"], [a.ref], "sd")], shards=[0, 1])
-        assert router.links_routed == before + 2
         router.revoke(a.ref, "logout")
         assert router.is_active(d.ref) is False
         assert router.is_active(c.ref) is True
@@ -102,10 +103,11 @@ class TestBusOverReplies:
 
 class TestOutboxLargerThanAFrame:
     def test_every_forwarded_event_arrives(self, router):
-        """3,000 revocations, each linked to the other shard, collapse
-        into ONE cascade batch of 6.5 MB (the reason rides every event):
-        more than ``MAX_FRAME``, so it crosses in pieces — and settles
-        before ``revoke`` returns."""
+        """3,001 revocations collapse into ONE cascade batch of 6.5 MB
+        (the reason rides every event): more than ``MAX_FRAME``, so it
+        crosses in pieces — as does the batch of 3,000 the other shard
+        mints in return — and all of it settles before ``revoke``
+        returns."""
         count = 3_000
         root = issue(router, "A", "u", [], "sa", shard=0)
         children = router.issue_rmcs_bulk(
@@ -118,17 +120,21 @@ class TestOutboxLargerThanAFrame:
 
         assert router.revoke(root.ref, "r" * 2_000) is True
         assert router.live_credential_count() == 0
-        assert router.cross_shard_events_routed == count
-        assert router.cross_shard_batches_routed == 2  # pieces of one
-        assert router.worker_stats()[0]["bus"]["batches_sent"] == 1
+        assert router.cross_shard_events_routed == 2 * count + 1
+        # w0's one batch crosses in two pieces; w1 mints a batch per
+        # piece, and the first — longer reasons — needs two pieces too.
+        assert router.cross_shard_batches_routed == 2 + 3
+        stats = router.worker_stats()
+        assert [stats[shard]["bus"]["batches_sent"]
+                for shard in (0, 1)] == [1, 2]
 
     def test_a_message_no_frame_can_carry_is_loud_not_a_loop(self):
         class Stuck:
             peer = "w0"
 
             def call(self, op, **fields):
-                assert op == "bus.link" and fields["links"] == []
-                return {"registered": 0, "outbox": [], "more": True}
+                assert op == "bus.cascade" and fields["events"] == []
+                return {"delivered": 0, "outbox": [], "more": True}
 
         with pytest.raises(FrameTooLarge, match="w0"):
             ShardRouter._collect(Stuck(), {"more": True}, [])
@@ -145,7 +151,24 @@ class TestRefusedOp:
                 router.call_handler("revoke_then_fail",
                                     ref_payload(a.ref), shard=0)
             assert info.value.error_type == "RuntimeError"
-            assert router.cross_shard_batches_routed == 1
+            # ``a``'s batch out, and ``b``'s back.
+            assert router.cross_shard_batches_routed == 2
+            assert router.is_active(a.ref) is False
+            assert router.is_active(b.ref) is False
+
+    def test_an_event_whose_listener_raised_still_reaches_the_holder(
+            self, sharded_store_path):
+        """The owner's broker subscriber raises while ``a``'s revocation
+        is delivered; the event was published all the same, so the
+        refused op's outbox carries it to ``b``'s shard."""
+        with ShardRouter(2, shard_worlds.faulty_graph_factory,
+                         (NAMES,)) as router:
+            a = issue(router, "A", "u", [], "sa", shard=0)
+            b = issue(router, "B", "u", [a.ref], "sb", shard=1)
+            with pytest.raises(RpcError) as info:
+                router.call_handler("revoke_past_a_failing_listener",
+                                    ref_payload(a.ref), shard=0)
+            assert info.value.error_type == "RuntimeError"
             assert router.is_active(a.ref) is False
             assert router.is_active(b.ref) is False
 
@@ -243,8 +266,10 @@ class TestWorkerLifetime:
 
 
 class TestWorkerRestart:
-    """What ``fleet.kill`` + ``fleet.restart`` brings back (sqlite with a
-    ``{shard}`` template; a checkpoint first — stores are write-behind)."""
+    """What ``fleet.kill`` + ``router.restart`` brings back (sqlite with a
+    ``{shard}`` template; a checkpoint first — stores are write-behind).
+    No shard remembers who depends on what it owns, so a restarted owner
+    cascades like one that never stopped."""
 
     @pytest.fixture
     def durable_router(self, tmp_path, monkeypatch):
@@ -263,7 +288,7 @@ class TestWorkerRestart:
         router.fleet.kill("w1")
         with pytest.raises(OasisNetError):  # dead is an error, not a hang
             router.is_active(b.ref)
-        router.fleet.restart("w1")
+        router.restart(1)
 
         assert router.is_active(b.ref) is True
         # Same signing secret: the old certificate still verifies.
@@ -271,22 +296,43 @@ class TestWorkerRestart:
                              credentials=[b]) == "pong[u]"
         fresh = issue(router, "B", "v", [], "sv", shard=1)
         assert fresh.ref != b.ref and shard_of_ref(fresh.ref, 2) == 1
-        # The owner's link survived in w0's memory: the cascade still
-        # reaches the restarted worker.
+        # The restarted worker rebuilt its reverse index from its
+        # records: the owner's cascade still reaches ``b``.
         router.revoke(a.ref, "logout")
         assert router.is_active(b.ref) is False
         assert router.is_active(fresh.ref) is True
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 3 (durable links / replay cursors): "
-        "CrossShardBus._remote_links is memory only, so a restarted "
-        "OWNER no longer forwards and the remote dependent stays active"))
     def test_owner_side_still_cascades_after_restart(self, durable_router):
         router = durable_router
         a = issue(router, "A", "u", [], "sa", shard=0)
         b = issue(router, "B", "u", [a.ref], "sb", shard=1)
         router.checkpoint()
         router.fleet.kill("w0")
-        router.fleet.restart("w0")
+        router.restart(0)
         assert router.revoke(a.ref, "logout") is True
         assert router.is_active(b.ref) is False
+
+    def test_a_restarted_owners_boot_replay_reaches_the_other_shard(
+            self, durable_router):
+        """A cascade journalled on w0 but cut before it was published is
+        replayed while w0 boots; ``router.restart`` fetches those events
+        and hands them to w1, where ``b`` depends on ``a`` — before any
+        other op reaches w0."""
+        router = durable_router
+        a = issue(router, "A", "u", [], "sa", shard=0)
+        b = issue(router, "B", "u", [a.ref], "sb", shard=1)
+        router.checkpoint()
+        router.fleet.kill("w0")
+
+        store = SqliteRecordStore(resolve_store_path(
+            os.environ[PATH_ENV], shard=0, service="graph/A"))
+        try:
+            ServiceState(a.ref.service, store).log_cascade([Event.make(
+                CREDENTIAL_REVOKED, credential_ref=a.ref.qualified,
+                reason="cut by the crash")])
+        finally:
+            store.close()
+        router.restart(0)
+
+        assert router.is_active(b.ref) is False
+        assert router.is_active(a.ref) is False
