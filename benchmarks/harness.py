@@ -638,7 +638,7 @@ def bench_persistence(results: Dict[str, dict], *, quick: bool
 
     * ``persist_activate_1k`` — single-role activations (distinct
       principal per op) over a SQLite-file write-behind store, alongside
-      identically-measured memory-mirror and storeless variants.  The
+      identically-measured MemoryRecordStore and storeless variants.  The
       persisted-vs-storeless cost ratio is the persistence overhead
       comparison (criterion: <= 1.25x).
     * ``persist_cascade_depth16`` — the FIG5 depth-16 revocation cascade

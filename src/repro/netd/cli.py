@@ -78,9 +78,10 @@ def add_serve_parser(sub: argparse._SubParsersAction) -> None:
                        help="subscribe to this peer's event stream; "
                             "repeatable")
     serve.add_argument("--state-dir", default=None,
-                       help="per-service sqlite default directory when "
-                            "OASIS_STORE_BACKEND=sqlite has no explicit "
-                            "path (enables kill-and-resume)")
+                       help="directory holding one sqlite file per "
+                            "hosted service: the node resumes from it "
+                            "after a kill, whatever OASIS_STORE_BACKEND "
+                            "says")
     serve.add_argument("--observed", action="store_true",
                        help="enable the observability pipeline with "
                             "node-prefixed span ids")

@@ -9,8 +9,8 @@ built, so boot-time replays reach the other shards too), open
 :class:`~repro.netd.events.EventChannel` subscriptions to the peers
 named in the spec, print a ``OASIS-READY`` line and serve until a
 client sends ``shutdown`` (or the process is killed — which is exactly
-what the kill-and-resume path is for: with a sqlite state directory the
-next incarnation resumes from the store).
+what the kill-and-resume path is for: with a state directory the next
+incarnation resumes from its stores).
 
 :class:`Supervisor` turns a list of :class:`NodeSpec` into real OS
 processes (``python -m repro serve ...``), waits for readiness by

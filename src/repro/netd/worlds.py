@@ -93,11 +93,9 @@ class NodeContext:
                 **kwargs: Any) -> OasisService:
         """Build an :class:`OasisService` wired for this node.
 
-        The store is the env-selected one, with the served on-disk
-        default: a sqlite backend without an explicit path lands in this
-        node's state directory instead of ``:memory:``, and on a shard
-        node sqlite *requires* a durable ``{shard}``-templated
-        ``OASIS_STORE_PATH`` (see :mod:`repro.db`).  A store a previous
+        With a state directory the service gets its own SQLite file
+        there; without one, the ``OASIS_STORE_BACKEND`` store (see
+        :func:`repro.db.default_store`).  A store a previous
         incarnation used is resumed by construction, signing secret
         included, so a killed-and-restarted server keeps verifying its
         certificates.  Journalled cascades cut mid-publish are re-emitted
@@ -107,7 +105,7 @@ class NodeContext:
         to every other shard, whose services decide from their own
         reverse-dependency index.  On a shard node the service mints only
         serials whose ref hashes to this shard."""
-        store = default_store(ServiceStateCodec(), shard=self.shard,
+        store = default_store(ServiceStateCodec(),
                               service=str(policy.service),
                               state_dir=self.state_dir)
         if self.shard is not None:

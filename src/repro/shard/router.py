@@ -43,6 +43,7 @@ the remote type name, a dead or hung worker an
 
 from __future__ import annotations
 
+import os
 import weakref
 from concurrent.futures import ThreadPoolExecutor, wait
 from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
@@ -79,13 +80,16 @@ class ShardRouter:
 
     ``factory(ctx, *factory_args)`` is the world every worker rebuilds
     locally: a module-level callable (it travels by name) whose extra
-    arguments travel as strings (``--world-arg``).
+    arguments travel as strings (``--world-arg``).  With a ``state_dir``
+    worker *i* is a durable node on ``<state_dir>/w<i>``, so no two
+    workers ever share a store file.
     """
 
     def __init__(self, shards: int, factory: Callable[..., Any],
                  factory_args: Sequence[Any] = (), *,
                  observed: bool = False,
-                 pipeline: Optional[Observability] = None) -> None:
+                 pipeline: Optional[Observability] = None,
+                 state_dir: Optional[str] = None) -> None:
         if shards <= 0:
             raise ValueError("shards must be positive")
         self.shards = shards
@@ -98,7 +102,9 @@ class ShardRouter:
         self.fleet = Supervisor([
             NodeSpec(name=f"w{shard}", port=free_port(), world=world,
                      args=tuple(str(arg) for arg in factory_args),
-                     observed=observed, shard=(shard, shards))
+                     observed=observed, shard=(shard, shards),
+                     state_dir=(os.path.join(state_dir, f"w{shard}")
+                                if state_dir else None))
             for shard in range(shards)])
         # Runs once: at close(), when the router is dropped, or at exit.
         self._stop = weakref.finalize(self, self.fleet.stop)

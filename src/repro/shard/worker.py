@@ -7,7 +7,8 @@ every service's rules and methods locally — but only *its partition of
 the security state*.  :class:`~repro.netd.worlds.NodeContext` gives each
 service a :class:`~repro.shard.partition.ShardedRefAllocator`, so every
 credential record a worker holds has a ref that hashes to its own shard,
-and a ``{shard}``-templated store.  Everything a served node does — the
+and, under a router with a state directory, a ``w<i>`` directory of its
+own.  Everything a served node does — the
 frame protocol, the service lock, the boot-time checkpoint, resume from
 the store, the typed error replies — a worker does because it *is* one;
 any :class:`~repro.netd.client.OasisClient` can talk to it, so its port

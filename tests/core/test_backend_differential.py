@@ -179,16 +179,11 @@ class TestChainWorldIdentical:
 
 class TestHospitalScenarioIdentical:
     """The Fig. 3 running example (appointments + database-membership
-    constraints) behaves identically under every backend, selected the
+    constraints) behaves identically under both backends, selected the
     production way — through OASIS_STORE_BACKEND."""
 
     def run_scenario(self, monkeypatch, backend):
-        if backend == "none":
-            monkeypatch.delenv("OASIS_STORE_BACKEND", raising=False)
-        else:
-            monkeypatch.setenv("OASIS_STORE_BACKEND",
-                               "memory-mirror" if backend == "memory"
-                               else "sqlite")
+        monkeypatch.setenv("OASIS_STORE_BACKEND", backend)
         hospital = build_hospital()
         doctor = hospital.new_doctor("dr-jones", "pat-1")
         session = doctor.start_session(hospital.login, "logged_in_user",
@@ -217,9 +212,8 @@ class TestHospitalScenarioIdentical:
 
     def test_identical_across_backends(self, monkeypatch):
         results = {backend: self.run_scenario(monkeypatch, backend)
-                   for backend in BACKENDS}
-        assert results["none"]["first"] == "EHR[pat-1]"
-        assert results["none"]["denied"] is True
-        assert results["none"]["treating_active"] is False
-        assert results["memory"] == results["none"]
-        assert results["sqlite"] == results["none"]
+                   for backend in ("memory", "sqlite")}
+        assert results["memory"]["first"] == "EHR[pat-1]"
+        assert results["memory"]["denied"] is True
+        assert results["memory"]["treating_active"] is False
+        assert results["sqlite"] == results["memory"]

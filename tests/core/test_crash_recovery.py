@@ -39,6 +39,7 @@ from repro.crypto import ServiceSecret
 from repro.db import SqliteRecordStore
 from repro.events import EventBroker
 from repro.net.sim import SimNetwork
+from repro.netd.worlds import NodeContext
 
 N_PRINCIPALS = 4
 
@@ -418,23 +419,23 @@ class TestKillAndResume:
         assert fresh.ref.serial > max(escaped)
         world.shutdown()
 
-    @pytest.mark.parametrize("route", ["explicit-store", "env-store"])
+    @pytest.mark.parametrize("route", ["explicit-store", "state-dir"])
     def test_constructing_over_a_used_store_resumes_it(self, tmp_path,
-                                                       monkeypatch, route):
+                                                       route):
         """Building a service on a store an earlier run used is resuming
         it, whichever way the store arrives: the plain constructor hands
         out no serial of that run again, so its revoked certificate stays
         revoked instead of naming a fresh credential."""
-        path = str(tmp_path / "desk.db")
-        if route == "env-store":
-            monkeypatch.setenv("OASIS_STORE_BACKEND", "sqlite")
-            monkeypatch.setenv("OASIS_STORE_PATH", path)
-
         def build():
-            kwargs = {} if route == "env-store" else {
-                "store": SqliteRecordStore(path, codec=ServiceStateCodec())}
-            service = OasisService(desk_policy(), EventBroker(),
-                                   ServiceRegistry(), **kwargs)
+            if route == "state-dir":
+                service = NodeContext(
+                    "desk", EventBroker(), ServiceRegistry(), None,
+                    state_dir=str(tmp_path)).service(desk_policy())
+            else:
+                service = OasisService(
+                    desk_policy(), EventBroker(), ServiceRegistry(),
+                    store=SqliteRecordStore(str(tmp_path / "desk.db"),
+                                            codec=ServiceStateCodec()))
             service.register_method("use", lambda user: f"ok[{user}]")
             return service
 

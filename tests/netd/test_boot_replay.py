@@ -28,10 +28,7 @@ def boot_front(state_dir):
     return world.services["login"], world.services["admin"]
 
 
-def test_cut_cascade_reaches_a_service_built_after_its_origin(
-        tmp_path, monkeypatch):
-    monkeypatch.setenv("OASIS_STORE_BACKEND", "sqlite")
-    monkeypatch.delenv("OASIS_STORE_PATH", raising=False)
+def test_cut_cascade_reaches_a_service_built_after_its_origin(tmp_path):
     login, admin = boot_front(tmp_path)
     user = PrincipalId("u1")
     session = login.activate_role(user, "logged_in_user", ["u1"], [])

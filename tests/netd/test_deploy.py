@@ -4,8 +4,8 @@ Three drills:
 
 * cross-process revocation — the Fig. 5 cascade crossing a process
   boundary via the event channel;
-* kill-and-resume — SIGKILL a served node with a sqlite state directory
-  and check the restarted process still honours certificates issued by
+* kill-and-resume — SIGKILL a served node with a state directory and
+  check the restarted process still honours certificates issued by
   its previous incarnation (ROADMAP's crash-consistency story over the
   served transport);
 * fact retraction — a care registration deleted on a served node stays
@@ -78,10 +78,7 @@ class TestCrossProcessRevocation:
 
 
 class TestKillAndResume:
-    def test_sigkill_then_restart_resumes_state(self, tmp_path,
-                                                monkeypatch):
-        monkeypatch.setenv("OASIS_STORE_BACKEND", "sqlite")
-        monkeypatch.delenv("OASIS_STORE_PATH", raising=False)
+    def test_sigkill_then_restart_resumes_state(self, tmp_path):
         state_dir = str(tmp_path / "state")
         spec = NodeSpec(name="bench", port=free_port(),
                         world=f"{WORLDS}:bench_world",
@@ -93,8 +90,8 @@ class TestKillAndResume:
             assert client.invoke("svc", "alice", "echo", ["x"],
                                  credentials=[rmc]) == "x"
 
-            # The served default must have put the store on disk —
-            # NOT in :memory: (satellite: resolve_store_path interplay).
+            # The state directory put the store on disk, not in
+            # :memory:.
             sqlite_files = list((tmp_path / "state").glob("*.sqlite"))
             assert sqlite_files, "no on-disk store despite state_dir"
 
@@ -118,13 +115,10 @@ class TestKillAndResume:
             assert not client.is_active(rmc.ref)
             assert client.is_active(keep.ref)
 
-    def test_revocation_survives_crash_without_checkpoint(self, tmp_path,
-                                                          monkeypatch):
+    def test_revocation_survives_crash_without_checkpoint(self, tmp_path):
         """Revocations are crash-consistent on their own: the cascade
         journal commits durably at revoke time, so even a SIGKILL right
         after the RPC returns must not resurrect the credential."""
-        monkeypatch.setenv("OASIS_STORE_BACKEND", "sqlite")
-        monkeypatch.delenv("OASIS_STORE_PATH", raising=False)
         spec = NodeSpec(name="bench", port=free_port(),
                         world=f"{WORLDS}:bench_world",
                         state_dir=str(tmp_path / "state"))
@@ -143,8 +137,6 @@ class TestKillAndResume:
         """The retraction commits before the handler replies, so the
         restarted node's re-seeded table is replaced by the stored,
         emptied one and the activation stays refused."""
-        monkeypatch.setenv("OASIS_STORE_BACKEND", "sqlite")
-        monkeypatch.delenv("OASIS_STORE_PATH", raising=False)
         here = os.path.dirname(os.path.abspath(__file__))
         monkeypatch.setenv("PYTHONPATH", os.pathsep.join(
             part for part in (here, os.environ.get("PYTHONPATH")) if part))
@@ -163,15 +155,27 @@ class TestKillAndResume:
                 client.activate("records", "dan", "treating_doctor",
                                 ["dan", "p1"])
 
-    def test_memory_backend_loses_state_as_expected(self, tmp_path,
-                                                    monkeypatch):
-        """Control: without a durable backend the restarted process is
+    def test_state_dir_alone_makes_a_node_durable(self, tmp_path,
+                                                  monkeypatch):
+        monkeypatch.delenv("OASIS_STORE_BACKEND", raising=False)
+        spec = NodeSpec(name="bench", port=free_port(),
+                        world=f"{WORLDS}:bench_world",
+                        state_dir=str(tmp_path / "state"))
+        with Supervisor([spec]) as fleet:
+            client = fleet.client("bench")
+            rmc = client.activate("svc", "alice", "user", ["alice"])
+            client.checkpoint()
+            fleet.kill("bench")
+            fleet.restart("bench")
+            assert fleet.client("bench").is_active(rmc.ref)
+
+    def test_memory_backend_loses_state_as_expected(self, monkeypatch):
+        """Control: without a state directory the restarted process is
         blank — proving the resume test above demonstrates persistence
         rather than some cached client state."""
         monkeypatch.setenv("OASIS_STORE_BACKEND", "memory")
         spec = NodeSpec(name="bench", port=free_port(),
-                        world=f"{WORLDS}:bench_world",
-                        state_dir=str(tmp_path / "state"))
+                        world=f"{WORLDS}:bench_world")
         with Supervisor([spec]) as fleet:
             client = fleet.client("bench")
             rmc = client.activate("svc", "alice", "user", ["alice"])

@@ -26,7 +26,6 @@ from repro.core.service import ServiceRegistry
 from repro.core.state import ref_from_payload, ref_payload
 from repro.core.terms import Var
 from repro.core.types import RoleName, RoleTemplate
-from repro.db import PATH_ENV, configured_backend, configured_path
 from repro.events import EventBroker
 from repro.events.messages import CREDENTIAL_REVOKED, Event
 from repro.netd.client import RemoteNetwork
@@ -82,23 +81,19 @@ def _host(make_server, broker, max_frame=MAX_FRAME, **shard):
     return call, close
 
 
-def _worker(tmp_path, monkeypatch, shards, **options):
+def _worker(shards, **options):
     """Shard 0 of ``shards``, hosted like ``serve_node`` hosts it."""
-    with monkeypatch.context() as env:
-        # Shard workers refuse sqlite without a durable templated path.
-        if configured_backend() == "sqlite" and configured_path() is None:
-            env.setenv(PATH_ENV, str(tmp_path / "store-{shard}.sqlite"))
-        broker = EventBroker()
-        return _host(partial(ShardWorker, outbox=Outbox(broker, 0, shards)),
-                     broker, shard=0, shards=shards, **options)
+    broker = EventBroker()
+    return _host(partial(ShardWorker, outbox=Outbox(broker, 0, shards)),
+                 broker, shard=0, shards=shards, **options)
 
 
 @pytest.fixture
-def hosts(tmp_path, monkeypatch):
+def hosts():
     """``{"server": call, "worker": call}`` over fresh twin hosts."""
     broker = EventBroker()
     served, close_server = _host(partial(OasisServer, broker=broker), broker)
-    sharded, close_worker = _worker(tmp_path, monkeypatch, 1)
+    sharded, close_worker = _worker(1)
     yield {"server": served, "worker": sharded}
     close_worker()
     close_server()
@@ -281,9 +276,9 @@ def test_errors_are_typed_the_same_on_both_hosts(hosts, message):
 # -- the shard-only ops (no twin: reply shapes pinned) -----------------------
 
 @pytest.fixture
-def lone_worker(tmp_path, monkeypatch):
+def lone_worker():
     """``call`` into shard 0 of 2, on its own."""
-    call, close = _worker(tmp_path, monkeypatch, 2)
+    call, close = _worker(2)
     yield call
     close()
 
@@ -355,12 +350,11 @@ def test_a_refused_op_leaves_its_forwards_for_the_next_reply(lone_worker):
     assert _credential_refs(batch) == [ref_from_payload(ref).qualified]
 
 
-def test_an_outbox_larger_than_a_frame_is_split_never_dropped(
-        tmp_path, monkeypatch):
+def test_an_outbox_larger_than_a_frame_is_split_never_dropped():
     """One cascade of 41 events (~6 KB) against a 2 KiB frame: the reply
     to ``revoke`` carries what fits and says ``more``, empty
     ``bus.cascade`` calls fetch the rest, every event arrives once."""
-    call, close = _worker(tmp_path, monkeypatch, 2, max_frame=2048)
+    call, close = _worker(2, max_frame=2048)
     try:
         def issue(names, dependencies):
             value = _value(call("issue_bulk", service="svc", entries=[{

@@ -57,7 +57,7 @@ class TestDiamondAcrossBoundary:
     SHARDS = 2
 
     @pytest.fixture
-    def router(self, sharded_store_path):
+    def router(self):
         with ShardRouter(self.SHARDS, graph_world_factory,
                          (",".join(DIAMOND),)) as instance:
             yield instance
@@ -154,8 +154,7 @@ class TestDeepCrossShardTrace:
     DEPTH = 16
     SHARDS = 2
 
-    def test_depth16_chain_stitches_into_one_trace_tree(
-            self, sharded_store_path):
+    def test_depth16_chain_stitches_into_one_trace_tree(self):
         with ShardRouter(self.SHARDS, graph_world_factory, ("chain",),
                          observed=True) as router:
             chain = []
@@ -205,7 +204,7 @@ class TestDeepCrossShardTraceOnThreeShards(TestDeepCrossShardTrace):
 
 
 class TestMergedMetrics:
-    def test_shard_families_merge_at_coordinator(self, sharded_store_path):
+    def test_shard_families_merge_at_coordinator(self):
         pipeline = Observability()
         with ShardRouter(2, graph_world_factory, (",".join(DIAMOND),),
                          pipeline=pipeline) as router:

@@ -18,7 +18,7 @@ def outcome(certificate):
     return (certificate.issuer, certificate.ref.service, certificate.role)
 
 
-def test_activation_lands_on_the_owning_shard(sharded_store_env):
+def test_activation_lands_on_the_owning_shard():
     requests = [ActivationRequest(ALICE, "role", ["alice"],
                                   session_id=session)
                 for session in SESSIONS]
@@ -27,8 +27,7 @@ def test_activation_lands_on_the_owning_shard(sharded_store_env):
                                        session_id="s-single")
     plain_bulk = plain.activate_roles_bulk(requests)
 
-    with sharded_store_env(), \
-            ShardRouter(2, graph_world_factory, ("A,B",)) as router:
+    with ShardRouter(2, graph_world_factory, ("A,B",)) as router:
         single = router.activate_role("A", ALICE, "role", ["alice"],
                                       session_id="s-single")
         assert shard_of_ref(single.ref, 2) == shard_of_key("s-single", 2)

@@ -17,7 +17,7 @@ import pytest
 
 from repro.core.exceptions import CredentialRevoked
 from repro.core.state import ServiceState, ref_payload
-from repro.db import BACKEND_ENV, PATH_ENV, resolve_store_path
+from repro.db import served_store_path
 from repro.db.sqlite_store import SqliteRecordStore
 from repro.events.messages import CREDENTIAL_REVOKED, Event
 from repro.netd.client import OasisClient
@@ -37,7 +37,7 @@ def issue(router, service, user, deps, session, shard):
 
 
 @pytest.fixture
-def router(sharded_store_path):
+def router():
     with ShardRouter(2, graph_world_factory, (NAMES,)) as instance:
         yield instance
 
@@ -141,8 +141,7 @@ class TestOutboxLargerThanAFrame:
 
 
 class TestRefusedOp:
-    def test_forwards_of_a_failed_handler_settle_before_its_error(
-            self, sharded_store_path):
+    def test_forwards_of_a_failed_handler_settle_before_its_error(self):
         with ShardRouter(2, shard_worlds.faulty_graph_factory,
                          (NAMES,)) as router:
             a = issue(router, "A", "u", [], "sa", shard=0)
@@ -156,8 +155,7 @@ class TestRefusedOp:
             assert router.is_active(a.ref) is False
             assert router.is_active(b.ref) is False
 
-    def test_an_event_whose_listener_raised_still_reaches_the_holder(
-            self, sharded_store_path):
+    def test_an_event_whose_listener_raised_still_reaches_the_holder(self):
         """The owner's broker subscriber raises while ``a``'s revocation
         is delivered; the event was published all the same, so the
         refused op's outbox carries it to ``b``'s shard."""
@@ -174,8 +172,7 @@ class TestRefusedOp:
 
 
 class TestBootFailure:
-    def test_a_worker_that_cannot_build_its_world_is_loud(
-            self, sharded_store_path, monkeypatch):
+    def test_a_worker_that_cannot_build_its_world_is_loud(self, monkeypatch):
         spawned = []
         popen = subprocess.Popen
 
@@ -190,7 +187,7 @@ class TestBootFailure:
         assert all(process.poll() is not None for process in spawned)
 
     def test_a_worker_that_lost_the_race_for_its_port_is_started_again(
-            self, sharded_store_path, monkeypatch):
+            self, monkeypatch):
         """``free_port()`` is racy by nature: a worker that finds its
         port taken exits before it is ready, and the fleet gets one more
         go on fresh ports."""
@@ -223,8 +220,7 @@ time.sleep(120)
 class TestWorkerLifetime:
     """A worker never outlives its coordinator."""
 
-    def test_a_router_dropped_without_close_stops_its_workers(
-            self, sharded_store_path):
+    def test_a_router_dropped_without_close_stops_its_workers(self):
         router = ShardRouter(2, graph_world_factory, (NAMES,))
         workers = list(router.fleet._procs.values())
         assert all(worker.poll() is None for worker in workers)
@@ -232,7 +228,7 @@ class TestWorkerLifetime:
         gc.collect()
         assert all(worker.poll() is not None for worker in workers)
 
-    def test_workers_follow_a_killed_coordinator(self, sharded_store_path):
+    def test_workers_follow_a_killed_coordinator(self):
         """SIGKILL: no ``shutdown`` is sent, no finalizer runs — the
         workers notice that the process that started them is gone."""
         import repro
@@ -266,17 +262,28 @@ class TestWorkerLifetime:
 
 
 class TestWorkerRestart:
-    """What ``fleet.kill`` + ``router.restart`` brings back (sqlite with a
-    ``{shard}`` template; a checkpoint first — stores are write-behind).
-    No shard remembers who depends on what it owns, so a restarted owner
-    cascades like one that never stopped."""
+    """What ``fleet.kill`` + ``router.restart`` brings back (a router
+    with a state directory; a checkpoint first — stores are
+    write-behind).  No shard remembers who depends on what it owns, so a
+    restarted owner cascades like one that never stopped."""
 
     @pytest.fixture
-    def durable_router(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "sqlite")
-        monkeypatch.setenv(PATH_ENV, str(tmp_path / "store-{shard}.sqlite"))
-        with ShardRouter(2, graph_world_factory, (NAMES,)) as instance:
+    def durable_router(self, tmp_path):
+        with ShardRouter(2, graph_world_factory, (NAMES,),
+                         state_dir=str(tmp_path)) as instance:
             yield instance
+
+    def test_each_worker_keeps_its_stores_in_its_own_directory(
+            self, durable_router, tmp_path):
+        issue(durable_router, "A", "u", [], "sa", shard=0)
+        durable_router.checkpoint()
+        files = {worker: sorted(path.name for path
+                                in (tmp_path / worker).glob("*.sqlite"))
+                 for worker in ("w0", "w1")}
+        assert files == {worker: ["graph%2FA.sqlite", "graph%2FB.sqlite"]
+                         for worker in ("w0", "w1")}
+        assert sorted(path.name for path in tmp_path.iterdir()) \
+            == ["w0", "w1"]
 
     def test_dependent_side_resumes_records_secret_and_serials(
             self, durable_router):
@@ -313,7 +320,7 @@ class TestWorkerRestart:
         assert router.is_active(b.ref) is False
 
     def test_a_restarted_owners_boot_replay_reaches_the_other_shard(
-            self, durable_router):
+            self, durable_router, tmp_path):
         """A cascade journalled on w0 but cut before it was published is
         replayed while w0 boots; ``router.restart`` fetches those events
         and hands them to w1, where ``b`` depends on ``a`` — before any
@@ -324,8 +331,8 @@ class TestWorkerRestart:
         router.checkpoint()
         router.fleet.kill("w0")
 
-        store = SqliteRecordStore(resolve_store_path(
-            os.environ[PATH_ENV], shard=0, service="graph/A"))
+        store = SqliteRecordStore(
+            served_store_path(str(tmp_path / "w0"), "graph/A"))
         try:
             ServiceState(a.ref.service, store).log_cascade([Event.make(
                 CREDENTIAL_REVOKED, credential_ref=a.ref.qualified,

@@ -131,11 +131,9 @@ def run_sharded(shards=2):
 
 
 class TestGraphDifferential:
-    def test_sharded_universe_matches_single_process(
-            self, sharded_store_env):
+    def test_sharded_universe_matches_single_process(self):
         single = run_single_process()
-        with sharded_store_env():
-            sharded = run_sharded()
+        sharded = run_sharded()
 
         assert sharded["grants"] == single["grants"]
         assert sharded["active"] == single["active"]
@@ -151,44 +149,41 @@ class TestScaleWorldDifferential:
     BUILD = {"principals": 30, "live": 12}
     COLLAPSE = {"sessions": [0, 3, 4, 11]}
 
-    def sharded_state(self, workers, sharded_store_env, collapse=None):
+    def sharded_state(self, workers, collapse=None):
         """Build the scale world at a given worker count (and collapse
         the scripted sessions); return the observable whole-universe
         state (partition-independent)."""
-        with sharded_store_env():
-            with ShardRouter(workers, ScaleWorld) as router:
-                router.call_handler_all("build", {
-                    shard: self.BUILD for shard in range(workers)})
-                if collapse:
-                    router.call_handler_all("collapse", {
-                        shard: collapse for shard in range(workers)})
-                states = router.call_handler_all("state")
-                live = router.live_credential_count()
-                sessions = router.live_sessions("login")
+        with ShardRouter(workers, ScaleWorld) as router:
+            router.call_handler_all("build", {
+                shard: self.BUILD for shard in range(workers)})
+            if collapse:
+                router.call_handler_all("collapse", {
+                    shard: collapse for shard in range(workers)})
+            states = router.call_handler_all("state")
+            live = router.live_credential_count()
+            sessions = router.live_sessions("login")
         merged = {}
         for state in states.values():
             merged.update(state)
         return {"live": live, "sessions": merged,
                 "login_sessions": sessions}
 
-    def test_worker_count_does_not_change_observable_state(
-            self, sharded_store_env):
-        lone = self.sharded_state(1, sharded_store_env)
-        split = self.sharded_state(3, sharded_store_env)
+    def test_worker_count_does_not_change_observable_state(self):
+        lone = self.sharded_state(1)
+        split = self.sharded_state(3)
         assert lone == split
         assert lone["live"] == 30 + 12
         assert len(lone["sessions"]) == 12
         assert all(entry == {"root_active": True, "leaf_active": True}
                    for entry in lone["sessions"].values())
 
-    def test_sharded_world_matches_the_in_process_one(
-            self, sharded_store_env):
+    def test_sharded_world_matches_the_in_process_one(self):
         world = in_process(ScaleWorld)
         world.handlers["build"](self.BUILD)
         assert world.handlers["collapse"](self.COLLAPSE) == 4
         plain = world.state()
 
-        split = self.sharded_state(2, sharded_store_env, self.COLLAPSE)
+        split = self.sharded_state(2, self.COLLAPSE)
         assert split["live"] == world.live_credential_count() \
             == 30 + 12 - 2 * 4
         assert split["sessions"] == plain

@@ -1,87 +1,30 @@
-"""``OASIS_STORE_PATH`` templating and the strict sharded-mode rules.
-
-``default_store`` historically ignored any configured path (every sqlite
-store was ``:memory:``); it now honours a durable path *template* with
-``{shard}``/``{service}`` placeholders, and refuses loudly when sharded
-workers would otherwise end up with throwaway or shared state.
-"""
-
-import os
+"""Store selection without a state directory: ``OASIS_STORE_BACKEND``
+takes ``memory`` or ``sqlite`` and nothing else."""
 
 import pytest
 
-from repro.db import (SqliteRecordStore, default_store, make_store,
-                      resolve_store_path)
-from repro.db import BACKEND_ENV, PATH_ENV
-
-
-class TestResolveStorePath:
-    def test_shard_placeholder_substituted(self):
-        assert resolve_store_path("/x/store-{shard}.db", shard=2) == \
-            "/x/store-2.db"
-
-    def test_service_placeholder_sanitized(self):
-        assert resolve_store_path("/x/{service}.db",
-                                  service="graph/A") == "/x/graph-A.db"
-
-    def test_service_suffix_appended_when_no_placeholder(self):
-        # META keys (e.g. the signing secret) are store-local: two
-        # services must never share one file.
-        assert resolve_store_path("/x/store.db", service="dom/svc") == \
-            "/x/store.db.dom-svc"
-
-    def test_shard_placeholder_without_shard_context_raises(self):
-        with pytest.raises(RuntimeError, match="shard"):
-            resolve_store_path("/x/store-{shard}.db")
-
-    def test_sharded_without_shard_placeholder_raises(self):
-        with pytest.raises(RuntimeError, match="placeholder"):
-            resolve_store_path("/x/store.db", shard=1)
-
-    def test_service_placeholder_without_service_raises(self):
-        with pytest.raises(RuntimeError, match="service"):
-            resolve_store_path("/x/{service}.db")
+from repro.db import BACKEND_ENV, SqliteRecordStore, default_store
 
 
 class TestDefaultStore:
     def test_memory_backend_is_storeless(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV, "memory")
-        assert default_store() is None
-        assert default_store(shard=3, service="dom/svc") is None
+        assert default_store(service="dom/svc") is None
+        monkeypatch.delenv(BACKEND_ENV)
+        assert default_store(service="dom/svc") is None
 
     def test_sqlite_without_path_stays_in_memory_single_process(
             self, monkeypatch):
         # The test-suite backend matrix depends on this: sqlite with no
-        # durable path exercises the durable write paths file-free.
+        # state directory exercises the durable write paths file-free.
         monkeypatch.setenv(BACKEND_ENV, "sqlite")
-        monkeypatch.delenv(PATH_ENV, raising=False)
         store = default_store(service="dom/svc")
         assert isinstance(store, SqliteRecordStore)
+        assert store.path == ":memory:"
+        store.close()
 
-    def test_sqlite_sharded_without_path_raises_loudly(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "sqlite")
-        monkeypatch.delenv(PATH_ENV, raising=False)
-        with pytest.raises(RuntimeError, match="sharded"):
-            default_store(shard=0, service="dom/svc")
-
-    def test_sqlite_sharded_path_without_shard_placeholder_raises(
-            self, monkeypatch, tmp_path):
-        monkeypatch.setenv(BACKEND_ENV, "sqlite")
-        monkeypatch.setenv(PATH_ENV, str(tmp_path / "one-file.db"))
-        with pytest.raises(RuntimeError, match="placeholder"):
-            default_store(shard=0, service="dom/svc")
-
-    def test_sqlite_sharded_template_gives_each_worker_its_own_file(
-            self, monkeypatch, tmp_path):
-        monkeypatch.setenv(BACKEND_ENV, "sqlite")
-        monkeypatch.setenv(PATH_ENV, str(tmp_path / "store-{shard}.db"))
-        for shard in (0, 1):
-            store = default_store(shard=shard, service="dom/svc")
-            assert isinstance(store, SqliteRecordStore)
-            store.close()
-        created = sorted(os.listdir(tmp_path))
-        assert created == ["store-0.db.dom-svc", "store-1.db.dom-svc"]
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown"):
-            make_store("rocksdb")
+    def test_unknown_backend_rejected(self, monkeypatch):
+        for backend in ("memory-mirror", "none", "rocksdb"):
+            monkeypatch.setenv(BACKEND_ENV, backend)
+            with pytest.raises(ValueError, match="memory or sqlite"):
+                default_store(service="dom/svc")
