@@ -1,13 +1,17 @@
 """``python -m repro`` — umbrella command-line entry point.
 
-Delegates to :mod:`repro.lang.cli`, which hosts both the policy tooling
-(``lint``, ``check``, ``format``, ``graph``, ``reach``) and the
-observability demos (``trace``, ``metrics``).
+``serve`` goes straight to :mod:`repro.netd.cli`, so a served node never
+imports the policy toolchain; every other command is
+:mod:`repro.lang.cli`'s (policy tooling ``lint``, ``check``, ``format``,
+``graph``, ``reach``, ``verify`` and the observability demos ``trace``,
+``metrics``).
 """
 
 import sys
 
-from .lang.cli import main
-
 if __name__ == "__main__":
+    if sys.argv[1:2] == ["serve"]:
+        from .netd.cli import main
+    else:
+        from .lang.cli import main
     sys.exit(main())

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, List, Optional, Tuple, Union
 
 from ..crypto.hmac_sig import (FieldValue, ServiceSecret, canonical_encode,
@@ -92,6 +92,23 @@ class CredentialRef:
         return self.qualified
 
 
+# The field sequences entering the signatures.  Their order is part of
+# the wire format and must never change; ``issue`` signs them before the
+# certificate exists, ``protected_fields`` rebuilds them to verify.
+def _rmc_fields(role: Role, ref: CredentialRef, issued_at: float,
+                bound_key: Optional[str]) -> Tuple[FieldValue, ...]:
+    return ("rmc", str(role.role_name), encode_parameters(role.parameters),
+            ref.as_field(), issued_at, bound_key)
+
+
+def _appointment_fields(name: str, parameters: Tuple[Term, ...],
+                        ref: CredentialRef, issued_at: float,
+                        expires_at: Optional[float],
+                        holder: Optional[str]) -> Tuple[FieldValue, ...]:
+    return ("appointment", name, encode_parameters(parameters),
+            ref.as_field(), issued_at, expires_at, holder)
+
+
 @dataclass(frozen=True, **DATACLASS_SLOTS)
 class RoleMembershipCertificate:
     """An RMC per Fig. 4.
@@ -113,27 +130,18 @@ class RoleMembershipCertificate:
                                      compare=False)
 
     def protected_fields(self) -> Tuple[FieldValue, ...]:
-        """The field sequence entering the signature (order is part of the
-        wire format and must never change)."""
-        return (
-            "rmc",
-            str(self.role.role_name),
-            encode_parameters(self.role.parameters),
-            self.ref.as_field(),
-            self.issued_at,
-            self.bound_key,
-        )
+        """The field sequence entering the signature."""
+        return _rmc_fields(self.role, self.ref, self.issued_at,
+                           self.bound_key)
 
     @classmethod
     def issue(cls, secret: ServiceSecret, issuer: ServiceId, role: Role,
               ref: CredentialRef, principal: PrincipalId, issued_at: float,
               bound_key: Optional[str] = None) -> "RoleMembershipCertificate":
         """Sign and return an RMC for ``principal``."""
-        unsigned = cls(issuer=issuer, role=role, ref=ref,
-                       issued_at=issued_at, bound_key=bound_key)
-        signature = sign_fields(secret, principal.value,
-                                unsigned.protected_fields())
-        return replace(unsigned, signature=signature)
+        signature = sign_fields(secret, principal.value, _rmc_fields(
+            role, ref, issued_at, bound_key))
+        return cls(issuer, role, ref, issued_at, bound_key, signature)
 
     def verify(self, secret: ServiceSecret, principal: PrincipalId) -> None:
         """Raise :class:`SignatureInvalid` unless the signature checks out
@@ -178,28 +186,21 @@ class AppointmentCertificate:
                                      compare=False)
 
     def protected_fields(self) -> Tuple[FieldValue, ...]:
-        return (
-            "appointment",
-            self.name,
-            encode_parameters(self.parameters),
-            self.ref.as_field(),
-            self.issued_at,
-            self.expires_at,
-            self.holder,
-        )
+        """The field sequence entering the signature."""
+        return _appointment_fields(self.name, self.parameters, self.ref,
+                                   self.issued_at, self.expires_at,
+                                   self.holder)
 
     @classmethod
     def issue(cls, secret: ServiceSecret, issuer: ServiceId, name: str,
               parameters: Tuple[Term, ...], ref: CredentialRef,
               issued_at: float, expires_at: Optional[float] = None,
               holder: Optional[str] = None) -> "AppointmentCertificate":
-        unsigned = cls(issuer=issuer, name=name, parameters=parameters,
-                       ref=ref, issued_at=issued_at, expires_at=expires_at,
-                       holder=holder, secret_generation=secret.generation)
         # Anonymous certificates MAC the empty principal id.
-        signature = sign_fields(secret, unsigned.holder or "",
-                                unsigned.protected_fields())
-        return replace(unsigned, signature=signature)
+        signature = sign_fields(secret, holder or "", _appointment_fields(
+            name, parameters, ref, issued_at, expires_at, holder))
+        return cls(issuer, name, parameters, ref, issued_at, expires_at,
+                   holder, secret.generation, signature)
 
     def verify(self, secret: ServiceSecret,
                presented_holder: Optional[str] = None) -> None:

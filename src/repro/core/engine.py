@@ -25,8 +25,7 @@ revocation dependencies of Fig. 5.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..obs import runtime as _obs_runtime
@@ -43,6 +42,7 @@ from .rules import (
     PrerequisiteRole,
 )
 from .terms import (
+    DATACLASS_SLOTS,
     EMPTY_SUBSTITUTION,
     Substitution,
     Term,
@@ -77,16 +77,39 @@ class ConditionFailure:
 Certificate = Union[RoleMembershipCertificate, AppointmentCertificate]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, **DATACLASS_SLOTS)
 class PresentedCredential:
     """A validated credential fact, as seen by the engine.
 
     Exactly one of the two certificate shapes, already past signature and
     callback validation.  ``ref`` is the credential's CRR — the handle the
     membership monitor subscribes on.
+
+    Built once per presented certificate per request, so construction
+    is kept cheap: the derived fields are plain assignments, not the
+    ``object.__setattr__`` calls a frozen dataclass makes.  Nothing
+    assigns to an instance after construction (equality and the hash
+    read only ``certificate``).
     """
 
     certificate: Certificate
+    #: Bucket key mirroring the condition-side keys in
+    #: :mod:`repro.core.rules`: equal keys ⇔ the kind/name/arity checks of
+    #: :meth:`matches_prerequisite` / :meth:`matches_appointment` pass.
+    index_key: Tuple = field(init=False, repr=False, compare=False)
+    parameter_values: Tuple[Term, ...] = field(init=False, repr=False,
+                                               compare=False)
+
+    def __post_init__(self) -> None:
+        certificate = self.certificate
+        if isinstance(certificate, RoleMembershipCertificate):
+            role = certificate.role
+            self.index_key = ("rmc", role.role_name, len(role.parameters))
+            self.parameter_values = role.parameters
+        else:
+            self.index_key = ("appointment", certificate.issuer,
+                              certificate.name, len(certificate.parameters))
+            self.parameter_values = certificate.parameters
 
     @property
     def ref(self) -> CredentialRef:
@@ -99,24 +122,6 @@ class PresentedCredential:
     @property
     def is_appointment(self) -> bool:
         return isinstance(self.certificate, AppointmentCertificate)
-
-    @cached_property
-    def index_key(self) -> Tuple:
-        """Bucket key mirroring the condition-side keys in
-        :mod:`repro.core.rules`: equal keys ⇔ the kind/name/arity checks of
-        :meth:`matches_prerequisite` / :meth:`matches_appointment` pass."""
-        certificate = self.certificate
-        if isinstance(certificate, RoleMembershipCertificate):
-            role = certificate.role
-            return ("rmc", role.role_name, len(role.parameters))
-        return ("appointment", certificate.issuer, certificate.name,
-                len(certificate.parameters))
-
-    @cached_property
-    def parameter_values(self) -> Tuple[Term, ...]:
-        if isinstance(self.certificate, RoleMembershipCertificate):
-            return self.certificate.role.parameters
-        return self.certificate.parameters
 
     def matches_prerequisite(self, condition: PrerequisiteRole) -> bool:
         if not self.is_rmc:

@@ -707,9 +707,10 @@ class OasisService:
             rmcs.append(rmc)
         if self._persist is not None:
             # One store round trip for the whole batch (write-behind on
-            # serialising backends, dict.update on the memory backend).
+            # serialising backends, dict.update on the memory backend),
+            # fed lazily: the records are held once, in ``records``.
             self._persist.put_many(
-                RECORDS, [(ref.qualified, records[ref]) for ref in refs])
+                RECORDS, ((ref.qualified, records[ref]) for ref in refs))
         self.stats.rmcs_issued += count
         return rmcs
 

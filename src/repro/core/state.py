@@ -569,12 +569,29 @@ class ServiceState:
         # A dead process may have committed entries it never synced; this
         # one is about to act on them (and cover hops with them).
         store.sync()
+        # The log tail first: only the records its cascades name need a
+        # lookup by qualified string.
+        cascades: List[Tuple[int, List[Event]]] = []
+        done: Set[int] = set()
+        max_serial = 0
+        for seq, entry in store.log_entries():
+            op = entry.get("op")
+            if op == "cascade":
+                cascades.append((seq, [Event.from_payload(payload)
+                                       for payload in entry.get("events",
+                                                                ())]))
+            elif op == "cascade-done":
+                done.add(entry["cascade_seq"])
+            elif op == "serial-reserve":
+                max_serial = max(max_serial, entry["value"])
+        named = {event.get("credential_ref")
+                 for _, events in cascades for event in events}
         records = self.records
         by_qualified: Dict[str, CredentialRecord] = {}
-        max_serial = 0
-        for key, record in store.scan(RECORDS):
+        for _, record in store.scan(RECORDS):
             records[record.ref] = record
-            by_qualified[record.ref.qualified] = record
+            if record.ref.qualified in named:
+                by_qualified[record.ref.qualified] = record
             if record.ref.serial > max_serial:
                 max_serial = record.ref.serial
         # Edges exist only for live credentials (revocation unlinks).
@@ -597,23 +614,9 @@ class ServiceState:
         # were fully published before the crash: repair record state
         # silently.  Cascades without one are the interrupted tail: apply
         # AND surface for re-audit + re-emission.
-        entries = store.log_entries()
-        done: Set[int] = set()
-        for seq, entry in entries:
-            if entry.get("op") == "cascade-done":
-                done.add(entry["cascade_seq"])
         interrupted: List[Tuple[Optional[CredentialRecord], Event]] = []
         pending: List[Tuple[int, List[Event]]] = []
-        for seq, entry in entries:
-            op = entry.get("op")
-            if op == "serial-reserve":
-                if entry["value"] > max_serial:
-                    max_serial = entry["value"]
-                continue
-            if op != "cascade":
-                continue
-            events = [Event.from_payload(payload)
-                      for payload in entry.get("events", ())]
+        for seq, events in cascades:
             is_pending = seq not in done
             for event in events:
                 qualified = event.get("credential_ref")

@@ -140,7 +140,9 @@ class RecordStore:
 
     def scan(self, bucket: str) -> Iterator[Tuple[str, Any]]:
         """All ``(key, value)`` pairs of ``bucket``, pending writes
-        included (a reader always sees its own write-behind buffer)."""
+        included (a reader always sees its own write-behind buffer).
+        The iterator may be a live view: do not write the store while
+        iterating it."""
         raise NotImplementedError
 
     def count(self, bucket: str) -> int:

@@ -55,7 +55,8 @@ from __future__ import annotations
 
 import json
 import sqlite3
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import (Any, Dict, Iterable, Iterator, List, Optional, Set,
+                    Tuple)
 
 from .kv import DELETED, RecordStore, StoreCodec, completed_log_seqs
 
@@ -75,6 +76,22 @@ CREATE TABLE IF NOT EXISTS log (
 """
 
 _APPEND = "INSERT INTO log (payload) VALUES (?)"
+_UPSERT = ("INSERT OR REPLACE INTO records (bucket, key, payload) "
+           "VALUES (?, ?, ?)")
+_REMOVE = "DELETE FROM records WHERE bucket=? AND key=?"
+_PROBE = "SELECT 1 FROM records WHERE bucket=? AND key=?"
+_SCAN_PAGE = 256
+_SCAN_FIRST = ("SELECT key, payload FROM records WHERE bucket=? "
+               f"ORDER BY key LIMIT {_SCAN_PAGE}")
+_SCAN_NEXT = ("SELECT key, payload FROM records WHERE bucket=? AND key>? "
+              f"ORDER BY key LIMIT {_SCAN_PAGE}")
+
+#: The one record-payload encoder: ``json.dumps(..., default=str)``
+#: would build a fresh encoder per record.
+_encode_json = json.JSONEncoder(default=str).encode
+
+#: ``scan``'s answer for a key the write-behind buffer does not hold.
+_DISK = object()
 
 
 class SqliteRecordStore(RecordStore):
@@ -153,41 +170,63 @@ class SqliteRecordStore(RecordStore):
                 return False
             pending[slot] = DELETED
             return True
-        on_disk = self._conn.execute(
-            "SELECT 1 FROM records WHERE bucket=? AND key=?",
-            (bucket, key)).fetchone() is not None
+        on_disk = self._conn.execute(_PROBE, slot).fetchone() is not None
         if on_disk:
             pending[slot] = DELETED
         return on_disk
 
     def scan(self, bucket: str) -> Iterator[Tuple[str, Any]]:
         self.scans += 1
+        return self._overlay(bucket, self._disk_rows(bucket))
+
+    def _disk_rows(self, bucket: str) -> Iterator[Tuple[str, str]]:
+        """The bucket's disk rows in key order, one page per query: no
+        statement stays open between pages, so a scan left unfinished
+        cannot hold a lock that a later flush's checkpoint runs into."""
+        page = self._conn.execute(_SCAN_FIRST, (bucket,)).fetchall()
+        while True:
+            yield from page
+            if len(page) < _SCAN_PAGE:
+                return
+            page = self._conn.execute(
+                _SCAN_NEXT, (bucket, page[-1][0])).fetchall()
+
+    def _overlay(self, bucket: str, rows: Iterable[Tuple[str, str]]
+                 ) -> Iterator[Tuple[str, Any]]:
+        """Stream ``rows`` with the write-behind buffer applied in place:
+        a buffered value replaces its disk row where it stands, a
+        tombstone drops it, and buffered keys with no disk row follow in
+        buffer order.  Only the buffered keys met on disk are held."""
         decode = self.codec.decode
-        merged: Dict[str, Any] = {
-            key: decode(bucket, json.loads(payload))
-            for key, payload in self._conn.execute(
-                "SELECT key, payload FROM records WHERE bucket=?",
-                (bucket,))}
-        for (pending_bucket, key), value in self._pending.items():
-            if pending_bucket != bucket:
-                continue
-            if value is DELETED:
-                merged.pop(key, None)
+        pending = self._pending
+        on_disk: Set[str] = set()
+        for key, payload in rows:
+            value = pending.get((bucket, key), _DISK)
+            if value is _DISK:
+                value = decode(bucket, json.loads(payload))
             else:
-                merged[key] = value
-        return iter(merged.items())
+                on_disk.add(key)
+                if value is DELETED:
+                    continue
+            yield key, value
+        yield from [(key, value)
+                    for (pending_bucket, key), value in pending.items()
+                    if pending_bucket == bucket and value is not DELETED
+                    and key not in on_disk]
 
     def count(self, bucket: str) -> int:
-        keys = {key for (key,) in self._conn.execute(
-            "SELECT key FROM records WHERE bucket=?", (bucket,))}
-        for (pending_bucket, key), value in self._pending.items():
-            if pending_bucket != bucket:
+        conn = self._conn
+        total = conn.execute("SELECT COUNT(*) FROM records WHERE bucket=?",
+                             (bucket,)).fetchone()[0]
+        for slot, value in self._pending.items():
+            if slot[0] != bucket:
                 continue
-            if value is DELETED:
-                keys.discard(key)
-            else:
-                keys.add(key)
-        return len(keys)
+            on_disk = conn.execute(_PROBE, slot).fetchone() is not None
+            if on_disk and value is DELETED:
+                total -= 1
+            elif not on_disk and value is not DELETED:
+                total += 1
+        return total
 
     # -- append log -----------------------------------------------------
     def log_append(self, entry: Dict[str, Any], durable: bool = False,
@@ -248,25 +287,22 @@ class SqliteRecordStore(RecordStore):
         self.release_held()
         self.flushes += 1
         conn = self._conn
-        if self._pending:
+        pending = self._pending
+        if pending:
+            # Generators, not lists: the rows are encoded one at a time as
+            # sqlite binds them, so a flush holds one encoded row beside
+            # the buffer.  A row whose encoding raises aborts the flush
+            # with the buffer intact; rows already bound stay in the open
+            # transaction, holding values the retried flush rewrites.
             encode = self.codec.encode
-            upserts = []
-            removals = []
-            for (bucket, key), value in self._pending.items():
-                if value is DELETED:
-                    removals.append((bucket, key))
-                else:
-                    upserts.append((bucket, key,
-                                    json.dumps(encode(bucket, value),
-                                               default=str)))
-            if upserts:
-                conn.executemany(
-                    "INSERT OR REPLACE INTO records (bucket, key, payload) "
-                    "VALUES (?, ?, ?)", upserts)
-            if removals:
-                conn.executemany(
-                    "DELETE FROM records WHERE bucket=? AND key=?", removals)
-            self._pending.clear()
+            conn.executemany(_UPSERT, (
+                (bucket, key, _encode_json(encode(bucket, value)))
+                for (bucket, key), value in pending.items()
+                if value is not DELETED))
+            conn.executemany(_REMOVE, (
+                slot for slot, value in pending.items()
+                if value is DELETED))
+            pending.clear()
         victims = completed_log_seqs(self.log_entries())
         if victims:
             conn.executemany("DELETE FROM log WHERE seq=?",

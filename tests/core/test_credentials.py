@@ -19,6 +19,7 @@ from repro.core import (
 )
 from repro.core.credentials import CredentialRefAllocator, encode_parameters
 from repro.core.exceptions import CredentialError
+from repro.core.wire import certificate_text
 from repro.crypto import ServiceSecret
 
 SVC = ServiceId("hospital", "records")
@@ -155,6 +156,47 @@ class TestAppointmentCertificate:
         fresh.verify(rotated, presented_holder="alice")
         assert fresh.ref == cert.ref
         assert fresh.name == cert.name
+
+
+class TestFixedInputs:
+    """Signatures and wire text from fixed inputs: the bytes every
+    issued certificate and every stored validation digest depend on."""
+
+    SECRET = ServiceSecret(key=b"k" * 32, generation=2)
+
+    def test_rmc_signature_and_text(self):
+        rmc = RoleMembershipCertificate.issue(
+            self.SECRET, SVC, Role(RoleName(SVC, "doctor"), ("alice", 7)),
+            CredentialRef(SVC, 41), PrincipalId("alice"), 1234.5,
+            "key:ab12")
+        assert rmc.signature.hex() == (
+            "cacb870762a83cca66325348b8d2e36e1ac9cde31b4caf6cad35956d28316e6d")
+        assert certificate_text(rmc) == (
+            '{"kind":"rmc","issuer":{"domain":"hospital","name":"records"},'
+            '"role_service":{"domain":"hospital","name":"records"},'
+            '"role_name":"doctor","parameters":["alice",{"t":"int","v":"7"}],'
+            '"serial":41,"issued_at":1234.5,"bound_key":"key:ab12",'
+            '"signature":"cacb870762a83cca66325348b8d2e36e1ac9cde31b4caf6cad3'
+            '5956d28316e6d"}')
+
+    def test_appointment_signature_and_text(self):
+        held = AppointmentCertificate.issue(
+            self.SECRET, SVC, "employed", ("alice", "nurse"),
+            CredentialRef(SVC, 42), 99.25, 500.0, "alice")
+        assert held.signature.hex() == (
+            "3719c2b4219f90e49d1c7870e7a93a430846f1f5670f55e0a64d201dcc5140d4")
+        assert certificate_text(held) == (
+            '{"kind":"appointment","issuer":{"domain":"hospital",'
+            '"name":"records"},"name":"employed","parameters":["alice",'
+            '"nurse"],"serial":42,"issued_at":99.25,"expires_at":500.0,'
+            '"holder":"alice","secret_generation":2,"signature":"3719c2b421'
+            '9f90e49d1c7870e7a93a430846f1f5670f55e0a64d201dcc5140d4"}')
+        anonymous = AppointmentCertificate.issue(
+            self.SECRET, SVC, "member", (), CredentialRef(SVC, 43), 1.0)
+        assert anonymous.signature.hex() == (
+            "c44a3e723fa8e9bf1c0eba0d3570f0f18e5bc1fdfd73f2fdcfcd64021eae2f43")
+        assert anonymous.secret_generation == 2
+        assert anonymous.wire_text is None
 
 
 class TestCredentialRecord:
