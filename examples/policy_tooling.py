@@ -96,7 +96,6 @@ def main() -> None:
     db.create_table("excluded", ["patient", "doctor"])
     services = {}
     for service_id, policy in deployed.items():
-        policy.validate()
         services[service_id.name] = hospital.add_service(
             policy, databases={"main": db})
     services["records"].register_method("read_record",

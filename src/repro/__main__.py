@@ -2,9 +2,9 @@
 
 ``serve`` goes straight to :mod:`repro.netd.cli`, so a served node never
 imports the policy toolchain; every other command is
-:mod:`repro.lang.cli`'s (policy tooling ``lint``, ``check``, ``format``,
-``graph``, ``reach``, ``verify`` and the observability demos ``trace``,
-``metrics``).
+:mod:`repro.lang.cli`'s (policy tooling ``lint`` and its alias
+``check``, ``format``, ``graph``, ``reach``, ``verify`` and the
+observability demos ``trace``, ``metrics``).
 """
 
 import sys

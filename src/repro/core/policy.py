@@ -10,25 +10,21 @@ service and contains:
 * authorization rules for the service's methods,
 * appointment rules saying which roles may issue which appointments.
 
-:meth:`ServicePolicy.validate` performs the static well-formedness checks a
-deployment tool would run: every rule targets a declared role with matching
-arity, at least one initial role exists if any role is reachable, and local
-prerequisite chains are acyclic (a cycle among this service's own roles
-would make the roles unactivatable, since activation strictly builds a tree
-rooted at an initial role).
+Each rule is checked as it is added (it must target a declared role of
+this service, with the declared arity).  Whole-policy analysis — orphan
+and unreachable roles, prerequisite cycles, cross-service flows — is the
+lint and verifier stack in :mod:`repro.lang`, which reads these tables.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set, Tuple, Union
+from typing import Dict, List, Tuple
 
 from .exceptions import PolicyError, UnknownRole
 from .rules import ActivationRule, AppointmentRule, AuthorizationRule
 from .types import RoleName, ServiceId
 
 __all__ = ["ServicePolicy"]
-
-RuleUnion = Union[ActivationRule, AuthorizationRule, AppointmentRule]
 
 
 class ServicePolicy:
@@ -37,17 +33,13 @@ class ServicePolicy:
     def __init__(self, service: ServiceId) -> None:
         self.service = service
         self._role_arity: Dict[str, int] = {}
-        self._activation_rules: Dict[str, List[ActivationRule]] = {}
-        self._authorization_rules: Dict[str, List[AuthorizationRule]] = {}
-        self._appointment_rules: Dict[str, List[AppointmentRule]] = {}
-        # Rule dispatch index: immutable per-target rule tuples handed to
-        # the hot activation/invocation paths without a per-call list copy.
-        # Keyed by (rule kind, target name); the target's arity is implied —
-        # every rule for a role carries the role's single declared arity
-        # (enforced in add_activation_rule).  Entries are invalidated when a
-        # rule is added for the target.
-        self._dispatch: Dict[Tuple[str, str],
-                             Tuple[RuleUnion, ...]] = {}
+        # Each target's rules as one tuple, replaced (never mutated) when a
+        # rule is added: the hot paths get the stored tuple without a copy,
+        # and a decision cached against the old tuple misses by identity.
+        self._activation_rules: Dict[str, Tuple[ActivationRule, ...]] = {}
+        self._authorization_rules: Dict[
+            str, Tuple[AuthorizationRule, ...]] = {}
+        self._appointment_rules: Dict[str, Tuple[AppointmentRule, ...]] = {}
 
     # -- role definitions ----------------------------------------------------
     def define_role(self, name: str, arity: int = 0) -> RoleName:
@@ -92,45 +84,33 @@ class ServicePolicy:
             raise PolicyError(
                 f"rule for {target.name!r} has arity {rule.target.arity}, "
                 f"role declared with arity {self.role_arity(target.name)}")
-        self._activation_rules.setdefault(target.name, []).append(rule)
-        self._dispatch.pop(("activation", target.name), None)
+        rules = self._activation_rules
+        rules[target.name] = rules.get(target.name, ()) + (rule,)
 
     def add_authorization_rule(self, rule: AuthorizationRule) -> None:
-        self._authorization_rules.setdefault(rule.method, []).append(rule)
-        self._dispatch.pop(("authorization", rule.method), None)
+        rules = self._authorization_rules
+        rules[rule.method] = rules.get(rule.method, ()) + (rule,)
 
     def add_appointment_rule(self, rule: AppointmentRule) -> None:
-        self._appointment_rules.setdefault(rule.name, []).append(rule)
-        self._dispatch.pop(("appointment", rule.name), None)
+        rules = self._appointment_rules
+        rules[rule.name] = rules.get(rule.name, ()) + (rule,)
 
     def activation_rules_for(self, role_name: str
                              ) -> Tuple[ActivationRule, ...]:
-        key = ("activation", role_name)
-        cached = self._dispatch.get(key)
-        if cached is None:
+        rules = self._activation_rules.get(role_name)
+        if rules is None:
             if not self.defines_role(role_name):
                 raise UnknownRole(
                     f"service {self.service} defines no role {role_name!r}")
-            cached = tuple(self._activation_rules.get(role_name, ()))
-            self._dispatch[key] = cached
-        return cached
+            return ()
+        return rules
 
     def authorization_rules_for(self, method: str
                                 ) -> Tuple[AuthorizationRule, ...]:
-        key = ("authorization", method)
-        cached = self._dispatch.get(key)
-        if cached is None:
-            cached = tuple(self._authorization_rules.get(method, ()))
-            self._dispatch[key] = cached
-        return cached
+        return self._authorization_rules.get(method, ())
 
     def appointment_rules_for(self, name: str) -> Tuple[AppointmentRule, ...]:
-        key = ("appointment", name)
-        cached = self._dispatch.get(key)
-        if cached is None:
-            cached = tuple(self._appointment_rules.get(name, ()))
-            self._dispatch[key] = cached
-        return cached
+        return self._appointment_rules.get(name, ())
 
     @property
     def guarded_methods(self) -> List[str]:
@@ -139,87 +119,3 @@ class ServicePolicy:
     @property
     def appointment_names(self) -> List[str]:
         return sorted(self._appointment_rules)
-
-    # -- analysis ------------------------------------------------------------
-    def initial_roles(self) -> List[str]:
-        """Roles with at least one rule lacking prerequisite roles."""
-        return sorted(
-            name for name, rules in self._activation_rules.items()
-            if any(rule.is_initial for rule in rules))
-
-    def local_prerequisites(self, role_name: str) -> Set[str]:
-        """Names of this service's own roles prerequisite to ``role_name``."""
-        result: Set[str] = set()
-        for rule in self._activation_rules.get(role_name, []):
-            for prereq in rule.prerequisite_roles():
-                target = prereq.template.role_name
-                if target.service == self.service:
-                    result.add(target.name)
-        return result
-
-    def _find_local_cycle(self) -> Optional[List[str]]:
-        """Return a cycle among local prerequisite edges, if any."""
-        WHITE, GREY, BLACK = 0, 1, 2
-        colour = {name: WHITE for name in self._role_arity}
-        stack: List[str] = []
-
-        def visit(name: str) -> Optional[List[str]]:
-            colour[name] = GREY
-            stack.append(name)
-            for dep in sorted(self.local_prerequisites(name)):
-                if colour.get(dep, WHITE) == GREY:
-                    return stack[stack.index(dep):] + [dep]
-                if colour.get(dep, WHITE) == WHITE:
-                    cycle = visit(dep)
-                    if cycle is not None:
-                        return cycle
-            stack.pop()
-            colour[name] = BLACK
-            return None
-
-        for name in sorted(self._role_arity):
-            if colour[name] == WHITE:
-                cycle = visit(name)
-                if cycle is not None:
-                    return cycle
-        return None
-
-    def validate(self) -> None:
-        """Raise :class:`PolicyError` on any well-formedness violation."""
-        for name in self._role_arity:
-            if name not in self._activation_rules:
-                raise PolicyError(
-                    f"role {name!r} declared but has no activation rule — "
-                    f"it can never be activated")
-        cycle = self._find_local_cycle()
-        if cycle is not None:
-            raise PolicyError(
-                "cyclic local prerequisite chain: " + " -> ".join(cycle))
-        needs_initial = any(
-            not rule.is_initial
-            for rules in self._activation_rules.values() for rule in rules)
-        has_cross_service_prereq = any(
-            prereq.template.role_name.service != self.service
-            for rules in self._activation_rules.values() for rule in rules
-            for prereq in rule.prerequisite_roles())
-        if needs_initial and not self.initial_roles() \
-                and not has_cross_service_prereq:
-            raise PolicyError(
-                f"service {self.service} has dependent roles but no initial "
-                f"role and no cross-service prerequisites — no session could "
-                f"ever activate anything here")
-
-    def describe(self) -> str:
-        """A human-readable dump of the whole policy."""
-        lines = [f"policy of {self.service}"]
-        for name in self.role_names:
-            lines.append(f"  role {name}/{self.role_arity(name)}")
-            for rule in self._activation_rules.get(name, []):
-                lines.append(f"    {rule}")
-        for method in self.guarded_methods:
-            for rule in self._authorization_rules[method]:
-                lines.append(f"  {rule}")
-        for app in self.appointment_names:
-            for rule in self._appointment_rules[app]:
-                lines.append(f"  {rule}")
-        return "\n".join(lines)

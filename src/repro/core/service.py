@@ -690,11 +690,8 @@ class OasisService:
         service_id = self.id
         records = self._records
         link = self._link_dependent
-        rmcs: List[RoleMembershipCertificate] = []
         for ref, (principal, role, dependencies, session_id) \
                 in zip(refs, entries):
-            rmc = RoleMembershipCertificate.issue(
-                secret, service_id, role, ref, principal, now)
             record = CredentialRecord(
                 ref=ref, kind="rmc", principal=principal, issued_at=now,
                 membership_dependencies=tuple(dependencies),
@@ -704,15 +701,19 @@ class OasisService:
                 link(dependency.qualified, ref)
             self._audit(AccessKind.ACTIVATION, principal.value,
                         str(role.role_name), detail=role.parameters)
-            rmcs.append(rmc)
         if self._persist is not None:
             # One store round trip for the whole batch (write-behind on
             # serialising backends, dict.update on the memory backend),
-            # fed lazily: the records are held once, in ``records``.
+            # fed lazily: the records are held once, in ``records``.  It
+            # runs before minting, so no certificate list is live during
+            # the auto-flush it may trigger.
             self._persist.put_many(
                 RECORDS, ((ref.qualified, records[ref]) for ref in refs))
         self.stats.rmcs_issued += count
-        return rmcs
+        return [RoleMembershipCertificate.issue(
+                    secret, service_id, role, ref, principal, now)
+                for ref, (principal, role, _dependencies, _session_id)
+                in zip(refs, entries)]
 
     # ------------------------------------------------------------------
     # Service invocation (Fig. 2 paths 3-4)

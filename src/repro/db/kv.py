@@ -1,13 +1,13 @@
 """The keyed-record storage interface behind the service state core.
 
-ROADMAP item 2: every piece of issuer-side security state — credential
+Every piece of issuer-side security state — credential
 records (the CRs of Fig. 4), cached validation keys, recovery metadata —
 lives behind ONE storage discipline: named *buckets* of ``key -> record``
 pairs with batch variants, plus an append-only log used to make revocation
 cascades crash-consistent.  The discipline deliberately mirrors
 attribute-bucket stores (one interface, not one schema per subsystem): a
 backend only has to speak five verbs (get/put/delete/scan + log-append) to
-host a service.
+host a service (see docs/persistence.md).
 
 Two backends ship here and in :mod:`repro.db.sqlite_store`:
 

@@ -8,6 +8,8 @@ Commands:
   text (caret excerpts), JSON, or SARIF 2.1.0 output; ``--select`` /
   ``--ignore`` filter by code; ``--strict`` makes warnings fail the
   build.  Exit status 1 on any error (or warning with ``--strict``).
+* ``check <paths...>`` — another name for ``lint``: the same parser,
+  options and output.
 * ``verify <paths...>`` — whole-universe symbolic verification
   (:mod:`repro.lang.verify`): compile every policy into one
   cross-service rule graph and check privilege-flow properties
@@ -15,13 +17,6 @@ Commands:
   ``revocation-sound``).  ``--assume-revoked REF`` re-checks the
   post-revocation universe; refuted properties are reported as OAS1xx
   diagnostics with witness derivation trees.
-
-Exit status convention (lint/verify): 0 clean, 1 findings, 2 usage or
-internal error.
-* ``check <paths...>`` — parse, compile and validate every policy file,
-  then run the lint passes, one ``severity[slug] subject: message`` line
-  per diagnostic.  Exit status 1 when any error-severity finding (or a
-  parse failure) occurs; ``--strict`` extends that to warnings.
 * ``format <file>`` — print the canonical pretty-printed form (useful for
   normalising policies before review/diff).
 * ``graph <paths...>`` — print the cross-service role dependency edges
@@ -32,6 +27,9 @@ internal error.
   Fig. 5 revocation cascade under the tracing pipeline and print the
   causal trace tree / exported metric families.  Also reachable as
   ``python -m repro trace`` etc.
+
+Exit status convention (lint/verify): 0 clean, 1 findings, 2 usage or
+internal error.
 """
 
 from __future__ import annotations
@@ -87,38 +85,6 @@ def _print_source_error(error: Exception) -> None:
             print(excerpt, file=sys.stderr)
 
 
-def _cmd_check(args: argparse.Namespace) -> int:
-    try:
-        policies, universe = load_policies(args.paths,
-                                           allow_unresolved=True)
-    except (ParseError, PolicyError) as error:
-        _print_source_error(error)
-        return 1
-    except (ValueError, OSError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    status = 0
-    for service, policy in sorted(policies.items(), key=lambda kv: str(kv[0])):
-        try:
-            policy.validate()
-            print(f"ok: {service} ({len(policy.role_names)} roles)")
-        except PolicyError as error:
-            print(f"error: {service}: {error}", file=sys.stderr)
-            status = 1
-    diagnostics = universe.diagnose()
-    for d in diagnostics:
-        stream = sys.stderr if d.severity == "error" else sys.stdout
-        print(f"{d.severity}[{d.name}] {d.subject}: {d.message}",
-              file=stream)
-        if d.severity == "error":
-            status = 1
-        elif d.severity == "warning" and args.strict:
-            status = 1
-    if not diagnostics:
-        print("lint: clean")
-    return status
-
-
 class _UsageError(Exception):
     """A CLI usage problem already reported to stderr (exit status 2)."""
 
@@ -126,8 +92,10 @@ class _UsageError(Exception):
 def _load_lint_units(paths: List[str]):
     """Discover, parse and deduplicate policy files for lint/verify.
 
-    Returns ``(files, units, diagnostics)`` where ``diagnostics`` holds
-    the OAS000 findings for unparsable or duplicated files.  Raises
+    Returns ``(files, universe, diagnostics)`` where ``diagnostics`` holds
+    the OAS000 findings for unparsable or duplicated files; the universe's
+    ``sources`` keep an unparsable file's text too, so its finding is
+    reported with a caret excerpt.  Raises
     :class:`_UsageError` (after printing) for empty path sets and I/O
     failures.
     """
@@ -139,14 +107,18 @@ def _load_lint_units(paths: List[str]):
         raise _UsageError
 
     units = []
+    unparsed = {}
     diagnostics: List[Diagnostic] = []
     seen_services = {}
     for path in files:
         try:
-            unit = load_unit(path, allow_unresolved=True)
-        except (ParseError, PolicyError) as error:
-            diagnostics.append(_parse_diagnostic(path, error))
-            continue
+            try:
+                unit = load_unit(path, allow_unresolved=True)
+            except (ParseError, PolicyError) as error:
+                diagnostics.append(_parse_diagnostic(path, error))
+                with open(path, "r", encoding="utf-8") as handle:
+                    unparsed[path] = handle.read()
+                continue
         except OSError as error:
             print(f"error: {error}", file=sys.stderr)
             raise _UsageError from error
@@ -159,7 +131,9 @@ def _load_lint_units(paths: List[str]):
             continue
         seen_services[unit.service] = path
         units.append(unit)
-    return files, units, diagnostics
+    universe = PolicyUniverse.from_units(units)
+    universe.sources.update(unparsed)
+    return files, universe, diagnostics
 
 
 def _report(diagnostics: List[Diagnostic], universe: PolicyUniverse,
@@ -195,10 +169,9 @@ def _report(diagnostics: List[Diagnostic], universe: PolicyUniverse,
 
 def _cmd_lint(args: argparse.Namespace) -> int:
     try:
-        files, units, diagnostics = _load_lint_units(args.paths)
+        files, universe, diagnostics = _load_lint_units(args.paths)
     except _UsageError:
         return 2
-    universe = PolicyUniverse.from_units(units)
     diagnostics.extend(run_passes(universe))
     return _report(diagnostics, universe, args,
                    f"lint: clean ({len(files)} file(s), "
@@ -208,10 +181,9 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     try:
-        files, units, diagnostics = _load_lint_units(args.paths)
+        files, universe, diagnostics = _load_lint_units(args.paths)
     except _UsageError:
         return 2
-    universe = PolicyUniverse.from_units(units)
     try:
         report = verify_universe(
             universe, args.property or (),
@@ -293,12 +265,14 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.lang.cli",
-        description="OASIS policy tooling: lint, check, format, graph, "
-                    "reach — plus observability demos (trace, metrics)")
+        description="OASIS policy tooling: lint (alias check), verify, "
+                    "format, graph, reach — plus observability demos "
+                    "(trace, metrics)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     lint = sub.add_parser(
-        "lint", help="static analysis with OASxxx diagnostics")
+        "lint", aliases=["check"],
+        help="static analysis with OASxxx diagnostics")
     lint.add_argument("paths", nargs="+")
     lint.add_argument("--format", choices=("text", "json", "sarif"),
                       default="text", help="report format")
@@ -336,12 +310,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     verify.add_argument("--ignore", action="append", metavar="CODES",
                         help="drop these codes; repeatable")
     verify.set_defaults(func=_cmd_verify)
-
-    check = sub.add_parser("check", help="validate and lint policy files")
-    check.add_argument("paths", nargs="+")
-    check.add_argument("--strict", action="store_true",
-                       help="warnings also fail the build")
-    check.set_defaults(func=_cmd_check)
 
     fmt = sub.add_parser("format", help="canonical pretty-print")
     fmt.add_argument("file")

@@ -149,7 +149,7 @@ class Diagnostic:
 
     @property
     def name(self) -> str:
-        """The code's kebab-case slug, as ``check`` prints it and
+        """The code's kebab-case slug, as the JSON report carries it and
         ``--select`` / ``--ignore`` accept it."""
         return CODES[self.code].name
 

@@ -1,4 +1,4 @@
-"""Real socket transport: OASIS services over TCP (ROADMAP 1).
+"""Real socket transport: OASIS services over TCP (docs/networking.md).
 
 Everything before this package ran in one Python process over the
 simulated substrate (:mod:`repro.net.sim`).  ``repro.netd`` is where the

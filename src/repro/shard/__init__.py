@@ -1,4 +1,4 @@
-"""Horizontal scale-out: sharded multi-worker OASIS (ROADMAP item 3).
+"""Horizontal scale-out: sharded multi-worker OASIS (docs/scaling.md).
 
 Partitions credential records and live sessions across N worker
 processes by ``CredentialRef`` hash and carries revocation cascades

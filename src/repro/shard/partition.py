@@ -1,6 +1,6 @@
 """Credential partitioning: which shard owns which ``CredentialRef``.
 
-The scale-out design (ROADMAP item 3, docs/scaling.md) partitions
+The scale-out design (docs/scaling.md) partitions
 credential records and live sessions across N worker processes **by
 CredentialRef hash**: shard ``crc32(ref.qualified) % shards`` owns the
 record, receives the revocation for it, and runs its cascade.

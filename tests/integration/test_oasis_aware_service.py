@@ -18,6 +18,7 @@ from repro.core import (
     Var,
 )
 from repro.domains import Deployment
+from repro.lang import PolicyUniverse
 from repro.scenarios import build_hospital
 
 
@@ -46,7 +47,8 @@ class TestOasisAwareService:
     def test_defines_no_roles(self, world):
         _, _, printer = world
         assert printer.policy.role_names == []
-        printer.policy.validate()  # no roles, no activation rules: fine
+        # No roles, no activation rules: nothing for the lint to flag.
+        assert PolicyUniverse([printer.policy]).diagnose() == []
 
     def test_foreign_role_authorises_use(self, world):
         deployment, hospital, printer = world

@@ -130,9 +130,9 @@ class TestParseErrorPositions:
         bad = tmp_path / "bad.oasis"
         bad.write_text("service hospital/x\nrole !bad\nrole ok(u)\n")
         assert main(["check", str(bad)]) == 1
-        err = capsys.readouterr().err
-        assert f"{bad}:2:" in err
-        assert "^" in err
+        out = capsys.readouterr().out
+        assert f"{bad}:2:" in out
+        assert "^" in out
 
     def test_cli_format_prints_caret(self, tmp_path, capsys):
         bad = tmp_path / "bad.oasis"

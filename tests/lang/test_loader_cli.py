@@ -62,20 +62,20 @@ class TestCli:
         status = main(["check", str(policy_dir)])
         out = capsys.readouterr().out
         assert status == 0
-        assert "ok: hospital/login" in out
+        assert "lint: clean (2 file(s), 2 service(s))" in out
 
     def test_check_reports_errors(self, policy_dir, capsys):
         (policy_dir / "broken.oasis").write_text(BROKEN)
         status = main(["check", str(policy_dir)])
-        err = capsys.readouterr().err
+        out = capsys.readouterr().out
         assert status == 1
-        assert "unknown-role" in err
+        assert "broken.oasis:3:28: error[OAS002]" in out
 
     def test_check_parse_failure(self, tmp_path, capsys):
         (tmp_path / "bad.oasis").write_text("this is not policy")
         status = main(["check", str(tmp_path)])
         assert status == 1
-        assert "error" in capsys.readouterr().err
+        assert "bad.oasis:1:1: error[OAS000]" in capsys.readouterr().out
 
     def test_format_prints_canonical(self, policy_dir, capsys):
         status = main(["format", str(policy_dir / "login.oasis")])
@@ -110,7 +110,7 @@ class TestCli:
         status = main(["check", "--strict", str(policy_dir)])
         out = capsys.readouterr().out
         assert status == 1
-        assert "passive-dependency" in out
+        assert "warning[OAS006]" in out
 
     def test_check_strict_passes_when_clean(self, tmp_path, capsys):
         (tmp_path / "clean.oasis").write_text(
@@ -120,6 +120,26 @@ class TestCli:
             "authorize use() <- a(u)\n")
         assert main(["check", "--strict", str(tmp_path)]) == 0
         assert "lint: clean" in capsys.readouterr().out
+
+    def test_check_is_lint(self, tmp_path, capsys):
+        # One gate: `check` honours the pragmas, filters and reporters
+        # `lint` does, with the same exit status and the same report.
+        (tmp_path / "login.oasis").write_text(LOGIN)
+        (tmp_path / "audit.oasis").write_text(
+            "service hospital/audit\n"
+            "role auditor(u)\n"
+            "activate auditor(u) <- hospital/login:logged_in_user(u)"
+            "  # oasis: ignore[OAS006]\n"
+            "authorize view() <- auditor(a)\n")
+        runs = {}
+        for argv in (["--strict"], ["--strict", "--format", "json"],
+                     ["--select", "OAS006"]):
+            for command in ("check", "lint"):
+                status = main([command, *argv, str(tmp_path)])
+                runs[command] = (status, capsys.readouterr())
+            assert runs["check"] == runs["lint"], argv
+        assert runs["lint"][0] == 0
+        assert runs["lint"][1].out.startswith("lint: clean")
 
     def test_graph(self, policy_dir, capsys):
         status = main(["graph", str(policy_dir)])
