@@ -27,7 +27,7 @@ from repro.core import (
     Var,
 )
 from repro.domains import Deployment
-from repro.netd.worlds import login_policy, national_policy, registry_policy
+from repro.netd.worlds import patient_records_for, shipped_policy
 
 from workloads import record_result
 
@@ -35,13 +35,14 @@ from workloads import record_result
 def build_world(n_hospitals=1):
     deployment = Deployment()
     national = deployment.create_domain("national-ehr")
-    registry = national.add_service(registry_policy())
+    registry = national.add_service(shipped_policy("ehr/registry"))
     names = [f"hospital-{index}" for index in range(n_hospitals)]
 
     hospitals = []
     for name in names:
         domain = deployment.create_domain(name)
-        login = domain.add_service(login_policy(name))
+        login = domain.add_service(
+            shipped_policy("ehr/login", domains={"hospital": name}))
         # Treating needs a login only here: no admin, no allocation.
         records_policy = ServicePolicy(domain.service_id("records"))
         treating = records_policy.define_role("treating_doctor", 2)
@@ -53,7 +54,7 @@ def build_world(n_hospitals=1):
         records = domain.add_service(records_policy)
         hospitals.append((domain, login, records))
 
-    national_svc = national.add_service(national_policy(hospitals=names))
+    national_svc = national.add_service(patient_records_for(names))
     national_svc.register_method("request_EHR", lambda p: f"EHR[{p}]")
 
     registrar_session = Principal("registrar").start_session(registry,

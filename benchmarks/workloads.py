@@ -29,8 +29,8 @@ from repro.core import (
 from repro.db import Database
 from repro.events import EventBroker
 from repro.net import Scheduler, SimClock
-from repro.netd.worlds import admin_policy, chain_policies, login_policy
-from repro.scenarios.healthcare import records_db_policy
+from repro.netd.worlds import chain, shipped_policy
+from repro.scenarios.healthcare import RECORDS_CONSTRAINTS
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -61,10 +61,11 @@ class HospitalWorld:
                                 cache_validations=cache_validations,
                                 **kwargs)
 
-        self.login = service(login_policy())
-        self.admin = service(admin_policy())
-        self.records = service(records_db_policy(),
-                               databases={"main": self.db})
+        self.login = service(shipped_policy("ehr/login"))
+        self.admin = service(shipped_policy("ehr/admin"))
+        self.records = service(
+            shipped_policy("hospital/records", RECORDS_CONSTRAINTS),
+            databases={"main": self.db})
         self.records.register_method("read_record",
                                      lambda pat: f"EHR[{pat}]")
 
@@ -102,7 +103,7 @@ class ChainWorld:
                          cache_validations=cache_validations,
                          **({} if store_factory is None
                             else {"store": store_factory()}))
-            for policy in chain_policies(depth)]
+            for policy in chain(depth)]
 
     def build_session(self, user: str = "user"):
         principal = Principal(user)

@@ -6,7 +6,8 @@ The paper's policy-management thread ([1]) calls automatic deployment and
 consistency checking "essential ... for any large-scale deployment".  This
 example shows the full pipeline:
 
-1. load the hospital's ``.oasis`` policy files (examples/policies/);
+1. load the hospital's shipped ``.oasis`` policy files
+   (src/repro/netd/policies/);
 2. run the cross-service analysis: dependency graph, reachability, lint;
 3. demonstrate the lint catching two realistic mistakes — a *passive
    dependency* (credential outside the membership rule, so revocation
@@ -24,13 +25,13 @@ from repro.core import (
 from repro.domains import Deployment
 from repro.lang import PolicyUniverse, load_policies, parse_policy
 from repro.lang.verify import build_graph, run_fixpoint
+from repro.netd.worlds import POLICY_DIR
 
-POLICY_DIR = os.path.join(os.path.dirname(__file__), "policies")
-# buggy_clinic.oasis also lives in that directory, but it is the linter's
-# golden fixture of seeded defects (docs/policy-analysis.md), not part of
-# the deployed hospital.
+# The hospital's policies as the package ships them: login and admin as
+# the served EHR nodes run them, and records with its database lookups.
 POLICY_FILES = [os.path.join(POLICY_DIR, name)
-                for name in ("admin.oasis", "login.oasis", "records.oasis")]
+                for name in ("ehr/admin.oasis", "ehr/login.oasis",
+                             "hospital/records.oasis")]
 
 
 def main() -> None:

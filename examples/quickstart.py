@@ -17,7 +17,7 @@ from repro.core import (
     Principal,
 )
 from repro.domains import Deployment
-from repro.lang import parse_policy
+from repro.policy import parse_policy
 
 
 def main() -> None:

@@ -21,12 +21,13 @@ from repro.core import (
 )
 from repro.db import Database
 from repro.lang import Endowment, GroundReachability, load_policies
+from repro.netd.worlds import POLICY_DIR
 
-POLICY_DIR = os.path.join(os.path.dirname(__file__), "policies")
-# Only the hospital's deployed policies — buggy_clinic.oasis in the same
-# directory is the linter's golden fixture (docs/policy-analysis.md).
+# The hospital's policies as the package ships them: login and admin as
+# the served EHR nodes run them, and records with its database lookups.
 POLICY_FILES = [os.path.join(POLICY_DIR, name)
-                for name in ("admin.oasis", "login.oasis", "records.oasis")]
+                for name in ("ehr/admin.oasis", "ehr/login.oasis",
+                             "hospital/records.oasis")]
 
 LOGIN = ServiceId("hospital", "login")
 ADMIN = ServiceId("hospital", "admin")

@@ -1,8 +1,8 @@
-"""The OASIS policy definition language (the paper's [1] thread).
+"""Analysis tooling for the OASIS policy language (the paper's [1] thread).
 
-``parse_policy(text, registry)`` turns policy text into an executable
-:class:`~repro.core.policy.ServicePolicy`; ``format_document`` renders
-parsed policy back to canonical text.
+The front end — ``parse_policy``, ``format_document`` and the AST — lives
+in :mod:`repro.policy`, which runtime code imports; it is re-exported
+here for the tooling's callers.
 
 Analysis is one stack: a :class:`PolicyUniverse` (:mod:`.universe`) holds
 the policies under review, :mod:`.verify` compiles it into one rule graph
@@ -12,23 +12,13 @@ every finding is a :class:`Diagnostic`.  :class:`GroundReachability` asks
 the different, exact, per-principal question of the same universe.
 """
 
-from .ast import (
-    ActivateStmt,
-    AppointStmt,
-    AppointmentAtom,
-    ArgConst,
-    ArgVar,
-    AuthorizeStmt,
-    ConstraintAtom,
-    PolicyDocument,
-    RoleAtom,
-    RoleDecl,
-    SourceSpan,
+from ..policy import (
+    ActivateStmt, AppointStmt, AppointmentAtom, ArgConst, ArgVar,
+    AuthorizeStmt, ConstraintAtom, LexError, ParseError, PolicyDocument,
+    RoleAtom, RoleDecl, SourceSpan, Token, UnresolvedConstraint,
+    compile_document, format_document, parse_document, parse_policy,
+    tokenize,
 )
-from .lexer import LexError, Token, tokenize
-from .parser import ParseError, parse_document
-from .compiler import UnresolvedConstraint, compile_document, parse_policy
-from .printer import format_document
 from .diagnostics import (
     CODES,
     CodeInfo,

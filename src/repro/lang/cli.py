@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 from ..core.exceptions import PolicyError
 from .diagnostics import (
@@ -47,19 +47,14 @@ from .diagnostics import (
     render_sarif,
     render_text,
 )
-from .loader import discover_policy_files, load_policies, load_unit
-from .parser import ParseError, parse_document
+from .loader import discover_policy_files, load_unit
+from ..policy.parser import ParseError, parse_document
+from ..policy.printer import format_document
 from .passes import run_passes
-from .printer import format_document
 from .universe import PolicyUniverse
 from .verify import PropertyError, build_graph, run_fixpoint, verify_universe
 
 __all__ = ["main"]
-
-
-def _load(paths: List[str]) -> PolicyUniverse:
-    _, universe = load_policies(paths, allow_unresolved=True)
-    return universe
 
 
 def _print_source_error(error: Exception) -> None:
@@ -234,20 +229,40 @@ def _cmd_format(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_graph(args: argparse.Namespace) -> int:
-    for prereq, dependent in build_graph(_load(args.paths)).role_edges():
-        print(f"{prereq} -> {dependent}")
+def _run_report(paths: List[str],
+                report: Callable[[PolicyUniverse], None]) -> int:
+    """Load ``paths`` as ``lint`` does and print ``report``; an unparsable
+    or duplicated file is an OAS000 finding instead (exit 1)."""
+    try:
+        _, universe, diagnostics = _load_lint_units(paths)
+    except _UsageError:
+        return 2
+    if diagnostics:
+        print(render_text(diagnostics, universe.sources))
+        return 1
+    report(universe)
     return 0
 
 
-def _cmd_reach(args: argparse.Namespace) -> int:
-    universe = _load(args.paths)
+def _print_graph(universe: PolicyUniverse) -> None:
+    for prereq, dependent in build_graph(universe).role_edges():
+        print(f"{prereq} -> {dependent}")
+
+
+def _print_reach(universe: PolicyUniverse) -> None:
     closure = run_fixpoint(build_graph(universe))
     for role in universe.all_roles():
         marker = "reachable  " if closure.role_reachable(role) \
             else "UNREACHABLE"
         print(f"{marker}  {role}")
-    return 0
+
+
+def _cmd_graph(args: argparse.Namespace) -> int:
+    return _run_report(args.paths, _print_graph)
+
+
+def _cmd_reach(args: argparse.Namespace) -> int:
+    return _run_report(args.paths, _print_reach)
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:

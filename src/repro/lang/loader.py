@@ -16,9 +16,9 @@ from ..core.constraints import ConstraintRegistry
 from ..core.exceptions import PolicyError
 from ..core.policy import ServicePolicy
 from ..core.types import ServiceId
-from .ast import PolicyDocument
-from .compiler import compile_document
-from .parser import ParseError, parse_document
+from ..policy.ast import PolicyDocument
+from ..policy.compiler import compile_document
+from ..policy.parser import ParseError, parse_document
 from .universe import PolicyUniverse
 
 __all__ = ["POLICY_SUFFIX", "PolicyUnit", "load_policy_file",

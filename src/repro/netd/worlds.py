@@ -8,9 +8,9 @@ a factory ``factory(ctx, *args)`` returning an object with a
 only world contract there is: the same factory runs served, sharded, and
 in one process on a context with no network.
 
-Every node rebuilds the *policies* it needs locally (policies are
-code), but hosts only its own services: the Fig. 3 EHR deployment
-splits into
+Every node compiles the *policies* it needs locally from the ``.oasis``
+files shipped in ``policies/`` beside this module, but hosts only its own
+services: the Fig. 3 EHR deployment (``policies/ehr/``) splits into
 
 * :func:`ehr_front` — hospital ``login`` + ``admin`` (issues the
   ``allocated`` appointment, the cascade's root);
@@ -21,43 +21,34 @@ splits into
   validating treating RMCs by callback to the records node and caching
   the results (the ECRs).
 
-Their policy builders are the only copies of the Fig. 3 rules, as
-:func:`chain_policies` is of the Fig. 5 chain.
-
-Cross-service references (the admin service's id in the records policy,
-the foreign ``treating_doctor`` role in the national policy) are plain
-identifiers — :class:`~repro.core.types.ServiceId` /
-:class:`~repro.core.types.RoleName` — so no node needs another node's
-live objects.
+Those files are the only copies of the Fig. 3 rules and the texts CI's
+strict ``lint`` and ``verify`` gates read, so what a node serves is what
+was analysed; :func:`chain` generates the Fig. 5 chain's text.
+Cross-service references (the admin service in the records policy, the
+foreign ``treating_doctor`` role in the national one) are names in that
+text, so no node needs another node's live objects.
 """
 
 from __future__ import annotations
 
+import os
 import time
-from typing import (Any, Callable, Dict, List, Mapping, Optional, Sequence,
-                    Tuple)
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
-from ..core.policy import ServicePolicy
-from ..core.rules import (
-    ActivationRule,
-    AppointmentCondition,
-    AppointmentRule,
-    AuthorizationRule,
-    PrerequisiteRole,
-)
 from ..core.access_log import AccessLog
+from ..core.constraints import ConstraintRegistry
+from ..core.policy import ServicePolicy
 from ..core.service import OasisService, Presentation, ServiceRegistry
 from ..core.state import ServiceStateCodec
-from ..core.terms import Var
-from ..core.types import PrincipalId, Role, RoleName, RoleTemplate, ServiceId
+from ..core.types import PrincipalId, Role, RoleName
 from ..db import Database, default_store
 from ..events import EventBroker
+from ..policy import parse_policy
 
 __all__ = ["NodeContext", "World", "resolve_factory",
            "ehr_front", "ehr_records", "ehr_national", "bench_world",
-           "login_policy", "admin_policy", "records_policy",
-           "registry_policy", "national_policy", "chain_policies",
-           "ScaleWorld"]
+           "POLICY_DIR", "shipped_policy", "patient_records_for",
+           "chain", "ScaleWorld"]
 
 
 class World:
@@ -131,115 +122,68 @@ def resolve_factory(spec: str) -> Callable[..., Any]:
     return factory
 
 
-# -- Fig. 3 policies, shared between the three EHR nodes ----------------------
+# -- the shipped policies -----------------------------------------------------
+
+#: The ``.oasis`` files the worlds serve (package data): the same texts
+#: CI's strict ``lint`` and ``verify`` gates read.
+POLICY_DIR = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                          "policies")
 
 HOSPITAL = "hospital"
 NATIONAL = "national-ehr"
 
 
-def login_policy(domain: str = HOSPITAL) -> ServicePolicy:
-    policy = ServicePolicy(ServiceId(domain, "login"))
-    logged_in = policy.define_role("logged_in_user", 1)
-    policy.add_activation_rule(
-        ActivationRule(RoleTemplate(logged_in, (Var("u"),))))
-    return policy
+def shipped_policy(name: str,
+                   registry: Optional[ConstraintRegistry] = None,
+                   domains: Optional[Mapping[str, str]] = None
+                   ) -> ServicePolicy:
+    """Compile ``policies/<name>.oasis`` (``"ehr/login"``, say): its
+    ``where`` atoms bound by ``registry``, its domains renamed by
+    ``domains``."""
+    path = os.path.join(POLICY_DIR, f"{name}.oasis")
+    with open(path, "r", encoding="utf-8") as handle:
+        return parse_policy(handle.read(), registry, domains=domains)
 
 
-def admin_policy(domain: str = HOSPITAL) -> ServicePolicy:
-    policy = ServicePolicy(ServiceId(domain, "admin"))
-    administrator = policy.define_role("administrator", 1)
-    logged_in = RoleName(ServiceId(domain, "login"), "logged_in_user")
-    policy.add_activation_rule(ActivationRule(
-        RoleTemplate(administrator, (Var("u"),)),
-        (PrerequisiteRole(RoleTemplate(logged_in, (Var("u"),)),
-                          membership=True),)))
-    policy.add_appointment_rule(AppointmentRule(
-        "allocated", (Var("d"), Var("p")),
-        (PrerequisiteRole(RoleTemplate(administrator, (Var("a"),))),)))
-    return policy
+def patient_records_for(hospitals: Sequence[str] = (HOSPITAL,),
+                           domain: str = NATIONAL) -> ServicePolicy:
+    """``ehr/patient-records`` for ``hospitals``: the file compiled once
+    per hospital, with the later compiles' authorization rules appended
+    to the first's."""
+    first, *others = [
+        shipped_policy("ehr/patient-records",
+                       domains={HOSPITAL: hospital, NATIONAL: domain})
+        for hospital in hospitals]
+    for other in others:
+        for method in other.guarded_methods:
+            for rule in other.authorization_rules_for(method):
+                first.add_authorization_rule(rule)
+    return first
 
 
-def records_policy() -> ServicePolicy:
-    """``treating_doctor`` on login and allocation alone: the served node
-    has no database (see :mod:`repro.scenarios.healthcare`)."""
-    policy = ServicePolicy(ServiceId(HOSPITAL, "records"))
-    treating = policy.define_role("treating_doctor", 2)
-    logged_in = RoleName(ServiceId(HOSPITAL, "login"), "logged_in_user")
-    policy.add_activation_rule(ActivationRule(
-        RoleTemplate(treating, (Var("d"), Var("p"))),
-        (PrerequisiteRole(RoleTemplate(logged_in, (Var("d"),)),
-                          membership=True),
-         AppointmentCondition(ServiceId(HOSPITAL, "admin"), "allocated",
-                              (Var("d"), Var("p")), membership=True))))
-    policy.add_authorization_rule(AuthorizationRule(
-        "read_record", (Var("p"),),
-        (PrerequisiteRole(RoleTemplate(treating, (Var("d"), Var("p")))),)))
-    return policy
-
-
-def registry_policy(domain: str = NATIONAL) -> ServicePolicy:
-    policy = ServicePolicy(ServiceId(domain, "registry"))
-    registrar = policy.define_role("registrar", 0)
-    policy.add_activation_rule(ActivationRule(RoleTemplate(registrar)))
-    policy.add_appointment_rule(AppointmentRule(
-        "accredited_hospital", (Var("h"),),
-        (PrerequisiteRole(RoleTemplate(registrar)),)))
-    return policy
-
-
-def national_policy(domain: str = NATIONAL,
-                    hospitals: Sequence[str] = (HOSPITAL,)
-                    ) -> ServicePolicy:
-    """Patient record management: an accredited ``hospital`` gateway may
-    request or append to an EHR on behalf of a doctor holding the
-    (foreign) ``treating_doctor`` role of one of ``hospitals``."""
-    policy = ServicePolicy(ServiceId(domain, "patient-records"))
-    hospital_role = policy.define_role("hospital", 1)
-    policy.add_activation_rule(ActivationRule(
-        RoleTemplate(hospital_role, (Var("h"),)),
-        (AppointmentCondition(ServiceId(domain, "registry"),
-                              "accredited_hospital", (Var("h"),),
-                              membership=True),)))
-    for hospital in hospitals:
-        treating_foreign = RoleTemplate(
-            RoleName(ServiceId(hospital, "records"), "treating_doctor"),
-            (Var("d"), Var("p")))
-        for method, params in (("request_EHR", (Var("p"),)),
-                               ("append_to_EHR", (Var("p"), Var("entry")))):
-            policy.add_authorization_rule(AuthorizationRule(
-                method, params,
-                (PrerequisiteRole(RoleTemplate(hospital_role, (Var("h"),))),
-                 PrerequisiteRole(treating_foreign))))
-    return policy
-
-
-def chain_policies(depth: int) -> List[ServicePolicy]:
-    """The Fig. 5 chain (Fig. 1's role dependency, repeated): ``dom/svc-0``
-    grants a free ``role``, and ``svc-i``'s requires ``svc-(i-1)``'s as a
-    membership condition, so revoking the root collapses every hop."""
-    policies = []
-    conditions: Tuple[PrerequisiteRole, ...] = ()
-    for level in range(depth + 1):
-        policy = ServicePolicy(ServiceId("dom", f"svc-{level}"))
-        role = RoleTemplate(policy.define_role("role", 1), (Var("u"),))
-        policy.add_activation_rule(ActivationRule(role, conditions))
-        conditions = (PrerequisiteRole(role, membership=True),)
-        policies.append(policy)
-    return policies
+def chain(depth: int) -> List[ServicePolicy]:
+    """The Fig. 5 chain (Fig. 1's role dependency, repeated), compiled
+    from generated text: ``dom/svc-0`` grants a free ``role``, and
+    ``svc-i``'s requires ``svc-(i-1)``'s as a membership condition, so
+    revoking the root collapses every hop."""
+    return [parse_policy(
+        f"service dom/svc-{level}\n\nrole role(u)\n\nactivate role(u)"
+        + (f" <-\n    dom/svc-{level - 1}:role(u)*\n" if level else "\n"))
+        for level in range(depth + 1)]
 
 
 # -- node factories -----------------------------------------------------------
 
 def ehr_front(ctx: NodeContext) -> World:
     """Hospital front node: login + admin."""
-    login = ctx.service(login_policy())
-    admin = ctx.service(admin_policy())
+    login = ctx.service(shipped_policy("ehr/login"))
+    admin = ctx.service(shipped_policy("ehr/admin"))
     return World({"login": login, "admin": admin})
 
 
 def ehr_records(ctx: NodeContext) -> World:
     """Hospital records node: ``treating_doctor``."""
-    records = ctx.service(records_policy())
+    records = ctx.service(shipped_policy("ehr/records"))
     store: Dict[str, list] = {}
     records.register_method("read_record",
                             lambda pat: list(store.get(pat, [])))
@@ -248,8 +192,8 @@ def ehr_records(ctx: NodeContext) -> World:
 
 def ehr_national(ctx: NodeContext) -> World:
     """National EHR node: registry + patient record management."""
-    registry = ctx.service(registry_policy())
-    national = ctx.service(national_policy())
+    registry = ctx.service(shipped_policy("ehr/registry"))
+    national = ctx.service(patient_records_for())
     ehr_store: Dict[str, list] = {"p1": ["2019: appendectomy",
                                          "2023: allergy noted"]}
     national.register_method("request_EHR",
@@ -266,32 +210,9 @@ def ehr_national(ctx: NodeContext) -> World:
 def bench_world(ctx: NodeContext) -> World:
     """One service with a free role — the minimal target for measuring
     raw RPC overhead (activation throughput, revocation latency)."""
-    policy = ServicePolicy(ServiceId("bench", "svc"))
-    user = policy.define_role("user", 1)
-    policy.add_activation_rule(
-        ActivationRule(RoleTemplate(user, (Var("u"),))))
-    policy.add_authorization_rule(AuthorizationRule(
-        "echo", (Var("x"),),
-        (PrerequisiteRole(RoleTemplate(user, (Var("u"),))),)))
-    service = ctx.service(policy)
+    service = ctx.service(shipped_policy("bench/svc"))
     service.register_method("echo", lambda x: x)
     return World({"svc": service})
-
-
-def scale_policies() -> List[ServicePolicy]:
-    """``scale/login`` grants a free ``root`` role; ``scale/resource``
-    grants ``leaf`` on root membership (one Fig. 5 edge per live
-    session) and guards ``use`` on it."""
-    login = ServicePolicy(ServiceId("scale", "login"))
-    root = RoleTemplate(login.define_role("root", 1), (Var("u"),))
-    login.add_activation_rule(ActivationRule(root))
-    resource = ServicePolicy(ServiceId("scale", "resource"))
-    leaf = RoleTemplate(resource.define_role("leaf", 1), (Var("u"),))
-    resource.add_activation_rule(ActivationRule(
-        leaf, (PrerequisiteRole(root, membership=True),)))
-    resource.add_authorization_rule(AuthorizationRule(
-        "use", (Var("u"),), (PrerequisiteRole(leaf),)))
-    return [login, resource]
 
 
 class ScaleWorld(World):
@@ -309,7 +230,8 @@ class ScaleWorld(World):
     CHUNK = 50_000
 
     def __init__(self, ctx: NodeContext) -> None:
-        login, resource = scale_policies()
+        login = shipped_policy("scale/login")
+        resource = shipped_policy("scale/resource")
         self.root_role = RoleName(login.service, "root")
         self.leaf_role = RoleName(resource.service, "leaf")
         self.db = Database("scale-db")

@@ -26,20 +26,11 @@ import argparse
 import json
 from typing import Tuple
 
-from ..core import (
-    ActivationRule,
-    OasisService,
-    PrerequisiteRole,
-    Principal,
-    RoleTemplate,
-    ServiceId,
-    ServicePolicy,
-    ServiceRegistry,
-    Var,
-)
+from ..core import OasisService, Principal, ServiceRegistry
 from ..events import EventBroker
 from ..net import SimClock
-from ..netd.worlds import chain_policies
+from ..netd.worlds import chain
+from ..policy import parse_policy
 from .export import (
     metrics_to_json_dict,
     render_prometheus,
@@ -69,7 +60,7 @@ def run_chain_cascade(depth: int = 16, cascade_only: bool = True,
         broker = EventBroker()
         registry = ServiceRegistry()
         services = [OasisService(policy, broker, registry, clock)
-                    for policy in chain_policies(depth)]
+                    for policy in chain(depth)]
         principal = Principal("alice")
         session = principal.start_session(services[0], "role", ["alice"])
         rmcs = [session.root_rmc]
@@ -97,18 +88,13 @@ def run_denied_activation(obs: Observability) -> None:
         clock = SimClock()
         broker = EventBroker()
         registry = ServiceRegistry()
-        login_policy = ServicePolicy(ServiceId("dom", "login"))
-        logged_in = login_policy.define_role("logged_in", 1)
-        logged_template = RoleTemplate(logged_in, (Var("u"),))
-        login_policy.add_activation_rule(ActivationRule(logged_template))
-        login = OasisService(login_policy, broker, registry, clock)
-
-        desk_policy = ServicePolicy(ServiceId("dom", "desk"))
-        clerk = desk_policy.define_role("clerk", 1)
-        desk_policy.add_activation_rule(ActivationRule(
-            RoleTemplate(clerk, (Var("u"),)),
-            (PrerequisiteRole(logged_template, membership=True),)))
-        desk = OasisService(desk_policy, broker, registry, clock)
+        login = OasisService(parse_policy(
+            "service dom/login\nrole logged_in(u)\nactivate logged_in(u)\n"),
+            broker, registry, clock)
+        desk = OasisService(parse_policy(
+            "service dom/desk\nrole clerk(u)\n"
+            "activate clerk(u) <- dom/login:logged_in(u)*\n"),
+            broker, registry, clock)
 
         alice = Principal("alice")
         alice.start_session(login, "logged_in", ["alice"])  # granted

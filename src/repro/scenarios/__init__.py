@@ -8,11 +8,11 @@ Each builder assembles a complete, ready-to-drive cast on a
 * :func:`build_galleries` — reciprocal group membership (Sect. 5);
 * :func:`build_clinic` — the anonymous genetic clinic (Sect. 5).
 
-The healthcare builders take their policies from :mod:`repro.netd.worlds`
-(plus :func:`~repro.scenarios.healthcare.records_db_policy`), as do the
-served EHR nodes, the test fixtures and the benchmarks: each Fig. 3 rule
-set is declared once.  Teaching examples that walk through a policy
-spell it out on purpose.
+The healthcare builders compile the shipped ``.oasis`` files the served
+EHR nodes serve (:func:`repro.netd.worlds.shipped_policy`), as do the
+test fixtures and the benchmarks: each Fig. 3 rule set is declared once,
+as text that CI's ``lint`` and ``verify`` gates read.  Teaching examples
+that walk through a policy spell it out on purpose.
 """
 
 from .healthcare import (

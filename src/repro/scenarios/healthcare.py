@@ -4,9 +4,11 @@ Builds, on a :class:`~repro.domains.Deployment`, the cast used throughout
 the paper: a hospital domain (login, admin, records services with the
 ``treating_doctor(doc, pat)`` role) and optionally the national EHR domain
 of Fig. 3 (registry + patient record management service).  The policies
-are the served EHR nodes' (:mod:`repro.netd.worlds`), except that this
-hospital's records service has a database: :func:`records_db_policy`
-adds the registration and exclusion lookups.
+are the shipped files the served EHR nodes compile
+(:func:`repro.netd.worlds.shipped_policy`), except that this hospital's
+records service has a database: it runs ``hospital/records.oasis``,
+whose registration and exclusion lookups :data:`RECORDS_CONSTRAINTS`
+binds.
 """
 
 from __future__ import annotations
@@ -15,45 +17,28 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 from ..core.credentials import AppointmentCertificate, RoleMembershipCertificate
-from ..core.rules import (ActivationRule, AppointmentCondition,
-                          AuthorizationRule, ConstraintCondition,
-                          PrerequisiteRole)
-from ..core.constraints import DatabaseLookupConstraint
-from ..core.policy import ServicePolicy
+from ..core.constraints import ConstraintRegistry, DatabaseLookupConstraint
 from ..core.service import OasisService, Presentation
 from ..core.session import Principal, Session
-from ..core.terms import Var
-from ..core.types import RoleName, RoleTemplate, ServiceId
 from ..db import Database
 from ..domains.domain import Deployment, Domain
-from ..netd.worlds import (admin_policy, login_policy, national_policy,
-                           registry_policy)
+from ..netd.worlds import (HOSPITAL, NATIONAL, patient_records_for,
+                           shipped_policy)
 
-__all__ = ["HospitalScenario", "NationalEhrScenario",
-           "build_hospital", "build_national_ehr", "records_db_policy"]
+__all__ = ["HospitalScenario", "NationalEhrScenario", "RECORDS_CONSTRAINTS",
+           "build_hospital", "build_national_ehr"]
 
 
-def records_db_policy(domain: str = "hospital") -> ServicePolicy:
-    """Records over a ``main`` database: ``treating_doctor`` holds while
-    the pair is ``registered``; ``excluded`` doctors may not read."""
-    policy = ServicePolicy(ServiceId(domain, "records"))
-    treating = policy.define_role("treating_doctor", 2)
-    logged_in = RoleName(ServiceId(domain, "login"), "logged_in_user")
-    policy.add_activation_rule(ActivationRule(
-        RoleTemplate(treating, (Var("d"), Var("p"))),
-        (PrerequisiteRole(RoleTemplate(logged_in, (Var("d"),)),
-                          membership=True),
-         AppointmentCondition(ServiceId(domain, "admin"), "allocated",
-                              (Var("d"), Var("p")), membership=True),
-         ConstraintCondition(DatabaseLookupConstraint.exists(
-             "main", "registered", doctor=Var("d"), patient=Var("p")),
-             membership=True))))
-    policy.add_authorization_rule(AuthorizationRule(
-        "read_record", (Var("p"),),
-        (PrerequisiteRole(RoleTemplate(treating, (Var("d"), Var("p")))),
-         ConstraintCondition(DatabaseLookupConstraint.not_exists(
-             "main", "excluded", patient=Var("p"), doctor=Var("d"))))))
-    return policy
+#: Binds ``hospital/records.oasis``'s ``where`` atoms to the records
+#: service's ``main`` database: ``treating_doctor`` holds while the pair
+#: is ``registered``, and ``excluded`` doctors may not read.
+RECORDS_CONSTRAINTS = ConstraintRegistry()
+RECORDS_CONSTRAINTS.register(
+    "registered", lambda d, p: DatabaseLookupConstraint.exists(
+        "main", "registered", doctor=d, patient=p))
+RECORDS_CONSTRAINTS.register(
+    "not_excluded", lambda p, d: DatabaseLookupConstraint.not_exists(
+        "main", "excluded", patient=p, doctor=d))
 
 
 @dataclass
@@ -114,10 +99,12 @@ def build_hospital(deployment: Deployment,
     db.create_table("registered", ["doctor", "patient"])
     db.create_table("excluded", ["patient", "doctor"])
 
-    login = domain.add_service(login_policy(domain_name))
-    admin = domain.add_service(admin_policy(domain_name))
-    records = domain.add_service(records_db_policy(domain_name),
-                                 databases={"main": db})
+    domains = {HOSPITAL: domain_name}
+    login = domain.add_service(shipped_policy("ehr/login", domains=domains))
+    admin = domain.add_service(shipped_policy("ehr/admin", domains=domains))
+    records = domain.add_service(
+        shipped_policy("hospital/records", RECORDS_CONSTRAINTS, domains),
+        databases={"main": db})
 
     scenario = HospitalScenario(deployment=deployment, domain=domain,
                                 db=db, login=login, admin=admin,
@@ -192,9 +179,10 @@ def build_national_ehr(deployment: Deployment,
     """Assemble the national EHR domain and accredit ``hospitals``."""
     domain = deployment.create_domain(domain_name)
 
-    registry = domain.add_service(registry_policy(domain_name))
-    patient_records = domain.add_service(national_policy(
-        domain_name, [hospital.domain.name for hospital in hospitals]))
+    registry = domain.add_service(shipped_policy(
+        "ehr/registry", domains={NATIONAL: domain_name}))
+    patient_records = domain.add_service(patient_records_for(
+        [hospital.domain.name for hospital in hospitals], domain_name))
 
     ehr_store: Dict[str, List[str]] = {}
     patient_records.register_method(

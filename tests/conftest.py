@@ -20,8 +20,8 @@ from repro.core import OasisService, Principal, ServiceRegistry
 from repro.db import Database
 from repro.events import EventBroker
 from repro.net import Scheduler, SimClock
-from repro.netd.worlds import admin_policy, login_policy
-from repro.scenarios.healthcare import records_db_policy
+from repro.netd.worlds import shipped_policy
+from repro.scenarios.healthcare import RECORDS_CONSTRAINTS
 
 
 @dataclass
@@ -68,9 +68,10 @@ def build_hospital(cache_validations: bool = True) -> Hospital:
         return OasisService(policy, broker, registry, clock,
                             cache_validations=cache_validations, **kwargs)
 
-    login = service(login_policy())
-    admin = service(admin_policy())
-    records = service(records_db_policy(), databases={"main": db})
+    login = service(shipped_policy("ehr/login"))
+    admin = service(shipped_policy("ehr/admin"))
+    records = service(shipped_policy("hospital/records", RECORDS_CONSTRAINTS),
+                      databases={"main": db})
     records.register_method("read_record", lambda pat: f"EHR[{pat}]")
 
     return Hospital(clock=clock, scheduler=scheduler, broker=broker,

@@ -1,5 +1,7 @@
 """Tests for compiling policy documents to executable ServicePolicy."""
 
+import os
+
 import pytest
 
 from repro.core import (
@@ -13,6 +15,7 @@ from repro.core import (
     Var,
 )
 from repro.lang import parse_policy
+from repro.netd.worlds import POLICY_DIR
 
 HEADER = "service hospital/records\n"
 
@@ -89,6 +92,33 @@ class TestCompile:
         with pytest.raises(PolicyError, match="unknown constraint"):
             parse_policy(HEADER + "role b(u)\n"
                          "activate b(u) <- where mystery(u)", registry)
+
+    def test_unknown_constraint_carries_its_position(self):
+        # The same position the no-registry error reports: a typo in a
+        # shipped world file names its line when a node boots.
+        with open(os.path.join(POLICY_DIR, "hospital", "records.oasis"),
+                  encoding="utf-8") as handle:
+            text = handle.read()
+        for registry in (ConstraintRegistry(), None):
+            with pytest.raises(PolicyError) as caught:
+                parse_policy(text, registry)
+            assert (caught.value.line, caught.value.column) == (9, 5)
+
+    def test_domains_rename_every_domain_the_text_names(self):
+        policy = parse_policy(
+            HEADER + "role treating(d, p)\n"
+            "activate treating(d, p) <- hospital/login:user(d)*,\n"
+            "    appointment hospital/admin:allocated(d, p)*,\n"
+            "    other/login:user(p)\n",
+            domains={"hospital": "st-marys"})
+        assert policy.service == ServiceId("st-marys", "records")
+        (rule,) = policy.activation_rules_for("treating")
+        role, appointment, foreign = rule.conditions
+        assert role.template.role_name.service == ServiceId(
+            "st-marys", "login")
+        assert appointment.issuer == ServiceId("st-marys", "admin")
+        assert foreign.template.role_name.service == ServiceId(
+            "other", "login")
 
     def test_undeclared_head_role_rejected(self, registry):
         with pytest.raises(PolicyError, match="undeclared"):

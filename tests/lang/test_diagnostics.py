@@ -22,16 +22,18 @@ from repro.lang.diagnostics import (
     render_text,
 )
 from repro.lang.loader import load_unit
-from repro.lang.parser import ParseError, parse_document
+from repro.policy.parser import ParseError, parse_document
 from repro.lang.passes import run_passes
 from repro.lang.universe import PolicyUniverse
+from repro.netd.worlds import POLICY_DIR
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 BUGGY = os.path.join(REPO_ROOT, "examples", "policies",
                      "buggy_clinic.oasis")
-CLEAN = [os.path.join(REPO_ROOT, "examples", "policies", name)
-         for name in ("admin.oasis", "login.oasis", "records.oasis")]
+CLEAN = [os.path.join(POLICY_DIR, name)
+         for name in ("ehr/admin.oasis", "ehr/login.oasis",
+                      "hospital/records.oasis")]
 
 
 # -- the code registry ---------------------------------------------------------

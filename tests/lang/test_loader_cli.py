@@ -169,6 +169,36 @@ class TestCli:
         assert "UNREACHABLE  hospital/broken:needs_ghost" in out
         assert "reachable    hospital/login:logged_in_user" in out
 
+    @pytest.mark.parametrize("command", ["graph", "reach"])
+    def test_report_names_an_unparsable_file(self, policy_dir, capsys,
+                                             command):
+        (policy_dir / "bad.oasis").write_text(
+            "service hospital/bad\nrole r(u)\nactivate r(u) <- $\n")
+        status = main([command, str(policy_dir)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert "bad.oasis:3:18: error[OAS000]" in captured.out
+        assert "internal error" not in captured.err
+
+    @pytest.mark.parametrize("command", ["graph", "reach"])
+    def test_report_names_a_duplicated_service(self, policy_dir, capsys,
+                                               command):
+        (policy_dir / "dup.oasis").write_text(LOGIN)
+        status = main([command, str(policy_dir)])
+        captured = capsys.readouterr()
+        assert status == 1
+        assert "error[OAS000]" in captured.out
+        assert "service hospital/login already defined" in captured.out
+        assert "internal error" not in captured.err
+
+    @pytest.mark.parametrize("command", ["graph", "reach"])
+    def test_report_of_no_policy_files_is_a_usage_error(self, tmp_path,
+                                                        capsys, command):
+        (tmp_path / "notes.txt").write_text("not a policy")
+        assert main([command, str(tmp_path)]) == 2
+        assert ("no .oasis policy files found"
+                in capsys.readouterr().err)
+
     def test_lint_clean(self, tmp_path, capsys):
         (tmp_path / "clean.oasis").write_text(
             "service hospital/clean\n"

@@ -11,11 +11,18 @@ from repro.lang import PolicyUniverse, load_policies, parse_policy, run_passes
 from repro.lang.cli import main
 from repro.lang.loader import discover_policy_files, load_units
 from repro.lang.verify import verify_universe
+from repro.netd.worlds import POLICY_DIR
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
-POLICY_FILES = discover_policy_files(
-    os.path.join(REPO_ROOT, "examples", "policies"))
+# The golden fixtures beside the hospital's shipped login, admin and
+# database-backed records, in basename order (the subsets' ids).
+POLICY_FILES = sorted(
+    discover_policy_files(os.path.join(REPO_ROOT, "examples", "policies"))
+    + [os.path.join(POLICY_DIR, name)
+       for name in ("ehr/login.oasis", "ehr/admin.oasis",
+                    "hospital/records.oasis")],
+    key=os.path.basename)
 SUBSETS = [list(subset)
            for size in range(1, len(POLICY_FILES) + 1)
            for subset in itertools.combinations(POLICY_FILES, size)]

@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from repro.lang import format_document, parse_document
-from repro.lang.ast import (
+from repro.policy.ast import (
     ActivateStmt,
     AppointStmt,
     AppointmentAtom,

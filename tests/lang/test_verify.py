@@ -25,14 +25,17 @@ from repro.lang.verify import (
     verify_universe,
     witness_for,
 )
+from repro.netd.worlds import POLICY_DIR as SHIPPED_DIR
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))
 POLICY_DIR = os.path.join(REPO_ROOT, "examples", "policies")
 BUGGY_PAIR = [os.path.join(POLICY_DIR, "buggy_clinic.oasis"),
               os.path.join(POLICY_DIR, "buggy_clinic_hr.oasis")]
-CLEAN_TRIO = [os.path.join(POLICY_DIR, name)
-              for name in ("login.oasis", "admin.oasis", "records.oasis")]
+# The hospital's shipped login and admin and its database-backed records.
+CLEAN_TRIO = [os.path.join(SHIPPED_DIR, name)
+              for name in ("ehr/login.oasis", "ehr/admin.oasis",
+                           "hospital/records.oasis")]
 SNAPSHOT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                         "snapshots", "escalation_witness.txt")
 
@@ -77,8 +80,8 @@ class TestGraph:
 
     def test_out_of_universe_reference_is_external(self):
         graph = build_graph(_universe(
-            [os.path.join(POLICY_DIR, "records.oasis"),
-             os.path.join(POLICY_DIR, "login.oasis")]))
+            [os.path.join(SHIPPED_DIR, "hospital", "records.oasis"),
+             os.path.join(SHIPPED_DIR, "ehr", "login.oasis")]))
         external = {str(atom) for atom in graph.external}
         assert external == {"appointment hospital/admin:allocated/2"}
 
