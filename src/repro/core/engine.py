@@ -20,6 +20,11 @@ The result of a successful evaluation is a :class:`RuleMatch`, which records
 the binding plus *which credential satisfied which condition*.  The service
 layer reads the membership-flagged rows out of the match to wire up the
 revocation dependencies of Fig. 5.
+
+A failed evaluation is explained by the same solver: the ``explain_*``
+methods find the deepest prefix of the body, in canonical order, that it
+can satisfy, and report the condition after that prefix as the failing one
+(a :class:`ConditionFailure`).
 """
 
 from __future__ import annotations
@@ -28,18 +33,15 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from ..obs import runtime as _obs_runtime
 from .constraints import EvaluationContext
 from .credentials import AppointmentCertificate, CredentialRef, RoleMembershipCertificate
 from .exceptions import ActivationDenied, PolicyError
 from .rules import (
     ActivationRule,
-    AppointmentCondition,
     AppointmentRule,
     AuthorizationRule,
     Condition,
     ConstraintCondition,
-    PrerequisiteRole,
 )
 from .terms import (
     DATACLASS_SLOTS,
@@ -56,18 +58,15 @@ from .types import Role
 __all__ = ["PresentedCredential", "RuleMatch", "MatchedCondition",
            "ConditionFailure", "CredentialIndex", "RuleEngine"]
 
-#: Buckets for the unification-step histogram (steps per activation match).
-STEP_BUCKETS = (1, 2, 5, 10, 20, 50, 100, 200, 500, 1000)
-
-
 @dataclass(frozen=True)
 class ConditionFailure:
     """Why a rule body could not be satisfied (see ``explain_*``).
 
     ``kind`` is one of the failure kinds documented in
-    :mod:`repro.obs.explain`; ``condition`` is the deepest condition (in
-    canonical order) at which the search frontier died, None for
-    rule-level failures (``head-mismatch``, ``unbound-parameters``).
+    :mod:`repro.obs.explain`; ``condition`` is the first condition (in
+    canonical order) that fails under every solution of the conditions
+    before it, None for rule-level failures (``head-mismatch``,
+    ``unbound-parameters``).
     """
 
     kind: str
@@ -94,8 +93,8 @@ class PresentedCredential:
 
     certificate: Certificate
     #: Bucket key mirroring the condition-side keys in
-    #: :mod:`repro.core.rules`: equal keys ⇔ the kind/name/arity checks of
-    #: :meth:`matches_prerequisite` / :meth:`matches_appointment` pass.
+    #: :mod:`repro.core.rules`: equal keys ⇔ the credential has the kind,
+    #: name and arity the condition needs.
     index_key: Tuple = field(init=False, repr=False, compare=False)
     parameter_values: Tuple[Term, ...] = field(init=False, repr=False,
                                                compare=False)
@@ -114,32 +113,6 @@ class PresentedCredential:
     @property
     def ref(self) -> CredentialRef:
         return self.certificate.ref
-
-    @property
-    def is_rmc(self) -> bool:
-        return isinstance(self.certificate, RoleMembershipCertificate)
-
-    @property
-    def is_appointment(self) -> bool:
-        return isinstance(self.certificate, AppointmentCertificate)
-
-    def matches_prerequisite(self, condition: PrerequisiteRole) -> bool:
-        if not self.is_rmc:
-            return False
-        role = self.certificate.role
-        return (role.role_name == condition.template.role_name
-                and role.arity == condition.template.arity)
-
-    def matches_appointment(self, condition: AppointmentCondition) -> bool:
-        if not self.is_appointment:
-            return False
-        cert = self.certificate
-        return (cert.issuer == condition.issuer
-                and cert.name == condition.name
-                and len(cert.parameters) == len(condition.parameters))
-
-    def parameters(self) -> Tuple[Term, ...]:
-        return self.parameter_values
 
 
 @dataclass(frozen=True)
@@ -226,27 +199,13 @@ class RuleEngine:
     seed's scan-and-slice solver lives on as the differential suites'
     oracle (``tests/reference/``), which overrides :meth:`_solve`; both
     produce the same solutions with identically ordered matched rows.
+    The ``explain_*`` methods run the same solver over canonical-order
+    prefixes of the body, so a denial is explained by the search that
+    decided it.
     """
 
     def __init__(self, context: EvaluationContext) -> None:
         self.context = context
-        # Last (credentials, index) pair for callers that pass the same
-        # endowment repeatedly without a prebuilt index.  Only tuples are
-        # memoized: the strong reference keeps the identity check valid and
-        # a tuple's contents cannot change under us.
-        self._index_memo: Optional[Tuple[Sequence[PresentedCredential],
-                                         CredentialIndex]] = None
-        # Observability snapshot (see repro.obs.runtime): None keeps every
-        # hot path on a single attribute-load-plus-branch guard.  When a
-        # pipeline is installed, activation matches count unification
-        # steps into this histogram.
-        self._obs = _obs_runtime.pipeline()
-        self._step_counter: Optional[List[int]] = None
-        if self._obs is not None:
-            self._steps_histogram = self._obs.metrics.histogram(
-                "oasis_unification_steps", STEP_BUCKETS,
-                help_text="unification attempts + constraint evaluations "
-                          "per activation match")
 
     # -- public entry points -------------------------------------------------
     def match_activation(self, rule: ActivationRule,
@@ -266,30 +225,19 @@ class RuleEngine:
         then supply it explicitly.
         """
         context = context or self.context
-        obs = self._obs
-        if obs is not None:
-            # Arm the step counter for the duration so the solver's
-            # counting closure is selected (see :meth:`_solve_indexed`).
-            steps = [0]
-            self._step_counter = steps
-        try:
-            unbound_error: Optional[ActivationDenied] = None
-            for match, role in self.enumerate_activations(
-                    rule, credentials, context, requested_parameters, index):
-                if role is None:
-                    unbound_error = ActivationDenied(
-                        f"rule for {rule.target.role_name} satisfied but "
-                        f"leaves parameters unbound; supply them in the "
-                        f"activation request")
-                    continue
-                return match, role
-            if unbound_error is not None:
-                raise unbound_error
-            return None
-        finally:
-            if obs is not None:
-                self._step_counter = None
-                self._steps_histogram.observe(steps[0])
+        unbound_error: Optional[ActivationDenied] = None
+        for match, role in self.enumerate_activations(
+                rule, credentials, context, requested_parameters, index):
+            if role is None:
+                unbound_error = ActivationDenied(
+                    f"rule for {rule.target.role_name} satisfied but "
+                    f"leaves parameters unbound; supply them in the "
+                    f"activation request")
+                continue
+            return match, role
+        if unbound_error is not None:
+            raise unbound_error
+        return None
 
     def enumerate_activations(self, rule: ActivationRule,
                               credentials: Sequence[PresentedCredential],
@@ -400,13 +348,7 @@ class RuleEngine:
         # cached on the (immutable) rule.
         credential_conditions, constraint_conditions = rule.condition_partition
         if index is None:
-            memo = self._index_memo
-            if memo is not None and memo[0] is credentials:
-                index = memo[1]
-            else:
-                index = CredentialIndex(credentials)
-                if type(credentials) is tuple:
-                    self._index_memo = (credentials, index)
+            index = CredentialIndex(credentials)
         # Matched rows are emitted in this canonical order (credential
         # conditions in rule order, then constraints) regardless of the
         # solve order below, so matches equal the reference solver's.
@@ -438,68 +380,38 @@ class RuleEngine:
             slots_for = [slot_queues[id(c)].popleft() for c in ordered]
         slots: List[Optional[MatchedCondition]] = [None] * total
 
-        # Two variants of the inner search, selected ONCE per call: the
-        # pristine closure when no step counter is armed (the common,
-        # benchmark-guarded case — zero per-step instrumentation cost) and
-        # a counting twin when an observed match is in flight.  A per-step
-        # ``if counter`` inside one shared closure would cost several
-        # percent on the ~9µs FIG1 engine op; selecting the closure up
-        # front costs one attribute load for the whole solve.
-        counter = self._step_counter
-        if counter is None:
-            def solve(at: int, subst: Substitution) -> Iterator[RuleMatch]:
-                if at == total:
-                    yield RuleMatch(substitution=subst, matched=tuple(slots))
-                    return
-                condition = ordered[at]
-                slot = slots_for[at]
-                if isinstance(condition, ConstraintCondition):
-                    if condition.constraint.evaluate(subst, context):
-                        slots[slot] = MatchedCondition(condition, None)
-                        yield from solve(at + 1, subst)
-                    return
-                pattern = condition.pattern
-                for credential in index.candidates(condition):
-                    extended = unify_sequences(
-                        pattern, credential.parameter_values, subst)
-                    if extended is None:
-                        continue
-                    slots[slot] = MatchedCondition(condition, credential)
-                    yield from solve(at + 1, extended)
-        else:
-            def solve(at: int, subst: Substitution) -> Iterator[RuleMatch]:
-                if at == total:
-                    yield RuleMatch(substitution=subst, matched=tuple(slots))
-                    return
-                condition = ordered[at]
-                slot = slots_for[at]
-                if isinstance(condition, ConstraintCondition):
-                    counter[0] += 1
-                    if condition.constraint.evaluate(subst, context):
-                        slots[slot] = MatchedCondition(condition, None)
-                        yield from solve(at + 1, subst)
-                    return
-                pattern = condition.pattern
-                for credential in index.candidates(condition):
-                    counter[0] += 1
-                    extended = unify_sequences(
-                        pattern, credential.parameter_values, subst)
-                    if extended is None:
-                        continue
-                    slots[slot] = MatchedCondition(condition, credential)
-                    yield from solve(at + 1, extended)
+        def solve(at: int, subst: Substitution) -> Iterator[RuleMatch]:
+            if at == total:
+                yield RuleMatch(substitution=subst, matched=tuple(slots))
+                return
+            condition = ordered[at]
+            slot = slots_for[at]
+            if isinstance(condition, ConstraintCondition):
+                if condition.constraint.evaluate(subst, context):
+                    slots[slot] = MatchedCondition(condition, None)
+                    yield from solve(at + 1, subst)
+                return
+            pattern = condition.pattern
+            for credential in index.candidates(condition):
+                extended = unify_sequences(
+                    pattern, credential.parameter_values, subst)
+                if extended is None:
+                    continue
+                slots[slot] = MatchedCondition(condition, credential)
+                yield from solve(at + 1, extended)
 
         return solve(0, subst)
 
     # -- explanation (repro.obs decision explainers) -------------------------
     #
     # The explain_* methods answer "why did this rule NOT match?" with the
-    # deepest failing condition in CANONICAL order (credential conditions
-    # in rule order, then constraints).  They run their own dedicated
-    # probe, independent of the solve-order heuristics, so the engine and
-    # the reference solver explain identically by construction — the
-    # property the differential tests assert.  They only run on denial
-    # paths, so their cost is irrelevant to the hot path.
+    # first condition, in CANONICAL order (credential conditions in rule
+    # order, then constraints), that fails under every solution of the
+    # conditions before it.  Each prefix is solved in canonical order,
+    # without the selectivity sort, so the failing condition and its
+    # bindings are those a canonical depth-first search first dies at,
+    # whatever solve order the decision used.  The service calls them only
+    # with a repro.obs pipeline enabled.
 
     @staticmethod
     def _bindings_detail(condition: Condition, subst: Substitution) -> str:
@@ -509,80 +421,61 @@ class RuleEngine:
         pairs = ", ".join(f"{v.name}={subst.apply(v)!r}" for v in names)
         return f"bindings: {{{pairs}}}"
 
-    def _probe(self, conditions: Sequence[Condition], head: Tuple[Term, ...],
-               subst: Substitution,
-               credentials: Sequence[PresentedCredential],
-               context: EvaluationContext,
-               require_ground_head: bool,
-               ) -> Tuple[Optional[Substitution],
-                          Optional[ConditionFailure]]:
-        """Canonical-order satisfiability probe tracking the deepest
-        failure frontier.  Returns ``(solution, None)`` on success or
-        ``(None, failure)`` where ``failure`` is the deepest point the
-        search died — the most specific explanation of the denial.  With
-        ``require_ground_head``, solutions leaving ``head`` non-ground are
-        rejected at maximal depth (mirroring :meth:`match_activation`'s
-        preference for unbound-parameter errors over plain no-match)."""
-        total = len(conditions)
-        best: List[Optional[ConditionFailure]] = [None]
-        best_at = [-1]
-
-        def note(at: int, kind: str, condition: Optional[Condition],
-                 detail: str) -> None:
-            if at > best_at[0]:
-                best_at[0] = at
-                best[0] = ConditionFailure(kind, condition, detail)
-
-        def walk(at: int, subst: Substitution) -> Optional[Substitution]:
-            if at == total:
-                if require_ground_head:
-                    parameters = subst.apply(head)
-                    if not is_ground(parameters):
-                        unbound = sorted({v.name for p in parameters
-                                          for v in variables_in(p)})
-                        note(total, "unbound-parameters", None,
-                             f"body satisfiable but role parameters "
-                             f"{{{', '.join(unbound)}}} remain unbound; "
-                             f"supply them in the request")
-                        return None
-                return subst
-            condition = conditions[at]
-            if isinstance(condition, ConstraintCondition):
-                if condition.constraint.evaluate(subst, context):
-                    return walk(at + 1, subst)
-                note(at, "constraint", condition,
-                     f"constraint evaluated false; "
-                     f"{self._bindings_detail(condition, subst)}")
-                return None
-            key = condition.index_key
-            candidates = [credential for credential in credentials
-                          if credential.index_key == key]
-            if not candidates:
-                note(at, "no-candidates", condition,
-                     "no presented credential has the required "
-                     "kind/name/arity — credential missing")
-                return None
-            unified_any = False
-            for credential in candidates:
-                extended = unify_sequences(
-                    condition.pattern, credential.parameter_values, subst)
-                if extended is None:
-                    continue
-                unified_any = True
-                solution = walk(at + 1, extended)
-                if solution is not None:
-                    return solution
-            if not unified_any:
-                note(at, "unification", condition,
-                     f"{len(candidates)} credential(s) of the right kind "
-                     f"presented, but none unify; "
-                     f"{self._bindings_detail(condition, subst)}")
+    def _explain(self, rule: Union[ActivationRule, AuthorizationRule],
+                 head: Optional[Tuple[Term, ...]], subst: Substitution,
+                 credentials: Sequence[PresentedCredential],
+                 context: EvaluationContext) -> Optional[ConditionFailure]:
+        """Why the body fails: the condition after the deepest canonical
+        prefix the solver can satisfy, or None when the body is
+        satisfiable.  With a ``head``, solutions leaving it non-ground do
+        not count (mirroring :meth:`match_activation`'s unbound-parameter
+        error)."""
+        credential_conditions, constraint_conditions = rule.condition_partition
+        canonical = credential_conditions + constraint_conditions
+        index = CredentialIndex(credentials)
+        # The first solution of the prefix solved so far, and the rest.
+        bindings: Substitution = subst
+        solutions: Iterator[RuleMatch] = iter(())
+        for depth, condition in enumerate(canonical, 1):
+            prefix = canonical[:depth]
+            solutions = self._solve_indexed(prefix, prefix, subst, index,
+                                            context)
+            first = next(solutions, None)
+            if first is None:
+                return self._condition_failure(condition, bindings, index)
+            bindings = first.substitution
+        if head is None or is_ground(bindings.apply(head)) or any(
+                is_ground(match.substitution.apply(head))
+                for match in solutions):
             return None
+        unbound = sorted({v.name for p in bindings.apply(head)
+                          for v in variables_in(p)})
+        return ConditionFailure(
+            "unbound-parameters", None,
+            f"body satisfiable but role parameters "
+            f"{{{', '.join(unbound)}}} remain unbound; "
+            f"supply them in the request")
 
-        solution = walk(0, subst)
-        if solution is not None:
-            return solution, None
-        return None, best[0]
+    def _condition_failure(self, condition: Condition, subst: Substitution,
+                           index: CredentialIndex) -> ConditionFailure:
+        """Why ``condition`` fails under ``subst``, the first solution of
+        the conditions before it."""
+        if isinstance(condition, ConstraintCondition):
+            return ConditionFailure(
+                "constraint", condition,
+                f"constraint evaluated false; "
+                f"{self._bindings_detail(condition, subst)}")
+        candidates = index.candidates(condition)
+        if not candidates:
+            return ConditionFailure(
+                "no-candidates", condition,
+                "no presented credential has the required "
+                "kind/name/arity — credential missing")
+        return ConditionFailure(
+            "unification", condition,
+            f"{len(candidates)} credential(s) of the right kind "
+            f"presented, but none unify; "
+            f"{self._bindings_detail(condition, subst)}")
 
     def explain_activation(self, rule: ActivationRule,
                            requested_parameters: Optional[Sequence[Term]],
@@ -598,12 +491,8 @@ class RuleEngine:
                 "head-mismatch", None,
                 f"requested parameters {tuple(requested_parameters or ())!r}"
                 f" do not unify with rule head {rule.target}")
-        credential_conditions, constraint_conditions = rule.condition_partition
-        _, failure = self._probe(
-            credential_conditions + constraint_conditions,
-            rule.target.parameters, subst, tuple(credentials), context,
-            require_ground_head=True)
-        return failure
+        return self._explain(rule, rule.target.parameters, subst,
+                             credentials, context)
 
     def explain_authorization(self, rule: AuthorizationRule,
                               arguments: Sequence[Term],
@@ -624,8 +513,4 @@ class RuleEngine:
                 "head-mismatch", None,
                 f"arguments {tuple(arguments)!r} do not unify with rule "
                 f"parameters {rule.parameters!r}")
-        credential_conditions, constraint_conditions = rule.condition_partition
-        _, failure = self._probe(
-            credential_conditions + constraint_conditions, rule.parameters,
-            subst, tuple(credentials), context, require_ground_head=False)
-        return failure
+        return self._explain(rule, None, subst, credentials, context)

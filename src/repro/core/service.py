@@ -468,9 +468,9 @@ class OasisService:
     def _failed_attempt(rule: Any, failure: Optional[Any]) -> RuleAttempt:
         """A failed :class:`RuleAttempt` from an ``explain_*`` result."""
         if failure is None:
-            # The solver said no but the probe says yes — cannot happen
-            # while both implement the same semantics; surface honestly
-            # rather than fabricate a condition.
+            # The rule failed but matches now: a constraint that reads the
+            # clock, a database or a predicate turned true between the
+            # match and its explanation.  Say so; invent no condition.
             return RuleAttempt(rule=str(rule), outcome="failed",
                                failure_kind="unknown")
         return RuleAttempt(

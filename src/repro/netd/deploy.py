@@ -29,10 +29,11 @@ import signal
 import socket
 import subprocess
 import sys
+import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..core.service import ServiceRegistry
 from ..events import EventBroker
@@ -50,12 +51,24 @@ __all__ = ["NodeSpec", "boot_world", "serve_node", "Supervisor",
 READY_BANNER = "OASIS-READY"
 
 
+#: Ports :func:`free_port` has handed out in this process.
+_handed_out: Set[int] = set()
+_handed_out_lock = threading.Lock()
+
+
 def free_port() -> int:
-    """An OS-assigned free TCP port (racy by nature, fine for demos and
-    tests that bind immediately after)."""
-    with socket.socket() as probe:
-        probe.bind(("127.0.0.1", 0))
-        return probe.getsockname()[1]
+    """An OS-assigned free TCP port, never one this process was handed
+    before: two specs of one fleet cannot share a port.  Racy by nature
+    (another process may take it before its node binds), fine for demos
+    and tests that bind soon after."""
+    while True:
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        with _handed_out_lock:
+            if port not in _handed_out:
+                _handed_out.add(port)
+                return port
 
 
 @dataclass
@@ -219,6 +232,11 @@ class Supervisor:
                     f"before becoming ready")
             try:
                 pong = self.client(name).ping()
+                if pong.get("node") != name:
+                    # Another node holds the port: this one cannot bind.
+                    raise RuntimeError(
+                        f"{spec.host}:{spec.port} is served by node "
+                        f"{pong.get('node')!r}, not {name!r}")
                 # Ready means *subscribed*, not just listening: an event
                 # channel still reconnecting would miss cascade events
                 # published in the gap (subscriptions are not replayed).

@@ -11,11 +11,13 @@ revoked/expired/forged).
 
 Decisions are plain data (no imports from :mod:`repro.core`); the engine
 and service layers build them via :class:`RuleAttempt` rows whose fields
-are pre-rendered strings.  This keeps the explainer path-independent: the
-failing condition is computed by a dedicated canonical-order probe in the
-engine (see ``RuleEngine.explain_*``), not by the solver that ran, so the
-engine and the reference solver in ``tests/reference/`` produce identical
-explanations by construction — a property the differential tests pin down.
+are pre-rendered strings.  The failing condition comes from the engine's
+one solver (see ``RuleEngine.explain_*``): it solves prefixes of the rule
+body in canonical order and names the condition after the deepest prefix
+it can satisfy.  The decision itself may solve in another order, so the
+engine and the reference solver in ``tests/reference/`` explain
+identically — a property the differential tests pin down, beside a
+canonical depth-first probe kept there as the explanations' oracle.
 
 Failure kinds (``RuleAttempt.failure_kind``):
 
@@ -38,6 +40,9 @@ Failure kinds (``RuleAttempt.failure_kind``):
 ``credential-invalid``
     A presented certificate failed validation before any rule ran
     (revoked, expired, bad signature, unreachable issuer).
+``unknown``
+    The rule failed but matched when it was explained: a constraint that
+    reads the clock, a database or a predicate changed in between.
 """
 
 from __future__ import annotations

@@ -5,9 +5,9 @@ The registry replaces the scatter of hand-rolled dicts (``ServiceStats``,
 integration styles, chosen per call-site cost:
 
 * **direct instruments** for events worth recording individually —
-  activation latency observations, cascade width/depth, unification
-  steps.  Hot paths pre-:meth:`bind` their label set once so recording is
-  one dict-key add.
+  activation latency observations, cascade width/depth.  Hot paths
+  pre-:meth:`bind` their label set once so recording is one dict-key
+  add.
 * **collectors** for state that already lives in cheap counters —
   ``ServiceStats`` fields, broker totals, queue depth.  A collector is a
   callable sampled at *export* time (:meth:`MetricsRegistry.collect`), so

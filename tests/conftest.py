@@ -12,9 +12,11 @@ no network.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
 
 from repro.core import OasisService, Principal, ServiceRegistry
 from repro.db import Database
@@ -22,6 +24,20 @@ from repro.events import EventBroker
 from repro.net import Scheduler, SimClock
 from repro.netd.worlds import shipped_policy
 from repro.scenarios.healthcare import RECORDS_CONSTRAINTS
+
+#: ``HYPOTHESIS_PROFILE=ci`` loads a deep profile for the differential
+#: property tests (a CI step sets it and runs those modules); unset, the
+#: default profile and every test's own example count apply.
+CI_PROFILE = os.environ.get("HYPOTHESIS_PROFILE") == "ci"
+settings.register_profile("ci", max_examples=2000, deadline=None)
+if CI_PROFILE:
+    settings.load_profile("ci")
+
+
+def examples(count: int) -> int:
+    """``max_examples`` for a differential property test: ``count``, or
+    the ci profile's when that profile is loaded."""
+    return settings.default.max_examples if CI_PROFILE else count
 
 
 @dataclass

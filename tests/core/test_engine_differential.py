@@ -18,6 +18,7 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     ActivationDenied,
@@ -39,6 +40,7 @@ from repro.core import (
     Var,
 )
 
+from tests.conftest import examples
 from tests.reference import NaiveRuleEngine
 
 SVC = ServiceId("dom", "svc")
@@ -176,6 +178,17 @@ def assert_same_solutions(rule, credentials, requested=None):
 
 @pytest.mark.parametrize("seed", range(60))
 def test_random_policies_agree(seed):
+    rng = random.Random(seed)
+    for _ in range(5):
+        rule, credentials, requested = random_case(rng)
+        assert_same_solutions(rule, credentials, requested)
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=examples(20), deadline=None)
+def test_drawn_policies_agree(seed):
+    """The seeded cases above, from seeds Hypothesis draws (many more of
+    them under the ci profile)."""
     rng = random.Random(seed)
     for _ in range(5):
         rule, credentials, requested = random_case(rng)

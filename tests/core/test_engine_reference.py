@@ -27,6 +27,9 @@ from repro.core import (
 from repro.core.terms import EMPTY_SUBSTITUTION, unify_sequences
 from repro.crypto import ServiceSecret
 
+from tests.conftest import examples
+from tests.reference.engine import matches_appointment
+
 ISSUER = ServiceId("dom", "issuer")
 TARGET = ServiceId("dom", "svc")
 SECRET = ServiceSecret(key=b"k" * 32)
@@ -47,11 +50,11 @@ def reference_satisfiable(conditions: Sequence[AppointmentCondition],
         subst = EMPTY_SUBSTITUTION
         ok = True
         for condition, credential in zip(conditions, assignment):
-            if not credential.matches_appointment(condition):
+            if not matches_appointment(credential, condition):
                 ok = False
                 break
             extended = unify_sequences(condition.parameters,
-                                       credential.parameters(), subst)
+                                       credential.parameter_values, subst)
             if extended is None:
                 ok = False
                 break
@@ -87,7 +90,7 @@ def instances(draw):
 
 
 @given(instances())
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=examples(300), deadline=None)
 def test_engine_matches_reference(instance):
     conditions, credentials = instance
     rule = ActivationRule(
@@ -99,7 +102,7 @@ def test_engine_matches_reference(instance):
 
 
 @given(instances())
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=examples(100), deadline=None)
 def test_engine_match_is_a_real_solution(instance):
     """Whatever the engine returns must itself satisfy the rule."""
     conditions, credentials = instance
@@ -117,6 +120,6 @@ def test_engine_match_is_a_real_solution(instance):
         condition = row.condition
         credential = row.credential
         assert credential is not None
-        assert credential.matches_appointment(condition)
+        assert matches_appointment(credential, condition)
         assert subst.apply(tuple(condition.parameters)) \
-            == credential.parameters()
+            == credential.parameter_values

@@ -12,9 +12,11 @@ per-publish delivery counts, same broker counters.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.events import Event, EventBroker
 
+from tests.conftest import examples
 from tests.reference import ScanBroker
 
 TOPICS = ["credential.revoked", "credential.heartbeat", "app.custom"]
@@ -76,6 +78,14 @@ def test_randomized_scripts_deliver_identically(seed):
     indexed = run_script(EventBroker(), seed)
     naive = run_script(ScanBroker(), seed)
     assert indexed == naive
+
+
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1))
+@settings(max_examples=examples(10), deadline=None)
+def test_drawn_scripts_deliver_identically(seed):
+    """The seeded scripts above, from seeds Hypothesis draws (many more of
+    them under the ci profile)."""
+    assert run_script(EventBroker(), seed) == run_script(ScanBroker(), seed)
 
 
 @pytest.mark.parametrize("indexed", [True, False])

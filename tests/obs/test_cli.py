@@ -2,10 +2,12 @@
 golden trace snapshot (the Fig. 5 acceptance scenario)."""
 
 import json
+import os
 import pathlib
 
 import pytest
 
+from repro.db import BACKEND_ENV
 from repro.lang.cli import main
 from repro.obs.cli import run_chain_cascade
 from repro.obs.export import trace_to_dict
@@ -86,3 +88,36 @@ class TestCliCommands:
         names = {family["name"] for family in data["families"]}
         assert "oasis_activations_total" in names
         assert "oasis_cascade_depth" in names
+
+    def test_metrics_json_exports_exactly_the_catalogue(self, capsys):
+        """The metric families ``python -m repro metrics --format json``
+        exports, pinned: a family that appears or goes is a catalogue
+        change (docs/observability.md) made on purpose."""
+        out = self._run(capsys, "metrics", "--format", "json")
+        names = sorted(family["name"]
+                       for family in json.loads(out)["families"])
+        expected = [
+            "oasis_activation_latency_seconds",
+            "oasis_activations_total",
+            "oasis_broker_events_total",
+            "oasis_broker_queue_depth",
+            "oasis_broker_queue_depth_peak",
+            "oasis_broker_subscriptions",
+            "oasis_cascade_depth",
+            "oasis_cascade_width",
+            "oasis_decision_cache_entries",
+            "oasis_invocations_total",
+            "oasis_live_credentials",
+            "oasis_memory_access_log",
+            "oasis_memory_intern_pool_entries",
+            "oasis_memory_intern_pool_requests",
+            "oasis_memory_resident_objects",
+            "oasis_service_stats",
+            "oasis_validation_cache_entries",
+        ]
+        if os.environ.get(BACKEND_ENV) == "sqlite":
+            # Every service mirrors into a record store, which exports too.
+            expected += ["oasis_record_store_log_entries",
+                         "oasis_record_store_ops",
+                         "oasis_record_store_pending_writes"]
+        assert names == sorted(expected)

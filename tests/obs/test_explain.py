@@ -3,9 +3,20 @@ the engine and the naive reference solver explain identically."""
 
 import pytest
 
-from repro.core import Principal
+from repro.core import (
+    ActivationRule,
+    ConstraintCondition,
+    OasisService,
+    PredicateConstraint,
+    Principal,
+    RoleTemplate,
+    ServiceId,
+    ServicePolicy,
+    ServiceRegistry,
+)
 from repro.core.exceptions import ActivationDenied, CredentialInvalid
 from repro.core.service import Presentation
+from repro.events import EventBroker
 from repro.obs.explain import Decision, DecisionLog, RuleAttempt
 from repro.obs.runtime import observed
 
@@ -192,3 +203,25 @@ class TestServiceDecisions:
         optimized = self._run(optimized=True)
         reference = self._run(optimized=False)
         assert optimized == reference
+
+    def test_constraint_that_turns_true_before_its_explanation(self):
+        """A constraint may read the clock or a database, so it can fail
+        in the match and hold by the time the rule is explained.  The
+        service then records an ``unknown`` failure and still denies."""
+        calls = []
+
+        def opens():
+            calls.append(None)
+            return len(calls) > 1  # false for the match, true afterwards
+
+        policy = ServicePolicy(ServiceId("dom", "svc"))
+        role = policy.define_role("opened")
+        policy.add_activation_rule(ActivationRule(
+            RoleTemplate(role), (ConstraintCondition(
+                PredicateConstraint("opens", (), opens)),)))
+        with observed() as obs:
+            service = OasisService(policy, EventBroker(), ServiceRegistry())
+            with pytest.raises(ActivationDenied):
+                service.activate_role(Principal("alice").id, "opened")
+        (decision,) = obs.decisions.denials()
+        assert decision.failing_attempt.failure_kind == "unknown"

@@ -5,6 +5,8 @@ whose algorithm differs, so everything else (validation, bookkeeping,
 observability) is the code under test:
 
 * :class:`NaiveRuleEngine` — the seed's scan-and-slice solver;
+* :class:`ProbeRuleEngine` — denials explained by a dedicated
+  canonical-order probe instead of the solver over body prefixes;
 * :class:`ScanBroker` — registration-order scan instead of indexed dispatch;
 * :class:`PerEdgeService` — one broker subscription per membership
   dependency and per-event recursive revocation instead of the batched
@@ -18,7 +20,8 @@ Nothing under ``src/`` imports these.
 from .broker import ScanBroker
 from .canonical import canonical_encode as reference_canonical_encode
 from .engine import NaiveRuleEngine
+from .explain import ProbeRuleEngine
 from .service import PerEdgeService
 
-__all__ = ["NaiveRuleEngine", "ScanBroker", "PerEdgeService",
-           "reference_canonical_encode"]
+__all__ = ["NaiveRuleEngine", "ProbeRuleEngine", "ScanBroker",
+           "PerEdgeService", "reference_canonical_encode"]

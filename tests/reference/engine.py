@@ -1,8 +1,16 @@
-"""Oracle for :class:`repro.core.engine.RuleEngine`."""
+"""Oracle for :class:`repro.core.engine.RuleEngine`.
+
+The matchers below are the seed's per-credential kind/name/arity checks;
+the engine replaced them with :class:`CredentialIndex` bucket keys.
+"""
 
 from typing import Iterator, List, Optional, Sequence
 
 from repro.core.constraints import EvaluationContext
+from repro.core.credentials import (
+    AppointmentCertificate,
+    RoleMembershipCertificate,
+)
 from repro.core.engine import (
     CredentialIndex,
     MatchedCondition,
@@ -17,6 +25,26 @@ from repro.core.rules import (
     PrerequisiteRole,
 )
 from repro.core.terms import Substitution, unify_sequences
+
+
+def matches_prerequisite(credential: PresentedCredential,
+                         condition: PrerequisiteRole) -> bool:
+    certificate = credential.certificate
+    if not isinstance(certificate, RoleMembershipCertificate):
+        return False
+    role = certificate.role
+    return (role.role_name == condition.template.role_name
+            and role.arity == condition.template.arity)
+
+
+def matches_appointment(credential: PresentedCredential,
+                        condition: AppointmentCondition) -> bool:
+    certificate = credential.certificate
+    if not isinstance(certificate, AppointmentCertificate):
+        return False
+    return (certificate.issuer == condition.issuer
+            and certificate.name == condition.name
+            and len(certificate.parameters) == len(condition.parameters))
 
 
 class NaiveRuleEngine(RuleEngine):
@@ -55,15 +83,16 @@ class NaiveRuleEngine(RuleEngine):
 
         for credential in credentials:
             if isinstance(condition, PrerequisiteRole):
-                if not credential.matches_prerequisite(condition):
+                if not matches_prerequisite(credential, condition):
                     continue
                 pattern = condition.template.parameters
             else:
                 assert isinstance(condition, AppointmentCondition)
-                if not credential.matches_appointment(condition):
+                if not matches_appointment(credential, condition):
                     continue
                 pattern = condition.parameters
-            extended = unify_sequences(pattern, credential.parameters(), subst)
+            extended = unify_sequences(pattern, credential.parameter_values,
+                                       subst)
             if extended is None:
                 continue
             matched.append(MatchedCondition(condition, credential))
