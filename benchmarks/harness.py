@@ -386,8 +386,8 @@ def bench_obs_enabled(results: Dict[str, dict],
                                  setup=setup)
     results["obs_enabled_activation_engine_fig1_depth16"] = dict(
         description=("FIG1 engine activation with the observability "
-                     "pipeline ENABLED (spans+metrics+decisions live); "
-                     "informational"),
+                     "pipeline ENABLED (spans, metrics and explained "
+                     "access records live); informational"),
         **engine_timing)
     results["obs_enabled_cascade_fig5_revoke_depth16"] = dict(
         description=("FIG5 depth-16 cascade with the pipeline ENABLED; "

@@ -29,8 +29,10 @@ Because every process runs with node-prefixed span ids and revocation
 events carry span context, the driver can pull ``spans`` from all three
 processes, merge them with :meth:`repro.obs.tracing.Tracer.adopt`, and
 print the cascade as ONE tree rooted at the front process's ``revoke``
-span.  ``--check`` exits non-zero unless the cascade propagated and the
-stitched trace is a single tree — CI runs exactly that.
+span.  ``--check`` exits non-zero unless the cascade propagated,
+national's ``audit`` row for the refusal carries its trace id and a
+``credential-invalid`` attempt, and the stitched trace is a single tree
+— CI runs exactly that.
 """
 
 from __future__ import annotations
@@ -163,6 +165,15 @@ def main(argv=None) -> int:
             print(f"6. second request_EHR refused: "
                   f"{type(error).__name__}: {error}")
         check("second request_EHR refused after the cascade", refused)
+        # The operator's view of that refusal: national's audit row says
+        # why, over the wire (timestamp, kind, principal, subject,
+        # reason, trace id, rule attempts).
+        rows = national.call("audit", service="patient-records",
+                             kind="validation-failed")["records"]
+        check("national's audit row explains the refusal",
+              bool(rows) and rows[-1][5] is not None
+              and any(attempt.get("failure_kind") == "credential-invalid"
+                      for attempt in rows[-1][6]))
 
         # -- stitch the trace: one tree spanning three processes -----------
         tracer = Tracer(id_prefix="driver.")

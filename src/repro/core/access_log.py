@@ -7,7 +7,10 @@ individually" (Sect. 2).  An :class:`AccessLog` attached to an
 :class:`~repro.core.service.OasisService` records every security-relevant
 event — activations, invocations, appointment issues, revocations and the
 corresponding denials — as immutable :class:`AccessRecord` entries that can
-be filtered by principal, kind or time window.  The log is a
+be filtered by principal, kind or time window.  With the observability
+pipeline on, an activation, invocation or validation record also explains
+itself: its ``attempts`` are the rules tried and, for a denial, the
+condition that failed and how (:mod:`repro.obs.explain`).  The log is a
 :class:`~repro.obs.ring.RecordRing`, the bounded store every retained
 record in the package shares.
 """
@@ -17,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
+from ..obs.explain import RuleAttempt
 from ..obs.ring import RecordRing
 from .terms import DATACLASS_SLOTS
 
@@ -53,6 +57,10 @@ class AccessRecord:
     #: pipeline (:mod:`repro.obs`) was active; None otherwise.  Lets an
     #: auditor jump from an audit line to the full span tree.
     trace_id: Optional[str] = None
+    #: The rules tried, in order, when the pipeline was active: the last
+    #: failed one explains a denial, a ``matched`` one names the rule
+    #: that granted.  Always ``()`` with the pipeline off.
+    attempts: Tuple[RuleAttempt, ...] = ()
 
     def __str__(self) -> str:
         parts = [f"t={self.timestamp:.3f}", self.kind, self.principal,
@@ -77,11 +85,12 @@ class AccessLog(RecordRing):
     def record(self, timestamp: float, kind: str, principal: str,
                subject: str, detail: Tuple[Any, ...] = (),
                reason: Optional[str] = None,
-               trace_id: Optional[str] = None) -> None:
+               trace_id: Optional[str] = None,
+               attempts: Tuple[RuleAttempt, ...] = ()) -> None:
         if kind not in AccessKind.ALL:
             raise ValueError(f"unknown access record kind {kind!r}")
         self.append(AccessRecord(timestamp, kind, principal, subject,
-                                 detail, reason, trace_id))
+                                 detail, reason, trace_id, attempts))
 
     # -- querying --------------------------------------------------------------
     def query(self, kind: Optional[str] = None,

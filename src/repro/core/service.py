@@ -41,8 +41,8 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set,
 from ..db import Database, RecordStore, default_store
 from ..net import NetworkError
 from ..obs import runtime as _obs_runtime
-from ..obs.explain import Decision, RuleAttempt
-from ..obs.tracing import Span, SpanContext
+from ..obs.explain import RuleAttempt
+from ..obs.tracing import SpanContext
 from ..events import (
     CREDENTIAL_HEARTBEAT,
     CREDENTIAL_REISSUED,
@@ -453,17 +453,6 @@ class OasisService:
                    [({"service": service, "backend": backend},
                      persist_stats["log_entries"])])
 
-    def _record_decision(self, kind: str, outcome: str, principal: str,
-                         subject: str,
-                         attempts: Tuple[RuleAttempt, ...] = (),
-                         reason: Optional[str] = None, *, span: Span,
-                         detail: Tuple[Tuple[str, Any], ...] = ()) -> None:
-        self._obs.decisions.record(Decision(
-            timestamp=self.clock(), kind=kind, outcome=outcome,
-            service=str(self.id), principal=principal, subject=subject,
-            rule_attempts=attempts, reason=reason, trace_id=span.trace_id,
-            detail=detail))
-
     @staticmethod
     def _failed_attempt(rule: Any, failure: Optional[Any]) -> RuleAttempt:
         """A failed :class:`RuleAttempt` from an ``explain_*`` result."""
@@ -479,32 +468,17 @@ class OasisService:
                               if failure.condition is not None else None),
             detail=failure.detail)
 
-    def _record_denial(self, kind: str, counter: Any, span: Span,
-                       principal: PrincipalId, subject: str,
-                       attempts: List[RuleAttempt],
-                       failure: Exception) -> None:
-        """The Decision, metric and span error of one denied request; a
-        presented certificate failing validation is its own attempt."""
-        if isinstance(failure, CredentialInvalid):
-            attempts.append(RuleAttempt(
-                rule="(credential validation)", outcome="failed",
-                failure_kind="credential-invalid", detail=str(failure)))
-        self._record_decision(kind, "denied", principal.value, subject,
-                              tuple(attempts), reason=str(failure),
-                              span=span)
-        counter.inc()
-        span.error(str(failure))
-
     def _audit(self, kind: str, principal: str, subject: str,
                detail: Tuple[Any, ...] = (),
                reason: Optional[str] = None,
-               trace_id: Optional[str] = None) -> None:
+               trace_id: Optional[str] = None,
+               attempts: Tuple[RuleAttempt, ...] = ()) -> None:
         if self._obs is not None and trace_id is None:
             context = self._obs.tracer.current_context()
             if context is not None:
                 trace_id = context.trace_id
         self.access_log.record(self.clock(), kind, principal, subject,
-                               detail, reason, trace_id)
+                               detail, reason, trace_id, attempts)
 
     # ------------------------------------------------------------------
     # Role activation (Fig. 2 paths 1-2)
@@ -536,8 +510,8 @@ class OasisService:
                       ) -> RoleMembershipCertificate:
         """The one activation body behind :meth:`activate_role` and
         :meth:`activate_roles_bulk`.  With a pipeline installed it also
-        emits a span, a latency sample and a structured
-        :class:`Decision` per outcome."""
+        emits a span and a latency sample, and its access record carries
+        the rule attempts that explain the outcome."""
         obs = self._obs
         if obs is not None:
             wall_start = time.perf_counter()
@@ -548,13 +522,12 @@ class OasisService:
             attempts: List[RuleAttempt] = []
         try:
             try:
-                presented = self._validate_presentations(principal,
-                                                         credentials)
+                presented = self._validate_presentations(
+                    principal, credentials, role_name)
             except CredentialInvalid as failure:
                 if obs is not None:
-                    self._record_denial(
-                        "activation", self._obs_activation_denied, span,
-                        principal, role_name, attempts, failure)
+                    self._obs_activation_denied.inc()
+                    span.error(str(failure))
                 raise
             context = self.context if not environment \
                 else self.context.with_environment(**environment)
@@ -577,30 +550,33 @@ class OasisService:
                 rmc = self._issue_rmc(principal, role, match,
                                       environment or {}, session_id,
                                       bound_key)
+                explained: Tuple[RuleAttempt, ...] = ()
                 if obs is not None:
-                    attempts.append(RuleAttempt(rule=str(rule),
-                                                outcome="matched"))
-                    self._record_decision(
-                        "activation", "granted", principal.value,
-                        role_name, tuple(attempts), span=span,
-                        detail=(("credential_ref", str(rmc.ref)),))
+                    attempts.append(RuleAttempt(
+                        rule=str(rule), outcome="matched",
+                        detail=f"credential_ref={rmc.ref}"))
+                    explained = tuple(attempts)
                     self._obs_activation_granted.inc()
                     span.set_attr("credential_ref", str(rmc.ref))
+                self._audit(AccessKind.ACTIVATION, principal.value,
+                            str(role.role_name), detail=role.parameters,
+                            attempts=explained)
                 return rmc
             self.stats.activations_denied += 1
             denial = last_denial or ActivationDenied(
                 f"{principal} cannot activate {self.id}:{role_name} with "
                 f"the presented credentials")
-            self._audit(AccessKind.ACTIVATION_DENIED, principal.value,
-                        role_name, reason=str(denial))
+            explained = ()
             if obs is not None:
                 if not attempts:
                     attempts.append(RuleAttempt(
                         rule=f"(no activation rule for {role_name!r})",
                         outcome="failed", failure_kind="no-rule"))
-                self._record_denial(
-                    "activation", self._obs_activation_denied, span,
-                    principal, role_name, attempts, denial)
+                explained = tuple(attempts)
+                self._obs_activation_denied.inc()
+                span.error(str(denial))
+            self._audit(AccessKind.ACTIVATION_DENIED, principal.value,
+                        role_name, reason=str(denial), attempts=explained)
             raise denial
         finally:
             if obs is not None:
@@ -636,8 +612,6 @@ class OasisService:
             session_id=session_id)
         self._install_record(record, match, environment)
         self.stats.rmcs_issued += 1
-        self._audit(AccessKind.ACTIVATION, principal.value,
-                    str(role.role_name), detail=role.parameters)
         return rmc
 
     # ------------------------------------------------------------------
@@ -747,13 +721,12 @@ class OasisService:
             attempts: List[RuleAttempt] = []
         try:
             try:
-                presented = self._validate_presentations(principal,
-                                                         credentials)
+                presented = self._validate_presentations(
+                    principal, credentials, method)
             except CredentialInvalid as failure:
                 if obs is not None:
-                    self._record_denial(
-                        "invocation", self._obs_invocation_denied, span,
-                        principal, method, attempts, failure)
+                    self._obs_invocation_denied.inc()
+                    span.error(str(failure))
                 raise
             arguments = tuple(arguments)
             rules = self.policy.authorization_rules_for(method)
@@ -762,11 +735,9 @@ class OasisService:
             key = decision_key(method, arguments, presented)
             hit = None if key is None else self._decisions.lookup(key, rules)
             granted = None
-            detail: Tuple[Tuple[str, Any], ...] = ()
             if hit is not None:
                 self.stats.decision_cache_hits += 1
                 _rules, granted, arguments = hit
-                detail = (("decision_cache", "hit"),)
             else:
                 context = self.context if not environment \
                     else self.context.with_environment(**environment)
@@ -784,21 +755,19 @@ class OasisService:
                         attempts.append(self._failed_attempt(
                             rule, self._engine.explain_authorization(
                                 rule, arguments, presented, context)))
+            explained: Tuple[RuleAttempt, ...] = ()
             if granted is not None:
                 self.stats.invocations += 1
-                self._audit(AccessKind.INVOCATION, principal.value,
-                            method, detail=arguments)
                 if obs is not None:
-                    attempts.append(RuleAttempt(rule=str(granted),
-                                                outcome="matched"))
-                    self._record_decision(
-                        "invocation", "granted", principal.value, method,
-                        tuple(attempts), span=span, detail=detail)
+                    attempts.append(RuleAttempt(
+                        rule=str(granted), outcome="matched",
+                        detail=None if hit is None else "decision_cache=hit"))
+                    explained = tuple(attempts)
                     self._obs_invocation_granted.inc()
+                self._audit(AccessKind.INVOCATION, principal.value,
+                            method, detail=arguments, attempts=explained)
                 return self._methods[method](*arguments)
             self.stats.invocations_denied += 1
-            self._audit(AccessKind.INVOCATION_DENIED, principal.value,
-                        method, detail=arguments)
             denial = InvocationDenied(
                 f"{principal} may not invoke "
                 f"{self.id}.{method}{arguments!r}")
@@ -807,9 +776,11 @@ class OasisService:
                     attempts.append(RuleAttempt(
                         rule=f"(no authorization rule for {method!r})",
                         outcome="failed", failure_kind="no-rule"))
-                self._record_denial(
-                    "invocation", self._obs_invocation_denied, span,
-                    principal, method, attempts, denial)
+                explained = tuple(attempts)
+                self._obs_invocation_denied.inc()
+                span.error(str(denial))
+            self._audit(AccessKind.INVOCATION_DENIED, principal.value,
+                        method, detail=arguments, attempts=explained)
             raise denial
         finally:
             if obs is not None:
@@ -833,7 +804,8 @@ class OasisService:
         The certificate's lifetime is independent of the appointer's
         session: revoking the appointer's RMC does *not* cascade here.
         """
-        presented = self._validate_presentations(appointer, credentials)
+        presented = self._validate_presentations(appointer, credentials,
+                                                 name)
         context = self.context.with_environment(**(environment or {}))
         index = CredentialIndex(presented)
         rules = self.policy.appointment_rules_for(name)
@@ -1061,8 +1033,6 @@ class OasisService:
                 # cascade spans under this one.
                 event = event.with_attributes(trace_id=trace_id,
                                               span_id=span.span_id)
-                self._record_decision("revocation", "revoked", principal,
-                                      str(ref), reason=reason, span=span)
             events.append(event)
             for dependent in self._revoke_dependents(ref.qualified, reason):
                 queue.append((dependent, ctx, depth + 1))
@@ -1217,6 +1187,7 @@ class OasisService:
     # ------------------------------------------------------------------
     def _validate_presentations(self, principal: PrincipalId,
                                 presentations: Sequence[Presentation],
+                                requested: str,
                                 ) -> List[PresentedCredential]:
         """Validate every presented certificate in presentation order:
         the service's own here, foreign ones from the validation cache or
@@ -1226,7 +1197,9 @@ class OasisService:
         by ``certificate.issuer``: to the network when the service has one
         (one RPC per issuing peer over sockets), else to the registry.
         The first presentation that fails, in presentation order, is
-        audited and raised."""
+        audited and raised; with a pipeline installed its record explains
+        itself as a ``credential-invalid`` attempt naming the
+        ``requested`` role, method or appointment."""
         presented: List[PresentedCredential] = []
         failed: Optional[Tuple[int, CredentialInvalid]] = None
         # Allocated only on a miss: warm requests (the common case) make
@@ -1271,9 +1244,15 @@ class OasisService:
                 self._cache_validation(certificate, requester, holder)
         if failed is not None:
             index, failure = failed
+            explained: Tuple[RuleAttempt, ...] = ()
+            if self._obs is not None:
+                explained = (RuleAttempt(
+                    rule="(credential validation)", outcome="failed",
+                    failure_kind="credential-invalid",
+                    detail=f"requested {requested!r}: {failure}"),)
             self._audit(AccessKind.VALIDATION_FAILED, principal.value,
                         str(presentations[index].certificate.ref),
-                        reason=str(failure))
+                        reason=str(failure), attempts=explained)
             raise failure
         return presented
 

@@ -209,11 +209,17 @@ class ServiceOps:
                                  in record.membership_dependencies]}
 
     def _op_audit(self, message: Mapping[str, Any]) -> Any:
+        """The service's access records as rows: timestamp, kind,
+        principal, subject, reason, trace id and the rule attempts that
+        explain the decision (``RuleAttempt.to_dict()``; empty unless
+        the service was built under a pipeline)."""
         service = self.service(message["service"])
         kind = message.get("kind")
         records: List[AccessRecord] = (service.access_log.query(kind=kind)
                                        if kind is not None
                                        else list(service.access_log))
         return {"records": [[entry.timestamp, entry.kind, entry.principal,
-                             entry.subject, entry.reason]
+                             entry.subject, entry.reason, entry.trace_id,
+                             [attempt.to_dict()
+                              for attempt in entry.attempts]]
                             for entry in records]}

@@ -1,14 +1,15 @@
 """Observability subsystem: causal tracing, metrics, decision explainers.
 
-Three pillars (see ``docs/observability.md``):
+Three parts (see ``docs/observability.md``):
 
 * :mod:`repro.obs.tracing` — spans with trace/span/parent ids, stitched
   across services via event attributes into causal trees (Fig. 5
   cascades reconstruct as one tree).
 * :mod:`repro.obs.metrics` — process-wide counters/gauges/histograms
   with Prometheus-text and JSON export (:mod:`repro.obs.export`).
-* :mod:`repro.obs.explain` — structured :class:`Decision` records for
-  every grant/denial/revocation, naming the failing condition.
+* :mod:`repro.obs.explain` — the :class:`RuleAttempt` rows a service
+  puts on each activation, invocation and validation-failure access
+  record while a pipeline is on, naming a denial's failing condition.
 
 The pipeline is off by default and near-zero-cost while off; see
 :mod:`repro.obs.runtime`.  This package deliberately imports nothing
@@ -17,7 +18,7 @@ scenario-building CLI helpers live in :mod:`repro.obs.cli`, imported
 lazily by the command-line front end only.
 """
 
-from .explain import Decision, DecisionLog, RuleAttempt
+from .explain import RuleAttempt
 from .export import (
     metrics_to_json_dict,
     render_prometheus,
@@ -35,8 +36,6 @@ from .runtime import Observability, disable, enable, observed, pipeline
 from .tracing import Span, SpanContext, SpanTree, Tracer
 
 __all__ = [
-    "Decision",
-    "DecisionLog",
     "RuleAttempt",
     "metrics_to_json_dict",
     "render_prometheus",

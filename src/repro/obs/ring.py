@@ -1,6 +1,6 @@
 """One bounded, append-only record store for every retained log.
 
-The access, event and decision logs and the tracer's spans are all a
+The access and event logs and the tracer's spans are all a
 :class:`RecordRing`: a ``deque(maxlen=capacity)``, so evicting the
 oldest record from a full ring costs O(1) however large the bound.
 """

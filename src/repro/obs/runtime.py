@@ -9,7 +9,8 @@ Design constraint (the PR's acceptance bar): instrumentation must cost
   guard is a single attribute load plus an ``is None`` branch — no
   global lookup, no virtual no-op call.
 * When a pipeline is installed, the same guard routes into the observed
-  code path, which may be arbitrarily rich: spans, metrics, decisions.
+  code path, which may be arbitrarily rich: spans, metrics, and the
+  rule attempts that explain each access record.
 
 Snapshot-at-construction has one documented consequence: **enable
 observability before building the world you want observed**.  Services,
@@ -23,7 +24,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-from .explain import DecisionLog
 from .metrics import MetricsRegistry
 from .tracing import Tracer
 
@@ -61,15 +61,16 @@ def _collect_intern_pools():
 
 
 class Observability:
-    """One tracer + one metrics registry + one decision log.
+    """One tracer + one metrics registry.
 
-    A *pipeline* bundles the three pillars so instrumented code holds a
-    single reference.  Independent pipelines (e.g. per test) are fully
-    isolated — ids, metrics and decisions do not bleed across.
+    A *pipeline* bundles the two so instrumented code holds a single
+    reference; its presence also makes each service explain the
+    decisions it records in its own access log.  Independent pipelines
+    (e.g. per test) are fully isolated — ids and metrics do not bleed
+    across.
     """
 
     def __init__(self, span_capacity: Optional[int] = 100_000,
-                 decision_capacity: Optional[int] = 10_000,
                  trace_id_prefix: str = "") -> None:
         # ``trace_id_prefix`` namespaces span/trace ids, so pipelines in
         # different shard workers mint globally unique ids that a
@@ -77,7 +78,6 @@ class Observability:
         self.tracer = Tracer(capacity=span_capacity,
                              id_prefix=trace_id_prefix)
         self.metrics = MetricsRegistry()
-        self.decisions = DecisionLog(capacity=decision_capacity)
         self.metrics.register_collector(_collect_intern_pools)
 
 

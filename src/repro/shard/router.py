@@ -357,8 +357,9 @@ class ShardRouter:
 
     def audit(self, service: str,
               kind: Optional[str] = None) -> Dict[int, List[List[Any]]]:
-        """Per-shard audit records for one service (access-log order
-        within a shard; shards are independent streams)."""
+        """Per-shard audit rows for one service, as the ``audit`` op
+        returns them (access-log order within a shard; shards are
+        independent streams)."""
         values = self._all("audit", service=service, kind=kind)
         return {shard: value["records"] for shard, value in values.items()}
 

@@ -86,12 +86,13 @@ class Outbox:
 
 class ShardWorker(OasisServer):
     """An :class:`~repro.netd.server.OasisServer` for one shard; takes
-    the same arguments, with the :class:`Outbox` tapping the broker in
-    place of the broker."""
+    the same arguments, with the :class:`Outbox` in place of the broker.
+    The outbox is the broker's one tap here: the server attaches no
+    event pump, since nothing subscribes to a shard's pushes."""
 
     def __init__(self, node: str, services: Mapping[str, OasisService], *,
                  outbox: Outbox, **kwargs: Any) -> None:
-        super().__init__(node, services, broker=outbox.broker, **kwargs)
+        super().__init__(node, services, **kwargs)
         self.outbox = outbox
         #: Batches no reply has carried yet.
         self._pending: Deque[Dict[str, Any]] = deque()
@@ -145,7 +146,7 @@ class ShardWorker(OasisServer):
                   for payload in frame["events"]]
         self.batches_received += 1
         self.events_received += len(events)
-        return self.broker.publish_batch(events)
+        return self.outbox.broker.publish_batch(events)
 
     def _op_issue_bulk(self, message: Mapping[str, Any]) -> Any:
         service = self._ops.service(message["service"])
@@ -169,6 +170,7 @@ class ShardWorker(OasisServer):
         stats["revocations"] = sum(
             snapshot.get("revocations", 0)
             for snapshot in stats["services"].values())
+        stats["broker"] = self.outbox.broker.stats()
         stats["events_published"] = stats["broker"].get("published_count", 0)
         stats["bus"] = {"batches_sent": self.batches_sent,
                         "events_sent": self.events_sent,

@@ -31,6 +31,7 @@ from repro.core import (
     TimeWindowConstraint,
     Var,
 )
+from repro.core.access_log import AccessKind
 from repro.core.decisions import DecisionCache
 from repro.core.engine import PresentedCredential
 from repro.core.exceptions import OasisError
@@ -275,14 +276,14 @@ def test_every_invoke_matches_the_uncached_naive_oracle():
 def test_differential_kills_a_cache_hit_that_skips_validation(monkeypatch):
     validate = OasisService._validate_presentations
 
-    def skip_when_cached(self, principal, presentations):
+    def skip_when_cached(self, principal, presentations, requested):
         presented = [PresentedCredential(p.certificate)
                      for p in presentations]
         named = tuple((c.certificate.ref.qualified, c.certificate.signature)
                       for c in presented)
         if any(key[2] == named for key in self._decisions._grants):
             return presented
-        return validate(self, principal, presentations)
+        return validate(self, principal, presentations, requested)
 
     monkeypatch.setattr(OasisService, "_validate_presentations",
                         skip_when_cached)
@@ -473,13 +474,13 @@ def test_a_hit_records_a_granted_decision_naming_the_cached_rule():
         _use(resource, rmc)
         families = {family["name"]: family
                     for family in obs.metrics.collect()}
-    cold, warm = obs.decisions.query(kind="invocation")
-    assert cold.outcome == warm.outcome == "granted"
-    assert dict(cold.detail) == {}
-    assert dict(warm.detail) == {"decision_cache": "hit"}
-    (attempt,) = warm.rule_attempts
+    cold, warm = resource.access_log.query(kind=AccessKind.INVOCATION)
+    assert resource.access_log.denials() == []
+    assert cold.attempts[-1].detail is None
+    (attempt,) = warm.attempts
     assert attempt.outcome == "matched"
-    assert attempt.rule == cold.rule_attempts[-1].rule
+    assert attempt.detail == "decision_cache=hit"
+    assert attempt.rule == cold.attempts[-1].rule
     spans = [span for span in obs.tracer.spans() if span.name == "invoke"]
     assert [span.trace_id for span in spans] \
         == [cold.trace_id, warm.trace_id]

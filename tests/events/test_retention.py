@@ -2,7 +2,7 @@
 
 A million-principal world churns sessions continuously; an unbounded
 audit trail is the slow memory leak that kills a long-running node.  The
-access log, the event log, the decision log and the tracer all keep
+access log, the event log and the tracer all keep
 their records in one :class:`~repro.obs.ring.RecordRing`, so they share
 one set of retention tests: the same eviction order, the same counters,
 the same ``[since, until)`` window over what is still retained.  Each
@@ -13,7 +13,7 @@ import pytest
 
 from repro.core.access_log import AccessKind, AccessLog
 from repro.events import Event, EventBroker, EventLog
-from repro.obs import Decision, DecisionLog, Tracer
+from repro.obs import Tracer
 
 TOPIC = "credential.revoked"
 
@@ -125,24 +125,6 @@ class TestEventLogRetention(WindowContract):
         replayed = []
         log.replay(lambda event: replayed.append(self.key(event)))
         assert replayed == [2, 3, 4]
-
-
-class TestDecisionLogRetention(WindowContract):
-    default_capacity = 10_000
-
-    def make(self, **kwargs):
-        return DecisionLog(**kwargs)
-
-    def fill(self, log, count, start=0):
-        for index in range(start, start + count):
-            log.record(Decision(float(index), "invocation", "granted",
-                                "svc", f"p{index}", "read"))
-
-    def key(self, decision):
-        return int(decision.principal[1:])
-
-    def window(self, log, since=None, until=None):
-        return log.query(since=since, until=until)
 
 
 class TestTracerRetention(RetentionContract):

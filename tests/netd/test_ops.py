@@ -175,6 +175,11 @@ def case_audit(call):
                          kind=AccessKind.INVOCATION_DENIED))
     assert len(everything["records"]) == 2
     assert len(denied["records"]) == 1
+    # timestamp, kind, principal, subject, reason, trace id, attempts:
+    # no pipeline runs here, so nothing is traced or explained.
+    (row,) = denied["records"]
+    assert row[1:] == [AccessKind.INVOCATION_DENIED, "mallory", "echo",
+                       None, None, []]
     return [everything, denied]
 
 

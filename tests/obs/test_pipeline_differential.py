@@ -1,11 +1,12 @@
 """Differential test: the observability pipeline is invisible to behaviour.
 
-Every operation in ``repro.core`` has one body whose span / decision /
+Every operation in ``repro.core`` has one body whose span / explanation /
 metric work sits behind ``if obs is not None``.  One scripted world —
 fixed service secrets, sim clock, sequential CRRs — is run with the
 pipeline off and on, and everything a caller or an auditor can see must
 be identical: returned certificates and values, exception types and
-messages, ``ServiceStats``, the access logs (modulo ``trace_id``) and the
+messages, ``ServiceStats``, the access logs (modulo ``trace_id`` and the
+explaining ``attempts``, which only the pipeline fills) and the
 broker-tap event sequence (modulo ``trace_id`` / ``span_id``).
 
 The script covers the Fig. 3 cross-domain session, a diamond cascade, a
@@ -218,7 +219,7 @@ def observe(pipeline: bool):
         "outcomes": outcomes,
         "stats": {name: service.stats.snapshot()
                   for name, service in world.services.items()},
-        "access_logs": {name: [replace(record, trace_id=None)
+        "access_logs": {name: [replace(record, trace_id=None, attempts=())
                                for record in service.access_log]
                         for name, service in world.services.items()},
         "events": [(event.topic, event.timestamp,
@@ -229,7 +230,7 @@ def observe(pipeline: bool):
 
 
 def test_pipeline_on_and_off_are_observationally_identical():
-    plain, _, _ = observe(pipeline=False)
+    plain, plain_world, _ = observe(pipeline=False)
     traced, traced_world, obs = observe(pipeline=True)
     for key in plain:
         assert plain[key] == traced[key], key
@@ -248,6 +249,14 @@ def test_pipeline_on_and_off_are_observationally_identical():
     assert len(plain["events"]) == 8
     # ... and the traced run really was traced.
     assert obs.tracer.trace_ids()
-    assert len(obs.decisions.denials()) == len(kinds)
+    denials = [record for service in traced_world.services.values()
+               for record in service.access_log.denials()]
+    assert len(denials) == len(kinds)
+    assert all(record.attempts[-1].outcome == "failed"
+               for record in denials)
+    # Without a pipeline nothing is traced or explained.
+    assert all(record.trace_id is None and record.attempts == ()
+               for service in plain_world.services.values()
+               for record in service.access_log)
     assert all(record.trace_id for record in
                traced_world.services["A"].access_log)

@@ -59,9 +59,6 @@ class PerEdgeService(OasisService):
             principal = record.principal.value if record.principal else "-"
             self._audit(AccessKind.REVOCATION, principal, str(ref),
                         reason=reason)
-            if obs is not None:
-                self._record_decision("revocation", "revoked", principal,
-                                      str(ref), reason=reason, span=span)
             self._teardown_watch(ref)
             self._unlink_dependencies(record)
             for subscription in self._dependency_subs.pop(ref, []):

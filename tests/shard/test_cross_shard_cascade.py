@@ -20,7 +20,7 @@ import pytest
 from repro.events import EventBroker
 from repro.events.messages import CREDENTIAL_REVOKED, Event
 from repro.obs.runtime import Observability
-from repro.shard import Outbox, ShardRouter
+from repro.shard import Outbox, ShardRouter, ShardWorker
 from shard_worlds import graph_world_factory
 
 DIAMOND = ["A", "B", "C", "D"]
@@ -47,7 +47,7 @@ def revocation_counts(router, names):
     counts = {}
     for name in names:
         for records in router.audit(name, kind="revocation").values():
-            for _ts, _kind, _principal, subject, _reason in records:
+            for _ts, _kind, _principal, subject, *_explained in records:
                 counts[subject] = counts.get(subject, 0) + 1
     return counts
 
@@ -140,6 +140,30 @@ class TestSinglePublish:
         broker.publish(event.with_attributes(net_origin="w1"))
         assert outbox.minted == [event.to_payload()]
         assert broker.published_count == 2
+
+    def test_a_worker_encodes_each_minted_event_once(self, monkeypatch):
+        """The outbox is a worker's one broker tap: its server attaches
+        no event pump beside it, so a published event becomes one
+        payload, not one queued and one dropped."""
+        encoded = []
+        to_payload = Event.to_payload
+
+        def counting(event):
+            encoded.append(event.topic)
+            return to_payload(event)
+
+        monkeypatch.setattr(Event, "to_payload", counting)
+        broker = EventBroker()
+        outbox = Outbox(broker, 0, 2)
+        worker = ShardWorker("w0", {}, outbox=outbox).start()
+        try:
+            worker.submit(broker.publish, Event.make(
+                CREDENTIAL_REVOKED, credential_ref="graph/A#7",
+                reason="logout"))
+        finally:
+            worker.close()
+        assert encoded == [CREDENTIAL_REVOKED]
+        assert len(outbox.minted) == 1
 
     def test_an_event_no_frame_can_encode_stays_on_its_shard(self):
         """As with ``EventPump``: a non-JSON attribute makes an event

@@ -75,7 +75,9 @@ def run_single_process():
     audit = {
         name: sorted(
             [record.kind, normalized(record.principal),
-             normalized(record.subject), normalized(record.reason)]
+             normalized(record.subject), normalized(record.reason),
+             record.trace_id, [attempt.to_dict()
+                               for attempt in record.attempts]]
             for record in service.access_log.query(kind="revocation"))
         for name, service in services.items()
     }
@@ -123,8 +125,9 @@ def run_sharded(shards=2):
             for records in router.audit(name, kind="revocation").values():
                 merged.extend(
                     [kind, normalized(principal), normalized(subject),
-                     normalized(reason)]
-                    for _ts, kind, principal, subject, reason in records)
+                     normalized(reason), trace_id, attempts]
+                    for _ts, kind, principal, subject, reason, trace_id,
+                    attempts in records)
             audit[name] = sorted(merged)
         return {"grants": grants, "active": active, "denial": denial,
                 "audit": audit}
