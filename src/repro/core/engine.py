@@ -421,7 +421,8 @@ class RuleEngine:
         pairs = ", ".join(f"{v.name}={subst.apply(v)!r}" for v in names)
         return f"bindings: {{{pairs}}}"
 
-    def _explain(self, rule: Union[ActivationRule, AuthorizationRule],
+    def _explain(self, rule: Union[ActivationRule, AuthorizationRule,
+                                   AppointmentRule],
                  head: Optional[Tuple[Term, ...]], subst: Substitution,
                  credentials: Sequence[PresentedCredential],
                  context: EvaluationContext) -> Optional[ConditionFailure]:
@@ -513,4 +514,25 @@ class RuleEngine:
                 "head-mismatch", None,
                 f"arguments {tuple(arguments)!r} do not unify with rule "
                 f"parameters {rule.parameters!r}")
+        return self._explain(rule, None, subst, credentials, context)
+
+    def explain_appointment(self, rule: AppointmentRule,
+                            requested_parameters: Sequence[Term],
+                            credentials: Sequence[PresentedCredential],
+                            context: Optional[EvaluationContext] = None,
+                            ) -> Optional[ConditionFailure]:
+        """Why :meth:`match_appointment` failed, or None if it would
+        succeed."""
+        context = context or self.context
+        if len(requested_parameters) != len(rule.parameters):
+            return ConditionFailure(
+                "head-mismatch", None,
+                f"appointment takes {len(rule.parameters)} parameter(s), "
+                f"{len(requested_parameters)} given")
+        subst = unify_sequences(rule.parameters, requested_parameters)
+        if subst is None:
+            return ConditionFailure(
+                "head-mismatch", None,
+                f"parameters {tuple(requested_parameters)!r} do not unify "
+                f"with rule parameters {rule.parameters!r}")
         return self._explain(rule, None, subst, credentials, context)

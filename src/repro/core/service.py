@@ -329,14 +329,17 @@ class OasisService:
         # volatile, evicted by the same credential events as the caches
         # above.
         self._decisions = DecisionCache()
-        # The only subscriptions a service makes: one handler takes every
-        # revocation and re-issue event — cache drops, then the cascade
+        # The only subscriptions a service makes: one handler takes the
+        # revocation and re-issue events — cache drops, then the cascade
         # probe — so an event costs one handler call per *service*, not one
-        # per concern, cached validation or dependency edge.
+        # per concern, cached validation or dependency edge; and only per
+        # service whose state names the issuer (its ``interest``, which
+        # the state core widens before it keys anything on a new issuer).
         self._service_subs = [
-            broker.subscribe(CREDENTIAL_REVOKED, self._on_credential_event),
-            broker.subscribe(CREDENTIAL_REISSUED, self._on_credential_event),
-        ]
+            broker.subscribe_issuers(topic, self._on_credential_event,
+                                     self._state.interest)
+            for topic in (CREDENTIAL_REVOKED, CREDENTIAL_REISSUED)]
+        self._state.channels = list(self._service_subs)
         if heartbeat_timeout is not None:
             self._service_subs.append(
                 broker.subscribe(CREDENTIAL_HEARTBEAT, self._on_heartbeat))
@@ -749,6 +752,8 @@ class OasisService:
                         granted = rule
                         if key is not None \
                                 and all(rule.pure for rule in rules):
+                            for ref_string, _signature in key[2]:
+                                self._state.attend(ref_string)
                             self._decisions.store(key, rules, rule)
                         break
                     if obs is not None:
@@ -803,42 +808,82 @@ class OasisService:
         ``"key:<fingerprint>"``); None issues an anonymous certificate.
         The certificate's lifetime is independent of the appointer's
         session: revoking the appointer's RMC does *not* cascade here.
+        With a pipeline installed it also emits a span, and its access
+        record carries the rule attempts that explain the outcome.
         """
-        presented = self._validate_presentations(appointer, credentials,
-                                                 name)
-        context = self.context.with_environment(**(environment or {}))
-        index = CredentialIndex(presented)
-        rules = self.policy.appointment_rules_for(name)
-        if not rules:
-            raise AppointmentDenied(
-                f"{self.id} defines no appointment {name!r}")
-        parameters = list(parameters)
-        for rule in rules:
-            match = self._engine.match_appointment(
-                rule, parameters, presented, context, index)
-            if match is None:
-                continue
-            ground = match.substitution.apply(tuple(parameters))
-            ref = self._refs.next()
-            if self._persist is not None:
-                self._reserve_serials(ref.serial)
-            now = self.clock()
-            certificate = AppointmentCertificate.issue(
-                self.secret, self.id, name, ground, ref, now,
-                expires_at, holder)
-            record = CredentialRecord(
-                ref=ref, kind="appointment",
-                principal=PrincipalId(holder) if holder else None,
-                issued_at=now)
-            self._state.install(record)
-            self.stats.appointments_issued += 1
-            self._audit(AccessKind.APPOINTMENT, appointer.value, name,
-                        detail=tuple(ground),
-                        reason=f"holder={holder!r}")
-            return certificate
-        self._audit(AccessKind.APPOINTMENT_DENIED, appointer.value, name)
-        raise AppointmentDenied(
-            f"{appointer} may not issue appointment {name!r} at {self.id}")
+        obs = self._obs
+        if obs is not None:
+            span = obs.tracer.start_span(
+                "issue_appointment", timestamp=self.clock(),
+                service=str(self.id), principal=appointer.value,
+                appointment=name)
+            attempts: List[RuleAttempt] = []
+        try:
+            try:
+                presented = self._validate_presentations(
+                    appointer, credentials, name)
+            except CredentialInvalid as failure:
+                if obs is not None:
+                    span.error(str(failure))
+                raise
+            context = self.context.with_environment(**(environment or {}))
+            index = CredentialIndex(presented)
+            rules = self.policy.appointment_rules_for(name)
+            if not rules:
+                denial = AppointmentDenied(
+                    f"{self.id} defines no appointment {name!r}")
+                if obs is not None:
+                    span.error(str(denial))
+                raise denial
+            parameters = list(parameters)
+            for rule in rules:
+                match = self._engine.match_appointment(
+                    rule, parameters, presented, context, index)
+                if match is None:
+                    if obs is not None:
+                        attempts.append(self._failed_attempt(
+                            rule, self._engine.explain_appointment(
+                                rule, parameters, presented, context)))
+                    continue
+                ground = match.substitution.apply(tuple(parameters))
+                ref = self._refs.next()
+                if self._persist is not None:
+                    self._reserve_serials(ref.serial)
+                now = self.clock()
+                certificate = AppointmentCertificate.issue(
+                    self.secret, self.id, name, ground, ref, now,
+                    expires_at, holder)
+                record = CredentialRecord(
+                    ref=ref, kind="appointment",
+                    principal=PrincipalId(holder) if holder else None,
+                    issued_at=now)
+                self._state.install(record)
+                self.stats.appointments_issued += 1
+                explained: Tuple[RuleAttempt, ...] = ()
+                if obs is not None:
+                    attempts.append(RuleAttempt(
+                        rule=str(rule), outcome="matched",
+                        detail=f"credential_ref={ref}"))
+                    explained = tuple(attempts)
+                    span.set_attr("credential_ref", str(ref))
+                self._audit(AccessKind.APPOINTMENT, appointer.value, name,
+                            detail=tuple(ground),
+                            reason=f"holder={holder!r}",
+                            attempts=explained)
+                return certificate
+            denial = AppointmentDenied(
+                f"{appointer} may not issue appointment {name!r} at "
+                f"{self.id}")
+            explained = ()
+            if obs is not None:
+                explained = tuple(attempts)
+                span.error(str(denial))
+            self._audit(AccessKind.APPOINTMENT_DENIED, appointer.value,
+                        name, attempts=explained)
+            raise denial
+        finally:
+            if obs is not None:
+                span.finish(self.clock())
 
     def rotate_secret(self) -> None:
         """Rotate the service secret (Sect. 4.1).
@@ -913,26 +958,27 @@ class OasisService:
         """Publish a cascade's revocation events, crash-consistently.
 
         With a store attached the events are journalled *before* anything
-        else — the commit point at which the revocation survives a crash
-        — then the flipped ``records`` are mirrored to the store
-        (write-behind on SQLite) and the events are published.  The
-        journal MUST come first: record mirroring can auto-flush a full
-        write-behind buffer, and a REVOKED record that reaches disk before
-        its journal entry would leave a crash with a partially-revoked
-        durable subtree that :meth:`resume` cannot see (no ``cascade``
-        entry to replay) — dependents would stay active forever.
+        else — the origin's commit is the point at which the revocation
+        survives a crash — then the flipped ``records`` are mirrored to
+        the store (write-behind on SQLite) and the events are published.
+        The journal MUST come first: record mirroring can auto-flush a
+        full write-behind buffer, and a REVOKED record that reaches disk
+        before its journal entry would leave a crash with a
+        partially-revoked durable subtree that :meth:`resume` cannot see
+        (no ``cascade`` entry to replay) — dependents would stay active
+        forever.
 
         The :class:`~repro.core.state.Drain` the broker is running decides
         the rest.  With none, this cascade is the *origin* of one: its
         entry is synced (the one fsync of an in-process revocation) and
         :meth:`_drain_cascade` publishes.  Inside a drain an origin of
-        this process started, this is a *covered hop*: its entry commits
-        without an fsync.  Either way its ``cascade-done`` marker is held
-        by the drain — never written before the events it closes are
-        delivered, nor before every hop's entry is synced — so a crash at
-        any point leaves a pending entry whose re-emission
-        (:meth:`replay_pending`) re-drives whatever was lost.  Storeless,
-        this is just the batch publish.
+        this process started, this is a *covered hop*: its entry is
+        write-behind, riding its store's next commit.  Either way its
+        ``cascade-done`` marker is held by the drain — never written
+        before the events it closes are delivered, nor before every hop's
+        entry is synced — so a crash at any point leaves a pending entry
+        whose re-emission (:meth:`replay_pending`) re-drives whatever was
+        lost.  Storeless, this is just the batch publish.
         """
         if not events:
             return
@@ -1504,8 +1550,8 @@ class OasisService:
         Returns the number of events re-published.  Re-delivery is
         idempotent: ``CredentialRecord.revoke`` refuses an already-revoked
         record, so services that saw (part of) the original batch simply
-        no-op.  Each cascade is the origin of a drain, its entry synced
-        at load; the closing flush syncs the hops it re-drove and writes
+        no-op.  Each cascade is the origin of a drain, its entry already
+        on disk; the closing flush syncs the hops it re-drove and writes
         every held marker, after which the journal entries are prunable.
         """
         pending, self._pending_replay = self._pending_replay, []

@@ -44,15 +44,16 @@ journal-first is what keeps every durable REVOKED record covered by a
 replayable log entry), and a ``{"op": "cascade-done"}`` marker follows
 once the batch has drained.  A :class:`Drain` decides how each entry is
 committed and when its marker is written.  The *origin* — the cascade
-whose publish starts a broker drain — syncs its entry (one fsync); every
-*covered hop* journalled by another service while that drain runs
-commits its entry without an fsync, which a process kill survives but a
-power cut may not.  Every marker of the drain is *held* until each store
-the drain touched has synced after its entry, so the origin's synced
-entry stays pending — re-emitted after a restart — until every hop it
-covers is as safe as it is.  An in-process revocation therefore costs
-one fsync, and a crash can still eat the marker of a cascade that had
-fully published.
+whose publish starts a broker drain — commits its entry durably (one
+fsync); every *covered hop* journalled by another service while that
+drain runs only appends its entry, which then rides its store's next
+commit (write-behind: a process kill loses it exactly as a power cut
+does).  Every marker of the drain is *held* until each store the drain
+touched has synced after its entry, so the origin's synced entry stays
+pending — re-emitted after a restart, re-driving every hop whose entry
+was lost — until every hop it covers is as safe as it is.  An
+in-process revocation therefore costs one commit and one fsync, and a
+crash can still eat the marker of a cascade that had fully published.
 :meth:`ServiceState.load` replays the log tail — applying every journalled
 revocation to the rebuilt records — and surfaces cascades with no done
 marker on disk so the service can re-emit them
@@ -83,7 +84,8 @@ from typing import (
 from ..crypto.hmac_sig import ServiceSecret
 from ..db.kv import RecordStore, StoreCodec
 from ..db.store import Database, Row, Table
-from ..events import Event
+from ..events import Event, Subscription
+from ..events.broker import issuer_of
 from .credentials import (CredentialRecord, CredentialRef, CredentialStatus,
                           certificate_digest)
 from .rules import ConstraintCondition
@@ -208,17 +210,18 @@ class Drain:
     A drain started by a journalled cascade of this process is
     *covering*: that origin synced its entry, so every other cascade
     journalled before the drain ends — caused by the origin's events —
-    commits its entry unsynced and marks its store *touched*.  A drain
-    that started elsewhere (a remote batch, a bare publish) covers
-    nothing: each of its cascades syncs its own entry, as no entry of
-    this process re-drives the events that caused it.
+    only appends its entry (write-behind) and marks its store *touched*.
+    A drain that started elsewhere (a remote batch, a bare publish)
+    covers nothing: each of its cascades syncs its own entry, as no entry
+    of this process re-drives the events that caused it.
 
     Either way the ``cascade-done`` markers of the drain are *held*: none
     is written before the drain has delivered every event, nor before
-    each touched store has synced after its entry.  A drain still
-    waiting when it ends is parked on every store it involves; the first
-    flush of any of them syncs the touched stores and writes the markers,
-    and a crash close of any of them drops the markers unwritten.
+    each touched store has synced (committed) after its entry.  A drain
+    still waiting when it ends is parked on every store it involves; the
+    first flush of any of them syncs the touched stores and writes the
+    markers, and a crash close of any of them drops the markers
+    unwritten.
     """
 
     __slots__ = ("broker", "covering", "touched", "markers")
@@ -252,14 +255,12 @@ class Drain:
 
     def release(self) -> None:
         """Sync each touched store not synced since its entry, then write
-        the markers — or drop them, if a sync did not take (a reader can
-        hold back a checkpoint)."""
+        the markers."""
         for store, generation in self.touched.items():
             if store.synced <= generation:
                 store.sync()
         self.abandon()
-        if self._synced():
-            self._write_markers()
+        self._write_markers()
 
     def _synced(self) -> bool:
         return all(store.synced > generation
@@ -322,10 +323,19 @@ class ServiceState:
     store in sync: reference-cheap ``put``s for the in-memory backend,
     write-behind buffering for SQLite.  ``store=None`` (the default
     backend) short-circuits every mirror behind one ``is None`` test.
+
+    ``interest`` is the set of issuers whose credential events the
+    service must hear: itself, and the issuer of every key of the
+    reverse index and the validation cache (the service adds those of
+    its decision cache).  :meth:`attend` widens it — and the scoped
+    ``channels`` the service subscribed with it — *before* such a key is
+    inserted, so no event the service would act on can pass it by.  It
+    never narrows: hearing a stale issuer costs a handler call, missing
+    a live one would fail open.
     """
 
     __slots__ = ("records", "dependents", "validation_cache", "sig_cache",
-                 "watches", "store", "service_name")
+                 "watches", "store", "service_name", "interest", "channels")
 
     def __init__(self, service: ServiceId,
                  store: Optional[RecordStore] = None) -> None:
@@ -340,6 +350,17 @@ class ServiceState:
             str, Dict[Tuple[str, Optional[str]], Any]] = {}
         self.sig_cache: Dict[str, Dict[Tuple, Any]] = {}
         self.watches: Dict[str, _MembershipWatch] = {}
+        self.interest: Set[str] = {self.service_name}
+        self.channels: List[Subscription] = []
+
+    def attend(self, key: str) -> None:
+        """Hear the events of the issuer of the credential named ``key``
+        (a CRR string) from now on."""
+        issuer = issuer_of(key)
+        if issuer not in self.interest:
+            self.interest.add(issuer)
+            for channel in self.channels:
+                channel.attend(issuer)
 
     # ------------------------------------------------------------------
     # Credential records
@@ -374,6 +395,7 @@ class ServiceState:
         """
         bucket = self.dependents.get(key)
         if bucket is None:
+            self.attend(key)
             self.dependents[key] = [ref]
         elif type(bucket) is list:
             if len(bucket) < EDGE_LIST_MAX:
@@ -414,7 +436,7 @@ class ServiceState:
         entry holds the certificate object; :class:`ServiceStateCodec`
         reduces it to its digest only if the entry is ever serialised."""
         key = ref.qualified
-        entries = self.validation_cache.setdefault(key, {})
+        entries = self._validations(key)
         entries[cache_key] = certificate
         store = self.store
         if store is not None:
@@ -422,6 +444,16 @@ class ServiceState:
                 "ref": ref_payload(ref),
                 "entries": [[requester, holder, held] for
                             (requester, holder), held in entries.items()]})
+
+    def _validations(self, key: str
+                     ) -> Dict[Tuple[str, Optional[str]], Any]:
+        """The validation-cache entries of ``key``, created (and its
+        issuer attended) if there are none."""
+        entries = self.validation_cache.get(key)
+        if entries is None:
+            self.attend(key)
+            entries = self.validation_cache[key] = {}
+        return entries
 
     def drop_validation(self, key: str
                         ) -> Optional[Dict[Tuple[str, Optional[str]], Any]]:
@@ -452,12 +484,15 @@ class ServiceState:
         """Journal a cascade's events; returns the log seq.
 
         The entry is committed and synced, unless ``drain`` covers it: then
-        it is committed without an fsync and the store marked touched.
+        it is only appended — it rides the store's next commit — and the
+        store marked touched.
         MUST be called before the events are published AND before any of
         the flipped records is mirrored via :meth:`mark_revoked`: the
         commit is the point at which the revocation is guaranteed to
         survive a crash, and a record flip that reached disk (via an
-        auto-flush) ahead of it would be durable yet unreplayable.
+        auto-flush) ahead of it would be durable yet unreplayable.  (A
+        covered hop's entry is still ahead: every commit writes the
+        buffered log entries before anything else.)
         """
         store = self.store
         if store is None:
@@ -467,7 +502,7 @@ class ServiceState:
         if drain is None or not drain.covering:
             return store.log_append(entry, durable=True)
         drain.touched[store] = store.synced
-        return store.log_append(entry, durable=True, sync=False)
+        return store.log_append(entry)
 
     def log_cascade_done(self, seq: Optional[int]) -> None:
         """Mark a journalled cascade fully published (prunable).
@@ -566,9 +601,6 @@ class ServiceState:
         restored validations, and re-emission of unpublished events.
         """
         store = self.store
-        # A dead process may have committed entries it never synced; this
-        # one is about to act on them (and cover hops with them).
-        store.sync()
         # The log tail first: only the records its cascades name need a
         # lookup by qualified string.
         cascades: List[Tuple[int, List[Event]]] = []
@@ -608,7 +640,7 @@ class ServiceState:
                        if len(entry) == 3 and entry[2] is not None}
             if entries:
                 ref = ref_from_payload(payload["ref"])
-                self.validation_cache[ref.qualified] = entries
+                self._validations(ref.qualified).update(entries)
                 validation_refs.append(ref)
         # Log-tail replay, in append order.  Cascades with a done marker
         # were fully published before the crash: repair record state

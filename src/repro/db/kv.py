@@ -16,25 +16,27 @@ Two backends ship here and in :mod:`repro.db.sqlite_store`:
   the original in-process representation, so attaching it costs nothing
   measurable on the activation/cascade hot paths (gated at <=1.05x by the
   benchmark harness).
-* :class:`~repro.db.sqlite_store.SqliteRecordStore` — durable, with a
-  *write-behind* record buffer (activation and invocation stay
-  memory-speed) and an append log committed on demand, with or without
-  an fsync (revocations are on disk *before* their cascade publishes).
+* :class:`~repro.db.sqlite_store.SqliteRecordStore` — durable, with
+  *write-behind* record and log buffers (activation, invocation and a
+  covered cascade hop stay memory-speed) and a commit on demand
+  (revocations are on disk *before* their cascade publishes).
 
 The append log carries small JSON-able dict entries.  The cascade
-protocol writes one ``{"op": "cascade", "events": [...]}`` entry
-*committed* before publishing and one ``{"op": "cascade-done",
-"cascade_seq": n}`` marker after the broker drains.  A commit is
-*synced* (fsynced: survives a power cut) or not (it survives a process
-kill only); :attr:`RecordStore.synced` counts the points at which every
-committed entry became synced.  The service that starts a drain syncs
-its entry; the in-process hops of that drain commit theirs unsynced,
-and every marker of the drain is *held* on its stores until each store
-the drain touched has synced after its entry (see ``repro.core.state``
-and docs/persistence.md).  :func:`completed_log_seqs` identifies
-matched pairs so :meth:`RecordStore.flush` can prune them.  Entries
-without a matching ``done`` marker are the cascades a restarted service
-re-emits (``OasisService.replay_pending``) — re-emission is idempotent.
+protocol writes one ``{"op": "cascade", "events": [...]}`` entry before
+publishing and one ``{"op": "cascade-done", "cascade_seq": n}`` marker
+after the broker drains.  ``log_append(durable=True)`` commits the entry
+with one fsync (it survives a power cut); a plain ``log_append`` rides
+the next commit, and until then survives neither a process kill nor a
+power cut.  :attr:`RecordStore.synced` counts the points at which every
+entry appended so far became synced.  The service that starts a drain
+commits its entry durably; the in-process hops of that drain append
+theirs plainly, and every marker of the drain is *held* on its stores
+until each store the drain touched has synced after its entry (see
+``repro.core.state`` and docs/persistence.md).  :func:`completed_log_seqs`
+identifies matched pairs so :meth:`RecordStore.flush` can prune them.
+Entries without a matching ``done`` marker are the cascades a restarted
+service re-emits (``OasisService.replay_pending``) — re-emission is
+idempotent.
 """
 
 from __future__ import annotations
@@ -119,7 +121,7 @@ class RecordStore:
         self.log_appends = 0
         self.durable_commits = 0
         self.flushes = 0
-        #: Sync generation: bumped whenever every entry committed so far
+        #: Sync generation: bumped whenever every entry appended so far
         #: has become power-cut safe.  Never reset (held markers compare
         #: against it).
         self.synced = 0
@@ -164,16 +166,14 @@ class RecordStore:
         return sum(1 for key in keys if self.delete(bucket, key))
 
     # -- append log -----------------------------------------------------
-    def log_append(self, entry: Dict[str, Any], durable: bool = False,
-                   sync: bool = True) -> int:
+    def log_append(self, entry: Dict[str, Any],
+                   durable: bool = False) -> int:
         """Append ``entry`` to the log; returns its sequence number.
 
-        ``durable=True`` commits the entry before the call returns — the
-        cascade-ordering guarantee rests on this — and syncs it (one
-        fsync: it survives a power cut) unless ``sync=False``, which
-        leaves it committed only (it survives a process kill).  Only
-        synced commits count as ``durable_commits``.  Non-durable appends
-        ride along with the next commit.
+        ``durable=True`` commits the entry, and every entry appended
+        before it, with one fsync before the call returns — the
+        cascade-ordering guarantee rests on this — and counts as one of
+        the ``durable_commits``.  A plain append rides the next commit.
         """
         raise NotImplementedError
 
@@ -193,9 +193,11 @@ class RecordStore:
 
     def release_held(self) -> None:
         """Release every marker held on this store — each first syncs the
-        stores it waits on.  Every flush starts here."""
-        for held in list(self.held):
-            held.release()
+        stores it waits on, and leaves every store's ``held``.  Every
+        flush starts here; a flush the release itself causes finds the
+        markers already gone."""
+        while self.held:
+            next(iter(self.held)).release()
 
     def close(self, flush: bool = True) -> None:
         """Release the backend.  ``flush=False`` abandons buffered record
@@ -298,15 +300,14 @@ class MemoryRecordStore(RecordStore):
     def count(self, bucket: str) -> int:
         return len(self._buckets.get(bucket, ()))
 
-    def log_append(self, entry: Dict[str, Any], durable: bool = False,
-                   sync: bool = True) -> int:
+    def log_append(self, entry: Dict[str, Any],
+                   durable: bool = False) -> int:
         self.log_appends += 1
         if durable:
-            if sync:
-                self.durable_commits += 1
-            # Nothing here outlives the process, so every commit is as
-            # synced as it gets.
-            self.synced += 1
+            self.durable_commits += 1
+        # Nothing here outlives the process, so every append is as
+        # synced as it gets.
+        self.synced += 1
         self._log_seq += 1
         self._log.append((self._log_seq, entry))
         return self._log_seq

@@ -11,39 +11,43 @@ ability to revoke ... is the essence of active security".  So:
   costs one dict assignment, exactly like the memory backend.  Reads
   merge the buffer over the table, so the store is always read-your-writes
   consistent within the process.
-* **the append log is write-through on demand**: ``log_append(durable=True)``
+* **the append log is write-behind too, committed on demand**: a plain
+  ``log_append`` (a covered hop's ``cascade`` entry, a released
+  ``cascade-done`` marker) only takes the next sequence number and joins
+  an in-process buffer, and every commit — a durable append,
+  :meth:`sync`, :meth:`flush` — writes the buffered entries first, in
+  sequence order, inside its own transaction.  ``log_append(durable=True)``
   commits before it returns, which is how a revocation cascade gets its
   journal entry onto disk *before* any event reaches the broker — and
   before any flipped record is mirrored into the buffer, so an
   auto-flush triggered by the mirroring can never commit a REVOKED
-  record the log does not cover.  A plain ``log_append`` (a released
-  ``cascade-done`` marker) stays in the open transaction and rides the
-  next commit.  A crash after the journal commit but before the marker
-  is committed leaves a ``cascade`` entry with no ``cascade-done`` — the
-  recovery tail a service built on the store replays and re-emits.
-* **synced and unsynced commits**: the database runs in
-  ``journal_mode=WAL`` and the connection rests at ``synchronous=FULL``,
-  so a plain durable commit is one WAL append plus one fsync (a rollback
-  journal costs a journal create + fsync, a database write + fsync and
-  an unlink) and survives a power cut.  ``sync=False`` drops the
-  connection to ``NORMAL`` around its commit: the WAL append reaches the
-  OS, which survives a process kill, but the fsync waits for the next
-  synced commit or checkpoint — that is how an in-process cascade hop
-  journals without an fsync of its own (see ``repro.core.state``).
-  sqlite refuses to change the level inside a transaction, so anything
-  riding the open transaction is committed (synced) first.
-  :attr:`synced` counts the points at which everything committed became
-  synced; :meth:`flush` and :meth:`sync` checkpoint the WAL back into
-  the database, which syncs it and keeps it bounded.  A clean
-  :meth:`close` leaves only the ``.db`` file, a killed process also
-  leaves ``-wal``/``-shm`` sidecars the next open recovers from.
+  record the log does not cover (the flush writes the log first).  A
+  crash after the journal commit but before the marker is committed
+  leaves a ``cascade`` entry with no ``cascade-done`` — the recovery tail
+  a service built on the store replays and re-emits.
+* **one fsync per commit**: the database runs in ``journal_mode=WAL``
+  and the connection stays at ``synchronous=FULL``, so a commit is one
+  WAL append plus one fsync (a rollback journal costs a journal create +
+  fsync, a database write + fsync and an unlink) and survives a power
+  cut.  An entry still in the buffer survives neither a process kill nor
+  a power cut: :attr:`synced` counts the commits, the points at which
+  every entry appended so far became power-cut safe.  :meth:`flush` and
+  :meth:`sync` also checkpoint the WAL back into the database, which
+  keeps it bounded.  A clean :meth:`close` leaves only the ``.db`` file,
+  a killed process also leaves ``-wal``/``-shm`` sidecars the next open
+  recovers from.
+* **sequence numbers are never reused**: the store allocates them itself,
+  counting on from the table's ``sqlite_sequence`` value at open, so an
+  entry dropped from the buffer by a crash may lend its number to a later
+  one, but an entry that reached disk never does.
 
-Buffering deliberately holds *references*, not copies: a credential record
-that is installed and later revoked before the next flush serialises once,
-in its final state.  Conversely, buffered installs that never reach a
-flush are lost on a crash — which is safe, because certificate checking
-fails closed: a certificate without a credential record is invalid
-(Sect. 4's callback finds nothing to validate against).
+Record buffering deliberately holds *references*, not copies: a
+credential record that is installed and later revoked before the next
+flush serialises once, in its final state.  Conversely, buffered
+installs that never reach a flush are lost on a crash — which is safe,
+because certificate checking fails closed: a certificate without a
+credential record is invalid (Sect. 4's callback finds nothing to
+validate against).
 
 Uses only the stdlib ``sqlite3`` module; a ``path`` of ``":memory:"``
 gives a private, process-lifetime database (the CI test matrix runs the
@@ -75,7 +79,7 @@ CREATE TABLE IF NOT EXISTS log (
 );
 """
 
-_APPEND = "INSERT INTO log (payload) VALUES (?)"
+_APPEND = "INSERT INTO log (seq, payload) VALUES (?, ?)"
 _UPSERT = ("INSERT OR REPLACE INTO records (bucket, key, payload) "
            "VALUES (?, ?, ?)")
 _REMOVE = "DELETE FROM records WHERE bucket=? AND key=?"
@@ -123,6 +127,11 @@ class SqliteRecordStore(RecordStore):
         self._conn.commit()
         # Write-behind buffer: (bucket, key) -> live value | DELETED.
         self._pending: Dict[Tuple[str, str], Any] = {}
+        # Write-behind log: (seq, JSON payload) in seq order.
+        self._log_pending: List[Tuple[int, str]] = []
+        row = self._conn.execute(
+            "SELECT seq FROM sqlite_sequence WHERE name='log'").fetchone()
+        self._log_seq = row[0] if row is not None else 0
         self._closed = False
 
     # -- records --------------------------------------------------------
@@ -143,7 +152,7 @@ class SqliteRecordStore(RecordStore):
     def put(self, bucket: str, key: str, value: Any) -> None:
         self.puts += 1
         self._pending[(bucket, key)] = value
-        if len(self._pending) >= self.flush_every:
+        if len(self._pending) + len(self._log_pending) >= self.flush_every:
             self.flush()
 
     def put_many(self, bucket: str, items: Iterable[Tuple[str, Any]]) -> int:
@@ -153,7 +162,7 @@ class SqliteRecordStore(RecordStore):
             pending[(bucket, key)] = value
             written += 1
         self.puts += written
-        if len(pending) >= self.flush_every:
+        if len(pending) + len(self._log_pending) >= self.flush_every:
             self.flush()
         return written
 
@@ -229,63 +238,62 @@ class SqliteRecordStore(RecordStore):
         return total
 
     # -- append log -----------------------------------------------------
-    def log_append(self, entry: Dict[str, Any], durable: bool = False,
-                   sync: bool = True) -> int:
+    def log_append(self, entry: Dict[str, Any],
+                   durable: bool = False) -> int:
         self.log_appends += 1
+        self._log_seq = seq = self._log_seq + 1
         # No ``default=`` fallback: a journal entry that cannot survive
         # the JSON round trip type-faithfully must fail loudly here, at
         # journal time, not decode differently at replay.
-        payload = (json.dumps(entry),)
-        conn = self._conn
-        if not durable or sync:
-            seq = conn.execute(_APPEND, payload).lastrowid
-            if durable:
-                self._commit_synced()
-            return int(seq)
-        if conn.in_transaction:
-            # An fsync, but ahead of this entry: ``synced`` must not
-            # count it as the entry's.
-            conn.commit()
+        self._log_pending.append((seq, json.dumps(entry)))
+        if durable:
+            self._commit()
             self.durable_commits += 1
-        conn.execute("PRAGMA synchronous=NORMAL")
-        try:
-            seq = conn.execute(_APPEND, payload).lastrowid
-            conn.commit()
-        finally:
-            if conn.in_transaction:
-                conn.rollback()
-            conn.execute("PRAGMA synchronous=FULL")
-        if self._volatile:
+        elif self._volatile:
+            # Nothing here outlives the process: a buffered entry is as
+            # synced as a committed one.
             self.synced += 1
-        return int(seq)
+        if len(self._pending) + len(self._log_pending) >= self.flush_every:
+            self.flush()
+        return seq
 
-    def _commit_synced(self) -> None:
+    def _write_log(self) -> None:
+        """Move the buffered log entries into the open transaction."""
+        if self._log_pending:
+            self._conn.executemany(_APPEND, self._log_pending)
+            self._log_pending = []
+
+    def _commit(self) -> None:
+        """Commit the buffered log entries with the open transaction:
+        one fsync, after which everything appended so far is synced."""
+        self._write_log()
         self._conn.commit()
-        self.durable_commits += 1
         self.synced += 1
 
     def log_entries(self) -> List[Tuple[int, Dict[str, Any]]]:
-        return [(int(seq), json.loads(payload))
-                for seq, payload in self._conn.execute(
-                    "SELECT seq, payload FROM log ORDER BY seq")]
+        entries = [(int(seq), json.loads(payload))
+                   for seq, payload in self._conn.execute(
+                       "SELECT seq, payload FROM log ORDER BY seq")]
+        entries.extend((seq, json.loads(payload))
+                       for seq, payload in self._log_pending)
+        return entries
 
     # -- lifecycle ------------------------------------------------------
     def sync(self) -> None:
-        """Commit what rides the open transaction and checkpoint the WAL:
-        the checkpoint fsyncs it, so every committed entry is synced."""
-        self._conn.commit()
-        self._checkpoint()
-
-    def _checkpoint(self) -> None:
-        busy, _, _ = self._conn.execute("PRAGMA wal_checkpoint").fetchone()
-        if not busy:
-            self.synced += 1
+        """Commit the buffered entries and what rides the open
+        transaction, and checkpoint the WAL."""
+        self._commit()
+        self._conn.execute("PRAGMA wal_checkpoint")
 
     def flush(self) -> None:
         """Release the held markers, serialise the write-behind buffer,
-        prune the log, commit, and checkpoint the WAL."""
+        prune the log, commit (buffered log entries first), and
+        checkpoint the WAL."""
         self.release_held()
         self.flushes += 1
+        # The log first: the pruning below must see it on disk, and no
+        # REVOKED record may be committed without its journal entry.
+        self._write_log()
         conn = self._conn
         pending = self._pending
         if pending:
@@ -307,8 +315,7 @@ class SqliteRecordStore(RecordStore):
         if victims:
             conn.executemany("DELETE FROM log WHERE seq=?",
                              [(seq,) for seq in victims])
-        conn.commit()
-        self._checkpoint()
+        self.sync()
 
     def close(self, flush: bool = True) -> None:
         if self._closed:
@@ -316,10 +323,11 @@ class SqliteRecordStore(RecordStore):
         if flush:
             self.flush()
         else:
-            # Crash semantics: abandon the buffer, the held markers and
+            # Crash semantics: abandon the buffers, the held markers and
             # anything not yet committed.
             self.abandon_held()
             self._pending.clear()
+            self._log_pending = []
             self._conn.rollback()
         self._conn.close()
         self._closed = True
@@ -332,7 +340,8 @@ class SqliteRecordStore(RecordStore):
             "ops": self._op_counts(),
             "pending_writes": len(self._pending),
             "log_entries": conn.execute(
-                "SELECT COUNT(*) FROM log").fetchone()[0],
+                "SELECT COUNT(*) FROM log").fetchone()[0]
+            + len(self._log_pending),
             "journal_mode": conn.execute(
                 "PRAGMA journal_mode").fetchone()[0],
             "synchronous": conn.execute("PRAGMA synchronous").fetchone()[0],

@@ -12,14 +12,18 @@ order so the cascade is breadth-first and terminates even with cyclic
 subscription graphs, since the OASIS layer never re-revokes an already
 revoked credential.
 
-Dispatch is *indexed*: subscriptions whose filter includes the index key
-(:data:`DEFAULT_INDEX_KEY` — every Fig. 5 channel event carries it) are
-bucketed under ``(topic, value)``, so delivering an event costs
-O(matching + wildcard subscribers on the topic) rather than O(all topic
-subscribers).  The FIG5 cascade revokes S credentials against a
-population of N live subscriptions; a linear scan makes that O(S·N), the
-index makes it O(S · services).  The registration-order scan is the
-differential suites' oracle (``tests/reference/`` overrides
+Dispatch is *indexed* twice over.  Subscriptions whose filter includes
+the index key (:data:`DEFAULT_INDEX_KEY` — every Fig. 5 channel event
+carries it) are bucketed under ``(topic, value)``; *scoped* subscriptions
+(:meth:`EventBroker.subscribe_issuers`) are bucketed under ``(topic,
+issuer)`` for each issuer they attend, the issuer of an event being the
+text of its ``credential_ref`` before the last ``#`` (the CRR names its
+issuing service, so events carry nothing extra).  Delivering an event
+costs O(matching + wildcard subscribers on the topic) rather than O(all
+topic subscribers): a service hears the revocations of the issuers its
+state depends on (Sect. 4: a holder registers with *that issuer's*
+channel), not every revocation in the process.  The registration-order
+scan is the differential suites' oracle (``tests/reference/`` overrides
 :meth:`EventBroker._candidates`); ``tests/events/test_broker_differential.py``
 checks both deliver identical sequences.
 """
@@ -29,14 +33,15 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import (Any, Callable, Deque, Dict, Iterable, List, Mapping,
-                    Optional, Tuple)
+                    Optional, Set, Tuple)
 
 from ..core.terms import DATACLASS_SLOTS
 from ..obs import runtime as _obs_runtime
 from .messages import Event
 
-__all__ = ["Subscription", "EventBroker"]
+__all__ = ["Subscription", "EventBroker", "issuer_of"]
 
 Handler = Callable[[Event], None]
 
@@ -51,6 +56,14 @@ DEFAULT_INDEX_KEY = "credential_ref"
 #: Sentinel distinguishing "attribute absent" from any real value during
 #: residual filter checks (an event attribute can legitimately be None).
 _MISSING = object()
+
+_by_seq = attrgetter("seq")
+
+
+def issuer_of(ref_string: str) -> str:
+    """The issuing service named by a CRR string: the text before its
+    last ``#`` (``"dom/svc#7"`` -> ``"dom/svc"``)."""
+    return ref_string.rpartition("#")[0]
 
 
 @dataclass(**DATACLASS_SLOTS)
@@ -75,6 +88,9 @@ class Subscription:
     #: filter is guaranteed by bucket selection and the topic by candidate
     #: selection, so only the rest is re-checked per event.
     residual: Tuple[Tuple[str, Any], ...] = ()
+    #: A scoped subscription's issuers (see
+    #: :meth:`EventBroker.subscribe_issuers`); None for any issuer.
+    issuers: Optional[Set[str]] = None
 
     @property
     def active(self) -> bool:
@@ -85,10 +101,21 @@ class Subscription:
             self._active = False
             self._broker._remove(self)
 
+    def attend(self, issuer: str) -> None:
+        """Widen a scoped subscription to the events of ``issuer``."""
+        if issuer not in self.issuers:
+            self.issuers.add(issuer)
+            if self._active:
+                self._broker._attend(self, issuer)
+
     def matches(self, event: Event) -> bool:
         if event.topic != self.topic:
             return False
         attrs = event.attrs
+        if self.issuers is not None:
+            ref = attrs.get(DEFAULT_INDEX_KEY)
+            if type(ref) is not str or issuer_of(ref) not in self.issuers:
+                return False
         for key, want in self.filter_attrs.items():
             if key not in attrs or attrs[key] != want:
                 return False
@@ -111,9 +138,13 @@ class EventBroker:
         # (topic, index-key value) -> {seq: Subscription} — subscriptions
         # whose filter pins the index key to one value.
         self._buckets: Dict[Tuple[str, Any], Dict[int, Subscription]] = {}
-        # topic -> {seq: Subscription} — subscriptions with no index-key
-        # filter; they must be considered for every event on the topic.
+        # topic -> {seq: Subscription} — unscoped subscriptions with no
+        # index-key filter; they must be considered for every event on
+        # the topic.
         self._wildcards: Dict[str, Dict[int, Subscription]] = {}
+        # (topic, issuer) -> {seq: Subscription} — scoped subscriptions,
+        # under each issuer they attend, in registration order.
+        self._scoped: Dict[Tuple[str, str], Dict[int, Subscription]] = {}
         self._taps: List[Handler] = []
         self._publishing = False
         self._queue: Deque[Event] = deque()
@@ -187,6 +218,35 @@ class EventBroker:
         else:
             self._wildcards.setdefault(topic, {})[sub.seq] = sub
         return sub
+
+    def subscribe_issuers(self, topic: str, handler: Handler,
+                          issuers: Iterable[str]) -> Subscription:
+        """Register ``handler`` for the events on ``topic`` whose
+        ``credential_ref`` names a credential of one of ``issuers``.
+        :meth:`Subscription.attend` widens the set; an event without a
+        string ``credential_ref`` never matches."""
+        if not topic:
+            raise ValueError("topic must be non-empty")
+        sub = Subscription(topic=topic, handler=handler, filter_attrs={},
+                           _broker=self, seq=next(self._seq),
+                           issuers=set())
+        self._subs.setdefault(topic, {})[sub.seq] = sub
+        for issuer in issuers:
+            sub.attend(issuer)
+        return sub
+
+    def _attend(self, sub: Subscription, issuer: str) -> None:
+        key = (sub.topic, issuer)
+        bucket = self._scoped.get(key)
+        if bucket is None:
+            self._scoped[key] = {sub.seq: sub}
+            return
+        ordered = next(reversed(bucket)) < sub.seq
+        bucket[sub.seq] = sub
+        if not ordered:
+            # An older subscription widened after a newer one: restore
+            # registration order (widening is rare, delivery is not).
+            self._scoped[key] = dict(sorted(bucket.items()))
 
     def subscriber_count(self, topic: Optional[str] = None) -> int:
         if topic is None:
@@ -276,38 +336,30 @@ class EventBroker:
 
     def _candidates(self, event: Event) -> List[Subscription]:
         """Subscriptions that may match ``event``, in registration order."""
-        wildcards = self._wildcards.get(event.topic)
-        bucket = None
+        topic = event.topic
+        found = []
+        wildcards = self._wildcards.get(topic)
+        if wildcards:
+            found.append(wildcards)
         for key, value in event.attributes:
             if key == DEFAULT_INDEX_KEY:
-                bucket = self._buckets.get((event.topic, value))
+                # An event without the index key cannot match an indexed
+                # or a scoped subscription: both need it.
+                bucket = self._buckets.get((topic, value))
+                if bucket:
+                    found.append(bucket)
+                if type(value) is str and self._scoped:
+                    scoped = self._scoped.get((topic, issuer_of(value)))
+                    if scoped:
+                        found.append(scoped)
                 break
-        # An event without the index key cannot match any indexed
-        # subscription (their filters require it), so buckets are skipped.
-        if not bucket:
-            return list(wildcards.values()) if wildcards else []
-        if not wildcards:
-            return list(bucket.values())
-        # Merge the two registration-ordered lists by seq so delivery
-        # order is identical to a registration-order scan's.
-        merged: List[Subscription] = []
-        left = iter(bucket.values())
-        right = iter(wildcards.values())
-        a = next(left, None)
-        b = next(right, None)
-        while a is not None and b is not None:
-            if a.seq < b.seq:
-                merged.append(a)
-                a = next(left, None)
-            else:
-                merged.append(b)
-                b = next(right, None)
-        while a is not None:
-            merged.append(a)
-            a = next(left, None)
-        while b is not None:
-            merged.append(b)
-            b = next(right, None)
+        if not found:
+            return []
+        if len(found) == 1:
+            return list(found[0].values())
+        # Each source is in registration order; so is their merge.
+        merged = [sub for subs in found for sub in subs.values()]
+        merged.sort(key=_by_seq)
         return merged
 
     def _deliver(self, event: Event) -> int:
@@ -356,6 +408,14 @@ class EventBroker:
                 bucket.pop(sub.seq, None)
                 if not bucket:
                     del self._buckets[key]
+        elif sub.issuers is not None:
+            for issuer in sub.issuers:
+                key = (sub.topic, issuer)
+                scoped = self._scoped.get(key)
+                if scoped is not None:
+                    scoped.pop(sub.seq, None)
+                    if not scoped:
+                        del self._scoped[key]
         else:
             wildcards = self._wildcards.get(sub.topic)
             if wildcards is not None:

@@ -6,7 +6,7 @@ events fired, when, and why) and gives tests a deterministic record to
 assert against.  ``replay`` re-delivers a filtered slice into a handler —
 useful to rebuild read-side state after a restart, the standard event-
 sourcing pattern.  Retention is a :class:`~repro.obs.ring.RecordRing`,
-the bounded store the access log, the decision log and the tracer share.
+the bounded store the access log and the tracer share.
 """
 
 from __future__ import annotations

@@ -330,6 +330,11 @@ class OasisServer:
         if op == "services":
             return self._describe_services()
         if op == "subscribe_events":
+            if self.broker is None:
+                # A silent subscription would read as "no revocations".
+                raise ValueError(
+                    f"node {self.node!r} has no event broker: it pushes "
+                    f"nothing to subscribers")
             self.pump.subscribe(conn.send)
             return {"subscribed": True}
         if op == "shutdown":

@@ -1,7 +1,7 @@
 """Which cascade of a broker drain syncs, and when its markers are written.
 
 A drain that a journalled cascade of this process starts covers the hops
-it causes: they commit without an fsync.  A drain that starts elsewhere
+it causes: they journal write-behind, committing nothing.  A drain that starts elsewhere
 (a remote batch, a bare publish) covers nothing.  In both, a
 ``cascade-done`` marker is written only once every event of the drain
 has been delivered.

@@ -268,34 +268,38 @@ class TestKillAndResume:
                                          uninterrupted):
         """Crash deeper in: the root's events published and the resource
         service journalled its own sub-cascade, but died before publishing
-        it.  Both services replay; re-delivered events no-op."""
+        it.  That entry was a covered hop's — write-behind — so the kill
+        lost it; the origin's synced entry is still pending, and its
+        re-emission re-drives the hop."""
         world = World(tmp_path, "crashed", *secrets)
         world.checkpoint()
         world.crash_publishes_after(1)
         with pytest.raises(SimulatedCrash):
             world.login.revoke(world.roots[0].ref, "logout")
         world.crash()
+        assert world.journal_ops() == {
+            "login": ["serial-reserve", "cascade"],
+            "resource": ["serial-reserve"]}
 
         world.resume()
-        # The resource's own journal already revoked mid and leaf on load:
-        # no access for the revoked chain even before replay.
+        assert world.resource.replay_pending() == 0
+        assert world.login.replay_pending() == 1
         with pytest.raises(CredentialRevoked):
             world.resource.invoke(
                 PrincipalId("p0"), "use", ["p0"],
                 credentials=[Presentation(world.leaves[0])])
-        replayed = world.login.replay_pending() + \
-            world.resource.replay_pending()
-        assert replayed >= 1
         assert_converged(world, uninterrupted)
         world.shutdown()
 
     def test_crash_after_completed_cascade_loses_only_the_marker(
             self, tmp_path, secrets, uninterrupted):
         """``revoke()`` returned, then the process died before anything
-        else committed: every service's ``cascade`` entry is on disk, no
-        ``cascade-done`` marker is (it rides the *next* commit).  Resume
-        re-applies and re-emits a cascade that had fully published —
-        idempotent — and once the markers land nothing is pending."""
+        else committed: the origin's (login's) ``cascade`` entry is on
+        disk; the covered hop's (resource's) entry and every
+        ``cascade-done`` marker were still write-behind and died with the
+        process.  Resume re-applies the origin's entry, its re-emission
+        re-drives the hop — idempotent where it had published — and once
+        the markers land nothing is pending."""
         world = World(tmp_path, "crashed", *secrets)
         world.checkpoint()
         assert world.login.revoke(world.roots[0].ref, "logout") is True
@@ -306,14 +310,18 @@ class TestKillAndResume:
         world.crash()
         assert world.journal_ops() == {
             "login": ["serial-reserve", "cascade"],
-            "resource": ["serial-reserve", "cascade"]}
+            "resource": ["serial-reserve"]}
 
         world.resume()
         assert not world.login.credential_record(world.roots[0].ref).active
+        # The hop's revocation was lost with its entry: the origin's
+        # synced entry is still pending, and re-driving it revokes the
+        # hop again.
+        assert world.resource.credential_record(world.leaves[0].ref).active
+        assert world.resource.replay_pending() == 0
+        assert world.login.replay_pending() == 1
         assert not world.resource.credential_record(
             world.leaves[0].ref).active
-        assert world.login.replay_pending() == 1
-        assert world.resource.replay_pending() == 2
         assert_converged(world, uninterrupted)
         world.shutdown()
         assert world.journal_ops() == {"login": ["serial-reserve"],
@@ -332,6 +340,8 @@ class TestKillAndResume:
         """The real thing: a child process revokes on file-backed stores
         and is SIGKILLed with them open (``-wal``/``-shm`` left behind).
         Resuming from the same paths in this process recovers the WAL:
+        the origin's revocation is on disk, its pending entry re-drives
+        the covered hop whose write-behind entry died with the child,
         revoked stays revoked at every service, the untouched chain keeps
         working, and the serial watermark covers the install that died."""
         context = multiprocessing.get_context("spawn")
@@ -355,10 +365,10 @@ class TestKillAndResume:
         world = World.reopen(tmp_path, "killed")
         root, mid, leaf = report["revoked"]
         assert not world.login.credential_record(root.ref).active
+        assert world.resource.replay_pending() == 0
+        assert world.login.replay_pending() == 1
         assert not world.resource.credential_record(mid.ref).active
         assert not world.resource.credential_record(leaf.ref).active
-        world.login.replay_pending()
-        world.resource.replay_pending()
         with pytest.raises(CredentialRevoked):
             world.resource.invoke(PrincipalId("p0"), "use", ["p0"],
                                   credentials=[Presentation(leaf)])

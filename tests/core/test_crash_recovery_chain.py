@@ -3,12 +3,12 @@
 The two-service world of ``test_crash_recovery.py`` has one covered hop;
 a chain ``svc-0 -> svc-1 -> svc-2 -> svc-3`` (each role a membership
 dependant of the one before, each service on its own SQLite file) has
-three, each journalling its sub-cascade without an fsync while the
-origin's synced entry covers it.  A process kill loses no committed
-entry, so every store must apply its own journal at load — before any
-replay — and replaying must converge with an uninterrupted twin, for a
-crash at every publish boundary and for a real SIGKILL after
-``revoke()`` returned.
+three, each journalling its sub-cascade write-behind while the origin's
+synced entry covers it.  A process kill loses every hop's entry, so at
+load only the origin has its part applied and holds the one pending
+entry; replaying it must re-drive every hop and converge with an
+uninterrupted twin, for a crash at every publish boundary and for a real
+SIGKILL after ``revoke()`` returned.
 """
 
 import multiprocessing
@@ -83,10 +83,6 @@ class ChainWorld:
         for service in self.services:
             service.store.close()
 
-    def replay(self):
-        for service in self.services:
-            service.replay_pending()
-
     def statuses(self):
         return [{record.ref: (record.status, record.revoked_reason)
                  for record in service._records.values()}
@@ -113,12 +109,14 @@ def test_crash_at_every_publish_boundary_converges(tmp_path, allowed,
     world.crash()
 
     world = ChainWorld.reopen(tmp_path, "crashed")
-    # Before any replay, every service that journalled its part of the
-    # cascade — svc-0 .. svc-<allowed> — has it applied.
-    for level in range(allowed + 1):
-        assert not world.services[level].credential_record(
-            revoked[level]).active
-    world.replay()
+    # Before any replay only the origin has its part applied: the hops
+    # that journalled theirs — svc-1 .. svc-<allowed> — did so
+    # write-behind, and the origin's pending entry re-drives them.
+    assert not world.services[0].credential_record(revoked[0]).active
+    assert [service.replay_pending()
+            for service in reversed(world.services)] == [0, 0, 0, 1]
+    for level in range(DEPTH):
+        assert not world.services[level].is_active(revoked[level])
     assert world.statuses() == twin_statuses
     world.shutdown()
 
@@ -151,11 +149,13 @@ def test_sigkill_after_revoke_returned_stays_revoked(tmp_path):
     assert child.exitcode == -signal.SIGKILL
 
     world = ChainWorld.reopen(tmp_path, "killed")
-    # Every hop's unsynced entry was committed: each store revokes its
-    # own part at load, before any replay.
-    for service, ref in zip(world.services, report["revoked"]):
-        assert not service.credential_record(ref).active
-    world.replay()
+    # The origin's entry was committed and stays pending; every hop's
+    # write-behind entry died with the child, so the replay re-drives
+    # them.
+    assert not world.services[0].credential_record(
+        report["revoked"][0]).active
+    assert [service.replay_pending()
+            for service in reversed(world.services)] == [0, 0, 0, 1]
     for service, ref in zip(world.services, report["revoked"]):
         assert not service.is_active(ref)
     assert world.services[-1].is_active(report["live"].ref)

@@ -1,12 +1,12 @@
 """Power cuts: a revocation survives losing everything not yet fsynced.
 
 An in-process revocation pays one fsync (docs/persistence.md): the origin
-syncs its journal entry, the hops it covers commit theirs without one,
+syncs its journal entry, the hops it covers append theirs write-behind,
 and every ``cascade-done`` marker of the drain is held until each store
-the drain touched has synced after its entry.  A process kill loses no
-committed entry (``test_crash_recovery.py``); a power cut also loses
-every commit that was never synced.  :class:`PowerCutStore` models that
-difference, and the sweep below cuts power at every publish boundary,
+the drain touched has synced after its entry.  A power cut, like a
+process kill (``test_crash_recovery.py``), loses every entry that was
+never synced.  :class:`PowerCutStore` models that, and the sweep below
+cuts power at every publish boundary,
 right after ``revoke()`` returns, and after each service's checkpoint;
 resuming every service and replaying must converge with an
 uninterrupted twin.
@@ -41,8 +41,8 @@ class PowerCutStore(MemoryRecordStore):
     """A memory store that remembers what it last synced.
 
     As on ``SqliteRecordStore``, records reach stable storage only at a
-    flush (the write-behind buffer), and the log at every synced commit,
-    :meth:`sync` or flush; an unsynced commit is in memory only.
+    flush (the write-behind buffer), and the log at every durable append,
+    :meth:`sync` or flush; a plain append is in memory only.
     :meth:`power_cut` rolls both back to the last synced state.
     """
 
@@ -51,12 +51,14 @@ class PowerCutStore(MemoryRecordStore):
         self._synced_records = {}
         self._synced_log = ([], 0)
 
-    def log_append(self, entry, durable=False, sync=True):
-        seq = super().log_append(entry)
-        if durable and sync:
+    def log_append(self, entry, durable=False):
+        self.log_appends += 1
+        self._log_seq += 1
+        self._log.append((self._log_seq, entry))
+        if durable:
             self.durable_commits += 1
             self.sync()
-        return seq
+        return self._log_seq
 
     def sync(self):
         self._synced_log = (list(self._log), self._log_seq)

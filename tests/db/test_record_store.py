@@ -143,12 +143,17 @@ class TestStats:
 
     def test_log_entries_stat_counts_without_decoding(self, store,
                                                       monkeypatch):
-        for _ in range(3):
-            store.log_append({"op": "x"})
+        """Buffered and committed entries alike (sqlite's first two are
+        write-behind, the third commits them)."""
+        store.log_append({"op": "x"})
+        store.log_append({"op": "x"})
         if store.backend == "sqlite":
             monkeypatch.setattr(store, "log_entries", lambda: pytest.fail(
                 "stats() decoded the whole log"))
-        assert store.stats()["log_entries"] == 3
+        assert store.stats()["log_entries"] == 2
+        store.log_append({"op": "x"}, durable=True)
+        store.log_append({"op": "x"})
+        assert store.stats()["log_entries"] == 4
 
 
 class TestCompletedLogSeqs:
@@ -324,7 +329,7 @@ class TestSqliteWriteBehind:
 
 
 class TestSqliteDurabilityConfig:
-    """One fsync per durable commit, and it must be a real one: WAL with
+    """One fsync per commit, and it must be a real one: WAL with
     ``synchronous=FULL`` (NORMAL under WAL defers the fsync to the next
     checkpoint)."""
 
@@ -341,39 +346,19 @@ class TestSqliteDurabilityConfig:
             assert os.path.exists(path + "-wal")
             store.close()
 
-    def test_unsynced_commit_survives_a_crash_close(self, tmp_path):
-        """``sync=False`` skips the fsync, not the commit: a process kill
-        (``close(flush=False)``) keeps the entry and the reopened store
-        reads it back; only a power cut could lose it."""
-        path = str(tmp_path / "unsynced.db")
-        store = SqliteRecordStore(path)
-        seq = store.log_append({"op": "cascade", "events": []},
-                               durable=True, sync=False)
-        assert store.stats()["ops"]["durable_commits"] == 0
-        assert store.synced == 0
-        assert store.stats()["synchronous"] == 2      # back at FULL
-        store.close(flush=False)
-        survivor = SqliteRecordStore(path)
-        assert [s for s, _ in survivor.log_entries()] == [seq]
-        survivor.close()
-
     def test_synced_generation_counts_fsyncing_commits(self, tmp_path):
-        """What rides the open transaction is committed synced before an
-        unsynced commit (sqlite cannot change the safety level inside a
-        transaction) — an fsync that must not pass for the unsynced
-        entry's; a sync or flush checkpoints everything."""
+        """Every commit runs at ``FULL`` and syncs everything appended so
+        far; a plain append syncs nothing until one happens."""
         store = SqliteRecordStore(str(tmp_path / "gen.db"))
-        store.log_append({"op": "cascade-done", "cascade_seq": 0})
-        store.log_append({"op": "cascade", "events": []}, durable=True,
-                         sync=False)
-        assert (store.synced, store.durable_commits) == (0, 1)
+        store.log_append({"op": "cascade", "events": []})
+        assert (store.synced, store.durable_commits) == (0, 0)
         store.log_append({"op": "cascade", "events": []}, durable=True)
-        assert (store.synced, store.durable_commits) == (1, 2)
-        store.log_append({"op": "cascade", "events": []}, durable=True,
-                         sync=False)
+        assert (store.synced, store.durable_commits) == (1, 1)
+        store.log_append({"op": "cascade-done", "cascade_seq": 1})
         store.sync()
         store.flush()
-        assert (store.synced, store.durable_commits) == (3, 2)
+        assert (store.synced, store.durable_commits) == (3, 1)
+        assert store.stats()["synchronous"] == 2      # never left FULL
         store.close()
 
     def test_memory_database_reports_its_own_journal_mode(self):
@@ -408,3 +393,92 @@ class TestSqliteDurabilityConfig:
         assert copy.get("b", "k") == {"v": 1}
         assert [s for s, _ in copy.log_entries()] == [seq]
         copy.close()
+
+
+class TestSqliteWriteBehindJournal:
+    """A plain ``log_append`` is write-behind: it takes its sequence
+    number at once and reaches disk with the next commit (a durable
+    append, ``sync`` or ``flush``)."""
+
+    @staticmethod
+    def on_disk(path):
+        """The seqs a second connection reads: only what was committed."""
+        reader = SqliteRecordStore(path)
+        try:
+            return [seq for seq, _ in reader.log_entries()]
+        finally:
+            reader.close(flush=False)
+
+    def test_plain_append_is_invisible_to_others_until_a_commit(
+            self, tmp_path):
+        path = str(tmp_path / "behind.db")
+        store = SqliteRecordStore(path)
+        seq = store.log_append({"op": "cascade", "events": []})
+        assert [s for s, _ in store.log_entries()] == [seq]
+        assert store.stats()["log_entries"] == 1
+        assert self.on_disk(path) == []
+        store.sync()
+        assert self.on_disk(path) == [seq]
+        store.close()
+
+    def test_crash_close_drops_buffered_entries(self, tmp_path):
+        path = str(tmp_path / "dropped.db")
+        store = SqliteRecordStore(path)
+        kept = store.log_append({"op": "cascade", "events": []},
+                                durable=True)
+        store.log_append({"op": "cascade", "events": []})
+        store.close(flush=False)
+        assert self.on_disk(path) == [kept]
+
+    def test_durable_append_commits_the_buffer_before_it_in_seq_order(
+            self, tmp_path):
+        path = str(tmp_path / "order.db")
+        store = SqliteRecordStore(path)
+        first = store.log_append({"op": "cascade", "events": [], "n": 1})
+        marker = store.log_append({"op": "cascade-done",
+                                   "cascade_seq": first})
+        durable = store.log_append({"op": "cascade", "events": [], "n": 2},
+                                   durable=True)
+        assert first < marker < durable
+        assert store.durable_commits == 1
+        store.close(flush=False)
+        survivor = SqliteRecordStore(path)
+        assert [(seq, entry["op"]) for seq, entry
+                in survivor.log_entries()] == [
+            (first, "cascade"), (marker, "cascade-done"),
+            (durable, "cascade")]
+        survivor.close()
+
+    @pytest.mark.parametrize("clean", [True, False])
+    def test_seqs_never_repeat_across_a_reopen(self, tmp_path, clean):
+        """A clean close commits the buffer, a crash drops it; either way
+        the reopened store counts on past every seq that reached disk,
+        including pruned ones."""
+        path = str(tmp_path / "seqs.db")
+        store = SqliteRecordStore(path)
+        cascade = store.log_append({"op": "cascade", "events": []},
+                                   durable=True)
+        store.log_append({"op": "cascade-done", "cascade_seq": cascade})
+        store.flush()                      # prunes both: the table is empty
+        assert store.log_entries() == []
+        committed = store.log_append({"op": "x"}, durable=True)
+        buffered = store.log_append({"op": "y"})
+        store.close(flush=clean)
+        reopened = SqliteRecordStore(path)
+        fresh = reopened.log_append({"op": "z"}, durable=True)
+        on_disk = [seq for seq, _ in reopened.log_entries()]
+        assert on_disk == ([committed, buffered, fresh] if clean
+                           else [committed, fresh])
+        assert fresh > (buffered if clean else committed)
+        reopened.close()
+
+    def test_buffered_entries_count_toward_flush_every(self, tmp_path):
+        path = str(tmp_path / "bounded.db")
+        store = SqliteRecordStore(path, flush_every=3)
+        store.put("b", "k", {"v": 1})
+        store.log_append({"op": "x"})
+        assert store.flushes == 0
+        seq = store.log_append({"op": "y"})
+        assert store.flushes == 1
+        assert self.on_disk(path)[-1] == seq
+        store.close()

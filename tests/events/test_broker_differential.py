@@ -1,8 +1,9 @@
 """Differential tests: indexed dispatch vs the naive linear scan.
 
 ``EventBroker`` buckets subscriptions that pin the index key
-(``credential_ref``) and merges the matching bucket with the topic's
-wildcard subscriptions at delivery time; ``tests.reference.ScanBroker``
+(``credential_ref``), and issuer-scoped ones under each issuer they
+attend, and merges the matching buckets with the topic's wildcard
+subscriptions at delivery time; ``tests.reference.ScanBroker``
 scans every subscription in registration order.  These tests drive
 randomized publish/subscribe/cancel scripts through both and assert
 delivery is *identical*: same handler invocations, same order, same
@@ -21,6 +22,8 @@ from tests.reference import ScanBroker
 
 TOPICS = ["credential.revoked", "credential.heartbeat", "app.custom"]
 REFS = [f"dom:svc#{serial}" for serial in range(8)]
+OTHER_REFS = [f"dom/other#{serial}" for serial in range(4)]
+ISSUERS = ["dom:svc", "dom/other", "dom/none"]
 REASONS = ["logout", "cascade", None]
 
 
@@ -28,9 +31,13 @@ def make_broker(indexed: bool) -> EventBroker:
     return EventBroker() if indexed else ScanBroker()
 
 
-def run_script(broker: EventBroker, seed: int, steps: int = 500):
-    """Drive one deterministic random script; return everything observable."""
+def run_script(broker: EventBroker, seed: int, steps: int = 500,
+               scoped: bool = False):
+    """Drive one deterministic random script; return everything observable.
+    ``scoped`` also draws issuer-scoped subscriptions (and widens them)
+    and publishes the refs of a second issuer."""
     rng = random.Random(seed)
+    refs = REFS + OTHER_REFS if scoped else REFS
     log = []
     live_subs = {}
     counter = [0]
@@ -45,9 +52,14 @@ def run_script(broker: EventBroker, seed: int, steps: int = 500):
         if roll < 0.40 or not live_subs:
             sub_id = counter[0]
             counter[0] += 1
+            if scoped and rng.random() < 0.3:
+                live_subs[sub_id] = broker.subscribe_issuers(
+                    rng.choice(TOPICS), make_handler(sub_id),
+                    rng.sample(ISSUERS, rng.randint(0, 2)))
+                continue
             filters = {}
             if rng.random() < 0.55:
-                filters["credential_ref"] = rng.choice(REFS)
+                filters["credential_ref"] = rng.choice(refs)
             if rng.random() < 0.25:
                 filters["reason"] = rng.choice(["logout", "cascade"])
             live_subs[sub_id] = broker.subscribe(
@@ -55,10 +67,14 @@ def run_script(broker: EventBroker, seed: int, steps: int = 500):
         elif roll < 0.55:
             sub_id = rng.choice(sorted(live_subs))
             live_subs.pop(sub_id).cancel()
+        elif scoped and roll < 0.65:
+            sub = live_subs[rng.choice(sorted(live_subs))]
+            if sub.issuers is not None:
+                sub.attend(rng.choice(ISSUERS))
         else:
             attrs = {}
             if rng.random() < 0.80:
-                attrs["credential_ref"] = rng.choice(REFS)
+                attrs["credential_ref"] = rng.choice(refs)
             reason = rng.choice(REASONS)
             if reason is not None:
                 attrs["reason"] = reason
@@ -78,6 +94,15 @@ def test_randomized_scripts_deliver_identically(seed):
     indexed = run_script(EventBroker(), seed)
     naive = run_script(ScanBroker(), seed)
     assert indexed == naive
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_scoped_scripts_deliver_identically(seed):
+    """Issuer-scoped subscriptions, widened while events flow, deliver in
+    registration order beside the bucketed and wildcard ones."""
+    indexed = run_script(EventBroker(), seed, scoped=True)
+    assert indexed == run_script(ScanBroker(), seed, scoped=True)
+    assert indexed["log"]
 
 
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1))

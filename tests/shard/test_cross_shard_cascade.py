@@ -19,6 +19,8 @@ import pytest
 
 from repro.events import EventBroker
 from repro.events.messages import CREDENTIAL_REVOKED, Event
+from repro.netd.client import OasisClient
+from repro.netd.protocol import RpcError
 from repro.obs.runtime import Observability
 from repro.shard import Outbox, ShardRouter, ShardWorker
 from shard_worlds import graph_world_factory
@@ -172,6 +174,24 @@ class TestSinglePublish:
         outbox = Outbox(broker, 0, 2)
         broker.publish(Event.make("local.note", handle=object()))
         assert outbox.minted == []
+
+
+class TestNoSilentSubscription:
+    def test_a_worker_refuses_subscribe_events(self):
+        """Nothing subscribes to a worker's broker — its outbox carries
+        what it mints — so it refuses a subscription it would never push
+        to, rather than answering ``subscribed``."""
+        worker = ShardWorker("w0", {}, outbox=Outbox(EventBroker(), 0, 2))
+        worker.start()
+        client = OasisClient("127.0.0.1", worker.port, peer="w0")
+        try:
+            client.connect()
+            with pytest.raises(RpcError, match="pushes nothing"):
+                client.call("subscribe_events")
+            assert worker.pump.subscriber_count == 0
+        finally:
+            client.close()
+            worker.close()
 
 
 class TestDeepCrossShardTrace:
