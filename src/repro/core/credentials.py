@@ -20,13 +20,12 @@ credential's event channel (Fig. 5).
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, List, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple
 
-from ..crypto.hmac_sig import (FieldValue, ServiceSecret, canonical_encode,
-                               sign_fields, verify_fields)
+from ..crypto.hmac_sig import (FieldValue, ServiceSecret, sign_fields,
+                               verify_fields)
 from .exceptions import CredentialError, SignatureInvalid
 from .terms import DATACLASS_SLOTS, Term, is_ground
 from .types import PrincipalId, Role, RoleName, ServiceId
@@ -39,7 +38,6 @@ __all__ = [
     "CredentialStatus",
     "CredentialRefAllocator",
     "encode_parameters",
-    "certificate_digest",
     "same_certificate",
 ]
 
@@ -234,27 +232,13 @@ class AppointmentCertificate:
             issued_at, self.expires_at, self.holder)
 
 
-def certificate_digest(certificate: Union[RoleMembershipCertificate,
-                                          AppointmentCertificate]) -> str:
-    """SHA-256 over everything a certificate asserts, in the signature's
-    type-tagged field encoding: what a validation cached before a restart
-    stays bound to once the certificate object itself is gone."""
-    return hashlib.sha256(canonical_encode((
-        str(certificate.issuer), certificate.protected_fields(),
-        getattr(certificate, "secret_generation", 0),
-        certificate.signature))).hexdigest()
-
-
 def same_certificate(held: Any, presented: Any) -> bool:
-    """Whether a cache entry holding ``held`` — the certificate it
-    validated, or that certificate's :func:`certificate_digest` — covers
-    ``presented``.  A copy with any field changed (same ref and signature)
-    is a different certificate: it must go back to its issuer."""
-    if held is presented:
-        return True
-    if type(held) is str:
-        return held == certificate_digest(presented)
-    return held == presented
+    """Whether a cache entry holding ``held``, the certificate it
+    validated, covers ``presented``: the same object or an equal copy (a
+    decoded one is equal, not identical).  A copy with any field changed
+    (same ref and signature) is a different certificate: it must go back
+    to its issuer."""
+    return held is presented or held == presented
 
 
 class CredentialStatus:

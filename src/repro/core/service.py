@@ -1332,8 +1332,8 @@ class OasisService:
         if held is not certificate:
             if held is None or not same_certificate(held, certificate):
                 return False
-            # An equal copy, or a digest restored by ``resume``: the next
-            # presentation of this object is an identity test.
+            # An equal copy (a decoded one, say): the next presentation
+            # of this object is an identity test.
             entries[cache_key] = certificate
         if self._heard is not None and self._heartbeat_silent(key):
             return False
@@ -1513,8 +1513,10 @@ class OasisService:
         return cls(policy, broker, registry, store=store, **kwargs)
 
     def _recover(self) -> None:
-        """Resume from the store (a no-op on an empty one): records, edges,
-        validation cache and journal tail via :meth:`ServiceState.load`.
+        """Resume from the store (a no-op on an empty one): records, edges
+        and journal tail via :meth:`ServiceState.load`.  The caches start
+        empty: the first presentation of each foreign credential calls
+        back, since events missed while down are not replayed.
         Cascades cut by a crash are re-audited and queued for
         :meth:`replay_pending`, which the caller runs once every service
         of the world exists."""
@@ -1536,12 +1538,6 @@ class OasisService:
                         event.get("credential_ref") or "-",
                         reason=event.get("reason"))
             self.stats.revocations += 1
-        if self._heard is not None:
-            # Fail closed: a restored validation is trusted for one window
-            # from the restart, then only while its issuer keeps beating.
-            now = self.clock()
-            for ref in recovered.validation_refs:
-                self._heard[ref.qualified] = (ref, now)
         self._pending_replay = recovered.pending_cascades
 
     def replay_pending(self) -> int:

@@ -1,24 +1,21 @@
 """The service state core: issuer-side security state over a record store.
 
 This module is the seam the multi-layer refactor carved out of
-``OasisService``: every piece of state a service must not lose — the
-credential records of Fig. 4, the reverse-dependency index the Fig. 5
-cascade traverses, the cached foreign validations (ECR proxies), and the
-session liveness derivable from records — lives in a
-:class:`ServiceState` and mutates through it, as operations against the
-keyed-record storage interface of :mod:`repro.db.kv`.
+``OasisService``: the security state of a service — the credential
+records of Fig. 4, the reverse-dependency index the Fig. 5 cascade
+traverses, the cached foreign validations (ECR proxies), and the session
+liveness derivable from records — lives in a :class:`ServiceState` and
+mutates through it; what must survive a restart is mirrored as
+operations against the keyed-record storage interface of
+:mod:`repro.db.kv`.
 
-Three buckets hold the credential state:
+Two buckets hold the credential state:
 
 * ``records`` — ``CRR qualified string -> CredentialRecord`` (encoded via
   :class:`ServiceStateCodec` on serialising backends).  Revoked records
   are *kept*, so a restarted issuer answers callback validation for a dead
   credential with ``CredentialRevoked`` (reason preserved) rather than a
   generic "unknown credential".
-* ``validation`` — one entry per cached foreign credential: the
-  ``(requester, holder)`` pairs whose callback validation succeeded, each
-  with the certificate it validated (its digest once serialised), so a
-  restart can rebuild the cache without it covering a tampered copy.
 * ``meta`` — the service secret (certificates must keep verifying across a
   restart) and small recovery bookkeeping.
 
@@ -29,11 +26,15 @@ values, and META ``facts`` lists the buckets the store holds.  Every fact
 mutation is committed before the service's listener returns; at a restart
 a held table's stored rows replace the caller's seeds.
 
-The transient caches (signature-verification cache, membership-constraint
-watches) are **not** persisted.  The signature cache is a MAC check away
-from being rebuilt; the watches are simply lost, so a credential resumed
-with a membership-watched constraint is not revoked when that constraint
-later turns false (a known limit, see docs/persistence.md).
+The caches (validation cache, signature-verification cache) and the
+membership-constraint watches are **not** persisted.  A cached validation
+is sound only while its holder hears the issuer's events, and a holder
+that was down heard nothing: a restarted one calls back on the first
+presentation of each foreign credential (Sect. 4's fail-closed rule).
+The signature cache is a MAC check away from being rebuilt; the watches
+are simply lost, so a credential resumed with a membership-watched
+constraint is not revoked when that constraint later turns false (a
+known limit, see docs/persistence.md).
 
 Crash-consistency protocol (see docs/persistence.md): a revocation
 cascade's events are journalled to the store's append log with one
@@ -86,15 +87,13 @@ from ..db.kv import RecordStore, StoreCodec
 from ..db.store import Database, Row, Table
 from ..events import Event, Subscription
 from ..events.broker import issuer_of
-from .credentials import (CredentialRecord, CredentialRef, CredentialStatus,
-                          certificate_digest)
+from .credentials import CredentialRecord, CredentialRef, CredentialStatus
 from .rules import ConstraintCondition
 from .terms import Substitution
 from .types import PrincipalId, ServiceId
 
 __all__ = [
     "RECORDS",
-    "VALIDATION",
     "META",
     "ServiceStateCodec",
     "ServiceState",
@@ -106,7 +105,6 @@ __all__ = [
 
 #: Bucket names of the keyed-record store.
 RECORDS = "records"
-VALIDATION = "validation"
 META = "meta"
 #: The META key listing the fact buckets the store holds.
 FACTS = "facts"
@@ -157,18 +155,10 @@ def ref_from_payload(payload: Dict[str, Any]) -> CredentialRef:
 class ServiceStateCodec(StoreCodec):
     """Encodes service-state bucket values for serialising backends.
 
-    ``records`` hold rich objects; a ``validation`` entry holds the
-    certificate it validated, serialised as its
-    :func:`~repro.core.credentials.certificate_digest` (what the entry
-    stays bound to after a restart); ``meta`` values pass through.
+    ``records`` hold rich objects; every other value passes through.
     """
 
     def encode(self, bucket: str, value: Any) -> Any:
-        if bucket == VALIDATION:
-            return {"ref": value["ref"], "entries": [
-                [requester, holder,
-                 held if type(held) is str else certificate_digest(held)]
-                for requester, holder, held in value["entries"]]}
         if bucket != RECORDS:
             return value
         record: CredentialRecord = value
@@ -299,9 +289,6 @@ class RecoveredState:
 
     #: Highest CRR serial that must never be re-allocated.
     max_serial: int
-    #: Foreign refs whose validation-cache entries were restored (a
-    #: service with a heartbeat timeout starts one window per ref).
-    validation_refs: List[CredentialRef]
     #: Journalled revocations applied during replay, in log order — each
     #: is ``(record-or-None, event)`` for exactly the events of cascades
     #: that never reached their done marker (their in-memory audit entries
@@ -319,10 +306,12 @@ class ServiceState:
     storeless service is bit-identical to the pre-refactor layout).  All
     but ``records`` (own credentials, under the ``CredentialRef`` a
     certificate carries) are keyed by the CRR string.  Every
-    *mutation* flows through a method below, which keeps the attached
-    store in sync: reference-cheap ``put``s for the in-memory backend,
-    write-behind buffering for SQLite.  ``store=None`` (the default
-    backend) short-circuits every mirror behind one ``is None`` test.
+    *mutation* flows through a method below; those of records, facts,
+    the secret and the journal keep the attached store in sync:
+    reference-cheap ``put``s for the in-memory backend, write-behind
+    buffering for SQLite.  The caches are volatile.  ``store=None`` (the
+    default backend) short-circuits every mirror behind one ``is None``
+    test.
 
     ``interest`` is the set of issuers whose credential events the
     service must hear: itself, and the issuer of every key of the
@@ -344,8 +333,7 @@ class ServiceState:
         self.records: Dict[CredentialRef, CredentialRecord] = {}
         self.dependents: Dict[str, Union[List[CredentialRef],
                                          Dict[CredentialRef, None]]] = {}
-        # The values of both caches are the certificate validated (a
-        # restored validation entry: its digest until the next hit).
+        # The values of both caches are the certificate validated.
         self.validation_cache: Dict[
             str, Dict[Tuple[str, Optional[str]], Any]] = {}
         self.sig_cache: Dict[str, Dict[Tuple, Any]] = {}
@@ -432,36 +420,18 @@ class ServiceState:
     def cache_validation(self, ref: CredentialRef,
                          cache_key: Tuple[str, Optional[str]],
                          certificate: Any) -> None:
-        """Cache ``certificate``'s validation for ``cache_key``.  The store
-        entry holds the certificate object; :class:`ServiceStateCodec`
-        reduces it to its digest only if the entry is ever serialised."""
+        """Cache ``certificate``'s validation for ``cache_key``, attending
+        its issuer first.  Volatile: the store never sees it."""
         key = ref.qualified
-        entries = self._validations(key)
-        entries[cache_key] = certificate
-        store = self.store
-        if store is not None:
-            store.put(VALIDATION, key, {
-                "ref": ref_payload(ref),
-                "entries": [[requester, holder, held] for
-                            (requester, holder), held in entries.items()]})
-
-    def _validations(self, key: str
-                     ) -> Dict[Tuple[str, Optional[str]], Any]:
-        """The validation-cache entries of ``key``, created (and its
-        issuer attended) if there are none."""
         entries = self.validation_cache.get(key)
         if entries is None:
             self.attend(key)
             entries = self.validation_cache[key] = {}
-        return entries
+        entries[cache_key] = certificate
 
     def drop_validation(self, key: str
                         ) -> Optional[Dict[Tuple[str, Optional[str]], Any]]:
-        stale = self.validation_cache.pop(key, None)
-        store = self.store
-        if store is not None and stale is not None:
-            store.delete(VALIDATION, key)
-        return stale
+        return self.validation_cache.pop(key, None)
 
     # ------------------------------------------------------------------
     # Session liveness (derived from records — storage-backed for free)
@@ -597,8 +567,8 @@ class ServiceState:
         it returns: records (revoked ones included) and the reverse index
         are rebuilt, every journalled revocation has been applied, and the
         returned :class:`RecoveredState` lists what the service layer owes
-        — audit entries for interrupted cascades, heartbeat windows for
-        restored validations, and re-emission of unpublished events.
+        — audit entries for interrupted cascades and re-emission of
+        unpublished events.  The validation cache starts empty.
         """
         store = self.store
         # The log tail first: only the records its cascades name need a
@@ -631,17 +601,6 @@ class ServiceState:
             if record.active:
                 for dependency in record.membership_dependencies:
                     self.link_dependent(dependency.qualified, record.ref)
-        validation_refs: List[CredentialRef] = []
-        for key, payload in store.scan(VALIDATION):
-            # An entry not bound to a certificate covers any copy of it:
-            # dropped, so the next presentation calls back.
-            entries = {(entry[0], entry[1]): entry[2]
-                       for entry in payload.get("entries", ())
-                       if len(entry) == 3 and entry[2] is not None}
-            if entries:
-                ref = ref_from_payload(payload["ref"])
-                self._validations(ref.qualified).update(entries)
-                validation_refs.append(ref)
         # Log-tail replay, in append order.  Cascades with a done marker
         # were fully published before the crash: repair record state
         # silently.  Cascades without one are the interrupted tail: apply
@@ -663,6 +622,5 @@ class ServiceState:
             if is_pending:
                 pending.append((seq, events))
         return RecoveredState(max_serial=max_serial,
-                              validation_refs=validation_refs,
                               interrupted_revocations=interrupted,
                               pending_cascades=pending)

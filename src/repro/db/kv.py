@@ -1,7 +1,7 @@
 """The keyed-record storage interface behind the service state core.
 
 Every piece of issuer-side security state — credential
-records (the CRs of Fig. 4), cached validation keys, recovery metadata —
+records (the CRs of Fig. 4), constraint facts, recovery metadata —
 lives behind ONE storage discipline: named *buckets* of ``key -> record``
 pairs with batch variants, plus an append-only log used to make revocation
 cascades crash-consistent.  The discipline deliberately mirrors
@@ -48,7 +48,6 @@ from typing import (
     Iterator,
     List,
     Optional,
-    Sequence,
     Set,
     Tuple,
 )
@@ -137,7 +136,7 @@ class RecordStore:
     def put(self, bucket: str, key: str, value: Any) -> None:
         raise NotImplementedError
 
-    def delete(self, bucket: str, key: str) -> bool:
+    def delete(self, bucket: str, key: str) -> None:
         raise NotImplementedError
 
     def scan(self, bucket: str) -> Iterator[Tuple[str, Any]]:
@@ -158,12 +157,9 @@ class RecordStore:
             written += 1
         return written
 
-    def get_many(self, bucket: str, keys: Sequence[str],
-                 default: Any = None) -> List[Any]:
-        return [self.get(bucket, key, default) for key in keys]
-
-    def delete_many(self, bucket: str, keys: Iterable[str]) -> int:
-        return sum(1 for key in keys if self.delete(bucket, key))
+    def delete_many(self, bucket: str, keys: Iterable[str]) -> None:
+        for key in keys:
+            self.delete(bucket, key)
 
     # -- append log -----------------------------------------------------
     def log_append(self, entry: Dict[str, Any],
@@ -235,10 +231,6 @@ class RecordStore:
             "log_entries": len(self.log_entries()),
         }
 
-    def reset_stats(self) -> None:
-        self.puts = self.gets = self.deletes = self.scans = 0
-        self.log_appends = self.durable_commits = self.flushes = 0
-
 
 #: Sentinel marking a pending delete in write-behind buffers.
 DELETED = object()
@@ -285,12 +277,11 @@ class MemoryRecordStore(RecordStore):
         self.puts += len(batch)
         return len(batch)
 
-    def delete(self, bucket: str, key: str) -> bool:
+    def delete(self, bucket: str, key: str) -> None:
         self.deletes += 1
         rows = self._buckets.get(bucket)
-        if rows is None:
-            return False
-        return rows.pop(key, DELETED) is not DELETED
+        if rows is not None:
+            rows.pop(key, None)
 
     def scan(self, bucket: str) -> Iterator[Tuple[str, Any]]:
         self.scans += 1

@@ -166,23 +166,11 @@ class SqliteRecordStore(RecordStore):
             self.flush()
         return written
 
-    def delete(self, bucket: str, key: str) -> bool:
+    def delete(self, bucket: str, key: str) -> None:
+        """Tombstone the key in the buffer, with no disk probe: the
+        flush removes its disk row, if it has one."""
         self.deletes += 1
-        pending = self._pending
-        slot = (bucket, key)
-        if slot in pending:
-            # The buffer already answers — no disk probe.  A buffered
-            # tombstone means the key is gone (a second delete returns
-            # False, matching MemoryRecordStore); a buffered value is
-            # tombstoned so the flush also removes any older disk row.
-            if pending[slot] is DELETED:
-                return False
-            pending[slot] = DELETED
-            return True
-        on_disk = self._conn.execute(_PROBE, slot).fetchone() is not None
-        if on_disk:
-            pending[slot] = DELETED
-        return on_disk
+        self._pending[(bucket, key)] = DELETED
 
     def scan(self, bucket: str) -> Iterator[Tuple[str, Any]]:
         self.scans += 1

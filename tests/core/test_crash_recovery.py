@@ -11,6 +11,7 @@ must never be lost, while in-flight activations may die (certificate
 checking fails closed).
 """
 
+import hashlib
 import multiprocessing
 import os
 import signal
@@ -34,12 +35,14 @@ from repro.core import (
 )
 from repro.core.access_log import AccessKind
 from repro.core.exceptions import CredentialInvalid, CredentialRevoked
-from repro.core.state import ServiceStateCodec
+from repro.core.state import ServiceStateCodec, ref_payload
 from repro.crypto import ServiceSecret
+from repro.crypto.hmac_sig import canonical_encode
 from repro.db import SqliteRecordStore
 from repro.events import EventBroker
 from repro.net.sim import SimNetwork
 from repro.netd.worlds import NodeContext
+from repro.policy import parse_policy
 
 N_PRINCIPALS = 4
 
@@ -582,3 +585,99 @@ class TestKillAndResume:
         creds = world.login.session_credentials("s1")
         assert [record.ref for record in creds] == [world.roots[1].ref]
         world.shutdown()
+
+
+ISSUER = "service a/login\nrole user(u)\nactivate user(u)\n"
+HOLDER = ("service a/desk\nrole reader(u)\n"
+          "activate reader(u) <- a/login:user(u)*\n"
+          "authorize read(u) <- a/login:user(u)\n")
+
+
+class TestHolderDownWhileRevoked:
+    """An issuer revokes while a holder's process is down.  The holder
+    heard nothing, and nothing replays what it missed: it must not trust
+    any validation it made before it went down."""
+
+    @pytest.fixture
+    def fleet(self, tmp_path):
+        """``a/login`` stays up; ``a/desk`` runs on a SQLite file."""
+        self.broker, registry = EventBroker(), ServiceRegistry()
+        self.login = OasisService(parse_policy(ISSUER), self.broker,
+                                  registry)
+        self.path = str(tmp_path / "desk.db")
+        yield self.login, self.holder(registry)
+        self.store.close()
+
+    def holder(self, registry):
+        self.store = SqliteRecordStore(self.path, codec=ServiceStateCodec())
+        desk = OasisService(parse_policy(HOLDER), self.broker, registry,
+                            store=self.store)
+        desk.register_method("read", lambda user: f"read[{user}]")
+        return desk
+
+    def take_down(self, desk):
+        """The holder's process stops after a checkpoint: no event
+        reaches it any more."""
+        desk.checkpoint()
+        for subscription in desk._service_subs:
+            subscription.cancel()
+        self.store.close()
+
+    def resume(self):
+        """A new holder process on the same file, beside the same
+        issuer."""
+        registry = ServiceRegistry()
+        registry.register(self.login)
+        return self.holder(registry)
+
+    def assert_refused_by_callback(self, desk, user):
+        callbacks = desk.stats.callbacks_made
+        with pytest.raises(CredentialRevoked):
+            desk.invoke(PrincipalId("ann"), "read", ["ann"],
+                        [Presentation(user)])
+        assert desk.stats.callbacks_made == callbacks + 1
+        assert desk.validation_cache_size == 0
+
+    def test_a_validation_cached_before_going_down_is_not_trusted(
+            self, fleet):
+        login, desk = fleet
+        user = login.activate_role(PrincipalId("ann"), "user", ["ann"])
+        assert desk.invoke(PrincipalId("ann"), "read", ["ann"],
+                           [Presentation(user)]) == "read[ann]"
+        assert desk.validation_cache_size == 1
+        self.take_down(desk)
+        login.revoke(user.ref, "logout")
+        self.assert_refused_by_callback(self.resume(), user)
+
+    def test_a_stored_validation_row_is_not_restored(self, fleet):
+        """A file that an earlier release left holding a persisted cache
+        entry, bound to the certificate by its digest, is read as if the
+        row were not there."""
+        login, desk = fleet
+        user = login.activate_role(PrincipalId("ann"), "user", ["ann"])
+        self.take_down(desk)
+        # SHA-256 of what the RMC asserts; an RMC has no secret generation.
+        digest = hashlib.sha256(canonical_encode((
+            str(user.issuer), user.protected_fields(), 0,
+            user.signature))).hexdigest()
+        store = SqliteRecordStore(self.path, codec=ServiceStateCodec())
+        store.put("validation", user.ref.qualified, {
+            "ref": ref_payload(user.ref), "entries": [["ann", None, digest]]})
+        store.close()
+        login.revoke(user.ref, "logout")
+        self.assert_refused_by_callback(self.resume(), user)
+
+    @pytest.mark.xfail(strict=True, raises=pytest.fail.Exception, reason=(
+        "no event replay for a subscriber that was down: the resumed "
+        "holder never hears the revocation (ROADMAP item 4, replay after "
+        "a cursor)"))
+    def test_a_dependent_of_a_credential_revoked_while_down_is_revoked(
+            self, fleet):
+        login, desk = fleet
+        user = login.activate_role(PrincipalId("ann"), "user", ["ann"])
+        reader = desk.activate_role(PrincipalId("ann"), "reader", None,
+                                    [Presentation(user)])
+        self.take_down(desk)
+        login.revoke(user.ref, "logout")
+        if self.resume().is_active(reader.ref):
+            pytest.fail("the resumed reader RMC outlived its user RMC")

@@ -160,7 +160,7 @@ class TestAppointmentCertificate:
 
 class TestFixedInputs:
     """Signatures and wire text from fixed inputs: the bytes every
-    issued certificate and every stored validation digest depend on."""
+    issued certificate depends on."""
 
     SECRET = ServiceSecret(key=b"k" * 32, generation=2)
 

@@ -123,9 +123,10 @@ class TestHolderFailSafe:
 
 
 class TestResumedHolder:
-    """A restarted holder starts every restored validation's heartbeat
-    window at resume: silence after the restart is suspicion, exactly as
-    before it (fail closed)."""
+    """A restarted holder has no cached validation, so it heard nothing it
+    could have missed: its first presentation of a foreign credential
+    calls back, even inside the heartbeat window the entry had before the
+    restart, and that callback starts a fresh window (fail closed)."""
 
     @pytest.fixture
     def resumed(self):
@@ -143,23 +144,29 @@ class TestResumedHolder:
                      store=login.store)
         portal = OasisService(portal.policy, broker, registry, clock,
                               heartbeat_timeout=10.0, store=portal.store)
-        assert portal.validation_cache_size == 1
+        assert portal.validation_cache_size == 0
+        assert portal.suspect_credentials() == []
         return clock, portal, session
 
     def test_silence_after_resume_is_suspect(self, resumed):
         clock, portal, session = resumed
         clock.advance(11.0)  # no heartbeat since the restart
-        assert portal.suspect_credentials() == [session.root_rmc.ref]
         callbacks = portal.stats.callbacks_made
         session.activate(portal, "visitor")
         assert portal.stats.callbacks_made == callbacks + 1
+        clock.advance(11.0)  # no heartbeat since that callback
+        assert portal.suspect_credentials() == [session.root_rmc.ref]
+        session.activate(portal, "visitor")
+        assert portal.stats.callbacks_made == callbacks + 2
 
-    def test_restored_entry_hits_within_window(self, resumed):
+    def test_first_presentation_within_window_calls_back(self, resumed):
         clock, portal, session = resumed
-        clock.advance(9.0)
-        assert portal.suspect_credentials() == []
+        clock.advance(9.0)  # inside the window the entry had before
         callbacks = portal.stats.callbacks_made
         hits = portal.stats.cache_hits
         session.activate(portal, "visitor")
-        assert portal.stats.callbacks_made == callbacks
+        assert portal.stats.callbacks_made == callbacks + 1
+        assert portal.stats.cache_hits == hits
+        session.activate(portal, "visitor")  # re-cached by that callback
+        assert portal.stats.callbacks_made == callbacks + 1
         assert portal.stats.cache_hits == hits + 1

@@ -3,7 +3,7 @@
 A service learns that a credential it caches died, was re-issued or went
 quiet through the subscriptions its constructor makes and nowhere else:
 they do not grow with the number of cached validations, and they keep
-working for validations restored by ``resume``.
+working for validations cached again after a restart.
 """
 
 import pytest
@@ -72,6 +72,12 @@ def test_validation_cached_before_resume_dropped_by_later_revocation():
                          store=login.store)
     portal = OasisService(portal.policy, broker, registry, clock,
                           store=portal.store)
+    # Nothing cached survives the restart: one presentation caches the
+    # validation again, by callback.
+    assert portal.validation_cache_size == 0
+    callbacks = portal.stats.callbacks_made
+    visit(portal, "u", rmc)
+    assert portal.stats.callbacks_made == callbacks + 1
     assert portal.validation_cache_size == 1
     invalidations = portal.stats.cache_invalidations
     login.revoke(rmc.ref, "logout")

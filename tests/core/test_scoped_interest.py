@@ -9,6 +9,7 @@ not attend (under-delivery would fail open), so on a chain each event
 reaches the issuer and its one dependent.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import (
@@ -32,7 +33,10 @@ from tests.conftest import examples
 DEPTH = 16
 
 
-def test_a_root_revoke_runs_sql_only_at_the_origin(tmp_path):
+@pytest.mark.parametrize("checkpointed", [False, True])
+def test_a_root_revoke_runs_sql_only_at_the_origin(tmp_path, checkpointed):
+    """Also once every store has flushed: a hop then holds nothing in
+    its write-behind buffer that could answer for it."""
     broker, registry = EventBroker(), ServiceRegistry()
     services = [
         OasisService(policy, broker, registry,
@@ -44,6 +48,9 @@ def test_a_root_revoke_runs_sql_only_at_the_origin(tmp_path):
     for service in services[1:]:
         chain.append(service.activate_role(pid, "role", None,
                                            [Presentation(chain[-1])]))
+    if checkpointed:
+        for service in services:
+            service.checkpoint()
     statements = [[] for _ in services]
     for service, seen in zip(services, statements):
         service.store._conn.set_trace_callback(seen.append)

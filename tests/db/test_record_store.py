@@ -48,10 +48,17 @@ class TestRecordVerbs:
 
     def test_delete(self, store):
         store.put("b", "k", {"v": 1})
-        assert store.delete("b", "k") is True
+        store.put("b", "kept", {"v": 2})
+        store.delete("b", "k")
         assert store.get("b", "k") is None
-        assert store.delete("b", "k") is False
-        assert store.delete("b", "never-existed") is False
+        assert store.get("b", "k", default=0) == 0
+        assert dict(store.scan("b")) == {"kept": {"v": 2}}
+        assert store.count("b") == 1
+        store.delete("b", "k")
+        store.delete("b", "never-existed")
+        store.delete("no-such-bucket", "k")
+        assert dict(store.scan("b")) == {"kept": {"v": 2}}
+        assert store.count("b") == 1
 
     def test_scan_sees_all_pairs(self, store):
         for index in range(5):
@@ -66,16 +73,17 @@ class TestRecordVerbs:
     def test_batch_variants(self, store):
         assert store.put_many(
             "b", [(f"k{index}", {"v": index}) for index in range(4)]) == 4
-        assert store.get_many("b", ["k1", "k3", "nope"]) == \
-            [{"v": 1}, {"v": 3}, None]
-        assert store.delete_many("b", ["k0", "k2", "nope"]) == 2
+        store.delete_many("b", ["k0", "k2", "nope"])
+        assert dict(store.scan("b")) == {"k1": {"v": 1}, "k3": {"v": 3}}
         assert store.count("b") == 2
 
     def test_buckets_are_disjoint_namespaces(self, store):
         store.put("a", "k", {"v": "a"})
         store.put("b", "k", {"v": "b"})
-        assert store.delete("a", "k") is True
+        store.delete("a", "k")
+        assert store.get("a", "k") is None
         assert store.get("b", "k") == {"v": "b"}
+        assert (store.count("a"), store.count("b")) == (0, 1)
 
 
 class TestAppendLog:
@@ -107,7 +115,7 @@ class TestAppendLog:
 
 
 class TestStats:
-    def test_ops_counted_and_resettable(self, store):
+    def test_ops_counted(self, store):
         store.put("b", "k", {"v": 1})
         store.get("b", "k")
         store.delete("b", "k")
@@ -121,9 +129,6 @@ class TestStats:
         assert stats["ops"]["scans"] == 1
         assert stats["ops"]["log_appends"] == 1
         assert stats["ops"]["durable_commits"] == 1
-        store.reset_stats()
-        fresh = store.stats()
-        assert all(value == 0 for value in fresh["ops"].values())
 
     def test_stats_is_a_copy(self, store):
         store.put("b", "k", {"v": 1})
@@ -213,8 +218,10 @@ class TestSqliteWriteBehind:
         store = SqliteRecordStore(str(tmp_path / "del.db"))
         store.put("b", "k", {"v": 1})
         store.flush()
-        assert store.delete("b", "k") is True
+        store.delete("b", "k")
+        assert store.stats()["pending_writes"] == 1
         assert store.get("b", "k") is None              # buffered delete
+        assert dict(store.scan("b")) == {}
         assert store.count("b") == 0
         store.flush()
         store.close()
@@ -222,52 +229,52 @@ class TestSqliteWriteBehind:
         assert reopened.get("b", "k") is None
         reopened.close()
 
-    def test_second_delete_of_flushed_row_returns_false(self, tmp_path):
-        """A buffered DELETED tombstone answers repeat deletes: the key
-        is gone even though the row is still on disk until the next
-        flush — matching MemoryRecordStore's False on a second delete."""
-        store = SqliteRecordStore(str(tmp_path / "wb.db"))
-        store.put("b", "k", {"v": 1})
-        store.flush()
-        assert store.delete("b", "k") is True
-        assert store.delete("b", "k") is False
-        store.flush()
-        assert store.delete("b", "k") is False
-        store.close()
-
-    def test_delete_answers_from_buffer_without_disk_probe(self, tmp_path):
-        store = SqliteRecordStore(str(tmp_path / "wb.db"))
+    def test_second_delete_of_flushed_row_keeps_it_gone(self, tmp_path):
+        """A repeat delete, before or after the flush that removes the
+        row from disk, leaves the key gone — as on MemoryRecordStore."""
+        path = str(tmp_path / "wb.db")
+        store = SqliteRecordStore(path)
         store.put("b", "k", {"v": 1})
         store.flush()
         store.delete("b", "k")
-        probes = []
-        connection = store._conn
+        store.delete("b", "k")
+        assert (store.get("b", "k"), store.count("b")) == (None, 0)
+        store.flush()
+        store.delete("b", "k")
+        assert (store.get("b", "k"), store.count("b")) == (None, 0)
+        store.close()
+        reopened = SqliteRecordStore(path)
+        assert (reopened.get("b", "k"), reopened.count("b")) == (None, 0)
+        reopened.close()
 
-        class SpyingConnection:
-            def execute(self, sql, *args):
-                if sql.lstrip().startswith("SELECT"):
-                    probes.append(sql)
-                return connection.execute(sql, *args)
-
-            def __getattr__(self, name):
-                return getattr(connection, name)
-
-        store._conn = SpyingConnection()
-        assert store.delete("b", "k") is False
-        assert probes == []
-        store._conn = connection
+    def test_delete_answers_from_buffer_without_disk_probe(self, tmp_path):
+        """A delete only tombstones the key: neither the first delete of
+        a flushed row nor a repeat one reads the disk."""
+        store = SqliteRecordStore(str(tmp_path / "wb.db"))
+        store.put("b", "k", {"v": 1})
+        store.flush()
+        statements = []
+        store._conn.set_trace_callback(statements.append)
+        store.delete("b", "k")
+        store.delete("b", "k")
+        store.delete("b", "never-existed")
+        store._conn.set_trace_callback(None)
+        assert statements == []
+        assert store.get("b", "k") is None
         store.close()
 
     def test_reput_after_tombstone_is_deletable_again(self, tmp_path):
         store = SqliteRecordStore(str(tmp_path / "wb.db"))
         store.put("b", "k", {"v": 1})
         store.flush()
-        assert store.delete("b", "k") is True
+        store.delete("b", "k")
         store.put("b", "k", {"v": 2})
         assert store.get("b", "k") == {"v": 2}
-        assert store.delete("b", "k") is True
-        assert store.delete("b", "k") is False
+        assert store.count("b") == 1
+        store.delete("b", "k")
         assert store.get("b", "k") is None
+        assert dict(store.scan("b")) == {}
+        assert store.count("b") == 0
         store.close()
 
     def test_crash_close_loses_buffer_keeps_durable_log(self, tmp_path):

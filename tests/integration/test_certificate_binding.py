@@ -6,8 +6,9 @@ generation): neither key names the certificate's content.  A copy of a
 certificate whose validation is cached, with one field changed but the
 same ref and signature, must still go back to its issuer — and fail
 there — not ride the cached entry.  Sect. 4.1's tampering guarantee must
-hold in-process, over sockets and after a restart; a mutant whose binding
-check always passes is killed by every deployment shape below.
+hold in-process, over sockets and for a validation cached again after a
+restart; a mutant whose binding check always passes is killed by every
+deployment shape below.
 """
 
 import dataclasses
@@ -168,7 +169,8 @@ def served():
 
 def resumed(backend, tmp_path):
     """A portal caches a login RMC's validation, both services restart
-    from their stores, then an edited copy of the RMC is presented."""
+    from their stores, one presentation caches it again, then an edited
+    copy of the RMC is presented."""
     def open_store(name):
         if backend == "sqlite":
             return SqliteRecordStore(str(tmp_path / f"{name}.db"),
@@ -204,10 +206,11 @@ def resumed(backend, tmp_path):
     portal = OasisService(portal_policy, broker, registry,
                           store=stores["portal"])
     try:
-        assert portal.validation_cache_size == 1
+        assert portal.validation_cache_size == 0  # volatile
         callbacks = portal.stats.callbacks_made
         portal.activate_role(alice, "visitor", ["alice"], [Presentation(rmc)])
-        assert portal.stats.callbacks_made == callbacks  # restored, bound
+        assert portal.stats.callbacks_made == callbacks + 1
+        assert portal.validation_cache_size == 1  # cached again, bound
         edited = dataclasses.replace(rmc, role=Role(rmc.role.role_name,
                                                     ("root",)))
         return {"visitor": refused(lambda: portal.activate_role(

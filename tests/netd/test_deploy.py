@@ -7,7 +7,8 @@ Three drills:
 * kill-and-resume — SIGKILL a served node with a state directory and
   check the restarted process still honours certificates issued by
   its previous incarnation (ROADMAP's crash-consistency story over the
-  served transport);
+  served transport), and no longer trusts a validation it cached before
+  a revocation it missed while down;
 * fact retraction — a care registration deleted on a served node stays
   deleted through a SIGKILL and restart.
 """
@@ -17,7 +18,7 @@ import time
 
 import pytest
 
-from repro.core.exceptions import ActivationDenied
+from repro.core.exceptions import ActivationDenied, CredentialRevoked
 from repro.core.service import Presentation
 from repro.netd.deploy import NodeSpec, Supervisor, free_port
 
@@ -132,6 +133,68 @@ class TestKillAndResume:
             client = fleet.client("bench")
             assert not client.is_active(rmc.ref), \
                 "revocation lost across crash"
+
+    def test_a_restarted_holder_refuses_a_revocation_it_missed(
+            self, tmp_path):
+        """Fig. 3 with national durable: national caches the treating
+        RMC's validation and is killed; records revokes the RMC while no
+        event can reach national; the restarted national calls back and
+        refuses ``request_EHR``."""
+        front_port, records_port = free_port(), free_port()
+        specs = [
+            NodeSpec(name="front", port=front_port,
+                     world=f"{WORLDS}:ehr_front"),
+            NodeSpec(name="records", port=records_port,
+                     world=f"{WORLDS}:ehr_records",
+                     peers={"front": ("127.0.0.1", front_port)},
+                     subscribe=("front",)),
+            NodeSpec(name="national", port=free_port(),
+                     world=f"{WORLDS}:ehr_national",
+                     peers={"records": ("127.0.0.1", records_port)},
+                     subscribe=("records",),
+                     state_dir=str(tmp_path / "state")),
+        ]
+        with Supervisor(specs) as fleet:
+            front = fleet.client("front")
+            records = fleet.client("records")
+            national = fleet.client("national")
+            registrar = national.activate("registry", "registrar",
+                                          "registrar")
+            accreditation = national.appoint(
+                "registry", "registrar", "accredited_hospital",
+                ["addenbrookes"], credentials=[registrar],
+                holder="gateway")
+            gateway = national.activate(
+                "patient-records", "gateway", "hospital", ["addenbrookes"],
+                credentials=[Presentation(accreditation, holder="gateway")])
+            admin_login = front.activate("login", "admin",
+                                         "logged_in_user", ["admin"])
+            admin = front.activate("admin", "admin", "administrator",
+                                   ["admin"], credentials=[admin_login])
+            allocation = front.appoint(
+                "admin", "admin", "allocated", ["dr", "p1"],
+                credentials=[admin], holder="dr")
+            doctor_login = front.activate("login", "dr", "logged_in_user",
+                                          ["dr"])
+            treating = records.activate(
+                "records", "dr", "treating_doctor", ["dr", "p1"],
+                credentials=[doctor_login,
+                             Presentation(allocation, holder="dr")])
+
+            def request_ehr():
+                return fleet.client("national").invoke(
+                    "patient-records", "gateway", "request_EHR", ["p1"],
+                    credentials=[gateway,
+                                 Presentation(treating, on_behalf_of="dr")])
+
+            assert request_ehr()  # caches the treating RMC's validation
+            national.checkpoint()
+            fleet.kill("national")
+            records.revoke(treating.ref, "patient discharged")
+            fleet.restart("national")
+            assert fleet.client("national").is_active(gateway.ref)
+            with pytest.raises(CredentialRevoked):
+                request_ehr()
 
     def test_fact_retraction_survives_sigkill(self, tmp_path, monkeypatch):
         """The retraction commits before the handler replies, so the
