@@ -21,14 +21,16 @@ per 1000 invocations as the revocation rate sweeps.
 import pytest
 
 from repro.core import CredentialRevoked, InvocationDenied, Presentation, Principal
+from repro.domains import Deployment
+from repro.scenarios import build_hospital
 
-from workloads import HospitalWorld, record_result
+from workloads import record_result
 
 
 def build_sessions(world, count):
     bundles = []
     for index in range(count):
-        doctor = world.new_doctor(f"d{index}", f"p{index}")
+        doctor = world.admit_doctor(f"d{index}", f"p{index}")
         session = doctor.start_session(world.login, "logged_in_user",
                                        [f"d{index}"])
         treating = session.activate(world.records, "treating_doctor",
@@ -40,7 +42,8 @@ def build_sessions(world, count):
 def run_workload(cache_validations, revocations, invocations=1000,
                  sessions=10):
     """Interleave invocations with revocations; return (callbacks, stale)."""
-    world = HospitalWorld(cache_validations=cache_validations)
+    world = build_hospital(Deployment(use_network=False),
+                           cache_validations=cache_validations)
     bundles = build_sessions(world, sessions)
     world.records.stats.reset()
     revoke_every = invocations // (revocations + 1) if revocations else None
@@ -86,7 +89,8 @@ def test_abl1_series(benchmark):
 
 
 def test_abl1_cached_invocation(benchmark):
-    world = HospitalWorld(cache_validations=True)
+    world = build_hospital(Deployment(use_network=False),
+                           cache_validations=True)
     (doctor, session, treating), = build_sessions(world, 1)
     credentials = [Presentation(session.root_rmc), Presentation(treating)]
     world.records.invoke(doctor.id, "read_record", ["p0"],
@@ -97,7 +101,8 @@ def test_abl1_cached_invocation(benchmark):
 
 
 def test_abl1_uncached_invocation(benchmark):
-    world = HospitalWorld(cache_validations=False)
+    world = build_hospital(Deployment(use_network=False),
+                           cache_validations=False)
     (doctor, session, treating), = build_sessions(world, 1)
     credentials = [Presentation(session.root_rmc), Presentation(treating)]
 
@@ -107,7 +112,8 @@ def test_abl1_uncached_invocation(benchmark):
 
 def test_abl1_invalidation_latency(benchmark):
     """From revoke() to cache-drop is synchronous: measure it."""
-    world = HospitalWorld(cache_validations=True)
+    world = build_hospital(Deployment(use_network=False),
+                           cache_validations=True)
     bundles = build_sessions(world, 50)
 
     refs = [session.root_rmc.ref for _, session, _ in bundles]

@@ -18,14 +18,16 @@ Series in ``benchmarks/results/ABL3.txt``.
 import pytest
 
 from repro.core import Principal
+from repro.domains import Deployment
+from repro.scenarios import build_hospital
 
-from workloads import HospitalWorld, record_result
+from workloads import record_result
 
 
 def build_watched_roles(world, count):
     sessions = []
     for index in range(count):
-        doctor = world.new_doctor(f"d{index}", f"p{index}")
+        doctor = world.admit_doctor(f"d{index}", f"p{index}")
         session = doctor.start_session(world.login, "logged_in_user",
                                        [f"d{index}"])
         session.activate(world.records, "treating_doctor",
@@ -41,7 +43,7 @@ def test_abl3_database_write_overhead(benchmark, watches):
     Every write to 'registered' triggers a recheck of all watches on that
     table — the price of immediate revocation.
     """
-    world = HospitalWorld()
+    world = build_hospital(Deployment(use_network=False))
     build_watched_roles(world, watches)
     counter = [0]
 
@@ -56,7 +58,7 @@ def test_abl3_database_write_overhead(benchmark, watches):
 @pytest.mark.parametrize("watches", [1, 10, 50])
 def test_abl3_sweep_cost(benchmark, watches):
     """Cost of one full membership sweep, by watch count."""
-    world = HospitalWorld()
+    world = build_hospital(Deployment(use_network=False))
     build_watched_roles(world, watches)
 
     benchmark(world.records.recheck_membership)
@@ -66,7 +68,7 @@ def test_abl3_series(benchmark):
     rows = ["ABL3: membership monitoring cost and value (Sect. 4)",
             "watches  rechecks_per_write  sweep_rechecks"]
     for watches in (1, 10, 50):
-        world = HospitalWorld()
+        world = build_hospital(Deployment(use_network=False))
         build_watched_roles(world, watches)
         world.records.stats.reset()
         world.db.insert("registered", doctor="zz", patient="zz")
@@ -80,7 +82,7 @@ def test_abl3_series(benchmark):
     # without, the role would stay active (simulate by counting roles
     # whose condition is false but record still active after retraction —
     # in OASIS this is always zero).
-    world = HospitalWorld()
+    world = build_hospital(Deployment(use_network=False))
     sessions = build_watched_roles(world, 10)
     for index in range(10):
         world.db.delete("registered", doctor=f"d{index}",
@@ -98,6 +100,6 @@ def test_abl3_series(benchmark):
     record_result("ABL3", rows)
     assert stale == 0
 
-    world = HospitalWorld()
+    world = build_hospital(Deployment(use_network=False))
     build_watched_roles(world, 5)
     benchmark(world.records.recheck_membership)

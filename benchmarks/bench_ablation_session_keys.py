@@ -27,8 +27,10 @@ from repro.core import (
     Principal,
     SignatureInvalid,
 )
+from repro.domains import Deployment
+from repro.scenarios import build_hospital
 
-from workloads import HospitalWorld, record_result
+from workloads import record_result
 
 
 def test_abl2_theft_window_series(benchmark):
@@ -36,8 +38,8 @@ def test_abl2_theft_window_series(benchmark):
             "credential                         thief_succeeds  window"]
 
     # Stolen RMC: presented by a thief under their own session.
-    world = HospitalWorld()
-    doctor = world.new_doctor("d1", "p1")
+    world = build_hospital(Deployment(use_network=False))
+    doctor = world.admit_doctor("d1", "p1")
     session = doctor.start_session(world.login, "logged_in_user", ["d1"])
     treating = session.activate(world.records, "treating_doctor",
                                 use_appointments=doctor.appointments())
@@ -111,7 +113,7 @@ def test_abl2_theft_window_series(benchmark):
 def test_abl2_rotation_and_reissue_cost(benchmark):
     """Rotating the secret forces re-issue of live appointments; measure
     re-issuing 100 certificates."""
-    world = HospitalWorld()
+    world = build_hospital(Deployment(use_network=False))
     admin = Principal("adm")
     admin_session = admin.start_session(world.login, "logged_in_user",
                                         ["adm"])
@@ -132,8 +134,8 @@ def test_abl2_rotation_and_reissue_cost(benchmark):
 
 def test_abl2_stolen_rmc_rejection_cost(benchmark):
     """How quickly is a theft attempt rejected (it is the cheap path)."""
-    world = HospitalWorld()
-    doctor = world.new_doctor("d1", "p1")
+    world = build_hospital(Deployment(use_network=False))
+    doctor = world.admit_doctor("d1", "p1")
     session = doctor.start_session(world.login, "logged_in_user", ["d1"])
     thief = Principal("thief")
     stolen = [Presentation(session.root_rmc)]

@@ -20,8 +20,10 @@ import pytest
 
 from repro.baselines import AclSystem, DelegationError, DelegationSystem, Rbac0System
 from repro.core import Principal
+from repro.domains import Deployment
+from repro.scenarios import build_hospital
 
-from workloads import HospitalWorld, record_result
+from workloads import record_result
 
 
 def deploy_acl(doctors, patients_per_doctor):
@@ -47,7 +49,7 @@ def deploy_rbac0(doctors, patients_per_doctor):
 
 def deploy_oasis(doctors, patients_per_doctor):
     """One parametrised rule; relationships are data, not policy."""
-    world = HospitalWorld()
+    world = build_hospital(Deployment(use_network=False))
     data_ops = 0
     for d in range(doctors):
         for p in range(patients_per_doctor):
@@ -101,8 +103,9 @@ def test_base_admin_cost_series(benchmark):
 def test_base_exception_expressiveness(benchmark):
     """'Fred Smith may not access my health record': one data fact in
     OASIS vs per-object surgery in ACL."""
-    world = HospitalWorld()
-    doctor = world.new_doctor("fred-smith", "joe-bloggs")
+    world = build_hospital(Deployment(use_network=False))
+    world.ehr_store["joe-bloggs"] = ["2023: allergy noted"]
+    doctor = world.admit_doctor("fred-smith", "joe-bloggs")
     session = doctor.start_session(world.login, "logged_in_user",
                                    ["fred-smith"])
     session.activate(world.records, "treating_doctor",
@@ -133,8 +136,8 @@ def test_base_check_latency_oasis(benchmark):
     administrative scalability above — the honest trade-off."""
     from repro.core import Presentation
 
-    world = HospitalWorld()
-    doctor = world.new_doctor("d1", "p1")
+    world = build_hospital(Deployment(use_network=False))
+    doctor = world.admit_doctor("d1", "p1")
     session = doctor.start_session(world.login, "logged_in_user", ["d1"])
     treating = session.activate(world.records, "treating_doctor",
                                 use_appointments=doctor.appointments())
@@ -153,7 +156,7 @@ def test_base_delegation_vs_appointment(benchmark):
     with pytest.raises(DelegationError):
         delegation.delegate("administrator", "d1", "treating_doctor")
 
-    world = HospitalWorld()
+    world = build_hospital(Deployment(use_network=False))
     admin = Principal("administrator")
     admin_session = admin.start_session(world.login, "logged_in_user",
                                         ["administrator"])

@@ -20,13 +20,15 @@ every round performs identical work.
 import pytest
 
 from repro.core import Presentation, Principal
+from repro.domains import Deployment
+from repro.scenarios import build_hospital
 
-from workloads import HospitalWorld, record_result
+from workloads import record_result
 
 
 def doctor_presentations(world, doctor_id="d1", patient_id="p1"):
     """A fixed credential bundle: login RMC + allocation appointment."""
-    doctor = world.new_doctor(doctor_id, patient_id)
+    doctor = world.admit_doctor(doctor_id, patient_id)
     session = doctor.start_session(world.login, "logged_in_user",
                                    [doctor_id])
     appointment = doctor.appointments()[0]
@@ -43,7 +45,7 @@ def doctor_presentations(world, doctor_id="d1", patient_id="p1"):
 
 def test_fig2_path12_role_entry(benchmark):
     """Role entry: validate credentials, match rule, issue RMC."""
-    world = HospitalWorld()
+    world = build_hospital(Deployment(use_network=False))
     doctor, entry_credentials, _ = doctor_presentations(world)
 
     benchmark(lambda: world.records.activate_role(
@@ -52,7 +54,7 @@ def test_fig2_path12_role_entry(benchmark):
 
 def test_fig2_path12_initial_role(benchmark):
     """Entry to an initial role: no prerequisite validation at all."""
-    world = HospitalWorld()
+    world = build_hospital(Deployment(use_network=False))
     principal = Principal("fresh")
 
     benchmark(lambda: world.login.activate_role(
@@ -61,7 +63,7 @@ def test_fig2_path12_initial_role(benchmark):
 
 def test_fig2_path34_invocation_warm_cache(benchmark):
     """Guarded invocation when prior validations are cached (ECR held)."""
-    world = HospitalWorld()
+    world = build_hospital(Deployment(use_network=False))
     doctor, _, use_credentials = doctor_presentations(world)
     world.records.invoke(doctor.id, "read_record", ["p1"],
                          credentials=use_credentials)  # warm the cache
@@ -72,7 +74,8 @@ def test_fig2_path34_invocation_warm_cache(benchmark):
 
 def test_fig2_path34_invocation_cold(benchmark):
     """Guarded invocation with caching disabled: callback every time."""
-    world = HospitalWorld(cache_validations=False)
+    world = build_hospital(Deployment(use_network=False),
+                           cache_validations=False)
     doctor, _, use_credentials = doctor_presentations(world)
 
     benchmark(lambda: world.records.invoke(
@@ -81,7 +84,7 @@ def test_fig2_path34_invocation_cold(benchmark):
 
 def test_fig2_callback_validation_served(benchmark):
     """Issuer-side cost of one callback validation of an RMC."""
-    world = HospitalWorld()
+    world = build_hospital(Deployment(use_network=False))
     doctor, entry_credentials, _ = doctor_presentations(world)
     rmc = entry_credentials[0].certificate
 
@@ -93,7 +96,8 @@ def test_fig2_series(benchmark):
     rows = ["FIG2: secured service (Fig. 2) — cache effect on callbacks",
             "mode        invocations  callbacks_made  cache_hits"]
     for cached in (True, False):
-        world = HospitalWorld(cache_validations=cached)
+        world = build_hospital(Deployment(use_network=False),
+                           cache_validations=cached)
         doctor, _, use_credentials = doctor_presentations(world)
         world.records.stats.reset()
         for _ in range(100):
@@ -105,7 +109,7 @@ def test_fig2_series(benchmark):
                     f"{world.records.stats.cache_hits:10d}")
     record_result("FIG2", rows)
 
-    world = HospitalWorld()
+    world = build_hospital(Deployment(use_network=False))
     doctor, _, use_credentials = doctor_presentations(world)
     benchmark(lambda: world.records.invoke(
         doctor.id, "read_record", ["p1"], credentials=use_credentials))

@@ -23,6 +23,7 @@ from repro.core import (
     Principal,
     RoleName,
     RoleTemplate,
+    ServiceId,
     ServicePolicy,
     Var,
 )
@@ -34,33 +35,31 @@ from workloads import record_result
 
 def build_world(n_hospitals=1):
     deployment = Deployment()
-    national = deployment.create_domain("national-ehr")
-    registry = national.add_service(shipped_policy("ehr/registry"))
+    registry = deployment.service(shipped_policy("ehr/registry"))
     names = [f"hospital-{index}" for index in range(n_hospitals)]
 
     hospitals = []
     for name in names:
-        domain = deployment.create_domain(name)
-        login = domain.add_service(
+        login = deployment.service(
             shipped_policy("ehr/login", domains={"hospital": name}))
         # Treating needs a login only here: no admin, no allocation.
-        records_policy = ServicePolicy(domain.service_id("records"))
+        records_policy = ServicePolicy(ServiceId(name, "records"))
         treating = records_policy.define_role("treating_doctor", 2)
         logged_in = RoleName(login.id, "logged_in_user")
         records_policy.add_activation_rule(ActivationRule(
             RoleTemplate(treating, (Var("d"), Var("p"))),
             (PrerequisiteRole(RoleTemplate(logged_in, (Var("d"),)),
                               membership=True),)))
-        records = domain.add_service(records_policy)
-        hospitals.append((domain, login, records))
+        records = deployment.service(records_policy)
+        hospitals.append((login, records))
 
-    national_svc = national.add_service(patient_records_for(names))
+    national_svc = deployment.service(patient_records_for(names))
     national_svc.register_method("request_EHR", lambda p: f"EHR[{p}]")
 
     registrar_session = Principal("registrar").start_session(registry,
                                                              "registrar")
     gateways = []
-    for index, (domain, login, records) in enumerate(hospitals):
+    for index, (login, records) in enumerate(hospitals):
         accreditation = registrar_session.issue_appointment(
             registry, "accredited_hospital", [f"hospital-{index}"],
             holder=f"gateway-{index}")

@@ -23,8 +23,10 @@ import pytest
 
 from repro.baselines import PollingValidator
 from repro.core import Principal
+from repro.domains import Deployment
+from repro.scenarios import build_hospital
 
-from workloads import ChainWorld, HospitalWorld, record_result
+from workloads import ChainWorld, record_result
 
 
 @pytest.mark.parametrize("depth", [2, 8, 16])
@@ -73,36 +75,38 @@ def test_fig5_staleness_and_message_cost_series(benchmark):
             "design            staleness_s_total  messages"]
 
     # --- event-driven: staleness 0 by construction; count events. ---------
-    world = HospitalWorld()
+    deployment = Deployment(use_network=False)
+    world = build_hospital(deployment)
     sessions = []
     for index in range(20):
         principal = Principal(f"user-{index}")
         sessions.append(principal.start_session(
             world.login, "logged_in_user", [principal.id.value]))
-    world.broker.published_count = 0
+    deployment.broker.published_count = 0
     revoked_at = {}
     now = 0.0
     for tick in range(20):
         now += 50.0
-        world.clock.advance_to(now)
+        deployment.clock.advance_to(now)
         session = sessions[tick]
         world.login.revoke(session.root_rmc.ref, "scheduled")
         revoked_at[session.root_rmc.ref] = now
         # The issuer record flips at the same instant -> staleness 0.
     rows.append(f"{'events (OASIS)':16s}  {0.0:17.1f}  "
-                f"{world.broker.published_count:8d}")
+                f"{deployment.broker.published_count:8d}")
 
     # --- polling at several intervals --------------------------------------
     for interval in (5.0, 20.0, 50.0):
-        world = HospitalWorld()
+        deployment = Deployment(use_network=False)
+        world = build_hospital(deployment)
         sessions = []
         for index in range(20):
             principal = Principal(f"user-{index}")
             sessions.append(principal.start_session(
                 world.login, "logged_in_user", [principal.id.value]))
         validator = PollingValidator(
-            world.scheduler, interval=interval,
-            lookup=lambda ref: world.registry.lookup(ref.service))
+            deployment.scheduler, interval=interval,
+            lookup=lambda ref: deployment.registry.lookup(ref.service))
         for session in sessions:
             validator.watch(session.root_rmc.ref)
         validator.start()
@@ -113,13 +117,13 @@ def test_fig5_staleness_and_message_cost_series(benchmark):
         pending = {}  # ref -> revocation time
         horizon = 1000.0
         step = 1.0
-        while world.clock.now() < horizon:
-            target = min(world.clock.now() + step, horizon)
-            world.scheduler.run_until(target)
-            if world.clock.now() >= next_revocation and victim < 20:
+        while deployment.clock.now() < horizon:
+            target = min(deployment.clock.now() + step, horizon)
+            deployment.scheduler.run_until(target)
+            if deployment.clock.now() >= next_revocation and victim < 20:
                 ref = sessions[victim].root_rmc.ref
                 world.login.revoke(ref, "scheduled")
-                pending[ref] = world.clock.now()
+                pending[ref] = deployment.clock.now()
                 victim += 1
                 next_revocation += 50.0
             # accumulate staleness for revoked-but-still-cached creds

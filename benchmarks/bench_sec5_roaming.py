@@ -26,6 +26,7 @@ from repro.core import (
     PrerequisiteRole,
     Principal,
     RoleTemplate,
+    ServiceId,
     ServicePolicy,
     Var,
 )
@@ -36,19 +37,17 @@ from workloads import record_result
 
 def build_roaming_world():
     deployment = Deployment()
-    hospital = deployment.create_domain("hospital")
-    institute = deployment.create_domain("institute")
 
-    hr_policy = ServicePolicy(hospital.service_id("hr"))
+    hr_policy = ServicePolicy(ServiceId("hospital", "hr"))
     officer = hr_policy.define_role("hr_officer", 0)
     hr_policy.add_activation_rule(ActivationRule(RoleTemplate(officer)))
     hr_policy.add_appointment_rule(AppointmentRule(
         "employed_as_doctor", (Var("d"), Var("h")),
         (PrerequisiteRole(RoleTemplate(officer)),)))
-    hr = hospital.add_service(hr_policy)
+    hr = deployment.service(hr_policy)
 
-    lab_policy = ServicePolicy(institute.service_id("lab"))
-    lab = institute.add_service(lab_policy)
+    lab_policy = ServicePolicy(ServiceId("institute", "lab"))
+    lab = deployment.service(lab_policy)
     ServiceLevelAgreement(
         lab.id, hr.id,
         [SlaTerm("visiting_doctor", (Var("d"),),
@@ -101,23 +100,22 @@ def test_sec5a_visiting_doctor_activation_warm(benchmark):
 
 def build_gallery_world():
     deployment = Deployment()
-    tate = deployment.create_domain("tate")
-    membership_policy = ServicePolicy(tate.service_id("membership"))
+    membership_policy = ServicePolicy(ServiceId("tate", "membership"))
     desk = membership_policy.define_role("membership_desk", 0)
     membership_policy.add_activation_rule(ActivationRule(RoleTemplate(desk)))
     membership_policy.add_appointment_rule(AppointmentRule(
         "friend_of_the_tate", (Var("expiry"),),
         (PrerequisiteRole(RoleTemplate(desk)),)))
-    membership = tate.add_service(membership_policy)
+    membership = deployment.service(membership_policy)
 
-    gallery_policy = ServicePolicy(tate.service_id("london"))
+    gallery_policy = ServicePolicy(ServiceId("tate", "london"))
     friend = gallery_policy.define_role("friend", 0)
     gallery_policy.add_activation_rule(ActivationRule(
         RoleTemplate(friend),
         (AppointmentCondition(membership.id, "friend_of_the_tate",
                               (Var("e"),), membership=True),
          ConstraintCondition(BeforeDeadlineConstraint(Var("e"))))))
-    gallery = tate.add_service(gallery_policy)
+    gallery = deployment.service(gallery_policy)
 
     desk_session = Principal("staff").start_session(membership,
                                                     "membership_desk")

@@ -53,11 +53,13 @@ from repro.core import (  # noqa: E402
 )
 from repro.core.credentials import CredentialRef  # noqa: E402
 from repro.crypto import ServiceSecret  # noqa: E402
+from repro.domains import Deployment  # noqa: E402
 from repro.events import EventBroker  # noqa: E402
 from repro.net import SimClock  # noqa: E402
 from repro.netd.worlds import NodeContext, ScaleWorld  # noqa: E402
+from repro.scenarios import build_hospital  # noqa: E402
 
-from workloads import ChainWorld, FanoutWorld, HospitalWorld  # noqa: E402
+from workloads import ChainWorld, FanoutWorld  # noqa: E402
 
 DEFAULT_OUTPUT = os.path.join(_REPO, "BENCH_CORE.json")
 #: FIG5 depth-16 cascade: indexed dispatch + batched cascades vs the
@@ -176,8 +178,8 @@ def bench_fig1_activation(results: Dict[str, dict], *, rounds: int,
 def bench_fig2_entry_and_invocation(results: Dict[str, dict], *, rounds: int,
                                     inner: int) -> None:
     """FIG2: role entry and warm guarded invocation at the hospital."""
-    world = HospitalWorld()
-    doctor = world.new_doctor("d1", "p1")
+    world = build_hospital(Deployment(use_network=False))
+    doctor = world.admit_doctor("d1", "p1")
     session = doctor.start_session(world.login, "logged_in_user", ["d1"])
     appointment = doctor.appointments()[0]
     entry_credentials = [Presentation(session.root_rmc),
@@ -856,36 +858,33 @@ def bench_verify_universe(results: Dict[str, dict], *, quick: bool) -> None:
         ActivationRule, AppointmentCondition, AppointmentRule,
         AuthorizationRule, PrerequisiteRole, RoleTemplate, ServicePolicy,
         Var)
-    from repro.domains import Deployment, ServiceLevelAgreement, SlaTerm
+    from repro.domains import ServiceLevelAgreement, SlaTerm
     from repro.lang import PolicyUniverse
     from repro.lang.verify import verify_universe
-    from repro.scenarios.healthcare import (build_hospital,
-                                            build_national_ehr)
-    from repro.scenarios.membership import build_clinic, build_galleries
+    from repro.scenarios import (build_clinic, build_galleries,
+                                 build_national_ehr)
 
     deployment = Deployment()
-    hospital = build_hospital(deployment)
-    build_national_ehr(deployment, [hospital])
+    build_hospital(deployment)
+    build_national_ehr(deployment, "hospital")
     build_galleries(deployment)
     build_clinic(deployment)
 
-    institute = deployment.create_domain("institute")
-    hr_policy = ServicePolicy(deployment.domain("hospital")
-                              .service_id("hr"))
+    hr_policy = ServicePolicy(ServiceId("hospital", "hr"))
     officer = hr_policy.define_role("hr_officer", 0)
     hr_policy.add_activation_rule(ActivationRule(RoleTemplate(officer)))
     hr_policy.add_appointment_rule(AppointmentRule(
         "employed_as_doctor", (Var("d"), Var("h")),
         (PrerequisiteRole(RoleTemplate(officer)),)))
-    hr = deployment.domain("hospital").add_service(hr_policy)
-    lab_policy = ServicePolicy(institute.service_id("lab"))
+    hr = deployment.service(hr_policy)
+    lab_policy = ServicePolicy(ServiceId("institute", "lab"))
     lab_policy.add_activation_rule(
         ActivationRule(RoleTemplate(lab_policy.define_role("director", 0))))
     lab_policy.add_authorization_rule(AuthorizationRule(
         "run_experiment", (),
         (PrerequisiteRole(RoleTemplate(
             lab_policy.define_role("visiting_doctor", 1), (Var("d"),))),)))
-    lab = institute.add_service(lab_policy)
+    lab = deployment.service(lab_policy)
     ServiceLevelAgreement(
         lab.id, hr.id,
         [SlaTerm("visiting_doctor", (Var("d"),),

@@ -26,11 +26,9 @@ from repro.core import (
     ServiceRegistry,
     Var,
 )
-from repro.db import Database
 from repro.events import EventBroker
-from repro.net import Scheduler, SimClock
-from repro.netd.worlds import chain, shipped_policy
-from repro.scenarios.healthcare import RECORDS_CONSTRAINTS
+from repro.net import SimClock
+from repro.netd.worlds import chain
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
 
@@ -41,47 +39,6 @@ def record_result(experiment: str, lines: Sequence[str]) -> None:
     path = os.path.join(RESULTS_DIR, f"{experiment}.txt")
     with open(path, "w") as handle:
         handle.write("\n".join(lines) + "\n")
-
-
-class HospitalWorld:
-    """The conftest hospital, rebuilt standalone for benchmarks."""
-
-    def __init__(self, cache_validations: bool = True) -> None:
-        self.clock = SimClock()
-        self.scheduler = Scheduler(self.clock)
-        self.broker = EventBroker()
-        self.registry = ServiceRegistry()
-        self.db = Database("hospital-db")
-        self.db.create_table("registered", ["doctor", "patient"])
-        self.db.create_table("excluded", ["patient", "doctor"])
-
-        def service(policy, **kwargs) -> OasisService:
-            return OasisService(policy, self.broker, self.registry,
-                                self.clock,
-                                cache_validations=cache_validations,
-                                **kwargs)
-
-        self.login = service(shipped_policy("ehr/login"))
-        self.admin = service(shipped_policy("ehr/admin"))
-        self.records = service(
-            shipped_policy("hospital/records", RECORDS_CONSTRAINTS),
-            databases={"main": self.db})
-        self.records.register_method("read_record",
-                                     lambda pat: f"EHR[{pat}]")
-
-    def new_doctor(self, doctor_id: str, patient_id: str) -> Principal:
-        self.db.insert("registered", doctor=doctor_id, patient=patient_id)
-        admin_principal = Principal(f"admin-of-{doctor_id}")
-        session = admin_principal.start_session(
-            self.login, "logged_in_user", [admin_principal.id.value])
-        session.activate(self.admin, "administrator",
-                         [admin_principal.id.value])
-        certificate = session.issue_appointment(
-            self.admin, "allocated", [doctor_id, patient_id],
-            holder=doctor_id)
-        doctor = Principal(doctor_id)
-        doctor.store_appointment(certificate)
-        return doctor
 
 
 class ChainWorld:

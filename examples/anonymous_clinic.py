@@ -13,59 +13,22 @@ trusted third party) and checks the date constraint locally — the insurer
 learns only that its certificate was validated, never by whom or why.
 """
 
-from repro.core import (
-    ActivationDenied,
-    ActivationRule,
-    AppointmentCondition,
-    AppointmentRule,
-    AuthorizationRule,
-    BeforeDeadlineConstraint,
-    ConstraintCondition,
-    PrerequisiteRole,
-    Principal,
-    RoleTemplate,
-    ServicePolicy,
-    Var,
-)
+from repro.core import ActivationDenied, Principal
 from repro.domains import Deployment
+from repro.scenarios import build_clinic
 
 
 def main() -> None:
     deployment = Deployment()
-    insurer_domain = deployment.create_domain("insurer")
-    clinic_domain = deployment.create_domain("clinic")
-
-    # The insurer's enrolment desk issues membership cards.
-    insurer_policy = ServicePolicy(insurer_domain.service_id("membership"))
-    desk = insurer_policy.define_role("enrolment_desk", 0)
-    insurer_policy.add_activation_rule(ActivationRule(RoleTemplate(desk)))
-    insurer_policy.add_appointment_rule(AppointmentRule(
-        "insured", (Var("expiry"),),
-        (PrerequisiteRole(RoleTemplate(desk)),)))
-    insurer = insurer_domain.add_service(insurer_policy)
-
-    # The clinic: paid_up_patient <- insured(e)*, now < e.
-    clinic_policy = ServicePolicy(clinic_domain.service_id("genetics"))
-    patient = clinic_policy.define_role("paid_up_patient", 0)
-    clinic_policy.add_activation_rule(ActivationRule(
-        RoleTemplate(patient),
-        (AppointmentCondition(insurer.id, "insured", (Var("e"),),
-                              membership=True),
-         ConstraintCondition(BeforeDeadlineConstraint(Var("e"))))))
-    clinic_policy.add_authorization_rule(AuthorizationRule(
-        "take_genetic_test", (),
-        (PrerequisiteRole(RoleTemplate(patient)),)))
-    clinic = clinic_domain.add_service(clinic_policy)
-    tests_run = []
-    clinic.register_method(
-        "take_genetic_test",
-        lambda: tests_run.append("test") or "results sealed for patient")
+    # The insurer's enrolment desk issues membership cards; the clinic's
+    # policy (clinic/genetics.oasis) reads
+    #     activate paid_up_patient() <-
+    #         appointment insurer/membership:insured(e)*, where before(e)
+    world = build_clinic(deployment)
+    insurer, clinic = world.insurer, world.clinic
 
     # Enrolment: the desk issues an ANONYMOUS card (holder=None).
-    desk_session = Principal("insurer-desk").start_session(
-        insurer, "enrolment_desk")
-    card = desk_session.issue_appointment(
-        insurer, "insured", [365.0])  # expiry day 365, no holder binding
+    card = world.enrol_member(expiry=365.0)  # day 365, no holder binding
     print(f"membership card issued: insured(expiry={card.parameters[0]}), "
           f"holder={card.holder!r} (anonymous)")
 

@@ -31,6 +31,7 @@ from repro.core import (
     PrerequisiteRole,
     Principal,
     RoleTemplate,
+    ServiceId,
     ServicePolicy,
     Var,
 )
@@ -39,15 +40,14 @@ from repro.domains import Deployment
 
 def main() -> None:
     deployment = Deployment()
-    hospital = deployment.create_domain("hospital")
 
-    login_policy = ServicePolicy(hospital.service_id("login"))
+    login_policy = ServicePolicy(ServiceId("hospital", "login"))
     logged_in = login_policy.define_role("logged_in_user", 1)
     login_policy.add_activation_rule(
         ActivationRule(RoleTemplate(logged_in, (Var("u"),))))
-    login = hospital.add_service(login_policy)
+    login = deployment.service(login_policy)
 
-    ward_policy = ServicePolicy(hospital.service_id("ward"))
+    ward_policy = ServicePolicy(ServiceId("hospital", "ward"))
     duty = ward_policy.define_role("duty_doctor", 1)
     ward_policy.add_activation_rule(ActivationRule(
         RoleTemplate(duty, (Var("d"),)),
@@ -65,7 +65,7 @@ def main() -> None:
         RoleTemplate(covering, (Var("delegate"), Var("delegator"))),
         (PrerequisiteRole(RoleTemplate(logged_in, (Var("delegate"),)),
                           membership=True),
-         AppointmentCondition(hospital.service_id("ward"), "stands_in_for",
+         AppointmentCondition(ServiceId("hospital", "ward"), "stands_in_for",
                               (Var("delegate"), Var("delegator")),
                               membership=True))))
     ward_policy.add_authorization_rule(AuthorizationRule(
@@ -75,7 +75,7 @@ def main() -> None:
         "administer_medication", (Var("pat"),),
         (PrerequisiteRole(RoleTemplate(covering,
                                        (Var("d"), Var("for")))),)))
-    ward = hospital.add_service(ward_policy)
+    ward = deployment.service(ward_policy)
     ward.register_method("administer_medication",
                          lambda pat: f"medication given to {pat}")
 

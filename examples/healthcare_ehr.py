@@ -17,6 +17,7 @@ from repro.core import (
     PrerequisiteRole,
     Principal,
     RoleTemplate,
+    ServiceId,
     ServicePolicy,
     Var,
 )
@@ -25,19 +26,17 @@ from repro.domains import Deployment
 
 def build_world():
     deployment = Deployment()
-    hospital = deployment.create_domain("hospital")
-    national = deployment.create_domain("national-ehr")
 
     # Hospital login: the session's initial role.
-    login_policy = ServicePolicy(hospital.service_id("login"))
+    login_policy = ServicePolicy(ServiceId("hospital", "login"))
     logged_in = login_policy.define_role("logged_in_user", 1)
     login_policy.add_activation_rule(
         ActivationRule(RoleTemplate(logged_in, (Var("u"),))))
-    login = hospital.add_service(login_policy)
+    login = deployment.service(login_policy)
 
     # Hospital admin: the screening nurse / administrator allocating
     # patients to doctors via appointment certificates.
-    admin_policy = ServicePolicy(hospital.service_id("admin"))
+    admin_policy = ServicePolicy(ServiceId("hospital", "admin"))
     administrator = admin_policy.define_role("administrator", 1)
     admin_policy.add_activation_rule(ActivationRule(
         RoleTemplate(administrator, (Var("u"),)),
@@ -46,10 +45,10 @@ def build_world():
     admin_policy.add_appointment_rule(AppointmentRule(
         "allocated", (Var("d"), Var("p")),
         (PrerequisiteRole(RoleTemplate(administrator, (Var("a"),))),)))
-    admin = hospital.add_service(admin_policy)
+    admin = deployment.service(admin_policy)
 
     # Hospital records: treating_doctor(doc, pat).
-    records_policy = ServicePolicy(hospital.service_id("records"))
+    records_policy = ServicePolicy(ServiceId("hospital", "records"))
     treating = records_policy.define_role("treating_doctor", 2)
     records_policy.add_activation_rule(ActivationRule(
         RoleTemplate(treating, (Var("d"), Var("p"))),
@@ -57,20 +56,21 @@ def build_world():
                           membership=True),
          AppointmentCondition(admin.id, "allocated", (Var("d"), Var("p")),
                               membership=True))))
-    records = hospital.add_service(records_policy)
+    records = deployment.service(records_policy)
 
     # National registry accredits hospitals.
-    registry_policy = ServicePolicy(national.service_id("registry"))
+    registry_policy = ServicePolicy(ServiceId("national-ehr", "registry"))
     registrar = registry_policy.define_role("registrar", 0)
     registry_policy.add_activation_rule(ActivationRule(
         RoleTemplate(registrar)))
     registry_policy.add_appointment_rule(AppointmentRule(
         "accredited_hospital", (Var("h"),),
         (PrerequisiteRole(RoleTemplate(registrar)),)))
-    registry = national.add_service(registry_policy)
+    registry = deployment.service(registry_policy)
 
     # National Patient Record Management Service (Fig. 3 right-hand box).
-    national_policy = ServicePolicy(national.service_id("patient-records"))
+    national_policy = ServicePolicy(
+        ServiceId("national-ehr", "patient-records"))
     hospital_role = national_policy.define_role("hospital", 1)
     national_policy.add_activation_rule(ActivationRule(
         RoleTemplate(hospital_role, (Var("h"),)),
@@ -85,7 +85,7 @@ def build_world():
             method, params,
             (PrerequisiteRole(RoleTemplate(hospital_role, (Var("h"),))),
              PrerequisiteRole(treating_foreign))))
-    national_svc = national.add_service(national_policy)
+    national_svc = deployment.service(national_policy)
 
     ehr_store = {"p1": ["2019: appendectomy", "2023: allergy noted"]}
     audit_trail = []

@@ -22,10 +22,12 @@ from repro.core import (
     DatabaseLookupConstraint,
     Principal,
 )
+from repro.db import Database
 from repro.domains import Deployment
-from repro.lang import PolicyUniverse, load_policies, parse_policy
+from repro.lang import PolicyUniverse, load_policies
 from repro.lang.verify import build_graph, run_fixpoint
 from repro.netd.worlds import POLICY_DIR
+from repro.policy import parse_policy
 
 # The hospital's policies as the package ships them: login and admin as
 # the served EHR nodes run them, and records with its database lookups.
@@ -91,13 +93,12 @@ def main() -> None:
     deployed, _ = load_policies(POLICY_FILES, registry=registry)
 
     deployment = Deployment()
-    hospital = deployment.create_domain("hospital")
-    db = hospital.create_database("main")
+    db = Database("hospital/main")
     db.create_table("registered", ["doctor", "patient"])
     db.create_table("excluded", ["patient", "doctor"])
     services = {}
     for service_id, policy in deployed.items():
-        services[service_id.name] = hospital.add_service(
+        services[service_id.name] = deployment.service(
             policy, databases={"main": db})
     services["records"].register_method("read_record",
                                         lambda pat: f"EHR[{pat}]")

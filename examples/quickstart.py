@@ -16,14 +16,14 @@ from repro.core import (
     DatabaseLookupConstraint,
     Principal,
 )
+from repro.db import Database
 from repro.domains import Deployment
 from repro.policy import parse_policy
 
 
 def main() -> None:
     deployment = Deployment()
-    hospital = deployment.create_domain("hospital")
-    db = hospital.create_database("main")
+    db = Database("hospital/main")
     db.create_table("registered", ["doctor", "patient"])
 
     # Named constraints referenced by `where ...` in policy text.
@@ -33,13 +33,13 @@ def main() -> None:
         lambda doc, pat: DatabaseLookupConstraint.exists(
             "main", "registered", doctor=doc, patient=pat))
 
-    login = hospital.add_service(parse_policy("""
+    login = deployment.service(parse_policy("""
         service hospital/login
         role logged_in_user(uid)
         activate logged_in_user(uid)
     """, registry))
 
-    admin = hospital.add_service(parse_policy("""
+    admin = deployment.service(parse_policy("""
         service hospital/admin
         role administrator(uid)
         activate administrator(uid) <-
@@ -48,7 +48,7 @@ def main() -> None:
             administrator(a)
     """, registry))
 
-    records = hospital.add_service(parse_policy("""
+    records = deployment.service(parse_policy("""
         service hospital/records
         role treating_doctor(doc, pat)
         activate treating_doctor(doc, pat) <-

@@ -18,6 +18,7 @@ from repro.core import (
     PrerequisiteRole,
     Principal,
     RoleTemplate,
+    ServiceId,
     ServicePolicy,
     Var,
 )
@@ -26,21 +27,19 @@ from repro.domains import Deployment, ServiceLevelAgreement, SlaTerm
 
 def main() -> None:
     deployment = Deployment()
-    hospital = deployment.create_domain("hospital")
-    institute = deployment.create_domain("research-institute")
 
     # Hospital HR: issues employed_as_doctor only after checking academic
     # and professional qualification (modelled by the hr_officer role).
-    hr_policy = ServicePolicy(hospital.service_id("hr"))
+    hr_policy = ServicePolicy(ServiceId("hospital", "hr"))
     officer = hr_policy.define_role("hr_officer", 0)
     hr_policy.add_activation_rule(ActivationRule(RoleTemplate(officer)))
     hr_policy.add_appointment_rule(AppointmentRule(
         "employed_as_doctor", (Var("d"), Var("hospital_id")),
         (PrerequisiteRole(RoleTemplate(officer)),)))
-    hr = hospital.add_service(hr_policy)
+    hr = deployment.service(hr_policy)
 
     # Institute lab: guest role for anyone, richer access for visitors.
-    lab_policy = ServicePolicy(institute.service_id("lab"))
+    lab_policy = ServicePolicy(ServiceId("research-institute", "lab"))
     guest = lab_policy.define_role("guest", 0)
     lab_policy.add_activation_rule(ActivationRule(RoleTemplate(guest)))
     lab_policy.add_authorization_rule(AuthorizationRule(
@@ -50,7 +49,7 @@ def main() -> None:
         "access_clinical_data", (),
         (PrerequisiteRole(RoleTemplate(
             lab_policy.define_role("visiting_doctor", 1), (Var("d"),))),)))
-    lab = institute.add_service(lab_policy)
+    lab = deployment.service(lab_policy)
     lab.register_method("read_public_seminars", lambda: "seminar list")
     lab.register_method("access_clinical_data", lambda: "clinical dataset")
 

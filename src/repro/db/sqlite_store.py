@@ -83,7 +83,6 @@ _APPEND = "INSERT INTO log (seq, payload) VALUES (?, ?)"
 _UPSERT = ("INSERT OR REPLACE INTO records (bucket, key, payload) "
            "VALUES (?, ?, ?)")
 _REMOVE = "DELETE FROM records WHERE bucket=? AND key=?"
-_PROBE = "SELECT 1 FROM records WHERE bucket=? AND key=?"
 _SCAN_PAGE = 256
 _SCAN_FIRST = ("SELECT key, payload FROM records WHERE bucket=? "
                f"ORDER BY key LIMIT {_SCAN_PAGE}")
@@ -212,18 +211,16 @@ class SqliteRecordStore(RecordStore):
                     and key not in on_disk]
 
     def count(self, bucket: str) -> int:
-        conn = self._conn
-        total = conn.execute("SELECT COUNT(*) FROM records WHERE bucket=?",
-                             (bucket,)).fetchone()[0]
-        for slot, value in self._pending.items():
-            if slot[0] != bucket:
-                continue
-            on_disk = conn.execute(_PROBE, slot).fetchone() is not None
-            if on_disk and value is DELETED:
-                total -= 1
-            elif not on_disk and value is not DELETED:
-                total += 1
-        return total
+        """The bucket's live keys with the buffer applied: one query over
+        its disk keys, however many keys are buffered."""
+        buffered = {key: value for (pending_bucket, key), value
+                    in self._pending.items() if pending_bucket == bucket}
+        total = 0
+        for (key,) in self._conn.execute(
+                "SELECT key FROM records WHERE bucket=?", (bucket,)):
+            total += buffered.pop(key, _DISK) is not DELETED
+        return total + sum(value is not DELETED
+                           for value in buffered.values())
 
     # -- append log -----------------------------------------------------
     def log_append(self, entry: Dict[str, Any],

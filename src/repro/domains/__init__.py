@@ -1,6 +1,6 @@
 """Domains, service-level agreements, CIV services and roaming (Sect. 3-6)."""
 
-from .domain import Deployment, Domain
+from .domain import Deployment
 from .sla import ServiceLevelAgreement, SlaTerm
 from .civ import CivNode, CivService, RogueCivService
 from .roaming import EncounterResult, RovingEntity, negotiate_encounter
@@ -19,7 +19,6 @@ __all__ = [
     "SignedContract",
     "certify_outcome",
     "Deployment",
-    "Domain",
     "ServiceLevelAgreement",
     "SlaTerm",
     "CivNode",

@@ -1,120 +1,43 @@
-"""Domains and deployments.
+"""The simulated deployment.
 
 "In practice, distributed systems contain many domains; for example the
 healthcare domain comprises subdomains of public and private hospitals,
 primary care practices, research institutes, clinics, etc. as well as
 national services such as electronic health record management." (Sect. 1)
 
-A :class:`Deployment` owns the shared substrate — event broker, simulated
-clock/scheduler/network, service registry — and the :class:`Domain` objects
-living on it.  A :class:`Domain` is an administrative boundary: it hosts
-OASIS services, optionally a CIV service, and is the unit the latency model
-distinguishes (intra- vs inter-domain calls).
+A :class:`Deployment` is a :class:`~repro.netd.worlds.NodeContext` on a
+simulated clock and network: world factories build their services on it
+exactly as on a served node.  A domain is the ``domain`` half of each
+service's :class:`~repro.core.types.ServiceId`, which is what the latency
+model tells apart (intra- vs inter-domain calls).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Optional
 
-from ..core.policy import ServicePolicy
-from ..core.service import OasisService, ServiceRegistry
-from ..core.types import ServiceId
-from ..db import Database
+from ..core.service import ServiceRegistry
 from ..events import EventBroker
 from ..net import LatencyModel, Scheduler, SimClock, SimNetwork
+from ..netd.worlds import NodeContext
 
-__all__ = ["Deployment", "Domain"]
+__all__ = ["Deployment"]
 
 
-class Deployment:
-    """A whole distributed system: substrate plus its domains."""
+class Deployment(NodeContext):
+    """A whole distributed system in one process, on simulated time."""
 
     def __init__(self, latency: Optional[LatencyModel] = None,
                  use_network: bool = True) -> None:
-        self.clock = SimClock()
-        self.scheduler = Scheduler(self.clock)
-        self.broker = EventBroker()
-        self.registry = ServiceRegistry()
-        self.network: Optional[SimNetwork] = (
-            SimNetwork(self.clock, latency or LatencyModel())
-            if use_network else None)
-        self._domains: Dict[str, Domain] = {}
-
-    def create_domain(self, name: str) -> "Domain":
-        if name in self._domains:
-            raise ValueError(f"domain {name!r} already exists")
-        domain = Domain(name, self)
-        self._domains[name] = domain
-        return domain
-
-    def domain(self, name: str) -> "Domain":
-        try:
-            return self._domains[name]
-        except KeyError:
-            raise KeyError(f"no domain {name!r}") from None
-
-    @property
-    def domains(self) -> List["Domain"]:
-        return list(self._domains.values())
+        clock = SimClock()
+        super().__init__(
+            "simulated", EventBroker(), ServiceRegistry(),
+            SimNetwork(clock, latency or LatencyModel())
+            if use_network else None,
+            clock=clock)
+        self.scheduler = Scheduler(clock)
 
     def run_for(self, duration: float) -> int:
         """Advance simulated time, firing scheduled work (heartbeats,
         polling sweeps, expiry checks)."""
         return self.scheduler.run_for(duration)
-
-
-class Domain:
-    """One administrative domain hosting OASIS services."""
-
-    def __init__(self, name: str, deployment: Deployment) -> None:
-        if not name:
-            raise ValueError("domain name must be non-empty")
-        self.name = name
-        self.deployment = deployment
-        self._services: Dict[str, OasisService] = {}
-        self._databases: Dict[str, Database] = {}
-
-    def service_id(self, name: str) -> ServiceId:
-        return ServiceId(self.name, name)
-
-    def create_database(self, name: str) -> Database:
-        if name in self._databases:
-            raise ValueError(f"database {name!r} already exists in {self.name}")
-        database = Database(f"{self.name}/{name}")
-        self._databases[name] = database
-        return database
-
-    def database(self, name: str) -> Database:
-        return self._databases[name]
-
-    def add_service(self, policy: ServicePolicy,
-                    databases: Optional[Dict[str, Database]] = None,
-                    cache_validations: bool = True) -> OasisService:
-        """Instantiate an OASIS service in this domain from its policy."""
-        if policy.service.domain != self.name:
-            raise ValueError(
-                f"policy is for domain {policy.service.domain!r}, "
-                f"not {self.name!r}")
-        if policy.service.name in self._services:
-            raise ValueError(
-                f"service {policy.service.name!r} already exists in "
-                f"{self.name}")
-        deployment = self.deployment
-        service = OasisService(
-            policy, deployment.broker, deployment.registry,
-            clock=deployment.clock, databases=databases,
-            network=deployment.network,
-            cache_validations=cache_validations)
-        self._services[policy.service.name] = service
-        return service
-
-    def service(self, name: str) -> OasisService:
-        try:
-            return self._services[name]
-        except KeyError:
-            raise KeyError(f"no service {name!r} in domain {self.name}") \
-                from None
-
-    @property
-    def services(self) -> List[OasisService]:
-        return list(self._services.values())

@@ -1,8 +1,8 @@
 """Analysis tooling for the OASIS policy language (the paper's [1] thread).
 
-The front end — ``parse_policy``, ``format_document`` and the AST — lives
-in :mod:`repro.policy`, which runtime code imports; it is re-exported
-here for the tooling's callers.
+The front end — ``parse_policy``, ``format_document`` and the AST — is
+:mod:`repro.policy`; runtime code and the tooling's callers import it
+from there.
 
 Analysis is one stack: a :class:`PolicyUniverse` (:mod:`.universe`) holds
 the policies under review, :mod:`.verify` compiles it into one rule graph
@@ -12,13 +12,6 @@ every finding is a :class:`Diagnostic`.  :class:`GroundReachability` asks
 the different, exact, per-principal question of the same universe.
 """
 
-from ..policy import (
-    ActivateStmt, AppointStmt, AppointmentAtom, ArgConst, ArgVar,
-    AuthorizeStmt, ConstraintAtom, LexError, ParseError, PolicyDocument,
-    RoleAtom, RoleDecl, SourceSpan, Token, UnresolvedConstraint,
-    compile_document, format_document, parse_document, parse_policy,
-    tokenize,
-)
 from .diagnostics import (
     CODES,
     CodeInfo,
@@ -48,8 +41,6 @@ __all__ = [
     "PolicyUniverse",
     "PolicyUnit",
     "ReachabilityResult",
-    "SourceSpan",
-    "UnresolvedConstraint",
     "discover_policy_files",
     "load_policies",
     "load_policy_file",
@@ -59,22 +50,4 @@ __all__ = [
     "render_sarif",
     "render_text",
     "run_passes",
-    "ActivateStmt",
-    "AppointStmt",
-    "AppointmentAtom",
-    "ArgConst",
-    "ArgVar",
-    "AuthorizeStmt",
-    "ConstraintAtom",
-    "LexError",
-    "ParseError",
-    "PolicyDocument",
-    "RoleAtom",
-    "RoleDecl",
-    "Token",
-    "compile_document",
-    "format_document",
-    "parse_document",
-    "parse_policy",
-    "tokenize",
 ]

@@ -5,8 +5,11 @@ A served process is handed a :class:`NodeContext` (broker, registry,
 directory, and — for a ``--shard I/N`` node — the partition it owns) and
 a factory ``factory(ctx, *args)`` returning an object with a
 ``services`` mapping and optionally a ``handlers`` mapping.  It is the
-only world contract there is: the same factory runs served, sharded, and
-in one process on a context with no network.
+only world contract there is: the same factory runs served, sharded, in
+one process on a context with no network, and on a simulated
+:class:`~repro.domains.Deployment` (a ``NodeContext`` on a simulated
+clock and network); the paper's scenarios (:mod:`repro.scenarios`) are
+factories too.
 
 Every node compiles the *policies* it needs locally from the ``.oasis``
 files shipped in ``policies/`` beside this module, but hosts only its own

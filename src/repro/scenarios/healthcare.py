@@ -1,29 +1,30 @@
-"""The paper's healthcare scenario, packaged as a reusable builder.
+"""The paper's healthcare scenario, as world factories.
 
-Builds, on a :class:`~repro.domains.Deployment`, the cast used throughout
-the paper: a hospital domain (login, admin, records services with the
-``treating_doctor(doc, pat)`` role) and optionally the national EHR domain
-of Fig. 3 (registry + patient record management service).  The policies
-are the shipped files the served EHR nodes compile
-(:func:`repro.netd.worlds.shipped_policy`), except that this hospital's
-records service has a database: it runs ``hospital/records.oasis``,
-whose registration and exclusion lookups :data:`RECORDS_CONSTRAINTS`
-binds.
+:func:`build_hospital` builds a hospital domain (login, admin, records
+services with the ``treating_doctor(doc, pat)`` role) and
+:func:`build_national_ehr` the national EHR domain of Fig. 3 (registry +
+patient record management service), each on any
+:class:`~repro.netd.worlds.NodeContext`: a simulated
+:class:`~repro.domains.Deployment`, a bare in-process context, or a node
+under ``repro serve --world``.  The policies are the shipped files the
+served EHR nodes compile (:func:`repro.netd.worlds.shipped_policy`),
+except that this hospital's records service has a database: it runs
+``hospital/records.oasis``, whose registration and exclusion lookups
+:data:`RECORDS_CONSTRAINTS` binds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 from ..core.credentials import AppointmentCertificate, RoleMembershipCertificate
 from ..core.constraints import ConstraintRegistry, DatabaseLookupConstraint
 from ..core.service import OasisService, Presentation
 from ..core.session import Principal, Session
 from ..db import Database
-from ..domains.domain import Deployment, Domain
-from ..netd.worlds import (HOSPITAL, NATIONAL, patient_records_for,
-                           shipped_policy)
+from ..netd.worlds import (HOSPITAL, NATIONAL, NodeContext, World,
+                           patient_records_for, shipped_policy)
 
 __all__ = ["HospitalScenario", "NationalEhrScenario", "RECORDS_CONSTRAINTS",
            "build_hospital", "build_national_ehr"]
@@ -41,17 +42,31 @@ RECORDS_CONSTRAINTS.register(
         "main", "excluded", patient=p, doctor=d))
 
 
-@dataclass
-class HospitalScenario:
+class HospitalScenario(World):
     """A hospital domain with login/admin/records services."""
 
-    deployment: Deployment
-    domain: Domain
-    db: Database
-    login: OasisService
-    admin: OasisService
-    records: OasisService
-    ehr_store: Dict[str, List[str]] = field(default_factory=dict)
+    def __init__(self, ctx: NodeContext, domain_name: str = HOSPITAL, *,
+                 cache_validations: bool = True) -> None:
+        self.domain = domain_name
+        self.db = Database(f"{domain_name}/main")
+        self.db.create_table("registered", ["doctor", "patient"])
+        self.db.create_table("excluded", ["patient", "doctor"])
+        self.ehr_store: Dict[str, List[str]] = {}
+
+        def service(name: str, registry: Optional[ConstraintRegistry] = None,
+                    **kwargs: Any) -> OasisService:
+            return ctx.service(
+                shipped_policy(name, registry, {HOSPITAL: domain_name}),
+                cache_validations=cache_validations, **kwargs)
+
+        self.login = service("ehr/login")
+        self.admin = service("ehr/admin")
+        self.records = service("hospital/records", RECORDS_CONSTRAINTS,
+                               databases={"main": self.db})
+        self.records.register_method(
+            "read_record", lambda pat: list(self.ehr_store.get(pat, [])))
+        super().__init__({"login": self.login, "admin": self.admin,
+                          "records": self.records})
 
     def register_patient(self, doctor_id: str, patient_id: str) -> None:
         self.db.insert("registered", doctor=doctor_id, patient=patient_id)
@@ -91,45 +106,33 @@ class HospitalScenario:
         return session
 
 
-def build_hospital(deployment: Deployment,
-                   domain_name: str = "hospital") -> HospitalScenario:
-    """Assemble the hospital domain on ``deployment``."""
-    domain = deployment.create_domain(domain_name)
-    db = domain.create_database("main")
-    db.create_table("registered", ["doctor", "patient"])
-    db.create_table("excluded", ["patient", "doctor"])
+class NationalEhrScenario(World):
+    """The national EHR domain of Fig. 3, accrediting one or more
+    hospitals (domain names, as ``repro serve --world-arg`` passes them;
+    none is ``hospital``)."""
 
-    domains = {HOSPITAL: domain_name}
-    login = domain.add_service(shipped_policy("ehr/login", domains=domains))
-    admin = domain.add_service(shipped_policy("ehr/admin", domains=domains))
-    records = domain.add_service(
-        shipped_policy("hospital/records", RECORDS_CONSTRAINTS, domains),
-        databases={"main": db})
+    def __init__(self, ctx: NodeContext, *hospital_domains: str,
+                 domain_name: str = NATIONAL) -> None:
+        self.registry = ctx.service(shipped_policy(
+            "ehr/registry", domains={NATIONAL: domain_name}))
+        hospitals = hospital_domains or (HOSPITAL,)
+        self.patient_records = ctx.service(
+            patient_records_for(hospitals, domain_name))
+        self.ehr_store: Dict[str, List[str]] = {}
+        self.patient_records.register_method(
+            "request_EHR", lambda p: list(self.ehr_store.get(p, [])))
+        self.patient_records.register_method(
+            "append_to_EHR",
+            lambda p, entry: self.ehr_store.setdefault(p, []).append(entry)
+            or "done")
+        self.gateways: Dict[str, GatewayHandle] = {}
+        super().__init__({"registry": self.registry,
+                          "patient-records": self.patient_records})
+        for hospital_id in hospitals:
+            self.accredit(hospital_id)
 
-    scenario = HospitalScenario(deployment=deployment, domain=domain,
-                                db=db, login=login, admin=admin,
-                                records=records)
-    records.register_method(
-        "read_record",
-        lambda pat: list(scenario.ehr_store.get(pat, [])))
-    return scenario
-
-
-@dataclass
-class NationalEhrScenario:
-    """The national EHR domain of Fig. 3, linked to one or more hospitals."""
-
-    deployment: Deployment
-    domain: Domain
-    registry: OasisService
-    patient_records: OasisService
-    ehr_store: Dict[str, List[str]]
-    gateways: Dict[str, "GatewayHandle"] = field(default_factory=dict)
-
-    def accredit(self, hospital: HospitalScenario,
-                 hospital_id: Optional[str] = None) -> "GatewayHandle":
+    def accredit(self, hospital_id: str) -> "GatewayHandle":
         """Accredit a hospital; returns its live gateway handle."""
-        hospital_id = hospital_id or hospital.domain.name
         registrar_session = Principal(f"registrar-{hospital_id}") \
             .start_session(self.registry, "registrar")
         accreditation = registrar_session.issue_appointment(
@@ -172,29 +175,8 @@ class GatewayHandle:
                 Presentation(treating_rmc, on_behalf_of=doctor_id)]
 
 
-def build_national_ehr(deployment: Deployment,
-                       hospitals: List[HospitalScenario],
-                       domain_name: str = "national-ehr",
-                       ) -> NationalEhrScenario:
-    """Assemble the national EHR domain and accredit ``hospitals``."""
-    domain = deployment.create_domain(domain_name)
-
-    registry = domain.add_service(shipped_policy(
-        "ehr/registry", domains={NATIONAL: domain_name}))
-    patient_records = domain.add_service(patient_records_for(
-        [hospital.domain.name for hospital in hospitals], domain_name))
-
-    ehr_store: Dict[str, List[str]] = {}
-    patient_records.register_method(
-        "request_EHR", lambda p: list(ehr_store.get(p, [])))
-    patient_records.register_method(
-        "append_to_EHR",
-        lambda p, entry: ehr_store.setdefault(p, []).append(entry)
-        or "done")
-
-    scenario = NationalEhrScenario(
-        deployment=deployment, domain=domain, registry=registry,
-        patient_records=patient_records, ehr_store=ehr_store)
-    for hospital in hospitals:
-        scenario.accredit(hospital)
-    return scenario
+#: The world factories: ``build_hospital(ctx, domain_name="hospital", *,
+#: cache_validations=True)`` and ``build_national_ehr(ctx,
+#: *hospital_domains, domain_name="national-ehr")``.
+build_hospital = HospitalScenario
+build_national_ehr = NationalEhrScenario

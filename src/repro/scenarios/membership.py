@@ -1,40 +1,61 @@
-"""The Sect. 5 membership scenarios: reciprocal galleries and the
-anonymous clinic, packaged as reusable builders."""
+"""The Sect. 5 membership scenarios, as world factories: reciprocal
+galleries and the anonymous clinic.
+
+The membership services and the clinic compile the shipped
+``tate/membership``, ``clinic/insurer`` and ``clinic/genetics`` policies;
+:func:`gallery_policy` generates each gallery's text, as
+:func:`repro.netd.worlds.chain` does the Fig. 5 chain's.  ``where
+before(e)`` is bound by :data:`DEADLINES`.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
-from ..core.constraints import BeforeDeadlineConstraint
+from ..core.constraints import BeforeDeadlineConstraint, ConstraintRegistry
 from ..core.credentials import AppointmentCertificate
-from ..core.rules import (
-    ActivationRule,
-    AppointmentCondition,
-    AppointmentRule,
-    AuthorizationRule,
-    ConstraintCondition,
-    PrerequisiteRole,
-)
 from ..core.policy import ServicePolicy
 from ..core.service import OasisService
 from ..core.session import Principal
-from ..core.terms import Var
-from ..core.types import RoleTemplate
-from ..domains.domain import Deployment, Domain
+from ..netd.worlds import NodeContext, World, shipped_policy
+from ..policy import parse_policy
 
-__all__ = ["GalleryScenario", "ClinicScenario",
-           "build_galleries", "build_clinic"]
+__all__ = ["GalleryScenario", "ClinicScenario", "DEADLINES",
+           "build_galleries", "build_clinic", "gallery_policy"]
+
+#: Binds ``where before(e)``: the clock is strictly before deadline ``e``.
+DEADLINES = ConstraintRegistry()
+DEADLINES.register("before", BeforeDeadlineConstraint)
+
+GALLERIES = ("london", "st-ives", "liverpool")
 
 
-@dataclass
-class GalleryScenario:
-    """The Tate galleries: one membership service, many galleries."""
+def gallery_policy(domain: str, name: str) -> ServicePolicy:
+    """``domain/name``: ``friend`` on an unexpired card from
+    ``domain/membership``, guarding the ``newsletter``."""
+    return parse_policy(
+        f"service {domain}/{name}\n\nrole friend()\n\n"
+        f"activate friend() <-\n"
+        f"    appointment {domain}/membership:friend_of_the_tate(e)*,\n"
+        f"    where before(e)\n\n"
+        f"authorize newsletter() <-\n    friend()\n", DEADLINES)
 
-    deployment: Deployment
-    domain: Domain
-    membership: OasisService
-    galleries: Dict[str, OasisService] = field(default_factory=dict)
+
+class GalleryScenario(World):
+    """The Tate galleries: one membership service, many galleries (by
+    default London, St Ives and Liverpool)."""
+
+    def __init__(self, ctx: NodeContext, *gallery_names: str,
+                 domain_name: str = "tate") -> None:
+        self.membership = ctx.service(shipped_policy(
+            "tate/membership", domains={"tate": domain_name}))
+        self.galleries: Dict[str, OasisService] = {}
+        for name in gallery_names or GALLERIES:
+            gallery = ctx.service(gallery_policy(domain_name, name))
+            gallery.register_method("newsletter",
+                                    lambda n=name: f"{n} newsletter")
+            self.galleries[name] = gallery
+        super().__init__({"membership": self.membership, **self.galleries})
 
     def issue_card(self, expiry: float) -> AppointmentCertificate:
         """An anonymous membership card: organisation + period, no
@@ -49,48 +70,23 @@ class GalleryScenario:
         return self.membership.revoke(card.ref, "membership cancelled")
 
 
-def build_galleries(deployment: Deployment,
-                    gallery_names: Optional[List[str]] = None,
-                    domain_name: str = "tate") -> GalleryScenario:
-    """Assemble the membership service plus one service per gallery."""
-    gallery_names = gallery_names or ["london", "st-ives", "liverpool"]
-    domain = deployment.create_domain(domain_name)
-
-    membership_policy = ServicePolicy(domain.service_id("membership"))
-    desk = membership_policy.define_role("membership_desk", 0)
-    membership_policy.add_activation_rule(ActivationRule(RoleTemplate(desk)))
-    membership_policy.add_appointment_rule(AppointmentRule(
-        "friend_of_the_tate", (Var("expiry"),),
-        (PrerequisiteRole(RoleTemplate(desk)),)))
-    membership = domain.add_service(membership_policy)
-
-    scenario = GalleryScenario(deployment=deployment, domain=domain,
-                               membership=membership)
-    for name in gallery_names:
-        policy = ServicePolicy(domain.service_id(name))
-        friend = policy.define_role("friend", 0)
-        policy.add_activation_rule(ActivationRule(
-            RoleTemplate(friend),
-            (AppointmentCondition(membership.id, "friend_of_the_tate",
-                                  (Var("e"),), membership=True),
-             ConstraintCondition(BeforeDeadlineConstraint(Var("e"))))))
-        policy.add_authorization_rule(AuthorizationRule(
-            "newsletter", (), (PrerequisiteRole(RoleTemplate(friend)),)))
-        gallery = domain.add_service(policy)
-        gallery.register_method("newsletter",
-                                lambda n=name: f"{n} newsletter")
-        scenario.galleries[name] = gallery
-    return scenario
-
-
-@dataclass
-class ClinicScenario:
+class ClinicScenario(World):
     """The anonymous genetic clinic with its insurer (Sect. 5)."""
 
-    deployment: Deployment
-    insurer: OasisService
-    clinic: OasisService
-    tests_performed: List[str] = field(default_factory=list)
+    def __init__(self, ctx: NodeContext, insurer_domain: str = "insurer",
+                 clinic_domain: str = "clinic") -> None:
+        domains = {"insurer": insurer_domain, "clinic": clinic_domain}
+        self.insurer = ctx.service(shipped_policy("clinic/insurer",
+                                                  domains=domains))
+        self.clinic = ctx.service(shipped_policy("clinic/genetics",
+                                                 DEADLINES, domains))
+        self.tests_performed: List[str] = []
+        self.clinic.register_method(
+            "take_genetic_test",
+            lambda: self.tests_performed.append("test")
+            or "results sealed for patient")
+        super().__init__({"membership": self.insurer,
+                          "genetics": self.clinic})
 
     def enrol_member(self, expiry: float) -> AppointmentCertificate:
         """The insurer issues an anonymous membership card."""
@@ -99,36 +95,8 @@ class ClinicScenario:
         return desk.issue_appointment(self.insurer, "insured", [expiry])
 
 
-def build_clinic(deployment: Deployment,
-                 insurer_domain: str = "insurer",
-                 clinic_domain: str = "clinic") -> ClinicScenario:
-    insurer_dom = deployment.create_domain(insurer_domain)
-    clinic_dom = deployment.create_domain(clinic_domain)
-
-    insurer_policy = ServicePolicy(insurer_dom.service_id("membership"))
-    desk = insurer_policy.define_role("enrolment_desk", 0)
-    insurer_policy.add_activation_rule(ActivationRule(RoleTemplate(desk)))
-    insurer_policy.add_appointment_rule(AppointmentRule(
-        "insured", (Var("expiry"),),
-        (PrerequisiteRole(RoleTemplate(desk)),)))
-    insurer = insurer_dom.add_service(insurer_policy)
-
-    clinic_policy = ServicePolicy(clinic_dom.service_id("genetics"))
-    patient = clinic_policy.define_role("paid_up_patient", 0)
-    clinic_policy.add_activation_rule(ActivationRule(
-        RoleTemplate(patient),
-        (AppointmentCondition(insurer.id, "insured", (Var("e"),),
-                              membership=True),
-         ConstraintCondition(BeforeDeadlineConstraint(Var("e"))))))
-    clinic_policy.add_authorization_rule(AuthorizationRule(
-        "take_genetic_test", (),
-        (PrerequisiteRole(RoleTemplate(patient)),)))
-    clinic = clinic_dom.add_service(clinic_policy)
-
-    scenario = ClinicScenario(deployment=deployment, insurer=insurer,
-                              clinic=clinic)
-    clinic.register_method(
-        "take_genetic_test",
-        lambda: scenario.tests_performed.append("test")
-        or "results sealed for patient")
-    return scenario
+#: The world factories: ``build_galleries(ctx, *gallery_names,
+#: domain_name="tate")`` and ``build_clinic(ctx, insurer_domain="insurer",
+#: clinic_domain="clinic")``.
+build_galleries = GalleryScenario
+build_clinic = ClinicScenario

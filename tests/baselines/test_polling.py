@@ -7,12 +7,12 @@ from repro.core import Principal
 
 
 @pytest.fixture
-def setup(hospital):
+def setup(hospital, deployment):
     session = Principal("u1").start_session(hospital.login,
                                             "logged_in_user", ["u1"])
     validator = PollingValidator(
-        hospital.scheduler, interval=10.0,
-        lookup=lambda ref: hospital.registry.lookup(ref.service))
+        deployment.scheduler, interval=10.0,
+        lookup=lambda ref: deployment.registry.lookup(ref.service))
     validator.watch(session.root_rmc.ref)
     return hospital, session, validator
 
@@ -30,14 +30,14 @@ class TestPollingValidator:
         assert not validator.is_valid(
             CredentialRef(setup[0].login.id, 999))
 
-    def test_staleness_window(self, setup):
+    def test_staleness_window(self, setup, deployment):
         """Between polls, a revoked credential is still reported valid —
         exactly the window the event-based design eliminates."""
         hospital, session, validator = setup
         validator.start()
         hospital.login.revoke(session.root_rmc.ref, "gone")
         assert validator.is_valid(session.root_rmc.ref)  # stale!
-        hospital.scheduler.run_for(10.0)  # next poll fires
+        deployment.scheduler.run_for(10.0)  # next poll fires
         assert not validator.is_valid(session.root_rmc.ref)
 
     def test_event_driven_counterpart_has_no_window(self, setup):
@@ -47,31 +47,31 @@ class TestPollingValidator:
         hospital.login.revoke(session.root_rmc.ref, "gone")
         assert not hospital.login.is_active(session.root_rmc.ref)
 
-    def test_polls_cost_callbacks_without_changes(self, setup):
+    def test_polls_cost_callbacks_without_changes(self, setup, deployment):
         hospital, session, validator = setup
         validator.start()
-        hospital.scheduler.run_for(100.0)
+        deployment.scheduler.run_for(100.0)
         # 10 polls x 1 watched credential, plus the initial watch check.
         assert validator.polls == 10
         assert validator.callbacks_made == 11
 
-    def test_stop_halts_polling(self, setup):
+    def test_stop_halts_polling(self, setup, deployment):
         hospital, _, validator = setup
         validator.start()
-        hospital.scheduler.run_for(20.0)
+        deployment.scheduler.run_for(20.0)
         validator.stop()
         polls = validator.polls
-        hospital.scheduler.run_for(50.0)
+        deployment.scheduler.run_for(50.0)
         assert validator.polls == polls
 
-    def test_start_is_idempotent(self, setup):
+    def test_start_is_idempotent(self, setup, deployment):
         hospital, _, validator = setup
         validator.start()
         validator.start()
-        hospital.scheduler.run_for(10.0)
+        deployment.scheduler.run_for(10.0)
         assert validator.polls == 1
 
-    def test_interval_must_be_positive(self, hospital):
+    def test_interval_must_be_positive(self, hospital, deployment):
         with pytest.raises(ValueError):
-            PollingValidator(hospital.scheduler, 0,
+            PollingValidator(deployment.scheduler, 0,
                              lambda ref: hospital.login)

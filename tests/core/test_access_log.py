@@ -65,7 +65,7 @@ class TestAccessLogUnit:
 
 class TestServiceAuditing:
     def test_activation_logged(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         session.activate(hospital.records, "treating_doctor",
@@ -89,7 +89,7 @@ class TestServiceAuditing:
         assert denials[0].reason
 
     def test_invocation_and_denial_logged(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         session.activate(hospital.records, "treating_doctor",
@@ -104,14 +104,14 @@ class TestServiceAuditing:
         assert len(log.query(kind=AccessKind.INVOCATION_DENIED)) == 1
 
     def test_appointment_logged_with_holder(self, hospital):
-        hospital.new_doctor("d1", "p1")  # issues 'allocated'
+        hospital.admit_doctor("d1", "p1")  # issues 'allocated'
         records = hospital.admin.access_log.query(
             kind=AccessKind.APPOINTMENT, subject="allocated")
         assert len(records) == 1
         assert "holder='d1'" in records[0].reason
 
     def test_revocation_logged(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         certificate = doctor.appointments()[0]
         hospital.admin.revoke(certificate.ref, "reallocated")
         revocations = hospital.admin.access_log.query(
@@ -119,7 +119,7 @@ class TestServiceAuditing:
         assert any(r.reason == "reallocated" for r in revocations)
 
     def test_validation_failure_logged(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         hospital.login.revoke(session.root_rmc.ref, "forced")
@@ -137,7 +137,7 @@ class TestServiceAuditing:
         """Sect. 2: 'it is vital that doctors who access patient records
         may be identified individually.'"""
         for index in range(3):
-            doctor = hospital.new_doctor(f"d{index}", f"p{index}")
+            doctor = hospital.admit_doctor(f"d{index}", f"p{index}")
             session = doctor.start_session(hospital.login,
                                            "logged_in_user", [f"d{index}"])
             session.activate(hospital.records, "treating_doctor",

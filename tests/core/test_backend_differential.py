@@ -29,9 +29,9 @@ from repro.core.exceptions import CredentialRevoked
 from repro.core.state import ServiceStateCodec
 from repro.crypto import ServiceSecret
 from repro.db import MemoryRecordStore, SqliteRecordStore
+from repro.domains import Deployment
 from repro.events import EventBroker, EventLog
-
-from tests.conftest import build_hospital
+from repro.scenarios import build_hospital
 
 BACKENDS = ("none", "memory", "sqlite")
 
@@ -184,8 +184,9 @@ class TestHospitalScenarioIdentical:
 
     def run_scenario(self, monkeypatch, backend):
         monkeypatch.setenv("OASIS_STORE_BACKEND", backend)
-        hospital = build_hospital()
-        doctor = hospital.new_doctor("dr-jones", "pat-1")
+        hospital = build_hospital(Deployment(use_network=False))
+        hospital.ehr_store["pat-1"] = ["2019: appendectomy"]
+        doctor = hospital.admit_doctor("dr-jones", "pat-1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["dr-jones"])
         rmc = session.activate(hospital.records, "treating_doctor",
@@ -213,7 +214,7 @@ class TestHospitalScenarioIdentical:
     def test_identical_across_backends(self, monkeypatch):
         results = {backend: self.run_scenario(monkeypatch, backend)
                    for backend in ("memory", "sqlite")}
-        assert results["memory"]["first"] == "EHR[pat-1]"
+        assert results["memory"]["first"] == ["2019: appendectomy"]
         assert results["memory"]["denied"] is True
         assert results["memory"]["treating_active"] is False
         assert results["sqlite"] == results["memory"]

@@ -201,8 +201,9 @@ class TestLocalDiamond:
 
 
 class TestSharedDependencyAcrossSessions:
-    def test_shared_appointment_collapses_both_sessions(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+    def test_shared_appointment_collapses_both_sessions(self, hospital,
+                                                        deployment):
+        doctor = hospital.admit_doctor("d1", "p1")
         appointment = doctor.appointments()[0]
         first = doctor.start_session(hospital.login, "logged_in_user",
                                      ["d1"])
@@ -214,7 +215,7 @@ class TestSharedDependencyAcrossSessions:
                                      use_appointments=[appointment])
         assert hospital.records.dependent_count(appointment.ref) == 2
 
-        log = EventLog(hospital.broker)
+        log = EventLog(deployment.broker)
         hospital.admin.revoke(appointment.ref, "reallocated")
 
         assert not hospital.records.is_active(treating_1.ref)
@@ -230,7 +231,7 @@ class TestSharedDependencyAcrossSessions:
              str(treating_2.ref)])
 
     def test_stats_count_each_dependent_once(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         appointment = doctor.appointments()[0]
         for _ in range(2):
             session = doctor.start_session(hospital.login, "logged_in_user",
@@ -242,9 +243,10 @@ class TestSharedDependencyAcrossSessions:
 
 
 class TestReactivationAfterCascade:
-    def test_fresh_credentials_after_collapse_cascade_again(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
-        log = EventLog(hospital.broker)
+    def test_fresh_credentials_after_collapse_cascade_again(
+            self, hospital, deployment):
+        doctor = hospital.admit_doctor("d1", "p1")
+        log = EventLog(deployment.broker)
         revoked_refs = []
         for round_number in range(2):
             session = doctor.start_session(hospital.login, "logged_in_user",
@@ -264,7 +266,7 @@ class TestReactivationAfterCascade:
         assert per_ref == {str(ref): 1 for ref in revoked_refs}
 
     def test_reactivated_role_watches_new_dependency_only(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         first = doctor.start_session(hospital.login, "logged_in_user",
                                      ["d1"])
         treating_1 = first.activate(hospital.records, "treating_doctor",

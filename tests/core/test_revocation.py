@@ -5,7 +5,6 @@ import pytest
 from repro.core import (
     ActivationRule,
     ConstraintCondition,
-    OasisService,
     PrerequisiteRole,
     Principal,
     RoleTemplate,
@@ -18,7 +17,7 @@ from repro.core import (
 
 class TestMembershipCascade:
     def test_login_revocation_collapses_dependent_role(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         treating = session.activate(hospital.records, "treating_doctor",
@@ -28,7 +27,7 @@ class TestMembershipCascade:
         assert not hospital.records.is_active(treating.ref)
 
     def test_cascade_reason_recorded(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         treating = session.activate(hospital.records, "treating_doctor",
@@ -41,7 +40,7 @@ class TestMembershipCascade:
     def test_appointment_revocation_collapses_role(self, hospital):
         """The allocation appointment is in the membership rule, so its
         revocation (patient reallocated) deactivates treating_doctor."""
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         treating = session.activate(hospital.records, "treating_doctor",
@@ -53,7 +52,7 @@ class TestMembershipCascade:
 
     def test_database_retraction_revokes_immediately(self, hospital):
         """No polling: deleting the registration fact fires the listener."""
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         treating = session.activate(hospital.records, "treating_doctor",
@@ -64,7 +63,7 @@ class TestMembershipCascade:
         assert "membership condition became false" in record.revoked_reason
 
     def test_unrelated_database_change_does_not_revoke(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         treating = session.activate(hospital.records, "treating_doctor",
@@ -86,7 +85,7 @@ class TestMembershipCascade:
         assert not hospital.login.revoke(ref)
 
     def test_cascade_counted_in_stats(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         session.activate(hospital.records, "treating_doctor",
@@ -107,7 +106,7 @@ class TestDeepCascade:
     Fig. 1's dependency tree, stretched."""
 
     @staticmethod
-    def build_chain(hospital, depth):
+    def build_chain(hospital, deployment, depth):
         services = [hospital.login]
         previous_role = RoleTemplate(
             hospital.login.policy.define_role("logged_in_user", 1),
@@ -119,15 +118,14 @@ class TestDeepCascade:
             policy.add_activation_rule(ActivationRule(
                 RoleTemplate(role, (Var("uid"),)),
                 (PrerequisiteRole(previous_role, membership=True),)))
-            service = OasisService(policy, hospital.broker,
-                                   hospital.registry, hospital.clock)
+            service = deployment.service(policy)
             services.append(service)
             previous_role = RoleTemplate(role, (Var("uid"),))
         return services
 
-    def test_chain_collapse_from_root(self, hospital):
+    def test_chain_collapse_from_root(self, hospital, deployment):
         depth = 8
-        services = self.build_chain(hospital, depth)
+        services = self.build_chain(hospital, deployment, depth)
         _, session = _login(hospital, "u")
         rmcs = [session.root_rmc]
         for service in services[1:]:
@@ -137,8 +135,8 @@ class TestDeepCascade:
         assert all(not s.is_active(r.ref)
                    for s, r in zip(services, rmcs))
 
-    def test_chain_collapse_from_middle(self, hospital):
-        services = self.build_chain(hospital, 6)
+    def test_chain_collapse_from_middle(self, hospital, deployment):
+        services = self.build_chain(hospital, deployment, 6)
         _, session = _login(hospital, "u")
         rmcs = [session.root_rmc]
         for service in services[1:]:
@@ -152,7 +150,7 @@ class TestDeepCascade:
 
 
 class TestTimeBasedMembership:
-    def build_night_service(self, hospital):
+    def build_night_service(self, hospital, deployment):
         service_id = ServiceId("hospital", "night-desk")
         policy = ServicePolicy(service_id)
         login_role = RoleTemplate(
@@ -165,38 +163,38 @@ class TestTimeBasedMembership:
              ConstraintCondition(
                  TimeWindowConstraint(22 * 3600, 6 * 3600),
                  membership=True))))
-        return OasisService(policy, hospital.broker, hospital.registry,
-                            hospital.clock)
+        return deployment.service(policy)
 
-    def test_role_expires_with_window_on_sweep(self, hospital):
-        night = self.build_night_service(hospital)
-        hospital.clock.advance(23 * 3600)  # 23:00
+    def test_role_expires_with_window_on_sweep(self, hospital, deployment):
+        night = self.build_night_service(hospital, deployment)
+        deployment.clock.advance(23 * 3600)  # 23:00
         _, session = _login(hospital, "op")
         rmc = session.activate(night, "night_operator")
         assert night.is_active(rmc.ref)
-        hospital.clock.advance(8 * 3600)  # 07:00 — outside window
+        deployment.clock.advance(8 * 3600)  # 07:00 — outside window
         revoked = night.recheck_membership()
         assert revoked == 1
         assert not night.is_active(rmc.ref)
 
-    def test_sweep_spares_roles_still_inside_window(self, hospital):
-        night = self.build_night_service(hospital)
-        hospital.clock.advance(23 * 3600)
+    def test_sweep_spares_roles_still_inside_window(self, hospital,
+                                                    deployment):
+        night = self.build_night_service(hospital, deployment)
+        deployment.clock.advance(23 * 3600)
         _, session = _login(hospital, "op")
         rmc = session.activate(night, "night_operator")
-        hospital.clock.advance(3600)  # 00:00 — still night
+        deployment.clock.advance(3600)  # 00:00 — still night
         assert night.recheck_membership() == 0
         assert night.is_active(rmc.ref)
 
-    def test_scheduler_driven_sweep(self, hospital):
+    def test_scheduler_driven_sweep(self, hospital, deployment):
         """The deployment pattern: a periodic scheduler job runs the sweep."""
-        night = self.build_night_service(hospital)
-        hospital.clock.advance(23 * 3600)
+        night = self.build_night_service(hospital, deployment)
+        deployment.clock.advance(23 * 3600)
         _, session = _login(hospital, "op")
         rmc = session.activate(night, "night_operator")
-        hospital.scheduler.schedule_periodic(
+        deployment.scheduler.schedule_periodic(
             600, lambda: night.recheck_membership())
-        hospital.scheduler.run_for(10 * 3600)
+        deployment.scheduler.run_for(10 * 3600)
         assert not night.is_active(rmc.ref)
         record = night.credential_record(rmc.ref)
         assert "became false" in record.revoked_reason

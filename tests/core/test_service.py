@@ -35,7 +35,7 @@ class TestRoleEntry:
         assert hospital.login.is_active(rmc.ref)
 
     def test_full_treating_doctor_chain(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         rmc = session.activate(hospital.records, "treating_doctor",
@@ -50,7 +50,7 @@ class TestRoleEntry:
                              ["d1", "p1"])
 
     def test_activation_denied_without_registration(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         hospital.db.delete("registered", doctor="d1", patient="p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
@@ -60,7 +60,7 @@ class TestRoleEntry:
 
     def test_appointment_for_wrong_doctor_rejected(self, hospital):
         """d2 presents d1's allocation — the holder binding stops it."""
-        doctor1 = hospital.new_doctor("d1", "p1")
+        doctor1 = hospital.admit_doctor("d1", "p1")
         hospital.db.insert("registered", doctor="d2", patient="p1")
         thief = Principal("d2")
         thief_session = thief.start_session(hospital.login,
@@ -88,16 +88,17 @@ class TestRoleEntry:
 
 class TestServiceUse:
     def test_authorized_invocation(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        hospital.ehr_store["p1"] = ["2019: appendectomy"]
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         session.activate(hospital.records, "treating_doctor",
                          use_appointments=doctor.appointments())
         assert session.invoke(hospital.records, "read_record", ["p1"]) \
-            == "EHR[p1]"
+            == ["2019: appendectomy"]
 
     def test_invocation_for_other_patient_denied(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         session.activate(hospital.records, "treating_doctor",
@@ -108,13 +109,14 @@ class TestServiceUse:
     def test_patient_exclusion_enforced(self, hospital):
         """The Patients' Charter scenario: the patient excludes the doctor
         individually even though the role would allow access."""
-        doctor = hospital.new_doctor("fred-smith", "joe-bloggs")
+        hospital.ehr_store["joe-bloggs"] = ["2023: allergy noted"]
+        doctor = hospital.admit_doctor("fred-smith", "joe-bloggs")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["fred-smith"])
         session.activate(hospital.records, "treating_doctor",
                          use_appointments=doctor.appointments())
         assert session.invoke(hospital.records, "read_record",
-                              ["joe-bloggs"]) == "EHR[joe-bloggs]"
+                              ["joe-bloggs"]) == ["2023: allergy noted"]
         hospital.db.insert("excluded", patient="joe-bloggs",
                            doctor="fred-smith")
         with pytest.raises(InvocationDenied):
@@ -143,7 +145,7 @@ class TestServiceUse:
 
 class TestCredentialValidation:
     def test_revoked_rmc_rejected_on_presentation(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         root = session.root_rmc
@@ -155,16 +157,17 @@ class TestCredentialValidation:
                     Presentation(c, holder=c.holder)
                     for c in doctor.appointments()])
 
-    def test_expired_appointment_rejected(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+    def test_expired_appointment_rejected(self, hospital,
+                                          deployment):
+        doctor = hospital.admit_doctor("d1", "p1")
         admin_p = Principal("admin2")
         admin_session = admin_p.start_session(hospital.login,
                                               "logged_in_user", ["admin2"])
         admin_session.activate(hospital.admin, "administrator", ["admin2"])
         short_lived = admin_session.issue_appointment(
             hospital.admin, "allocated", ["d1", "p1"], holder="d1",
-            expires_at=hospital.clock.now() + 10.0)
-        hospital.clock.advance(11.0)
+            expires_at=deployment.clock.now() + 10.0)
+        deployment.clock.advance(11.0)
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         with pytest.raises(CredentialExpired):
@@ -202,7 +205,7 @@ class TestCredentialValidation:
                              use_appointments=[forged])
 
     def test_tampered_rmc_rejected(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         root = session.root_rmc
@@ -243,8 +246,8 @@ class TestAppointmentIssuing:
 
     def test_appointment_survives_appointer_logout(self, hospital):
         """Appointment lifetime is independent of the appointer's session."""
-        doctor = hospital.new_doctor("d1", "p1")
-        # new_doctor's admin session is abandoned; certificate must remain
+        doctor = hospital.admit_doctor("d1", "p1")
+        # admit_doctor's admin session is abandoned; certificate must remain
         # valid because appointments are not session-dependent.
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
@@ -253,7 +256,7 @@ class TestAppointmentIssuing:
         assert rmc.role.parameters == ("d1", "p1")
 
     def test_appointment_revocable_by_issuer(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         certificate = doctor.appointments()[0]
         assert hospital.admin.revoke(certificate.ref, "reallocation")
         session = doctor.start_session(hospital.login, "logged_in_user",
@@ -265,7 +268,7 @@ class TestAppointmentIssuing:
 
 class TestSecretRotation:
     def test_rotation_invalidates_until_reissue(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         certificate = doctor.appointments()[0]
         hospital.admin.rotate_secret()
         session = doctor.start_session(hospital.login, "logged_in_user",
@@ -279,7 +282,7 @@ class TestSecretRotation:
         assert rmc.role.parameters == ("d1", "p1")
 
     def test_reissue_of_revoked_appointment_refused(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         certificate = doctor.appointments()[0]
         hospital.admin.revoke(certificate.ref, "gone")
         with pytest.raises(CredentialRevoked):

@@ -3,19 +3,19 @@
 import pytest
 
 from repro.core import Principal, SessionError
-
-from conftest import build_hospital
+from repro.domains import Deployment
+from repro.scenarios import build_hospital
 
 
 class TestPrincipal:
     def test_wallet_stores_and_filters(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         assert len(doctor.appointments()) == 1
         assert doctor.appointments("allocated")[0].name == "allocated"
         assert doctor.appointments("other") == []
 
     def test_drop_appointment(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         ref = doctor.appointments()[0].ref
         assert doctor.drop_appointment(ref)
         assert not doctor.drop_appointment(ref)
@@ -46,7 +46,7 @@ class TestSessionLifecycle:
         assert record.session_id == session.session_id
 
     def test_active_roles_reflect_cascade(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         session.activate(hospital.records, "treating_doctor",
@@ -57,7 +57,7 @@ class TestSessionLifecycle:
         assert names == ["logged_in_user"]
 
     def test_logout_terminates_session(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         session.activate(hospital.records, "treating_doctor",
@@ -79,7 +79,7 @@ class TestSessionLifecycle:
             session.logout()
 
     def test_deactivate_non_root_keeps_session_alive(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         treating = session.activate(hospital.records, "treating_doctor",
@@ -98,7 +98,7 @@ class TestSessionLifecycle:
             session_a.deactivate(session_b.root_rmc)
 
     def test_dependency_edges_form_tree(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         treating = session.activate(hospital.records, "treating_doctor",
@@ -107,7 +107,7 @@ class TestSessionLifecycle:
         assert (session.root_rmc.ref, treating.ref) in edges
 
     def test_holds_role(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         rmc = session.activate(hospital.records, "treating_doctor",
@@ -118,7 +118,7 @@ class TestSessionLifecycle:
 
     def test_reactivation_after_collapse(self, hospital):
         """Deactivated roles can be re-entered while conditions hold."""
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         first = session.activate(hospital.records, "treating_doctor",
@@ -131,7 +131,7 @@ class TestSessionLifecycle:
 
     def test_on_deactivation_notifies_on_cascade(self, hospital):
         """Push-based: the session hears about a collapse immediately."""
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         events = []
@@ -164,7 +164,7 @@ class TestSessionLifecycle:
         assert events == [1]
 
     def test_logout_notifies_whole_tree(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         session.activate(hospital.records, "treating_doctor",
@@ -194,7 +194,7 @@ class TestWatchSubscriptionLifecycle:
         return session
 
     def test_logout_releases_all_watch_subscriptions(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = self._watched_session(hospital, doctor)
         assert session._watch_subs
         session.logout()
@@ -206,8 +206,9 @@ class TestWatchSubscriptionLifecycle:
         never watched anything."""
         counts = []
         for watch in (False, True):
-            world = build_hospital()
-            doctor = world.new_doctor("d1", "p1")
+            deployment = Deployment(use_network=False)
+            world = build_hospital(deployment)
+            doctor = world.admit_doctor("d1", "p1")
             session = doctor.start_session(world.login, "logged_in_user",
                                            ["d1"])
             if watch:
@@ -215,18 +216,18 @@ class TestWatchSubscriptionLifecycle:
             session.activate(world.records, "treating_doctor",
                              use_appointments=doctor.appointments())
             session.logout()
-            counts.append(world.broker.subscriber_count())
+            counts.append(deployment.broker.subscriber_count())
         assert counts[0] == counts[1]
 
     def test_issuer_revocation_cancels_that_watch(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = self._watched_session(hospital, doctor)
         before = len(session._watch_subs)
         hospital.db.delete("registered", doctor="d1", patient="p1")
         assert len(session._watch_subs) == before - 1
 
     def test_dead_rmcs_pruned_from_live_view(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         treating = session.activate(hospital.records, "treating_doctor",

@@ -15,7 +15,7 @@ class TestServiceStats:
         assert all(value == 0 for value in vars(stats).values())
 
     def test_counters_move_during_activity(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         session.activate(hospital.records, "treating_doctor",
@@ -31,7 +31,7 @@ class TestServiceStats:
 
 class TestIntrospection:
     def test_active_credentials_listing(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         active = hospital.login.active_credentials()
@@ -54,19 +54,20 @@ class TestIntrospection:
 
     def test_validation_cache_size_tracks(self, hospital):
         assert hospital.records.validation_cache_size == 0
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         session.activate(hospital.records, "treating_doctor",
                          use_appointments=doctor.appointments())
         assert hospital.records.validation_cache_size >= 1
 
-    def test_registry_listing(self, hospital):
-        services = hospital.registry.all_services()
+    def test_registry_listing(self, hospital, deployment):
+        services = deployment.registry.all_services()
         names = {service.id.name for service in services}
         assert {"login", "admin", "records"} <= names
-        assert hospital.login.id in hospital.registry
+        assert hospital.login.id in deployment.registry
 
-    def test_duplicate_service_registration_rejected(self, hospital):
+    def test_duplicate_service_registration_rejected(self, hospital,
+                                                     deployment):
         with pytest.raises(ValueError):
-            hospital.registry.register(hospital.login)
+            deployment.registry.register(hospital.login)

@@ -6,7 +6,7 @@ from repro.core import ActivationDenied, CredentialRevoked, Principal
 
 
 def activate_doctor(hospital, doctor_id="d1", patient_id="p1"):
-    doctor = hospital.new_doctor(doctor_id, patient_id)
+    doctor = hospital.admit_doctor(doctor_id, patient_id)
     session = doctor.start_session(hospital.login, "logged_in_user",
                                    [doctor_id])
     rmc = session.activate(hospital.records, "treating_doctor",
@@ -73,7 +73,8 @@ class TestValidationCache:
                 + [Presentation(c, holder=c.holder)
                    for c in doctor.appointments()])
 
-    def test_cached_appointment_expiry_still_checked(self, hospital):
+    def test_cached_appointment_expiry_still_checked(self, hospital,
+                                                     deployment):
         """Caching must not outlive the certificate's own expiry."""
         from repro.core import CredentialExpired, Presentation, Principal
 
@@ -83,7 +84,7 @@ class TestValidationCache:
         admin_session.activate(hospital.admin, "administrator", ["adm"])
         certificate = admin_session.issue_appointment(
             hospital.admin, "allocated", ["d1", "p1"], holder="d1",
-            expires_at=hospital.clock.now() + 100.0)
+            expires_at=deployment.clock.now() + 100.0)
         hospital.db.insert("registered", doctor="d1", patient="p1")
         doctor = Principal("d1")
         doctor.store_appointment(certificate)
@@ -91,7 +92,7 @@ class TestValidationCache:
                                        ["d1"])
         session.activate(hospital.records, "treating_doctor",
                          use_appointments=[certificate])  # caches it
-        hospital.clock.advance(200.0)
+        deployment.clock.advance(200.0)
         with pytest.raises(CredentialExpired):
             hospital.records.activate_role(
                 doctor.id, "treating_doctor", None,

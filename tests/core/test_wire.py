@@ -123,7 +123,7 @@ class TestCertificateRoundtrip:
     def test_decoded_certificate_usable_in_service(self, hospital):
         """End to end: a certificate that crossed the wire still activates
         the role."""
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         original = doctor.appointments()[0]
         transported = decode_certificate(json.loads(json.dumps(
             encode_certificate(original))))

@@ -204,6 +204,43 @@ class TestOverlayReads:
             assert store.count(bucket) == oracle.count(bucket)
         store.close()
 
+    def test_count_runs_the_same_statements_however_many_are_buffered(
+            self, tmp_path):
+        store = SqliteRecordStore(str(tmp_path / "count.db"),
+                                  flush_every=10_000)
+        store.put("b", "flushed", {"v": 0})
+        store.flush()
+        traced = []
+        for buffered in (1, 100):
+            for index in range(buffered):
+                store.put("b", f"k{index}", {"v": index})
+            statements = _trace_statements(store)
+            assert store.count("b") == buffered + 1
+            store._conn.set_trace_callback(None)
+            traced.append(len(statements))
+        assert traced[0] == traced[1] == 1
+        store.close()
+
+    @pytest.mark.parametrize("flush_every", [1, 3, 10_000])
+    def test_count_is_the_length_of_a_scan(self, tmp_path, flush_every):
+        store = SqliteRecordStore(str(tmp_path / "scan.db"),
+                                  flush_every=flush_every)
+        steps = [("put", "a"), ("put", "b"), ("put", "c"), ("flush", None),
+                 ("put", "a"), ("delete", "b"), ("put", "d"),
+                 ("delete", "d"), ("delete", "ghost"), ("put", "e"),
+                 ("delete", "c"), ("put", "c"), ("put", "f")]
+        for index, (op, key) in enumerate(steps):
+            if op == "put":
+                store.put("b", key, {"v": index})
+                store.put("other", key, {"v": index})
+            elif op == "delete":
+                store.delete("b", key)
+            else:
+                store.flush()
+            assert store.count("b") == len(list(store.scan("b")))
+        assert store.count("other") == len(list(store.scan("other"))) == 6
+        store.close()
+
     def test_an_unfinished_scan_does_not_block_a_flush(self, tmp_path):
         store = SqliteRecordStore(str(tmp_path / "open.db"),
                                   flush_every=10_000)

@@ -23,16 +23,14 @@ from repro.domains import Deployment, ServiceLevelAgreement, SlaTerm
 def world():
     """Hospital + research institute, not yet linked by any agreement."""
     deployment = Deployment()
-    hospital = deployment.create_domain("hospital")
-    institute = deployment.create_domain("institute")
 
-    login_policy = ServicePolicy(hospital.service_id("login"))
+    login_policy = ServicePolicy(ServiceId("hospital", "login"))
     logged_in = login_policy.define_role("logged_in_user", 1)
     login_policy.add_activation_rule(
         ActivationRule(RoleTemplate(logged_in, (Var("u"),))))
-    login = hospital.add_service(login_policy)
+    login = deployment.service(login_policy)
 
-    admin_policy = ServicePolicy(hospital.service_id("admin"))
+    admin_policy = ServicePolicy(ServiceId("hospital", "admin"))
     admin_role = admin_policy.define_role("administrator", 1)
     admin_policy.add_activation_rule(ActivationRule(
         RoleTemplate(admin_role, (Var("u"),)),
@@ -43,12 +41,12 @@ def world():
     admin_policy.add_appointment_rule(AppointmentRule(
         "employed_as_doctor", (Var("d"), Var("h")),
         (PrerequisiteRole(RoleTemplate(admin_role, (Var("a"),))),)))
-    admin = hospital.add_service(admin_policy)
+    admin = deployment.service(admin_policy)
 
-    research_policy = ServicePolicy(institute.service_id("lab"))
+    research_policy = ServicePolicy(ServiceId("institute", "lab"))
     guest = research_policy.define_role("guest", 0)
     research_policy.add_activation_rule(ActivationRule(RoleTemplate(guest)))
-    lab = institute.add_service(research_policy)
+    lab = deployment.service(research_policy)
     return deployment, login, admin, lab
 
 

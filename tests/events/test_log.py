@@ -109,11 +109,11 @@ class TestEventLog:
         assert count == 2
         assert [event.get("n") for event in seen] == [0, 2]
 
-    def test_captures_revocation_cascade(self, hospital):
+    def test_captures_revocation_cascade(self, hospital, deployment):
         """The log doubles as a middleware audit trail: a cascade leaves a
         complete, ordered record of every revocation event."""
-        log = EventLog(hospital.broker)
-        doctor = hospital.new_doctor("d1", "p1")
+        log = EventLog(deployment.broker)
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         treating = session.activate(hospital.records, "treating_doctor",

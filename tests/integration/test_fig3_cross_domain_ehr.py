@@ -33,30 +33,30 @@ from repro.core import (
     PrerequisiteRole,
     Principal,
     RoleTemplate,
+    ServiceId,
     ServicePolicy,
     Var,
 )
+from repro.db import Database
 from repro.domains import Deployment
 
 
 @pytest.fixture
 def world():
     deployment = Deployment()
-    hospital = deployment.create_domain("hospital")
-    national = deployment.create_domain("national-ehr")
 
-    db = hospital.create_database("main")
+    db = Database("hospital/main")
     db.create_table("registered", ["doctor", "patient"])
 
     # -- hospital login -----------------------------------------------------
-    login_policy = ServicePolicy(hospital.service_id("login"))
+    login_policy = ServicePolicy(ServiceId("hospital", "login"))
     logged_in = login_policy.define_role("logged_in_user", 1)
     login_policy.add_activation_rule(
         ActivationRule(RoleTemplate(logged_in, (Var("u"),))))
-    login = hospital.add_service(login_policy)
+    login = deployment.service(login_policy)
 
     # -- hospital admin: allocations ------------------------------------------
-    admin_policy = ServicePolicy(hospital.service_id("admin"))
+    admin_policy = ServicePolicy(ServiceId("hospital", "admin"))
     administrator = admin_policy.define_role("administrator", 1)
     admin_policy.add_activation_rule(ActivationRule(
         RoleTemplate(administrator, (Var("u"),)),
@@ -65,10 +65,10 @@ def world():
     admin_policy.add_appointment_rule(AppointmentRule(
         "allocated", (Var("d"), Var("p")),
         (PrerequisiteRole(RoleTemplate(administrator, (Var("a"),))),)))
-    admin = hospital.add_service(admin_policy)
+    admin = deployment.service(admin_policy)
 
     # -- hospital records: treating_doctor -------------------------------------
-    records_policy = ServicePolicy(hospital.service_id("records"))
+    records_policy = ServicePolicy(ServiceId("hospital", "records"))
     treating = records_policy.define_role("treating_doctor", 2)
     records_policy.add_activation_rule(ActivationRule(
         RoleTemplate(treating, (Var("d"), Var("p"))),
@@ -79,20 +79,21 @@ def world():
          ConstraintCondition(DatabaseLookupConstraint.exists(
              "main", "registered", doctor=Var("d"), patient=Var("p")),
              membership=True))))
-    records = hospital.add_service(records_policy, databases={"main": db})
+    records = deployment.service(records_policy, databases={"main": db})
 
     # -- national registry: accredits hospitals --------------------------------
-    registry_policy = ServicePolicy(national.service_id("registry"))
+    registry_policy = ServicePolicy(ServiceId("national-ehr", "registry"))
     registrar = registry_policy.define_role("registrar", 0)
     registry_policy.add_activation_rule(
         ActivationRule(RoleTemplate(registrar)))
     registry_policy.add_appointment_rule(AppointmentRule(
         "accredited_hospital", (Var("h"),),
         (PrerequisiteRole(RoleTemplate(registrar)),)))
-    registry = national.add_service(registry_policy)
+    registry = deployment.service(registry_policy)
 
     # -- national patient record management service -----------------------------
-    national_policy = ServicePolicy(national.service_id("patient-records"))
+    national_policy = ServicePolicy(
+        ServiceId("national-ehr", "patient-records"))
     hospital_role = national_policy.define_role("hospital", 1)
     national_policy.add_activation_rule(ActivationRule(
         RoleTemplate(hospital_role, (Var("h"),)),
@@ -110,7 +111,7 @@ def world():
          PrerequisiteRole(RoleTemplate(
              records_policy.define_role("treating_doctor", 2),
              (Var("d"), Var("p")))))))
-    national_svc = national.add_service(national_policy)
+    national_svc = deployment.service(national_policy)
 
     ehr_store = {"p1": ["initial history"]}
     audit_log = []

@@ -14,6 +14,7 @@ from repro.core import (
     PrerequisiteRole,
     Principal,
     RoleTemplate,
+    ServiceId,
     ServicePolicy,
     Var,
 )
@@ -29,15 +30,14 @@ def world():
 
     # A pharmacy-usage printer: no roles of its own, but only treating
     # doctors (a foreign role) may print prescriptions.
-    printer_domain = deployment.create_domain("printing")
-    policy = ServicePolicy(printer_domain.service_id("prescriptions"))
+    policy = ServicePolicy(ServiceId("printing", "prescriptions"))
     treating = RoleTemplate(
         hospital.records.policy.define_role("treating_doctor", 2),
         (Var("d"), Var("p")))
     policy.add_authorization_rule(AuthorizationRule(
         "print_prescription", (Var("p"), Var("drug")),
         (PrerequisiteRole(treating),)))
-    printer = printer_domain.add_service(policy)
+    printer = deployment.service(policy)
     printer.register_method(
         "print_prescription", lambda p, drug: f"Rx[{drug} for {p}]")
     return deployment, hospital, printer

@@ -15,6 +15,7 @@ from repro.core import (
     Outcome,
     Presentation,
     Principal,
+    ServiceId,
     SignatureInvalid,
     TrustPolicy,
     Var,
@@ -34,7 +35,7 @@ from repro.scenarios import build_hospital, build_national_ehr
 def test_the_whole_paper():
     deployment = Deployment()
     hospital = build_hospital(deployment)
-    national = build_national_ehr(deployment, [hospital])
+    national = build_national_ehr(deployment, "hospital")
     national.ehr_store["p1"] = ["initial history"]
 
     # --- Abstract: "role management is decentralised, roles are
@@ -94,18 +95,17 @@ def test_the_whole_paper():
 
     # --- Sect. 5: mutually-aware domains.  The institute accepts the
     # hospital's employment certificate for visiting_doctor. -------------
-    institute = deployment.create_domain("institute")
     from repro.core import ActivationRule, AppointmentRule, PrerequisiteRole, RoleTemplate, ServicePolicy
 
-    hr_policy = ServicePolicy(hospital.domain.service_id("hr"))
+    hr_policy = ServicePolicy(ServiceId("hospital", "hr"))
     officer = hr_policy.define_role("hr_officer", 0)
     hr_policy.add_activation_rule(ActivationRule(RoleTemplate(officer)))
     hr_policy.add_appointment_rule(AppointmentRule(
         "employed_as_doctor", (Var("d"), Var("h")),
         (PrerequisiteRole(RoleTemplate(officer)),)))
-    hr = hospital.domain.add_service(hr_policy)
-    lab = institute.add_service(
-        ServicePolicy(institute.service_id("lab")))
+    hr = deployment.service(hr_policy)
+    lab = deployment.service(
+        ServicePolicy(ServiceId("institute", "lab")))
     ServiceLevelAgreement(
         lab.id, hr.id,
         [SlaTerm("visiting_doctor", (Var("d"),),

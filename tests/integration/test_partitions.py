@@ -19,6 +19,7 @@ from repro.core import (
     PrerequisiteRole,
     Principal,
     RoleTemplate,
+    ServiceId,
     ServicePolicy,
     Var,
 )
@@ -29,22 +30,20 @@ from repro.net import NetworkPartitioned
 @pytest.fixture
 def world():
     deployment = Deployment()
-    home = deployment.create_domain("home")
-    away = deployment.create_domain("away")
 
-    login_policy = ServicePolicy(home.service_id("login"))
+    login_policy = ServicePolicy(ServiceId("home", "login"))
     logged_in = login_policy.define_role("logged_in_user", 1)
     login_policy.add_activation_rule(
         ActivationRule(RoleTemplate(logged_in, (Var("u"),))))
-    login = home.add_service(login_policy)
+    login = deployment.service(login_policy)
 
-    away_policy = ServicePolicy(away.service_id("portal"))
+    away_policy = ServicePolicy(ServiceId("away", "portal"))
     visitor = away_policy.define_role("visitor", 1)
     away_policy.add_activation_rule(ActivationRule(
         RoleTemplate(visitor, (Var("u"),)),
         (PrerequisiteRole(RoleTemplate(logged_in, (Var("u"),)),
                           membership=True),)))
-    portal = away.add_service(away_policy)
+    portal = deployment.service(away_policy)
     return deployment, login, portal
 
 
@@ -100,7 +99,6 @@ class TestPartitionedValidation:
 
     def test_unrelated_links_unaffected(self, world):
         deployment, login, portal = world
-        other = deployment.create_domain("third")
         deployment.network.partition("home", "third")
         session = Principal("u").start_session(login, "logged_in_user",
                                                ["u"])

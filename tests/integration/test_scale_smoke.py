@@ -21,7 +21,8 @@ def big_world():
     deployment = Deployment()
     hospitals = [build_hospital(deployment, f"hospital-{index}")
                  for index in range(HOSPITALS)]
-    national = build_national_ehr(deployment, hospitals)
+    national = build_national_ehr(
+        deployment, *[hospital.domain for hospital in hospitals])
     cast = []  # (hospital, doctor, session, treating_rmc)
     for h_index, hospital in enumerate(hospitals):
         for d_index in range(DOCTORS_PER_HOSPITAL):
@@ -41,7 +42,7 @@ class TestScale:
         deployment, hospitals, national, cast = big_world
         for h_index, (hospital, doctor, session, treating) in \
                 enumerate(cast):
-            gateway = national.gateways[hospital.domain.name]
+            gateway = national.gateways[hospital.domain]
             patient_id = treating.role.parameters[1]
             copy = gateway.request_ehr(treating, doctor.id.value,
                                        patient_id)
@@ -51,7 +52,7 @@ class TestScale:
         deployment, hospitals, national, cast = big_world
         hospital_a, doctor_a, session_a, treating_a = cast[0]
         _, _, _, treating_b = cast[DOCTORS_PER_HOSPITAL]  # other hospital
-        gateway_a = national.gateways[hospital_a.domain.name]
+        gateway_a = national.gateways[hospital_a.domain]
         foreign_patient = treating_b.role.parameters[1]
         with pytest.raises(InvocationDenied):
             gateway_a.request_ehr(treating_a, doctor_a.id.value,
@@ -79,7 +80,7 @@ class TestScale:
         deployment, hospitals, national, cast = big_world
         hospital, doctor, session, treating = cast[DOCTORS_PER_HOSPITAL]
         # this entry was revoked by the wave above (module-scoped fixture)
-        gateway = national.gateways[hospital.domain.name]
+        gateway = national.gateways[hospital.domain]
         patient_id = treating.role.parameters[1]
         with pytest.raises((CredentialRevoked, InvocationDenied)):
             gateway.request_ehr(treating, doctor.id.value, patient_id)

@@ -58,7 +58,7 @@ class TestHospitalScenario:
 class TestNationalEhr:
     def test_fig3_flow_via_builders(self, deployment):
         hospital = build_hospital(deployment)
-        national = build_national_ehr(deployment, [hospital])
+        national = build_national_ehr(deployment, "hospital")
         national.ehr_store["p1"] = ["2019: appendectomy"]
 
         doctor = hospital.admit_doctor("dr-who", "p1")
@@ -72,14 +72,14 @@ class TestNationalEhr:
         assert "2026: visit" in national.ehr_store["p1"]
 
     def test_multiple_hospitals_accredited(self, deployment):
-        hospitals = [build_hospital(deployment, f"hosp-{i}")
+        hospitals = [build_hospital(deployment, f"hosp-{i}").domain
                      for i in range(3)]
-        national = build_national_ehr(deployment, hospitals)
+        national = build_national_ehr(deployment, *hospitals)
         assert len(national.gateways) == 3
 
     def test_revoked_doctor_blocked_nationally(self, deployment):
         hospital = build_hospital(deployment)
-        national = build_national_ehr(deployment, [hospital])
+        national = build_national_ehr(deployment, "hospital")
         doctor = hospital.admit_doctor("dr-who", "p1")
         session = hospital.treating_session(doctor)
         treating_rmc = [rmc for rmc in session.active_rmcs()
@@ -110,7 +110,7 @@ class TestGalleries:
                 use_appointments=[card])
 
     def test_custom_gallery_names(self, deployment):
-        galleries = build_galleries(deployment, ["modern", "britain"])
+        galleries = build_galleries(deployment, "modern", "britain")
         assert set(galleries.galleries) == {"modern", "britain"}
 
 

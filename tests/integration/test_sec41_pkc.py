@@ -20,7 +20,7 @@ from repro.crypto import (
 
 class TestSessionKeyBinding:
     def test_session_key_bound_into_every_rmc(self, hospital):
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         doctor.with_keys(bits=128)
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])

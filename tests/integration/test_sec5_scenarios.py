@@ -24,6 +24,7 @@ from repro.core import (
     PrerequisiteRole,
     Principal,
     RoleTemplate,
+    ServiceId,
     ServicePolicy,
     Var,
 )
@@ -34,21 +35,19 @@ class TestVisitingDoctor:
     @pytest.fixture
     def world(self):
         deployment = Deployment()
-        hospital = deployment.create_domain("hospital")
-        institute = deployment.create_domain("institute")
 
         # hospital HR issues employed_as_doctor to qualified staff
-        hr_policy = ServicePolicy(hospital.service_id("hr"))
+        hr_policy = ServicePolicy(ServiceId("hospital", "hr"))
         officer = hr_policy.define_role("hr_officer", 0)
         hr_policy.add_activation_rule(ActivationRule(RoleTemplate(officer)))
         hr_policy.add_appointment_rule(AppointmentRule(
             "employed_as_doctor", (Var("d"), Var("h")),
             (PrerequisiteRole(RoleTemplate(officer)),)))
-        hr = hospital.add_service(hr_policy)
+        hr = deployment.service(hr_policy)
 
         # institute lab: defines visiting_doctor once the SLA is installed,
         # and its own research_medic appointments
-        lab_policy = ServicePolicy(institute.service_id("lab"))
+        lab_policy = ServicePolicy(ServiceId("institute", "lab"))
         director = lab_policy.define_role("director", 0)
         lab_policy.add_activation_rule(ActivationRule(RoleTemplate(director)))
         lab_policy.add_appointment_rule(AppointmentRule(
@@ -59,12 +58,12 @@ class TestVisitingDoctor:
             (PrerequisiteRole(RoleTemplate(
                 lab_policy.define_role("visiting_doctor", 1),
                 (Var("d"),))),)))
-        lab = institute.add_service(lab_policy)
+        lab = deployment.service(lab_policy)
         lab.register_method("run_experiment", lambda: "data")
 
         # hospital wards: accepts research_medic via the reciprocal side
-        ward_policy = ServicePolicy(hospital.service_id("wards"))
-        ward = hospital.add_service(ward_policy)
+        ward_policy = ServicePolicy(ServiceId("hospital", "wards"))
+        ward = deployment.service(ward_policy)
 
         forward = ServiceLevelAgreement(
             lab.id, hr.id,
@@ -146,19 +145,18 @@ class TestGroupMembership:
     @pytest.fixture
     def galleries(self):
         deployment = Deployment()
-        tate = deployment.create_domain("tate")
 
-        membership_policy = ServicePolicy(tate.service_id("membership"))
+        membership_policy = ServicePolicy(ServiceId("tate", "membership"))
         desk = membership_policy.define_role("membership_desk", 0)
         membership_policy.add_activation_rule(
             ActivationRule(RoleTemplate(desk)))
         membership_policy.add_appointment_rule(AppointmentRule(
             "friend_of_the_tate", (Var("expiry"),),
             (PrerequisiteRole(RoleTemplate(desk)),)))
-        membership = tate.add_service(membership_policy)
+        membership = deployment.service(membership_policy)
 
         def gallery(name):
-            policy = ServicePolicy(tate.service_id(name))
+            policy = ServicePolicy(ServiceId("tate", name))
             friend = policy.define_role("friend", 0)
             policy.add_activation_rule(ActivationRule(
                 RoleTemplate(friend),
@@ -167,7 +165,7 @@ class TestGroupMembership:
                  ConstraintCondition(BeforeDeadlineConstraint(Var("e"))))))
             policy.add_authorization_rule(AuthorizationRule(
                 "newsletter", (), (PrerequisiteRole(RoleTemplate(friend)),)))
-            service = tate.add_service(policy)
+            service = deployment.service(policy)
             service.register_method("newsletter",
                                     lambda n=name: f"{n} newsletter")
             return service
@@ -228,18 +226,16 @@ class TestAnonymousClinic:
     @pytest.fixture
     def clinic_world(self):
         deployment = Deployment()
-        insurer = deployment.create_domain("insurer")
-        clinic = deployment.create_domain("clinic")
 
-        insurer_policy = ServicePolicy(insurer.service_id("membership"))
+        insurer_policy = ServicePolicy(ServiceId("insurer", "membership"))
         desk = insurer_policy.define_role("enrolment_desk", 0)
         insurer_policy.add_activation_rule(ActivationRule(RoleTemplate(desk)))
         insurer_policy.add_appointment_rule(AppointmentRule(
             "insured", (Var("expiry"),),
             (PrerequisiteRole(RoleTemplate(desk)),)))
-        insurer_svc = insurer.add_service(insurer_policy)
+        insurer_svc = deployment.service(insurer_policy)
 
-        clinic_policy = ServicePolicy(clinic.service_id("genetics"))
+        clinic_policy = ServicePolicy(ServiceId("clinic", "genetics"))
         patient = clinic_policy.define_role("paid_up_patient", 0)
         clinic_policy.add_activation_rule(ActivationRule(
             RoleTemplate(patient),
@@ -249,7 +245,7 @@ class TestAnonymousClinic:
         clinic_policy.add_authorization_rule(AuthorizationRule(
             "take_genetic_test", (),
             (PrerequisiteRole(RoleTemplate(patient)),)))
-        clinic_svc = clinic.add_service(clinic_policy)
+        clinic_svc = deployment.service(clinic_policy)
         clinic_svc.register_method("take_genetic_test",
                                    lambda: "sealed-result")
         return deployment, insurer_svc, clinic_svc

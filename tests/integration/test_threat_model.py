@@ -28,7 +28,7 @@ class TestCertificateAttacks:
     def test_parameter_upgrade_attack(self, hospital):
         """Mallory edits her treating_doctor RMC to name a different
         patient."""
-        doctor = hospital.new_doctor("mallory", "p1")
+        doctor = hospital.admit_doctor("mallory", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["mallory"])
         rmc = session.activate(hospital.records, "treating_doctor",
@@ -59,7 +59,7 @@ class TestCertificateAttacks:
 
     def test_cross_session_rmc_replay(self, hospital):
         """An RMC from a logged-out session must stay dead forever."""
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         old_root = session.root_rmc
@@ -77,7 +77,7 @@ class TestCertificateAttacks:
     def test_certificate_issued_for_other_role_name(self, hospital):
         """An 'allocated' certificate cannot satisfy a differently-named
         condition even from the same issuer."""
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         certificate = doctor.appointments()[0]
         renamed = dataclasses.replace(certificate, name="employed_as_head")
         session = doctor.start_session(hospital.login, "logged_in_user",
@@ -114,8 +114,8 @@ class TestDeputyAttacks:
     def test_privilege_escalation_via_argument_mismatch(self, hospital):
         """Invocation arguments must unify with credential parameters —
         a doctor cannot read another patient's record by swapping args."""
-        doctor = hospital.new_doctor("d1", "p1")
-        other = hospital.new_doctor("d2", "p2")
+        doctor = hospital.admit_doctor("d1", "p1")
+        other = hospital.admit_doctor("d2", "p2")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         session.activate(hospital.records, "treating_doctor",
@@ -128,7 +128,7 @@ class TestRevocationRaces:
     def test_no_grant_after_revocation_same_instant(self, hospital):
         """Revocation then immediate presentation: the cascade is
         synchronous, so there is no window."""
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         rmc = session.activate(hospital.records, "treating_doctor",
@@ -140,7 +140,7 @@ class TestRevocationRaces:
     def test_reactivation_needs_fresh_conditions(self, hospital):
         """After a cascade, the dead credentials cannot bootstrap a new
         activation."""
-        doctor = hospital.new_doctor("d1", "p1")
+        doctor = hospital.admit_doctor("d1", "p1")
         session = doctor.start_session(hospital.login, "logged_in_user",
                                        ["d1"])
         session.activate(hospital.records, "treating_doctor",

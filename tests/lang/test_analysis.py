@@ -3,8 +3,9 @@
 import pytest
 
 from repro.core import ServiceId
-from repro.lang import PolicyUniverse, parse_policy
+from repro.lang import PolicyUniverse
 from repro.lang.verify import Atom, build_graph, run_fixpoint
+from repro.policy import parse_policy
 
 
 def universe_of(*texts):

@@ -14,8 +14,8 @@ from repro.core import (
     ServiceId,
     Var,
 )
-from repro.lang import parse_policy
 from repro.netd.worlds import POLICY_DIR
+from repro.policy import parse_policy
 
 HEADER = "service hospital/records\n"
 
@@ -155,7 +155,7 @@ class TestCompile:
         assert len(rules) == 1
 
     def test_allow_unresolved_builds_placeholder(self):
-        from repro.lang import UnresolvedConstraint
+        from repro.policy import UnresolvedConstraint
 
         policy = parse_policy(
             HEADER + "role b(u)\nactivate b(u) <- where mystery(u)",
@@ -169,7 +169,7 @@ class TestCompile:
     def test_unresolved_constraint_refuses_evaluation(self):
         from repro.core import EvaluationContext
         from repro.core.terms import EMPTY_SUBSTITUTION
-        from repro.lang import UnresolvedConstraint
+        from repro.policy import UnresolvedConstraint
 
         constraint = UnresolvedConstraint("mystery", ())
         with pytest.raises(PolicyError, match="unresolved"):

@@ -7,7 +7,7 @@ import os
 import pytest
 
 from repro.core.rules import SourceSpan
-from repro.lang import parse_policy
+from repro.policy import parse_policy
 from repro.lang.cli import main
 from repro.lang.diagnostics import (
     CODES,

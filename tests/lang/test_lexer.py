@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lang import LexError, tokenize
+from repro.policy import LexError, tokenize
 
 
 def kinds(text):

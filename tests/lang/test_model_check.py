@@ -11,7 +11,8 @@ from repro.core import (
     ServiceId,
 )
 from repro.db import Database
-from repro.lang import Endowment, GroundReachability, PolicyUniverse, parse_policy
+from repro.lang import Endowment, GroundReachability, PolicyUniverse
+from repro.policy import parse_policy
 
 LOGIN = ServiceId("hospital", "login")
 ADMIN = ServiceId("hospital", "admin")

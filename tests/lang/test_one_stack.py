@@ -7,11 +7,12 @@ import os
 
 import pytest
 
-from repro.lang import PolicyUniverse, load_policies, parse_policy, run_passes
+from repro.lang import PolicyUniverse, load_policies, run_passes
 from repro.lang.cli import main
 from repro.lang.loader import discover_policy_files, load_units
 from repro.lang.verify import verify_universe
 from repro.netd.worlds import POLICY_DIR
+from repro.policy import parse_policy
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(
     os.path.abspath(__file__))))

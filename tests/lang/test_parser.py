@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.lang import (
+from repro.policy import (
     AppointmentAtom,
     ArgConst,
     ArgVar,

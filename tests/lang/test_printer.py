@@ -2,7 +2,7 @@
 
 from hypothesis import given, strategies as st
 
-from repro.lang import format_document, parse_document
+from repro.policy import format_document, parse_document
 from repro.policy.ast import (
     ActivateStmt,
     AppointStmt,

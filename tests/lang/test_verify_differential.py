@@ -32,6 +32,7 @@ from repro.core import (
     Principal,
     PrerequisiteRole,
     RoleTemplate,
+    ServiceId,
     ServicePolicy,
     Var,
 )
@@ -128,7 +129,7 @@ class TestHealthcareWorld:
     def world(self):
         deployment = Deployment()
         hospital = build_hospital(deployment)
-        national = build_national_ehr(deployment, [hospital])
+        national = build_national_ehr(deployment, "hospital")
         # The probe self-allocates through the admin chain; the database
         # lookup on treating_doctor needs the registration row to exist
         # for every probe principal the replays mint.
@@ -168,19 +169,17 @@ class TestVisitingDoctorWorld:
     @pytest.fixture
     def world(self):
         deployment = Deployment()
-        hospital = deployment.create_domain("hospital")
-        institute = deployment.create_domain("institute")
 
-        hr_policy = ServicePolicy(hospital.service_id("hr"))
+        hr_policy = ServicePolicy(ServiceId("hospital", "hr"))
         officer = hr_policy.define_role("hr_officer", 0)
         hr_policy.add_activation_rule(
             ActivationRule(RoleTemplate(officer)))
         hr_policy.add_appointment_rule(AppointmentRule(
             "employed_as_doctor", (Var("d"), Var("h")),
             (PrerequisiteRole(RoleTemplate(officer)),)))
-        hr = hospital.add_service(hr_policy)
+        hr = deployment.service(hr_policy)
 
-        lab_policy = ServicePolicy(institute.service_id("lab"))
+        lab_policy = ServicePolicy(ServiceId("institute", "lab"))
         director = lab_policy.define_role("director", 0)
         lab_policy.add_activation_rule(
             ActivationRule(RoleTemplate(director)))
@@ -192,7 +191,7 @@ class TestVisitingDoctorWorld:
             (PrerequisiteRole(RoleTemplate(
                 lab_policy.define_role("visiting_doctor", 1),
                 (Var("d"),))),)))
-        lab = institute.add_service(lab_policy)
+        lab = deployment.service(lab_policy)
         lab.register_method("run_experiment", lambda: "data")
 
         sla = ServiceLevelAgreement(
@@ -319,19 +318,17 @@ class TestContractsAuditWorld:
     @pytest.fixture
     def world(self):
         deployment = Deployment()
-        civ = deployment.create_domain("civ")
-        contracts = deployment.create_domain("contracts")
 
-        registry_policy = ServicePolicy(civ.service_id("registry"))
+        registry_policy = ServicePolicy(ServiceId("civ", "registry"))
         registrar = registry_policy.define_role("registrar", 0)
         registry_policy.add_activation_rule(
             ActivationRule(RoleTemplate(registrar)))
         registry_policy.add_appointment_rule(AppointmentRule(
             "audit_licence", (Var("a"),),
             (PrerequisiteRole(RoleTemplate(registrar)),)))
-        registry = civ.add_service(registry_policy)
+        registry = deployment.service(registry_policy)
 
-        audit_policy = ServicePolicy(contracts.service_id("audit"))
+        audit_policy = ServicePolicy(ServiceId("contracts", "audit"))
         auditor = audit_policy.define_role("auditor", 1)
         audit_policy.add_activation_rule(ActivationRule(
             RoleTemplate(auditor, (Var("a"),)),
@@ -340,7 +337,7 @@ class TestContractsAuditWorld:
         audit_policy.add_authorization_rule(AuthorizationRule(
             "read_log", (Var("c"),),
             (PrerequisiteRole(RoleTemplate(auditor, (Var("a"),))),)))
-        audit = contracts.add_service(audit_policy)
+        audit = deployment.service(audit_policy)
         audit.register_method("read_log", lambda c: f"log of {c}")
 
         return deployment, registry, audit

@@ -1,7 +1,7 @@
 """A served node compiles its policy files through ``repro.policy``: the
 analysis tooling in ``repro.lang`` (passes, verifier, diagnostics, CLI)
 is never on its boot path.  ``repro serve --help`` builds no world, so
-this builds every shipped one."""
+this builds every shipped one, the scenario worlds included."""
 
 import os
 import pathlib
@@ -16,9 +16,12 @@ from repro.core.service import ServiceRegistry
 from repro.events import EventBroker
 from repro.netd.worlds import (NodeContext, ScaleWorld, bench_world,
                                ehr_front, ehr_national, ehr_records)
+from repro.scenarios import (build_clinic, build_galleries, build_hospital,
+                             build_national_ehr)
 
 for factory in (ehr_front, ehr_records, ehr_national, bench_world,
-                ScaleWorld):
+                ScaleWorld, build_hospital, build_national_ehr,
+                build_galleries, build_clinic):
     ctx = NodeContext(factory.__name__, EventBroker(), ServiceRegistry(),
                       network=None)
     assert factory(ctx).services, factory

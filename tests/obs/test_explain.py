@@ -18,11 +18,12 @@ from repro.core import (
 from repro.core.access_log import AccessKind
 from repro.core.exceptions import ActivationDenied, CredentialInvalid
 from repro.core.service import Presentation
+from repro.domains import Deployment
 from repro.events import EventBroker
 from repro.obs.explain import RuleAttempt
 from repro.obs.runtime import observed
+from repro.scenarios import build_hospital
 
-from tests.conftest import build_hospital
 from tests.reference import NaiveRuleEngine
 
 
@@ -83,7 +84,7 @@ def _grant_and_deny(hospital):
     newest(login)
     # constraint: appointment held but the doctor/patient pair is not in
     # the registration database.
-    doctor = hospital.new_doctor("dan", "p1")
+    doctor = hospital.admit_doctor("dan", "p1")
     doctor_session = doctor.start_session(login, "logged_in_user", ["dan"])
     newest(login)
     hospital.db.delete("registered", doctor="dan", patient="p1")
@@ -103,7 +104,7 @@ def _grant_and_deny(hospital):
 class TestServiceDecisions:
     def _run(self, optimized=True):
         with observed():
-            hospital = build_hospital()
+            hospital = build_hospital(Deployment(use_network=False))
             if not optimized:
                 for service in (hospital.login, hospital.admin,
                                 hospital.records):
@@ -156,7 +157,7 @@ class TestServiceDecisions:
 
     def test_no_rule_denial(self):
         with observed():
-            hospital = build_hospital()
+            hospital = build_hospital(Deployment(use_network=False))
             hospital.login.policy.define_role("ghost", 0)
             with pytest.raises(ActivationDenied):
                 hospital.login.activate_role(Principal("alice").id, "ghost")

@@ -3,11 +3,11 @@ half-open time-window filtering across both logs."""
 
 from repro.core import Principal
 from repro.core.access_log import AccessKind, AccessLog
+from repro.domains import Deployment
 from repro.events import CREDENTIAL_REVOKED, EventBroker, EventLog
 from repro.events.messages import Event
 from repro.obs.runtime import observed
-
-from tests.conftest import build_hospital
+from repro.scenarios import build_hospital
 
 
 class TestSnapshotsAreDefensive:
@@ -25,13 +25,13 @@ class TestSnapshotsAreDefensive:
         assert hospital.login.stats.snapshot()["rmcs_issued"] == issued
         assert "invented_key" not in hospital.login.stats.snapshot()
 
-    def test_broker_stats_is_a_copy(self, hospital):
-        hospital.broker.publish(Event("x", timestamp=0.0))
-        stats = hospital.broker.stats()
+    def test_broker_stats_is_a_copy(self, hospital, deployment):
+        deployment.broker.publish(Event("x", timestamp=0.0))
+        stats = deployment.broker.stats()
         published = stats["published_count"]
         stats["published_count"] = -1
         stats["topics"].clear()
-        fresh = hospital.broker.stats()
+        fresh = deployment.broker.stats()
         assert fresh["published_count"] == published
         assert fresh["topics"] != {}
 
@@ -47,7 +47,7 @@ class TestAuditTraceIds:
         span carries that span's trace id, so an auditor can jump from an
         audit line to the causal tree (and back via query)."""
         with observed() as obs:
-            hospital = build_hospital()
+            hospital = build_hospital(Deployment(use_network=False))
             alice = Principal("alice")
             session = alice.start_session(hospital.login, "logged_in_user",
                                           ["alice"])

@@ -17,10 +17,10 @@ from repro.core import (
     Var,
 )
 from repro.db import Database, MemoryRecordStore
+from repro.domains import Deployment
 from repro.events import EventBroker
 from repro.obs.runtime import observed
-
-from tests.conftest import build_hospital
+from repro.scenarios import build_hospital
 
 
 def families_by_name(obs):
@@ -111,7 +111,7 @@ class TestRecordStoreCounters:
         # storeless configuration.
         monkeypatch.delenv("OASIS_STORE_BACKEND", raising=False)
         with observed() as obs:
-            build_hospital()
+            build_hospital(Deployment(use_network=False))
             families = families_by_name(obs)
         assert "oasis_record_store_ops" not in families
         assert "oasis_record_store_pending_writes" not in families
