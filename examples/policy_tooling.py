@@ -17,6 +17,7 @@ example shows the full pipeline:
 
 import os
 
+import repro
 from repro.core import (
     ConstraintRegistry,
     DatabaseLookupConstraint,
@@ -40,7 +41,9 @@ def main() -> None:
     # 1. Load and statically check the policy files.
     policies, universe = load_policies(POLICY_FILES,
                                        allow_unresolved=True)
-    print(f"loaded {len(policies)} service policies from {POLICY_DIR}")
+    shipped = os.path.relpath(POLICY_DIR,
+                              os.path.dirname(os.path.dirname(repro.__file__)))
+    print(f"loaded {len(policies)} service policies from {shipped}")
 
     # 2. One rule graph, one fixpoint: every analysis reads these.
     graph = build_graph(universe)

@@ -72,6 +72,7 @@ from .exceptions import (
     InvocationDenied,
     SignatureInvalid,
     UnknownMethod,
+    UnknownRole,
 )
 from .policy import ServicePolicy
 from .state import (
@@ -335,14 +336,16 @@ class OasisService:
         # per concern, cached validation or dependency edge; and only per
         # service whose state names the issuer (its ``interest``, which
         # the state core widens before it keys anything on a new issuer).
-        self._service_subs = [
-            broker.subscribe_issuers(topic, self._on_credential_event,
-                                     self._state.interest)
-            for topic in (CREDENTIAL_REVOKED, CREDENTIAL_REISSUED)]
-        self._state.channels = list(self._service_subs)
+        # Heartbeats are heard the same way: ``_heard`` holds only cached
+        # foreign refs, whose issuers the validation cache attended.
+        handlers = [(CREDENTIAL_REVOKED, self._on_credential_event),
+                    (CREDENTIAL_REISSUED, self._on_credential_event)]
         if heartbeat_timeout is not None:
-            self._service_subs.append(
-                broker.subscribe(CREDENTIAL_HEARTBEAT, self._on_heartbeat))
+            handlers.append((CREDENTIAL_HEARTBEAT, self._on_heartbeat))
+        self._service_subs = [
+            broker.subscribe_issuers(topic, handler, self._state.interest)
+            for topic, handler in handlers]
+        self._state.channels = list(self._service_subs)
 
         # Observability snapshot (see repro.obs.runtime): taken once at
         # construction, so every hot-path guard below is a single
@@ -581,6 +584,10 @@ class OasisService:
             self._audit(AccessKind.ACTIVATION_DENIED, principal.value,
                         role_name, reason=str(denial), attempts=explained)
             raise denial
+        except UnknownRole as failure:
+            self._audit(AccessKind.ACTIVATION_DENIED, principal.value,
+                        role_name, reason=str(failure))
+            raise
         finally:
             if obs is not None:
                 span.finish(self.clock())
@@ -715,7 +722,10 @@ class OasisService:
         rule, or no rules at all, is denied).
         """
         if method not in self._methods:
-            raise UnknownMethod(f"{self.id} has no method {method!r}")
+            failure = UnknownMethod(f"{self.id} has no method {method!r}")
+            self._audit(AccessKind.INVOCATION_DENIED, principal.value,
+                        method, detail=tuple(arguments), reason=str(failure))
+            raise failure
         obs = self._obs
         if obs is not None:
             span = obs.tracer.start_span(
@@ -834,6 +844,8 @@ class OasisService:
                     f"{self.id} defines no appointment {name!r}")
                 if obs is not None:
                     span.error(str(denial))
+                self._audit(AccessKind.APPOINTMENT_DENIED, appointer.value,
+                            name, reason=str(denial))
                 raise denial
             parameters = list(parameters)
             for rule in rules:
@@ -890,11 +902,12 @@ class OasisService:
 
         Certificates signed under the old secret stop verifying and must be
         re-issued via :meth:`reissue_appointment`.  A ``CREDENTIAL_REISSUED``
-        event is published for every live appointment so that holders of
-        cached validations drop them immediately — without it, a cache
-        would keep honouring old-secret certificates until its next
-        callback.  (The event deliberately differs from revocation: the
-        credential *records* stay valid, so no dependency cascade fires.)
+        event is published for every live credential, RMCs and
+        appointments alike, so that holders of cached validations drop
+        them immediately — without it, a cache would keep honouring
+        old-secret certificates the issuer itself now refuses.  (The event
+        deliberately differs from revocation: the credential *records*
+        stay valid, so no dependency cascade fires.)
         """
         self.secret = self.secret.rotated()
         if self._persist is not None:
@@ -904,8 +917,7 @@ class OasisService:
             Event.make(CREDENTIAL_REISSUED, timestamp=self.clock(),
                        credential_ref=str(record.ref),
                        reason="issuer secret rotation")
-            for record in self._records.values()
-            if record.kind == "appointment" and record.active)
+            for record in self._records.values() if record.active)
 
     def reissue_appointment(self, certificate: AppointmentCertificate
                             ) -> AppointmentCertificate:

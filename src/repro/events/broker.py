@@ -1,8 +1,8 @@
 """Publish/subscribe event broker.
 
 A minimal but complete realisation of the active middleware the paper
-depends on: services *advertise* topics, clients *subscribe* with optional
-attribute filters, and published events are delivered synchronously (the
+depends on: services *advertise* topics, clients *subscribe* to a
+topic's channels, and published events are delivered synchronously (the
 default, giving the "immediate deactivation" semantics of Sect. 4) or
 buffered for deterministic replay in simulations.
 
@@ -12,20 +12,16 @@ order so the cascade is breadth-first and terminates even with cyclic
 subscription graphs, since the OASIS layer never re-revokes an already
 revoked credential.
 
-Dispatch is *indexed* twice over.  Subscriptions whose filter includes
-the index key (:data:`DEFAULT_INDEX_KEY` — every Fig. 5 channel event
-carries it) are bucketed under ``(topic, value)``; *scoped* subscriptions
-(:meth:`EventBroker.subscribe_issuers`) are bucketed under ``(topic,
-issuer)`` for each issuer they attend, the issuer of an event being the
-text of its ``credential_ref`` before the last ``#`` (the CRR names its
-issuing service, so events carry nothing extra).  Delivering an event
-costs O(matching + wildcard subscribers on the topic) rather than O(all
-topic subscribers): a service hears the revocations of the issuers its
-state depends on (Sect. 4: a holder registers with *that issuer's*
-channel), not every revocation in the process.  The registration-order
-scan is the differential suites' oracle (``tests/reference/`` overrides
-:meth:`EventBroker._candidates`); ``tests/events/test_broker_differential.py``
-checks both deliver identical sequences.
+A subscription is a topic plus a set of channel keys, or a wildcard.
+Fig. 5 gives every credential a channel: the CRR string its events carry
+as ``credential_ref``.  A key is such a string (``subscribe(...,
+credential_ref=...)``) or an issuer, the text of a CRR before its last
+``#``, naming all its channels (:meth:`EventBroker.subscribe_issuers`;
+Sect. 4: a holder registers with *that issuer's* channel).  One index,
+``(topic, key)`` -> subscriptions, sits beside each topic's wildcards, so
+an event costs two probes and O(matching + wildcard subscribers).  The
+registration-order scan is the differential suites' oracle
+(``tests/reference/`` overrides :meth:`EventBroker._candidates`).
 """
 
 from __future__ import annotations
@@ -33,8 +29,7 @@ from __future__ import annotations
 import itertools
 from collections import deque
 from dataclasses import dataclass, field
-from operator import attrgetter
-from typing import (Any, Callable, Deque, Dict, Iterable, List, Mapping,
+from typing import (Any, Callable, Deque, Dict, Iterable, List,
                     Optional, Set, Tuple)
 
 from ..core.terms import DATACLASS_SLOTS
@@ -48,16 +43,10 @@ Handler = Callable[[Event], None]
 #: Distinguishes broker instances in exported metric labels.
 _BROKER_COUNTER = itertools.count(1)
 
-#: The equality-filter key the dispatch index is built on.  Every
-#: per-credential channel event (revocation, re-issue, heartbeat) carries
-#: this attribute, so the index covers all Fig. 5 traffic.
+#: The event attribute naming its channel, the key the dispatch index is
+#: built on.  Every per-credential channel event (revocation, re-issue,
+#: heartbeat) carries it, so the index covers all Fig. 5 traffic.
 DEFAULT_INDEX_KEY = "credential_ref"
-
-#: Sentinel distinguishing "attribute absent" from any real value during
-#: residual filter checks (an event attribute can legitimately be None).
-_MISSING = object()
-
-_by_seq = attrgetter("seq")
 
 
 def issuer_of(ref_string: str) -> str:
@@ -77,20 +66,14 @@ class Subscription:
 
     topic: str
     handler: Handler
-    filter_attrs: Mapping[str, Any]
+    #: The channel keys heard, CRR strings and issuers; None for every
+    #: event on the topic (a wildcard).
+    keys: Optional[Set[str]]
     _broker: "EventBroker"
     _active: bool = True
     #: Global registration order; delivery merges index buckets and
     #: wildcard lists on it so dispatch preserves registration order.
     seq: int = field(default=0)
-    #: Filters still to check at delivery time, given where the broker
-    #: placed this subscription: a bucketed subscription's index-key
-    #: filter is guaranteed by bucket selection and the topic by candidate
-    #: selection, so only the rest is re-checked per event.
-    residual: Tuple[Tuple[str, Any], ...] = ()
-    #: A scoped subscription's issuers (see
-    #: :meth:`EventBroker.subscribe_issuers`); None for any issuer.
-    issuers: Optional[Set[str]] = None
 
     @property
     def active(self) -> bool:
@@ -101,29 +84,26 @@ class Subscription:
             self._active = False
             self._broker._remove(self)
 
-    def attend(self, issuer: str) -> None:
-        """Widen a scoped subscription to the events of ``issuer``."""
-        if issuer not in self.issuers:
-            self.issuers.add(issuer)
+    def attend(self, key: str) -> None:
+        """Widen a keyed subscription to the channel ``key``: an issuer's
+        channels, or one credential's by its CRR string."""
+        if key not in self.keys:
+            self.keys.add(key)
             if self._active:
-                self._broker._attend(self, issuer)
+                self._broker._index(self, key)
 
     def matches(self, event: Event) -> bool:
         if event.topic != self.topic:
             return False
-        attrs = event.attrs
-        if self.issuers is not None:
-            ref = attrs.get(DEFAULT_INDEX_KEY)
-            if type(ref) is not str or issuer_of(ref) not in self.issuers:
-                return False
-        for key, want in self.filter_attrs.items():
-            if key not in attrs or attrs[key] != want:
-                return False
-        return True
+        keys = self.keys
+        if keys is None:
+            return True
+        ref = event.get(DEFAULT_INDEX_KEY)
+        return type(ref) is str and (ref in keys or issuer_of(ref) in keys)
 
 
 class EventBroker:
-    """Topic-based pub/sub broker with attribute filtering.
+    """Topic-based pub/sub broker over per-credential channels.
 
     Statistics (`published_count`, `delivered_count`, :meth:`stats`)
     support the FIG5/ABL1 benchmarks, which compare the message cost of
@@ -135,16 +115,12 @@ class EventBroker:
         # topic -> {seq: Subscription}; authoritative registry.  Dicts keep
         # insertion (= registration) order and give O(1) removal by seq.
         self._subs: Dict[str, Dict[int, Subscription]] = {}
-        # (topic, index-key value) -> {seq: Subscription} — subscriptions
-        # whose filter pins the index key to one value.
-        self._buckets: Dict[Tuple[str, Any], Dict[int, Subscription]] = {}
-        # topic -> {seq: Subscription} — unscoped subscriptions with no
-        # index-key filter; they must be considered for every event on
-        # the topic.
+        # (topic, channel key) -> {seq: Subscription} — keyed
+        # subscriptions under each key they hear, in registration order.
+        self._keyed: Dict[Tuple[str, str], Dict[int, Subscription]] = {}
+        # topic -> {seq: Subscription} — wildcards; they must be
+        # considered for every event on the topic.
         self._wildcards: Dict[str, Dict[int, Subscription]] = {}
-        # (topic, issuer) -> {seq: Subscription} — scoped subscriptions,
-        # under each issuer they attend, in registration order.
-        self._scoped: Dict[Tuple[str, str], Dict[int, Subscription]] = {}
         self._taps: List[Handler] = []
         self._publishing = False
         self._queue: Deque[Event] = deque()
@@ -201,23 +177,11 @@ class EventBroker:
         return remove
 
     def subscribe(self, topic: str, handler: Handler,
-                  **filter_attrs: Any) -> Subscription:
-        """Register ``handler`` for events on ``topic`` matching the filter."""
-        if not topic:
-            raise ValueError("topic must be non-empty")
-        sub = Subscription(topic=topic, handler=handler,
-                           filter_attrs=dict(filter_attrs), _broker=self,
-                           seq=next(self._seq))
-        sub.residual = tuple(sub.filter_attrs.items())
-        self._subs.setdefault(topic, {})[sub.seq] = sub
-        if DEFAULT_INDEX_KEY in sub.filter_attrs:
-            key = (topic, sub.filter_attrs[DEFAULT_INDEX_KEY])
-            self._buckets.setdefault(key, {})[sub.seq] = sub
-            sub.residual = tuple(
-                (k, v) for k, v in sub.residual if k != DEFAULT_INDEX_KEY)
-        else:
-            self._wildcards.setdefault(topic, {})[sub.seq] = sub
-        return sub
+                  credential_ref: Optional[str] = None) -> Subscription:
+        """Register ``handler`` for the events on ``topic``: those on the
+        channel of the credential named ``credential_ref``, or all."""
+        return self._add(topic, handler, None if credential_ref is None
+                         else (credential_ref,))
 
     def subscribe_issuers(self, topic: str, handler: Handler,
                           issuers: Iterable[str]) -> Subscription:
@@ -225,28 +189,32 @@ class EventBroker:
         ``credential_ref`` names a credential of one of ``issuers``.
         :meth:`Subscription.attend` widens the set; an event without a
         string ``credential_ref`` never matches."""
+        return self._add(topic, handler, issuers)
+
+    def _add(self, topic: str, handler: Handler,
+             keys: Optional[Iterable[str]]) -> Subscription:
         if not topic:
             raise ValueError("topic must be non-empty")
-        sub = Subscription(topic=topic, handler=handler, filter_attrs={},
-                           _broker=self, seq=next(self._seq),
-                           issuers=set())
+        sub = Subscription(topic=topic, handler=handler,
+                           keys=None if keys is None else set(),
+                           _broker=self, seq=next(self._seq))
         self._subs.setdefault(topic, {})[sub.seq] = sub
-        for issuer in issuers:
-            sub.attend(issuer)
+        if keys is None:
+            self._wildcards.setdefault(topic, {})[sub.seq] = sub
+        else:
+            for key in keys:
+                sub.attend(key)
         return sub
 
-    def _attend(self, sub: Subscription, issuer: str) -> None:
-        key = (sub.topic, issuer)
-        bucket = self._scoped.get(key)
-        if bucket is None:
-            self._scoped[key] = {sub.seq: sub}
-            return
-        ordered = next(reversed(bucket)) < sub.seq
+    def _index(self, sub: Subscription, key: str) -> None:
+        index_key = (sub.topic, key)
+        bucket = self._keyed.setdefault(index_key, {})
+        late = bucket and next(reversed(bucket)) > sub.seq
         bucket[sub.seq] = sub
-        if not ordered:
+        if late:
             # An older subscription widened after a newer one: restore
             # registration order (widening is rare, delivery is not).
-            self._scoped[key] = dict(sorted(bucket.items()))
+            self._keyed[index_key] = dict(sorted(bucket.items()))
 
     def subscriber_count(self, topic: Optional[str] = None) -> int:
         if topic is None:
@@ -343,49 +311,39 @@ class EventBroker:
             found.append(wildcards)
         for key, value in event.attributes:
             if key == DEFAULT_INDEX_KEY:
-                # An event without the index key cannot match an indexed
-                # or a scoped subscription: both need it.
-                bucket = self._buckets.get((topic, value))
-                if bucket:
-                    found.append(bucket)
-                if type(value) is str and self._scoped:
-                    scoped = self._scoped.get((topic, issuer_of(value)))
-                    if scoped:
-                        found.append(scoped)
+                # Only a CRR string names a channel: an event without one
+                # reaches the wildcards alone.
+                if type(value) is str:
+                    keyed = self._keyed
+                    bucket = keyed.get((topic, value))
+                    if bucket:
+                        found.append(bucket)
+                    bucket = keyed.get((topic, issuer_of(value)))
+                    if bucket:
+                        found.append(bucket)
                 break
         if not found:
             return []
         if len(found) == 1:
             return list(found[0].values())
-        # Each source is in registration order; so is their merge.
-        merged = [sub for subs in found for sub in subs.values()]
-        merged.sort(key=_by_seq)
-        return merged
+        # Merged on registration order, once per subscription: one may
+        # hear both a credential's key and its issuer's.
+        merged: Dict[int, Subscription] = {}
+        for subs in found:
+            merged.update(subs)
+        return [merged[seq] for seq in sorted(merged)]
 
     def _deliver(self, event: Event) -> int:
         # Candidates are copied out: handlers may subscribe/cancel during
-        # delivery.  Only each subscription's *residual* filters need
-        # checking here — topic and (for bucketed subscriptions) the index
-        # key are guaranteed by candidate selection.
+        # delivery.
         # A subscriber that raises still leaves the event to the taps: it
         # was published, and a tap may be what carries it off this node.
         delivered = 0
         try:
             for sub in self._candidates(event):
-                if not sub._active:
-                    continue
-                residual = sub.residual
-                if residual:
-                    attrs = event.attrs
-                    satisfied = True
-                    for key, want in residual:
-                        if attrs.get(key, _MISSING) != want:
-                            satisfied = False
-                            break
-                    if not satisfied:
-                        continue
-                sub.handler(event)
-                delivered += 1
+                if sub._active:
+                    sub.handler(event)
+                    delivered += 1
         finally:
             self.delivered_count += delivered
             if delivered:
@@ -397,31 +355,13 @@ class EventBroker:
         return delivered
 
     def _remove(self, sub: Subscription) -> None:
-        subs = self._subs.get(sub.topic)
-        if subs is not None and subs.pop(sub.seq, None) is not None:
-            if not subs:
-                del self._subs[sub.topic]
-        if DEFAULT_INDEX_KEY in sub.filter_attrs:
-            key = (sub.topic, sub.filter_attrs[DEFAULT_INDEX_KEY])
-            bucket = self._buckets.get(key)
-            if bucket is not None:
-                bucket.pop(sub.seq, None)
-                if not bucket:
-                    del self._buckets[key]
-        elif sub.issuers is not None:
-            for issuer in sub.issuers:
-                key = (sub.topic, issuer)
-                scoped = self._scoped.get(key)
-                if scoped is not None:
-                    scoped.pop(sub.seq, None)
-                    if not scoped:
-                        del self._scoped[key]
+        topic = sub.topic
+        _discard(self._subs, topic, sub.seq)
+        if sub.keys is None:
+            _discard(self._wildcards, topic, sub.seq)
         else:
-            wildcards = self._wildcards.get(sub.topic)
-            if wildcards is not None:
-                wildcards.pop(sub.seq, None)
-                if not wildcards:
-                    del self._wildcards[sub.topic]
+            for key in sub.keys:
+                _discard(self._keyed, (topic, key), sub.seq)
 
     def stats(self) -> Dict[str, Any]:
         """Observability snapshot: global/per-topic counters and the
@@ -438,7 +378,7 @@ class EventBroker:
             topics.setdefault(topic, {"published": 0, "delivered": 0})[
                 "delivered"] = count
         bucket_sizes: Dict[str, Dict[str, int]] = {}
-        for (topic, _value), bucket in self._buckets.items():
+        for (topic, _key), bucket in self._keyed.items():
             entry = bucket_sizes.setdefault(
                 topic, {"buckets": 0, "subscriptions": 0, "largest": 0})
             entry["buckets"] += 1
@@ -454,3 +394,13 @@ class EventBroker:
             "topics": topics,
             "index_buckets": bucket_sizes,
         }
+
+
+def _discard(index: Dict[Any, Dict[int, Subscription]], key: Any,
+             seq: int) -> None:
+    """Drop ``seq`` from ``index[key]``, and the bucket once it is empty."""
+    bucket = index.get(key)
+    if bucket is not None:
+        bucket.pop(seq, None)
+        if not bucket:
+            del index[key]

@@ -56,7 +56,7 @@ class EventLog(RecordRing):
         ``None`` matches an attribute that is ``None`` or absent.
         """
         return [event for event in self.select(since, until, topic=topic)
-                if all(event.attrs.get(key) == want
+                if all(event.get(key) == want
                        for key, want in attrs.items())]
 
     def topics(self) -> List[str]:

@@ -60,13 +60,7 @@ class Event:
 
     @property
     def attrs(self) -> Mapping[str, Any]:
-        # Memoized: events are immutable and the broker consults the map
-        # once per candidate subscription on the delivery hot path.
-        cached = self.__dict__.get("_attrs")
-        if cached is None:
-            cached = dict(self.attributes)
-            object.__setattr__(self, "_attrs", cached)
-        return cached
+        return dict(self.attributes)
 
     def get(self, key: str, default: Any = None) -> Any:
         # Events carry a handful of attributes; scanning the tuple avoids
@@ -111,8 +105,8 @@ class Event:
         """A copy carrying additional attributes (same-named ones replaced).
 
         Used by the observability layer to let span context (``trace_id``,
-        ``span_id``) ride on revocation events: subscriptions filter by
-        attribute *equality on their own keys only*, so extra attributes
+        ``span_id``) ride on revocation events: a subscription selects
+        events by topic and ``credential_ref`` alone, so extra attributes
         never change who an event is delivered to.
         """
         merged = dict(self.attributes)

@@ -7,8 +7,12 @@ from repro.core import (
     AccessLog,
     AccessRecord,
     ActivationDenied,
+    AppointmentDenied,
     InvocationDenied,
     Principal,
+    PrincipalId,
+    UnknownMethod,
+    UnknownRole,
 )
 
 
@@ -132,6 +136,27 @@ class TestServiceAuditing:
         failures = hospital.records.access_log.query(
             kind=AccessKind.VALIDATION_FAILED)
         assert len(failures) == 1
+
+    def test_refusals_of_unknown_names_logged(self, hospital):
+        """An undefined role, method or appointment is a refusal like any
+        other: its exception is unchanged and the log holds its record."""
+        who = PrincipalId("d1")
+        refusals = [
+            (UnknownRole, AccessKind.ACTIVATION_DENIED, "surgeon",
+             lambda: hospital.records.activate_role(who, "surgeon")),
+            (UnknownMethod, AccessKind.INVOCATION_DENIED, "burn_record",
+             lambda: hospital.records.invoke(who, "burn_record", ["p1"])),
+            (AppointmentDenied, AccessKind.APPOINTMENT_DENIED, "knighted",
+             lambda: hospital.admin.issue_appointment(who, "knighted", [])),
+        ]
+        for exception, kind, subject, attempt in refusals:
+            with pytest.raises(exception) as raised:
+                attempt()
+            service = hospital.admin if subject == "knighted" \
+                else hospital.records
+            (record,) = service.access_log.query(kind=kind)
+            assert (record.principal, record.subject, record.reason) \
+                == ("d1", subject, str(raised.value))
 
     def test_doctors_identified_individually(self, hospital):
         """Sect. 2: 'it is vital that doctors who access patient records

@@ -15,8 +15,10 @@ from repro.core import (
 )
 from repro.core.state import ServiceStateCodec
 from repro.db import MemoryRecordStore
+from repro.domains import Deployment
 from repro.events import EventBroker
 from repro.net import Scheduler, SimClock
+from repro.scenarios import build_hospital
 
 
 def build(clock, broker, registry, heartbeat_timeout=10.0, store=False):
@@ -170,3 +172,32 @@ class TestResumedHolder:
         session.activate(portal, "visitor")  # re-cached by that callback
         assert portal.stats.callbacks_made == callbacks + 1
         assert portal.stats.cache_hits == hits + 1
+
+
+class HeartbeatDeployment(Deployment):
+    """A deployment whose every service distrusts 10 s of silence."""
+
+    def service(self, policy, databases=None, **kwargs):
+        return super().service(policy, databases, heartbeat_timeout=10.0,
+                               **kwargs)
+
+
+class TestHeartbeatsAreKeyed:
+    def test_no_service_subscription_is_a_wildcard(self):
+        """Heartbeats ride the same issuer-keyed channels as revocations:
+        the records service still hears the beats of the login and admin
+        credentials it cached, through no wildcard subscription."""
+        deployment = HeartbeatDeployment(use_network=False)
+        hospital = build_hospital(deployment)
+        doctor = hospital.admit_doctor("dr-x", "pat-1")
+        session = hospital.treating_session(doctor)
+        records = hospital.records
+        assert deployment.broker.stats()["wildcard_subscriptions"] == 0
+        for issuer in (hospital.login, hospital.admin):
+            issuer.start_heartbeats(deployment.scheduler, interval=2.0)
+        deployment.run_for(30.0)
+        assert records.suspect_credentials() == []
+        callbacks = records.stats.callbacks_made
+        session.activate(records, "treating_doctor",
+                         use_appointments=doctor.appointments("allocated"))
+        assert records.stats.callbacks_made == callbacks

@@ -163,7 +163,7 @@ class World:
             for key in keys:
                 event = Event.make(CREDENTIAL_REVOKED, credential_ref=key)
                 for channel in channels:
-                    assert issuer_of(key) in channel.issuers, (service.id,
+                    assert issuer_of(key) in channel.keys, (service.id,
                                                                key)
                     if channel.topic == CREDENTIAL_REVOKED:
                         assert channel in self.broker._candidates(event)

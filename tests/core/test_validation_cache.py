@@ -128,6 +128,24 @@ class TestValidationCache:
         hospital.admin.rotate_secret()
         assert hospital.records.is_active(rmc.ref)
 
+    def test_rmc_issuer_rotation_drops_cached_validations(self, hospital):
+        """Rotation re-issues RMCs too: once login rotates, records calls
+        back on the old login RMC and is refused, as login refuses it."""
+        from repro.core import Presentation, SignatureInvalid
+
+        doctor, session, rmc = activate_doctor(hospital)
+        records = hospital.records
+        hospital.login.rotate_secret()
+        assert hospital.login.is_active(session.root_rmc.ref)
+        assert records.is_active(rmc.ref)  # re-issue never cascades
+        callbacks = records.stats.callbacks_made
+        with pytest.raises(SignatureInvalid):
+            records.activate_role(
+                doctor.id, "treating_doctor", None,
+                [Presentation(session.root_rmc),
+                 Presentation(doctor.appointments()[0], holder="d1")])
+        assert records.stats.callbacks_made == callbacks + 1
+
     def test_cache_is_per_presenter_binding(self, hospital):
         """A cached validation for principal A must not cover principal B
         presenting the same (stolen) certificate."""

@@ -43,20 +43,6 @@ class TestSubscribe:
         broker.publish(Event.make("b"))
         assert seen == []
 
-    def test_attribute_filter(self, broker):
-        seen = []
-        broker.subscribe("t", seen.append, key="yes")
-        broker.publish(Event.make("t", key="no"))
-        broker.publish(Event.make("t", key="yes"))
-        assert len(seen) == 1
-        assert seen[0].get("key") == "yes"
-
-    def test_filter_on_missing_attribute_fails(self, broker):
-        seen = []
-        broker.subscribe("t", seen.append, key="yes")
-        broker.publish(Event.make("t"))
-        assert seen == []
-
     def test_multiple_subscribers(self, broker):
         counts = [0, 0]
 
@@ -221,14 +207,14 @@ class TestIndexedDispatch:
         broker.subscribe("t", lambda e: None, credential_ref="r")
         assert broker.stats()["index_buckets"]["t"]["buckets"] == 1
 
-    def test_bucketed_subscription_still_checks_other_filters(self, broker):
-        seen = []
-        broker.subscribe("t", seen.append, credential_ref="r",
-                         reason="logout")
-        broker.publish(Event.make("t", credential_ref="r", reason="other"))
-        assert seen == []
-        broker.publish(Event.make("t", credential_ref="r", reason="logout"))
-        assert len(seen) == 1
+    def test_credential_and_issuer_keys_share_one_index(self, broker):
+        broker.subscribe("t", lambda e: None, credential_ref="dom/svc#1")
+        scoped = broker.subscribe_issuers("t", lambda e: None, ["dom/svc"])
+        scoped.attend("dom/other")
+        assert broker.stats()["index_buckets"]["t"] == {
+            "buckets": 3, "subscriptions": 3, "largest": 1}
+        scoped.cancel()
+        assert broker.stats()["index_buckets"]["t"]["buckets"] == 1
 
     def test_bucket_and_wildcard_merge_preserves_order(self, broker):
         order = []

@@ -1,10 +1,10 @@
 """Differential tests: indexed dispatch vs the naive linear scan.
 
-``EventBroker`` buckets subscriptions that pin the index key
-(``credential_ref``), and issuer-scoped ones under each issuer they
-attend, and merges the matching buckets with the topic's wildcard
-subscriptions at delivery time; ``tests.reference.ScanBroker``
-scans every subscription in registration order.  These tests drive
+``EventBroker`` keys each subscription under every channel key it
+hears (a credential's CRR string, or an issuer) and merges the event's
+CRR and issuer buckets with the topic's wildcard subscriptions at
+delivery time; ``tests.reference.ScanBroker`` scans every subscription
+in registration order.  These tests drive
 randomized publish/subscribe/cancel scripts through both and assert
 delivery is *identical*: same handler invocations, same order, same
 per-publish delivery counts, same broker counters.
@@ -40,6 +40,7 @@ def run_script(broker: EventBroker, seed: int, steps: int = 500,
     refs = REFS + OTHER_REFS if scoped else REFS
     log = []
     live_subs = {}
+    issuer_scoped = set()
     counter = [0]
 
     def make_handler(sub_id):
@@ -56,21 +57,20 @@ def run_script(broker: EventBroker, seed: int, steps: int = 500,
                 live_subs[sub_id] = broker.subscribe_issuers(
                     rng.choice(TOPICS), make_handler(sub_id),
                     rng.sample(ISSUERS, rng.randint(0, 2)))
+                issuer_scoped.add(sub_id)
                 continue
             filters = {}
             if rng.random() < 0.55:
                 filters["credential_ref"] = rng.choice(refs)
-            if rng.random() < 0.25:
-                filters["reason"] = rng.choice(["logout", "cascade"])
             live_subs[sub_id] = broker.subscribe(
                 rng.choice(TOPICS), make_handler(sub_id), **filters)
         elif roll < 0.55:
             sub_id = rng.choice(sorted(live_subs))
             live_subs.pop(sub_id).cancel()
         elif scoped and roll < 0.65:
-            sub = live_subs[rng.choice(sorted(live_subs))]
-            if sub.issuers is not None:
-                sub.attend(rng.choice(ISSUERS))
+            sub_id = rng.choice(sorted(live_subs))
+            if sub_id in issuer_scoped:
+                live_subs[sub_id].attend(rng.choice(ISSUERS))
         else:
             attrs = {}
             if rng.random() < 0.80:
@@ -152,6 +152,23 @@ def test_cancel_during_delivery_matches(indexed):
     broker.publish(Event.make("t", credential_ref="r"))
     broker.publish(Event.make("t", credential_ref="r"))
     assert seen == []
+
+
+@pytest.mark.parametrize("indexed", [True, False])
+def test_a_subscription_hears_an_event_once(indexed):
+    """A subscription keyed by a credential and by its issuer both sits
+    in two buckets an event probes; it is still delivered once."""
+    broker = make_broker(indexed)
+    seen = []
+    widened = broker.subscribe("t", lambda e: seen.append("crr"),
+                               credential_ref="dom/svc#1")
+    widened.attend("dom/svc")
+    broker.subscribe_issuers("t", lambda e: seen.append("both"),
+                             ["dom/svc", "dom/svc#1"])
+    broker.subscribe("t", lambda e: seen.append("wild"))
+    assert broker.publish(Event.make("t", credential_ref="dom/svc#1")) == 3
+    assert broker.publish(Event.make("t", credential_ref="dom/svc#2")) == 3
+    assert seen == ["crr", "both", "wild"] * 2
 
 
 def test_event_without_index_key_skips_buckets():

@@ -16,7 +16,8 @@ from repro.core import (
     ServiceRegistry,
 )
 from repro.core.access_log import AccessKind
-from repro.core.exceptions import ActivationDenied, CredentialInvalid
+from repro.core.exceptions import (ActivationDenied, AppointmentDenied,
+                                   CredentialInvalid, InvocationDenied)
 from repro.core.service import Presentation
 from repro.domains import Deployment
 from repro.events import EventBroker
@@ -165,6 +166,47 @@ class TestServiceDecisions:
         attempt = _failing(record)
         assert attempt.failure_kind == "no-rule"
         assert "ghost" in attempt.rule
+
+    def test_no_rule_invocation_denial(self):
+        with observed():
+            hospital = build_hospital(Deployment(use_network=False))
+            hospital.login.register_method("ghost", lambda: None)
+            with pytest.raises(InvocationDenied):
+                hospital.login.invoke(Principal("alice").id, "ghost")
+        (record,) = hospital.login.access_log.denials()
+        assert record.kind == AccessKind.INVOCATION_DENIED
+        attempt = _failing(record)
+        assert attempt.failure_kind == "no-rule"
+        assert "'ghost'" in attempt.rule
+
+    def test_refused_appointments_mark_their_spans(self):
+        """An appointment refused for an invalid credential or for an
+        undefined name is audited, and its span carries the error."""
+        with observed() as obs:
+            hospital = build_hospital(Deployment(use_network=False))
+            admin = hospital.admin
+            alice = Principal("alice")
+            rmc = alice.start_session(hospital.login, "logged_in_user",
+                                      ["alice"]).root_rmc
+            hospital.login.revoke(rmc.ref, "logout")
+            with pytest.raises(CredentialInvalid) as invalid:
+                admin.issue_appointment(alice.id, "allocated", ["d", "p"],
+                                        [Presentation(rmc)])
+            with pytest.raises(AppointmentDenied) as undefined:
+                admin.issue_appointment(alice.id, "knighted", [])
+        spans = obs.tracer.spans(name="issue_appointment")
+        assert [(span.attrs["appointment"], span.status,
+                 span.attrs["error"]) for span in spans] == [
+            ("allocated", "error", str(invalid.value)),
+            ("knighted", "error", str(undefined.value))]
+        failed, denied = admin.access_log.denials()
+        assert failed.kind == AccessKind.VALIDATION_FAILED
+        assert failed.subject == str(rmc.ref)
+        assert (denied.kind, denied.subject, denied.reason) == (
+            AccessKind.APPOINTMENT_DENIED, "knighted",
+            str(undefined.value))
+        assert failed.trace_id == spans[0].trace_id
+        assert denied.trace_id == spans[1].trace_id
 
     def test_explainers_agree_across_engine_paths(self):
         """The differential property: swapping in the reference solver
