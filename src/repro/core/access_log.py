@@ -8,11 +8,12 @@ individually" (Sect. 2).  An :class:`AccessLog` attached to an
 event — activations, invocations, appointment issues, revocations and the
 corresponding denials — as immutable :class:`AccessRecord` entries that can
 be filtered by principal, kind or time window.  With the observability
-pipeline on, an activation, invocation or validation record also explains
-itself: its ``attempts`` are the rules tried and, for a denial, the
-condition that failed and how (:mod:`repro.obs.explain`).  The log is a
-:class:`~repro.obs.ring.RecordRing`, the bounded store every retained
-record in the package shares.
+pipeline on, an activation, invocation, appointment or validation record
+also explains itself: its ``attempts`` are the rules tried and, for a
+denial, the condition that failed and how (:mod:`repro.obs.explain`).
+Every refusal leaves one record; its reason is the refusal's text.  The
+log is a :class:`~repro.obs.ring.RecordRing`, the bounded store every
+retained record in the package shares.
 """
 
 from __future__ import annotations
@@ -41,6 +42,11 @@ class AccessKind:
 
     ALL = (ACTIVATION, ACTIVATION_DENIED, INVOCATION, INVOCATION_DENIED,
            APPOINTMENT, APPOINTMENT_DENIED, REVOCATION, VALIDATION_FAILED)
+
+
+def _check_kind(kind: str) -> None:
+    if kind not in AccessKind.ALL:
+        raise ValueError(f"unknown access record kind {kind!r}")
 
 
 @dataclass(frozen=True, **DATACLASS_SLOTS)
@@ -87,8 +93,7 @@ class AccessLog(RecordRing):
                reason: Optional[str] = None,
                trace_id: Optional[str] = None,
                attempts: Tuple[RuleAttempt, ...] = ()) -> None:
-        if kind not in AccessKind.ALL:
-            raise ValueError(f"unknown access record kind {kind!r}")
+        _check_kind(kind)
         self.append(AccessRecord(timestamp, kind, principal, subject,
                                  detail, reason, trace_id, attempts))
 
@@ -100,7 +105,10 @@ class AccessLog(RecordRing):
               until: Optional[float] = None,
               trace_id: Optional[str] = None) -> List[AccessRecord]:
         """All records matching every given filter; the time window is
-        half-open, ``[since, until)`` (see :meth:`RecordRing.select`)."""
+        half-open, ``[since, until)`` (see :meth:`RecordRing.select`).  A
+        ``kind`` outside :attr:`AccessKind.ALL` raises ``ValueError``."""
+        if kind is not None:
+            _check_kind(kind)
         return self.select(since, until, kind=kind, principal=principal,
                            subject=subject, trace_id=trace_id)
 

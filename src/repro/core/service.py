@@ -36,13 +36,14 @@ import functools
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import (Any, Callable, Dict, Iterator, List, NamedTuple,
+                    Optional, Sequence, Set, Tuple, Union)
 
 from ..db import Database, RecordStore, default_store
 from ..net import NetworkError
 from ..obs import runtime as _obs_runtime
 from ..obs.explain import RuleAttempt
-from ..obs.tracing import SpanContext
+from ..obs.tracing import Span, SpanContext
 from ..events import (
     CREDENTIAL_HEARTBEAT,
     CREDENTIAL_REISSUED,
@@ -70,9 +71,9 @@ from .exceptions import (
     CredentialInvalid,
     CredentialRevoked,
     InvocationDenied,
+    OasisError,
     SignatureInvalid,
     UnknownMethod,
-    UnknownRole,
 )
 from .policy import ServicePolicy
 from .state import (
@@ -100,6 +101,27 @@ Certificate = Union[RoleMembershipCertificate, AppointmentCertificate]
 _STORE_UNSET: Any = object()
 
 
+class _Kind(NamedTuple):
+    """What tells the three guarded decisions apart (their body is one):
+    the span and its subject attr, the record and the ServiceStats field
+    a refusal writes, and the rules a ``no-rule`` attempt names."""
+
+    span: str
+    subject: str
+    denied: str
+    counter: str
+    rules: str
+
+
+_ACTIVATION = _Kind("activate_role", "role", AccessKind.ACTIVATION_DENIED,
+                    "activations_denied", "activation")
+_INVOCATION = _Kind("invoke", "method", AccessKind.INVOCATION_DENIED,
+                    "invocations_denied", "authorization")
+_APPOINTMENT = _Kind("issue_appointment", "appointment",
+                     AccessKind.APPOINTMENT_DENIED, "appointments_denied",
+                     "appointment")
+
+
 @dataclass
 class ServiceStats:
     """Operational counters, consumed by the benchmark harness."""
@@ -109,6 +131,7 @@ class ServiceStats:
     invocations: int = 0
     activations_denied: int = 0
     invocations_denied: int = 0
+    appointments_denied: int = 0
     validations_local: int = 0
     callbacks_made: int = 0
     callbacks_served: int = 0
@@ -366,26 +389,10 @@ class OasisService:
     # Observability wiring (only runs when a pipeline is installed)
     # ------------------------------------------------------------------
     def _init_obs(self) -> None:
-        """Create this service's bound instruments and register the
+        """Create this service's bound histograms and register the
         ServiceStats collector (pull-at-export; zero hot-path cost)."""
         metrics = self._obs.metrics
         service = str(self.id)
-        activations = metrics.counter(
-            "oasis_activations_total",
-            help_text="role activation outcomes",
-            label_names=("service", "outcome"))
-        self._obs_activation_granted = activations.bind(
-            service=service, outcome="granted")
-        self._obs_activation_denied = activations.bind(
-            service=service, outcome="denied")
-        invocations = metrics.counter(
-            "oasis_invocations_total",
-            help_text="guarded method invocation outcomes",
-            label_names=("service", "outcome"))
-        self._obs_invocation_granted = invocations.bind(
-            service=service, outcome="granted")
-        self._obs_invocation_denied = invocations.bind(
-            service=service, outcome="denied")
         self._obs_activation_latency = metrics.histogram(
             "oasis_activation_latency_seconds",
             help_text="wall-clock activate_role latency",
@@ -411,10 +418,22 @@ class OasisService:
         attribute increments on the hot paths.
         """
         service = str(self.id)
+        stats = self.stats
         yield ("oasis_service_stats", "counter",
                "ServiceStats operational counters, by field",
                [({"service": service, "field": name}, value)
-                for name, value in self.stats.snapshot().items()])
+                for name, value in stats.snapshot().items()])
+        # Each decision is counted once, in ServiceStats; the outcome
+        # families are views of those counters.
+        for name, help_text, granted, denied in (
+                ("oasis_activations_total", "role activation outcomes",
+                 stats.rmcs_issued, stats.activations_denied),
+                ("oasis_invocations_total",
+                 "guarded method invocation outcomes", stats.invocations,
+                 stats.invocations_denied)):
+            yield (name, "counter", help_text,
+                   [({"service": service, "outcome": "granted"}, granted),
+                    ({"service": service, "outcome": "denied"}, denied)])
         live = sum(1 for record in self._records.values() if record.active)
         yield ("oasis_live_credentials", "gauge",
                "credential records currently active",
@@ -478,13 +497,80 @@ class OasisService:
                detail: Tuple[Any, ...] = (),
                reason: Optional[str] = None,
                trace_id: Optional[str] = None,
-               attempts: Tuple[RuleAttempt, ...] = ()) -> None:
+               attempts: Optional[Sequence[RuleAttempt]] = None) -> None:
         if self._obs is not None and trace_id is None:
             context = self._obs.tracer.current_context()
             if context is not None:
                 trace_id = context.trace_id
         self.access_log.record(self.clock(), kind, principal, subject,
-                               detail, reason, trace_id, attempts)
+                               detail, reason, trace_id,
+                               tuple(attempts) if attempts else ())
+
+    # ------------------------------------------------------------------
+    # The guarded decisions' shared shape: activate, invoke, appoint
+    # ------------------------------------------------------------------
+    def _open(self, kind: _Kind, principal: PrincipalId, subject: str
+              ) -> Tuple[Optional[Span], Optional[List[RuleAttempt]]]:
+        """A decision's span and the list its rule attempts go to, opened
+        before anything can refuse; ``(None, None)`` with no pipeline."""
+        obs = self._obs
+        if obs is None:
+            return None, None
+        return obs.tracer.start_span(
+            kind.span, timestamp=self.clock(), service=str(self.id),
+            principal=principal.value, **{kind.subject: subject}), []
+
+    def _search(self, rules: Sequence[Any], match: Callable[..., Any],
+                explain: Callable[..., Any], head: Optional[Sequence[Term]],
+                presented: List[PresentedCredential],
+                environment: Optional[Dict[str, Any]],
+                attempts: Optional[List[RuleAttempt]]
+                ) -> Optional[Tuple[Any, Any]]:
+        """The one rule search: the first ``(rule, match)`` whose ``match``
+        holds for ``head``, in rule order, or None.  An
+        :class:`ActivationDenied` a match raises (a satisfiable body that
+        leaves the head unbound) is kept, and raised if no rule matches.
+        With a pipeline on, each rule that fails is explained into
+        ``attempts``."""
+        context = self.context if not environment \
+            else self.context.with_environment(**environment)
+        index = CredentialIndex(presented)
+        unbound: Optional[ActivationDenied] = None
+        for rule in rules:
+            try:
+                found = match(rule, head, presented, context, index)
+            except ActivationDenied as denial:
+                unbound, found = denial, None
+            if found is not None:
+                return rule, found
+            if attempts is not None:
+                attempts.append(self._failed_attempt(
+                    rule, explain(rule, head, presented, context)))
+        if unbound is not None:
+            raise unbound
+        return None
+
+    def _refused(self, kind: _Kind, failure: OasisError,
+                 span: Optional[Span], principal: PrincipalId, subject: str,
+                 rules: Sequence[Any],
+                 attempts: Optional[List[RuleAttempt]],
+                 detail: Tuple[Any, ...] = ()) -> None:
+        """The one refusal path: ``failure`` is counted once, in
+        ServiceStats, and errors the span.  A presented credential's
+        refusal is already on record (validation-failed); any other writes
+        the kind's denial record, the exception text its reason."""
+        setattr(self.stats, kind.counter,
+                getattr(self.stats, kind.counter) + 1)
+        if span is not None:
+            span.error(str(failure))
+        if isinstance(failure, CredentialInvalid):
+            return
+        if attempts is not None and not rules:
+            attempts.append(RuleAttempt(
+                rule=f"(no {kind.rules} rule for {subject!r})",
+                outcome="failed", failure_kind="no-rule"))
+        self._audit(kind.denied, principal.value, subject, detail=detail,
+                    reason=str(failure), attempts=attempts)
 
     # ------------------------------------------------------------------
     # Role activation (Fig. 2 paths 1-2)
@@ -518,78 +604,49 @@ class OasisService:
         :meth:`activate_roles_bulk`.  With a pipeline installed it also
         emits a span and a latency sample, and its access record carries
         the rule attempts that explain the outcome."""
-        obs = self._obs
-        if obs is not None:
+        span, attempts = self._open(_ACTIVATION, principal, role_name)
+        if span is not None:
             wall_start = time.perf_counter()
-            span = obs.tracer.start_span(
-                "activate_role", timestamp=self.clock(),
-                service=str(self.id), principal=principal.value,
-                role=role_name)
-            attempts: List[RuleAttempt] = []
+        rules: Sequence[Any] = ()
         try:
-            try:
-                presented = self._validate_presentations(
-                    principal, credentials, role_name)
-            except CredentialInvalid as failure:
-                if obs is not None:
-                    self._obs_activation_denied.inc()
-                    span.error(str(failure))
-                raise
-            context = self.context if not environment \
-                else self.context.with_environment(**environment)
-            index = CredentialIndex(presented)
-            last_denial: Optional[ActivationDenied] = None
-            for rule in self.policy.activation_rules_for(role_name):
-                try:
-                    result = self._engine.match_activation(
-                        rule, parameters, presented, context, index)
-                except ActivationDenied as denial:
-                    last_denial = denial
-                    result = None
-                if result is None:
-                    if obs is not None:
-                        attempts.append(self._failed_attempt(
-                            rule, self._engine.explain_activation(
-                                rule, parameters, presented, context)))
-                    continue
-                match, role = result
-                rmc = self._issue_rmc(principal, role, match,
-                                      environment or {}, session_id,
-                                      bound_key)
-                explained: Tuple[RuleAttempt, ...] = ()
-                if obs is not None:
-                    attempts.append(RuleAttempt(
-                        rule=str(rule), outcome="matched",
-                        detail=f"credential_ref={rmc.ref}"))
-                    explained = tuple(attempts)
-                    self._obs_activation_granted.inc()
-                    span.set_attr("credential_ref", str(rmc.ref))
-                self._audit(AccessKind.ACTIVATION, principal.value,
-                            str(role.role_name), detail=role.parameters,
-                            attempts=explained)
-                return rmc
-            self.stats.activations_denied += 1
-            denial = last_denial or ActivationDenied(
-                f"{principal} cannot activate {self.id}:{role_name} with "
-                f"the presented credentials")
-            explained = ()
-            if obs is not None:
-                if not attempts:
-                    attempts.append(RuleAttempt(
-                        rule=f"(no activation rule for {role_name!r})",
-                        outcome="failed", failure_kind="no-rule"))
-                explained = tuple(attempts)
-                self._obs_activation_denied.inc()
-                span.error(str(denial))
-            self._audit(AccessKind.ACTIVATION_DENIED, principal.value,
-                        role_name, reason=str(denial), attempts=explained)
-            raise denial
-        except UnknownRole as failure:
-            self._audit(AccessKind.ACTIVATION_DENIED, principal.value,
-                        role_name, reason=str(failure))
+            rules = self.policy.activation_rules_for(role_name)
+            presented = self._validate_presentations(
+                principal, credentials, role_name)
+            found = self._search(
+                rules, self._engine.match_activation,
+                self._engine.explain_activation, parameters, presented,
+                environment, attempts)
+            if found is None:
+                raise ActivationDenied(
+                    f"{principal} cannot activate {self.id}:{role_name} "
+                    f"with the presented credentials")
+        except OasisError as failure:
+            self._refused(_ACTIVATION, failure, span, principal,
+                          role_name, rules, attempts)
             raise
+        else:
+            rule, (match, role) = found
+            ref = self._refs.next()
+            self._reserve_serials(ref.serial)
+            now = self.clock()
+            rmc = RoleMembershipCertificate.issue(
+                self.secret, self.id, role, ref, principal, now, bound_key)
+            self._install_record(CredentialRecord(
+                ref=ref, kind="rmc", principal=principal, issued_at=now,
+                membership_dependencies=match.membership_credential_refs(),
+                session_id=session_id), match, environment or {})
+            self.stats.rmcs_issued += 1
+            if attempts is not None:
+                attempts.append(RuleAttempt(
+                    rule=str(rule), outcome="matched",
+                    detail=f"credential_ref={ref}"))
+                span.set_attr("credential_ref", str(ref))
+            self._audit(AccessKind.ACTIVATION, principal.value,
+                        str(role.role_name), detail=role.parameters,
+                        attempts=attempts)
+            return rmc
         finally:
-            if obs is not None:
+            if span is not None:
                 span.finish(self.clock())
                 self._obs_activation_latency.observe(
                     time.perf_counter() - wall_start)
@@ -601,28 +658,12 @@ class OasisService:
         recent installs; the watermark guarantees the resumed allocator
         starts past every serial that may have escaped inside a signed
         certificate.  One durable append covers ``SERIAL_RESERVE``
-        allocations.
+        allocations.  Storeless, nothing is reserved.
         """
-        if top_serial > self._serials_reserved:
+        if self._persist is not None \
+                and top_serial > self._serials_reserved:
             self._serials_reserved = top_serial + SERIAL_RESERVE
             self._state.reserve_serials(self._serials_reserved)
-
-    def _issue_rmc(self, principal: PrincipalId, role: Role, match: RuleMatch,
-                   environment: Dict[str, Any], session_id: Optional[str],
-                   bound_key: Optional[str]) -> RoleMembershipCertificate:
-        ref = self._refs.next()
-        if self._persist is not None:
-            self._reserve_serials(ref.serial)
-        now = self.clock()
-        rmc = RoleMembershipCertificate.issue(
-            self.secret, self.id, role, ref, principal, now, bound_key)
-        record = CredentialRecord(
-            ref=ref, kind="rmc", principal=principal, issued_at=now,
-            membership_dependencies=match.membership_credential_refs(),
-            session_id=session_id)
-        self._install_record(record, match, environment)
-        self.stats.rmcs_issued += 1
-        return rmc
 
     # ------------------------------------------------------------------
     # Bulk issuance and activation (scale-world construction)
@@ -667,8 +708,7 @@ class OasisService:
         if not count:
             return []
         refs = self._refs.next_many(count)
-        if self._persist is not None:
-            self._reserve_serials(refs[-1].serial)
+        self._reserve_serials(refs[-1].serial)
         now = self.clock()
         secret = self.secret
         service_id = self.id
@@ -721,84 +761,51 @@ class OasisService:
         method is satisfied (closed world: a method with no satisfiable
         rule, or no rules at all, is denied).
         """
-        if method not in self._methods:
-            failure = UnknownMethod(f"{self.id} has no method {method!r}")
-            self._audit(AccessKind.INVOCATION_DENIED, principal.value,
-                        method, detail=tuple(arguments), reason=str(failure))
-            raise failure
-        obs = self._obs
-        if obs is not None:
-            span = obs.tracer.start_span(
-                "invoke", timestamp=self.clock(), service=str(self.id),
-                principal=principal.value, method=method)
-            attempts: List[RuleAttempt] = []
+        span, attempts = self._open(_INVOCATION, principal, method)
+        arguments = tuple(arguments)
+        rules = self.policy.authorization_rules_for(method)
         try:
-            try:
-                presented = self._validate_presentations(
-                    principal, credentials, method)
-            except CredentialInvalid as failure:
-                if obs is not None:
-                    self._obs_invocation_denied.inc()
-                    span.error(str(failure))
-                raise
-            arguments = tuple(arguments)
-            rules = self.policy.authorization_rules_for(method)
+            if method not in self._methods:
+                raise UnknownMethod(f"{self.id} has no method {method!r}")
+            presented = self._validate_presentations(
+                principal, credentials, method)
             # Only after validation: a dead or forged credential never
             # reaches the decision cache (see repro.core.decisions).
             key = decision_key(method, arguments, presented)
-            hit = None if key is None else self._decisions.lookup(key, rules)
-            granted = None
+            hit = None if key is None \
+                else self._decisions.lookup(key, rules)
             if hit is not None:
                 self.stats.decision_cache_hits += 1
                 _rules, granted, arguments = hit
             else:
-                context = self.context if not environment \
-                    else self.context.with_environment(**environment)
-                index = CredentialIndex(presented)
-                for rule in rules:
-                    if self._engine.match_authorization(
-                            rule, arguments, presented, context,
-                            index) is not None:
-                        granted = rule
-                        if key is not None \
-                                and all(rule.pure for rule in rules):
-                            for ref_string, _signature in key[2]:
-                                self._state.attend(ref_string)
-                            self._decisions.store(key, rules, rule)
-                        break
-                    if obs is not None:
-                        attempts.append(self._failed_attempt(
-                            rule, self._engine.explain_authorization(
-                                rule, arguments, presented, context)))
-            explained: Tuple[RuleAttempt, ...] = ()
-            if granted is not None:
-                self.stats.invocations += 1
-                if obs is not None:
-                    attempts.append(RuleAttempt(
-                        rule=str(granted), outcome="matched",
-                        detail=None if hit is None else "decision_cache=hit"))
-                    explained = tuple(attempts)
-                    self._obs_invocation_granted.inc()
-                self._audit(AccessKind.INVOCATION, principal.value,
-                            method, detail=arguments, attempts=explained)
-                return self._methods[method](*arguments)
-            self.stats.invocations_denied += 1
-            denial = InvocationDenied(
-                f"{principal} may not invoke "
-                f"{self.id}.{method}{arguments!r}")
-            if obs is not None:
-                if not attempts:
-                    attempts.append(RuleAttempt(
-                        rule=f"(no authorization rule for {method!r})",
-                        outcome="failed", failure_kind="no-rule"))
-                explained = tuple(attempts)
-                self._obs_invocation_denied.inc()
-                span.error(str(denial))
-            self._audit(AccessKind.INVOCATION_DENIED, principal.value,
-                        method, detail=arguments, attempts=explained)
-            raise denial
+                found = self._search(
+                    rules, self._engine.match_authorization,
+                    self._engine.explain_authorization, arguments,
+                    presented, environment, attempts)
+                if found is None:
+                    raise InvocationDenied(
+                        f"{principal} may not invoke "
+                        f"{self.id}.{method}{arguments!r}")
+                granted = found[0]
+                if key is not None and all(rule.pure for rule in rules):
+                    for ref_string, _signature in key[2]:
+                        self._state.attend(ref_string)
+                    self._decisions.store(key, rules, granted)
+        except OasisError as failure:
+            self._refused(_INVOCATION, failure, span, principal, method,
+                          rules, attempts, arguments)
+            raise
+        else:
+            self.stats.invocations += 1
+            if attempts is not None:
+                attempts.append(RuleAttempt(
+                    rule=str(granted), outcome="matched",
+                    detail=None if hit is None else "decision_cache=hit"))
+            self._audit(AccessKind.INVOCATION, principal.value, method,
+                        detail=arguments, attempts=attempts)
+            return self._methods[method](*arguments)
         finally:
-            if obs is not None:
+            if span is not None:
                 span.finish(self.clock())
 
     # ------------------------------------------------------------------
@@ -821,80 +828,52 @@ class OasisService:
         With a pipeline installed it also emits a span, and its access
         record carries the rule attempts that explain the outcome.
         """
-        obs = self._obs
-        if obs is not None:
-            span = obs.tracer.start_span(
-                "issue_appointment", timestamp=self.clock(),
-                service=str(self.id), principal=appointer.value,
-                appointment=name)
-            attempts: List[RuleAttempt] = []
+        span, attempts = self._open(_APPOINTMENT, appointer, name)
+        parameters = tuple(parameters)
+        rules = self.policy.appointment_rules_for(name)
         try:
-            try:
-                presented = self._validate_presentations(
-                    appointer, credentials, name)
-            except CredentialInvalid as failure:
-                if obs is not None:
-                    span.error(str(failure))
-                raise
-            context = self.context.with_environment(**(environment or {}))
-            index = CredentialIndex(presented)
-            rules = self.policy.appointment_rules_for(name)
             if not rules:
-                denial = AppointmentDenied(
+                raise AppointmentDenied(
                     f"{self.id} defines no appointment {name!r}")
-                if obs is not None:
-                    span.error(str(denial))
-                self._audit(AccessKind.APPOINTMENT_DENIED, appointer.value,
-                            name, reason=str(denial))
-                raise denial
-            parameters = list(parameters)
-            for rule in rules:
-                match = self._engine.match_appointment(
-                    rule, parameters, presented, context, index)
-                if match is None:
-                    if obs is not None:
-                        attempts.append(self._failed_attempt(
-                            rule, self._engine.explain_appointment(
-                                rule, parameters, presented, context)))
-                    continue
-                ground = match.substitution.apply(tuple(parameters))
-                ref = self._refs.next()
-                if self._persist is not None:
-                    self._reserve_serials(ref.serial)
-                now = self.clock()
-                certificate = AppointmentCertificate.issue(
-                    self.secret, self.id, name, ground, ref, now,
-                    expires_at, holder)
-                record = CredentialRecord(
-                    ref=ref, kind="appointment",
-                    principal=PrincipalId(holder) if holder else None,
-                    issued_at=now)
-                self._state.install(record)
-                self.stats.appointments_issued += 1
-                explained: Tuple[RuleAttempt, ...] = ()
-                if obs is not None:
-                    attempts.append(RuleAttempt(
-                        rule=str(rule), outcome="matched",
-                        detail=f"credential_ref={ref}"))
-                    explained = tuple(attempts)
-                    span.set_attr("credential_ref", str(ref))
-                self._audit(AccessKind.APPOINTMENT, appointer.value, name,
-                            detail=tuple(ground),
-                            reason=f"holder={holder!r}",
-                            attempts=explained)
-                return certificate
-            denial = AppointmentDenied(
-                f"{appointer} may not issue appointment {name!r} at "
-                f"{self.id}")
-            explained = ()
-            if obs is not None:
-                explained = tuple(attempts)
-                span.error(str(denial))
-            self._audit(AccessKind.APPOINTMENT_DENIED, appointer.value,
-                        name, attempts=explained)
-            raise denial
+            presented = self._validate_presentations(
+                appointer, credentials, name)
+            found = self._search(
+                rules, self._engine.match_appointment,
+                self._engine.explain_appointment, parameters, presented,
+                environment, attempts)
+            if found is None:
+                raise AppointmentDenied(
+                    f"{appointer} may not issue appointment {name!r} at "
+                    f"{self.id}")
+        except OasisError as failure:
+            self._refused(_APPOINTMENT, failure, span, appointer, name,
+                          rules, attempts)
+            raise
+        else:
+            rule, match = found
+            ground = match.substitution.apply(parameters)
+            ref = self._refs.next()
+            self._reserve_serials(ref.serial)
+            now = self.clock()
+            certificate = AppointmentCertificate.issue(
+                self.secret, self.id, name, ground, ref, now, expires_at,
+                holder)
+            self._state.install(CredentialRecord(
+                ref=ref, kind="appointment",
+                principal=PrincipalId(holder) if holder else None,
+                issued_at=now))
+            self.stats.appointments_issued += 1
+            if attempts is not None:
+                attempts.append(RuleAttempt(
+                    rule=str(rule), outcome="matched",
+                    detail=f"credential_ref={ref}"))
+                span.set_attr("credential_ref", str(ref))
+            self._audit(AccessKind.APPOINTMENT, appointer.value, name,
+                        detail=tuple(ground), reason=f"holder={holder!r}",
+                        attempts=attempts)
+            return certificate
         finally:
-            if obs is not None:
+            if span is not None:
                 span.finish(self.clock())
 
     def rotate_secret(self) -> None:
@@ -1268,15 +1247,16 @@ class OasisService:
             certificate = presentation.certificate
             presented.append(PresentedCredential(certificate))
             try:
-                if certificate.issuer == self.id:
-                    self._validate_local(principal, presentation)
-                    continue
                 # The effective requester: the invoking principal, or the
                 # original requester a gateway attests under an SLA.  Both
                 # the RMC principal binding and the appointment holder
                 # binding are checked against it by the issuer.
-                requester = self._rmc_binding(principal, presentation)
+                requester = presentation.on_behalf_of or principal.value
                 holder = presentation.holder
+                if certificate.issuer == self.id:
+                    self.stats.validations_local += 1
+                    self._check_certificate(certificate, requester, holder)
+                    continue
                 if self._cached_validation(certificate, requester, holder):
                     continue
                 self.stats.callbacks_made += 1
@@ -1302,29 +1282,15 @@ class OasisService:
                 self._cache_validation(certificate, requester, holder)
         if failed is not None:
             index, failure = failed
-            explained: Tuple[RuleAttempt, ...] = ()
-            if self._obs is not None:
-                explained = (RuleAttempt(
-                    rule="(credential validation)", outcome="failed",
-                    failure_kind="credential-invalid",
-                    detail=f"requested {requested!r}: {failure}"),)
+            explained = None if self._obs is None else (RuleAttempt(
+                rule="(credential validation)", outcome="failed",
+                failure_kind="credential-invalid",
+                detail=f"requested {requested!r}: {failure}"),)
             self._audit(AccessKind.VALIDATION_FAILED, principal.value,
                         str(presentations[index].certificate.ref),
                         reason=str(failure), attempts=explained)
             raise failure
         return presented
-
-    @staticmethod
-    def _rmc_binding(principal: PrincipalId,
-                     presentation: Presentation) -> str:
-        return presentation.on_behalf_of or principal.value
-
-    def _validate_local(self, principal: PrincipalId,
-                        presentation: Presentation) -> None:
-        self.stats.validations_local += 1
-        self._check_certificate(presentation.certificate,
-                                self._rmc_binding(principal, presentation),
-                                presentation.holder)
 
     def _cached_validation(self, certificate: Certificate, requester: str,
                            holder: Optional[str]) -> bool:
@@ -1347,8 +1313,14 @@ class OasisService:
             # An equal copy (a decoded one, say): the next presentation
             # of this object is an identity test.
             entries[cache_key] = certificate
-        if self._heard is not None and self._heartbeat_silent(key):
-            return False
+        heard = self._heard
+        if heard is not None:
+            # Fig. 5's fail-safe: trusted only while its issuer's heartbeat
+            # window is open.
+            entry = heard.get(key)
+            if entry is None \
+                    or self.clock() - entry[1] > self._heartbeat_timeout:
+                return False
         if isinstance(certificate, AppointmentCertificate) \
                 and certificate.is_expired(self.clock()):
             raise CredentialExpired(f"appointment {certificate.ref} expired")
@@ -1385,16 +1357,6 @@ class OasisService:
             raise CredentialInvalid(
                 f"issuer {certificate.issuer} did not validate "
                 f"{certificate.ref}")
-
-    def _heartbeat_silent(self, key: str) -> bool:
-        """True when a heartbeat timeout is set and the credential named
-        ``key`` was not heard of within it — or has no window at all."""
-        heard = self._heard
-        if heard is None:
-            return False
-        entry = heard.get(key)
-        return entry is None \
-            or self.clock() - entry[1] > self._heartbeat_timeout
 
     def _on_heartbeat(self, event: Event) -> None:
         """Restart the window of a cached credential; one dict probe for

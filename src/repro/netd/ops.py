@@ -204,7 +204,8 @@ class ServiceOps:
         return {"found": True, "status": record.status,
                 "reason": record.revoked_reason,
                 "session": record.session_id,
-                "principal": record.principal.value,
+                "principal": (record.principal.value
+                              if record.principal is not None else None),
                 "dependencies": [ref_payload(dep) for dep
                                  in record.membership_dependencies]}
 

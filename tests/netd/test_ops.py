@@ -176,11 +176,36 @@ def case_audit(call):
     assert len(everything["records"]) == 2
     assert len(denied["records"]) == 1
     # timestamp, kind, principal, subject, reason, trace id, attempts:
-    # no pipeline runs here, so nothing is traced or explained.
+    # the reason is the refusal's text; no pipeline runs here, so nothing
+    # is traced or explained.
     (row,) = denied["records"]
     assert row[1:] == [AccessKind.INVOCATION_DENIED, "mallory", "echo",
-                       None, None, []]
+                       "mallory may not invoke bench/svc.echo('hi',)", None,
+                       []]
     return [everything, denied]
+
+
+def case_record_anonymous(call):
+    """Sect. 5's anonymity: an appointment issued without a holder has
+    no principal, and its record says so."""
+    rmc = wire.certificate_from_text(_activate(call)["cert"])
+    value = _value(call("appoint", service="svc", appointer="alice",
+                        name="badge", parameters=["gold"],
+                        credentials=[presentation_payload(rmc)]))
+    ref = ref_payload(wire.certificate_from_text(value["cert"]).ref)
+    record = _value(call("record", ref=ref))
+    assert record["principal"] is None
+    return record
+
+
+def case_audit_unknown_kind(call):
+    """A misspelled kind is an error, not an empty answer."""
+    call("invoke", service="svc", principal="mallory", method="echo",
+         arguments=["hi"], credentials=[])
+    reply = call("audit", service="svc", kind="invocation_denied")
+    assert reply["ok"] is False
+    assert reply["error"]["type"] == "ValueError"
+    return reply["error"]
 
 
 def case_sessions(call):
@@ -209,7 +234,9 @@ CASES = {
     "revoke": case_revoke,
     "is_active": case_is_active,
     "record": case_record,
+    "record_anonymous": case_record_anonymous,
     "audit": case_audit,
+    "audit_unknown_kind": case_audit_unknown_kind,
     "sessions": case_sessions,
     "spans": case_spans,
     "handler": case_handler,
