@@ -72,12 +72,13 @@ from .exceptions import (
     CredentialRevoked,
     InvocationDenied,
     OasisError,
+    PolicyError,
     SignatureInvalid,
     UnknownMethod,
 )
 from .policy import ServicePolicy
+from .rules import ConstraintCondition
 from .state import (
-    RECORDS,
     SERIAL_RESERVE,
     Drain,
     ServiceState,
@@ -104,22 +105,28 @@ _STORE_UNSET: Any = object()
 class _Kind(NamedTuple):
     """What tells the three guarded decisions apart (their body is one):
     the span and its subject attr, the record and the ServiceStats field
-    a refusal writes, and the rules a ``no-rule`` attempt names."""
+    a refusal writes, the rules a ``no-rule`` attempt names, and for the
+    two that grant, the credential kind, record and field a grant writes."""
 
     span: str
     subject: str
     denied: str
     counter: str
     rules: str
+    record: str = ""
+    granted: str = ""
+    issued: str = ""
 
 
 _ACTIVATION = _Kind("activate_role", "role", AccessKind.ACTIVATION_DENIED,
-                    "activations_denied", "activation")
+                    "activations_denied", "activation", "rmc",
+                    AccessKind.ACTIVATION, "rmcs_issued")
 _INVOCATION = _Kind("invoke", "method", AccessKind.INVOCATION_DENIED,
                     "invocations_denied", "authorization")
 _APPOINTMENT = _Kind("issue_appointment", "appointment",
                      AccessKind.APPOINTMENT_DENIED, "appointments_denied",
-                     "appointment")
+                     "appointment", "appointment", AccessKind.APPOINTMENT,
+                     "appointments_issued")
 
 
 @dataclass
@@ -327,7 +334,6 @@ class OasisService:
         # original one-Subscription-per-dependency design is the
         # differential suites' oracle, ``tests/reference/``.)
         self._dependents = self._state.dependents
-        self._link_dependent = self._state.link_dependent
         self._unlink_dependencies = self._state.unlink_dependencies
         self._watches = self._state.watches
         self._methods: Dict[str, Callable[..., Any]] = {}
@@ -572,6 +578,61 @@ class OasisService:
         self._audit(kind.denied, principal.value, subject, detail=detail,
                     reason=str(failure), attempts=attempts)
 
+    def _grant(self, kind: _Kind, entries: Sequence[Tuple[Any, ...]],
+               rule: Any = None, match: Optional[RuleMatch] = None,
+               environment: Optional[Dict[str, Any]] = None,
+               attempts: Optional[List[RuleAttempt]] = None,
+               span: Optional[Span] = None) -> List[CredentialRecord]:
+        """The one grant: every credential record this service issues,
+        a batch at a time, is allocated, reserved, installed with its
+        Fig. 5 edges, counted and audited here; the caller signs.  Each
+        entry is ``(requester, holder, subject, detail, reason,
+        membership_dependencies, session_id)``.  An activation or an
+        appointment is a batch of one naming the ``rule`` that matched;
+        an activation's ``match`` also arms its membership watch.
+        """
+        refs = self._refs.next_many(len(entries))
+        # Record writes are write-behind, so a crash can lose recent
+        # installs; the durably reserved watermark guarantees the resumed
+        # allocator starts past every serial that may have escaped inside
+        # a signed certificate.  One durable append covers
+        # ``SERIAL_RESERVE`` allocations.  Storeless, nothing is reserved.
+        top_serial = refs[-1].serial
+        if self._persist is not None \
+                and top_serial > self._serials_reserved:
+            self._serials_reserved = top_serial + SERIAL_RESERVE
+            self._state.reserve_serials(self._serials_reserved)
+        now = self.clock()
+        records = [CredentialRecord(
+                       ref=ref, kind=kind.record, principal=holder,
+                       issued_at=now, membership_dependencies=dependencies,
+                       session_id=session_id)
+                   for ref, (_requester, holder, _subject, _detail, _reason,
+                             dependencies, session_id) in zip(refs, entries)]
+        self._state.install(records)
+        if match is not None:
+            constraints = match.membership_constraints()
+            if constraints:
+                self._watches[refs[0].qualified] = _MembershipWatch(
+                    ref=refs[0], constraints=constraints,
+                    substitution=match.substitution,
+                    environment=dict(environment or {}),
+                    watched_tables=set().union(*(
+                        condition.constraint.watched_tables()
+                        for condition in constraints)))
+        setattr(self.stats, kind.issued,
+                getattr(self.stats, kind.issued) + len(records))
+        for ref, (requester, _holder, subject, detail, reason, _dependencies,
+                  _session_id) in zip(refs, entries):
+            if attempts is not None:
+                attempts.append(RuleAttempt(
+                    rule=str(rule), outcome="matched",
+                    detail=f"credential_ref={ref}"))
+                span.set_attr("credential_ref", str(ref))
+            self._audit(kind.granted, requester.value, subject,
+                        detail=detail, reason=reason, attempts=attempts)
+        return records
+
     # ------------------------------------------------------------------
     # Role activation (Fig. 2 paths 1-2)
     # ------------------------------------------------------------------
@@ -626,44 +687,20 @@ class OasisService:
             raise
         else:
             rule, (match, role) = found
-            ref = self._refs.next()
-            self._reserve_serials(ref.serial)
-            now = self.clock()
-            rmc = RoleMembershipCertificate.issue(
-                self.secret, self.id, role, ref, principal, now, bound_key)
-            self._install_record(CredentialRecord(
-                ref=ref, kind="rmc", principal=principal, issued_at=now,
-                membership_dependencies=match.membership_credential_refs(),
-                session_id=session_id), match, environment or {})
-            self.stats.rmcs_issued += 1
-            if attempts is not None:
-                attempts.append(RuleAttempt(
-                    rule=str(rule), outcome="matched",
-                    detail=f"credential_ref={ref}"))
-                span.set_attr("credential_ref", str(ref))
-            self._audit(AccessKind.ACTIVATION, principal.value,
-                        str(role.role_name), detail=role.parameters,
-                        attempts=attempts)
-            return rmc
+            (record,) = self._grant(
+                _ACTIVATION, ((principal, principal, str(role.role_name),
+                               role.parameters, None,
+                               match.membership_credential_refs(),
+                               session_id),),
+                rule, match, environment, attempts, span)
+            return RoleMembershipCertificate.issue(
+                self.secret, self.id, role, record.ref, principal,
+                record.issued_at, bound_key)
         finally:
             if span is not None:
                 span.finish(self.clock())
                 self._obs_activation_latency.observe(
                     time.perf_counter() - wall_start)
-
-    def _reserve_serials(self, top_serial: int) -> None:
-        """Durably reserve a block of CRR serials ahead of use.
-
-        Credential-record writes are write-behind, so a crash can lose
-        recent installs; the watermark guarantees the resumed allocator
-        starts past every serial that may have escaped inside a signed
-        certificate.  One durable append covers ``SERIAL_RESERVE``
-        allocations.  Storeless, nothing is reserved.
-        """
-        if self._persist is not None \
-                and top_serial > self._serials_reserved:
-            self._serials_reserved = top_serial + SERIAL_RESERVE
-            self._state.reserve_serials(self._serials_reserved)
 
     # ------------------------------------------------------------------
     # Bulk issuance and activation (scale-world construction)
@@ -688,56 +725,33 @@ class OasisService:
                                                       Sequence[CredentialRef],
                                                       Optional[str]]],
                         ) -> List[RoleMembershipCertificate]:
-        """Mint a batch of RMCs directly, bypassing rule evaluation.
-
-        Each entry is ``(principal, role, membership_dependencies,
-        session_id)``.  This is a *trusted* issuance path for world
-        construction and administrative re-seeding: the caller asserts the
-        activation conditions held and supplies the membership dependency
-        edges that rule matching would have produced.  Everything
-        downstream is identical to the rule-driven path — signed
-        certificate, credential record, event channel, reverse-index
-        wiring, audit entry, ``rmcs_issued`` counter
-        — so revocation cascades and callback validation behave exactly as
-        if each RMC had come from :meth:`activate_role`.  Membership
-        *constraint* watches are not installed (there is no rule match to
-        take constraints from); use the rule-driven APIs for roles whose
-        activation rules carry membership-flagged constraints.
+        """Mint a batch of RMCs through the activation grant, bypassing
+        rule evaluation: a *trusted* path for world construction and
+        administrative re-seeding, whose caller asserts the activation
+        conditions held.  Each entry is ``(principal, role,
+        membership_dependencies, session_id)``, with the dependencies a
+        rule match would have found.  A role whose activation rules carry
+        a membership-flagged constraint raises :class:`PolicyError` before
+        anything is issued: with no match, nothing could watch it.
         """
-        count = len(entries)
-        if not count:
+        if not entries:
             return []
-        refs = self._refs.next_many(count)
-        self._reserve_serials(refs[-1].serial)
-        now = self.clock()
-        secret = self.secret
-        service_id = self.id
-        records = self._records
-        link = self._link_dependent
-        for ref, (principal, role, dependencies, session_id) \
-                in zip(refs, entries):
-            record = CredentialRecord(
-                ref=ref, kind="rmc", principal=principal, issued_at=now,
-                membership_dependencies=tuple(dependencies),
-                session_id=session_id)
-            records[ref] = record
-            for dependency in record.membership_dependencies:
-                link(dependency.qualified, ref)
-            self._audit(AccessKind.ACTIVATION, principal.value,
-                        str(role.role_name), detail=role.parameters)
-        if self._persist is not None:
-            # One store round trip for the whole batch (write-behind on
-            # serialising backends, dict.update on the memory backend),
-            # fed lazily: the records are held once, in ``records``.  It
-            # runs before minting, so no certificate list is live during
-            # the auto-flush it may trigger.
-            self._persist.put_many(
-                RECORDS, ((ref.qualified, records[ref]) for ref in refs))
-        self.stats.rmcs_issued += count
+        for name in {role.role_name.name for _p, role, _d, _s in entries}:
+            if self.policy.defines_role(name) and any(
+                    isinstance(condition, ConstraintCondition)
+                    for rule in self.policy.activation_rules_for(name)
+                    for condition in rule.membership_conditions):
+                raise PolicyError(f"{self.id}:{name} has membership "
+                                  f"constraints; only activation watches them")
+        records = self._grant(_ACTIVATION, [
+            (principal, principal, str(role.role_name), role.parameters,
+             None, tuple(dependencies), session_id)
+            for principal, role, dependencies, session_id in entries])
         return [RoleMembershipCertificate.issue(
-                    secret, service_id, role, ref, principal, now)
-                for ref, (principal, role, _dependencies, _session_id)
-                in zip(refs, entries)]
+                    self.secret, self.id, role, record.ref, principal,
+                    record.issued_at)
+                for record, (principal, role, _dependencies, _session_id)
+                in zip(records, entries)]
 
     # ------------------------------------------------------------------
     # Service invocation (Fig. 2 paths 3-4)
@@ -852,26 +866,15 @@ class OasisService:
         else:
             rule, match = found
             ground = match.substitution.apply(parameters)
-            ref = self._refs.next()
-            self._reserve_serials(ref.serial)
-            now = self.clock()
-            certificate = AppointmentCertificate.issue(
-                self.secret, self.id, name, ground, ref, now, expires_at,
-                holder)
-            self._state.install(CredentialRecord(
-                ref=ref, kind="appointment",
-                principal=PrincipalId(holder) if holder else None,
-                issued_at=now))
-            self.stats.appointments_issued += 1
-            if attempts is not None:
-                attempts.append(RuleAttempt(
-                    rule=str(rule), outcome="matched",
-                    detail=f"credential_ref={ref}"))
-                span.set_attr("credential_ref", str(ref))
-            self._audit(AccessKind.APPOINTMENT, appointer.value, name,
-                        detail=tuple(ground), reason=f"holder={holder!r}",
-                        attempts=attempts)
-            return certificate
+            (record,) = self._grant(
+                _APPOINTMENT, ((appointer,
+                                PrincipalId(holder) if holder else None,
+                                name, tuple(ground), f"holder={holder!r}",
+                                (), None),),
+                rule, None, None, attempts, span)
+            return AppointmentCertificate.issue(
+                self.secret, self.id, name, ground, record.ref,
+                record.issued_at, expires_at, holder)
         finally:
             if span is not None:
                 span.finish(self.clock())
@@ -1157,24 +1160,6 @@ class OasisService:
     # ------------------------------------------------------------------
     # Membership constraint monitoring
     # ------------------------------------------------------------------
-    def _install_record(self, record: CredentialRecord, match: RuleMatch,
-                        environment: Dict[str, Any]) -> None:
-        ref = record.ref
-        # The state core installs the record (mirroring it to the store)
-        # and registers every membership dependency: the edge along which
-        # the Fig. 5 cascade travels (O(dependencies) bucket inserts, no
-        # broker churn).
-        self._state.install(record)
-        constraints = match.membership_constraints()
-        if constraints:
-            watch = _MembershipWatch(
-                ref=ref, constraints=constraints,
-                substitution=match.substitution,
-                environment=dict(environment))
-            for condition in constraints:
-                watch.watched_tables |= condition.constraint.watched_tables()
-            self._watches[ref.qualified] = watch
-
     def _teardown_watch(self, ref: CredentialRef) -> None:
         self._watches.pop(ref.qualified, None)
 

@@ -353,16 +353,19 @@ class ServiceState:
     # ------------------------------------------------------------------
     # Credential records
     # ------------------------------------------------------------------
-    def install(self, record: CredentialRecord) -> None:
-        """Install a freshly-issued credential record and register its
-        Fig. 5 reverse-dependency edges."""
-        ref = record.ref
-        self.records[ref] = record
-        for dependency in record.membership_dependencies:
-            self.link_dependent(dependency.qualified, ref)
+    def install(self, records: List[CredentialRecord]) -> None:
+        """Install freshly-issued credential records, register their
+        Fig. 5 reverse-dependency edges, and mirror them in one store
+        round trip, fed lazily so a bulk batch is not held twice."""
+        for record in records:
+            ref = record.ref
+            self.records[ref] = record
+            for dependency in record.membership_dependencies:
+                self.link_dependent(dependency.qualified, ref)
         store = self.store
         if store is not None:
-            store.put(RECORDS, ref.qualified, record)
+            store.put_many(RECORDS, ((record.ref.qualified, record)
+                                     for record in records))
 
     def mark_revoked(self, record: CredentialRecord) -> None:
         """Mirror an already-flipped record's terminal state."""

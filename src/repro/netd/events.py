@@ -232,6 +232,9 @@ class EventChannel:
                 delay = self._reconnect_delay  # clean session: reset backoff
             except (OasisNetError, OSError):
                 pass
+            except Exception:  # noqa: BLE001 - a dead thread stays "connected"
+                _log.exception("event channel to %s failed; reconnecting",
+                               self.peer)
             self.connected.clear()
             if self._stopping.wait(delay):
                 return

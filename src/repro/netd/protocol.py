@@ -224,7 +224,9 @@ def decode_body(body: bytes) -> Dict[str, Any]:
     """Decode one frame body; :exc:`ProtocolError` on anything malformed."""
     try:
         message = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as error:
+    except (ValueError, RecursionError) as error:
+        # ValueError covers bad UTF-8, bad JSON and an integer past the
+        # interpreter's digit limit; RecursionError, nesting too deep.
         raise ProtocolError(f"frame body is not JSON: {error}") from error
     if not isinstance(message, dict):
         raise ProtocolError(

@@ -11,6 +11,7 @@ error (mirroring the shard transport's contract), never a hang.
 import gc
 import logging
 import socket
+import struct
 import threading
 import time
 import warnings
@@ -38,6 +39,17 @@ from repro.netd.worlds import NodeContext, bench_world
 
 from netd_helpers import FaultyServer, Node, Peer
 from test_events import Collector
+
+
+#: Frame bodies the JSON decoder raises on with something other than a
+#: decode error: nesting past the recursion limit, and an integer past
+#: the interpreter's digit limit.
+DEEP_BODY = b'{"push": "events", "events": ' + b"[" * 200_000
+HUGE_INT_BODY = b'{"push": "events", "events": [' + b"9" * 5_000 + b"]}"
+
+
+def raw_frame(body):
+    return struct.pack(">I", len(body)) + body
 
 
 class TestClientFaults:
@@ -98,18 +110,28 @@ class TestClientFaults:
         finally:
             faulty.stop()
 
-    def test_server_rejects_malformed_frame_without_dying(self, bench_node):
-        """A garbage frame kills that connection only; the server keeps
-        serving others."""
-        with socket.create_connection(("127.0.0.1", bench_node.port),
+    @staticmethod
+    def assert_rejected_without_dying(node, body):
+        with socket.create_connection(("127.0.0.1", node.port),
                                       timeout=5) as sock:
-            sock.sendall(b"\x00\x00\x00\x04nope")
+            sock.sendall(raw_frame(body))
             reply = Peer(sock).read_frame()
         assert reply is not None and reply["ok"] is False
         # Server is still alive for well-formed clients.
-        client = bench_node.client()
+        client = node.client()
         assert client.ping()["node"] == "bench"
         client.close()
+
+    def test_server_rejects_malformed_frame_without_dying(self, bench_node):
+        """A garbage frame kills that connection only; the server keeps
+        serving others."""
+        self.assert_rejected_without_dying(bench_node, b"nope")
+
+    def test_server_rejects_deeply_nested_frame_without_dying(self,
+                                                              bench_node):
+        """A body past the decoder's recursion limit is a protocol error
+        too, not a dead connection thread."""
+        self.assert_rejected_without_dying(bench_node, DEEP_BODY)
 
     def test_drip_feeding_peer_hits_whole_call_deadline(self):
         """One byte every 0.2 s keeps every ``recv`` inside a per-read
@@ -364,7 +386,7 @@ class TestEventChannelFaults:
             channel.stop()
             faulty.stop()
 
-    def test_malformed_push_ends_the_session_not_the_channel(self):
+    def assert_session_ends_not_the_channel(self, frame):
         sessions = []
 
         def garbler(peer):
@@ -373,8 +395,10 @@ class TestEventChannelFaults:
             peer.send_frame({"id": request["id"], "ok": True,
                              "value": {"subscribed": True}})
             if len(sessions) == 1:
-                peer.send_frame({"push": "events", "origin": "script",
-                                 "events": [{"no": "topic"}, 7]})
+                # Let the reply be read on its own: a bad frame discards
+                # the good ones decoded from the same read.
+                time.sleep(0.1)
+                peer.sock.sendall(frame)
             else:
                 peer.send_frame(push("svc#2"))
             peer.hold()
@@ -382,6 +406,43 @@ class TestEventChannelFaults:
         channel, refs = self.run_channel(garbler, Collector(), 1)
         assert refs == ["svc#2"]
         assert channel.subscribes == 2  # it reconnected by itself
+
+    def test_malformed_push_ends_the_session_not_the_channel(self):
+        self.assert_session_ends_not_the_channel(encode_frame(
+            {"push": "events", "origin": "script",
+             "events": [{"no": "topic"}, 7]}))
+
+    @pytest.mark.parametrize("body", [DEEP_BODY, HUGE_INT_BODY],
+                             ids=["deep-nesting", "huge-integer"])
+    def test_undecodable_push_ends_the_session_not_the_channel(self, body):
+        self.assert_session_ends_not_the_channel(raw_frame(body))
+
+    def test_any_session_error_reconnects_the_channel(self, monkeypatch,
+                                                     caplog):
+        def steady(peer):
+            request = peer.read_frame()
+            peer.send_frame({"id": request["id"], "ok": True,
+                             "value": {"subscribed": True}})
+            peer.send_frame(push("svc#1"))
+            peer.hold()
+
+        republish = EventChannel._republish
+        failures = []
+
+        def flaky(channel, frame):
+            if not failures:
+                failures.append(frame)
+                raise RuntimeError("session bug")
+            republish(channel, frame)
+
+        monkeypatch.setattr(EventChannel, "_republish", flaky)
+        with caplog.at_level(logging.ERROR, logger="repro.netd.events"):
+            channel, refs = self.run_channel(steady, Collector(), 1)
+        assert refs == ["svc#1"]
+        assert channel.subscribes == 2  # logged, then reconnected
+        (record,) = [record for record in caplog.records
+                     if record.name == "repro.netd.events"]
+        assert "session bug" in str(record.exc_info[1])
 
     def test_push_overtaking_the_subscription_reply_is_delivered(self):
         def eager(peer):

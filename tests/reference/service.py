@@ -24,26 +24,19 @@ class PerEdgeService(OasisService):
                 "per-edge subscriptions are not persisted, so a recovered "
                 "root's recovered dependents would stay active")
 
-    def _install_record(self, record, match, environment) -> None:
-        super()._install_record(record, match, environment)
-        self._subscribe_edges(record)
-
-    def issue_rmcs_bulk(self, entries):
-        rmcs = super().issue_rmcs_bulk(entries)
-        for rmc in rmcs:
-            self._subscribe_edges(self._records[rmc.ref])
-        return rmcs
-
-    def _subscribe_edges(self, record) -> None:
-        ref = record.ref
-        subs = [self.broker.subscribe(
-                    CREDENTIAL_REVOKED,
-                    lambda event, dep=ref: self._on_dependency_revoked(
-                        dep, event),
-                    credential_ref=str(dependency))
-                for dependency in record.membership_dependencies]
-        if subs:
-            self._dependency_subs[ref] = subs
+    def _grant(self, *args, **kwargs):
+        records = super()._grant(*args, **kwargs)
+        for record in records:
+            ref = record.ref
+            subs = [self.broker.subscribe(
+                        CREDENTIAL_REVOKED,
+                        lambda event, dep=ref: self._on_dependency_revoked(
+                            dep, event),
+                        credential_ref=str(dependency))
+                    for dependency in record.membership_dependencies]
+            if subs:
+                self._dependency_subs[ref] = subs
+        return records
 
     def revoke(self, ref: CredentialRef, reason: str = "revoked") -> bool:
         record = self._records.get(ref)
